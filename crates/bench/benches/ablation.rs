@@ -26,7 +26,6 @@ fn main() {
         &KspinConfig {
             rho: 5,
             num_threads: threads,
-            ..KspinConfig::default()
         },
     );
     let qs = std_queries(&ds, 2);
@@ -86,7 +85,6 @@ fn main() {
         &KspinConfig {
             rho: usize::MAX,
             num_threads: threads,
-            ..KspinConfig::default()
         },
     );
     for (label, idx) in [("lazy (NVD)", &index), ("eager (lists)", &eager)] {

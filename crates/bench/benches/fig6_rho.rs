@@ -39,7 +39,6 @@ fn main() {
         let cfg = KspinConfig {
             rho,
             num_threads: threads,
-            ..KspinConfig::default()
         };
         let index = KspinIndex::build(&ds.graph, &ds.corpus, &cfg);
         row(
@@ -124,7 +123,6 @@ fn main() {
         let cfg = KspinConfig {
             rho: 5,
             num_threads: p,
-            ..KspinConfig::default()
         };
         let t0 = Instant::now();
         let index = KspinIndex::build(&ds.graph, &ds.corpus, &cfg);

@@ -78,7 +78,6 @@ fn main() {
                 &KspinConfig {
                     rho: 5,
                     num_threads: threads,
-                    ..KspinConfig::default()
                 },
             );
             let mut dist = HlDistance::new(&hl);
@@ -112,7 +111,6 @@ fn main() {
                     &KspinConfig {
                         rho: 5,
                         num_threads: threads,
-                        ..KspinConfig::default()
                     },
                 );
                 let mut dist = HlDistance::new(&hl);

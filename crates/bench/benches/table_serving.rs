@@ -1,28 +1,23 @@
-//! Serving-layer sweep: `BatchExecutor` threads ∈ {1,2,4,8} × heap-seed
-//! cache {off,on} on a Zipf-skewed hot-keyword workload (§6 Obs. 1's
-//! traffic shape), reporting q/s and cache hit rate per leg.
+//! Serving-layer sweep: `BatchExecutor` at 1 worker and at the host's
+//! `available_parallelism` on a Zipf-skewed hot-keyword workload (§6
+//! Obs. 1's traffic shape), reporting q/s and heap-kernel traffic per leg.
+//! Worker counts between or beyond those two measure the scheduler, not
+//! the engine; on a 1-thread host the sweep is the single 1-worker row.
 //!
 //! Besides the printed table, the sweep is emitted as machine-readable
 //! JSON to `BENCH_serving.json` at the workspace root (CI uploads it as
-//! an artifact). Throughput scaling with threads is hardware-bound: on a
-//! single-core runner every leg measures the same core and only the cache
-//! axis moves.
+//! an artifact).
 //!
-//! Each leg runs one unmeasured warmup pass (so cache-on legs are measured
-//! at their steady-state hit rate, the serving-relevant regime) followed by
-//! five measured passes; the best pass is reported to suppress host noise.
-//! Cache on/off legs are interleaved per thread count so slow phases of a
-//! shared host cannot bias one cache class wholesale.
+//! Each leg runs one unmeasured warmup pass followed by five measured
+//! passes; the best pass is reported to suppress host noise.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use kspin::adapters::HlDistance;
 use kspin_bench::{build_dataset, default_scale, header, row};
-use kspin_core::{BatchExecutor, KspinConfig, KspinIndex, Op, SeedCacheConfig, ServingQuery};
+use kspin_core::{BatchExecutor, KspinConfig, KspinIndex, Op, ServingQuery};
 use kspin_text::workload::{zipf_queries, ZipfWorkloadConfig};
-
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
     let (name, vertices) = default_scale();
@@ -41,14 +36,7 @@ fn main() {
     let ch = kspin_ch::ContractionHierarchy::build(&ds.graph, &kspin_ch::ChConfig::default());
     let hl = kspin_hl::HubLabels::build(&ch);
     eprintln!("  CH+HL built in {:.1}s", t0.elapsed().as_secs_f64());
-    let index = KspinIndex::build(
-        &ds.graph,
-        &ds.corpus,
-        &KspinConfig {
-            seed_cache: SeedCacheConfig::enabled(),
-            ..KspinConfig::default()
-        },
-    );
+    let index = KspinIndex::build(&ds.graph, &ds.corpus, &KspinConfig::default());
     eprintln!(
         "  K-SPIN index built in {:.1}s",
         index.stats().build_seconds
@@ -83,70 +71,48 @@ fn main() {
         })
         .collect();
 
-    header(
-        "Serving: threads × seed cache",
-        &["threads", "cache", "q/s", "hit rate %", "speedup"],
-    );
+    header("Serving: threads", &["threads", "q/s", "speedup"]);
+    let hardware_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut json_rows = String::new();
-    let mut baseline_qps = [0.0f64; 2];
-    for threads in THREADS {
-        for (ci, cache_on) in [false, true].into_iter().enumerate() {
-            if let Some(cache) = index.seed_cache() {
-                cache.clear();
+    let mut baseline_qps = 0.0f64;
+    let mut thread_axis = vec![1, hardware_threads];
+    thread_axis.dedup(); // 1-thread host: one leg.
+    for threads in thread_axis {
+        let exec = BatchExecutor::new(&ds.graph, &ds.corpus, &index, &alt, threads);
+        let _ = exec.execute(&queries, || HlDistance::new(&hl));
+        let mut qps = 0.0f64;
+        let mut out = None;
+        for _rep in 0..5 {
+            let t0 = Instant::now();
+            let rep_out = exec.execute(&queries, || HlDistance::new(&hl));
+            let rep_qps = queries.len() as f64 / t0.elapsed().as_secs_f64();
+            if rep_qps > qps {
+                qps = rep_qps;
+                out = Some(rep_out);
             }
-            // `with_exact_threads`: the sweep deliberately measures
-            // oversubscription past the hardware clamp of `new`.
-            let exec = BatchExecutor::new(&ds.graph, &ds.corpus, &index, &alt, 1)
-                .with_exact_threads(threads)
-                .with_seed_cache(cache_on);
-            // Warmup pass (unmeasured): populates the seed cache so the
-            // measured passes see the steady-state hit rate.
-            let _ = exec.execute(&queries, || HlDistance::new(&hl));
-            let mut qps = 0.0f64;
-            let mut out = None;
-            for _rep in 0..5 {
-                let t0 = Instant::now();
-                let rep_out = exec.execute(&queries, || HlDistance::new(&hl));
-                let rep_qps = queries.len() as f64 / t0.elapsed().as_secs_f64();
-                if rep_qps > qps {
-                    qps = rep_qps;
-                    out = Some(rep_out);
-                }
-            }
-            let out = out.expect("at least one measured pass ran");
-            if threads == 1 {
-                baseline_qps[ci] = qps;
-            }
-            let hit_pct = 100.0 * out.stats.cache_hit_rate();
-            row(
-                format!("{threads}t/{}", if cache_on { "on" } else { "off" }),
-                &[threads as f64, qps, hit_pct, qps / baseline_qps[ci]],
-            );
-            eprintln!("    stats: {}", out.stats);
-            let _comma = if json_rows.is_empty() { "" } else { ",\n" };
-            write!(
-                json_rows,
-                "{_comma}    {{\"threads\": {threads}, \"cache\": {cache_on}, \
-                 \"qps\": {qps:.1}, \"hit_rate\": {:.4}, \
-                 \"cache_hits\": {}, \"cache_misses\": {}, \"seed_reuse\": {}, \
-                 \"heap_pushes\": {}, \"heap_pops\": {}, \
-                 \"heap_decrease_keys\": {}, \"heap_stale_skipped\": {}, \
-                 \"heap_grows\": {}, \"grows_per_query\": {:.4}, \
-                 \"speedup_vs_1t\": {:.3}}}",
-                out.stats.cache_hit_rate(),
-                out.stats.cache_hits,
-                out.stats.cache_misses,
-                out.stats.seed_reuse,
-                out.stats.heap_pushes,
-                out.stats.heap_pops,
-                out.stats.heap_decrease_keys,
-                out.stats.heap_stale_skipped,
-                out.stats.heap_grows,
-                out.stats.heap_grows as f64 / queries.len() as f64,
-                qps / baseline_qps[ci],
-            )
-            .expect("write to String cannot fail");
         }
+        let out = out.expect("at least one measured pass ran");
+        if threads == 1 {
+            baseline_qps = qps;
+        }
+        row(threads, &[qps, qps / baseline_qps]);
+        eprintln!("    stats: {}", out.stats);
+        let _comma = if json_rows.is_empty() { "" } else { ",\n" };
+        write!(
+            json_rows,
+            "{_comma}    {{\"threads\": {threads}, \"qps\": {qps:.1}, \
+             \"heap_pushes\": {}, \"heap_pops\": {}, \
+             \"heap_decrease_keys\": {}, \
+             \"heap_grows\": {}, \"grows_per_query\": {:.4}, \
+             \"speedup_vs_1t\": {:.3}}}",
+            out.stats.heap_pushes,
+            out.stats.heap_pops,
+            out.stats.heap_decrease_keys,
+            out.stats.heap_grows,
+            out.stats.heap_grows as f64 / queries.len() as f64,
+            qps / baseline_qps,
+        )
+        .expect("write to String cannot fail");
     }
 
     let json = format!(
@@ -154,7 +120,7 @@ fn main() {
          \"vertices\": {vertices},\n  \"num_queries\": {},\n  \
          \"hardware_threads\": {},\n  \"rows\": [\n{json_rows}\n  ]\n}}\n",
         queries.len(),
-        std::thread::available_parallelism().map_or(1, |p| p.get()),
+        hardware_threads,
     );
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
     std::fs::write(out_path, &json).expect("failed to write BENCH_serving.json");

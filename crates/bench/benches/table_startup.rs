@@ -42,10 +42,7 @@ fn main() {
     for &n in sizes() {
         let ds = build_dataset("startup", n);
         let vertices = ds.graph.num_vertices();
-        let config = KspinConfig {
-            seed_cache: SeedCacheConfig::enabled(),
-            ..KspinConfig::default()
-        };
+        let config = KspinConfig::default();
 
         // Cold path: everything a process start pays without persistence.
         let t0 = Instant::now();

@@ -8,9 +8,8 @@ use std::ops::AddAssign;
 use kspin_graph::{Graph, HeapCounters, Weight};
 use kspin_text::{Corpus, ObjectId, TermId};
 
-use crate::cache::compute_seeds;
 use crate::heap::{HeapContext, InvertedHeap};
-use crate::index::{KeywordIndex, KspinIndex};
+use crate::index::KspinIndex;
 use crate::modules::{LowerBound, NetworkDistance};
 
 /// Per-query/side-channel instrumentation.
@@ -29,13 +28,6 @@ pub struct QueryStats {
     /// Candidates discarded without a distance computation (keyword filter,
     /// duplicate, or lower-bound-score prune).
     pub pruned_candidates: usize,
-    /// Heap creations served from the cross-query seed cache.
-    pub cache_hits: usize,
-    /// Heap creations that recomputed (and admitted) their seeds.
-    pub cache_misses: usize,
-    /// Seed candidates reused from the cache (the per-hit payload — the
-    /// quadtree walks and sort/dedup passes the cache saved).
-    pub seed_reuse: usize,
     /// Heap-kernel entries pushed, across the inverted heaps and the
     /// distance oracle's internal searches.
     pub heap_pushes: usize,
@@ -44,10 +36,6 @@ pub struct QueryStats {
     /// In-place decrease-keys — each one is a stale entry the old lazy
     /// kernel would have duplicated, percolated, and re-popped.
     pub heap_decrease_keys: usize,
-    /// Stale heap entries popped and discarded. Structurally zero on the
-    /// indexed d-ary kernel (asserted by the tier-1 suite); carried so the
-    /// lazy-deletion bench baselines report on the same schema.
-    pub heap_stale_skipped: usize,
     /// Heap-kernel pushes that forced the entry array to grow. Zero in the
     /// steady state (`DaryHeap::new` pre-sizes to the item count) — the
     /// dynamic face of `cargo xtask allocs`'s static certificate, surfaced
@@ -83,18 +71,7 @@ impl QueryStats {
         self.heap_pushes += c.pushes as usize;
         self.heap_pops += c.pops as usize;
         self.heap_decrease_keys += c.decrease_keys as usize;
-        self.heap_stale_skipped += c.stale_skipped as usize;
         self.heap_grows += c.grows as usize;
-    }
-
-    /// Cache hit rate in `[0, 1]` (0 when the cache never engaged).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
     }
 }
 
@@ -106,13 +83,9 @@ impl AddAssign for QueryStats {
         self.heap_extractions += rhs.heap_extractions;
         self.lb_computations += rhs.lb_computations;
         self.pruned_candidates += rhs.pruned_candidates;
-        self.cache_hits += rhs.cache_hits;
-        self.cache_misses += rhs.cache_misses;
-        self.seed_reuse += rhs.seed_reuse;
         self.heap_pushes += rhs.heap_pushes;
         self.heap_pops += rhs.heap_pops;
         self.heap_decrease_keys += rhs.heap_decrease_keys;
-        self.heap_stale_skipped += rhs.heap_stale_skipped;
         self.heap_grows += rhs.heap_grows;
         self.sweeps += rhs.sweeps;
         self.sweep_settled += rhs.sweep_settled;
@@ -125,21 +98,16 @@ impl fmt::Display for QueryStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "dist={} extract={} lb={} pruned={} cache={}h/{}m ({:.1}%) reuse={} \
-             heap={}push/{}pop/{}dec/{}stale alloc={}grow \
+            "dist={} extract={} lb={} pruned={} \
+             heap={}push/{}pop/{}dec alloc={}grow \
              sweep={}x/{}settled/{}hit",
             self.dist_computations,
             self.heap_extractions,
             self.lb_computations,
             self.pruned_candidates,
-            self.cache_hits,
-            self.cache_misses,
-            100.0 * self.cache_hit_rate(),
-            self.seed_reuse,
             self.heap_pushes,
             self.heap_pops,
             self.heap_decrease_keys,
-            self.heap_stale_skipped,
             self.heap_grows,
             self.sweeps,
             self.sweep_settled,
@@ -242,9 +210,6 @@ pub struct QueryEngine<'a, D: NetworkDistance> {
     dist_base: HeapCounters,
     pub(crate) stats: QueryStats,
     pub(crate) scratch: QueryScratch,
-    /// Whether this engine consults the index's heap-seed cache (when the
-    /// index carries one). On by default; benches toggle it per sweep leg.
-    pub(crate) use_cache: bool,
 }
 
 impl<'a, D: NetworkDistance> QueryEngine<'a, D> {
@@ -269,50 +234,24 @@ impl<'a, D: NetworkDistance> QueryEngine<'a, D> {
                 min_keys: Vec::new(),
                 evaluated: SeenSet::with_capacity(corpus.num_objects()),
             },
-            use_cache: true,
         }
     }
 
-    /// Enables/disables use of the index's heap-seed cache for this engine
-    /// (no-op when the index was built without one). The cache only ever
-    /// changes *how seeds are obtained*, never query results, so this is a
-    /// pure performance knob.
-    pub fn set_seed_cache(&mut self, on: bool) {
-        self.use_cache = on;
-    }
-
-    /// Builds the inverted heap for keyword `t`, serving the seed set from
-    /// the index's cross-query cache when possible (§6 Obs. 1: hot-keyword
-    /// seeds repeat across queries). Falls through to the cold
-    /// [`InvertedHeap::create`] for Small entries, cache-off engines, and
-    /// cacheless indexes — the three paths produce bit-identical heaps.
+    /// Builds the inverted heap for keyword `t` (§5, Theorem 1). A keyword
+    /// whose seeds are all §6.2-deleted yields no heap, but the lower
+    /// bounds spent discovering that still count toward §5.1's accounting.
     pub(crate) fn make_heap(
         &mut self,
         t: TermId,
         ctx: &HeapContext<'_>,
     ) -> Option<InvertedHeap<'a>> {
-        if self.use_cache {
-            if let (Some(cache), Some(KeywordIndex::Nvd(n))) =
-                (self.index.seed_cache(), self.index.entry(t))
-            {
-                let leaf = n.nvd().leaf_index(ctx.graph.coord(ctx.q));
-                let seeds = match cache.lookup(t, leaf) {
-                    Some(s) => {
-                        self.stats.cache_hits += 1;
-                        self.stats.seed_reuse += s.len();
-                        s
-                    }
-                    None => {
-                        self.stats.cache_misses += 1;
-                        let s = compute_seeds(n, leaf);
-                        cache.admit(t, leaf, std::sync::Arc::clone(&s));
-                        s
-                    }
-                };
-                return InvertedHeap::create_seeded(self.index, t, ctx, &seeds);
+        match InvertedHeap::seed(self.index, t, ctx) {
+            Ok(heap) => Some(heap),
+            Err(lb_computed) => {
+                self.stats.lb_computations += lb_computed;
+                None
             }
         }
-        InvertedHeap::create(self.index, t, ctx)
     }
 
     /// Statistics accumulated since the last [`QueryEngine::reset_stats`],

@@ -19,7 +19,6 @@ use kspin_graph::dheap::{DaryHeap, HeapCounters};
 use kspin_graph::{Graph, VertexId, Weight};
 use kspin_text::{Corpus, ObjectId, TermId};
 
-use crate::cache::SeedCandidate;
 use crate::index::{KeywordIndex, KspinIndex};
 use crate::modules::LowerBound;
 
@@ -88,7 +87,19 @@ impl<'a> InvertedHeap<'a> {
     /// Creates the heap for keyword `t` of `index`, or `None` if the
     /// keyword indexes no objects.
     pub fn create(index: &'a KspinIndex, t: TermId, ctx: &HeapContext<'_>) -> Option<Self> {
-        let entry = index.entry(t)?;
+        Self::seed(index, t, ctx).ok()
+    }
+
+    /// [`InvertedHeap::create`] for the query loops: a keyword without a
+    /// live object yields `Err` carrying the lower bounds spent finding
+    /// that out (seeds that were all §6.2-deleted, and their expansions),
+    /// so the §5.1 accounting survives the discarded heap.
+    pub(crate) fn seed(
+        index: &'a KspinIndex,
+        t: TermId,
+        ctx: &HeapContext<'_>,
+    ) -> Result<Self, usize> {
+        let entry = index.entry(t).ok_or(0usize)?;
         let mut lb_computed = 0;
         let heap = match entry {
             KeywordIndex::Small(s) => {
@@ -116,46 +127,6 @@ impl<'a> InvertedHeap<'a> {
                 heap
             }
         };
-        Self::finish(entry, heap, lb_computed, ctx)
-    }
-
-    /// Creates the heap for keyword `t` seeding from a memoized candidate
-    /// set (the [`crate::cache::HeapSeedCache`] fast path). `seeds` must be
-    /// the cached value of `t`'s NVD source cell for `ctx.q` — exactly what
-    /// a cold [`InvertedHeap::create`] would have gathered (Theorem 1's
-    /// seed set, §6.2 attachments included), in the same sorted order, so
-    /// seeded and cold heaps behave bit-identically. Lower-bound keys are
-    /// still computed fresh per query: Property 1 is untouched.
-    ///
-    /// Falls back to [`InvertedHeap::create`] for Small entries (Zipf-tail
-    /// keywords are never cached).
-    pub fn create_seeded(
-        index: &'a KspinIndex,
-        t: TermId,
-        ctx: &HeapContext<'_>,
-        seeds: &[SeedCandidate],
-    ) -> Option<Self> {
-        let entry = index.entry(t)?;
-        let KeywordIndex::Nvd(n) = entry else {
-            return Self::create(index, t, ctx);
-        };
-        let mut heap = DaryHeap::new(n.apx.num_total());
-        let mut lb_computed = 0;
-        for s in seeds {
-            if !heap.was_inserted(s.local) {
-                lb_computed += 1;
-                heap.push(ctx.lower_bound.lower_bound(ctx.q, s.vertex), s.local);
-            }
-        }
-        Self::finish(entry, heap, lb_computed, ctx)
-    }
-
-    fn finish(
-        entry: &'a KeywordIndex,
-        heap: DaryHeap,
-        lb_computed: usize,
-        ctx: &HeapContext<'_>,
-    ) -> Option<Self> {
         let mut h = InvertedHeap {
             entry,
             heap,
@@ -166,9 +137,9 @@ impl<'a> InvertedHeap<'a> {
         };
         h.skip_deleted(ctx);
         if h.heap.is_empty() {
-            return None;
+            return Err(h.lb_computed);
         }
-        Some(h)
+        Ok(h)
     }
 
     /// `MINKEY(H)` — the lower bound of the current top (a live object).
@@ -321,7 +292,6 @@ mod tests {
             &KspinConfig {
                 rho: 4,
                 num_threads: 2,
-                ..KspinConfig::default()
             },
         );
         Fixture {
@@ -494,7 +464,6 @@ mod tests {
             &KspinConfig {
                 rho: 4,
                 num_threads: 1,
-                ..KspinConfig::default()
             },
         );
         f.index = index;

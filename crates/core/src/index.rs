@@ -20,7 +20,6 @@ use kspin_graph::{Graph, VertexId};
 use kspin_nvd::ApproxNvd;
 use kspin_text::{Corpus, ObjectId, TermId};
 
-use crate::cache::{HeapSeedCache, SeedCacheConfig};
 use crate::modules::NetworkDistance;
 
 /// Index construction parameters.
@@ -32,10 +31,6 @@ pub struct KspinConfig {
     pub rho: usize,
     /// Worker threads for parallel per-keyword NVD construction.
     pub num_threads: usize,
-    /// The cross-query heap-seed cache (serving layer; off by default).
-    /// Admission is implied by the ρ-split: only NVD-backed keywords —
-    /// exactly those with `|inv(t)| > ρ` — have cacheable seed sets.
-    pub seed_cache: SeedCacheConfig,
 }
 
 impl Default for KspinConfig {
@@ -46,7 +41,6 @@ impl Default for KspinConfig {
             // parallel path writes into input-ordered result slots, so the
             // worker count never reaches a returned value.
             num_threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
-            seed_cache: SeedCacheConfig::default(),
         }
     }
 }
@@ -103,11 +97,6 @@ impl NvdIndex {
             local_of,
         }
     }
-
-    /// The underlying approximate NVD.
-    pub fn nvd(&self) -> &ApproxNvd {
-        &self.apx
-    }
 }
 
 /// Per-keyword index: none (keyword unused), small list, or NVD.
@@ -137,20 +126,16 @@ pub struct KspinIndex {
     rho: usize,
     entries: Vec<Option<KeywordIndex>>,
     stats: BuildStats,
-    /// The cross-query heap-seed cache, when the index was built with one
-    /// ([`SeedCacheConfig::enabled`]). Owned by the index so §6.2 updates
-    /// (`&mut self`) invalidate it without any query racing them.
-    seed_cache: Option<HeapSeedCache>,
 }
 
 impl KspinIndex {
     /// Translates every stored vertex id onto a renumbered graph: small
     /// entries map their vertex lists through `r`, NVD entries relabel
     /// their ρ-approximate diagrams. Everything else in the index —
-    /// object ids, Morton leaves, seed-cache keys and cached seeds — is
-    /// vertex-free, so query results (including boundary-distance
-    /// tie-breaks, which depend on extraction order, not ids) are
-    /// bit-identical to the unpermuted index. Build-time only.
+    /// object ids and Morton leaves — is vertex-free, so query results
+    /// (including boundary-distance tie-breaks, which depend on extraction
+    /// order, not ids) are bit-identical to the unpermuted index.
+    /// Build-time only.
     pub fn relabel(&mut self, r: &kspin_graph::Relabeling) {
         for entry in self.entries.iter_mut().flatten() {
             match entry {
@@ -161,12 +146,6 @@ impl KspinIndex {
                 }
                 KeywordIndex::Nvd(nvd) => nvd.apx.relabel(r),
             }
-        }
-        // Cached seeds denormalize object vertices (SeedCandidate.vertex),
-        // so a relabel flushes the cache; it refills deterministically and
-        // the serving determinism suite pins cache-on ≡ cache-off results.
-        if let Some(cache) = &self.seed_cache {
-            cache.clear();
         }
     }
 
@@ -249,10 +228,6 @@ impl KspinIndex {
             rho: config.rho,
             entries,
             stats,
-            seed_cache: config
-                .seed_cache
-                .enabled
-                .then(|| HeapSeedCache::new(&config.seed_cache)),
         }
     }
 
@@ -306,12 +281,6 @@ impl KspinIndex {
         self.entries.get(t as usize).and_then(Option::as_ref)
     }
 
-    /// The cross-query heap-seed cache, if the index carries one.
-    #[inline]
-    pub fn seed_cache(&self) -> Option<&HeapSeedCache> {
-        self.seed_cache.as_ref()
-    }
-
     /// Every per-term entry in term-slot order — the snapshot
     /// serialization boundary (`entries.len()` is the term-slot count).
     pub(crate) fn snapshot_entries(&self) -> &[Option<KeywordIndex>] {
@@ -319,20 +288,16 @@ impl KspinIndex {
     }
 
     /// Reassembles an index from decoded parts. Per-entry structure is
-    /// validated by the snapshot codec before this runs; the seed cache
-    /// restores empty (cached seeding ≡ cold seeding, so serving is
-    /// bit-identical either way).
+    /// validated by the snapshot codec before this runs.
     pub(crate) fn from_snapshot_parts(
         rho: usize,
         entries: Vec<Option<KeywordIndex>>,
         stats: BuildStats,
-        seed_cache: Option<HeapSeedCache>,
     ) -> Self {
         KspinIndex {
             rho,
             entries,
             stats,
-            seed_cache,
         }
     }
 
@@ -501,12 +466,6 @@ impl KspinIndex {
         t: TermId,
         dist: &mut dyn NetworkDistance,
     ) {
-        // §6.2 lazy update: every cached seed set of `t` may now miss the
-        // new object (it might belong in a cell's candidate/attachment
-        // set), so drop them all before the structural change.
-        if let Some(cache) = &self.seed_cache {
-            cache.invalidate_term(t);
-        }
         let vertex = corpus.vertex_of(o);
         if (t as usize) >= self.entries.len() {
             self.entries.resize_with(t as usize + 1, || None);
@@ -553,12 +512,6 @@ impl KspinIndex {
     /// corpus and return stale objects from queries (§6.2 requires
     /// delete-then-rebuild bookkeeping to stay exact).
     pub fn delete_from_term(&mut self, o: ObjectId, t: TermId) {
-        // Deleted objects would be skipped at seeding time anyway, but
-        // dropping `t`'s cached cells keeps cached and cold seeding
-        // trivially identical after every §6.2 update.
-        if let Some(cache) = &self.seed_cache {
-            cache.invalidate_term(t);
-        }
         match self.entries.get_mut(t as usize).and_then(Option::as_mut) {
             None => panic!("keyword {t} has no index"),
             Some(KeywordIndex::Small(s)) => {
@@ -584,11 +537,6 @@ impl KspinIndex {
     /// updates in (the amortized cost of Fig. 8(b)). Converts between
     /// Small and NVD representations as the live count crosses ρ.
     pub fn rebuild_term(&mut self, graph: &Graph, corpus: &Corpus, t: TermId) {
-        // A rebuild renumbers NVD-local ids; stale cached seeds would point
-        // at the wrong objects, so drop every cell of `t`.
-        if let Some(cache) = &self.seed_cache {
-            cache.invalidate_term(t);
-        }
         let Some(entry) = self.entries.get_mut(t as usize).and_then(Option::as_mut) else {
             return;
         };

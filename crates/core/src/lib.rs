@@ -20,7 +20,6 @@
 
 #![deny(missing_docs)]
 
-pub mod cache;
 pub mod engine;
 pub mod heap;
 pub mod index;
@@ -29,7 +28,6 @@ pub mod query;
 pub mod serving;
 pub mod snapshot;
 
-pub use cache::{HeapSeedCache, SeedCacheConfig, SeedCacheStats};
 pub use engine::{QueryEngine, QueryStats};
 pub use index::{KspinConfig, KspinIndex};
 pub use modules::{

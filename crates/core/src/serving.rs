@@ -15,9 +15,7 @@
 //! Determinism: workers claim disjoint chunks of the query slice and
 //! write results into per-query slots, so the output order is the input
 //! order and every query's result is bit-identical to a sequential run —
-//! only the *assignment* of queries to threads varies. The cross-query
-//! heap-seed cache keeps this property because cached seeds equal cold
-//! seeds exactly (see [`crate::cache`]).
+//! only the *assignment* of queries to threads varies.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -184,10 +182,9 @@ pub struct BatchExecutor<'a> {
     index: &'a KspinIndex,
     /// `Sync` on top of [`LowerBound`] because every worker shares it.
     /// (`ExactLowerBound` is deliberately not `Sync` — its `RefCell` SSSP
-    /// cache is single-threaded; audits run on a sequential engine.)
+    /// memo is single-threaded; audits run on a sequential engine.)
     lower_bound: &'a (dyn LowerBound + Sync),
     num_threads: usize,
-    use_cache: bool,
     /// When set, the batch pre-pass resolves candidate distances for
     /// queries sharing hot keywords via shared RPHAST sweeps over this
     /// hierarchy instead of per-query graph searches.
@@ -217,7 +214,6 @@ impl<'a> BatchExecutor<'a> {
             index,
             lower_bound,
             num_threads: num_threads.clamp(1, hw),
-            use_cache: true,
             sweep: None,
         }
     }
@@ -230,13 +226,6 @@ impl<'a> BatchExecutor<'a> {
     /// to the unswept path — only `QueryStats`'s sweep counters change.
     pub fn with_sweep(mut self, ch: &'a ContractionHierarchy) -> Self {
         self.sweep = Some(ch);
-        self
-    }
-
-    /// Enables/disables the heap-seed cache on every worker engine (the
-    /// bench sweep's cache on/off axis). No-op on cacheless indexes.
-    pub fn with_seed_cache(mut self, on: bool) -> Self {
-        self.use_cache = on;
         self
     }
 
@@ -296,7 +285,6 @@ impl<'a> BatchExecutor<'a> {
                             hits: 0,
                         },
                     );
-                    engine.set_seed_cache(self.use_cache);
                     // lint:allow(no-alloc-in-hot-loop) — per-worker result
                     // buffer created once per batch (the enclosing loop is
                     // the spawn loop, not a query loop); grows to this
@@ -482,7 +470,6 @@ mod tests {
             &KspinConfig {
                 rho: 4,
                 num_threads: 2,
-                ..KspinConfig::default()
             },
         );
         (graph, corpus, alt, index)
@@ -565,8 +552,8 @@ mod tests {
         }
         let exec = BatchExecutor::new(&graph, &corpus, &index, &alt, 4);
         let out = exec.execute(&queries, || DijkstraDistance::new(&graph));
-        // Cacheless index: every counter is query-deterministic, so the
-        // merged worker stats must equal the sequential totals exactly.
+        // Every counter is query-deterministic, so the merged worker
+        // stats must equal the sequential totals exactly.
         assert_eq!(out.stats, engine.stats());
         assert!(out.stats.heap_extractions > 0);
     }

@@ -28,7 +28,6 @@ pub use kspin_snapshot::{
     SnapshotWriter,
 };
 
-use crate::cache::HeapSeedCache;
 use crate::index::{BuildStats, KeywordIndex, KspinIndex, NvdIndex, SmallIndex};
 use kspin_graph::{Graph, Point, Relabeling};
 use kspin_nvd::morton::MortonSpace;
@@ -301,10 +300,6 @@ pub fn encode_index(w: &mut SnapshotWriter, index: &KspinIndex) {
         }
     }
 
-    let (cache_present, cache_shards, cache_shard_budget) = match index.seed_cache() {
-        Some(c) => (1u64, c.num_shards() as u64, c.shard_budget() as u64),
-        None => (0, 0, 0),
-    };
     w.put_u64s(
         section::INDEX_META,
         &[
@@ -313,9 +308,6 @@ pub fn encode_index(w: &mut SnapshotWriter, index: &KspinIndex) {
             stats.nvd_terms as u64,
             stats.small_terms as u64,
             stats.build_seconds.to_bits(),
-            cache_present,
-            cache_shards,
-            cache_shard_budget,
         ],
     );
     w.put_bytes(section::INDEX_TERM_KINDS, &kinds);
@@ -359,14 +351,6 @@ struct NvdPools<'a> {
 fn len_field(id: u32, what: &str, v: u32) -> Result<usize, SnapshotError> {
     decoded_usize(id, what, u64::from(v))
 }
-
-/// Upper bound on a decoded seed-cache shard count.
-/// [`HeapSeedCache::from_shape`] eagerly allocates one mutexed shard per
-/// count, so unlike the pooled sections (bounded by the file's own size)
-/// a decoded shard count is an amplification lever: 8 bytes of snapshot
-/// could demand gigabytes. Real configurations use at most a few hundred
-/// shards; 65 536 is far above any of them.
-const MAX_CACHE_SHARDS: usize = 1 << 16;
 
 fn decode_one_nvd(rho: usize, p: &mut NvdPools<'_>) -> Result<NvdIndex, SnapshotError> {
     use section::*;
@@ -504,10 +488,7 @@ fn decode_one_nvd(rho: usize, p: &mut NvdPools<'_>) -> Result<NvdIndex, Snapshot
 /// consumed exactly (term-slot order, [`Pool::finish`] proves no
 /// trailing elements), per-NVD structure goes through
 /// [`ApproxNvd::from_snapshot_parts`]'s full structural audit, and the
-/// stored term counts are checked against a recount. The seed cache is
-/// restored *empty* with its stored shape — cached seeding is
-/// bit-identical to cold seeding by construction, so a reloaded engine
-/// serves the same bytes either way.
+/// stored term counts are checked against a recount.
 ///
 /// # Errors
 /// Missing/mistyped sections or any violated index invariant; on error
@@ -515,12 +496,10 @@ fn decode_one_nvd(rho: usize, p: &mut NvdPools<'_>) -> Result<NvdIndex, Snapshot
 pub fn decode_index(f: &SnapshotFile<'_>) -> Result<KspinIndex, SnapshotError> {
     use section::*;
     let meta = f.u64s(INDEX_META)?;
-    let &[m_rho, m_slots, m_nvd_terms, m_small_terms, m_build_seconds, m_cache_present, m_cache_shards, m_cache_budget] =
-        meta.as_slice()
-    else {
+    let &[m_rho, m_slots, m_nvd_terms, m_small_terms, m_build_seconds] = meta.as_slice() else {
         return Err(SnapshotError::decode(
             INDEX_META,
-            format!("index meta holds {} scalars, expected 8", meta.len()),
+            format!("index meta holds {} scalars, expected 5", meta.len()),
         ));
     };
     let rho = decoded_usize(INDEX_META, "rho", m_rho)?;
@@ -646,41 +625,7 @@ pub fn decode_index(f: &SnapshotFile<'_>) -> Result<KspinIndex, SnapshotError> {
         small_terms: small_count,
         build_seconds: f64::from_bits(m_build_seconds),
     };
-    let seed_cache = match m_cache_present {
-        0 => {
-            if m_cache_shards != 0 || m_cache_budget != 0 {
-                return Err(SnapshotError::decode(
-                    INDEX_META,
-                    "cache shape must be zero when no cache is present",
-                ));
-            }
-            None
-        }
-        1 => {
-            let shards = decoded_usize(INDEX_META, "cache shard count", m_cache_shards)?;
-            let budget = decoded_usize(INDEX_META, "cache shard budget", m_cache_budget)?;
-            // `from_shape` allocates one mutexed shard up front per count,
-            // so an adversarial shard count is an OOM lever; the budget is
-            // lazily consumed and needs no cap.
-            if shards > MAX_CACHE_SHARDS {
-                return Err(SnapshotError::decode(
-                    INDEX_META,
-                    format!("cache shard count {shards} exceeds the {MAX_CACHE_SHARDS} cap"),
-                ));
-            }
-            Some(HeapSeedCache::from_shape(shards, budget))
-        }
-        other => {
-            return Err(SnapshotError::decode(
-                INDEX_META,
-                format!("cache presence flag {other} is neither 0 nor 1"),
-            ));
-        }
-    };
-
-    Ok(KspinIndex::from_snapshot_parts(
-        rho, entries, stats, seed_cache,
-    ))
+    Ok(KspinIndex::from_snapshot_parts(rho, entries, stats))
 }
 
 // ---------------------------------------------------------------------
@@ -787,7 +732,6 @@ pub fn decode_relabeling(f: &SnapshotFile<'_>) -> Result<Option<Relabeling>, Sna
 mod tests {
     use super::*;
     use crate::index::KspinConfig;
-    use crate::SeedCacheConfig;
     use kspin_graph::{GraphBuilder, VertexId as V};
     use kspin_text::CorpusBuilder;
 
@@ -880,7 +824,6 @@ mod tests {
         let c = small_corpus(&g);
         let cfg = KspinConfig {
             rho: 3,
-            seed_cache: SeedCacheConfig::enabled(),
             ..KspinConfig::default()
         };
         let index = KspinIndex::build(&g, &c, &cfg);
@@ -889,7 +832,6 @@ mod tests {
         assert_eq!(index.rho(), index2.rho());
         assert_eq!(index.stats().nvd_terms, index2.stats().nvd_terms);
         assert_eq!(index.stats().small_terms, index2.stats().small_terms);
-        assert!(index2.seed_cache().is_some());
 
         // Canonical: encode(decode(encode(x))) == encode(x), byte for byte.
         let mut w1 = SnapshotWriter::new();
@@ -944,48 +886,63 @@ mod tests {
         let good = w.finish();
         let f = SnapshotFile::validate(&good).unwrap();
 
-        // Rewrite with a lying meta (term count inflated): the reassembled
-        // file has valid checksums but decode_index must reject it.
-        let mut meta = f.u64s(section::INDEX_META).unwrap();
-        meta[1] += 1;
-        let mut w2 = SnapshotWriter::new();
-        w2.put_u64s(section::INDEX_META, &meta);
-        let mut kinds = f.bytes(section::INDEX_TERM_KINDS).unwrap().to_vec();
-        kinds.push(2); // claims one more NVD than the pools hold
-        w2.put_bytes(section::INDEX_TERM_KINDS, &kinds);
-        for id in [
-            section::SMALL_LENS,
-            section::SMALL_OBJECTS,
-            section::SMALL_VERTICES,
+        // Reassembles the index sections around a substituted meta/kinds
+        // pair: valid checksums, logically corrupt content.
+        let reassemble = |meta: &[u64], kinds: &[u8]| {
+            let mut w2 = SnapshotWriter::new();
+            w2.put_u64s(section::INDEX_META, meta);
+            w2.put_bytes(section::INDEX_TERM_KINDS, kinds);
+            for id in [
+                section::SMALL_LENS,
+                section::SMALL_OBJECTS,
+                section::SMALL_VERTICES,
+            ] {
+                w2.put_u32s(id, &f.u32s(id).unwrap());
+            }
+            w2.put_bytes(section::SMALL_ALIVE, f.bytes(section::SMALL_ALIVE).unwrap());
+            w2.put_u64s(section::NVD_SCALARS, &f.u64s(section::NVD_SCALARS).unwrap());
+            for id in [
+                section::NVD_LENS,
+                section::NVD_STARTS,
+                section::NVD_CAND_OFFSETS,
+                section::NVD_CANDS,
+                section::NVD_OBJECTS,
+                section::NVD_MAX_RADIUS,
+                section::NVD_ADJ_OFFSETS,
+                section::NVD_ADJ_DATA,
+            ] {
+                w2.put_u32s(id, &f.u32s(id).unwrap());
+            }
+            w2.put_bytes(section::NVD_DELETED, f.bytes(section::NVD_DELETED).unwrap());
+            for id in [
+                section::NVD_ATT_OFFSETS,
+                section::NVD_ATT_DATA,
+                section::NVD_INSERTED,
+                section::NVD_CORPUS_IDS,
+            ] {
+                w2.put_u32s(id, &f.u32s(id).unwrap());
+            }
+            w2.finish()
+        };
+        let meta = f.u64s(section::INDEX_META).unwrap();
+        let kinds = f.bytes(section::INDEX_TERM_KINDS).unwrap();
+
+        // A lying meta (term count inflated, one more NVD claimed than the
+        // pools hold), and a meta that is not exactly 5 words wide (the
+        // retired v1 layout had 8) — decode_index must reject both.
+        let mut lying_meta = meta.clone();
+        lying_meta[1] += 1;
+        let mut lying_kinds = kinds.to_vec();
+        lying_kinds.push(2);
+        let mut v1_meta = meta.clone();
+        v1_meta.extend([0, 0, 0]);
+        for bad in [
+            reassemble(&lying_meta, &lying_kinds),
+            reassemble(&v1_meta, kinds),
         ] {
-            w2.put_u32s(id, &f.u32s(id).unwrap());
+            let f2 = SnapshotFile::validate(&bad).expect("checksums are fresh");
+            let err = decode_index(&f2).expect_err("corrupt meta accepted");
+            assert!(matches!(err, SnapshotError::Decode { .. }), "{err}");
         }
-        w2.put_bytes(section::SMALL_ALIVE, f.bytes(section::SMALL_ALIVE).unwrap());
-        w2.put_u64s(section::NVD_SCALARS, &f.u64s(section::NVD_SCALARS).unwrap());
-        for id in [
-            section::NVD_LENS,
-            section::NVD_STARTS,
-            section::NVD_CAND_OFFSETS,
-            section::NVD_CANDS,
-            section::NVD_OBJECTS,
-            section::NVD_MAX_RADIUS,
-            section::NVD_ADJ_OFFSETS,
-            section::NVD_ADJ_DATA,
-        ] {
-            w2.put_u32s(id, &f.u32s(id).unwrap());
-        }
-        w2.put_bytes(section::NVD_DELETED, f.bytes(section::NVD_DELETED).unwrap());
-        for id in [
-            section::NVD_ATT_OFFSETS,
-            section::NVD_ATT_DATA,
-            section::NVD_INSERTED,
-            section::NVD_CORPUS_IDS,
-        ] {
-            w2.put_u32s(id, &f.u32s(id).unwrap());
-        }
-        let bad = w2.finish();
-        let f2 = SnapshotFile::validate(&bad).expect("checksums are fresh");
-        let err = decode_index(&f2).expect_err("lying meta accepted");
-        assert!(matches!(err, SnapshotError::Decode { .. }), "{err}");
     }
 }

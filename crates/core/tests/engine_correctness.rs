@@ -5,10 +5,10 @@
 use kspin_alt::{AltIndex, LandmarkStrategy};
 use kspin_core::query::baseline::{brute_bknn, brute_topk};
 use kspin_core::{
-    BoolExpr, DijkstraDistance, KspinConfig, KspinIndex, Op, QueryEngine, ScoreModel,
+    BoolExpr, DijkstraDistance, KspinConfig, KspinIndex, LowerBound, Op, QueryEngine, ScoreModel,
 };
 use kspin_graph::generate::{road_network, RoadNetworkConfig};
-use kspin_graph::{Graph, Weight};
+use kspin_graph::{Graph, VertexId, Weight};
 use kspin_text::generate::{corpus as gen_corpus, CorpusConfig};
 use kspin_text::workload::{query_vectors, WorkloadConfig};
 use kspin_text::TextModel;
@@ -33,7 +33,6 @@ fn world(n: usize, seed: u64, rho: usize) -> World {
         &KspinConfig {
             rho,
             num_threads: 2,
-            ..KspinConfig::default()
         },
     );
     World {
@@ -250,6 +249,72 @@ fn stats_count_distance_computations() {
     assert!(s.lb_computations > 0);
 }
 
+/// Counts the calls an engine makes into its Lower Bounding Module.
+struct CountingBound<'a> {
+    inner: &'a AltIndex,
+    calls: std::cell::Cell<usize>,
+}
+
+impl LowerBound for CountingBound<'_> {
+    fn lower_bound(&self, s: VertexId, t: VertexId) -> Weight {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.lower_bound(s, t)
+    }
+}
+
+#[test]
+fn lb_computations_count_heaps_discarded_as_all_deleted() {
+    // §6.2-delete every object of one NVD-backed and one Small keyword:
+    // whatever cell the query falls in, the heap's seeds (and everything
+    // LazyReheap expands from them) are deleted, so the Heap Generator
+    // hands the query loop no heap — the lower bounds it spent finding
+    // that out must still reach `QueryStats`.
+    let mut w = world(700, 47, 4);
+    let by_len = |range: std::ops::RangeInclusive<usize>| {
+        (0..w.corpus.num_terms() as TermId)
+            .find(|&t| range.contains(&w.corpus.inv_len(t)))
+            .expect("corpus has no such keyword")
+    };
+    let (frequent, rare) = (by_len(9..=usize::MAX), by_len(2..=4));
+    for t in [frequent, rare] {
+        let objects: Vec<ObjectId> = w.corpus.inverted(t).iter().map(|p| p.object).collect();
+        for o in objects {
+            w.index.delete_from_term(o, t);
+        }
+    }
+    let live = by_len(5..=8);
+    let bound = CountingBound {
+        inner: &w.alt,
+        calls: std::cell::Cell::new(0),
+    };
+    let mut e = QueryEngine::new(
+        &w.graph,
+        &w.corpus,
+        &w.index,
+        &bound,
+        DijkstraDistance::new(&w.graph),
+    );
+    for q in [3u32, 410] {
+        for terms in [vec![frequent, live], vec![rare, live], vec![frequent, rare]] {
+            for topk in [false, true] {
+                e.reset_stats();
+                bound.calls.set(0);
+                if topk {
+                    e.top_k(q, 5, &terms);
+                } else {
+                    e.bknn(q, 5, &terms, Op::Or);
+                }
+                assert!(bound.calls.get() >= w.corpus.inv_len(terms[0]));
+                assert_eq!(
+                    e.stats().lb_computations,
+                    bound.calls.get(),
+                    "q={q} terms={terms:?} topk={topk}"
+                );
+            }
+        }
+    }
+}
+
 /// Generic brute-force oracle over any (text, score) model pair.
 fn brute_topk_with(
     w: &World,
@@ -381,7 +446,6 @@ fn results_stay_exact_after_lazy_insertions() {
         &KspinConfig {
             rho: 5,
             num_threads: 2,
-            ..KspinConfig::default()
         },
     );
     let mut dist = DijkstraDistance::new(&w0.graph);
@@ -418,7 +482,6 @@ fn results_stay_exact_after_deletions() {
         &KspinConfig {
             rho: 5,
             num_threads: 2,
-            ..KspinConfig::default()
         },
     );
     // Delete every 5th object.
@@ -467,7 +530,6 @@ fn rebuild_after_updates_preserves_results() {
         &KspinConfig {
             rho: 5,
             num_threads: 2,
-            ..KspinConfig::default()
         },
     );
     let mut dist = DijkstraDistance::new(&w.graph);

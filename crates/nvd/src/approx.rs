@@ -178,52 +178,35 @@ impl ApproxNvd {
         self.max_radius[p as usize]
     }
 
-    /// The quadtree's point-location as a stable *cell id*: the index of
-    /// the Morton-list leaf covering `p`. Two query vertices in the same
-    /// leaf share candidates (Definition 1), which is what makes the leaf
-    /// id a valid cache key for seed memoization — it only changes when the
-    /// quadtree itself is rebuilt.
-    pub fn leaf_index(&self, p: Point) -> u32 {
-        let code = self.space.code(p);
-        self.starts
-            .partition_point(|&s| s <= code)
-            .saturating_sub(1) as u32
-    }
-
     /// The quadtree's point-location: candidate *original* generators for a
     /// query at `p` (at most ρ, except where the tree bottomed out at max
     /// depth). The true 1NN of any indexed vertex at `p` is among them.
     pub fn leaf_candidates(&self, p: Point) -> &[u32] {
-        self.leaf_candidates_of(self.leaf_index(p))
+        let leaf = self.leaf_index(p);
+        // PANIC-OK: leaf_index partition-points into starts (same length
+        // as the leaf count); cand_offsets has leaves + 1 slots and bounds
+        // cands by construction.
+        let lo = self.cand_offsets[leaf] as usize;
+        let hi = self.cand_offsets[leaf + 1] as usize; // PANIC-OK: leaf + 1 <= leaves.
+        &self.cands[lo..hi] // PANIC-OK: offsets bound cands by construction.
     }
 
-    /// Candidate original generators of leaf `leaf` (see
-    /// [`ApproxNvd::leaf_index`] / [`ApproxNvd::leaf_candidates`]).
-    pub fn leaf_candidates_of(&self, leaf: u32) -> &[u32] {
-        // PANIC-OK: leaf ids come from leaf_index, which partition-points
-        // into starts (same length as the leaf count); cand_offsets has
-        // leaves + 1 slots and bounds cands by construction.
-        let lo = self.cand_offsets[leaf as usize] as usize;
-        let hi = self.cand_offsets[leaf as usize + 1] as usize; // PANIC-OK: leaf + 1 <= leaves.
-        &self.cands[lo..hi] // PANIC-OK: offsets bound cands by construction.
+    /// Index of the Morton-list leaf covering `p`.
+    fn leaf_index(&self, p: Point) -> usize {
+        let code = self.space.code(p);
+        self.starts
+            .partition_point(|&s| s <= code)
+            .saturating_sub(1)
     }
 
     /// Heap-initialization candidates at `p`: the leaf's original
     /// generators plus any objects lazily attached to them (§6.2 — the heap
     /// is initialized "with the 1NN of q and all the objects stored in the
-    /// node"). Deleted objects are *included*: the Heap Generator must still
-    /// expand their adjacency, it just never reports them.
+    /// node"), sorted ascending and duplicate-free. Deleted objects are
+    /// *included*: the Heap Generator must still expand their adjacency, it
+    /// just never reports them.
     pub fn init_candidates(&self, p: Point) -> Vec<u32> {
-        self.init_candidates_of_leaf(self.leaf_index(p))
-    }
-
-    /// [`ApproxNvd::init_candidates`] keyed by leaf id instead of
-    /// coordinate: the query-independent seed set of one source cell
-    /// (Theorem 1's initialization, §6.2's attached inserts included),
-    /// sorted ascending and duplicate-free. This is the exact value the
-    /// cross-query heap-seed cache memoizes per (keyword, leaf).
-    pub fn init_candidates_of_leaf(&self, leaf: u32) -> Vec<u32> {
-        let base = self.leaf_candidates_of(leaf);
+        let base = self.leaf_candidates(p);
         let mut out: Vec<u32> = base.to_vec();
         for &c in base {
             // PANIC-OK: candidates are original generator ids; attached is
@@ -586,16 +569,7 @@ mod tests {
     fn leaf_index_is_consistent_with_point_location() {
         let (g, _, apx) = setup(400, 10, 3, 4);
         for v in (0..g.num_vertices() as VertexId).step_by(17) {
-            let leaf = apx.leaf_index(g.coord(v));
-            assert!((leaf as usize) < apx.num_leaves());
-            assert_eq!(
-                apx.leaf_candidates(g.coord(v)),
-                apx.leaf_candidates_of(leaf)
-            );
-            assert_eq!(
-                apx.init_candidates(g.coord(v)),
-                apx.init_candidates_of_leaf(leaf)
-            );
+            assert!(apx.leaf_index(g.coord(v)) < apx.num_leaves());
         }
     }
 

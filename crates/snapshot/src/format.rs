@@ -5,7 +5,7 @@
 //! | bytes          | field                                             |
 //! |----------------|---------------------------------------------------|
 //! | `0..8`         | magic `b"KSPINSNP"`                               |
-//! | `8..12`        | format version (`u32`, currently 1)               |
+//! | `8..12`        | format version (`u32`, currently 2)               |
 //! | `12..16`       | endianness tag (`u32`, `0x0A0B0C0D`)              |
 //! | `16..20`       | section count `k` (`u32`)                         |
 //! | `20..24`       | reserved, must be 0                               |
@@ -31,6 +31,11 @@
 //! loaders ignore ids they do not request — which is how optional
 //! structures (CH, G-tree hierarchy, relabeling) already work.
 //!
+//! Version 2 narrowed [`section::INDEX_META`] from 8 words to 5 when the
+//! heap-seed cache was removed from the engine (it measured slower than
+//! the cold Heap Generator path it shadowed); version 1 files are
+//! rejected with [`crate::FormatError::BadVersion`], no v1 reader is kept.
+//!
 //! # Canonical serialization
 //!
 //! A conforming writer emits sections in strictly ascending id order at
@@ -42,7 +47,7 @@
 pub const MAGIC: [u8; 8] = *b"KSPINSNP";
 
 /// Current format version, bytes `8..12`.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Endianness tag, bytes `12..16`: read back as this value only when the
 /// file and host agree on little-endian layout of `u32`s.
@@ -110,8 +115,7 @@ pub mod section {
     pub const VOCAB_BYTES: u32 = 21;
 
     /// Index scalars, `u64`: `[rho, term_slots, nvd_terms, small_terms,
-    /// build_seconds_bits, cache_present, cache_shards,
-    /// cache_shard_budget]`.
+    /// build_seconds_bits]`.
     pub const INDEX_META: u32 = 30;
     /// Per-term-slot kind byte: 0 = absent, 1 = small list, 2 = NVD.
     pub const INDEX_TERM_KINDS: u32 = 31;

@@ -233,15 +233,18 @@ mod tests {
         let mut b = good.clone();
         b[0] = b'X';
         assert!(SnapshotFile::validate(&b).is_err());
-        let mut b = good.clone();
-        b[8] = 99; // version
-        assert!(matches!(
-            SnapshotFile::validate(&b).unwrap_err(),
-            SnapshotError::Format {
-                kind: FormatError::BadVersion(99),
-                ..
-            }
-        ));
+        // An unknown future version and the retired v1.
+        for version in [99u8, 1] {
+            let mut b = good.clone();
+            b[8] = version;
+            assert!(matches!(
+                SnapshotFile::validate(&b).unwrap_err(),
+                SnapshotError::Format {
+                    kind: FormatError::BadVersion(v),
+                    ..
+                } if v == u32::from(version)
+            ));
+        }
         let mut b = good;
         b[12] ^= 0xFF; // endian tag
         assert!(matches!(

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use kspin_core::snapshot::{SnapshotError, SnapshotFile};
     pub use kspin_core::{
         BatchExecutor, BoolExpr, DijkstraDistance, KspinConfig, KspinIndex, LowerBound,
-        NetworkDistance, Op, QueryEngine, QueryStats, SeedCacheConfig, ServingQuery, ServingResult,
+        NetworkDistance, Op, QueryEngine, QueryStats, ServingQuery, ServingResult,
     };
     pub use kspin_graph::{Graph, VertexId, Weight};
     pub use kspin_text::{Corpus, ObjectId, TermId, Vocabulary};

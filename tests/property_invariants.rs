@@ -115,7 +115,7 @@ proptest! {
         }
         let corpus = cb.build();
         let alt = AltIndex::build(&g, 4, LandmarkStrategy::Farthest, 2);
-        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho: 2, num_threads: 1, ..KspinConfig::default() });
+        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho: 2, num_threads: 1 });
         let mut engine = QueryEngine::new(&g, &corpus, &index, &alt, DijkstraDistance::new(&g));
         let op = if conjunctive { Op::And } else { Op::Or };
         let got = engine.bknn(q, k, &[0, 1], op);
@@ -146,7 +146,7 @@ proptest! {
         }
         let corpus = cb.build();
         let alt = AltIndex::build(&g, 4, LandmarkStrategy::Farthest, 3);
-        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho: 2, num_threads: 1, ..KspinConfig::default() });
+        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho: 2, num_threads: 1 });
         let mut engine = QueryEngine::new(&g, &corpus, &index, &alt, DijkstraDistance::new(&g));
         let got = engine.top_k(q, k, &[0, 1]);
         let want = kspin_core::query::baseline::brute_topk(&g, &corpus, q, k, &[0, 1]);
@@ -174,7 +174,7 @@ proptest! {
             cb.add_object(v, &doc);
         }
         let corpus = cb.build();
-        let mut index = KspinIndex::build(&g, &corpus, &KspinConfig { rho, num_threads: 1, ..KspinConfig::default() });
+        let mut index = KspinIndex::build(&g, &corpus, &KspinConfig { rho, num_threads: 1 });
         prop_assert!(
             index.validate(&corpus).is_ok(),
             "fresh index failed audit: {:?}", index.validate(&corpus).err()
@@ -211,7 +211,7 @@ proptest! {
             cb.add_object(v, &doc);
         }
         let corpus = cb.build();
-        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho, num_threads: 1, ..KspinConfig::default() });
+        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho, num_threads: 1 });
         // An exact lower bound arms the heap's internal Property-1 audit;
         // the loop below re-checks the same monotonicity externally and
         // drains each heap to prove LazyReheap reaches every object.
@@ -262,7 +262,7 @@ proptest! {
             cb.add_object(v, &doc);
         }
         let corpus = cb.build();
-        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho: 2, num_threads: 1, ..KspinConfig::default() });
+        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho: 2, num_threads: 1 });
         // Exact bounds keep the Property-1 extraction-order audit armed
         // through the full BkNN and top-k paths.
         let exact = ExactLowerBound::new(&g);
@@ -277,105 +277,6 @@ proptest! {
         prop_assert_eq!(got.len(), want.len());
         for ((_, gs), (_, ws)) in got.iter().zip(&want) {
             prop_assert!((gs - ws).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn cached_seeding_preserves_property1_under_the_armed_audit(
-        g in arb_graph(),
-        placements in proptest::collection::btree_map(0u32..40, proptest::collection::vec(0u32..6, 1..4), 1..12),
-        q in 0u32..40,
-        k in 1usize..6,
-    ) {
-        let n = g.num_vertices() as u32;
-        let q = q % n;
-        let mut cb = CorpusBuilder::new();
-        let mut used = std::collections::HashSet::new();
-        for (v, terms) in placements {
-            let v = v % n;
-            if !used.insert(v) {
-                continue;
-            }
-            let doc: Vec<(TermId, u32)> = terms.iter().map(|&t| (t, 1)).collect();
-            cb.add_object(v, &doc);
-        }
-        let corpus = cb.build();
-        let index = KspinIndex::build(&g, &corpus, &KspinConfig {
-            rho: 2,
-            num_threads: 1,
-            seed_cache: kspin_core::SeedCacheConfig::enabled(),
-        });
-        // Exact bounds keep the heap's Property-1 extraction-order audit
-        // armed; running the same queries twice exercises both the cache
-        // miss path (admit) and the hit path (seeded create) under it.
-        let exact = ExactLowerBound::new(&g);
-        let mut cold = QueryEngine::new(&g, &corpus, &index, &exact, DijkstraDistance::new(&g));
-        cold.set_seed_cache(false);
-        let mut cached = QueryEngine::new(&g, &corpus, &index, &exact, DijkstraDistance::new(&g));
-        for _ in 0..2 {
-            let want = cold.bknn(q, k, &[0, 1], Op::Or);
-            prop_assert_eq!(cached.bknn(q, k, &[0, 1], Op::Or), want);
-            let want = cold.bknn(q, k, &[0, 1], Op::And);
-            prop_assert_eq!(cached.bknn(q, k, &[0, 1], Op::And), want);
-            let want = cold.top_k(q, k, &[0, 1]);
-            let got = cached.top_k(q, k, &[0, 1]);
-            prop_assert_eq!(got.len(), want.len());
-            for ((go, gs), (wo, ws)) in got.iter().zip(&want) {
-                prop_assert_eq!(go, wo);
-                prop_assert!((gs - ws).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn cached_results_stay_cold_equal_across_updates(
-        g in arb_graph(),
-        placements in proptest::collection::btree_map(0u32..40, proptest::collection::vec(0u32..6, 1..4), 2..12),
-        q in 0u32..40,
-        k in 1usize..6,
-    ) {
-        let n = g.num_vertices() as u32;
-        let q = q % n;
-        let mut cb = CorpusBuilder::new();
-        let mut used = std::collections::HashSet::new();
-        for (v, terms) in placements {
-            let v = v % n;
-            if !used.insert(v) {
-                continue;
-            }
-            let doc: Vec<(TermId, u32)> = terms.iter().map(|&t| (t, 1)).collect();
-            cb.add_object(v, &doc);
-        }
-        let corpus = cb.build();
-        let mut index = KspinIndex::build(&g, &corpus, &KspinConfig {
-            rho: 2,
-            num_threads: 1,
-            seed_cache: kspin_core::SeedCacheConfig::enabled(),
-        });
-        let exact = ExactLowerBound::new(&g);
-        // Warm the cache, then run the §6.2 lazy-update path: results of a
-        // cache-using engine must equal a cache-bypassing one before and
-        // after, proving invalidation hooks the update path correctly.
-        {
-            let mut warm = QueryEngine::new(&g, &corpus, &index, &exact, DijkstraDistance::new(&g));
-            warm.bknn(q, k, &[0, 1], Op::Or);
-        }
-        index.delete_object(&corpus, 0);
-        {
-            let mut cold = QueryEngine::new(&g, &corpus, &index, &exact, DijkstraDistance::new(&g));
-            cold.set_seed_cache(false);
-            let mut cached = QueryEngine::new(&g, &corpus, &index, &exact, DijkstraDistance::new(&g));
-            let want = cold.bknn(q, k, &[0, 1], Op::Or);
-            prop_assert_eq!(cached.bknn(q, k, &[0, 1], Op::Or), want);
-        }
-        let mut dist = DijkstraDistance::new(&g);
-        index.insert_object(&g, &corpus, 0, &mut dist);
-        let mut cold = QueryEngine::new(&g, &corpus, &index, &exact, DijkstraDistance::new(&g));
-        cold.set_seed_cache(false);
-        let mut cached = QueryEngine::new(&g, &corpus, &index, &exact, DijkstraDistance::new(&g));
-        for _ in 0..2 {
-            let want = cold.bknn(q, k, &[0, 1], Op::Or);
-            prop_assert_eq!(cached.bknn(q, k, &[0, 1], Op::Or), want);
         }
     }
 

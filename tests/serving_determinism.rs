@@ -1,11 +1,10 @@
 //! Serving-layer determinism: the `BatchExecutor` must be a pure
-//! throughput optimization — at any thread count, with the heap-seed cache
-//! on or off, results are bit-identical to a sequential cold
-//! `QueryEngine` loop, including after §6.2 updates invalidate cached
-//! terms.
+//! throughput optimization — at any thread count, results are
+//! bit-identical to a sequential `QueryEngine` loop, including after §6.2
+//! updates.
 
 use kspin::prelude::*;
-use kspin_core::{BoolExpr, SeedCacheConfig};
+use kspin_core::BoolExpr;
 use kspin_text::workload::{zipf_queries, ZipfWorkloadConfig};
 
 struct Fixture {
@@ -29,7 +28,6 @@ fn fixture() -> Fixture {
         &corpus,
         &KspinConfig {
             rho: 4,
-            seed_cache: SeedCacheConfig::enabled(),
             ..KspinConfig::default()
         },
     );
@@ -83,8 +81,8 @@ fn fixture() -> Fixture {
     }
 }
 
-/// Sequential, cache-bypassing reference run (the "cold" baseline).
-fn sequential_cold(f: &Fixture) -> Vec<ServingResult> {
+/// Sequential reference run on one engine.
+fn sequential(f: &Fixture) -> Vec<ServingResult> {
     let mut engine = QueryEngine::new(
         &f.graph,
         &f.corpus,
@@ -92,72 +90,48 @@ fn sequential_cold(f: &Fixture) -> Vec<ServingResult> {
         &f.alt,
         DijkstraDistance::new(&f.graph),
     );
-    engine.set_seed_cache(false);
     f.queries.iter().map(|q| q.run(&mut engine)).collect()
 }
 
 fn assert_batches_match(f: &Fixture, reference: &[ServingResult]) {
     for threads in [1, 2, 8] {
-        for cache in [false, true] {
-            // `with_exact_threads` bypasses the hardware clamp so the
-            // 8-worker leg really runs 8 workers even on a 1-core host.
-            let exec = BatchExecutor::new(&f.graph, &f.corpus, &f.index, &f.alt, 1)
-                .with_exact_threads(threads)
-                .with_seed_cache(cache);
-            let out = exec.execute(&f.queries, || DijkstraDistance::new(&f.graph));
-            assert_eq!(
-                out.results, reference,
-                "{threads}-thread cache={cache} run diverged from sequential cold"
-            );
-            if cache {
-                assert!(
-                    out.stats.cache_hits + out.stats.cache_misses > 0,
-                    "cache-on run never consulted the cache"
-                );
-            } else {
-                assert_eq!(out.stats.cache_hits + out.stats.cache_misses, 0);
-            }
-            // The d-ary kernel under every search: real heap traffic,
-            // structurally zero stale pops.
-            assert!(out.stats.heap_pops > 0, "workload produced no heap traffic");
-            assert!(out.stats.heap_pushes >= out.stats.heap_pops);
-            assert_eq!(
-                out.stats.heap_stale_skipped, 0,
-                "indexed kernel popped a stale entry"
-            );
-            // Allocation-freedom certificate, dynamic face: pre-sized
-            // kernels never grow their entry arrays while serving.
-            assert_eq!(
-                out.stats.heap_grows, 0,
-                "a heap kernel reallocated while serving"
-            );
-        }
+        // `with_exact_threads` bypasses the hardware clamp so the
+        // 8-worker leg really runs 8 workers even on a 1-core host.
+        let exec = BatchExecutor::new(&f.graph, &f.corpus, &f.index, &f.alt, 1)
+            .with_exact_threads(threads);
+        let out = exec.execute(&f.queries, || DijkstraDistance::new(&f.graph));
+        assert_eq!(
+            out.results, reference,
+            "{threads}-thread run diverged from the sequential run"
+        );
+        // The d-ary kernel under every search: real heap traffic.
+        assert!(out.stats.heap_pops > 0, "workload produced no heap traffic");
+        assert!(out.stats.heap_pushes >= out.stats.heap_pops);
+        // Allocation-freedom certificate, dynamic face: pre-sized
+        // kernels never grow their entry arrays while serving.
+        assert_eq!(
+            out.stats.heap_grows, 0,
+            "a heap kernel reallocated while serving"
+        );
     }
 }
 
 #[test]
 fn batch_executor_matches_sequential_cold_at_all_thread_counts() {
     let f = fixture();
-    let reference = sequential_cold(&f);
+    let reference = sequential(&f);
     assert_batches_match(&f, &reference);
-    // The Zipf workload must actually exercise the fast path: a second
-    // cached run over a warmed cache sees real hits.
-    let exec = BatchExecutor::new(&f.graph, &f.corpus, &f.index, &f.alt, 2);
-    let out = exec.execute(&f.queries, || DijkstraDistance::new(&f.graph));
-    assert!(out.stats.cache_hits > 0, "warmed run produced no hits");
-    assert!(out.stats.seed_reuse > 0);
 }
 
 /// Live §6.2 update stream: several epochs of interleaved deletes and
-/// re-inserts, with batched reads between them keeping the seed cache warm.
-/// After EVERY epoch, parallel + cached serving must still be bit-identical
-/// to a sequential cold run over the post-update index — the dynamic face
-/// of the `cargo xtask determinism` certificate.
+/// re-inserts. After EVERY epoch, parallel serving must still be
+/// bit-identical to a sequential run over the post-update index — the
+/// dynamic face of the `cargo xtask determinism` certificate.
 #[test]
 fn batch_executor_stays_deterministic_across_live_update_stream() {
     let mut f = fixture();
 
-    // Objects of queried keywords, so updates hit cached seed cells.
+    // Objects of queried keywords, so updates change served answers.
     let mut touched: Vec<ObjectId> = f
         .queries
         .iter()
@@ -174,14 +148,7 @@ fn batch_executor_stays_deterministic_across_live_update_stream() {
     assert!(touched.len() >= 6, "workload touched too few objects");
 
     let mut dist = DijkstraDistance::new(&f.graph);
-    let mut invalidated_so_far = 0;
     for (epoch, batch) in touched.chunks(3).enumerate() {
-        // Batched reads warm the cache so this epoch's updates have live
-        // entries to invalidate — the interleaving §6.2 serves.
-        let warm = BatchExecutor::new(&f.graph, &f.corpus, &f.index, &f.alt, 2)
-            .execute(&f.queries, || DijkstraDistance::new(&f.graph));
-        assert!(warm.stats.cache_hits + warm.stats.cache_misses > 0);
-
         // Delete the epoch's batch, re-insert a prefix of it.
         for &o in batch {
             f.index.delete_object(&f.corpus, o);
@@ -189,16 +156,10 @@ fn batch_executor_stays_deterministic_across_live_update_stream() {
         for &o in batch.iter().take(epoch % batch.len().max(1)) {
             f.index.insert_object(&f.graph, &f.corpus, o, &mut dist);
         }
-        let stats = f.index.seed_cache().expect("cache enabled").stats();
-        assert!(
-            stats.invalidated > invalidated_so_far,
-            "epoch {epoch} updates invalidated no cached seed cells"
-        );
-        invalidated_so_far = stats.invalidated;
 
         // The certificate's claim, live: after every update epoch the
-        // parallel cached executor equals the sequential cold reference.
-        let reference = sequential_cold(&f);
+        // parallel executor equals the sequential reference.
+        let reference = sequential(&f);
         assert_batches_match(&f, &reference);
     }
 }
@@ -207,13 +168,13 @@ fn batch_executor_stays_deterministic_across_live_update_stream() {
 /// relabel the whole deployment (graph, corpus, index, ALT tables, CH) with
 /// the Hilbert order, translate only the query vertices, and every batch —
 /// at any thread count, with and without the one-to-many sweep pre-pass —
-/// answers bit-identically to the un-renumbered sequential cold reference.
+/// answers bit-identically to the un-renumbered sequential reference.
 /// Results carry object ids, which are label-invariant, so equality is
 /// exact equality of `ServingResult`s.
 #[test]
 fn hilbert_renumbering_is_invisible_to_serving() {
     let mut f = fixture();
-    let reference = sequential_cold(&f);
+    let reference = sequential(&f);
 
     let r = kspin::graph::Relabeling::hilbert(&f.graph);
     r.validate().expect("hilbert order is a permutation");
@@ -260,15 +221,15 @@ fn hilbert_renumbering_is_invisible_to_serving() {
 
 /// Snapshot persistence must be invisible at the serving boundary: save
 /// the whole deployment, reload it from bytes, and every batch — at any
-/// thread count, with the seed cache on or off, with and without the
-/// one-to-many sweep pre-pass — answers bit-identically to the sequential
-/// cold reference over the *originally built* structures. A §6.2 update
-/// epoch applied to the reloaded engine then must land exactly where the
-/// same epoch lands on a never-snapshotted cold build.
+/// thread count, with and without the one-to-many sweep pre-pass —
+/// answers bit-identically to the sequential reference over the
+/// *originally built* structures. A §6.2 update epoch applied to the
+/// reloaded engine then must land exactly where the same epoch lands on a
+/// never-snapshotted build.
 #[test]
 fn snapshot_reload_is_invisible_to_serving() {
     let f = fixture();
-    let reference = sequential_cold(&f);
+    let reference = sequential(&f);
 
     // The fixture discards its vocabulary; regenerate it with the same
     // deterministic config to assemble a full system for the save.
@@ -292,27 +253,24 @@ fn snapshot_reload_is_invisible_to_serving() {
     let pch = extras.ch.expect("ch rides along");
 
     for threads in [1, 4] {
-        for cache in [false, true] {
-            for sweep in [false, true] {
-                let mut exec = BatchExecutor::new(&sys.graph, &sys.corpus, &sys.index, &sys.alt, 1)
-                    .with_exact_threads(threads)
-                    .with_seed_cache(cache);
-                if sweep {
-                    exec = exec.with_sweep(&pch);
-                }
-                let out = exec.execute(&f.queries, || DijkstraDistance::new(&sys.graph));
-                assert_eq!(
-                    out.results, reference,
-                    "reloaded {threads}-thread cache={cache} sweep={sweep} run diverged"
-                );
-                if sweep {
-                    assert!(out.stats.sweeps > 0, "sweep pre-pass never ran");
-                }
+        for sweep in [false, true] {
+            let mut exec = BatchExecutor::new(&sys.graph, &sys.corpus, &sys.index, &sys.alt, 1)
+                .with_exact_threads(threads);
+            if sweep {
+                exec = exec.with_sweep(&pch);
+            }
+            let out = exec.execute(&f.queries, || DijkstraDistance::new(&sys.graph));
+            assert_eq!(
+                out.results, reference,
+                "reloaded {threads}-thread sweep={sweep} run diverged"
+            );
+            if sweep {
+                assert!(out.stats.sweeps > 0, "sweep pre-pass never ran");
             }
         }
     }
 
-    // The same §6.2 epoch on the reloaded engine and on a fresh cold
+    // The same §6.2 epoch on the reloaded engine and on a fresh
     // build: delete a batch of queried objects, re-insert half.
     let mut touched: Vec<ObjectId> = f
         .queries
@@ -341,29 +299,21 @@ fn snapshot_reload_is_invisible_to_serving() {
             .insert_object(&sys.graph, &sys.corpus, o, &mut dist);
         f2.index.insert_object(&f2.graph, &f2.corpus, o, &mut dist2);
     }
-    let reference2 = sequential_cold(&f2);
+    let reference2 = sequential(&f2);
     for threads in [1, 4] {
-        for cache in [false, true] {
-            let exec = BatchExecutor::new(&sys.graph, &sys.corpus, &sys.index, &sys.alt, 1)
-                .with_exact_threads(threads)
-                .with_seed_cache(cache);
-            let out = exec.execute(&f.queries, || DijkstraDistance::new(&sys.graph));
-            assert_eq!(
-                out.results, reference2,
-                "post-load epoch {threads}-thread cache={cache} run diverged from cold build"
-            );
-        }
+        let exec = BatchExecutor::new(&sys.graph, &sys.corpus, &sys.index, &sys.alt, 1)
+            .with_exact_threads(threads);
+        let out = exec.execute(&f.queries, || DijkstraDistance::new(&sys.graph));
+        assert_eq!(
+            out.results, reference2,
+            "post-load epoch {threads}-thread run diverged from the fresh build"
+        );
     }
 }
 
 #[test]
 fn batch_executor_stays_deterministic_after_updates() {
     let mut f = fixture();
-
-    // Warm the cache so the updates below have entries to invalidate.
-    let warm = BatchExecutor::new(&f.graph, &f.corpus, &f.index, &f.alt, 2)
-        .execute(&f.queries, || DijkstraDistance::new(&f.graph));
-    assert!(warm.stats.cache_misses > 0);
 
     // §6.2 lazy updates on objects of queried keywords: delete a batch,
     // re-insert half of it.
@@ -388,13 +338,8 @@ fn batch_executor_stays_deterministic_after_updates() {
     for &o in touched.iter().step_by(2) {
         f.index.insert_object(&f.graph, &f.corpus, o, &mut dist);
     }
-    let cache_stats = f.index.seed_cache().expect("cache enabled").stats();
-    assert!(
-        cache_stats.invalidated > 0,
-        "updates must invalidate cached seed cells of touched keywords"
-    );
 
-    // Post-update: parallel + cached must again equal sequential cold.
-    let reference = sequential_cold(&f);
+    // Post-update: parallel must again equal sequential.
+    let reference = sequential(&f);
     assert_batches_match(&f, &reference);
 }

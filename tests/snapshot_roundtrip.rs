@@ -27,7 +27,6 @@ fn build_system(n: usize, seed: u64) -> KspinSystem {
     let (corpus, vocab) = gen_corpus(&cc);
     let config = KspinConfig {
         rho: 4,
-        seed_cache: SeedCacheConfig::enabled(),
         ..KspinConfig::default()
     };
     KspinSystem::build(graph, corpus, vocab, &config)

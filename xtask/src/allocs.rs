@@ -10,12 +10,11 @@
 //! 1. **Reachability is phase-split.** The sweep starts from the
 //!    steady-state entry points ([`crate::entrypoints::STEADY_ENTRIES`])
 //!    but never crosses into the warm-up boundary
-//!    ([`crate::entrypoints::WARM_UP`]): constructors, index builds, the
-//!    Heap Generator's `create`/`create_seeded` first-fill and seed-cache
-//!    admission are *allowed* to allocate, mirroring the paper's
-//!    generation-then-extraction phase structure. The dynamic twin
-//!    (`tests/alloc_steady_state.rs`) pins what the carve-out actually
-//!    costs per query.
+//!    ([`crate::entrypoints::WARM_UP`]): constructors, index builds and
+//!    the Heap Generator's `seed` first-fill are *allowed* to allocate,
+//!    mirroring the paper's generation-then-extraction phase structure.
+//!    The dynamic twin (`tests/alloc_steady_state.rs`) pins what the
+//!    carve-out actually costs per query.
 //! 2. **The classifier enumerates allocation sources**, not panic
 //!    sources: allocating constructors (`Vec::new`, `Box::new`,
 //!    `HashMap::with_capacity`, …), the `vec!`/`format!` macros,
@@ -360,11 +359,11 @@ impl Engine {
     }
 }
 fn build_index() { let big: Vec<u32> = Vec::with_capacity(9); }
-fn create_seeded() { let s = vec![7]; }
+fn seed_heap() { let s = vec![7]; }
 ";
-        let c = cert(src, &["Engine::serve"], &["new", "create_seeded"]);
+        let c = cert(src, &["Engine::serve"], &["new", "seed_heap"]);
         // Only step's vec! is a finding: new, everything behind it, and
-        // create_seeded are fenced off.
+        // seed_heap are fenced off.
         assert_eq!(c.summary.findings.len(), 1);
         assert_eq!(c.summary.findings[0].line, 5);
         let fenced: usize = c.warm_up.iter().map(|(_, v)| v.len()).sum();

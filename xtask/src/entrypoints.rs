@@ -7,14 +7,14 @@
 //! *extract*):
 //!
 //! * **Steady state** — [`STEADY_ENTRIES`]: the query processors, the
-//!   batch executor, the d-ary heap kernel ops, inverted-heap extraction
-//!   and the seed-cache hit path. Allocation reached from here must carry
-//!   an `ALLOC-OK: capacity invariant` or it is a finding.
-//! * **Warm-up** — [`WARM_UP`]: constructors (`new`), index/heap builds,
-//!   the `create`/`create_seeded` first-fill and seed-cache admission.
-//!   These are allowed to allocate; the reachability sweep never enters
-//!   them. (The dynamic `tests/alloc_steady_state.rs` twin pins what the
-//!   warm-up carve-out actually costs per query, so nothing hides there.)
+//!   batch executor, the d-ary heap kernel ops and inverted-heap
+//!   extraction. Allocation reached from here must carry an
+//!   `ALLOC-OK: capacity invariant` or it is a finding.
+//! * **Warm-up** — [`WARM_UP`]: constructors (`new`), index/heap builds
+//!   and the Heap Generator's `seed` first-fill. These are allowed to
+//!   allocate; the reachability sweep never enters them. (The dynamic
+//!   `tests/alloc_steady_state.rs` twin pins what the warm-up carve-out
+//!   actually costs per query, so nothing hides there.)
 //!
 //! H1's hot-loop file scope is *derived* from the same set: every file
 //! defining a steady-state entry point must be in [`hot_loop_scope`],
@@ -62,9 +62,9 @@ pub const TAINT_DIRS: [&str; 7] = [
 
 /// The serving entry points the panic certificate quantifies over: every
 /// query processor the engine exposes (§4 of the paper), the batch
-/// executor, the d-ary heap kernel API, and both Heap Generator
-/// constructors.
-pub const PANIC_ENTRIES: [&str; 13] = [
+/// executor, the d-ary heap kernel API, and the Heap Generator
+/// constructor.
+pub const PANIC_ENTRIES: [&str; 12] = [
     "QueryEngine::bknn",
     "QueryEngine::bknn_disjunctive",
     "QueryEngine::bknn_conjunctive",
@@ -76,16 +76,15 @@ pub const PANIC_ENTRIES: [&str; 13] = [
     "DaryHeap::pop",
     "DaryHeap::insert_or_decrease",
     "InvertedHeap::create",
-    "InvertedHeap::create_seeded",
     "SnapshotFile::validate",
 ];
 
 /// Steady-state serving entry points for the allocation certificate: the
 /// 6 query processors (§4.1/§4.2), the batch executor, the 4 d-ary heap
-/// kernel ops, inverted-heap extraction (Algorithm 4), the seed-cache
-/// hit path, and the PHAST/RPHAST one-to-many sweep kernels the batch
-/// executor's pre-pass runs per keyword group.
-pub const STEADY_ENTRIES: [&str; 16] = [
+/// kernel ops, inverted-heap extraction (Algorithm 4), and the
+/// PHAST/RPHAST one-to-many sweep kernels the batch executor's pre-pass
+/// runs per keyword group.
+pub const STEADY_ENTRIES: [&str; 15] = [
     "QueryEngine::bknn",
     "QueryEngine::bknn_disjunctive",
     "QueryEngine::bknn_conjunctive",
@@ -98,7 +97,6 @@ pub const STEADY_ENTRIES: [&str; 16] = [
     "DaryHeap::insert_or_decrease",
     "DaryHeap::clear",
     "InvertedHeap::extract",
-    "HeapSeedCache::lookup",
     "OneToManySweep::one_to_many",
     "OneToManySweep::one_to_many_restricted",
     "SnapshotFile::validate",
@@ -115,13 +113,10 @@ pub const STEADY_ENTRIES: [&str; 16] = [
 /// code (never on the serving path), fenced by name for the same reason:
 /// the resolver would link them from the heap kernel's `push` and the
 /// query processors' iterator `take` call sites.
-pub const WARM_UP: [&str; 9] = [
+pub const WARM_UP: [&str; 6] = [
     "new",
     "build",
-    "InvertedHeap::create",
-    "InvertedHeap::create_seeded",
-    "HeapSeedCache::admit",
-    "compute_seeds",
+    "InvertedHeap::seed",
     "Contractor::run",
     "SnapshotWriter::push",
     "Pool::take",
@@ -130,10 +125,9 @@ pub const WARM_UP: [&str; 9] = [
 /// Files (beyond the `crates/core/src/query/` processors) that define a
 /// steady-state entry point; with the prefix below this is H1's hot-loop
 /// scope.
-pub const HOT_LOOP_FILES: [&str; 7] = [
+pub const HOT_LOOP_FILES: [&str; 6] = [
     "crates/core/src/heap.rs",
     "crates/core/src/serving.rs",
-    "crates/core/src/cache.rs",
     "crates/graph/src/dheap.rs",
     "crates/nvd/src/knn.rs",
     "crates/ch/src/sweep.rs",

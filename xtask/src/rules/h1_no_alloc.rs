@@ -3,11 +3,10 @@
 //! of non-test code on the paper's hot paths. The file scope is derived
 //! from the steady-state serving entry-point set
 //! ([`crate::entrypoints::hot_loop_scope`]): the Algorithm 1/3 query
-//! loops, inverted-heap extraction, the batch executor, the seed cache,
-//! the d-ary heap kernel and VN3 kNN. Per-iteration allocation is
-//! exactly the defect class the kNN experimentation literature blames
-//! for order-of-magnitude slowdowns; hoist a scratch buffer out of the
-//! loop or justify the site. `cargo xtask allocs` deduplicates against
+//! loops, inverted-heap extraction, the batch executor, the d-ary heap
+//! kernel and VN3 kNN. Per-iteration allocation is exactly the defect
+//! class the kNN experimentation literature blames for order-of-magnitude
+//! slowdowns; hoist a scratch buffer out of the loop or justify the site. `cargo xtask allocs` deduplicates against
 //! these token-level spans so a site is reported by exactly one pass.
 
 use crate::entrypoints::hot_loop_scope;

@@ -5,18 +5,13 @@
 use crate::rules::{record, scope, tok, tok_is, Rule, Summary};
 use crate::scope::SourceFile;
 
-/// The sanctioned concurrency sites:
-///
-/// * `index.rs` — the crossbeam scope of the parallel keyword build
-///   (Observation 3),
-/// * `cache.rs` — the sharded `Mutex` LRU of the cross-query heap-seed
-///   cache (serving layer; shards are the whole design, a lock-free map
-///   would be a dependency).
+/// The sanctioned concurrency site: `index.rs` — the crossbeam scope of
+/// the parallel keyword build (Observation 3).
 ///
 /// The serving layer's `BatchExecutor` is deliberately *not* listed: it
 /// uses only crossbeam scoped threads and atomics, which this rule never
 /// flags.
-const SANCTIONED: [&str; 2] = ["crates/core/src/index.rs", "crates/core/src/cache.rs"];
+const SANCTIONED: [&str; 1] = ["crates/core/src/index.rs"];
 
 pub(crate) fn check(file: &SourceFile, summary: &mut Summary) {
     if SANCTIONED.contains(&file.rel.as_str()) {
@@ -72,20 +67,10 @@ mod tests {
 
     #[test]
     fn l3_exempts_the_sanctioned_index_scope_and_tests() {
-        let src = "fn f() { std::thread::spawn(|| {}); }\n";
+        let src = "fn f() { std::thread::spawn(|| {}); }\nstruct S { m: Mutex<u32> }\n";
         assert_eq!(
             run_rule("crates/core/src/index.rs", src, Rule::SanctionedConcurrency)
                 .count(Rule::SanctionedConcurrency),
-            0
-        );
-        let cache_src = "struct S { shards: Vec<Mutex<u32>> }\n";
-        assert_eq!(
-            run_rule(
-                "crates/core/src/cache.rs",
-                cache_src,
-                Rule::SanctionedConcurrency
-            )
-            .count(Rule::SanctionedConcurrency),
             0
         );
         let test_only = "#[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(|| {}); }\n}\n";
