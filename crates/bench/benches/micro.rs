@@ -51,39 +51,57 @@ fn world() -> World {
     }
 }
 
+/// The next vertex of a Weyl sequence over `0..n`: a new, well-spread
+/// vertex per iteration.
+fn next_vertex(seq: &mut u32, n: u32) -> u32 {
+    *seq = seq.wrapping_add(2654435761);
+    *seq % n
+}
+
 fn benches(c: &mut Criterion) {
     let w = world();
     let n = w.graph.num_vertices() as u32;
 
     c.bench_function("alt_lower_bound", |b| {
-        let mut i = 0u32;
+        let mut seq = 0u32;
         b.iter(|| {
-            i = (i.wrapping_mul(2654435761)) % n;
+            let i = next_vertex(&mut seq, n);
             black_box(w.alt.lower_bound(i, (i * 7 + 13) % n))
         })
     });
 
     c.bench_function("ch_distance", |b| {
         let mut q = ChQuery::new(&w.ch);
-        let mut i = 0u32;
+        let mut seq = 0u32;
         b.iter(|| {
-            i = (i.wrapping_mul(2654435761)) % n;
+            let i = next_vertex(&mut seq, n);
             black_box(q.distance(i, (i * 31 + 7) % n))
         })
     });
 
-    c.bench_function("hl_distance", |b| {
-        let mut i = 0u32;
+    // The other regime of the same kernel: the source stays, so its forward
+    // search space is pinned and each call is one backward search.
+    c.bench_function("ch_distance_pinned", |b| {
+        let mut q = ChQuery::new(&w.ch);
+        let mut seq = 0u32;
         b.iter(|| {
-            i = (i.wrapping_mul(2654435761)) % n;
+            let i = next_vertex(&mut seq, n);
+            black_box(q.distance(11, i))
+        })
+    });
+
+    c.bench_function("hl_distance", |b| {
+        let mut seq = 0u32;
+        b.iter(|| {
+            let i = next_vertex(&mut seq, n);
             black_box(w.hl.distance(i, (i * 31 + 7) % n))
         })
     });
 
     c.bench_function("gtree_distance_cold", |b| {
-        let mut i = 0u32;
+        let mut seq = 0u32;
         b.iter(|| {
-            i = (i.wrapping_mul(2654435761)) % n;
+            let i = next_vertex(&mut seq, n);
             let mut d = GtreeDistance::new(&w.gt, &w.graph, i);
             black_box(d.distance((i * 31 + 7) % n))
         })
@@ -91,17 +109,17 @@ fn benches(c: &mut Criterion) {
 
     c.bench_function("gtree_distance_materialized", |b| {
         let mut d = GtreeDistance::new(&w.gt, &w.graph, 11);
-        let mut i = 0u32;
+        let mut seq = 0u32;
         b.iter(|| {
-            i = (i.wrapping_mul(2654435761)) % n;
+            let i = next_vertex(&mut seq, n);
             black_box(d.distance(i))
         })
     });
 
     c.bench_function("heap_create_frequent_keyword", |b| {
-        let mut i = 0u32;
+        let mut seq = 0u32;
         b.iter(|| {
-            i = (i.wrapping_mul(2654435761)) % n;
+            let i = next_vertex(&mut seq, n);
             let ctx = HeapContext::new(&w.graph, &w.corpus, &w.alt, i);
             black_box(InvertedHeap::create(&w.index, w.frequent, &ctx).map(|h| h.len()))
         })

@@ -12,9 +12,9 @@
 //!   trade a little query time for a lot of build time.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
-use kspin_graph::{Graph, VertexId, Weight, INFINITY};
+use kspin_graph::{weight_add, Graph, VertexId, Weight, INFINITY};
 
 /// Above this live degree, contraction skips witness searches.
 const SKIP_WITNESS_DEGREE: usize = 24;
@@ -234,7 +234,11 @@ struct Contractor<'a> {
     config: &'a ChConfig,
     /// Dynamic adjacency of the not-yet-contracted "core" graph.
     /// Contracted vertices are physically unlinked, so every entry is live.
-    adj: Vec<HashMap<VertexId, Weight>>,
+    /// Ordered maps: witness searches and shortcut insertion walk them, and
+    /// ties (equal distances at different hop counts, shortcuts inserted
+    /// earlier in the same contraction) make the outcome depend on the walk
+    /// order — in key order one input always builds one hierarchy.
+    adj: Vec<BTreeMap<VertexId, Weight>>,
     contracted: Vec<bool>,
     deleted_neighbors: Vec<u32>,
     rank: Vec<u32>,
@@ -251,7 +255,7 @@ struct Contractor<'a> {
 impl<'a> Contractor<'a> {
     fn new(graph: &Graph, config: &'a ChConfig) -> Self {
         let n = graph.num_vertices();
-        let mut adj: Vec<HashMap<VertexId, Weight>> = vec![HashMap::new(); n];
+        let mut adj: Vec<BTreeMap<VertexId, Weight>> = vec![BTreeMap::new(); n];
         for v in 0..n as VertexId {
             for (u, w) in graph.neighbors(v) {
                 adj[v as usize].insert(u, w); // PANIC-OK: adj is sized n; v < n.
@@ -379,7 +383,7 @@ impl<'a> Contractor<'a> {
             let (u, wu) = neighbors[i]; // PANIC-OK: i < neighbors.len().
                                         // PANIC-OK: i + 1 <= neighbors.len(), a valid (possibly empty) tail.
             for &(t, wt) in &neighbors[i + 1..] {
-                if !self.has_witness(u, t, wu + wt, v) {
+                if !self.has_witness(u, t, weight_add(wu, wt), v) {
                     shortcuts += 1;
                 }
             }
@@ -395,7 +399,7 @@ impl<'a> Contractor<'a> {
             let (u, wu) = neighbors[i]; // PANIC-OK: i < neighbors.len().
                                         // PANIC-OK: i + 1 <= neighbors.len(), a valid (possibly empty) tail.
             for &(t, wt) in &neighbors[i + 1..] {
-                let via = wu + wt;
+                let via = weight_add(wu, wt);
                 if skip_witness || !self.has_witness(u, t, via, v) {
                     self.insert_shortcut(u, t, via);
                 }
@@ -409,10 +413,15 @@ impl<'a> Contractor<'a> {
                                              // PANIC-OK: deleted_neighbors is sized n; u < n as above.
             self.deleted_neighbors[u as usize] += 1;
         }
-        self.adj[v as usize] = HashMap::new(); // PANIC-OK: adj sized n; v < n.
+        self.adj[v as usize] = BTreeMap::new(); // PANIC-OK: adj sized n; v < n.
     }
 
     fn insert_shortcut(&mut self, u: VertexId, t: VertexId, w: Weight) {
+        if w >= INFINITY {
+            // Only paths that already read as unreachable could use it, and
+            // a saturated sum must not leave a one-sided adjacency entry.
+            return;
+        }
         // PANIC-OK: adj is sized n; u and t are adjacency keys < n.
         let e = self.adj[u as usize].entry(t).or_insert(Weight::MAX);
         if w < *e {
@@ -459,7 +468,7 @@ impl<'a> Contractor<'a> {
                 if y == excluded {
                     continue;
                 }
-                let nd = d + w;
+                let nd = weight_add(d, w);
                 if nd <= limit
                     // PANIC-OK: wepoch/wdist are sized n; y is an adjacency key < n.
                     && (self.wepoch[y as usize] != self.wcur || nd < self.wdist[y as usize])

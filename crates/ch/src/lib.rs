@@ -3,7 +3,8 @@
 //! The low-memory Network Distance Module variant in the paper (KS-CH,
 //! Table 1). Vertices are contracted in importance order; shortcuts preserve
 //! shortest-path distances among the remaining vertices; a point-to-point
-//! query is a bidirectional Dijkstra restricted to upward edges.
+//! query meets two Dijkstras restricted to upward edges, the source's kept
+//! across calls ([`ChQuery`]).
 //!
 //! The implementation follows the standard recipe:
 //!
@@ -12,6 +13,7 @@
 //! * a CSR upward graph for cache-friendly queries.
 
 mod construction;
+mod labels;
 mod query;
 pub mod sweep;
 
@@ -23,7 +25,7 @@ pub use sweep::{OneToManySweep, RestrictedTargets, SweepCounters};
 mod tests {
     use super::*;
     use kspin_graph::generate::{road_network, RoadNetworkConfig};
-    use kspin_graph::{Dijkstra, GraphBuilder, VertexId, INFINITY};
+    use kspin_graph::{Dijkstra, GraphBuilder, HeapCounters, VertexId, INFINITY};
 
     #[test]
     fn exact_on_random_road_network() {
@@ -41,6 +43,17 @@ mod tests {
                 assert_eq!(got, exact, "mismatch for ({s}, {t})");
             }
         }
+    }
+
+    #[test]
+    fn one_input_builds_one_hierarchy() {
+        // Large enough that the contraction endgame and witness-search ties
+        // occur; with hash-ordered adjacency two builds in one process
+        // disagreed on the shortcut count.
+        let g = road_network(&RoadNetworkConfig::new(3000, 11));
+        let a = ContractionHierarchy::build(&g, &ChConfig::default());
+        let b = ContractionHierarchy::build(&g, &ChConfig::default());
+        assert_eq!(a.flat_parts(), b.flat_parts());
     }
 
     #[test]
@@ -89,5 +102,59 @@ mod tests {
         let d2 = q.distance(99, 0);
         assert_eq!(d1, d2);
         assert_eq!(d1, dij.one_to_one(&g, 0, 99));
+    }
+
+    #[test]
+    fn saturating_weights_on_a_ring_match_dijkstra() {
+        // Every two-edge path sums past INFINITY, and contraction stacks
+        // shortcuts on shortcuts: a raw `+` panics in debug builds and wraps
+        // a shortcut to a tiny weight in release builds.
+        let mut b = GraphBuilder::new(8);
+        for v in 0..8 {
+            b.add_edge(v, (v + 1) % 8, INFINITY / 2 + 1);
+        }
+        let g = b.build();
+        let ch = ContractionHierarchy::build(&g, &ChConfig::default());
+        let mut q = ChQuery::new(&ch);
+        let mut dij = Dijkstra::new(g.num_vertices());
+        for s in 0..8 {
+            for t in 0..8 {
+                let want = dij.one_to_one(&g, s, t).min(INFINITY);
+                assert_eq!(q.distance(s, t), want, "mismatch for ({s}, {t})");
+            }
+        }
+    }
+
+    #[test]
+    fn one_forward_search_serves_every_call_from_a_source() {
+        let g = road_network(&RoadNetworkConfig::new(600, 41));
+        let ch = ContractionHierarchy::build(&g, &ChConfig::default());
+        let calls: Vec<(VertexId, VertexId)> = (1..=12).map(|i| (3, i * 47)).collect();
+        let replay = |calls: &[(VertexId, VertexId)]| -> HeapCounters {
+            let mut q = ChQuery::new(&ch);
+            for &(s, t) in calls {
+                let _ = q.distance(s, t);
+            }
+            q.heap_counters()
+        };
+        let pinned = replay(&calls);
+        let fresh_pops: u64 = calls.iter().map(|&c| replay(&[c]).pops).sum();
+        // The forward search is unpruned, so it pops exactly the upward
+        // closure of the source — once here, once per fresh instance there.
+        let mut closure = std::collections::BTreeSet::from([3]);
+        let mut stack = vec![3];
+        while let Some(v) = stack.pop() {
+            stack.extend(
+                ch.upward(v)
+                    .filter_map(|(u, _)| closure.insert(u).then_some(u)),
+            );
+        }
+        assert!(closure.len() > 1);
+        assert_eq!(
+            fresh_pops - pinned.pops,
+            (calls.len() - 1) as u64 * closure.len() as u64
+        );
+        assert_eq!(pinned.stale_skipped + pinned.grows, 0);
+        assert_eq!(replay(&calls), pinned, "counters must replay exactly");
     }
 }

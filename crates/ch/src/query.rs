@@ -1,24 +1,37 @@
-//! Bidirectional upward Dijkstra over a built hierarchy.
+//! Source-pinned point-to-point distances over a built hierarchy.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use kspin_graph::{VertexId, Weight, INFINITY};
+use kspin_graph::{weight_add, DaryHeap, HeapCounters, VertexId, Weight, INFINITY};
 
 use crate::construction::ContractionHierarchy;
+use crate::labels::Labels;
 
 /// Reusable point-to-point query state.
 ///
-/// A query runs two upward Dijkstras (from source and target) and takes the
-/// minimum combined distance over vertices settled by both. State is reused
-/// across queries via epochs, so a `ChQuery` performs no allocation in the
-/// steady state.
+/// Every caller in this workspace asks for many distances from one source
+/// in a row (a query vertex against its candidates, §3 module 2), so the
+/// source's half of the search is computed once and kept: the first call
+/// from a source `s` runs an unpruned upward Dijkstra from `s` into the
+/// *forward space* and pins it; every call then runs only the backward
+/// upward search from `t`, combining each settled vertex with the pinned
+/// forward distance. A call from another source re-pins.
+///
+/// Exactness is the usual CH argument: the top vertex of a shortest up–down
+/// path is settled with its true distance by both upward searches, so the
+/// minimum over vertices both searches reach is `d(s, t)`; the backward
+/// cut-off fires only once no unsettled vertex can improve on `best`. The
+/// result never depends on what was pinned before the call.
+///
+/// All arrays and the heap are sized to the vertex count at construction
+/// and epoch-stamped, so a `ChQuery` performs no allocation afterwards.
 pub struct ChQuery<'a> {
     ch: &'a ContractionHierarchy,
-    dist: [Vec<Weight>; 2],
-    epoch: [Vec<u32>; 2],
-    cur: u32,
-    heap: BinaryHeap<(Reverse<Weight>, u8, VertexId)>,
+    /// Upward distances from `pinned` — the forward space.
+    fwd: Labels,
+    pinned: Option<VertexId>,
+    /// Tentative backward distances of the current call.
+    bwd: Labels,
+    /// Shared by the two searches: they never run interleaved.
+    heap: DaryHeap,
 }
 
 impl<'a> ChQuery<'a> {
@@ -27,10 +40,10 @@ impl<'a> ChQuery<'a> {
         let n = ch.num_vertices();
         ChQuery {
             ch,
-            dist: [vec![INFINITY; n], vec![INFINITY; n]],
-            epoch: [vec![0; n], vec![0; n]],
-            cur: 0,
-            heap: BinaryHeap::new(),
+            fwd: Labels::new(n),
+            pinned: None,
+            bwd: Labels::new(n),
+            heap: DaryHeap::new(n),
         }
     }
 
@@ -40,64 +53,37 @@ impl<'a> ChQuery<'a> {
         if s == t {
             return 0;
         }
-        self.cur = self.cur.wrapping_add(1);
-        if self.cur == 0 {
-            for side in &mut self.epoch {
-                side.iter_mut().for_each(|e| *e = u32::MAX);
-            }
-            self.cur = 1;
+        if self.pinned != Some(s) {
+            // Unpruned: the targets this space will serve are not known yet.
+            self.fwd.fill_upward(self.ch, &mut self.heap, s);
+            self.pinned = Some(s);
         }
+        self.bwd.reset();
         self.heap.clear();
-        self.relax(0, s, 0);
-        self.relax(1, t, 0);
+        self.bwd.set(t, 0);
+        self.heap.insert_or_decrease(0, t);
         let mut best = INFINITY;
-        while let Some((Reverse(d), side, v)) = self.heap.pop() {
+        while let Some((d, v)) = self.heap.pop() {
             if d >= best {
-                break; // No meeting point can improve once min key ≥ best.
+                break; // Every unsettled vertex is at least this far from t.
             }
-            let side = side as usize;
-            if self.get(side, v) < d {
-                continue; // stale
-            }
-            let other = 1 - side;
-            let od = self.get(other, v);
-            if od < INFINITY {
-                let total = d + od;
-                if total < best {
-                    best = total;
-                }
+            let fd = self.fwd.get(v);
+            if fd < INFINITY {
+                best = best.min(weight_add(d, fd));
             }
             for (u, w) in self.ch.upward(v) {
-                let nd = d + w;
-                if nd < self.get(side, u) {
-                    self.relax(side, u, nd);
+                let nd = weight_add(d, w);
+                if nd < best && nd < self.bwd.get(u) {
+                    self.bwd.set(u, nd);
+                    self.heap.insert_or_decrease(nd, u);
                 }
             }
         }
         best
     }
 
-    #[inline]
-    fn get(&self, side: usize, v: VertexId) -> Weight {
-        // PANIC-OK: side is 0 or 1 by the caller; epoch/dist are sized
-        // num_vertices at new() and v is a graph vertex < n.
-        if self.epoch[side][v as usize] == self.cur {
-            self.dist[side][v as usize] // PANIC-OK: bounds as above.
-        } else {
-            INFINITY
-        }
-    }
-
-    #[inline]
-    fn relax(&mut self, side: usize, v: VertexId, d: Weight) {
-        // PANIC-OK: side is 0 or 1 by the caller; epoch/dist are sized
-        // num_vertices at new() and v is a graph vertex < n.
-        self.epoch[side][v as usize] = self.cur;
-        // PANIC-OK: bounds as above.
-        self.dist[side][v as usize] = d;
-        // ALLOC-OK: clear() keeps the BinaryHeap's capacity across queries,
-        // and entries per query are bounded by the upward-edge count, so
-        // capacity stops growing once the workload's deepest search has run.
-        self.heap.push((Reverse(d), side as u8, v));
+    /// Cumulative counters of the heap both searches run on.
+    pub fn heap_counters(&self) -> HeapCounters {
+        self.heap.counters()
     }
 }

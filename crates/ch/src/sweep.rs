@@ -26,6 +26,7 @@
 use kspin_graph::{weight_add, DaryHeap, HeapCounters, VertexId, Weight, INFINITY};
 
 use crate::construction::ContractionHierarchy;
+use crate::labels::Labels;
 
 /// Structural instrumentation for the sweep kernel (mirrors
 /// [`HeapCounters`] for the per-query kernels).
@@ -117,9 +118,7 @@ pub struct OneToManySweep<'a> {
     ch: &'a ContractionHierarchy,
     /// All vertices in descending contraction rank — the full sweep order.
     order: Vec<VertexId>,
-    dist: Vec<Weight>,
-    epoch: Vec<u32>,
-    cur: u32,
+    labels: Labels,
     heap: DaryHeap,
     counters: SweepCounters,
 }
@@ -138,9 +137,7 @@ impl<'a> OneToManySweep<'a> {
         OneToManySweep {
             ch,
             order,
-            dist: vec![INFINITY; n],
-            epoch: vec![0; n],
-            cur: 0,
+            labels: Labels::new(n),
             heap: DaryHeap::new(n),
             counters: SweepCounters::default(),
         }
@@ -186,12 +183,7 @@ impl<'a> OneToManySweep<'a> {
     /// outside the restricted domain of a restricted sweep).
     #[inline]
     pub fn distance(&self, v: VertexId) -> Weight {
-        // PANIC-OK: v is a vertex id < n from the hierarchy; arrays sized n.
-        if self.epoch[v as usize] == self.cur {
-            self.dist[v as usize] // PANIC-OK: same bound as the epoch read.
-        } else {
-            INFINITY
-        }
+        self.labels.get(v)
     }
 
     /// Structural sweep counters accumulated over this instance's lifetime.
@@ -206,25 +198,7 @@ impl<'a> OneToManySweep<'a> {
 
     /// Phase 1: Dijkstra from `source` restricted to upward arcs.
     fn upward_search(&mut self, source: VertexId) {
-        self.cur = self.cur.wrapping_add(1);
-        if self.cur == 0 {
-            // Extremely rare wrap: force-refresh every slot.
-            self.epoch.iter_mut().for_each(|e| *e = u32::MAX);
-            self.cur = 1;
-        }
-        self.heap.clear();
-        self.write(source, 0);
-        self.heap.insert_or_decrease(0, source);
-        while let Some((d, v)) = self.heap.pop() {
-            self.counters.upward_settled += 1;
-            for (u, w) in self.ch.upward(v) {
-                let nd = weight_add(d, w);
-                if nd < self.label(u) {
-                    self.write(u, nd);
-                    self.heap.insert_or_decrease(nd, u);
-                }
-            }
-        }
+        self.counters.upward_settled += self.labels.fill_upward(self.ch, &mut self.heap, source);
     }
 
     /// Phase 2 step: pull `v`'s label down through its upward arcs. The
@@ -232,9 +206,9 @@ impl<'a> OneToManySweep<'a> {
     /// already finalized them.
     #[inline]
     fn relax_downward(&mut self, v: VertexId) {
-        let mut best = self.label(v);
+        let mut best = self.labels.get(v);
         for (u, w) in self.ch.upward(v) {
-            let du = self.label(u);
+            let du = self.labels.get(u);
             if du < INFINITY {
                 let nd = weight_add(du, w);
                 if nd < best {
@@ -243,25 +217,8 @@ impl<'a> OneToManySweep<'a> {
             }
         }
         if best < INFINITY {
-            self.write(v, best);
+            self.labels.set(v, best);
         }
-    }
-
-    #[inline]
-    fn label(&self, v: VertexId) -> Weight {
-        // PANIC-OK: v is a vertex id < n from the hierarchy; arrays sized n.
-        if self.epoch[v as usize] == self.cur {
-            self.dist[v as usize] // PANIC-OK: same bound as the epoch read.
-        } else {
-            INFINITY
-        }
-    }
-
-    #[inline]
-    fn write(&mut self, v: VertexId, d: Weight) {
-        // PANIC-OK: v is a vertex id < n from the hierarchy; arrays sized n.
-        self.epoch[v as usize] = self.cur;
-        self.dist[v as usize] = d; // PANIC-OK: same bound as above.
     }
 
     fn gather(&self, targets: &[VertexId], out: &mut Vec<Weight>) {

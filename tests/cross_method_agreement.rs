@@ -114,6 +114,69 @@ fn all_kspin_variants_agree_on_topk() {
 }
 
 #[test]
+fn ks_ch_through_the_executor_matches_sequential_and_brute_force() {
+    // `ChDistance` keeps the last source's search space, and each executor
+    // worker owns one: which worker claimed which chunk, and what its
+    // oracle had pinned when it did, must not show in any result.
+    let w = build_world(900, 1009);
+    let s = &w.system;
+    let mut queries = Vec::new();
+    for terms in workload(&w, 2).into_iter().take(3) {
+        for vertex in [4u32, 404, 808, 11, 600] {
+            for op in [Op::And, Op::Or] {
+                queries.push(ServingQuery::Bknn {
+                    vertex,
+                    k: 5,
+                    terms: terms.clone(),
+                    op,
+                });
+            }
+            queries.push(ServingQuery::TopK {
+                vertex,
+                k: 5,
+                terms: terms.clone(),
+            });
+        }
+    }
+
+    let exec = BatchExecutor::new(&s.graph, &s.corpus, &s.index, &s.alt, 1).with_exact_threads(2);
+    let parallel = exec.execute(&queries, || ChDistance::new(&w.ch)).results;
+    let mut engine = s.engine(ChDistance::new(&w.ch));
+    let sequential: Vec<ServingResult> = queries.iter().map(|q| q.run(&mut engine)).collect();
+    assert_eq!(
+        parallel, sequential,
+        "2-worker KS-CH diverged from sequential"
+    );
+
+    for (query, got) in queries.iter().zip(&sequential) {
+        match (query, got) {
+            (
+                ServingQuery::Bknn {
+                    vertex,
+                    k,
+                    terms,
+                    op,
+                },
+                ServingResult::Distances(got),
+            ) => {
+                let want = brute_bknn(&s.graph, &s.corpus, *vertex, *k, terms, *op);
+                let gd: Vec<Weight> = got.iter().map(|&(_, d)| d).collect();
+                let wd: Vec<Weight> = want.iter().map(|&(_, d)| d).collect();
+                assert_eq!(gd, wd, "{query:?}");
+            }
+            (ServingQuery::TopK { vertex, k, terms }, ServingResult::Scores(got)) => {
+                let want = brute_topk(&s.graph, &s.corpus, *vertex, *k, terms);
+                assert_eq!(got.len(), want.len(), "{query:?}");
+                for (&(_, g), &(_, v)) in got.iter().zip(&want) {
+                    assert!((g - v).abs() < 1e-9, "{query:?}: {got:?} vs {want:?}");
+                }
+            }
+            _ => panic!("result shape does not match {query:?}"),
+        }
+    }
+}
+
+#[test]
 fn baselines_agree_with_kspin() {
     let w = build_world(900, 1005);
     let s = &w.system;

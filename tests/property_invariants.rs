@@ -17,31 +17,77 @@ use kspin_hl::HubLabels;
 use kspin_nvd::ApproxNvd;
 use kspin_text::CorpusBuilder;
 
+/// A spanning path over `0..n` plus the extra edges. With `cut = Some(c)`
+/// the path misses the link `c – c+1` and no extra edge crosses it, leaving
+/// the components `0..=c` and `c+1..n`.
+fn path_graph(n: usize, extras: Vec<(u32, u32, u32)>, cut: Option<u32>) -> Graph {
+    let crosses = |u: u32, v: u32| cut.is_some_and(|c| u.min(v) <= c && c < u.max(v));
+    let mut b = GraphBuilder::new(n);
+    for v in 0..n as u32 {
+        b.set_coord(
+            v,
+            kspin_graph::Point::new((v as i32 * 37) % 100, (v as i32 * 61) % 100),
+        );
+    }
+    for v in 0..n as u32 - 1 {
+        if !crosses(v, v + 1) {
+            b.add_edge(v, v + 1, 1 + (v % 7));
+        }
+    }
+    for (u, v, w) in extras {
+        let (u, v) = (u % n as u32, v % n as u32);
+        if u != v && !crosses(u, v) {
+            b.add_edge(u, v, w);
+        }
+    }
+    b.build()
+}
+
 /// A connected random graph: a spanning path plus random extra edges.
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (
         5usize..40,
         proptest::collection::vec((0u32..40, 0u32..40, 1u32..100), 0..60),
     )
-        .prop_map(|(n, extras)| {
-            let mut b = GraphBuilder::new(n);
-            for v in 0..n as u32 {
-                b.set_coord(
-                    v,
-                    kspin_graph::Point::new((v as i32 * 37) % 100, (v as i32 * 61) % 100),
-                );
-            }
-            // Spanning path guarantees connectivity.
-            for v in 0..n as u32 - 1 {
-                b.add_edge(v, v + 1, 1 + (v % 7));
-            }
-            for (u, v, w) in extras {
-                let (u, v) = (u % n as u32, v % n as u32);
-                if u != v {
-                    b.add_edge(u, v, w);
-                }
-            }
-            b.build()
+        .prop_map(|(n, extras)| path_graph(n, extras, None))
+}
+
+/// Like [`arb_graph`], but half the graphs fall into two components.
+fn arb_maybe_split_graph() -> impl Strategy<Value = Graph> {
+    (
+        5usize..40,
+        proptest::collection::vec((0u32..40, 0u32..40, 1u32..100), 0..60),
+        0u32..80,
+    )
+        .prop_map(|(n, extras, cut)| {
+            let cut = (cut < 40).then_some(cut % (n as u32 - 1));
+            path_graph(n, extras, cut)
+        })
+}
+
+/// 1–16 `(s, t)` pairs shaped like a distance module's traffic: runs of
+/// calls from one source, switches to another source and back to the one
+/// before, and `s == t` in the middle of a run. Vertices are raw draws; the
+/// caller reduces them modulo its vertex count.
+fn arb_distance_calls() -> impl Strategy<Value = Vec<(u32, u32)>> {
+    (
+        0u32..40,
+        proptest::collection::vec((0u8..6, 0u32..40, 0u32..40), 1..17),
+    )
+        .prop_map(|(first, steps)| {
+            let (mut s, mut before) = (first, first);
+            steps
+                .into_iter()
+                .map(|(kind, v, t)| {
+                    match kind {
+                        0..=2 => {} // stay on the source
+                        3 => return (s, s),
+                        4 => before = std::mem::replace(&mut s, v), // a new source
+                        _ => std::mem::swap(&mut s, &mut before),   // back to the last one
+                    }
+                    (s, t)
+                })
+                .collect()
         })
 }
 
@@ -49,16 +95,20 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn ch_and_hl_agree_with_dijkstra(g in arb_graph(), s in 0u32..40, t in 0u32..40) {
+    fn ch_and_hl_agree_with_dijkstra(g in arb_maybe_split_graph(), calls in arb_distance_calls()) {
         let n = g.num_vertices() as u32;
-        let (s, t) = (s % n, t % n);
         let ch = ContractionHierarchy::build(&g, &ChConfig::default());
         let hl = HubLabels::build(&ch);
+        // One query object for the whole sequence: whatever an earlier call
+        // left pinned must not show in a later answer.
         let mut chq = kspin_ch::ChQuery::new(&ch);
         let mut dij = Dijkstra::new(g.num_vertices());
-        let want = dij.one_to_one(&g, s, t);
-        prop_assert_eq!(chq.distance(s, t), want);
-        prop_assert_eq!(hl.distance(s, t), want);
+        for (s, t) in calls {
+            let (s, t) = (s % n, t % n);
+            let want = dij.one_to_one(&g, s, t);
+            prop_assert_eq!(chq.distance(s, t), want, "CH ({}, {})", s, t);
+            prop_assert_eq!(hl.distance(s, t), want, "HL ({}, {})", s, t);
+        }
     }
 
     #[test]
