@@ -13,7 +13,7 @@ use kspin_graph::generate::{road_network, RoadNetworkConfig};
 use kspin_graph::Graph;
 use kspin_gtree::tree::GtreeConfig;
 use kspin_gtree::{GTree, GtreeDistance};
-use kspin_hl::HubLabels;
+use kspin_hl::{HlQuery, HubLabels};
 use kspin_text::generate::{corpus, CorpusConfig};
 use kspin_text::{Corpus, TermId};
 
@@ -95,6 +95,18 @@ fn benches(c: &mut Criterion) {
         b.iter(|| {
             let i = next_vertex(&mut seq, n);
             black_box(w.hl.distance(i, (i * 31 + 7) % n))
+        })
+    });
+
+    // The serving kernel in the regime the query processors put it in: the
+    // source stays, so its label is scattered once and each call is one scan
+    // of the target's label.
+    c.bench_function("hl_distance_pinned", |b| {
+        let mut q = HlQuery::new(&w.hl);
+        let mut seq = 0u32;
+        b.iter(|| {
+            let i = next_vertex(&mut seq, n);
+            black_box(q.distance(11, i))
         })
     });
 

@@ -11,12 +11,28 @@
 //! upward search spaces in descending rank order with on-the-fly pruning,
 //! the standard CHHL construction.
 //!
+//! Two ways to ask for a distance:
+//!
+//! * [`HlQuery`] — the serving kernel behind `HlDistance` (KS-HL). It keeps
+//!   the last source's label scattered into a vertex-indexed table, so a
+//!   run of calls from one query vertex costs one linear scan of each
+//!   candidate's label.
+//! * [`HubLabels::distance`] — the stateless sorted merge of two labels,
+//!   for callers with no source to hold on to (FS-FBS's infrequent-keyword
+//!   path) and as the reference the kernel is tested against.
+//!
 //! The same labels serve FS-FBS [2], which additionally needs the *inverse*
 //! mapping ([`BackwardLabels`]): for each hub, the vertices whose label
 //! contains it.
 
+#![deny(missing_docs)]
+
 use kspin_ch::ContractionHierarchy;
-use kspin_graph::{VertexId, Weight, INFINITY};
+use kspin_graph::{weight_add, VertexId, Weight, INFINITY};
+
+mod query;
+
+pub use query::HlQuery;
 
 /// Forward 2-hop labels for every vertex, stored in one flat arena.
 #[derive(Debug, Clone)]
@@ -123,32 +139,34 @@ impl HubLabels {
     /// The label of `v` as parallel `(hubs, dists)` slices, sorted by hub id.
     #[inline]
     pub fn label(&self, v: VertexId) -> (&[VertexId], &[Weight]) {
+        // PANIC-OK: offsets has n + 1 slots and is monotone, bounding the
+        // hubs/dists arena by construction; v is a labeled vertex < n.
         let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        (&self.hubs[lo..hi], &self.dists[lo..hi])
+        let hi = self.offsets[v as usize + 1] as usize; // PANIC-OK: v + 1 <= n.
+        (&self.hubs[lo..hi], &self.dists[lo..hi]) // PANIC-OK: arena bounds as above.
     }
 
     /// Exact distance via sorted-label intersection; [`INFINITY`] when the
-    /// labels share no hub (disconnected).
+    /// labels share no hub (disconnected). Stateless: for a run of calls
+    /// from one source, [`HlQuery`] reads the source's label once.
     pub fn distance(&self, s: VertexId, t: VertexId) -> Weight {
         if s == t {
             return 0;
         }
         let (sh, sd) = self.label(s);
         let (th, td) = self.label(t);
+        let mut s_entries = sh.iter().zip(sd);
+        let mut t_entries = th.iter().zip(td);
+        let (mut a, mut b) = (s_entries.next(), t_entries.next());
         let mut best = INFINITY;
-        let (mut i, mut j) = (0, 0);
-        while i < sh.len() && j < th.len() {
-            match sh[i].cmp(&th[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
+        while let (Some((ha, &da)), Some((hb, &db))) = (a, b) {
+            match ha.cmp(hb) {
+                std::cmp::Ordering::Less => a = s_entries.next(),
+                std::cmp::Ordering::Greater => b = t_entries.next(),
                 std::cmp::Ordering::Equal => {
-                    let d = sd[i] + td[j];
-                    if d < best {
-                        best = d;
-                    }
-                    i += 1;
-                    j += 1;
+                    best = best.min(weight_add(da, db));
+                    a = s_entries.next();
+                    b = t_entries.next();
                 }
             }
         }

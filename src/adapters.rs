@@ -7,21 +7,21 @@
 //! * [`ChDistance`] → **KS-CH** (small index, moderate queries; the source's
 //!   upward search space stays pinned across calls),
 //! * [`HlDistance`] → **KS-HL** (the KS-PHL stand-in: big index, fastest
-//!   queries),
+//!   queries; the source's label stays scattered in a table across calls),
 //! * [`GtreeNetworkDistance`] → **KS-GT** (the §7.4 apples-to-apples
 //!   comparison: K-SPIN consuming G-tree's own index, with
 //!   materialization and matrix-operation counting intact).
 //!
 //! The query processors ask for all of a query's distances from one source
-//! (the query vertex) in a row. The CH and G-tree adapters both exploit
-//! that behind the point-to-point signature: each keeps the source-side
-//! half of its computation until a call names another source.
+//! (the query vertex) in a row. All three adapters exploit that behind the
+//! point-to-point signature: each keeps the source-side half of its
+//! computation until a call names another source.
 
 use kspin_ch::{ChQuery, ContractionHierarchy};
 use kspin_core::NetworkDistance;
 use kspin_graph::{Graph, VertexId, Weight};
 use kspin_gtree::{GTree, GtreeDistance};
-use kspin_hl::HubLabels;
+use kspin_hl::{HlQuery, HubLabels};
 
 /// Contraction Hierarchies as a Network Distance Module.
 ///
@@ -53,20 +53,28 @@ impl NetworkDistance for ChDistance<'_> {
 }
 
 /// Hub labels as a Network Distance Module.
+///
+/// [`HlQuery`] keeps the last source's label scattered into a
+/// vertex-indexed table, so a run of calls from one query vertex reads that
+/// label once and each call is one linear scan of the candidate's label.
+/// Answers do not depend on what is pinned: per-worker instances in a
+/// `BatchExecutor` agree bit for bit with a sequential one.
 pub struct HlDistance<'a> {
-    labels: &'a HubLabels,
+    query: HlQuery<'a>,
 }
 
 impl<'a> HlDistance<'a> {
     /// Wraps built labels.
     pub fn new(labels: &'a HubLabels) -> Self {
-        HlDistance { labels }
+        HlDistance {
+            query: HlQuery::new(labels),
+        }
     }
 }
 
 impl NetworkDistance for HlDistance<'_> {
     fn distance(&mut self, s: VertexId, t: VertexId) -> Weight {
-        self.labels.distance(s, t)
+        self.query.distance(s, t)
     }
 
     fn name(&self) -> &'static str {

@@ -111,16 +111,50 @@ fn steady_state_batches_allocate_a_pinned_reproducible_amount() {
     // batches and the cross-batch comparison is exact, not statistical.
     let exec = BatchExecutor::new(&graph, &corpus, &index, &alt, 1).with_exact_threads(1);
 
+    // Two oracles: Dijkstra, and the hub-label kernel behind KS-HL, whose
+    // source-pinning table must be allocated when the oracle is made and
+    // never touched by the allocator while it serves.
+    steady_state_leg(&exec, &queries, "dijkstra", || {
+        DijkstraDistance::new(&graph)
+    });
+    let ch = kspin::ch::ContractionHierarchy::build(&graph, &kspin::ch::ChConfig::default());
+    let hl = kspin::hl::HubLabels::build(&ch);
+    steady_state_leg(&exec, &queries, "hl", || HlDistance::new(&hl));
+
+    // The executor legs bound allocations per query; this pins the kernel
+    // itself to zero across re-pins, scans and `s == t`.
+    let mut oracle = HlDistance::new(&hl);
+    let n = graph.num_vertices() as VertexId;
+    let before = allocations();
+    for q in &zipf {
+        for t in [q.vertex, 0, n / 2, n - 1] {
+            std::hint::black_box(oracle.distance(q.vertex, t));
+        }
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "HlDistance::distance allocated after construction"
+    );
+}
+
+/// Warms `exec` up with one batch, then holds two more identical batches to
+/// the steady-state contract.
+fn steady_state_leg<D, F>(exec: &BatchExecutor<'_>, queries: &[ServingQuery], oracle: &str, make: F)
+where
+    D: NetworkDistance,
+    F: Fn() -> D + Sync,
+{
     // Warm-up batch: anything lazily initialized on first use happens here.
-    exec.execute(&queries, || DijkstraDistance::new(&graph));
+    exec.execute(queries, &make);
 
     let measure = |label: &str| {
         let before = allocations();
-        let out = exec.execute(&queries, || DijkstraDistance::new(&graph));
+        let out = exec.execute(queries, &make);
         let total = allocations() - before;
         assert_eq!(
             out.stats.heap_grows, 0,
-            "{label}: a pre-sized heap kernel reallocated while serving"
+            "{oracle}, {label}: a pre-sized heap kernel reallocated while serving"
         );
         total
     };
@@ -131,7 +165,7 @@ fn steady_state_batches_allocate_a_pinned_reproducible_amount() {
     // (no growing side tables, no leak-by-retention).
     assert_eq!(
         second, third,
-        "identical warmed batches allocated different amounts"
+        "{oracle}: identical warmed batches allocated different amounts"
     );
 
     // And it is small: per-batch engine/oracle construction plus the
@@ -141,13 +175,13 @@ fn steady_state_batches_allocate_a_pinned_reproducible_amount() {
     // per-edge allocation, which blow past it by orders of magnitude.
     let per_query = second as f64 / queries.len() as f64;
     println!(
-        "steady-state allocations: total={second} per-query={per_query:.1} \
+        "steady-state allocations ({oracle}): total={second} per-query={per_query:.1} \
          (batch of {})",
         queries.len()
     );
     assert!(
         per_query <= 64.0,
-        "steady-state serving allocates {per_query:.1} times per query \
+        "{oracle}: steady-state serving allocates {per_query:.1} times per query \
          (batch total {second}) — an ALLOC-OK invariant no longer holds"
     );
 }

@@ -113,15 +113,19 @@ fn all_kspin_variants_agree_on_topk() {
     }
 }
 
-#[test]
-fn ks_ch_through_the_executor_matches_sequential_and_brute_force() {
-    // `ChDistance` keeps the last source's search space, and each executor
-    // worker owns one: which worker claimed which chunk, and what its
-    // oracle had pinned when it did, must not show in any result.
-    let w = build_world(900, 1009);
+/// The BkNN and top-k workloads through a 2-worker executor whose workers
+/// each own one `make()` oracle, against a sequential engine over one more
+/// and against brute force. The source-pinning adapters keep per-instance
+/// state: which worker claimed which chunk, and what its oracle had pinned
+/// when it did, must not show in any result.
+fn executor_matches_sequential_and_brute_force<D, F>(w: &World, make: F)
+where
+    D: NetworkDistance,
+    F: Fn() -> D + Sync,
+{
     let s = &w.system;
     let mut queries = Vec::new();
-    for terms in workload(&w, 2).into_iter().take(3) {
+    for terms in workload(w, 2).into_iter().take(3) {
         for vertex in [4u32, 404, 808, 11, 600] {
             for op in [Op::And, Op::Or] {
                 queries.push(ServingQuery::Bknn {
@@ -140,12 +144,13 @@ fn ks_ch_through_the_executor_matches_sequential_and_brute_force() {
     }
 
     let exec = BatchExecutor::new(&s.graph, &s.corpus, &s.index, &s.alt, 1).with_exact_threads(2);
-    let parallel = exec.execute(&queries, || ChDistance::new(&w.ch)).results;
-    let mut engine = s.engine(ChDistance::new(&w.ch));
+    let parallel = exec.execute(&queries, &make).results;
+    let mut engine = s.engine(make());
+    let name = engine.distance_name();
     let sequential: Vec<ServingResult> = queries.iter().map(|q| q.run(&mut engine)).collect();
     assert_eq!(
         parallel, sequential,
-        "2-worker KS-CH diverged from sequential"
+        "2-worker KS-{name} diverged from sequential"
     );
 
     for (query, got) in queries.iter().zip(&sequential) {
@@ -174,6 +179,18 @@ fn ks_ch_through_the_executor_matches_sequential_and_brute_force() {
             _ => panic!("result shape does not match {query:?}"),
         }
     }
+}
+
+#[test]
+fn ks_ch_through_the_executor_matches_sequential_and_brute_force() {
+    let w = build_world(900, 1009);
+    executor_matches_sequential_and_brute_force(&w, || ChDistance::new(&w.ch));
+}
+
+#[test]
+fn ks_hl_through_the_executor_matches_sequential_and_brute_force() {
+    let w = build_world(900, 1009);
+    executor_matches_sequential_and_brute_force(&w, || HlDistance::new(&w.hl));
 }
 
 #[test]

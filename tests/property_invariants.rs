@@ -99,15 +99,17 @@ proptest! {
         let n = g.num_vertices() as u32;
         let ch = ContractionHierarchy::build(&g, &ChConfig::default());
         let hl = HubLabels::build(&ch);
-        // One query object for the whole sequence: whatever an earlier call
-        // left pinned must not show in a later answer.
+        // One query object per kernel for the whole sequence: whatever an
+        // earlier call left pinned must not show in a later answer.
         let mut chq = kspin_ch::ChQuery::new(&ch);
+        let mut hlq = kspin_hl::HlQuery::new(&hl);
         let mut dij = Dijkstra::new(g.num_vertices());
         for (s, t) in calls {
             let (s, t) = (s % n, t % n);
             let want = dij.one_to_one(&g, s, t);
             prop_assert_eq!(chq.distance(s, t), want, "CH ({}, {})", s, t);
-            prop_assert_eq!(hl.distance(s, t), want, "HL ({}, {})", s, t);
+            prop_assert_eq!(hlq.distance(s, t), want, "HL pinned ({}, {})", s, t);
+            prop_assert_eq!(hl.distance(s, t), want, "HL merge ({}, {})", s, t);
         }
     }
 

@@ -28,19 +28,24 @@
 //! untrusted files enter). A future server crate registers its frame
 //! parser here — one table, every certificate widens together.
 
-/// The certified perimeter, relative to the workspace root: the five
-/// hot-path crates, closed under the `kspin-core::modules` trait dispatch
-/// (every `NetworkDistance` / `LowerBound` implementation lives inside
-/// it). `crates/ch` joined when the batch executor's one-to-many sweep
-/// pre-pass made its PHAST kernels a steady-state serving path; HL,
-/// G-tree and the other baselines remain offline crates no serving path
-/// calls into.
-pub const CERT_DIRS: [&str; 6] = [
+/// The certified perimeter, relative to the workspace root: the crates a
+/// serving path executes. `kspin-core::modules` dispatches through the
+/// `NetworkDistance` / `LowerBound` traits, and the adapters that
+/// implement them for CH and hub labels live in the facade (`src/`),
+/// outside this perimeter, so the kernels they wrap are registered by name
+/// in the entry tables below. `crates/ch` joined when the batch executor's
+/// one-to-many sweep pre-pass made its PHAST kernels a steady-state
+/// serving path; `crates/hl` joined with `HlQuery`, the kernel behind
+/// KS-HL — the default serving variant (the CLI, `table_serving`, three of
+/// the four e2e workloads). G-tree, ROAD and FS-FBS remain comparison
+/// crates no default serving path calls into.
+pub const CERT_DIRS: [&str; 7] = [
     "crates/graph/src",
     "crates/alt/src",
     "crates/nvd/src",
     "crates/core/src",
     "crates/ch/src",
+    "crates/hl/src",
     "crates/snapshot/src",
 ];
 
@@ -50,21 +55,23 @@ pub const CERT_DIRS: [&str; 6] = [
 /// load` → `KspinSystem::load_snapshot`). Kept a superset of
 /// `CERT_DIRS` by the test below so the taint flood sees every function
 /// the reachability certificates see.
-pub const TAINT_DIRS: [&str; 7] = [
+pub const TAINT_DIRS: [&str; 8] = [
     "crates/graph/src",
     "crates/alt/src",
     "crates/nvd/src",
     "crates/core/src",
     "crates/ch/src",
+    "crates/hl/src",
     "crates/snapshot/src",
     "src",
 ];
 
 /// The serving entry points the panic certificate quantifies over: every
 /// query processor the engine exposes (§4 of the paper), the batch
-/// executor, the d-ary heap kernel API, and the Heap Generator
-/// constructor.
-pub const PANIC_ENTRIES: [&str; 12] = [
+/// executor, the d-ary heap kernel API, the Heap Generator constructor,
+/// and the hub-label distance kernel KS-HL serves every exact distance
+/// through.
+pub const PANIC_ENTRIES: [&str; 13] = [
     "QueryEngine::bknn",
     "QueryEngine::bknn_disjunctive",
     "QueryEngine::bknn_conjunctive",
@@ -76,15 +83,16 @@ pub const PANIC_ENTRIES: [&str; 12] = [
     "DaryHeap::pop",
     "DaryHeap::insert_or_decrease",
     "InvertedHeap::create",
+    "HlQuery::distance",
     "SnapshotFile::validate",
 ];
 
 /// Steady-state serving entry points for the allocation certificate: the
 /// 6 query processors (§4.1/§4.2), the batch executor, the 4 d-ary heap
-/// kernel ops, inverted-heap extraction (Algorithm 4), and the
-/// PHAST/RPHAST one-to-many sweep kernels the batch executor's pre-pass
-/// runs per keyword group.
-pub const STEADY_ENTRIES: [&str; 15] = [
+/// kernel ops, inverted-heap extraction (Algorithm 4), the PHAST/RPHAST
+/// one-to-many sweep kernels the batch executor's pre-pass runs per
+/// keyword group, and the hub-label distance kernel.
+pub const STEADY_ENTRIES: [&str; 16] = [
     "QueryEngine::bknn",
     "QueryEngine::bknn_disjunctive",
     "QueryEngine::bknn_conjunctive",
@@ -99,6 +107,7 @@ pub const STEADY_ENTRIES: [&str; 15] = [
     "InvertedHeap::extract",
     "OneToManySweep::one_to_many",
     "OneToManySweep::one_to_many_restricted",
+    "HlQuery::distance",
     "SnapshotFile::validate",
 ];
 
@@ -125,12 +134,13 @@ pub const WARM_UP: [&str; 6] = [
 /// Files (beyond the `crates/core/src/query/` processors) that define a
 /// steady-state entry point; with the prefix below this is H1's hot-loop
 /// scope.
-pub const HOT_LOOP_FILES: [&str; 6] = [
+pub const HOT_LOOP_FILES: [&str; 7] = [
     "crates/core/src/heap.rs",
     "crates/core/src/serving.rs",
     "crates/graph/src/dheap.rs",
     "crates/nvd/src/knn.rs",
     "crates/ch/src/sweep.rs",
+    "crates/hl/src/query.rs",
     "crates/snapshot/src/reader.rs",
 ];
 
