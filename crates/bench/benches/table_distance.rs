@@ -1,10 +1,8 @@
 //! Distance-kernel sweep over three axes: module × memory layout × heap
 //! kernel, on generated road networks at |V| ∈ {10k, 30k, 100k}.
 //!
-//! **Modules** — the four heap-driven searches (Dijkstra, BiDijkstra,
-//! ALT-A*, the exact-NVD construction sweep) plus `one_to_many`, the
-//! batched distance-table shape the serving pre-pass runs per keyword
-//! group (many sources against one shared target set).
+//! **Modules** — the four heap-driven searches: Dijkstra, BiDijkstra,
+//! ALT-A* and the exact-NVD construction sweep.
 //!
 //! **Layouts** — each network is renumbered with [`Relabeling`] before
 //! measuring: `original` (generator order), `bfs` (frontier locality) and
@@ -20,19 +18,14 @@
 //!   (`kspin_graph::dheap`), i.e. the production code paths;
 //! * `binary` — bench-local lazy-deletion reference implementations that
 //!   mirror the pre-port code exactly (std `BinaryHeap` + epoch arrays +
-//!   stale-entry skipping), instrumented on the same counter schema;
-//! * for `one_to_many`: `per_query_dijkstra` (one early-stopping search
-//!   per source) vs `phast` (upward search + full linear downward sweep)
-//!   vs `rphast` (sweep restricted to the targets' upward closure).
+//!   stale-entry skipping), instrumented on the same counter schema.
 //!
 //! The host's wall clock is single-core and noisy, so the heap counters
 //! are the primary signal (the EXPERIMENTS.md convention): the d-ary legs
 //! must report `stale_skipped == 0` structurally and strictly fewer pops
-//! than their lazy twins — every lazy stale pop is a d-ary decrease-key —
-//! and the restricted sweep must settle strictly fewer vertices than the
-//! per-query searches it replaces. QPS rides along as best-of-3. Results
-//! go to `BENCH_distance.json` at the workspace root (CI uploads it as an
-//! artifact).
+//! than their lazy twins — every lazy stale pop is a d-ary decrease-key.
+//! QPS rides along as best-of-5. Results go to `BENCH_distance.json` at
+//! the workspace root (CI uploads it as an artifact).
 //!
 //! `KSPIN_BENCH_SCALE=small` drops the 100k size and halves the query
 //! pairs for CI smoke runs.
@@ -44,7 +37,6 @@ use std::time::Instant;
 
 use kspin_alt::{AltAstar, AltIndex, LandmarkStrategy};
 use kspin_bench::{header, row};
-use kspin_ch::{ChConfig, ContractionHierarchy, OneToManySweep, RestrictedTargets};
 use kspin_graph::generate::{road_network, RoadNetworkConfig};
 use kspin_graph::{
     BiDijkstra, Dijkstra, Graph, HeapCounters, Relabeling, VertexId, Weight, INFINITY,
@@ -88,29 +80,6 @@ fn query_pairs(n: usize) -> Vec<(VertexId, VertexId)> {
 /// Every 64th vertex generates a Voronoi cell (road-network POI density).
 fn generators(n: usize) -> Vec<VertexId> {
     (0..n as VertexId).step_by(64).collect()
-}
-
-/// Up to 8 distinct sources for the one-to-many legs, drawn from the
-/// point-to-point pair sources (the serving batch shape: a handful of
-/// query locations against one shared keyword target set).
-fn sweep_sources(pairs: &[(VertexId, VertexId)]) -> Vec<VertexId> {
-    let mut src: Vec<VertexId> = Vec::new();
-    for &(s, _) in pairs {
-        if !src.contains(&s) {
-            src.push(s);
-        }
-        if src.len() == 8 {
-            break;
-        }
-    }
-    src
-}
-
-/// Extra JSON fields for one-to-many rows: total vertices settled/relaxed
-/// over the counted run, target-set size, and settled work per source as
-/// a fraction of |V|.
-fn sweep_extra(settled: u64, targets: usize, fraction: f64) -> String {
-    format!(", \"settled\": {settled}, \"targets\": {targets}, \"settled_fraction\": {fraction:.4}")
 }
 
 /// Best-of-5 wall clock around `pass`, counters from a final counted run
@@ -409,20 +378,14 @@ fn main() {
         let g0 = road_network(&RoadNetworkConfig::new(n, 0x5eed ^ n as u64));
         let pairs0 = query_pairs(g0.num_vertices());
         let gens0 = generators(g0.num_vertices());
-        let sources0 = sweep_sources(&pairs0);
         let nv = g0.num_vertices();
         let t0 = Instant::now();
         let alt0 = AltIndex::build(&g0, 8, LandmarkStrategy::Farthest, 0);
-        let alt_secs = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let ch0 = ContractionHierarchy::build(&g0, &ChConfig::default());
         eprintln!(
-            "|V|={n}: ALT (8 landmarks) {alt_secs:.1}s, CH {:.1}s; {} query pairs, \
-             {} NVD generators, {} sweep sources",
+            "|V|={n}: ALT (8 landmarks) {:.1}s; {} query pairs, {} NVD generators",
             t0.elapsed().as_secs_f64(),
             pairs0.len(),
             gens0.len(),
-            sources0.len(),
         );
 
         // The layout axis: one permutation per memory layout, applied to
@@ -436,15 +399,13 @@ fn main() {
         for (layout, r) in &layouts {
             let g = r.apply(&g0);
             let alt = alt0.relabel(r);
-            let ch = ch0.relabel(r);
             let pairs: Vec<(VertexId, VertexId)> = pairs0
                 .iter()
                 .map(|&(s, t)| (r.to_local(s), r.to_local(t)))
                 .collect();
             let gens: Vec<VertexId> = gens0.iter().map(|&v| r.to_local(v)).collect();
-            let sources: Vec<VertexId> = sources0.iter().map(|&v| r.to_local(v)).collect();
 
-            let mut emit = |module: &str, kernel: &str, leg: Leg, extra: String| {
+            let mut emit = |module: &str, kernel: &str, leg: Leg| {
                 let c = leg.counters;
                 row(
                     format!("{module}/{n}/{layout}/{kernel}"),
@@ -462,7 +423,7 @@ fn main() {
                     "{comma}    {{\"module\": \"{module}\", \"vertices\": {n}, \
                      \"layout\": \"{layout}\", \"kernel\": \"{kernel}\", \
                      \"qps\": {:.2}, \"pushes\": {}, \"pops\": {}, \
-                     \"decrease_keys\": {}, \"stale_skipped\": {}{extra}}}",
+                     \"decrease_keys\": {}, \"stale_skipped\": {}}}",
                     leg.qps, c.pushes, c.pops, c.decrease_keys, c.stale_skipped,
                 )
                 .expect("write to String cannot fail");
@@ -481,7 +442,7 @@ fn main() {
                     std::hint::black_box(d.one_to_one(&g, s, t));
                 }
                 let counters = d.heap_counters().since(base);
-                emit("dijkstra", "dary", Leg { qps, counters }, String::new());
+                emit("dijkstra", "dary", Leg { qps, counters });
 
                 let mut l = LazyDijkstra::new(g.num_vertices());
                 let qps = measure(pairs.len(), || {
@@ -493,12 +454,7 @@ fn main() {
                 for &(s, t) in &pairs {
                     std::hint::black_box(l.one_to_one(&g, s, t));
                 }
-                emit(
-                    "dijkstra",
-                    "binary",
-                    Leg { qps, counters: l.c },
-                    String::new(),
-                );
+                emit("dijkstra", "binary", Leg { qps, counters: l.c });
             }
 
             // BiDijkstra
@@ -514,7 +470,7 @@ fn main() {
                     std::hint::black_box(d.distance(&g, s, t));
                 }
                 let counters = d.heap_counters().since(base);
-                emit("bidijkstra", "dary", Leg { qps, counters }, String::new());
+                emit("bidijkstra", "dary", Leg { qps, counters });
 
                 let mut l = LazyBiDijkstra::new(g.num_vertices());
                 let qps = measure(pairs.len(), || {
@@ -526,12 +482,7 @@ fn main() {
                 for &(s, t) in &pairs {
                     std::hint::black_box(l.distance(&g, s, t));
                 }
-                emit(
-                    "bidijkstra",
-                    "binary",
-                    Leg { qps, counters: l.c },
-                    String::new(),
-                );
+                emit("bidijkstra", "binary", Leg { qps, counters: l.c });
             }
 
             // ALT-A*
@@ -547,7 +498,7 @@ fn main() {
                     std::hint::black_box(d.distance(&g, &alt, s, t));
                 }
                 let counters = d.heap_counters().since(base);
-                emit("alt_astar", "dary", Leg { qps, counters }, String::new());
+                emit("alt_astar", "dary", Leg { qps, counters });
 
                 let mut l = LazyAstar::new(g.num_vertices());
                 let qps = measure(pairs.len(), || {
@@ -559,12 +510,7 @@ fn main() {
                 for &(s, t) in &pairs {
                     std::hint::black_box(l.distance(&g, &alt, s, t));
                 }
-                emit(
-                    "alt_astar",
-                    "binary",
-                    Leg { qps, counters: l.c },
-                    String::new(),
-                );
+                emit("alt_astar", "binary", Leg { qps, counters: l.c });
             }
 
             // Exact-NVD construction (one build = one work item)
@@ -573,92 +519,13 @@ fn main() {
                     std::hint::black_box(ExactNvd::build(&g, &gens));
                 });
                 let counters = ExactNvd::build(&g, &gens).build_counters();
-                emit("nvd_build", "dary", Leg { qps, counters }, String::new());
+                emit("nvd_build", "dary", Leg { qps, counters });
 
                 let qps = measure(1, || {
                     std::hint::black_box(lazy_nvd_build(&g, &gens));
                 });
                 let counters = lazy_nvd_build(&g, &gens);
-                emit("nvd_build", "binary", Leg { qps, counters }, String::new());
-            }
-
-            // One-to-many: per-query Dijkstra vs PHAST/RPHAST sweeps
-            // against the generator set (the serving pre-pass shape).
-            {
-                let mut d = Dijkstra::new(g.num_vertices());
-                let qps = measure(sources.len(), || {
-                    for &s in &sources {
-                        std::hint::black_box(d.one_to_many(&g, s, &gens));
-                    }
-                });
-                let base = d.heap_counters();
-                let mut frac = 0.0;
-                for &s in &sources {
-                    std::hint::black_box(d.one_to_many(&g, s, &gens));
-                    frac += d.settled_fraction();
-                }
-                let counters = d.heap_counters().since(base);
-                // The indexed heap never pops stale entries: pops == settled.
-                let settled = counters.pops;
-                emit(
-                    "one_to_many",
-                    "per_query_dijkstra",
-                    Leg { qps, counters },
-                    sweep_extra(settled, gens.len(), frac / sources.len() as f64),
-                );
-
-                let mut sw = OneToManySweep::new(&ch);
-                let mut out = Vec::new();
-                let qps = measure(sources.len(), || {
-                    for &s in &sources {
-                        sw.one_to_many(s, &gens, &mut out);
-                        std::hint::black_box(&out);
-                    }
-                });
-                let h0 = sw.heap_counters();
-                let c0 = sw.counters();
-                for &s in &sources {
-                    sw.one_to_many(s, &gens, &mut out);
-                    std::hint::black_box(&out);
-                }
-                let counters = sw.heap_counters().since(h0);
-                let settled = sw.counters().total_settled() - c0.total_settled();
-                emit(
-                    "one_to_many",
-                    "phast",
-                    Leg { qps, counters },
-                    sweep_extra(
-                        settled,
-                        gens.len(),
-                        settled as f64 / (sources.len() * nv) as f64,
-                    ),
-                );
-
-                let restricted = RestrictedTargets::new(&ch, &gens);
-                let qps = measure(sources.len(), || {
-                    for &s in &sources {
-                        sw.one_to_many_restricted(s, &restricted, &mut out);
-                        std::hint::black_box(&out);
-                    }
-                });
-                let h0 = sw.heap_counters();
-                let c0 = sw.counters();
-                for &s in &sources {
-                    sw.one_to_many_restricted(s, &restricted, &mut out);
-                    std::hint::black_box(&out);
-                }
-                let counters = sw.heap_counters().since(h0);
-                let settled = sw.counters().total_settled() - c0.total_settled();
-                emit(
-                    "one_to_many",
-                    "rphast",
-                    Leg { qps, counters },
-                    sweep_extra(
-                        settled,
-                        gens.len(),
-                        settled as f64 / (sources.len() * nv) as f64,
-                    ),
-                );
+                emit("nvd_build", "binary", Leg { qps, counters });
             }
         }
     }

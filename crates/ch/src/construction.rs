@@ -89,8 +89,8 @@ impl ContractionHierarchy {
 
     /// Translates the hierarchy onto a renumbered graph: every stored
     /// vertex id goes through `r` while each vertex keeps its contraction
-    /// rank, so node order, sweep order and query results are bit-identical
-    /// to the unpermuted hierarchy. Build-time only.
+    /// rank, so node order and query results are bit-identical to the
+    /// unpermuted hierarchy. Build-time only.
     pub fn relabel(&self, r: &kspin_graph::Relabeling) -> ContractionHierarchy {
         let n = self.rank.len();
         assert_eq!(n, r.len(), "relabeling size mismatch");
@@ -207,8 +207,8 @@ impl ContractionHierarchy {
                 }
             }
         }
-        // Upward edges must point strictly up the hierarchy; the sweep's
-        // downward pass and the bidirectional search both rely on it.
+        // Upward edges must point strictly up the hierarchy; both upward
+        // searches of a query rely on it.
         for v in 0..n {
             let lo = up_offsets[v] as usize;
             let hi = up_offsets[v + 1] as usize;

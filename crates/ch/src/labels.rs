@@ -1,5 +1,5 @@
 //! Epoch-stamped distance labels and the exhaustive upward search that
-//! fills them, shared by the point-to-point query and the sweeps.
+//! fills them — the label store of [`crate::ChQuery`]'s two searches.
 
 use kspin_graph::{weight_add, DaryHeap, VertexId, Weight, INFINITY};
 
@@ -32,21 +32,18 @@ impl Labels {
     }
 
     /// Replaces the labels with the upward search space of `source`: a
-    /// Dijkstra over upward arcs run to exhaustion on `heap`. Returns the
-    /// number of vertices it settled.
+    /// Dijkstra over upward arcs run to exhaustion on `heap`.
     pub(crate) fn fill_upward(
         &mut self,
         ch: &ContractionHierarchy,
         heap: &mut DaryHeap,
         source: VertexId,
-    ) -> u64 {
+    ) {
         self.reset();
         heap.clear();
         self.set(source, 0);
         heap.insert_or_decrease(0, source);
-        let mut settled = 0;
         while let Some((d, v)) = heap.pop() {
-            settled += 1;
             for (u, w) in ch.upward(v) {
                 let nd = weight_add(d, w);
                 if nd < self.get(u) {
@@ -55,7 +52,6 @@ impl Labels {
                 }
             }
         }
-        settled
     }
 
     /// The label of `v`, [`INFINITY`] if unset since the last reset.

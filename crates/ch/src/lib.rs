@@ -15,11 +15,9 @@
 mod construction;
 mod labels;
 mod query;
-pub mod sweep;
 
 pub use construction::{ChConfig, ContractionHierarchy};
 pub use query::ChQuery;
-pub use sweep::{OneToManySweep, RestrictedTargets, SweepCounters};
 
 #[cfg(test)]
 mod tests {

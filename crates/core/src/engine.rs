@@ -41,16 +41,6 @@ pub struct QueryStats {
     /// dynamic face of `cargo xtask allocs`'s static certificate, surfaced
     /// per query in the `table_serving` rows.
     pub heap_grows: usize,
-    /// RPHAST one-to-many sweeps run by the batch pre-pass (one per query
-    /// in a qualifying keyword group; the restricted domain is shared).
-    pub sweeps: usize,
-    /// Vertices settled/relaxed by those sweeps (upward settles + downward
-    /// relaxations) — directly comparable to the per-query Dijkstra pop
-    /// counts the sweeps replace.
-    pub sweep_settled: usize,
-    /// Distance-oracle calls answered from a precomputed sweep table
-    /// instead of a per-query graph search.
-    pub sweep_hits: usize,
 }
 
 impl QueryStats {
@@ -87,9 +77,6 @@ impl AddAssign for QueryStats {
         self.heap_pops += rhs.heap_pops;
         self.heap_decrease_keys += rhs.heap_decrease_keys;
         self.heap_grows += rhs.heap_grows;
-        self.sweeps += rhs.sweeps;
-        self.sweep_settled += rhs.sweep_settled;
-        self.sweep_hits += rhs.sweep_hits;
     }
 }
 
@@ -99,8 +86,7 @@ impl fmt::Display for QueryStats {
         write!(
             f,
             "dist={} extract={} lb={} pruned={} \
-             heap={}push/{}pop/{}dec alloc={}grow \
-             sweep={}x/{}settled/{}hit",
+             heap={}push/{}pop/{}dec alloc={}grow",
             self.dist_computations,
             self.heap_extractions,
             self.lb_computations,
@@ -108,10 +94,7 @@ impl fmt::Display for QueryStats {
             self.heap_pushes,
             self.heap_pops,
             self.heap_decrease_keys,
-            self.heap_grows,
-            self.sweeps,
-            self.sweep_settled,
-            self.sweep_hits
+            self.heap_grows
         )
     }
 }

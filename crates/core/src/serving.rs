@@ -17,12 +17,9 @@
 //! order and every query's result is bit-identical to a sequential run —
 //! only the *assignment* of queries to threads varies.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use kspin_ch::{ContractionHierarchy, OneToManySweep, RestrictedTargets};
-use kspin_graph::{Graph, HeapCounters, VertexId, Weight};
+use kspin_graph::{Graph, VertexId, Weight};
 use kspin_text::{Corpus, ObjectId, TermId};
 
 use crate::engine::{QueryEngine, QueryStats};
@@ -34,11 +31,6 @@ use crate::query::Op;
 /// Queries claimed per fetch: large enough to amortize the atomic, small
 /// enough that a straggler query cannot strand much work on one thread.
 const CHUNK: usize = 8;
-
-/// Minimum keyword-group size before the batch pre-pass spends a shared
-/// RPHAST sweep on it: a single query gains nothing from amortizing the
-/// restricted-domain construction.
-const MIN_SWEEP_GROUP: usize = 2;
 
 /// One query of a serving batch — the three query families of §2 in
 /// self-contained (engine-independent) form.
@@ -106,53 +98,6 @@ pub enum ServingResult {
     Scores(Vec<(ObjectId, f64)>),
 }
 
-/// Precomputed candidate distances for one query, produced by a shared
-/// RPHAST sweep over its keyword group (see [`BatchExecutor::with_sweep`]).
-///
-/// `targets` is the sorted union of the group's posting vertices, shared
-/// (`Arc`) by every member; `dists[i]` is the exact network distance from
-/// `source` to `targets[i]` — CH distances equal Dijkstra distances, so
-/// serving a lookup from here instead of a graph search is invisible in
-/// results.
-struct DistTable {
-    source: VertexId,
-    targets: Arc<[VertexId]>,
-    dists: Vec<Weight>,
-}
-
-/// A [`NetworkDistance`] wrapper that answers from the current query's
-/// sweep table when possible and falls back to the wrapped oracle
-/// otherwise. Every worker engine gets one; the batch loop points it at
-/// the right table before running each query.
-struct SweptOracle<'t, D> {
-    inner: D,
-    table: Option<&'t DistTable>,
-    hits: usize,
-}
-
-impl<D: NetworkDistance> NetworkDistance for SweptOracle<'_, D> {
-    #[inline]
-    fn distance(&mut self, s: VertexId, t: VertexId) -> Weight {
-        if let Some(table) = self.table {
-            if table.source == s {
-                if let Ok(i) = table.targets.binary_search(&t) {
-                    self.hits += 1;
-                    return table.dists[i]; // PANIC-OK: dists is index-parallel to targets.
-                }
-            }
-        }
-        self.inner.distance(s, t)
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn heap_counters(&self) -> HeapCounters {
-        self.inner.heap_counters()
-    }
-}
-
 /// A completed batch: one result per input query (same order) plus the
 /// merged statistics of every worker.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,10 +130,6 @@ pub struct BatchExecutor<'a> {
     /// memo is single-threaded; audits run on a sequential engine.)
     lower_bound: &'a (dyn LowerBound + Sync),
     num_threads: usize,
-    /// When set, the batch pre-pass resolves candidate distances for
-    /// queries sharing hot keywords via shared RPHAST sweeps over this
-    /// hierarchy instead of per-query graph searches.
-    sweep: Option<&'a ContractionHierarchy>,
 }
 
 impl<'a> BatchExecutor<'a> {
@@ -214,19 +155,7 @@ impl<'a> BatchExecutor<'a> {
             index,
             lower_bound,
             num_threads: num_threads.clamp(1, hw),
-            sweep: None,
         }
-    }
-
-    /// Enables the batched one-to-many sweep path: queries sharing a
-    /// keyword signature resolve their candidate-set distances through one
-    /// shared [`RestrictedTargets`] domain and per-source RPHAST sweeps
-    /// over `ch`, served to the workers as lookup tables. Distances are
-    /// exact (CH preserves shortest paths), so results are bit-identical
-    /// to the unswept path — only `QueryStats`'s sweep counters change.
-    pub fn with_sweep(mut self, ch: &'a ContractionHierarchy) -> Self {
-        self.sweep = Some(ch);
-        self
     }
 
     /// Overrides the worker count exactly, bypassing the hardware clamp of
@@ -237,7 +166,8 @@ impl<'a> BatchExecutor<'a> {
         self
     }
 
-    /// The worker count this executor fans out to.
+    /// The worker count this executor fans out to (fewer for a batch of
+    /// fewer than that many chunks).
     pub fn num_threads(&self) -> usize {
         self.num_threads
     }
@@ -260,7 +190,9 @@ impl<'a> BatchExecutor<'a> {
         F: Fn() -> D + Sync,
     {
         let n = queries.len();
-        let (tables, sweep_stats) = self.sweep_tables(queries);
+        // One worker per chunk at most: a worker with no chunk to claim
+        // would build its oracle (|V|-sized arrays) for nothing.
+        let workers = self.num_threads.min(n.div_ceil(CHUNK));
         let next = AtomicUsize::new(0);
         // ALLOC-OK: per-batch bookkeeping — O(num_threads) slots filled
         // once per execute() call, amortized over the whole batch.
@@ -268,10 +200,9 @@ impl<'a> BatchExecutor<'a> {
         let scope_result = crossbeam::thread::scope(|scope| {
             // ALLOC-OK: per-batch handle list, ≤ num_threads entries.
             let mut handles = Vec::new();
-            for _ in 0..self.num_threads {
+            for _ in 0..workers {
                 let next = &next;
                 let make_dist = &make_dist;
-                let tables = &tables;
                 // ALLOC-OK: ≤ num_threads pushes per batch (spawn loop).
                 handles.push(scope.spawn(move |_| {
                     let mut engine = QueryEngine::new(
@@ -279,11 +210,7 @@ impl<'a> BatchExecutor<'a> {
                         self.corpus,
                         self.index,
                         self.lower_bound,
-                        SweptOracle {
-                            inner: make_dist(),
-                            table: None,
-                            hits: 0,
-                        },
+                        make_dist(),
                     );
                     // lint:allow(no-alloc-in-hot-loop) — per-worker result
                     // buffer created once per batch (the enclosing loop is
@@ -297,17 +224,12 @@ impl<'a> BatchExecutor<'a> {
                         }
                         let end = (base + CHUNK).min(n);
                         for (i, q) in queries.iter().enumerate().skip(base).take(end - base) {
-                            // Point the oracle at this query's sweep table
-                            // (None when the pre-pass didn't cover it).
-                            engine.dist.table = tables.get(i).and_then(Option::as_ref);
                             // ALLOC-OK: amortized — out grows to this
                             // worker's batch share, one slot per query.
                             out.push((i, q.run(&mut engine)));
                         }
                     }
-                    let mut stats = engine.stats();
-                    stats.sweep_hits = engine.dist.hits;
-                    (out, stats)
+                    (out, engine.stats())
                 }));
             }
             shards = handles
@@ -329,7 +251,7 @@ impl<'a> BatchExecutor<'a> {
 
         // ALLOC-OK: the batch's n result slots, allocated once per batch.
         let mut slots: Vec<Option<ServingResult>> = (0..n).map(|_| None).collect();
-        let mut stats = sweep_stats;
+        let mut stats = QueryStats::default();
         for (shard, worker_stats) in shards {
             stats += worker_stats;
             for (i, r) in shard {
@@ -353,99 +275,6 @@ impl<'a> BatchExecutor<'a> {
             // ALLOC-OK: the n-element output the batch API returns.
             .collect();
         BatchOutput { results, stats }
-    }
-
-    /// The batched one-to-many pre-pass: groups queries by keyword
-    /// signature (a `BTreeMap`, so group order is deterministic — no
-    /// hash-order iteration), builds one shared [`RestrictedTargets`]
-    /// domain per qualifying group, and runs a restricted sweep per member
-    /// query to produce its candidate-distance table. Empty when the
-    /// executor has no hierarchy ([`BatchExecutor::with_sweep`]).
-    fn sweep_tables(&self, queries: &[ServingQuery]) -> (Vec<Option<DistTable>>, QueryStats) {
-        let mut stats = QueryStats::default();
-        // ALLOC-OK: per-batch table list, one slot per query.
-        let mut tables: Vec<Option<DistTable>> = Vec::new();
-        let Some(ch) = self.sweep else {
-            return (tables, stats);
-        };
-        // ALLOC-OK: fills the per-batch slots allocated above, once.
-        tables.resize_with(queries.len(), || None);
-        // ALLOC-OK: per-batch grouping map, ≤ one entry per distinct
-        // keyword signature in the batch.
-        let mut groups: BTreeMap<Vec<TermId>, Vec<usize>> = BTreeMap::new();
-        for (i, q) in queries.iter().enumerate() {
-            let terms = match q {
-                ServingQuery::Bknn { terms, .. } | ServingQuery::TopK { terms, .. } => terms,
-                // Boolean trees mix ∧/∨ scopes; their candidate unions
-                // don't reduce to a flat signature, so they keep the
-                // per-query oracle path (results are unaffected either way).
-                ServingQuery::Boolean { .. } => continue,
-            };
-            // ALLOC-OK: per-query signature key, O(|terms|), once per query.
-            // lint:allow(no-alloc-in-hot-loop) — batch pre-pass, once per query.
-            let mut key = terms.clone();
-            key.sort_unstable();
-            key.dedup();
-            // ALLOC-OK: group member lists sum to ≤ n pushes per batch.
-            groups.entry(key).or_default().push(i);
-        }
-        let mut sweep = OneToManySweep::new(ch);
-        // ALLOC-OK: per-batch distance buffer, reused across every sweep
-        // below (grows to the largest candidate set once).
-        let mut buf: Vec<Weight> = Vec::new();
-        for (terms, members) in &groups {
-            if members.len() < MIN_SWEEP_GROUP {
-                continue;
-            }
-            // The group's candidate vertices: the sorted union of its
-            // keywords' posting vertices — exactly the vertices the query
-            // processors will ask distances for.
-            // ALLOC-OK: per-group candidate list, ≤ total postings.
-            // lint:allow(no-alloc-in-hot-loop) — batch pre-pass, once per
-            // keyword group, bounded by the corpus posting count.
-            let mut cands: Vec<VertexId> = terms
-                .iter()
-                .flat_map(|&t| {
-                    self.corpus
-                        .inverted(t)
-                        .iter()
-                        .map(|p| self.corpus.vertex_of(p.object))
-                })
-                // lint:allow(no-alloc-in-hot-loop) — once per keyword group.
-                .collect();
-            cands.sort_unstable();
-            cands.dedup();
-            if cands.is_empty() {
-                continue;
-            }
-            let targets: Arc<[VertexId]> = cands.into();
-            let restricted = RestrictedTargets::new(ch, &targets);
-            for &i in members {
-                // PANIC-OK: members holds indexes enumerated from this very
-                // queries slice during grouping; tables is sized queries.len().
-                let source = match &queries[i] {
-                    ServingQuery::Bknn { vertex, .. } | ServingQuery::TopK { vertex, .. } => {
-                        *vertex
-                    }
-                    // PANIC-OK: Boolean queries were skipped when grouping.
-                    ServingQuery::Boolean { .. } => unreachable!("boolean in sweep group"),
-                };
-                sweep.one_to_many_restricted(source, &restricted, &mut buf);
-                // PANIC-OK: tables is sized queries.len(); i < queries.len().
-                tables[i] = Some(DistTable {
-                    source,
-                    targets: Arc::clone(&targets),
-                    // ALLOC-OK: the query's table payload, once per query.
-                    // lint:allow(no-alloc-in-hot-loop) — the table IS the
-                    // product of the pre-pass; one buffer copy per query.
-                    dists: buf.clone(),
-                });
-            }
-        }
-        let c = sweep.counters();
-        stats.sweeps = c.restricted_sweeps as usize;
-        stats.sweep_settled = c.total_settled() as usize;
-        (tables, stats)
     }
 }
 
@@ -559,38 +388,37 @@ mod tests {
     }
 
     #[test]
-    fn sweep_path_is_bit_identical_and_counted() {
-        let (graph, corpus, alt, index) = fixture();
-        let queries = workload(&corpus, graph.num_vertices());
-        let ch = ContractionHierarchy::build(&graph, &kspin_ch::ChConfig::default());
-        let plain = BatchExecutor::new(&graph, &corpus, &index, &alt, 2)
-            .execute(&queries, || DijkstraDistance::new(&graph));
-        let swept = BatchExecutor::new(&graph, &corpus, &index, &alt, 2)
-            .with_sweep(&ch)
-            .execute(&queries, || DijkstraDistance::new(&graph));
-        // CH distances are exact, so the sweep path must be invisible in
-        // results — the whole point of the batched one-to-many wiring.
-        assert_eq!(swept.results, plain.results);
-        assert_eq!(plain.stats.sweeps, 0);
-        assert!(swept.stats.sweeps > 0, "no keyword group qualified");
-        assert!(swept.stats.sweep_settled > 0);
-        assert!(swept.stats.sweep_hits > 0, "no oracle call hit a table");
-        // Sweep tables absorb candidate distance computations that would
-        // otherwise run per-query Dijkstra searches on the oracle.
-        assert!(
-            swept.stats.heap_pops < plain.stats.heap_pops,
-            "sweep tables saved no oracle work: {} vs {}",
-            swept.stats.heap_pops,
-            plain.stats.heap_pops
-        );
-    }
-
-    #[test]
     fn empty_batch_is_fine() {
         let (graph, corpus, alt, index) = fixture();
         let exec = BatchExecutor::new(&graph, &corpus, &index, &alt, 4);
-        let out = exec.execute(&[], || DijkstraDistance::new(&graph));
+        let built = AtomicUsize::new(0);
+        let out = exec.execute(&[], || {
+            built.fetch_add(1, Ordering::Relaxed);
+            DijkstraDistance::new(&graph)
+        });
         assert!(out.results.is_empty());
         assert_eq!(out.stats, QueryStats::default());
+        assert_eq!(built.into_inner(), 0, "an empty batch built an oracle");
+    }
+
+    #[test]
+    fn one_oracle_per_worker_with_a_chunk_to_claim() {
+        let (graph, corpus, alt, index) = fixture();
+        let queries = workload(&corpus, graph.num_vertices());
+        let exec = BatchExecutor::new(&graph, &corpus, &index, &alt, 1).with_exact_threads(4);
+        for (n, oracles) in [(0, 0), (5, 1), (4 * CHUNK, 4)] {
+            let batch = &queries[..n];
+            let mut engine =
+                QueryEngine::new(&graph, &corpus, &index, &alt, DijkstraDistance::new(&graph));
+            let sequential: Vec<ServingResult> = batch.iter().map(|q| q.run(&mut engine)).collect();
+            let built = AtomicUsize::new(0);
+            let out = exec.execute(batch, || {
+                built.fetch_add(1, Ordering::Relaxed);
+                DijkstraDistance::new(&graph)
+            });
+            assert_eq!(built.into_inner(), oracles, "{n} queries on 4 workers");
+            assert_eq!(out.results, sequential, "{n} queries diverged");
+            assert_eq!(out.stats, engine.stats(), "{n} queries: stats diverged");
+        }
     }
 }

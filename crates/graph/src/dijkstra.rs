@@ -218,21 +218,6 @@ impl Dijkstra {
         self.heap.counters()
     }
 
-    /// Fraction of the graph settled by the last search, in `[0, 1]`.
-    ///
-    /// The comparability metric between per-query searches and shared
-    /// one-to-many sweeps: an early-stopping `one_to_many` settles only a
-    /// fraction of the graph per call, while a PHAST-style sweep touches
-    /// every vertex once for the whole batch. Benches accumulate this to
-    /// report total settled work per kernel.
-    pub fn settled_fraction(&self) -> f64 {
-        if self.dist.is_empty() {
-            0.0
-        } else {
-            self.settled_order.len() as f64 / self.dist.len() as f64
-        }
-    }
-
     fn begin(&mut self) {
         self.cur_epoch = self.cur_epoch.wrapping_add(1);
         if self.cur_epoch == 0 {
@@ -420,17 +405,6 @@ mod tests {
         // fresh chains, not leftovers from the first call.
         assert_eq!(d.one_to_many(&g, 0, &[2, 2, 2]), vec![2, 2, 2]);
         assert_eq!(d.one_to_many(&g, 3, &[]), Vec::<Weight>::new());
-    }
-
-    #[test]
-    fn settled_fraction_tracks_early_stopping() {
-        let g = line_graph();
-        let mut d = Dijkstra::new(g.num_vertices());
-        d.sssp(&g, 0);
-        // Vertex 4 is isolated: 4 of 5 vertices settle.
-        assert!((d.settled_fraction() - 0.8).abs() < 1e-9);
-        d.one_to_one(&g, 0, 1);
-        assert!(d.settled_fraction() <= 0.8);
     }
 
     #[test]

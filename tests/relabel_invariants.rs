@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 
 use kspin_alt::{AltAstar, AltIndex, LandmarkStrategy};
+use kspin_ch::{ChConfig, ChQuery, ContractionHierarchy};
 use kspin_graph::{BiDijkstra, Dijkstra, Graph, GraphBuilder, Relabeling, VertexId, Weight};
 use kspin_nvd::ApproxNvd;
 
@@ -161,6 +162,36 @@ proptest! {
                     palt.lower_bound(r.to_local(s), r.to_local(v)),
                     alt.lower_bound(s, v),
                     "{}", name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn relabeled_ch_answers_bit_identically(
+        g in arb_graph(),
+        seed in 0u64..u64::MAX,
+        s in 0u32..40,
+    ) {
+        let n = g.num_vertices() as u32;
+        let s = s % n;
+        let ch = ContractionHierarchy::build(&g, &ChConfig::default());
+        let mut dij = Dijkstra::new(g.num_vertices());
+        let mut q = ChQuery::new(&ch);
+        let want: Vec<Weight> = (0..n).map(|t| dij.one_to_one(&g, s, t)).collect();
+        for t in 0..n {
+            prop_assert_eq!(q.distance(s, t), want[t as usize], "unpermuted ({}, {})", s, t);
+        }
+        for (name, r) in relabelings(&g, seed) {
+            // The production path: translate the built hierarchy's vertex
+            // ids, each vertex keeping its contraction rank.
+            let pch = ch.relabel(&r);
+            let mut pq = ChQuery::new(&pch);
+            for t in 0..n {
+                prop_assert_eq!(
+                    pq.distance(r.to_local(s), r.to_local(t)),
+                    want[t as usize],
+                    "{} ({}, {})", name, s, t
                 );
             }
         }

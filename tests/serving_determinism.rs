@@ -167,8 +167,9 @@ fn batch_executor_stays_deterministic_across_live_update_stream() {
 /// Cache-conscious renumbering must be invisible at the serving boundary:
 /// relabel the whole deployment (graph, corpus, index, ALT tables, CH) with
 /// the Hilbert order, translate only the query vertices, and every batch —
-/// at any thread count, with and without the one-to-many sweep pre-pass —
-/// answers bit-identically to the un-renumbered sequential reference.
+/// at any thread count, on graph searches and on the relabeled hierarchy's
+/// exact distances — answers bit-identically to the un-renumbered
+/// sequential reference.
 /// Results carry object ids, which are label-invariant, so equality is
 /// exact equality of `ServingResult`s.
 #[test]
@@ -201,31 +202,28 @@ fn hilbert_renumbering_is_invisible_to_serving() {
         .collect();
 
     for threads in [1, 4] {
-        for sweep in [false, true] {
-            let mut exec =
-                BatchExecutor::new(&pg, &f.corpus, &f.index, &palt, 1).with_exact_threads(threads);
-            if sweep {
-                exec = exec.with_sweep(&pch);
-            }
-            let out = exec.execute(&queries, || DijkstraDistance::new(&pg));
-            assert_eq!(
-                out.results, reference,
-                "renumbered {threads}-thread sweep={sweep} run diverged"
-            );
-            if sweep {
-                assert!(out.stats.sweeps > 0, "sweep pre-pass never ran");
-            }
-        }
+        let exec =
+            BatchExecutor::new(&pg, &f.corpus, &f.index, &palt, 1).with_exact_threads(threads);
+        let dijkstra = exec.execute(&queries, || DijkstraDistance::new(&pg));
+        assert_eq!(
+            dijkstra.results, reference,
+            "renumbered {threads}-thread Dijkstra run diverged"
+        );
+        let ch = exec.execute(&queries, || kspin::adapters::ChDistance::new(&pch));
+        assert_eq!(
+            ch.results, reference,
+            "renumbered {threads}-thread CH run diverged"
+        );
     }
 }
 
 /// Snapshot persistence must be invisible at the serving boundary: save
 /// the whole deployment, reload it from bytes, and every batch — at any
-/// thread count, with and without the one-to-many sweep pre-pass —
-/// answers bit-identically to the sequential reference over the
-/// *originally built* structures. A §6.2 update epoch applied to the
-/// reloaded engine then must land exactly where the same epoch lands on a
-/// never-snapshotted build.
+/// thread count, on graph searches and on the exact distances of the
+/// hierarchy that rode through the snapshot — answers bit-identically to
+/// the sequential reference over the *originally built* structures. A §6.2
+/// update epoch applied to the reloaded engine then must land exactly
+/// where the same epoch lands on a never-snapshotted build.
 #[test]
 fn snapshot_reload_is_invisible_to_serving() {
     let f = fixture();
@@ -253,21 +251,18 @@ fn snapshot_reload_is_invisible_to_serving() {
     let pch = extras.ch.expect("ch rides along");
 
     for threads in [1, 4] {
-        for sweep in [false, true] {
-            let mut exec = BatchExecutor::new(&sys.graph, &sys.corpus, &sys.index, &sys.alt, 1)
-                .with_exact_threads(threads);
-            if sweep {
-                exec = exec.with_sweep(&pch);
-            }
-            let out = exec.execute(&f.queries, || DijkstraDistance::new(&sys.graph));
-            assert_eq!(
-                out.results, reference,
-                "reloaded {threads}-thread sweep={sweep} run diverged"
-            );
-            if sweep {
-                assert!(out.stats.sweeps > 0, "sweep pre-pass never ran");
-            }
-        }
+        let exec = BatchExecutor::new(&sys.graph, &sys.corpus, &sys.index, &sys.alt, 1)
+            .with_exact_threads(threads);
+        let dijkstra = exec.execute(&f.queries, || DijkstraDistance::new(&sys.graph));
+        assert_eq!(
+            dijkstra.results, reference,
+            "reloaded {threads}-thread Dijkstra run diverged"
+        );
+        let ch = exec.execute(&f.queries, || kspin::adapters::ChDistance::new(&pch));
+        assert_eq!(
+            ch.results, reference,
+            "reloaded {threads}-thread CH run diverged"
+        );
     }
 
     // The same §6.2 epoch on the reloaded engine and on a fresh

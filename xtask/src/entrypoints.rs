@@ -33,12 +33,11 @@
 /// `NetworkDistance` / `LowerBound` traits, and the adapters that
 /// implement them for CH and hub labels live in the facade (`src/`),
 /// outside this perimeter, so the kernels they wrap are registered by name
-/// in the entry tables below. `crates/ch` joined when the batch executor's
-/// one-to-many sweep pre-pass made its PHAST kernels a steady-state
-/// serving path; `crates/hl` joined with `HlQuery`, the kernel behind
-/// KS-HL — the default serving variant (the CLI, `table_serving`, three of
-/// the four e2e workloads). G-tree, ROAD and FS-FBS remain comparison
-/// crates no default serving path calls into.
+/// in the entry tables below. `crates/ch` is in for `ChQuery`, the kernel
+/// behind KS-CH (e2e `query_ch`); `crates/hl` for `HlQuery`, the kernel
+/// behind KS-HL — the default serving variant (the CLI, `table_serving`,
+/// three of the four e2e workloads). G-tree, ROAD and FS-FBS remain
+/// comparison crates no default serving path calls into.
 pub const CERT_DIRS: [&str; 7] = [
     "crates/graph/src",
     "crates/alt/src",
@@ -69,9 +68,9 @@ pub const TAINT_DIRS: [&str; 8] = [
 /// The serving entry points the panic certificate quantifies over: every
 /// query processor the engine exposes (§4 of the paper), the batch
 /// executor, the d-ary heap kernel API, the Heap Generator constructor,
-/// and the hub-label distance kernel KS-HL serves every exact distance
-/// through.
-pub const PANIC_ENTRIES: [&str; 13] = [
+/// and the CH and hub-label distance kernels KS-CH and KS-HL serve every
+/// exact distance through.
+pub const PANIC_ENTRIES: [&str; 14] = [
     "QueryEngine::bknn",
     "QueryEngine::bknn_disjunctive",
     "QueryEngine::bknn_conjunctive",
@@ -83,16 +82,16 @@ pub const PANIC_ENTRIES: [&str; 13] = [
     "DaryHeap::pop",
     "DaryHeap::insert_or_decrease",
     "InvertedHeap::create",
+    "ChQuery::distance",
     "HlQuery::distance",
     "SnapshotFile::validate",
 ];
 
 /// Steady-state serving entry points for the allocation certificate: the
 /// 6 query processors (§4.1/§4.2), the batch executor, the 4 d-ary heap
-/// kernel ops, inverted-heap extraction (Algorithm 4), the PHAST/RPHAST
-/// one-to-many sweep kernels the batch executor's pre-pass runs per
-/// keyword group, and the hub-label distance kernel.
-pub const STEADY_ENTRIES: [&str; 16] = [
+/// kernel ops, inverted-heap extraction (Algorithm 4), and the CH and
+/// hub-label distance kernels.
+pub const STEADY_ENTRIES: [&str; 15] = [
     "QueryEngine::bknn",
     "QueryEngine::bknn_disjunctive",
     "QueryEngine::bknn_conjunctive",
@@ -105,8 +104,7 @@ pub const STEADY_ENTRIES: [&str; 16] = [
     "DaryHeap::insert_or_decrease",
     "DaryHeap::clear",
     "InvertedHeap::extract",
-    "OneToManySweep::one_to_many",
-    "OneToManySweep::one_to_many_restricted",
+    "ChQuery::distance",
     "HlQuery::distance",
     "SnapshotFile::validate",
 ];
@@ -139,7 +137,7 @@ pub const HOT_LOOP_FILES: [&str; 7] = [
     "crates/core/src/serving.rs",
     "crates/graph/src/dheap.rs",
     "crates/nvd/src/knn.rs",
-    "crates/ch/src/sweep.rs",
+    "crates/ch/src/query.rs",
     "crates/hl/src/query.rs",
     "crates/snapshot/src/reader.rs",
 ];
