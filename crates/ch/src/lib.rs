@@ -152,7 +152,7 @@ mod tests {
             fresh_pops - pinned.pops,
             (calls.len() - 1) as u64 * closure.len() as u64
         );
-        assert_eq!(pinned.stale_skipped + pinned.grows, 0);
+        assert_eq!(pinned.grows, 0);
         assert_eq!(replay(&calls), pinned, "counters must replay exactly");
     }
 }

@@ -255,8 +255,7 @@ impl<'a> InvertedHeap<'a> {
         self.heap.is_empty()
     }
 
-    /// Heap-kernel counters of this heap (pushes/pops/decrease-keys;
-    /// `stale_skipped` is structurally zero on the indexed kernel).
+    /// Heap-kernel counters of this heap (pushes/pops/decrease-keys).
     pub fn heap_counters(&self) -> HeapCounters {
         self.heap.counters()
     }

@@ -68,8 +68,8 @@ pub fn ine_topk(
         return Vec::new();
     }
     let mut dij = Dijkstra::new(graph.num_vertices());
-    // lint:allow(no-binary-heap) — bounded k-best result max-heap (evicts
-    // the worst of <= k entries); not a search frontier, no decrease-key.
+    // Bounded k-best result max-heap (evicts the worst of <= k entries);
+    // not a search frontier, no decrease-key.
     let mut best = std::collections::BinaryHeap::<(OrderedWeight, ObjectId)>::new();
     dij.run(graph, &[(q, 0)], |v, d| {
         let d_k = match best.peek() {

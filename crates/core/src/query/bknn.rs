@@ -71,8 +71,8 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         let mut evaluated = std::mem::take(&mut self.scratch.evaluated);
         evaluated.clear();
         // Max-heap of the best k so far; top = current D_k.
-        // lint:allow(no-binary-heap) — bounded k-best result max-heap over
-        // ObjectIds; top-k eviction wants a max-heap, not decrease-key.
+        // Bounded k-best result max-heap over ObjectIds; top-k eviction
+        // wants a max-heap, not decrease-key.
         // ALLOC-OK: len ≤ k always (pop before push at capacity), so at
         // most ⌈log₂ k⌉ growth doublings per query.
         let mut best: BinaryHeap<(Weight, ObjectId)> = BinaryHeap::new();
@@ -151,8 +151,8 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             // ALLOC-OK: an empty Vec::new never touches the allocator.
             return Vec::new();
         };
-        // lint:allow(no-binary-heap) — bounded k-best result max-heap
-        // (conjunctive path); same shape as the disjunctive one above.
+        // Bounded k-best result max-heap (conjunctive path); same shape as
+        // the disjunctive one above.
         // ALLOC-OK: len ≤ k always (pop before push at capacity), so at
         // most ⌈log₂ k⌉ growth doublings per query.
         let mut best: BinaryHeap<(Weight, ObjectId)> = BinaryHeap::new();

@@ -154,8 +154,8 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         // clear() bumps the epoch in O(1); no hashing, no iteration order.
         let mut evaluated = std::mem::take(&mut self.scratch.evaluated);
         evaluated.clear();
-        // lint:allow(no-binary-heap) — bounded k-best result max-heap for
-        // boolean-expression answers; not a search frontier.
+        // Bounded k-best result max-heap for boolean-expression answers;
+        // not a search frontier.
         // ALLOC-OK: len ≤ k always (pop before push at capacity), so at
         // most ⌈log₂ k⌉ growth doublings per query.
         let mut best: BinaryHeap<(Weight, ObjectId)> = BinaryHeap::new();

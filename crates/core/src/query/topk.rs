@@ -109,8 +109,8 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         let mut processed = std::mem::take(&mut self.scratch.evaluated);
         processed.clear();
         let mut min_keys = std::mem::take(&mut self.scratch.min_keys);
-        // lint:allow(no-binary-heap) — bounded k-best result max-heap over
-        // OrderedWeight scores; top-k eviction, not a vertex frontier.
+        // Bounded k-best result max-heap over OrderedWeight scores; top-k
+        // eviction, not a vertex frontier.
         // ALLOC-OK: len ≤ k always (pop before push at capacity), so at
         // most ⌈log₂ k⌉ growth doublings per query.
         let mut best: BinaryHeap<(OrderedWeight, ObjectId)> = BinaryHeap::new();

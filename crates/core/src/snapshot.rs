@@ -29,8 +29,8 @@ pub use kspin_snapshot::{
 };
 
 use crate::index::{BuildStats, KeywordIndex, KspinIndex, NvdIndex, SmallIndex};
+use kspin_graph::morton::MortonSpace;
 use kspin_graph::{Graph, Point, Relabeling};
-use kspin_nvd::morton::MortonSpace;
 use kspin_nvd::{AdjacencyGraph, ApproxNvd};
 use kspin_snapshot::format::section;
 use kspin_text::Corpus;

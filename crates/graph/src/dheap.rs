@@ -33,10 +33,7 @@
 //!
 //! Instrumentation is structural: [`HeapCounters`] counts `pushes`,
 //! `pops`, and `decrease_keys` at the only code paths that can perform
-//! them, and `stale_skipped` has **no increment site at all** — the
-//! indexed heap cannot produce a stale entry, which is the whole point.
-//! The counter exists so benches report the lazy/indexed comparison on one
-//! schema (`BENCH_distance.json`) and tests can assert it stays zero.
+//! them.
 
 use crate::types::Weight;
 
@@ -59,11 +56,6 @@ pub struct HeapCounters {
     /// In-place key improvements — each one is a stale entry a lazy
     /// kernel would have pushed, percolated, popped, and skipped.
     pub decrease_keys: u64,
-    /// Stale entries popped and discarded. **Structurally zero** for
-    /// [`DaryHeap`] (no code path increments it); lazy-deletion reference
-    /// kernels in benches and tests report their skips through the same
-    /// field so the two kernels share one schema.
-    pub stale_skipped: u64,
     /// Pushes that landed with the entry array already at capacity —
     /// i.e. pushes that made the allocator grow the heap. **Structurally
     /// zero** after [`DaryHeap::new`] pre-sizes `entries` to `n` (an item
@@ -81,7 +73,6 @@ impl HeapCounters {
             pushes: self.pushes.saturating_sub(base.pushes),
             pops: self.pops.saturating_sub(base.pops),
             decrease_keys: self.decrease_keys.saturating_sub(base.decrease_keys),
-            stale_skipped: self.stale_skipped.saturating_sub(base.stale_skipped),
             grows: self.grows.saturating_sub(base.grows),
         }
     }
@@ -92,7 +83,6 @@ impl std::ops::AddAssign for HeapCounters {
         self.pushes += rhs.pushes;
         self.pops += rhs.pops;
         self.decrease_keys += rhs.decrease_keys;
-        self.stale_skipped += rhs.stale_skipped;
         self.grows += rhs.grows;
     }
 }
@@ -412,10 +402,7 @@ mod tests {
         }
         assert_eq!(out, vec![(1, 4), (1, 1), (3, 3), (5, 2), (5, 0)]);
         let c = h.counters();
-        assert_eq!(
-            (c.pushes, c.pops, c.decrease_keys, c.stale_skipped),
-            (5, 5, 0, 0)
-        );
+        assert_eq!((c.pushes, c.pops, c.decrease_keys), (5, 5, 0));
     }
 
     #[test]
@@ -431,10 +418,7 @@ mod tests {
         assert_eq!(h.pop(), Some((10, 0)));
         assert_eq!(h.pop(), None);
         let c = h.counters();
-        assert_eq!(
-            (c.pushes, c.pops, c.decrease_keys, c.stale_skipped),
-            (2, 3 - 1, 1, 0)
-        );
+        assert_eq!((c.pushes, c.pops, c.decrease_keys), (2, 3 - 1, 1));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   structural instrumentation counters).
 //! * [`morton`] / [`relabel`] — space-filling-curve codes and the
 //!   cache-conscious vertex renumbering ([`Relabeling`]) built on them:
-//!   BFS or Hilbert orders that shrink the id gap across edges so the
+//!   a Hilbert order that shrinks the id gap across edges so the
 //!   memory-bound kernels touch contiguous cache lines.
 //! * [`connectivity`] — connected-component analysis and largest-component
 //!   extraction (road networks must be connected for Voronoi diagrams to

@@ -11,15 +11,11 @@
 //! graph and every index structure translates its stored ids once at build
 //! time, so hot loops only ever see the local numbering.
 //!
-//! Two orders are provided:
-//!
-//! * [`Relabeling::bfs`] — breadth-first order from a root: frontier
-//!   neighborhoods become contiguous id ranges, the classic bandwidth
-//!   reduction.
-//! * [`Relabeling::hilbert`] — Hilbert space-filling-curve order over vertex
-//!   coordinates (via [`crate::morton`]): spatially adjacent vertices get
-//!   adjacent ids without needing connectivity, and the curve has no long
-//!   jumps (unlike raw Z-order).
+//! One order is provided: [`Relabeling::hilbert`] — Hilbert
+//! space-filling-curve order over vertex coordinates (via
+//! [`crate::morton`]): spatially adjacent vertices get adjacent ids without
+//! needing connectivity, and the curve has no long jumps (unlike raw
+//! Z-order).
 //!
 //! Renumbering is a pure relabeling: distances, degrees and coordinates are
 //! carried along unchanged, so query *results* are bit-identical once
@@ -84,33 +80,6 @@ impl Relabeling {
             forward,
             inverse: order,
         })
-    }
-
-    /// Breadth-first order from vertex 0 (external numbering). Vertices in
-    /// components not reachable from the root are appended in ascending
-    /// external order, so the result is always a full permutation.
-    pub fn bfs(graph: &Graph) -> Self {
-        let n = graph.num_vertices();
-        let mut order = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        for root in 0..n as VertexId {
-            if seen[root as usize] {
-                continue;
-            }
-            seen[root as usize] = true;
-            queue.push_back(root);
-            while let Some(u) = queue.pop_front() {
-                order.push(u);
-                for (v, _) in graph.neighbors(u) {
-                    if !seen[v as usize] {
-                        seen[v as usize] = true;
-                        queue.push_back(v);
-                    }
-                }
-            }
-        }
-        Relabeling::from_order(order)
     }
 
     /// Hilbert-curve order over vertex coordinates. Ties (identical grid
@@ -253,12 +222,11 @@ mod tests {
     }
 
     #[test]
-    fn bfs_and_hilbert_are_permutations() {
+    fn hilbert_is_a_permutation() {
         let g = network(400);
-        for r in [Relabeling::bfs(&g), Relabeling::hilbert(&g)] {
-            r.validate().unwrap();
-            assert_eq!(r.len(), g.num_vertices());
-        }
+        let r = Relabeling::hilbert(&g);
+        r.validate().unwrap();
+        assert_eq!(r.len(), g.num_vertices());
     }
 
     #[test]
@@ -278,13 +246,6 @@ mod tests {
                 Some(e.weight)
             );
         }
-    }
-
-    #[test]
-    fn bfs_order_starts_at_the_root() {
-        let g = network(100);
-        let r = Relabeling::bfs(&g);
-        assert_eq!(r.to_local(0), 0);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! The exact NVD (and its `O(|V|)` owner table) is then discarded; only the
 //! leaves, the adjacency graph and `MaxRadius` (for updates) are kept.
 
+use kspin_graph::morton::{MortonSpace, BITS};
 use kspin_graph::{Graph, Point, VertexId, Weight};
 
 use crate::adjacency::AdjacencyGraph;
 use crate::exact::ExactNvd;
-use crate::morton::{MortonSpace, BITS};
 
 /// A built ρ-approximate NVD for one generator (object) set, with the §6.2
 /// lazy-update overlay.

@@ -91,8 +91,7 @@ impl ExactNvd {
         }
     }
 
-    /// Heap-kernel counters of the construction sweep (`stale_skipped` is
-    /// structurally zero on the indexed heap).
+    /// Heap-kernel counters of the construction sweep.
     pub fn build_counters(&self) -> HeapCounters {
         self.build_counters
     }

@@ -8,9 +8,6 @@
 //!   size is `O(|inv(t)|)`, independent of `|V|`).
 //! * [`approx`] — the ρ-Approximate NVD (§6.1): a Morton-list quadtree that
 //!   subdivides until each cell holds at most ρ distinct Voronoi colors.
-//! * [`rtree`] — the R-tree alternative of §6.1 ("Space Complexity Theory
-//!   vs. Practice"): MBRs per Voronoi cell, worst-case linear space but no
-//!   ρ guarantee on candidate counts.
 //! * [`update`] — §6.2 lazy updates: deletion marking, insertion with the
 //!   Theorem-2 affected set, and rebuild.
 //!
@@ -25,11 +22,8 @@ pub mod adjacency;
 pub mod approx;
 pub mod exact;
 pub mod knn;
-pub mod morton;
-pub mod rtree;
 pub mod update;
 
 pub use adjacency::AdjacencyGraph;
 pub use approx::{ApproxNvd, ApproxNvdParts};
 pub use exact::ExactNvd;
-pub use rtree::RTreeNvd;

@@ -60,7 +60,6 @@ fn scrambled_order(n: usize, seed: u64) -> Vec<VertexId> {
 fn relabelings(g: &Graph, seed: u64) -> Vec<(&'static str, Relabeling)> {
     vec![
         ("identity", Relabeling::identity(g.num_vertices())),
-        ("bfs", Relabeling::bfs(g)),
         ("hilbert", Relabeling::hilbert(g)),
         (
             "scrambled",

@@ -15,7 +15,6 @@ pub mod a1_weight_arith;
 pub mod c1_no_as_cast;
 pub mod e1_swallowed_result;
 pub mod h1_no_alloc;
-pub mod k1_no_binary_heap;
 pub mod l1_no_unwrap;
 pub mod l2_total_order;
 pub mod l3_concurrency;
@@ -38,8 +37,6 @@ pub enum Rule {
     CheckedWeightArithmetic,
     /// E1: no silently discarded `Result`s.
     NoSwallowedResult,
-    /// K1: no `BinaryHeap` construction in the d-ary-kernel crates.
-    NoBinaryHeap,
     /// C1: no bare `as` numeric casts in decode-classified files.
     NoAsCastInDecode,
     /// P1: no unjustified panic source reachable from a serving entry
@@ -70,7 +67,7 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in report order.
-    pub const ALL: [Rule; 9] = [
+    pub const ALL: [Rule; 8] = [
         Rule::NoUnwrap,
         Rule::TotalOrderWeights,
         Rule::SanctionedConcurrency,
@@ -78,7 +75,6 @@ impl Rule {
         Rule::NoAllocInHotLoop,
         Rule::CheckedWeightArithmetic,
         Rule::NoSwallowedResult,
-        Rule::NoBinaryHeap,
         Rule::NoAsCastInDecode,
     ];
 
@@ -93,7 +89,6 @@ impl Rule {
             Rule::NoAllocInHotLoop => "no-alloc-in-hot-loop",
             Rule::CheckedWeightArithmetic => "checked-weight-arithmetic",
             Rule::NoSwallowedResult => "no-swallowed-result",
-            Rule::NoBinaryHeap => "no-binary-heap",
             Rule::NoAsCastInDecode => "no-as-cast-in-decode",
             Rule::PanicReachability => "panic-reachability",
             Rule::AllocReachability => "alloc-reachability",
@@ -112,7 +107,6 @@ impl Rule {
             Rule::NoAllocInHotLoop => "H1 no-alloc-in-hot-loop",
             Rule::CheckedWeightArithmetic => "A1 checked-weight-arithmetic",
             Rule::NoSwallowedResult => "E1 no-swallowed-result",
-            Rule::NoBinaryHeap => "K1 no-binary-heap",
             Rule::NoAsCastInDecode => "C1 no-as-cast-in-decode",
             Rule::PanicReachability => "P1 panic-reachability",
             Rule::AllocReachability => "H2 alloc-reachability",
@@ -144,9 +138,6 @@ impl Rule {
             }
             Rule::NoSwallowedResult => {
                 "no `let _ =` or bare `.ok();` discarding a Result outside tests"
-            }
-            Rule::NoBinaryHeap => {
-                "no BinaryHeap::new/with_capacity in crates/{graph,alt,nvd,core} (use DaryHeap)"
             }
             Rule::PanicReachability => {
                 "no unjustified panic source reachable from a serving entry point (cargo xtask panics)"
@@ -233,7 +224,6 @@ pub fn scan_file(file: &SourceFile, rules: &[Rule], summary: &mut Summary) {
             Rule::NoAllocInHotLoop => h1_no_alloc::check(file, summary),
             Rule::CheckedWeightArithmetic => a1_weight_arith::check(file, summary),
             Rule::NoSwallowedResult => e1_swallowed_result::check(file, summary),
-            Rule::NoBinaryHeap => k1_no_binary_heap::check(file, summary),
             Rule::NoAsCastInDecode => c1_no_as_cast::check(file, summary),
             // Whole-workspace reachability, not a per-file pass: runs via
             // `cargo xtask panics` / `cargo xtask allocs` /
