@@ -29,14 +29,16 @@ pub enum LandmarkStrategy {
 
 /// The ALT index: `m` landmarks with full distance vectors.
 ///
-/// The distance table is one flat row-major array (`m × n`, stride `n`):
-/// one allocation, cache-dense row scans, and the exact layout the
-/// snapshot format serializes verbatim.
+/// The distance table is one flat vertex-major array (`n × m`, stride
+/// `m`): a vertex's `m` landmark distances are one contiguous run —
+/// exactly one 64-byte cache line's worth at the paper's m = 16 — so a
+/// bound reads two rows, not `2m` scattered words. One allocation, and the
+/// exact layout the snapshot format serializes verbatim.
 #[derive(Debug, Clone)]
 pub struct AltIndex {
     landmarks: Vec<VertexId>,
     num_vertices: usize,
-    /// `dist[l * n + v]` = network distance from landmark `l` to vertex
+    /// `dist[v * m + l]` = network distance from landmark `l` to vertex
     /// `v` (symmetric on undirected graphs).
     dist: Vec<Weight>,
 }
@@ -61,14 +63,14 @@ impl AltIndex {
         let m = num_landmarks.min(n);
         let mut dijkstra = Dijkstra::new(n);
         let mut landmarks = Vec::with_capacity(m);
-        let mut dist = Vec::with_capacity(m * n);
+        let mut dist = vec![INFINITY; m * n];
 
         match strategy {
             LandmarkStrategy::Farthest => {
                 // min_dist[v] = distance from v to the nearest chosen landmark.
                 let mut min_dist = vec![INFINITY; n];
                 let mut next = (seed % n as u64) as VertexId;
-                for _ in 0..m {
+                for l in 0..m {
                     landmarks.push(next);
                     let d = Self::distances_from(graph, &mut dijkstra, next);
                     let mut best = next;
@@ -83,7 +85,7 @@ impl AltIndex {
                             best = v as VertexId;
                         }
                     }
-                    dist.extend_from_slice(&d);
+                    Self::fill_column(&mut dist, m, l, &d);
                     next = best;
                 }
             }
@@ -98,8 +100,9 @@ impl AltIndex {
                     let v =
                         ((state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32) % n as u64) as VertexId;
                     if chosen.insert(v) {
+                        let d = Self::distances_from(graph, &mut dijkstra, v);
+                        Self::fill_column(&mut dist, m, landmarks.len(), &d);
                         landmarks.push(v);
-                        dist.extend_from_slice(&Self::distances_from(graph, &mut dijkstra, v));
                     }
                 }
             }
@@ -119,69 +122,101 @@ impl AltIndex {
             .collect()
     }
 
+    /// Writes landmark `l`'s distance vector `d` into column `l < m` of the
+    /// vertex-major table.
+    fn fill_column(dist: &mut [Weight], m: usize, l: usize, d: &[Weight]) {
+        for (row, &dv) in dist.chunks_exact_mut(m).zip(d) {
+            row[l] = dv;
+        }
+    }
+
     /// The chosen landmark vertices.
     pub fn landmarks(&self) -> &[VertexId] {
         &self.landmarks
     }
 
     /// Translates the index onto a renumbered graph: landmark ids map
-    /// through `r` and every per-landmark distance row is permuted to the
-    /// new vertex indexing. Since distances are label-independent, every
-    /// lower bound — and therefore every query that consumes them — is
-    /// bitwise identical to the unpermuted index. Build-time only.
+    /// through `r` and whole vertex rows are gathered into the new vertex
+    /// order (new row `r.to_local(v)` = old row `v`). Since distances are
+    /// label-independent, every lower bound — and therefore every query
+    /// that consumes them — is bitwise identical to the unpermuted index.
+    /// Build-time only.
+    ///
+    /// # Panics
+    /// If `r` does not cover exactly this index's vertices.
     pub fn relabel(&self, r: &kspin_graph::Relabeling) -> AltIndex {
-        let n = self.num_vertices;
+        assert_eq!(
+            r.len(),
+            self.num_vertices,
+            "relabeling is over another graph"
+        );
         let mut dist = Vec::with_capacity(self.dist.len());
-        for row in self.dist.chunks_exact(n.max(1)) {
-            dist.extend_from_slice(&r.permute_table(row));
+        for &ext in r.inverse() {
+            dist.extend_from_slice(self.row(ext).unwrap_or_default());
         }
         AltIndex {
             landmarks: self.landmarks.iter().map(|&l| r.to_local(l)).collect(),
-            num_vertices: n,
+            num_vertices: self.num_vertices,
             dist,
         }
     }
 
-    /// Admissible lower bound on `d(u, v)`:
-    /// `max_L |d(L,u) − d(L,v)|`. O(m) with m a small constant (§5.1).
+    /// Vertex `v`'s `m` landmark distances; `None` when `v` is out of range.
     #[inline]
-    pub fn lower_bound(&self, u: VertexId, v: VertexId) -> Weight {
-        if u == v || self.num_vertices == 0 {
-            return 0;
-        }
-        let mut best: Weight = 0;
-        for d in self.dist.chunks_exact(self.num_vertices) {
-            // PANIC-OK: each landmark row is sized n; u, v are vertex ids < n.
-            let (du, dv) = (d[u as usize], d[v as usize]);
-            // A landmark that cannot reach either endpoint tells us nothing.
-            if du >= INFINITY || dv >= INFINITY {
-                continue;
-            }
-            let bound = du.abs_diff(dv);
-            if bound > best {
-                best = bound;
-            }
-        }
-        best
+    fn row(&self, v: VertexId) -> Option<&[Weight]> {
+        let m = self.landmarks.len();
+        let at = v as usize * m;
+        self.dist.get(at..at + m)
     }
 
-    /// Index size in bytes (the m × n distance table dominates).
+    /// Admissible lower bound on `d(u, v)`:
+    /// `max_L |d(L,u) − d(L,v)|`. O(m) with m a small constant (§5.1).
+    /// An id outside the graph, or an index with no landmarks, gets the
+    /// trivially admissible bound 0.
+    #[inline]
+    pub fn lower_bound(&self, u: VertexId, v: VertexId) -> Weight {
+        if u == v {
+            return 0;
+        }
+        let (Some(du), Some(dv)) = (self.row(u), self.row(v)) else {
+            return 0;
+        };
+        // A select, not a `continue`: the loop has no data-dependent branch,
+        // so it compiles to SIMD lanes over the two rows.
+        du.iter()
+            .zip(dv)
+            .map(|(&du, &dv)| {
+                // A landmark that cannot reach either endpoint tells us nothing.
+                if du >= INFINITY || dv >= INFINITY {
+                    0
+                } else {
+                    du.abs_diff(dv)
+                }
+            })
+            .fold(0, Weight::max)
+    }
+
+    /// Index size in bytes (the n × m distance table dominates).
     pub fn size_bytes(&self) -> usize {
         self.dist.len() * 4 + self.landmarks.len() * 4
     }
 
     /// Borrowed views of the flat storage — `(landmarks, num_vertices,
-    /// dist)` with `dist` row-major at stride `num_vertices` — the
-    /// snapshot serialization boundary.
+    /// dist)` with `dist` vertex-major at stride `landmarks.len()`
+    /// (`dist[v * m + l]`) — the snapshot serialization boundary.
     pub fn flat_parts(&self) -> (&[VertexId], usize, &[Weight]) {
         (&self.landmarks, self.num_vertices, &self.dist)
     }
 
-    /// Reassembles an index from its flat arrays, verbatim.
+    /// Reassembles an index from its flat arrays, verbatim: `dist` is taken
+    /// as vertex-major (`dist[v * m + l]`), the shape [`Self::flat_parts`]
+    /// hands out. The shape check cannot tell a transposed table from a
+    /// proper one — both hold `m · n` words — which is why the snapshot
+    /// format version, not this function, fences off the old layout.
     ///
     /// # Errors
     /// When the table shape is inconsistent (`dist` is not
-    /// `landmarks × num_vertices`) or a landmark id is out of range.
+    /// `num_vertices × landmarks`) or a landmark id is out of range.
     pub fn from_flat_parts(
         landmarks: Vec<VertexId>,
         num_vertices: usize,
@@ -190,7 +225,7 @@ impl AltIndex {
         let expect = landmarks.len().checked_mul(num_vertices);
         if expect != Some(dist.len()) {
             return Err(format!(
-                "distance table holds {} entries for {} landmarks × {num_vertices} vertices",
+                "distance table holds {} entries for {num_vertices} vertices × {} landmarks",
                 dist.len(),
                 landmarks.len()
             ));
@@ -214,6 +249,31 @@ mod tests {
 
     fn small_network() -> Graph {
         road_network(&RoadNetworkConfig::new(500, 17))
+    }
+
+    /// Holds every pair's bound to the definition — `max_l |d(L_l,u) −
+    /// d(L_l,v)|` over the landmarks that reach both, from one fresh
+    /// Dijkstra per landmark — without knowing how the table is laid out.
+    fn assert_bounds_match_the_definition(g: &Graph, alt: &AltIndex) {
+        let mut dijkstra = Dijkstra::new(g.num_vertices());
+        let from_landmark: Vec<Vec<Weight>> = alt
+            .landmarks()
+            .iter()
+            .map(|&l| AltIndex::distances_from(g, &mut dijkstra, l))
+            .collect();
+        let n = g.num_vertices() as VertexId;
+        for u in 0..n {
+            for v in 0..n {
+                let expect = from_landmark
+                    .iter()
+                    .map(|d| (d[u as usize], d[v as usize]))
+                    .filter(|&(du, dv)| du < INFINITY && dv < INFINITY)
+                    .map(|(du, dv)| du.abs_diff(dv))
+                    .max()
+                    .unwrap_or(0);
+                assert_eq!(alt.lower_bound(u, v), expect, "bound for ({u}, {v})");
+            }
+        }
     }
 
     #[test]
@@ -285,6 +345,7 @@ mod tests {
         let alt = AltIndex::build(&g, 16, LandmarkStrategy::Farthest, 0);
         assert_eq!(alt.landmarks().len(), 3);
         assert_eq!(alt.lower_bound(0, 2), 2);
+        assert_bounds_match_the_definition(&g, &alt);
     }
 
     #[test]
@@ -300,6 +361,52 @@ mod tests {
         assert!(lb < INFINITY);
         // Within-component bounds still work.
         assert!(alt.lower_bound(0, 1) <= 5);
+        assert_bounds_match_the_definition(&g, &alt);
+    }
+
+    #[test]
+    fn bound_equals_max_over_landmark_triangles() {
+        // Non-square tables (m ≠ n), where a stride or transposition
+        // mistake cannot cancel out; the m = n path and the two-component
+        // graph are held to the same definition in their own tests.
+        let g = road_network(&RoadNetworkConfig::new(90, 23));
+        for (m, strategy) in [
+            (1, LandmarkStrategy::Farthest),
+            (5, LandmarkStrategy::Farthest),
+            (5, LandmarkStrategy::Random),
+        ] {
+            let alt = AltIndex::build(&g, m, strategy, 4);
+            assert_eq!(alt.landmarks().len(), m);
+            assert_bounds_match_the_definition(&g, &alt);
+        }
+    }
+
+    #[test]
+    fn flat_parts_round_trip_and_shape_checks() {
+        let g = small_network();
+        let n = g.num_vertices();
+        let alt = AltIndex::build(&g, 5, LandmarkStrategy::Farthest, 3);
+        let (landmarks, num_vertices, dist) = alt.flat_parts();
+        assert_eq!((num_vertices, dist.len()), (n, 5 * n));
+
+        let back = AltIndex::from_flat_parts(landmarks.to_vec(), num_vertices, dist.to_vec())
+            .expect("own parts are accepted");
+        assert_eq!(back.flat_parts(), alt.flat_parts());
+
+        // One word short, one word over.
+        for len in [5 * n - 1, 5 * n + 1] {
+            let mut table = dist.to_vec();
+            table.resize(len, 0);
+            assert!(AltIndex::from_flat_parts(landmarks.to_vec(), n, table).is_err());
+        }
+        assert!(AltIndex::from_flat_parts(vec![n as VertexId], n, vec![0; n]).is_err());
+
+        // No landmarks: an empty table, every bound the trivial 0 — as is
+        // the bound for an id the table has no row for.
+        let none = AltIndex::from_flat_parts(Vec::new(), n, Vec::new()).expect("0 × n table");
+        assert_eq!(none.lower_bound(0, 1), 0);
+        assert_eq!(none.lower_bound(0, n as VertexId + 7), 0);
+        assert_eq!(alt.lower_bound(0, n as VertexId), 0);
     }
 
     #[test]

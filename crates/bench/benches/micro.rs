@@ -70,6 +70,23 @@ fn benches(c: &mut Criterion) {
         })
     });
 
+    // The Heap Generator's access pattern: one source held for 128 calls (a
+    // top-k query asks ~117 bounds from its query vertex), a new spread-out
+    // candidate each call. Like `alt_lower_bound` this is a warm-table
+    // number — nothing evicts the table between calls, as the distance
+    // scans of a real query do — so it understates the in-engine cost.
+    c.bench_function("alt_lower_bound_pinned", |b| {
+        let mut seq = 0u32;
+        let (mut source, mut calls) = (0u32, 0u32);
+        b.iter(|| {
+            if calls % 128 == 0 {
+                source = next_vertex(&mut seq, n);
+            }
+            calls = calls.wrapping_add(1);
+            black_box(w.alt.lower_bound(source, next_vertex(&mut seq, n)))
+        })
+    });
+
     c.bench_function("ch_distance", |b| {
         let mut q = ChQuery::new(&w.ch);
         let mut seq = 0u32;

@@ -640,7 +640,8 @@ pub fn encode_alt(w: &mut SnapshotWriter, alt: &kspin_alt::AltIndex) {
 }
 
 /// Reassembles the ALT index. `num_vertices` comes from the decoded
-/// graph (the table is `landmarks × vertices`, row-major).
+/// graph (the table is `vertices × landmarks`, vertex-major: one row of
+/// landmark distances per vertex).
 ///
 /// # Errors
 /// Missing/mistyped sections or an inconsistent table shape.

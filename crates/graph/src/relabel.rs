@@ -136,7 +136,7 @@ impl Relabeling {
     }
 
     /// Permutes a per-vertex table from external to local indexing:
-    /// `out[local] = table[external]`. Used for ALT landmark rows and any
+    /// `out[local] = table[external]`. Used for the G-tree leaf map and any
     /// other dense vertex-indexed array.
     pub fn permute_table<T: Copy>(&self, table: &[T]) -> Vec<T> {
         assert_eq!(table.len(), self.len(), "table is not vertex-indexed");

@@ -5,7 +5,7 @@
 //! | bytes          | field                                             |
 //! |----------------|---------------------------------------------------|
 //! | `0..8`         | magic `b"KSPINSNP"`                               |
-//! | `8..12`        | format version (`u32`, currently 2)               |
+//! | `8..12`        | format version (`u32`, currently 3)               |
 //! | `12..16`       | endianness tag (`u32`, `0x0A0B0C0D`)              |
 //! | `16..20`       | section count `k` (`u32`)                         |
 //! | `20..24`       | reserved, must be 0                               |
@@ -36,6 +36,14 @@
 //! the cold Heap Generator path it shadowed); version 1 files are
 //! rejected with [`crate::FormatError::BadVersion`], no v1 reader is kept.
 //!
+//! Version 3 transposed [`section::ALT_DIST`] from `[landmark][vertex]` to
+//! `[vertex][landmark]`, the order `AltIndex` now holds it in (a lower
+//! bound reads two contiguous rows instead of `2m` scattered words). The
+//! section is written and read verbatim, and a version 2 table has the
+//! same `m · n` words — it would pass every shape check and yield
+//! inadmissible bounds, i.e. silently wrong answers — so version 2 files
+//! are rejected with `BadVersion` too: no v2 reader, no transpose on load.
+//!
 //! # Canonical serialization
 //!
 //! A conforming writer emits sections in strictly ascending id order at
@@ -47,7 +55,7 @@
 pub const MAGIC: [u8; 8] = *b"KSPINSNP";
 
 /// Current format version, bytes `8..12`.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Endianness tag, bytes `12..16`: read back as this value only when the
 /// file and host agree on little-endian layout of `u32`s.
@@ -162,7 +170,7 @@ pub mod section {
 
     /// ALT landmark vertex ids, `u32`.
     pub const ALT_LANDMARKS: u32 = 60;
-    /// ALT distance table, row-major `[landmark][vertex]`, `u32`.
+    /// ALT distance table, vertex-major `[vertex][landmark]`, `u32`.
     pub const ALT_DIST: u32 = 61;
 
     /// CH scalars, `u64`: `[num_shortcuts]`.

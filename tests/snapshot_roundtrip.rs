@@ -133,6 +133,29 @@ fn small_snapshot() -> Vec<u8> {
     system.save_snapshot(&SnapshotExtras::default())
 }
 
+/// Format v2 held the ALT table landmark-major in the same `m · n` words:
+/// decoded as v3 it would pass every shape check and serve inadmissible
+/// bounds. The version byte alone refuses it, at the header, before any
+/// section is looked at.
+#[test]
+fn version_2_snapshot_is_refused_at_the_header() {
+    use kspin::snapshot::{FormatError, SectionLabel};
+    let mut bytes = small_snapshot();
+    bytes[8] = 2;
+    let Err(e) = SnapshotFile::validate(&bytes) else {
+        panic!("version 2 header accepted");
+    };
+    assert_eq!(e.at(), SectionLabel::Header);
+    assert!(matches!(
+        e,
+        SnapshotError::Format {
+            kind: FormatError::BadVersion(2),
+            ..
+        }
+    ));
+    assert!(KspinSystem::load_snapshot(&bytes).is_err());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
 
