@@ -134,7 +134,7 @@ pub(crate) struct SeenSet {
 impl SeenSet {
     /// A set covering objects `0..n`, sized once at engine construction
     /// (the warm-up phase — the query loops never resize it).
-    pub(crate) fn with_capacity(n: usize) -> SeenSet {
+    pub(crate) fn new(n: usize) -> SeenSet {
         SeenSet {
             epoch_of: vec![0; n],
             epoch: 0,
@@ -215,7 +215,7 @@ impl<'a, D: NetworkDistance> QueryEngine<'a, D> {
             stats: QueryStats::default(),
             scratch: QueryScratch {
                 min_keys: Vec::new(),
-                evaluated: SeenSet::with_capacity(corpus.num_objects()),
+                evaluated: SeenSet::new(corpus.num_objects()),
             },
         }
     }

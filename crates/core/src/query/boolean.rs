@@ -2,23 +2,22 @@
 //!
 //! §2 remarks that the framework handles combinations of conjunctions and
 //! disjunctions, e.g. *k closest POIs containing "Thai" and ("takeaway" or
-//! "restaurant")*. The processor generates candidates from a *driving set*
-//! of keywords — a set such that every matching object contains at least
-//! one of them — and filters each candidate against the full expression
-//! before computing its network distance.
+//! "restaurant")*. Algorithm 1's candidate loop (`bknn_driven`, in
+//! [`crate::query::bknn`]) generates candidates from a *driving set* of
+//! keywords — a set such that every matching object contains at least one
+//! of them — and filters each candidate against the full expression before
+//! computing its network distance; this module plans that set.
 //!
 //! Driving-set choice mirrors §4.1.2's least-frequent-keyword idea:
 //! a conjunction may be driven by any single operand (every match contains
 //! it), so we pick the operand with the cheapest driving set; a disjunction
 //! must be driven by the union of its operands' driving sets.
 
-use std::collections::BinaryHeap;
-
 use kspin_graph::{VertexId, Weight};
 use kspin_text::{Corpus, ObjectId, TermId};
 
 use crate::engine::QueryEngine;
-use crate::heap::{HeapContext, InvertedHeap};
+use crate::heap::HeapContext;
 use crate::modules::NetworkDistance;
 
 /// A boolean keyword criterion.
@@ -84,17 +83,16 @@ impl BoolExpr {
     }
 
     /// A driving set: keywords such that every object satisfying `self`
-    /// contains at least one of them. `None` when the expression is
-    /// unsatisfiable (empty `Or`). Chooses greedily by total inverted-list
-    /// length, generalizing §4.1.2's least-frequent-keyword choice.
+    /// contains at least one of them. An unsatisfiable expression (an
+    /// empty `Or`) is driven by the empty set; `None` means *undrivable* —
+    /// an empty `And` lets keyword-free objects match, which no inverted
+    /// heap generates. Chooses greedily by total inverted-list length,
+    /// generalizing §4.1.2's least-frequent-keyword choice.
     pub fn driving_set(&self, corpus: &Corpus) -> Option<Vec<TermId>> {
         match self {
             // ALLOC-OK: one-element driving set, once per query planning.
             BoolExpr::Term(t) => Some(vec![*t]),
             BoolExpr::Or(children) => {
-                if children.is_empty() {
-                    return None;
-                }
                 // ALLOC-OK: |ψ|-bounded union built once per query planning.
                 let mut union = Vec::new();
                 for c in children {
@@ -105,106 +103,33 @@ impl BoolExpr {
                 union.dedup();
                 Some(union)
             }
-            BoolExpr::And(children) => {
-                // Any child's driving set drives the conjunction; pick the
-                // cheapest. An empty And matches everything and cannot be
-                // driven by keywords; treat as unsupported (no sensible
-                // spatial keyword query is keyword-free).
-                children
-                    .iter()
-                    .filter_map(|c| c.driving_set(corpus))
-                    .min_by_key(|set| set.iter().map(|&t| corpus.inv_len(t)).sum::<usize>())
-            }
+            // Any drivable child's set drives the conjunction; pick the
+            // cheapest. An unsatisfiable child costs nothing and wins, so
+            // the query builds no heap at all.
+            BoolExpr::And(children) => children
+                .iter()
+                .filter_map(|c| c.driving_set(corpus))
+                .min_by_key(|set| set.iter().map(|&t| corpus.inv_len(t)).sum::<usize>()),
         }
     }
 }
 
 impl<D: NetworkDistance> QueryEngine<'_, D> {
     /// Boolean kNN with an arbitrary ∧/∨ criterion (the mixed-operator
-    /// queries of §2's remark), built on Algorithm 1's candidate generation.
-    /// Exact; sorted by ascending distance.
-    ///
-    /// # Panics
-    /// If the expression has no driving set (an empty `And`).
+    /// queries of §2's remark): Algorithm 1's candidate loop driven by
+    /// [`BoolExpr::driving_set`] and filtered by [`BoolExpr::matches`].
+    /// Exact; sorted by ascending distance (ties by object id). An
+    /// undrivable expression answers empty: no sensible spatial keyword
+    /// query is keyword-free.
     pub fn bknn_expr(&mut self, q: VertexId, k: usize, expr: &BoolExpr) -> Vec<(ObjectId, Weight)> {
-        if k == 0 {
+        let driving = match expr.driving_set(self.corpus) {
+            Some(driving) if k > 0 => driving,
             // ALLOC-OK: an empty Vec::new never touches the allocator.
-            return Vec::new();
-        }
-        let Some(driving) = expr.driving_set(self.corpus) else {
-            // ALLOC-OK: an empty Vec::new never touches the allocator.
-            return Vec::new(); // unsatisfiable
+            _ => return Vec::new(),
         };
-        // PANIC-OK: documented API precondition (see `# Panics`): soundness
-        // needs a driving keyword per conjunct, so a keyword-free query must
-        // not fail silently in release serving either.
-        assert!(
-            !driving.is_empty(),
-            "expression has an empty driving set (keyword-free query)"
-        );
         let ctx = HeapContext::new(self.graph, self.corpus, self.lower_bound, q);
-        let mut heaps: Vec<InvertedHeap<'_>> = driving
-            .iter()
-            .copied()
-            .filter_map(|t| self.make_heap(t, &ctx))
-            // ALLOC-OK: heap generation — one |ψ|-bounded Vec per query;
-            // the extraction loop below never grows it.
-            .collect();
-        // Engine-lifetime epoch-stamped dedup set (lint H1 + determinism):
-        // clear() bumps the epoch in O(1); no hashing, no iteration order.
-        let mut evaluated = std::mem::take(&mut self.scratch.evaluated);
-        evaluated.clear();
-        // Bounded k-best result max-heap for boolean-expression answers;
-        // not a search frontier.
-        // ALLOC-OK: len ≤ k always (pop before push at capacity), so at
-        // most ⌈log₂ k⌉ growth doublings per query.
-        let mut best: BinaryHeap<(Weight, ObjectId)> = BinaryHeap::new();
-
-        loop {
-            let d_k = match best.peek() {
-                Some(&(d, _)) if best.len() == k => d,
-                _ => Weight::MAX,
-            };
-            let Some((i, min_lb)) = heaps
-                .iter()
-                .enumerate()
-                .filter_map(|(i, h)| h.min_key().map(|m| (i, m)))
-                .min_by_key(|&(_, m)| m)
-            else {
-                break;
-            };
-            if min_lb >= d_k {
-                break;
-            }
-            // PANIC-OK: i came from enumerate() over this very vec.
-            let Some(c) = heaps[i].extract(&ctx) else {
-                // Unreachable: heap `i` just reported a finite MINKEY.
-                debug_assert!(false, "heap {i} reported MINKEY but was empty");
-                break;
-            };
-            // ALLOC-OK: epoch-stamped SeenSet insert — a plain array
-            // write into storage sized once at engine construction.
-            if !evaluated.insert(c.object) || !expr.matches(self.corpus, c.object) {
-                self.stats.pruned_candidates += 1;
-                continue;
-            }
-            let d = self.dist.distance(q, self.corpus.vertex_of(c.object));
-            self.stats.dist_computations += 1;
-            if best.len() < k {
-                // ALLOC-OK: grows the k-best heap toward its ≤ k cap.
-                best.push((d, c.object));
-            } else if d < d_k {
-                best.pop();
-                // ALLOC-OK: pop above freed a slot; len stays ≤ k.
-                best.push((d, c.object));
-            }
-        }
-        self.finish_heap_stats(&heaps);
-        self.scratch.evaluated = evaluated;
-        // ALLOC-OK: the ≤ k-element result Vec the API contract returns.
-        let mut out: Vec<(ObjectId, Weight)> = best.into_iter().map(|(d, o)| (o, d)).collect();
-        out.sort_unstable_by_key(|&(o, d)| (d, o));
-        out
+        let corpus = self.corpus;
+        self.bknn_driven(&ctx, k, &driving, |o| expr.matches(corpus, o))
     }
 }
 
@@ -269,9 +194,21 @@ mod tests {
     #[test]
     fn unsatisfiable_expression_has_no_driving_set() {
         let c = corpus();
-        assert_eq!(BoolExpr::Or(vec![]).driving_set(&c), None);
-        // And containing an unsatisfiable Or: still driven by the other leg.
-        let e = BoolExpr::And(vec![BoolExpr::Term(0), BoolExpr::Or(vec![])]);
+        let never = || BoolExpr::Or(vec![]);
+        // Unsatisfiable is the empty set — no heap to build.
+        assert_eq!(never().driving_set(&c), Some(vec![]));
+        // It costs nothing, so it wins a conjunction...
+        let e = BoolExpr::And(vec![BoolExpr::Term(0), never()]);
+        assert_eq!(e.driving_set(&c), Some(vec![]));
+        // ...and adds nothing to a disjunction.
+        let e = BoolExpr::Or(vec![BoolExpr::Term(0), never()]);
+        assert_eq!(e.driving_set(&c), Some(vec![0]));
+        // `None` is reserved for undrivable: keyword-free objects match.
+        let always = || BoolExpr::And(vec![]);
+        assert_eq!(always().driving_set(&c), None);
+        let e = BoolExpr::Or(vec![BoolExpr::Term(0), always()]);
+        assert_eq!(e.driving_set(&c), None);
+        let e = BoolExpr::And(vec![BoolExpr::Term(0), always()]);
         assert_eq!(e.driving_set(&c), Some(vec![0]));
     }
 

@@ -3,6 +3,7 @@
 pub mod baseline;
 pub mod bknn;
 pub mod boolean;
+mod kbest;
 pub mod topk;
 
 /// The boolean operator of a BkNN query (§2).
@@ -13,7 +14,3 @@ pub enum Op {
     /// Disjunctive: results contain *at least one* query keyword.
     Or,
 }
-
-// Result heaps order `f64` scores through `kspin_graph::OrderedWeight`,
-// the workspace's single sanctioned float-ordering site (lint
-// L2/total-order-weights).

@@ -9,14 +9,13 @@
 //! than the valid all-unseen bound; Lemma 2 shows termination is still
 //! exact.
 
-use std::collections::BinaryHeap;
-
 use kspin_graph::{OrderedWeight, VertexId, Weight};
 use kspin_text::{ObjectId, QueryTerms, TermId, TextModel};
 
 use crate::engine::QueryEngine;
 use crate::heap::{HeapContext, InvertedHeap};
 use crate::modules::NetworkDistance;
+use crate::query::kbest::KBest;
 
 /// How network distance and textual relevance combine into the
 /// spatio-textual score (§2: the framework is "orthogonal to the scoring
@@ -88,7 +87,8 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         }
         let ctx = HeapContext::new(self.graph, self.corpus, self.lower_bound, q);
         // One heap per distinct query keyword, aligned with `query.terms()`.
-        // Exhausted/absent heaps stay as None (MINKEY = ∞ per the paper).
+        // Absent heaps stay as None (MINKEY = ∞ per the paper, as for
+        // exhausted ones).
         let mut heaps: Vec<Option<InvertedHeap<'_>>> = query
             .terms()
             .iter()
@@ -109,17 +109,10 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         let mut processed = std::mem::take(&mut self.scratch.evaluated);
         processed.clear();
         let mut min_keys = std::mem::take(&mut self.scratch.min_keys);
-        // Bounded k-best result max-heap over OrderedWeight scores; top-k
-        // eviction, not a vertex frontier.
-        // ALLOC-OK: len ≤ k always (pop before push at capacity), so at
-        // most ⌈log₂ k⌉ growth doublings per query.
-        let mut best: BinaryHeap<(OrderedWeight, ObjectId)> = BinaryHeap::new();
+        let mut best = KBest::bounded(k, self.corpus.num_objects());
 
         loop {
-            let d_k = match best.peek() {
-                Some(&(s, _)) if best.len() == k => s.get(),
-                _ => f64::INFINITY,
-            };
+            let d_k = best.bound().map_or(f64::INFINITY, OrderedWeight::get);
             // Algorithm 3 line 5/6 with Algorithm 2 inlined: select the heap
             // with the smallest pseudo lower-bound score. The paper caches
             // pseudo scores in a priority queue; recomputing them fresh each
@@ -148,20 +141,16 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
                 break; // Lemma 2: nothing unseen can beat the k-th score.
             }
 
-            // PANIC-OK: i was chosen by the scan over 0..heaps.len() above.
-            let Some(c) = heaps[i].as_mut().and_then(|h| h.extract(&ctx)) else {
+            let Some(c) = heaps
+                .get_mut(i)
+                .and_then(Option::as_mut)
+                .and_then(|h| h.extract(&ctx))
+            else {
                 // Unreachable: heap `i` was chosen because MINKEY(H_i) < ∞,
                 // which only live, non-empty heaps report.
                 debug_assert!(false, "chosen heap {i} must exist and be non-empty");
                 break;
             };
-            // Keep counters before dropping an exhausted heap
-            // (`heap_extractions` lives in the heap itself — once per
-            // `extract` — and is merged here and at drain-out below).
-            // PANIC-OK: same in-range i as the extract above.
-            if let Some(h) = heaps[i].take_if(|h| h.is_empty()) {
-                self.stats.absorb_heap(&h);
-            }
             // ALLOC-OK: epoch-stamped SeenSet insert — a plain array
             // write into storage sized once at engine construction.
             if !processed.insert(c.object) {
@@ -180,24 +169,18 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             let d = self.dist.distance(q, self.corpus.vertex_of(c.object));
             self.stats.dist_computations += 1;
             let st = score_model.combine(d, tr);
-            if best.len() < k {
-                // ALLOC-OK: grows the k-best heap toward its ≤ k cap.
-                best.push((OrderedWeight::new(st), c.object));
-            } else if st < d_k {
-                best.pop();
-                // ALLOC-OK: pop above freed a slot; len stays ≤ k.
-                best.push((OrderedWeight::new(st), c.object));
-            }
+            best.offer(OrderedWeight::new(st), c.object);
         }
-        for h in heaps.into_iter().flatten() {
-            self.stats.absorb_heap(&h);
+        // `heap_extractions` lives in each heap (once per `extract`) and is
+        // merged only here, exhausted heaps included.
+        for h in heaps.iter().flatten() {
+            self.stats.absorb_heap(h);
         }
         self.scratch.min_keys = min_keys;
         self.scratch.evaluated = processed;
+        let sorted = best.into_sorted();
         // ALLOC-OK: the ≤ k-element result Vec the API contract returns.
-        let mut out: Vec<(ObjectId, f64)> = best.into_iter().map(|(s, o)| (o, s.get())).collect();
-        out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        out
+        sorted.into_iter().map(|(s, o)| (o, s.get())).collect()
     }
 }
 

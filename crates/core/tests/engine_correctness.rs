@@ -83,6 +83,31 @@ fn assert_same_scores(got: &[(ObjectId, f64)], want: &[(ObjectId, f64)], label: 
     }
 }
 
+/// Brute-force BkNN over the `live` objects satisfying `expr`.
+fn brute_expr(
+    w: &World,
+    q: VertexId,
+    k: usize,
+    expr: &BoolExpr,
+    live: impl Fn(ObjectId) -> bool,
+) -> Vec<(ObjectId, Weight)> {
+    let mut dij = kspin_graph::Dijkstra::new(w.graph.num_vertices());
+    dij.sssp(&w.graph, q);
+    let space = dij.space();
+    let mut want: Vec<(ObjectId, Weight)> = (0..w.corpus.num_objects() as ObjectId)
+        .filter(|&o| live(o) && expr.matches(&w.corpus, o))
+        .filter_map(|o| space.distance(w.corpus.vertex_of(o)).map(|d| (o, d)))
+        .collect();
+    want.sort_unstable_by_key(|&(o, d)| (d, o));
+    want.truncate(k);
+    want
+}
+
+/// `t0 ∧ (t1 ∨ t2)` — §2's "Thai and (takeaway or restaurant)".
+fn t0_and_t1_or_t2(ts: &[TermId]) -> BoolExpr {
+    BoolExpr::And(vec![BoolExpr::Term(ts[0]), BoolExpr::any(&[ts[1], ts[2]])])
+}
+
 #[test]
 fn bknn_matches_oracle_across_k_and_ops() {
     let w = world(800, 11, 5);
@@ -157,21 +182,46 @@ fn mixed_boolean_expression_matches_filtered_brute_force() {
     let w = world(700, 23, 5);
     let mut e = engine(&w);
     let ts = vectors(&w, 3).remove(0);
-    // t0 AND (t1 OR t2)
-    let expr = BoolExpr::And(vec![BoolExpr::Term(ts[0]), BoolExpr::any(&[ts[1], ts[2]])]);
-    for q in [5u32, 340] {
-        let got = e.bknn_expr(q, 5, &expr);
-        // Oracle: filter objects by the expression, sort by distance.
-        let mut dij = kspin_graph::Dijkstra::new(w.graph.num_vertices());
-        dij.sssp(&w.graph, q);
-        let space = dij.space();
-        let mut want: Vec<(ObjectId, Weight)> = (0..w.corpus.num_objects() as ObjectId)
-            .filter(|&o| expr.matches(&w.corpus, o))
-            .filter_map(|o| space.distance(w.corpus.vertex_of(o)).map(|d| (o, d)))
-            .collect();
-        want.sort_unstable_by_key(|&(o, d)| (d, o));
-        want.truncate(5);
-        assert_same_distances(&got, &want, &format!("expr q={q}"));
+    for expr in [
+        t0_and_t1_or_t2(&ts),
+        // An unsatisfiable operand adds nothing to a disjunction — it must
+        // not make the whole query unsatisfiable.
+        BoolExpr::Or(vec![BoolExpr::Term(ts[0]), BoolExpr::Or(vec![])]),
+    ] {
+        for q in [5u32, 340] {
+            let got = e.bknn_expr(q, 5, &expr);
+            let want = brute_expr(&w, q, 5, &expr, |_| true);
+            assert!(!want.is_empty(), "{expr:?} matches something");
+            assert_same_distances(&got, &want, &format!("{expr:?} q={q}"));
+        }
+    }
+}
+
+#[test]
+fn bknn_ops_and_their_expression_trees_are_one_query() {
+    // `Op::Or` / `Op::And` and `BoolExpr::any` / `all` only plan differently;
+    // on a fresh index (live counts = inverted-list lengths) both planners
+    // pick the same driving keywords, so answers *and* work done coincide.
+    let w = world(800, 11, 5);
+    let mut e = engine(&w);
+    for len in [2, 3] {
+        for mut terms in vectors(&w, len) {
+            // Sorted, so both planners break driver ties the same way.
+            terms.sort_unstable();
+            terms.dedup();
+            for (op, expr) in [
+                (Op::Or, BoolExpr::any(&terms)),
+                (Op::And, BoolExpr::all(&terms)),
+            ] {
+                for q in [3u32, 555] {
+                    e.reset_stats();
+                    let by_op = (e.bknn(q, 5, &terms, op), e.stats());
+                    e.reset_stats();
+                    let by_expr = (e.bknn_expr(q, 5, &expr), e.stats());
+                    assert_eq!(by_op, by_expr, "q={q} op={op:?} terms={terms:?}");
+                }
+            }
+        }
     }
 }
 
@@ -466,9 +516,20 @@ fn results_stay_exact_after_lazy_insertions() {
             let got = e.bknn(q, 5, &terms, Op::Or);
             let want = brute_bknn(&w0.graph, &w0.corpus, q, 5, &terms, Op::Or);
             assert_same_distances(&got, &want, "after lazy insertions");
+            let got = e.bknn(q, 5, &terms, Op::And);
+            let want = brute_bknn(&w0.graph, &w0.corpus, q, 5, &terms, Op::And);
+            assert_same_distances(&got, &want, "∧ after lazy insertions");
             let got = e.top_k(q, 5, &terms);
             let want = brute_topk(&w0.graph, &w0.corpus, q, 5, &terms);
             assert_same_scores(&got, &want, "top-k after lazy insertions");
+        }
+    }
+    for ts in vectors(&w0, 3).into_iter().take(3) {
+        let expr = t0_and_t1_or_t2(&ts);
+        for q in [31u32, 444] {
+            let got = e.bknn_expr(q, 5, &expr);
+            let want = brute_expr(&w0, q, 5, &expr, |_| true);
+            assert_same_distances(&got, &want, "expr after lazy insertions");
         }
     }
 }
@@ -506,16 +567,19 @@ fn results_stay_exact_after_deletions() {
                 assert!(!is_deleted(o), "deleted object {o} returned");
             }
             // Oracle over the live subset.
-            let mut dij = kspin_graph::Dijkstra::new(w.graph.num_vertices());
-            dij.sssp(&w.graph, q);
-            let space = dij.space();
-            let mut want: Vec<(ObjectId, Weight)> = (0..w.corpus.num_objects() as ObjectId)
-                .filter(|&o| !is_deleted(o) && w.corpus.contains_any(o, &terms))
-                .filter_map(|o| space.distance(w.corpus.vertex_of(o)).map(|d| (o, d)))
-                .collect();
-            want.sort_unstable_by_key(|&(o, d)| (d, o));
-            want.truncate(5);
+            let want = brute_expr(&w, q, 5, &BoolExpr::any(&terms), |o| !is_deleted(o));
             assert_same_distances(&got, &want, "after deletions");
+            let got = e.bknn(q, 5, &terms, Op::And);
+            let want = brute_expr(&w, q, 5, &BoolExpr::all(&terms), |o| !is_deleted(o));
+            assert_same_distances(&got, &want, "∧ after deletions");
+        }
+    }
+    for ts in vectors(&w, 3).into_iter().take(3) {
+        let expr = t0_and_t1_or_t2(&ts);
+        for q in [8u32, 600] {
+            let got = e.bknn_expr(q, 5, &expr);
+            let want = brute_expr(&w, q, 5, &expr, |o| !is_deleted(o));
+            assert_same_distances(&got, &want, "expr after deletions");
         }
     }
 }

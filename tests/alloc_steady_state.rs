@@ -170,7 +170,7 @@ where
 
     // And it is small: per-batch engine/oracle construction plus the
     // ALLOC-OK'd per-query buffers (result Vecs bounded by k, per-term
-    // heap generation, k-best BinaryHeap growth). The bound is deliberately
+    // heap generation, the pre-sized k-best buffer). The bound is deliberately
     // generous — it exists to catch regressions to per-candidate or
     // per-edge allocation, which blow past it by orders of magnitude.
     let per_query = second as f64 / queries.len() as f64;

@@ -70,10 +70,8 @@ pub const TAINT_DIRS: [&str; 8] = [
 /// executor, the d-ary heap kernel API, the Heap Generator constructor,
 /// and the CH and hub-label distance kernels KS-CH and KS-HL serve every
 /// exact distance through.
-pub const PANIC_ENTRIES: [&str; 14] = [
+pub const PANIC_ENTRIES: [&str; 12] = [
     "QueryEngine::bknn",
-    "QueryEngine::bknn_disjunctive",
-    "QueryEngine::bknn_conjunctive",
     "QueryEngine::top_k",
     "QueryEngine::top_k_with",
     "QueryEngine::bknn_expr",
@@ -88,13 +86,11 @@ pub const PANIC_ENTRIES: [&str; 14] = [
 ];
 
 /// Steady-state serving entry points for the allocation certificate: the
-/// 6 query processors (§4.1/§4.2), the batch executor, the 4 d-ary heap
+/// 4 query processors (§4.1/§4.2), the batch executor, the 4 d-ary heap
 /// kernel ops, inverted-heap extraction (Algorithm 4), and the CH and
 /// hub-label distance kernels.
-pub const STEADY_ENTRIES: [&str; 15] = [
+pub const STEADY_ENTRIES: [&str; 13] = [
     "QueryEngine::bknn",
-    "QueryEngine::bknn_disjunctive",
-    "QueryEngine::bknn_conjunctive",
     "QueryEngine::top_k",
     "QueryEngine::top_k_with",
     "QueryEngine::bknn_expr",
