@@ -38,7 +38,7 @@ pub struct QueryStats {
     pub heap_decrease_keys: usize,
     /// Heap-kernel pushes that forced the entry array to grow. Zero in the
     /// steady state (`DaryHeap::new` pre-sizes to the item count) — the
-    /// dynamic face of `cargo xtask allocs`'s static certificate, surfaced
+    /// dynamic face of `cargo xtask certify`'s allocation certificate, surfaced
     /// per query in the `table_serving` rows.
     pub heap_grows: usize,
 }
@@ -99,10 +99,10 @@ impl fmt::Display for QueryStats {
     }
 }
 
-/// Reusable scratch buffers for the query hot loops (lint
-/// `no-alloc-in-hot-loop`): allocated once per engine, cleared per query,
-/// and grown to high-water capacity — never reallocated per iteration of
-/// the Algorithm 1/3 candidate loops.
+/// Reusable scratch buffers for the query hot loops (the allocation
+/// certificate, `cargo xtask certify`): allocated once per engine, cleared
+/// per query, and grown to high-water capacity — never reallocated per
+/// iteration of the Algorithm 1/3 candidate loops.
 ///
 /// Safe to move in and out with `std::mem::take` because the inverted
 /// heaps borrow the index through the engine's `'a` references, not
@@ -118,7 +118,7 @@ pub(crate) struct QueryScratch {
 /// Epoch-stamped membership set over `ObjectId`, replacing the former
 /// `HashSet<ObjectId>` dedup set: a `RandomState`-hashed set on the
 /// extraction loop was a latent nondeterminism source (and a rehash-growth
-/// alloc risk), flagged by `cargo xtask determinism`. Same trick as the
+/// alloc risk), flagged by `cargo xtask certify`. Same trick as the
 /// `one_to_many` target slots in `kspin-graph::dijkstra` — a slot is a
 /// member iff its stamp equals the current epoch, so [`SeenSet::clear`]
 /// is O(1) and [`SeenSet::insert`] is a branch-free array write with no

@@ -80,7 +80,7 @@ pub struct NvdIndex {
     /// Reverse mapping, `object id → local id`. A `BTreeMap` rather than
     /// a `HashMap`: lookups are the only hot operation, but the auditor
     /// and §6.2 update paths iterate it, and a `RandomState`-ordered walk
-    /// on those paths is exactly what `cargo xtask determinism` forbids.
+    /// on those paths is exactly what `cargo xtask certify` forbids.
     pub(crate) local_of: BTreeMap<ObjectId, u32>,
 }
 

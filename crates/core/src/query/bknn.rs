@@ -40,7 +40,7 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         let mut uniq = terms.to_vec();
         uniq.sort_unstable();
         uniq.dedup();
-        if k == 0 || uniq.is_empty() {
+        if k == 0 || uniq.is_empty() || q as usize >= self.graph.num_vertices() {
             // ALLOC-OK: an empty Vec::new never touches the allocator.
             return Vec::new();
         }
@@ -88,8 +88,8 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             // ALLOC-OK: heap generation — one |ψ|-bounded Vec per query;
             // the extraction loop below never grows it.
             .collect();
-        // Engine-lifetime epoch-stamped dedup set (lint H1 + determinism):
-        // clear() bumps the epoch in O(1); no hashing, no iteration order.
+        // Engine-lifetime epoch-stamped dedup set (alloc + determinism
+        // certificates): clear() is O(1); no hashing, no iteration order.
         let mut evaluated = std::mem::take(&mut self.scratch.evaluated);
         evaluated.clear();
         let mut best = KBest::bounded(k, self.corpus.num_objects());

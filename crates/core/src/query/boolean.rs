@@ -123,7 +123,7 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
     /// query is keyword-free.
     pub fn bknn_expr(&mut self, q: VertexId, k: usize, expr: &BoolExpr) -> Vec<(ObjectId, Weight)> {
         let driving = match expr.driving_set(self.corpus) {
-            Some(driving) if k > 0 => driving,
+            Some(driving) if k > 0 && (q as usize) < self.graph.num_vertices() => driving,
             // ALLOC-OK: an empty Vec::new never touches the allocator.
             _ => return Vec::new(),
         };

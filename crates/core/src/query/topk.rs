@@ -81,7 +81,7 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         score_model: ScoreModel,
     ) -> Vec<(ObjectId, f64)> {
         let query = QueryTerms::with_model(self.corpus, terms, text);
-        if k == 0 || query.is_empty() {
+        if k == 0 || query.is_empty() || q as usize >= self.graph.num_vertices() {
             // ALLOC-OK: an empty Vec::new never touches the allocator.
             return Vec::new();
         }
@@ -103,9 +103,9 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             // ALLOC-OK: |ψ|-bounded per-query summand table, built once.
             .collect();
 
-        // Engine-lifetime scratch (lint H1 + determinism): the epoch-stamped
-        // dedup set clears in O(1); the MINKEY snapshot reaches high-water
-        // capacity on the first query and is never reallocated afterwards.
+        // Engine-lifetime scratch (alloc + determinism certificates): the
+        // epoch-stamped dedup set clears in O(1); the MINKEY snapshot reaches
+        // high-water capacity on the first query and never reallocates after.
         let mut processed = std::mem::take(&mut self.scratch.evaluated);
         processed.clear();
         let mut min_keys = std::mem::take(&mut self.scratch.min_keys);

@@ -212,10 +212,10 @@ impl<'a> BatchExecutor<'a> {
                         self.lower_bound,
                         make_dist(),
                     );
-                    // lint:allow(no-alloc-in-hot-loop) — per-worker result
-                    // buffer created once per batch (the enclosing loop is
-                    // the spawn loop, not a query loop); grows to this
-                    // worker's share of the batch, amortized over it.
+                    // ALLOC-OK: per-worker result buffer created once per
+                    // batch (the enclosing loop is the spawn loop, not a
+                    // query loop); grows to this worker's share of the
+                    // batch, amortized over it.
                     let mut out = Vec::new();
                     loop {
                         let base = next.fetch_add(CHUNK, Ordering::Relaxed);

@@ -5,7 +5,8 @@
 use kspin_alt::{AltIndex, LandmarkStrategy};
 use kspin_core::query::baseline::{brute_bknn, brute_topk};
 use kspin_core::{
-    BoolExpr, DijkstraDistance, KspinConfig, KspinIndex, LowerBound, Op, QueryEngine, ScoreModel,
+    BatchExecutor, BoolExpr, DijkstraDistance, KspinConfig, KspinIndex, LowerBound, Op,
+    QueryEngine, ScoreModel, ServingQuery, ServingResult,
 };
 use kspin_graph::generate::{road_network, RoadNetworkConfig};
 use kspin_graph::{Graph, VertexId, Weight};
@@ -237,6 +238,36 @@ fn query_on_unused_keywords_returns_empty() {
     assert!(e.top_k(0, 5, &[unused]).is_empty());
     // Disjunction with one live keyword still answers.
     assert!(!e.bknn(0, 5, &[unused, 0], Op::Or).is_empty());
+}
+
+/// A query vertex is caller input, not a built id: out of range it gets
+/// the answer unknown keywords get — empty — from every processor, and
+/// inside a batch it must not take the other queries down with it.
+#[test]
+fn out_of_range_query_vertex_returns_empty() {
+    let w = world(400, 29, 5);
+    let mut e = engine(&w);
+    for q in [w.graph.num_vertices() as VertexId, VertexId::MAX] {
+        assert!(e.bknn(q, 5, &[0, 1], Op::Or).is_empty());
+        assert!(e.bknn(q, 5, &[0, 1], Op::And).is_empty());
+        assert!(e.top_k(q, 5, &[0, 1]).is_empty());
+        assert!(e.bknn_expr(q, 5, &BoolExpr::any(&[0, 1])).is_empty());
+    }
+
+    let valid = |vertex: VertexId| ServingQuery::Bknn {
+        vertex,
+        k: 5,
+        terms: vec![0, 1],
+        op: Op::Or,
+    };
+    let mut batch: Vec<ServingQuery> = (0..20).map(|i| valid(i * 7)).collect();
+    batch.insert(11, valid(w.graph.num_vertices() as VertexId));
+    let exec = BatchExecutor::new(&w.graph, &w.corpus, &w.index, &w.alt, 2).with_exact_threads(2);
+    let out = exec.execute(&batch, || DijkstraDistance::new(&w.graph));
+    for (i, (query, got)) in batch.iter().zip(&out.results).enumerate() {
+        assert_eq!(got, &query.run(&mut e), "batch slot {i}");
+    }
+    assert_eq!(out.results[11], ServingResult::Distances(Vec::new()));
 }
 
 #[test]

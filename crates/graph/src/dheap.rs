@@ -322,8 +322,6 @@ impl DaryHeap {
         for i in 1..self.entries.len() {
             let parent = (i - 1) / ARITY;
             if self.entries[i] < self.entries[parent] {
-                // lint:allow(no-alloc-in-hot-loop) — cold path: the audit
-                // only formats when an invariant is already violated.
                 return Err(format!(
                     "heap order violated: slot {i} ({}, {}) before parent {parent} ({}, {})",
                     key_of(self.entries[i]),
@@ -336,11 +334,9 @@ impl DaryHeap {
         for (slot, &entry) in self.entries.iter().enumerate() {
             let item = item_of(entry);
             if self.stamp[item as usize] != self.epoch {
-                // lint:allow(no-alloc-in-hot-loop) — cold audit-failure path.
                 return Err(format!("slot {slot}: item {item} has a stale stamp"));
             }
             if self.pos[item as usize] != slot as u32 {
-                // lint:allow(no-alloc-in-hot-loop) — cold audit-failure path.
                 return Err(format!(
                     "position map desynced: item {item} at slot {slot} but pos says {}",
                     self.pos[item as usize]
@@ -361,7 +357,6 @@ impl DaryHeap {
                 .get(p as usize)
                 .is_some_and(|&e| item_of(e) as usize == item);
             if !holds {
-                // lint:allow(no-alloc-in-hot-loop) — cold audit-failure path.
                 return Err(format!(
                     "position map dangles: item {item} claims slot {p} but the slot holds another item"
                 ));

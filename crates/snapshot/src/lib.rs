@@ -23,7 +23,7 @@
 //!   section.
 //! * **Panic-free loading** — validation and section access never index,
 //!   never divide, never assert: untrusted bytes cannot panic the loader.
-//!   `SnapshotFile::validate` is certified by `cargo xtask panics`.
+//!   `SnapshotFile::validate` is certified by `cargo xtask certify`.
 //!
 //! This crate is the format layer only: it knows bytes, sections and
 //! checksums. The codecs that map index structures onto sections live in

@@ -4,8 +4,8 @@
 //! untrusted bytes become a readable snapshot. It is written to be
 //! **panic-free and allocation-free** — only `get`-based slicing, checked
 //! arithmetic and iterator folds; no indexing, no asserts, no unchecked
-//! division — because it is a certified entry point of `cargo xtask
-//! panics` and sits in the `cargo xtask allocs` steady-state perimeter:
+//! division — because it is a panic-certified entry point of `cargo xtask
+//! certify` and sits in its allocation analysis' steady-state perimeter:
 //! a corrupt or adversarial file must yield a structured
 //! [`SnapshotError`], never a panic, before any copying begins.
 

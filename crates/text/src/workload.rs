@@ -108,8 +108,8 @@ impl Default for ZipfWorkloadConfig {
 /// Builds a serving workload whose keyword choices follow a Zipf
 /// distribution over *popularity ranks* (keywords ordered by inverted-list
 /// length, most frequent first) and whose vertices come from a small hot
-/// pool — the §6 Obs. 1 traffic shape the cross-query heap-seed cache is
-/// designed for. Deterministic in `config.seed`.
+/// pool — the §6 Obs. 1 traffic shape: a few frequent keywords asked from
+/// a few places. Deterministic in `config.seed`.
 pub fn zipf_queries(
     corpus: &Corpus,
     config: &ZipfWorkloadConfig,

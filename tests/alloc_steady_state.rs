@@ -1,5 +1,6 @@
-//! The dynamic face of `cargo xtask allocs`: a counting global allocator
-//! measures what batch serving actually allocates once warmed up.
+//! The dynamic face of `cargo xtask certify`'s allocation certificate: a
+//! counting global allocator measures what batch serving actually
+//! allocates once warmed up.
 //!
 //! The static certificate proves no *unjustified* allocation source is
 //! reachable from the steady-state entry points; every residual site

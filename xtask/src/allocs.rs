@@ -1,4 +1,4 @@
-//! `cargo xtask allocs` — the call-graph allocation-freedom certifier.
+//! The allocation-freedom analysis of `cargo xtask certify`.
 //!
 //! Sibling of [`crate::panics`]: proves (conservatively) that the
 //! serving *steady state* performs no unjustified heap allocation after
@@ -29,58 +29,36 @@
 //!
 //! A site that is provably amortized-free carries an inline
 //! `// ALLOC-OK: <capacity invariant>` justification (same placement
-//! grammar as `PANIC-OK`) and is counted but not reported. Sites the
-//! token-level H1 hot-loop lint already polices are deduplicated out of
-//! this report. Everything else is a finding under the
-//! `alloc-reachability` rule of the shared `lint-baseline.json` ratchet.
+//! grammar as `PANIC-OK`) and is counted but not reported. Everything
+//! else is a finding under rule key `alloc-reachability`.
 //!
-//! The sweep/ratchet/CLI plumbing lives in the shared driver
-//! ([`crate::report::run_certifier`]); this module is classifier-only.
-
-use std::process::ExitCode;
+//! **What the static sweep by design does not see:** a loop inside a
+//! warm-up-fenced fn — e.g. a per-candidate allocation in
+//! `InvertedHeap::seed`, which runs once per query keyword. The fence
+//! excuses the whole body, loops included. No such site exists today, and
+//! the dynamic twin counts exactly that: `tests/alloc_steady_state.rs`
+//! pins the allocator calls per steady-state query, warm-up-fenced fns
+//! included, so an allocation that crept into one would move its number.
+//!
+//! The sweep, report and CLI live in the shared driver
+//! ([`crate::certify`]); this module is classifier-only.
 
 use crate::callgraph::{body_tokens, CallGraph};
+use crate::certify::{Certifier, Site};
 use crate::entrypoints::{STEADY_ENTRIES, WARM_UP};
 use crate::lex::TokenKind;
-use crate::report::{self, Certifier, Hooks, Site};
-use crate::rules::{h1_no_alloc, Rule};
 use crate::scope::SourceFile;
 
-/// CLI usage.
-pub const USAGE: &str = "\
-usage: cargo xtask allocs [options]
-
-Certifies that no unjustified allocation source is reachable from the
-steady-state serving entry points (see --list-entries) without crossing
-the warm-up boundary (constructors, index builds, heap generation).
-Sites are exempted by an inline `// ALLOC-OK: capacity invariant`
-comment; remaining findings pass through the lint-baseline.json ratchet
-under the `alloc-reachability` rule.
-
-options:
-  --format <human|json>   report format (json is SARIF-lite; default human)
-  --entry <Type::method>  add an entry point (repeatable; replaces defaults)
-  --list-entries          print the default entry points and warm-up set
-  --update-baseline       rewrite lint-baseline.json from current findings
-  --deny-stale            fail when baseline entries no longer fire (CI)
-  -h, --help              show this help";
-
-/// The certifier description block the shared driver runs from.
-const CERTIFIER: Certifier = Certifier {
-    tool: "cargo-xtask-allocs",
+/// The description block the shared driver runs from.
+pub(crate) const CERTIFIER: Certifier = Certifier {
     name: "allocs",
-    usage: USAGE,
-    rule: Rule::AllocReachability,
-    default_entries: &STEADY_ENTRIES,
+    rule: "alloc-reachability",
+    entries: &STEADY_ENTRIES,
     warm_up: &WARM_UP,
     marker: "ALLOC-OK",
     reach_adjective: "steady-reachable",
     noun: "steady-state allocation",
-    hooks: Hooks {
-        classify: alloc_sites,
-        justified: SourceFile::alloc_justified,
-        dedup: Some(h1_spans),
-    },
+    classify: alloc_sites,
 };
 
 /// Allocating `Type::ctor(…)` qualifiers.
@@ -141,15 +119,6 @@ const GROWTH_METHODS: [&str; 9] = [
     "reserve",
     "append",
 ];
-
-/// The `(line, col)` sites the token-level H1 hot-loop lint already
-/// polices in `file` — deduplicated out of this certifier's report.
-fn h1_spans(file: &SourceFile) -> Vec<(usize, usize)> {
-    h1_no_alloc::matches(file)
-        .into_iter()
-        .map(|(line, col, _)| (line, col))
-        .collect()
-}
 
 /// Classifies every allocation source in the certified body of
 /// `items[idx]`, walking release-visible tokens only (the call-graph
@@ -223,49 +192,24 @@ pub fn alloc_sites(file: &SourceFile, graph: &CallGraph, idx: usize) -> Vec<Site
     out
 }
 
-/// Runs the analysis over `files` from the given steady-state entry
-/// specs, never crossing the warm-up boundary specs. Test-facing twin of
-/// the [`run`] CLI path.
-#[cfg(test)]
-pub fn certify(
-    files: Vec<SourceFile>,
-    entry_specs: &[String],
-    warm_up_specs: &[String],
-) -> Result<report::Certificate, String> {
-    report::certify(
-        files,
-        entry_specs,
-        warm_up_specs,
-        Rule::AllocReachability,
-        &CERTIFIER.hooks,
-    )
-}
-
-/// CLI entry: `cargo xtask allocs [options]`.
-pub fn run(args: &[String]) -> ExitCode {
-    report::run_certifier(&CERTIFIER, args)
-}
-
 // ---------------------------------------------------------------------------
 // Self-tests: the classifier on planted fixtures, the warm-up/steady
-// split, receiver-typed growth dispatch, H1 dedup, and the live
-// workspace certificate.
+// split, receiver-typed growth dispatch. (The live workspace:
+// `crate::certify`'s tests.)
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::Baseline;
-    use crate::lint::workspace_root;
-    use crate::report::{load_perimeter, Certificate, BASELINE_FILE};
+    use crate::certify::{certify_fixture, Certificate};
 
-    fn cert_at(rel: &str, src: &str, entries: &[&str], warm: &[&str]) -> Certificate {
-        let e: Vec<String> = entries.iter().map(|s| s.to_string()).collect();
-        let w: Vec<String> = warm.iter().map(|s| s.to_string()).collect();
-        certify(vec![SourceFile::from_source(rel, src)], &e, &w).expect("fixture specs resolve")
+    type Specs = &'static [&'static str];
+
+    fn cert_at(rel: &str, src: &str, entries: Specs, warm: Specs) -> Certificate {
+        certify_fixture(&CERTIFIER, rel, src, entries, warm).expect("fixture specs resolve")
     }
 
-    fn cert(src: &str, entries: &[&str], warm: &[&str]) -> Certificate {
+    fn cert(src: &str, entries: Specs, warm: Specs) -> Certificate {
         cert_at("fixture.rs", src, entries, warm)
     }
 
@@ -383,14 +327,11 @@ fn entry(n: usize) -> Vec<u32> {
         let c = cert(src, &["entry"], &[]);
         assert_eq!(c.summary.findings.len(), 1, "only the extend fires");
         assert_eq!(c.summary.findings[0].line, 4);
-        assert_eq!(
-            c.summary.justified.get(Rule::AllocReachability.key()),
-            Some(&1)
-        );
+        assert_eq!(c.summary.justified.get(CERTIFIER.rule), Some(&1));
     }
 
     #[test]
-    fn h1_matched_sites_are_deduplicated_not_double_reported() {
+    fn allocations_inside_and_outside_a_loop_are_both_reported() {
         let src = "\
 fn entry(xs: &[u32]) {
     for _ in xs {
@@ -399,63 +340,27 @@ fn entry(xs: &[u32]) {
     let w = xs.to_vec();
 }
 ";
-        // In H1's hot-loop scope: the in-loop site belongs to H1, the
-        // out-of-loop one to this certifier.
+        // A steady-reachable fn of a query-processor file: the in-loop
+        // site is as much this analysis' as the one outside the loop.
         let c = cert_at("crates/core/src/query/fx.rs", src, &["entry"], &[]);
-        assert_eq!(c.deduplicated, 1);
-        assert_eq!(c.summary.findings.len(), 1);
-        assert_eq!(c.summary.findings[0].line, 5);
+        let lines: Vec<usize> = c.summary.findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![3, 5]);
+        assert!(c.summary.findings[0]
+            .message
+            .contains(".to_vec() allocates"));
     }
 
     #[test]
     fn missing_entry_and_warm_up_specs_are_hard_errors() {
-        let files = || vec![SourceFile::from_source("fixture.rs", "fn real() {}\n")];
-        let err = certify(files(), &["gone".to_string()], &[])
+        let certify =
+            |e: Specs, w: Specs| certify_fixture(&CERTIFIER, "fixture.rs", "fn real() {}\n", e, w);
+        let err = certify(&["gone"], &[])
             .err()
             .expect("stale entry spec must be a hard error");
         assert!(err.contains("gone"));
-        let err = certify(files(), &["real".to_string()], &["fenced_away".to_string()])
+        let err = certify(&["real"], &["fenced_away"])
             .err()
             .expect("stale warm-up spec must be a hard error");
         assert!(err.contains("fenced_away") && err.contains("warm-up"));
-    }
-
-    // ---- the live workspace ------------------------------------------------
-
-    #[test]
-    fn live_workspace_certificate_holds() {
-        let specs: Vec<String> = STEADY_ENTRIES.map(str::to_string).to_vec();
-        let warm: Vec<String> = WARM_UP.map(str::to_string).to_vec();
-        let cert = certify(load_perimeter(), &specs, &warm).expect("all specs resolve");
-        assert!(
-            cert.summary.files_scanned > 20,
-            "suspiciously small perimeter"
-        );
-        for (spec, resolved) in &cert.entries {
-            assert!(!resolved.is_empty(), "entry {spec} resolved to nothing");
-        }
-        let baseline =
-            Baseline::load(&workspace_root().join(BASELINE_FILE)).expect("baseline parses");
-        let key = Rule::AllocReachability.key();
-        let alloc_entries: Vec<_> = baseline
-            .entries
-            .into_iter()
-            .filter(|e| e.rule == key)
-            .collect();
-        let ratchet = Baseline {
-            note: String::new(),
-            entries: alloc_entries,
-        }
-        .apply(&cert.summary.findings);
-        let report: Vec<String> = ratchet.new.iter().map(ToString::to_string).collect();
-        assert!(
-            ratchet.new.is_empty(),
-            "unjustified steady-state allocation sites:\n{}",
-            report.join("\n")
-        );
-        assert!(
-            ratchet.stale.is_empty(),
-            "stale alloc-reachability baseline entries"
-        );
     }
 }

@@ -1,4 +1,4 @@
-//! `cargo xtask determinism` — the call-graph determinism certifier.
+//! The determinism analysis of `cargo xtask certify`.
 //!
 //! Third certificate in the family ([`crate::panics`], [`crate::allocs`]):
 //! proves (conservatively) that the serving steady state is
@@ -40,57 +40,28 @@
 //! A site whose ordering provably cannot escape carries an inline
 //! `// DETER-OK: <ordering invariant>` justification (same placement
 //! grammar as `PANIC-OK`/`ALLOC-OK`) and is counted but not reported.
-//! Everything else is a finding under the `determinism` rule of the
-//! shared `lint-baseline.json` ratchet.
+//! Everything else is a finding under rule key `determinism`.
 //!
-//! The sweep/ratchet/CLI plumbing lives in the shared driver
-//! ([`crate::report::run_certifier`]); this module is classifier-only.
-
-use std::process::ExitCode;
+//! The sweep, report and CLI live in the shared driver
+//! ([`crate::certify`]); this module is classifier-only.
 
 use crate::callgraph::{body_tokens, CallGraph};
+use crate::certify::{Certifier, Site};
 use crate::entrypoints::{STEADY_ENTRIES, WARM_UP};
 use crate::lex::TokenKind;
-use crate::report::{self, Certifier, Hooks, Site};
-use crate::rules::{statement_around, Rule};
+use crate::rules::statement_around;
 use crate::scope::SourceFile;
 
-/// CLI usage.
-pub const USAGE: &str = "\
-usage: cargo xtask determinism [options]
-
-Certifies that no unjustified nondeterminism source (hash-order
-iteration, RandomState container construction, time/rng reads,
-order-sensitive float reduction, worker-count branches) is reachable
-from the steady-state serving entry points (see --list-entries) without
-crossing the warm-up boundary. Sites are exempted by an inline
-`// DETER-OK: ordering invariant` comment; remaining findings pass
-through the lint-baseline.json ratchet under the `determinism` rule.
-
-options:
-  --format <human|json>   report format (json is SARIF-lite; default human)
-  --entry <Type::method>  add an entry point (repeatable; replaces defaults)
-  --list-entries          print the default entry points and warm-up set
-  --update-baseline       rewrite lint-baseline.json from current findings
-  --deny-stale            fail when baseline entries no longer fire (CI)
-  -h, --help              show this help";
-
-/// The certifier description block the shared driver runs from.
-const CERTIFIER: Certifier = Certifier {
-    tool: "cargo-xtask-determinism",
+/// The description block the shared driver runs from.
+pub(crate) const CERTIFIER: Certifier = Certifier {
     name: "determinism",
-    usage: USAGE,
-    rule: Rule::Determinism,
-    default_entries: &STEADY_ENTRIES,
+    rule: "determinism",
+    entries: &STEADY_ENTRIES,
     warm_up: &WARM_UP,
     marker: "DETER-OK",
     reach_adjective: "steady-reachable",
     noun: "nondeterminism",
-    hooks: Hooks {
-        classify: deter_sites,
-        justified: SourceFile::deter_justified,
-        dedup: None,
-    },
+    classify: deter_sites,
 };
 
 /// `RandomState`-hashed std containers whose iteration order is
@@ -285,46 +256,21 @@ fn float_in_statement(file: &SourceFile, k: usize) -> bool {
     })
 }
 
-/// Runs the analysis over `files` from the given steady-state entry
-/// specs, never crossing the warm-up boundary specs. Test-facing twin of
-/// the [`run`] CLI path.
-#[cfg(test)]
-pub fn certify(
-    files: Vec<SourceFile>,
-    entry_specs: &[String],
-    warm_up_specs: &[String],
-) -> Result<report::Certificate, String> {
-    report::certify(
-        files,
-        entry_specs,
-        warm_up_specs,
-        Rule::Determinism,
-        &CERTIFIER.hooks,
-    )
-}
-
-/// CLI entry: `cargo xtask determinism [options]`.
-pub fn run(args: &[String]) -> ExitCode {
-    report::run_certifier(&CERTIFIER, args)
-}
-
 // ---------------------------------------------------------------------------
 // Self-tests: one true positive per source class with exact spans,
-// receiver-typed precision, DETER-OK suppression, the warm-up fence, and
-// the live workspace certificate.
+// receiver-typed precision, DETER-OK suppression, the warm-up fence.
+// (The live workspace: `crate::certify`'s tests.)
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::Baseline;
-    use crate::lint::workspace_root;
-    use crate::report::{load_perimeter, Certificate, BASELINE_FILE};
+    use crate::certify::{certify_fixture, Certificate};
 
-    fn cert(src: &str, entries: &[&str], warm: &[&str]) -> Certificate {
-        let e: Vec<String> = entries.iter().map(|s| s.to_string()).collect();
-        let w: Vec<String> = warm.iter().map(|s| s.to_string()).collect();
-        certify(vec![SourceFile::from_source("fixture.rs", src)], &e, &w)
+    type Specs = &'static [&'static str];
+
+    fn cert(src: &str, entries: Specs, warm: Specs) -> Certificate {
+        certify_fixture(&CERTIFIER, "fixture.rs", src, entries, warm)
             .expect("fixture specs resolve")
     }
 
@@ -438,7 +384,7 @@ fn post(_m: M, _t: T) -> u32 { 0 }
         let c = cert(src, &["entry"], &[]);
         assert_eq!(c.summary.findings.len(), 1, "only the clock read fires");
         assert_eq!(c.summary.findings[0].line, 4);
-        assert_eq!(c.summary.justified.get(Rule::Determinism.key()), Some(&1));
+        assert_eq!(c.summary.justified.get(CERTIFIER.rule), Some(&1));
     }
 
     #[test]
@@ -466,53 +412,15 @@ impl Engine {
 
     #[test]
     fn missing_entry_and_warm_up_specs_are_hard_errors() {
-        let files = || vec![SourceFile::from_source("fixture.rs", "fn real() {}\n")];
-        let err = certify(files(), &["gone".to_string()], &[])
+        let certify =
+            |e: Specs, w: Specs| certify_fixture(&CERTIFIER, "fixture.rs", "fn real() {}\n", e, w);
+        let err = certify(&["gone"], &[])
             .err()
             .expect("stale entry spec must be a hard error");
         assert!(err.contains("gone"));
-        let err = certify(files(), &["real".to_string()], &["fenced_away".to_string()])
+        let err = certify(&["real"], &["fenced_away"])
             .err()
             .expect("stale warm-up spec must be a hard error");
         assert!(err.contains("fenced_away") && err.contains("warm-up"));
-    }
-
-    // ---- the live workspace ------------------------------------------------
-
-    #[test]
-    fn live_workspace_certificate_holds() {
-        let specs: Vec<String> = STEADY_ENTRIES.map(str::to_string).to_vec();
-        let warm: Vec<String> = WARM_UP.map(str::to_string).to_vec();
-        let cert = certify(load_perimeter(), &specs, &warm).expect("all specs resolve");
-        assert!(
-            cert.summary.files_scanned > 20,
-            "suspiciously small perimeter"
-        );
-        for (spec, resolved) in &cert.entries {
-            assert!(!resolved.is_empty(), "entry {spec} resolved to nothing");
-        }
-        let baseline =
-            Baseline::load(&workspace_root().join(BASELINE_FILE)).expect("baseline parses");
-        let key = Rule::Determinism.key();
-        let deter_entries: Vec<_> = baseline
-            .entries
-            .into_iter()
-            .filter(|e| e.rule == key)
-            .collect();
-        let ratchet = Baseline {
-            note: String::new(),
-            entries: deter_entries,
-        }
-        .apply(&cert.summary.findings);
-        let report: Vec<String> = ratchet.new.iter().map(ToString::to_string).collect();
-        assert!(
-            ratchet.new.is_empty(),
-            "unjustified nondeterminism sites:\n{}",
-            report.join("\n")
-        );
-        assert!(
-            ratchet.stale.is_empty(),
-            "stale determinism baseline entries"
-        );
     }
 }

@@ -1,7 +1,7 @@
-//! The serving entry-point model shared by the reachability certifiers
-//! and the token-level H1 hot-loop lint.
+//! The serving entry-point model shared by the analyses of
+//! `cargo xtask certify`.
 //!
-//! `cargo xtask allocs` splits the serving lifecycle in two, following
+//! The allocation analysis splits the serving lifecycle in two, following
 //! the paper's own phase structure (heap *generation* happens once per
 //! query term via the Heap Generator, then the Algorithm 1/3 loops only
 //! *extract*):
@@ -16,17 +16,12 @@
 //!   `tests/alloc_steady_state.rs` twin pins what the warm-up carve-out
 //!   actually costs per query, so nothing hides there.)
 //!
-//! H1's hot-loop file scope is *derived* from the same set: every file
-//! defining a steady-state entry point must be in [`hot_loop_scope`],
-//! enforced by the live-workspace test below.
-//!
 //! This module is also the single registration point for every
-//! certifier's *perimeter*: [`CERT_DIRS`] (the shared reachability
+//! analysis' *perimeter*: [`CERT_DIRS`] (the shared reachability
 //! perimeter of `panics`/`allocs`/`determinism`), [`PANIC_ENTRIES`] (the
-//! panic certificate's serving surface), and [`TAINT_DIRS`] (the taint
-//! certifier's wider perimeter, which adds the facade + CLI where
-//! untrusted files enter). A future server crate registers its frame
-//! parser here — one table, every certificate widens together.
+//! panic certificate's serving surface), and [`FACADE_DIRS`] (what the
+//! taint analysis adds to `CERT_DIRS`: the facade + CLI, where untrusted
+//! files enter).
 
 /// The certified perimeter, relative to the workspace root: the crates a
 /// serving path executes. `kspin-core::modules` dispatches through the
@@ -48,22 +43,13 @@ pub const CERT_DIRS: [&str; 7] = [
     "crates/snapshot/src",
 ];
 
-/// The untrusted-input certifier's perimeter: everything in
-/// [`CERT_DIRS`] plus the facade and CLI sources under `src/`, because
-/// that is where snapshot bytes enter from disk (`kspin-cli snapshot
-/// load` → `KspinSystem::load_snapshot`). Kept a superset of
-/// `CERT_DIRS` by the test below so the taint flood sees every function
-/// the reachability certificates see.
-pub const TAINT_DIRS: [&str; 8] = [
-    "crates/graph/src",
-    "crates/alt/src",
-    "crates/nvd/src",
-    "crates/core/src",
-    "crates/ch/src",
-    "crates/hl/src",
-    "crates/snapshot/src",
-    "src",
-];
+/// What the untrusted-input analysis sweeps on top of [`CERT_DIRS`]: the
+/// facade and CLI sources under `src/`, because that is where snapshot
+/// bytes enter from disk (`kspin-cli snapshot load` →
+/// `KspinSystem::load_snapshot`). Its perimeter is `CERT_DIRS` followed by
+/// these, so the taint flood sees every function the reachability
+/// certificates see.
+pub const FACADE_DIRS: [&str; 1] = ["src"];
 
 /// The serving entry points the panic certificate quantifies over: every
 /// query processor the engine exposes (§4 of the paper), the batch
@@ -125,63 +111,18 @@ pub const WARM_UP: [&str; 6] = [
     "Pool::take",
 ];
 
-/// Files (beyond the `crates/core/src/query/` processors) that define a
-/// steady-state entry point; with the prefix below this is H1's hot-loop
-/// scope.
-pub const HOT_LOOP_FILES: [&str; 7] = [
-    "crates/core/src/heap.rs",
-    "crates/core/src/serving.rs",
-    "crates/graph/src/dheap.rs",
-    "crates/nvd/src/knn.rs",
-    "crates/ch/src/query.rs",
-    "crates/hl/src/query.rs",
-    "crates/snapshot/src/reader.rs",
-];
-
-/// Path prefixes in H1's hot-loop scope.
-pub const HOT_LOOP_PREFIXES: [&str; 1] = ["crates/core/src/query/"];
-
-/// Whether a workspace-relative path is in the H1 hot-loop scope.
-pub fn hot_loop_scope(rel: &str) -> bool {
-    HOT_LOOP_PREFIXES.iter().any(|p| rel.starts_with(p)) || HOT_LOOP_FILES.contains(&rel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::callgraph::CallGraph;
-    use crate::report::load_perimeter;
-
-    /// The derivation contract of satellite H1 realignment: H1's scope is
-    /// not a hand-maintained list that can drift — every file defining a
-    /// steady-state entry point is hot-loop scope, live on the workspace.
-    #[test]
-    fn hot_loop_scope_covers_every_steady_entry_definition() {
-        let files = load_perimeter();
-        let graph = CallGraph::build(&files);
-        for spec in STEADY_ENTRIES {
-            let resolved = graph.resolve_entry(spec);
-            assert!(
-                !resolved.is_empty(),
-                "steady entry {spec} resolves to nothing"
-            );
-            for idx in resolved {
-                let file = &graph.items[idx].file;
-                assert!(
-                    hot_loop_scope(file),
-                    "steady entry {spec} is defined in {file}, which is outside \
-                     the H1 hot-loop scope — add it to HOT_LOOP_FILES"
-                );
-            }
-        }
-    }
+    use crate::certify::load_files;
 
     /// Warm-up specs must stay anchored to real fns too; a rename that
     /// silently widened the steady perimeter would weaken the certificate
     /// in the *unsound* direction.
     #[test]
     fn warm_up_specs_resolve_on_the_live_workspace() {
-        let files = load_perimeter();
+        let files = load_files(&CERT_DIRS);
         let graph = CallGraph::build(&files);
         for spec in WARM_UP {
             assert!(
@@ -191,33 +132,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scope_predicate_matches_prefixes_and_files() {
-        assert!(hot_loop_scope("crates/core/src/query/topk.rs"));
-        assert!(hot_loop_scope("crates/graph/src/dheap.rs"));
-        assert!(!hot_loop_scope("crates/graph/src/csr.rs"));
-        assert!(!hot_loop_scope("crates/gtree/src/tree.rs"));
-    }
-
-    /// The taint perimeter must contain everything the reachability
-    /// certificates cover — a dir added to `CERT_DIRS` but forgotten in
-    /// `TAINT_DIRS` would silently exempt new code from flow analysis.
-    #[test]
-    fn taint_perimeter_is_a_superset_of_the_certified_perimeter() {
-        for dir in CERT_DIRS {
-            assert!(
-                TAINT_DIRS.contains(&dir),
-                "{dir} is certified but outside the taint perimeter"
-            );
-        }
-        assert!(TAINT_DIRS.contains(&"src"), "facade + CLI must be swept");
-    }
-
     /// Panic entries resolve on the live workspace, same rot guard as the
     /// warm-up specs above.
     #[test]
     fn panic_entries_resolve_on_the_live_workspace() {
-        let files = load_perimeter();
+        let files = load_files(&CERT_DIRS);
         let graph = CallGraph::build(&files);
         for spec in PANIC_ENTRIES {
             assert!(

@@ -1,19 +1,19 @@
-//! A minimal JSON value type with parser and pretty-printer.
+//! A minimal JSON value type with a pretty-printer.
 //!
-//! The workspace vendors no serialization crates, so the lint engine's
-//! `--format json` report and the `lint-baseline.json` ratchet use this
-//! dependency-free implementation. It supports exactly the JSON the lint
-//! tooling emits and consumes: objects (insertion-ordered), arrays,
-//! strings with standard escapes, integers/floats, booleans and null.
+//! The workspace vendors no serialization crates, so the `--format json`
+//! reports of `cargo xtask lint` and `cargo xtask certify` use this
+//! dependency-free writer. It supports exactly the JSON the tooling emits:
+//! objects (insertion-ordered), arrays, strings with standard escapes and
+//! unsigned integers. Nothing in the workspace reads JSON back; CI checks the
+//! reports' well-formedness with `python3 -m json.tool`.
 
 use std::fmt::Write as _;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
+    /// Every number the reports carry is a count or a position.
+    Num(usize),
     Str(String),
     Arr(Vec<Json>),
     /// Key-value pairs in insertion order (stable output for diffs).
@@ -21,39 +21,6 @@ pub enum Json {
 }
 
 impl Json {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as usize, if this is a non-negative integer.
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as usize),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Pretty-prints with two-space indentation and a trailing newline.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -64,14 +31,8 @@ impl Json {
 
     fn write(&self, out: &mut String, indent: usize) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
+                let _ = write!(out, "{n}");
             }
             Json::Str(s) => escape_into(s, out),
             Json::Arr(items) => {
@@ -140,229 +101,41 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parses a JSON document. Errors carry a byte offset for context.
-pub fn parse(src: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        src,
-        i: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.i != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.i));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    src: &'a str,
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> u8 {
-        self.bytes.get(self.i).copied().unwrap_or(0)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), b' ' | b'\t' | b'\r' | b'\n') {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", char::from(c), self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            _ => Err(format!("unexpected character at byte {}", self.i)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.src[self.i..].starts_with(word) {
-            self.i += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.peek() == b'-' {
-            self.i += 1;
-        }
-        while matches!(self.peek(), b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-            self.i += 1;
-        }
-        self.src[start..self.i]
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                0 => return Err("unterminated string".into()),
-                b'"' => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match self.peek() {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .src
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.i))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.i)),
-                    }
-                    self.i += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.src[self.i..];
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == b']' {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                b',' => self.i += 1,
-                b']' => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == b'}' {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                b',' => self.i += 1,
-                b'}' => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.i)),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_a_report_shaped_document() {
+    fn renders_a_report_shaped_document_with_escapes() {
         let doc = Json::Obj(vec![
             ("tool".into(), Json::Str("cargo-xtask-lint".into())),
-            ("files".into(), Json::Num(42.0)),
+            ("files".into(), Json::Num(42)),
             (
                 "findings".into(),
                 Json::Arr(vec![Json::Obj(vec![
-                    ("rule".into(), Json::Str("no-alloc-in-hot-loop".into())),
-                    ("line".into(), Json::Num(7.0)),
-                    ("snippet".into(), Json::Str("let v = \"x\\ny\";".into())),
-                    ("baselined".into(), Json::Bool(false)),
+                    ("line".into(), Json::Num(7)),
+                    (
+                        "snippet".into(),
+                        Json::Str("let v = \"x\\ny\";\t\u{1}é".into()),
+                    ),
                 ])]),
             ),
-            ("stale".into(), Json::Arr(vec![])),
-            ("note".into(), Json::Null),
+            ("empty".into(), Json::Arr(vec![])),
         ]);
-        let text = doc.render();
-        let back = parse(&text).expect("rendered JSON must parse");
-        assert_eq!(back, doc);
+        assert_eq!(
+            doc.render(),
+            r#"{
+  "tool": "cargo-xtask-lint",
+  "files": 42,
+  "findings": [
+    {
+      "line": 7,
+      "snippet": "let v = \"x\\ny\";\t\u0001é"
     }
-
-    #[test]
-    fn parses_escapes_and_unicode() {
-        let v = parse(r#"{"s": "a\"b\\c\ndé", "n": -1.5}"#).expect("parses");
-        assert_eq!(v.get("s").and_then(Json::as_str), Some("a\"b\\c\ndé"));
-        assert_eq!(v.get("n"), Some(&Json::Num(-1.5)));
-    }
-
-    #[test]
-    fn accessors_see_object_shape() {
-        let v = parse(r#"{"entries": [{"line": 324}]}"#).expect("parses");
-        let entries = v.get("entries").and_then(Json::as_arr).expect("array");
-        assert_eq!(entries[0].get("line").and_then(Json::as_usize), Some(324));
-        assert_eq!(v.get("missing"), None);
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse(r#"{"a" 1}"#).is_err());
-        assert!(parse("nulll").is_err());
-        assert!(parse("{} trailing").is_err());
+  ],
+  "empty": []
+}
+"#
+        );
     }
 }

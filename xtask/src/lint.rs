@@ -14,18 +14,14 @@
 //! // lint:allow(<rule>) — why this site is provably fine
 //! ```
 //!
-//! Findings additionally pass through the committed `lint-baseline.json`
-//! ratchet: the run fails only on findings *not* grandfathered there,
-//! stale entries (no longer firing) are reported so the file shrinks
-//! monotonically, and `--update-baseline` rewrites it from the current
-//! findings, preserving surviving reasons.
+//! That comment is the only exemption: every other finding fails the run.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use crate::baseline::Ratchet;
-use crate::report::{self, parse_format, Format};
+use crate::json::Json;
+use crate::report::{json_document, parse_format, print_findings, summary_json, Format};
 use crate::rules::{scan_file, Rule, Summary};
 use crate::scope::SourceFile;
 
@@ -39,8 +35,6 @@ given (e.g. `no-unwrap`), only those rules run.
 options:
   --format <human|json>   report format (json is SARIF-lite; default human)
   --list-rules            print every rule key with a one-line description
-  --update-baseline       rewrite lint-baseline.json from current findings
-  --deny-stale            fail when baseline entries no longer fire (CI)
   -h, --help              show this help";
 
 /// The workspace root (the parent of the xtask crate).
@@ -96,8 +90,6 @@ pub fn lint_workspace_rules(root: &Path, rules: &[Rule]) -> Summary {
 struct Options {
     rules: Vec<Rule>,
     format: Format,
-    update_baseline: bool,
-    deny_stale: bool,
     list_rules: bool,
     help: bool,
 }
@@ -106,8 +98,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         rules: Vec::new(),
         format: Format::Human,
-        update_baseline: false,
-        deny_stale: false,
         list_rules: false,
         help: false,
     };
@@ -118,8 +108,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let value = it.next().ok_or("--format needs a value: human or json")?;
                 opts.format = parse_format(value)?;
             }
-            "--update-baseline" => opts.update_baseline = true,
-            "--deny-stale" => opts.deny_stale = true,
             "--list-rules" => opts.list_rules = true,
             "-h" | "--help" => opts.help = true,
             other => {
@@ -165,69 +153,53 @@ pub fn run(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let root = workspace_root();
-    let summary = lint_workspace_rules(&root, &opts.rules);
-    // With a rule filter active, entries of unselected rules must not be
-    // reported stale — those rules simply didn't run. (Reachability-rule
-    // entries belong to `cargo xtask panics`/`allocs` and are always
-    // inactive here.)
-    let active: Vec<&str> = opts.rules.iter().map(|r| r.key()).collect();
-    report::finish(
-        "cargo-xtask-lint",
-        &active,
-        &summary,
-        opts.update_baseline,
-        opts.deny_stale,
-        opts.format,
-        Vec::new(),
-        |ratchet| print_human(&opts.rules, &summary, ratchet),
-    )
+    let summary = lint_workspace_rules(&workspace_root(), &opts.rules);
+    match opts.format {
+        Format::Human => print_human(&opts.rules, &summary),
+        Format::Json => print!("{}", render_json(&summary).render()),
+    }
+    if summary.findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
-fn print_human(rules: &[Rule], summary: &Summary, ratchet: &Ratchet) {
+fn render_json(summary: &Summary) -> Json {
+    json_document("cargo-xtask-lint", summary_json(summary))
+}
+
+fn print_human(rules: &[Rule], summary: &Summary) {
     println!("cargo xtask lint — {} files scanned", summary.files_scanned);
     for &rule in rules {
-        let total = summary.count(rule);
-        let new = ratchet.new.iter().filter(|f| f.rule == rule).count();
-        let justified = summary.justified_count(rule);
+        let new = summary.count(rule);
         let status = if new == 0 { "ok" } else { "FAIL" };
         println!(
-            "  {:<30} {:>3} new, {:>2} baselined, {:>2} justified   [{status}]",
+            "  {:<30} {:>3} new, {:>2} justified   [{status}]",
             rule.label(),
             new,
-            total - new,
-            justified
+            summary.justified_count(rule.key())
         );
     }
-    if !ratchet.new.is_empty() {
-        println!();
-        for f in &ratchet.new {
-            println!("{f}");
-            if !f.snippet.is_empty() {
-                println!("    {}", f.snippet);
-            }
-        }
-        println!("\n{} new finding(s)", ratchet.new.len());
+    print_findings(&summary.findings);
+    if !summary.findings.is_empty() {
+        println!("\n{} new finding(s)", summary.findings.len());
     }
-    report::print_stale(ratchet);
 }
 
 // ---------------------------------------------------------------------------
 // Self-tests: planted violations with exact spans, the JSON report, CLI
-// argument handling, and the live workspace against the committed baseline.
+// argument handling, and the live workspace.
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::Baseline;
-    use crate::json::{self, Json};
-    use crate::report::{render_json, BASELINE_FILE};
 
     /// A fixture with one deliberately planted violation per scope-aware
     /// rule; every span is asserted byte-exactly.
     #[test]
-    fn planted_h1_a1_e1_violations_are_found_with_exact_spans() {
+    fn planted_a1_e1_violations_are_found_with_exact_spans() {
         let src = "\
 fn hot(xs: &[u32], d: Weight, w: Weight) -> Weight {
     let mut acc = 0;
@@ -249,19 +221,15 @@ fn hot(xs: &[u32], d: Weight, w: Weight) -> Weight {
             summary
                 .findings
                 .iter()
-                .find(|f| f.rule == rule)
+                .find(|f| f.rule == rule.key())
                 .unwrap_or_else(|| panic!("planted {} not found", rule.key()))
         };
         let line = |n: usize| src.lines().nth(n - 1).expect("fixture line");
 
-        let h1 = find(Rule::NoAllocInHotLoop);
-        assert_eq!(h1.file, "crates/core/src/query/fixture.rs");
-        assert_eq!(h1.line, 4);
-        assert_eq!(h1.col, line(4).find("to_vec").expect("pos") + 1);
-        assert_eq!(h1.snippet, "let copies = xs.to_vec();");
-
         let a1 = find(Rule::CheckedWeightArithmetic);
+        assert_eq!(a1.file, "crates/core/src/query/fixture.rs");
         assert_eq!(a1.line, 7);
+        assert_eq!(a1.snippet, "let nd = d + w;");
         assert_eq!(a1.col, line(7).find('+').expect("pos") + 1);
 
         let e1 = find(Rule::NoSwallowedResult);
@@ -270,7 +238,7 @@ fn hot(xs: &[u32], d: Weight, w: Weight) -> Weight {
         let bare_ok = summary
             .findings
             .iter()
-            .filter(|f| f.rule == Rule::NoSwallowedResult)
+            .filter(|f| f.rule == Rule::NoSwallowedResult.key())
             .nth(1)
             .expect("the bare .ok(); plant");
         assert_eq!(bare_ok.line, 9);
@@ -282,7 +250,7 @@ fn hot(xs: &[u32], d: Weight, w: Weight) -> Weight {
     }
 
     #[test]
-    fn json_report_round_trips_and_carries_spans() {
+    fn json_report_carries_exact_spans() {
         let src = "fn hot(d: Weight, w: Weight) -> Weight { d + w }\n";
         let file = SourceFile::from_source("crates/core/src/query/fixture.rs", src);
         let mut summary = Summary {
@@ -290,29 +258,22 @@ fn hot(xs: &[u32], d: Weight, w: Weight) -> Weight {
             ..Summary::default()
         };
         scan_file(&file, &Rule::ALL, &mut summary);
-        let ratchet = Baseline::default().apply(&summary.findings);
 
-        let text = render_json("cargo-xtask-lint", &summary, &ratchet, Vec::new()).render();
-        let doc = json::parse(&text).expect("report must be valid JSON");
-        assert_eq!(
-            doc.get("tool").and_then(Json::as_str),
-            Some("cargo-xtask-lint")
-        );
-        assert_eq!(doc.get("new_count").and_then(Json::as_usize), Some(1));
-        let findings = doc.get("findings").and_then(Json::as_arr).expect("array");
-        assert_eq!(
-            findings[0].get("rule").and_then(Json::as_str),
-            Some("checked-weight-arithmetic")
-        );
-        assert_eq!(findings[0].get("line").and_then(Json::as_usize), Some(1));
-        assert_eq!(
-            findings[0].get("col").and_then(Json::as_usize),
-            src.find("+ w").map(|p| p + 1)
-        );
-        assert_eq!(
-            findings[0].get("snippet").and_then(Json::as_str),
-            Some(src.trim())
-        );
+        let text = render_json(&summary).render();
+        let col = src.find("+ w").expect("pos") + 1;
+        for needle in [
+            "\"tool\": \"cargo-xtask-lint\"".to_string(),
+            "\"files_scanned\": 1".to_string(),
+            "\"new_count\": 1".to_string(),
+            "\"rule\": \"checked-weight-arithmetic\"".to_string(),
+            "\"file\": \"crates/core/src/query/fixture.rs\"".to_string(),
+            "\"line\": 1".to_string(),
+            format!("\"col\": {col}"),
+            format!("\"snippet\": \"{}\"", src.trim()),
+            "\"justified\": {}".to_string(),
+        ] {
+            assert!(text.contains(&needle), "missing {needle} in:\n{text}");
+        }
     }
 
     #[test]
@@ -327,12 +288,12 @@ fn hot(xs: &[u32], d: Weight, w: Weight) -> Weight {
     fn cli_parses_flags_and_rule_filters() {
         let opts = parse_args(&[
             "--format=json".to_string(),
-            "--deny-stale".to_string(),
+            "--list-rules".to_string(),
             "no-unwrap".to_string(),
         ])
         .expect("valid args");
         assert_eq!(opts.format, Format::Json);
-        assert!(opts.deny_stale);
+        assert!(opts.list_rules);
         assert_eq!(opts.rules, vec![Rule::NoUnwrap]);
         let all = parse_args(&[]).expect("no args is valid");
         assert_eq!(all.rules.len(), Rule::ALL.len());
@@ -341,41 +302,14 @@ fn hot(xs: &[u32], d: Weight, w: Weight) -> Weight {
     // ---- the live workspace ------------------------------------------------
 
     #[test]
-    fn live_workspace_passes_the_ratchet() {
-        let root = workspace_root();
-        let summary = lint_workspace_rules(&root, &Rule::ALL);
+    fn live_workspace_has_no_unjustified_finding() {
+        let summary = lint_workspace_rules(&workspace_root(), &Rule::ALL);
         assert!(summary.files_scanned > 20, "suspiciously few files scanned");
-        let baseline = Baseline::load(&root.join(BASELINE_FILE)).expect("baseline parses");
+        let report: Vec<String> = summary.findings.iter().map(ToString::to_string).collect();
         assert!(
-            baseline.entries.len() <= 5,
-            "the ratchet must stay near-empty (≤ 5 entries), found {}",
-            baseline.entries.len()
-        );
-        for e in &baseline.entries {
-            assert!(
-                e.reason.trim().len() >= 3 && !e.reason.starts_with("TODO"),
-                "baseline entry {}:{} [{}] needs a real reason",
-                e.file,
-                e.line,
-                e.rule
-            );
-        }
-        let ratchet = baseline.apply(&summary.findings);
-        let report: Vec<String> = ratchet.new.iter().map(ToString::to_string).collect();
-        assert!(
-            ratchet.new.is_empty(),
-            "new lint findings in the live workspace:\n{}",
+            summary.findings.is_empty(),
+            "lint findings in the live workspace:\n{}",
             report.join("\n")
-        );
-        let stale: Vec<String> = ratchet
-            .stale
-            .iter()
-            .map(|e| format!("{}:{} [{}]", e.file, e.line, e.rule))
-            .collect();
-        assert!(
-            ratchet.stale.is_empty(),
-            "stale baseline entries (shrink {BASELINE_FILE}):\n{}",
-            stale.join("\n")
         );
     }
 }

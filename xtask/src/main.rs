@@ -1,8 +1,8 @@
 //! `cargo xtask` — repo automation entry point.
 
 mod allocs;
-mod baseline;
 mod callgraph;
+mod certify;
 mod determinism;
 mod entrypoints;
 mod items;
@@ -21,11 +21,9 @@ const USAGE: &str = "\
 usage: cargo xtask <task> [options]
 
 tasks:
-  lint         run the K-SPIN lint wall (see `cargo xtask lint --help`)
-  panics       certify serving hot paths panic-free (see `cargo xtask panics --help`)
-  allocs       certify serving steady state alloc-free (see `cargo xtask allocs --help`)
-  determinism  certify serving results order-deterministic (see `cargo xtask determinism --help`)
-  taint        certify untrusted input sanitized before every sink (see `cargo xtask taint --help`)
+  lint      run the K-SPIN lint wall (see `cargo xtask lint --help`)
+  certify   certify the serving path panic-free, steady-state alloc-free,
+            order-deterministic and taint-clean (see `cargo xtask certify --help`)
 
 Run `cargo xtask lint --list-rules` for the rule catalog.";
 
@@ -33,10 +31,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint::run(&args[1..]),
-        Some("panics") => panics::run(&args[1..]),
-        Some("allocs") => allocs::run(&args[1..]),
-        Some("determinism") => determinism::run(&args[1..]),
-        Some("taint") => taint::run(&args[1..]),
+        Some("certify") => certify::run(&args[1..]),
         Some("-h" | "--help") => {
             println!("{USAGE}");
             ExitCode::SUCCESS

@@ -1,4 +1,4 @@
-//! `cargo xtask panics` — the call-graph panic-reachability certifier.
+//! The panic-reachability analysis of `cargo xtask certify`.
 //!
 //! Proves (conservatively) that no panic source is reachable from the
 //! declared serving entry points of the release binary. The pipeline:
@@ -18,58 +18,29 @@
 //! A site that is provably fine carries an inline justification — a
 //! `// PANIC-OK: reason` comment on the line or the contiguous comment
 //! block above — and is counted but not reported. Everything else is a
-//! finding, gated through the same committed `lint-baseline.json` ratchet
-//! as `cargo xtask lint` (rule key `panic-reachability`), so the
-//! certificate can only tighten over time.
+//! finding under rule key `panic-reachability`.
 //!
-//! The sweep/ratchet/CLI plumbing lives in the shared driver
-//! ([`crate::report::run_certifier`]); this module is classifier-only.
-
-use std::process::ExitCode;
+//! The sweep, report and CLI live in the shared driver
+//! ([`crate::certify`]); this module is classifier-only.
 
 use crate::callgraph::{body_tokens, CallGraph};
+use crate::certify::{Certifier, Site};
+use crate::entrypoints::PANIC_ENTRIES;
 use crate::lex::TokenKind;
-use crate::report::{self, Certifier, Hooks, Site};
-use crate::rules::{statement_around, Rule};
+use crate::rules::statement_around;
 use crate::scope::SourceFile;
 
-/// The serving entry points the certificate quantifies over, registered
-/// with the other certifier perimeters in [`crate::entrypoints`].
-pub use crate::entrypoints::PANIC_ENTRIES as DEFAULT_ENTRIES;
-
-/// CLI usage.
-pub const USAGE: &str = "\
-usage: cargo xtask panics [options]
-
-Certifies that no unjustified panic source is reachable from the serving
-entry points (see --list-entries). Sites are exempted by an inline
-`// PANIC-OK: reason` comment; remaining findings pass through the
-lint-baseline.json ratchet under the `panic-reachability` rule.
-
-options:
-  --format <human|json>   report format (json is SARIF-lite; default human)
-  --entry <Type::method>  add an entry point (repeatable; replaces defaults)
-  --list-entries          print the default entry points
-  --update-baseline       rewrite lint-baseline.json from current findings
-  --deny-stale            fail when baseline entries no longer fire (CI)
-  -h, --help              show this help";
-
-/// The certifier description block the shared driver runs from.
-const CERTIFIER: Certifier = Certifier {
-    tool: "cargo-xtask-panics",
+/// The description block the shared driver runs from. No warm-up
+/// boundary — panics are certified over the *whole* serving surface.
+pub(crate) const CERTIFIER: Certifier = Certifier {
     name: "panics",
-    usage: USAGE,
-    rule: Rule::PanicReachability,
-    default_entries: &DEFAULT_ENTRIES,
+    rule: "panic-reachability",
+    entries: &PANIC_ENTRIES,
     warm_up: &[],
     marker: "PANIC-OK",
     reach_adjective: "reachable",
     noun: "panic-reachable",
-    hooks: Hooks {
-        classify: panic_sites,
-        justified: SourceFile::panic_justified,
-        dedup: None,
-    },
+    classify: panic_sites,
 };
 
 /// Classifies every panic source in the certified body of `items[idx]`.
@@ -194,43 +165,18 @@ fn literal_value(text: &str) -> Option<u128> {
     u128::from_str_radix(digits, radix).ok()
 }
 
-/// Runs the analysis over `files` from the given entry specs (no warm-up
-/// boundary — panics are certified over the *whole* serving surface).
-/// Test-facing twin of the [`run`] CLI path.
-#[cfg(test)]
-pub fn certify(
-    files: Vec<SourceFile>,
-    entry_specs: &[String],
-) -> Result<report::Certificate, String> {
-    report::certify(
-        files,
-        entry_specs,
-        &[],
-        Rule::PanicReachability,
-        &CERTIFIER.hooks,
-    )
-}
-
-/// CLI entry: `cargo xtask panics [options]`.
-pub fn run(args: &[String]) -> ExitCode {
-    report::run_certifier(&CERTIFIER, args)
-}
-
 // ---------------------------------------------------------------------------
 // Self-tests: the classifier on planted fixtures, caught and justified
-// chains end-to-end, and the live workspace certificate.
+// chains end-to-end. (The live workspace: `crate::certify`'s tests.)
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::Baseline;
-    use crate::lint::workspace_root;
-    use crate::report::{load_perimeter, Certificate, BASELINE_FILE};
+    use crate::certify::{certify_fixture, Certificate};
 
-    fn cert(src: &str, entries: &[&str]) -> Certificate {
-        let specs: Vec<String> = entries.iter().map(|s| s.to_string()).collect();
-        certify(vec![SourceFile::from_source("fixture.rs", src)], &specs)
+    fn cert(src: &str, entries: &'static [&'static str]) -> Certificate {
+        certify_fixture(&CERTIFIER, "fixture.rs", src, entries, &[])
             .expect("fixture entries resolve")
     }
 
@@ -345,21 +291,20 @@ fn entry(xs: &[u32], i: usize) -> u32 {
             "only the unjustified line fires"
         );
         assert_eq!(c.summary.findings[0].line, 4);
-        assert_eq!(
-            c.summary.justified.get(Rule::PanicReachability.key()),
-            Some(&1)
-        );
+        assert_eq!(c.summary.justified.get(CERTIFIER.rule), Some(&1));
     }
 
     #[test]
     fn missing_entry_points_are_a_hard_error() {
-        let err = match certify(
-            vec![SourceFile::from_source("fixture.rs", "fn real() {}\n")],
-            &["Engine::renamed_away".to_string()],
-        ) {
-            Err(msg) => msg,
-            Ok(_) => panic!("stale entry spec must be a hard error"),
-        };
+        let err = certify_fixture(
+            &CERTIFIER,
+            "fixture.rs",
+            "fn real() {}\n",
+            &["Engine::renamed_away"],
+            &[],
+        )
+        .err()
+        .expect("stale entry spec must be a hard error");
         assert!(err.contains("renamed_away"));
     }
 
@@ -370,43 +315,5 @@ fn entry(xs: &[u32], i: usize) -> u32 {
         assert_eq!(literal_value("0x10"), Some(16));
         assert_eq!(literal_value("1_000u64"), Some(1000));
         assert_eq!(literal_value("0b0"), Some(0));
-    }
-
-    // ---- the live workspace ------------------------------------------------
-
-    #[test]
-    fn live_workspace_certificate_holds() {
-        let specs: Vec<String> = DEFAULT_ENTRIES.map(str::to_string).to_vec();
-        let cert = certify(load_perimeter(), &specs).expect("all entry points resolve");
-        assert!(
-            cert.summary.files_scanned > 20,
-            "suspiciously small perimeter"
-        );
-        for (spec, resolved) in &cert.entries {
-            assert!(!resolved.is_empty(), "entry {spec} resolved to nothing");
-        }
-        let baseline =
-            Baseline::load(&workspace_root().join(BASELINE_FILE)).expect("baseline parses");
-        let key = Rule::PanicReachability.key();
-        let panic_entries: Vec<_> = baseline
-            .entries
-            .into_iter()
-            .filter(|e| e.rule == key)
-            .collect();
-        let ratchet = Baseline {
-            note: String::new(),
-            entries: panic_entries,
-        }
-        .apply(&cert.summary.findings);
-        let report: Vec<String> = ratchet.new.iter().map(ToString::to_string).collect();
-        assert!(
-            ratchet.new.is_empty(),
-            "unjustified panic-reachable sites:\n{}",
-            report.join("\n")
-        );
-        assert!(
-            ratchet.stale.is_empty(),
-            "stale panic-reachability baseline entries"
-        );
     }
 }

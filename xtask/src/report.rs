@@ -1,36 +1,9 @@
-//! Shared report emission, baseline-ratchet plumbing, and the generic
-//! reachability-certifier driver for the xtask analysis tools.
-//!
-//! `cargo xtask lint`, `cargo xtask panics`, `cargo xtask allocs`, and
-//! `cargo xtask determinism` all end the same way: load
-//! `lint-baseline.json`, keep only the entries of the rules this run
-//! actually evaluated (the rest pass through untouched), either rewrite
-//! the baseline or apply the ratchet, emit a human or SARIF-lite JSON
-//! report, and exit non-zero on new findings or (under `--deny-stale`)
-//! stale entries. [`finish`] is that tail, written once; [`render_json`]
-//! is the shared report shape.
-//!
-//! The three call-graph certifiers additionally share their whole
-//! pipeline — entry-spec resolution with hard errors on rot, the
-//! warm-up-fenced reachability sweep, per-site justification and
-//! dedup, finding assembly with shortest call chains, CLI parsing, and
-//! the human report — through [`Certifier`]/[`Hooks`]/[`run_certifier`].
-//! A new certifier supplies only its classifier (`fn(&SourceFile,
-//! &CallGraph, idx) -> Vec<Site>`), its justification predicate, and a
-//! [`Certifier`] description block.
+//! Report emission shared by `cargo xtask lint` and `cargo xtask certify`:
+//! the `--format` flag, the SARIF-lite JSON shape of a [`Summary`], and
+//! the human finding listing.
 
-use std::fs;
-use std::process::ExitCode;
-
-use crate::baseline::{Baseline, Ratchet};
-use crate::callgraph::{CallGraph, Reach};
 use crate::json::Json;
-use crate::lint::{walk_rs, workspace_root};
-use crate::rules::{Finding, Rule, Summary};
-use crate::scope::SourceFile;
-
-/// File name of the committed ratchet, relative to the workspace root.
-pub const BASELINE_FILE: &str = "lint-baseline.json";
+use crate::rules::{Finding, Summary};
 
 /// Report format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,523 +21,58 @@ pub(crate) fn parse_format(value: &str) -> Result<Format, String> {
     }
 }
 
-/// The shared tail of every analysis run. `active` names the rule keys
-/// this run owns: baseline entries of other rules are neither applied nor
-/// reported stale, and survive `--update-baseline` untouched. `extras`
-/// appends tool-specific top-level keys to the JSON report (e.g. the
-/// allocs certifier's H1-dedup counter).
-pub(crate) fn finish(
-    tool: &str,
-    active: &[&str],
-    summary: &Summary,
-    update_baseline: bool,
-    deny_stale: bool,
-    format: Format,
-    extras: Vec<(String, Json)>,
-    print_human: impl FnOnce(&Ratchet),
-) -> ExitCode {
-    let baseline_path = workspace_root().join(BASELINE_FILE);
-    let mut baseline = match Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let inactive: Vec<_> = baseline
-        .entries
-        .iter()
-        .filter(|e| !active.contains(&e.rule.as_str()))
-        .cloned()
-        .collect();
-    baseline
-        .entries
-        .retain(|e| active.contains(&e.rule.as_str()));
-
-    if update_baseline {
-        let mut updated = baseline.updated(&summary.findings);
-        updated.entries.extend(inactive);
-        if let Err(e) = fs::write(&baseline_path, updated.render()) {
-            eprintln!("error: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "{} rewritten: {} entr{}",
-            BASELINE_FILE,
-            updated.entries.len(),
-            if updated.entries.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            }
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let ratchet = baseline.apply(&summary.findings);
-    match format {
-        Format::Human => print_human(&ratchet),
-        Format::Json => print!("{}", render_json(tool, summary, &ratchet, extras).render()),
-    }
-    if ratchet.new.is_empty() && (ratchet.stale.is_empty() || !deny_stale) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+/// A report document: the tool id and schema tag, then `fields`.
+pub(crate) fn json_document(tool: &str, fields: Vec<(String, Json)>) -> Json {
+    let mut doc = vec![
+        ("tool".to_string(), Json::Str(tool.to_string())),
+        ("schema".to_string(), Json::Str("sarif-lite/3".into())),
+    ];
+    doc.extend(fields);
+    Json::Obj(doc)
 }
 
-/// Prints the stale-entry epilogue shared by the human reports.
-pub(crate) fn print_stale(ratchet: &Ratchet) {
-    if !ratchet.stale.is_empty() {
-        println!();
-        for e in &ratchet.stale {
-            println!(
-                "stale baseline entry: {}:{} [{}] no longer fires — remove it from {}",
-                e.file, e.line, e.rule, BASELINE_FILE
-            );
-        }
-    }
-}
-
-/// SARIF-lite report: rule id, message, file, line, col, snippet per
-/// finding, plus the ratchet's verdict. All three tools emit the same
-/// shape under their own tool id; `extras` is appended verbatim.
-pub(crate) fn render_json(
-    tool: &str,
-    summary: &Summary,
-    ratchet: &Ratchet,
-    extras: Vec<(String, Json)>,
-) -> Json {
-    let finding = |f: &Finding, baselined: bool| {
-        Json::Obj(vec![
-            ("rule".into(), Json::Str(f.rule.key().to_string())),
-            ("message".into(), Json::Str(f.message.clone())),
-            ("file".into(), Json::Str(f.file.clone())),
-            ("line".into(), Json::Num(to_f64(f.line))),
-            ("col".into(), Json::Num(to_f64(f.col))),
-            ("snippet".into(), Json::Str(f.snippet.clone())),
-            ("baselined".into(), Json::Bool(baselined)),
-        ])
-    };
-    let mut findings: Vec<Json> = ratchet.new.iter().map(|f| finding(f, false)).collect();
-    findings.extend(ratchet.baselined.iter().map(|f| finding(f, true)));
-    let stale = ratchet
-        .stale
+/// SARIF-lite fields of one summary: rule id, message, file, line, col and
+/// snippet per finding, plus the justified-site counts per rule. The lint
+/// report carries them at top level, the certify report once per analysis.
+pub(crate) fn summary_json(summary: &Summary) -> Vec<(String, Json)> {
+    let findings = summary
+        .findings
         .iter()
-        .map(|e| {
+        .map(|f| {
             Json::Obj(vec![
-                ("rule".into(), Json::Str(e.rule.clone())),
-                ("file".into(), Json::Str(e.file.clone())),
-                ("line".into(), Json::Num(to_f64(e.line))),
-                ("reason".into(), Json::Str(e.reason.clone())),
+                ("rule".into(), Json::Str(f.rule.to_string())),
+                ("message".into(), Json::Str(f.message.clone())),
+                ("file".into(), Json::Str(f.file.clone())),
+                ("line".into(), Json::Num(f.line)),
+                ("col".into(), Json::Num(f.col)),
+                ("snippet".into(), Json::Str(f.snippet.clone())),
             ])
         })
         .collect();
     let justified = summary
         .justified
         .iter()
-        .map(|(&k, &n)| (k.to_string(), Json::Num(to_f64(n))))
+        .map(|(&k, &n)| (k.to_string(), Json::Num(n)))
         .collect();
-    let mut obj = vec![
-        ("tool".into(), Json::Str(tool.to_string())),
-        ("schema".into(), Json::Str("sarif-lite/2".into())),
-        (
-            "files_scanned".into(),
-            Json::Num(to_f64(summary.files_scanned)),
-        ),
-        ("new_count".into(), Json::Num(to_f64(ratchet.new.len()))),
-        (
-            "baselined_count".into(),
-            Json::Num(to_f64(ratchet.baselined.len())),
-        ),
+    vec![
+        ("files_scanned".into(), Json::Num(summary.files_scanned)),
+        ("new_count".into(), Json::Num(summary.findings.len())),
         ("findings".into(), Json::Arr(findings)),
-        ("stale_baseline".into(), Json::Arr(stale)),
         ("justified".into(), Json::Obj(justified)),
-    ];
-    obj.extend(extras);
-    Json::Obj(obj)
+    ]
 }
 
-#[allow(clippy::cast_precision_loss)]
-pub(crate) fn to_f64(n: usize) -> f64 {
-    n as f64
-}
-
-// ---------------------------------------------------------------------------
-// The shared call-graph certifier driver.
-// ---------------------------------------------------------------------------
-
-/// Loads the `.rs` files under the given workspace-relative dirs, sorted
-/// by path. The dir tables themselves live in [`crate::entrypoints`] —
-/// the single registration point for every certifier's perimeter.
-pub(crate) fn load_files(dirs: &[&str]) -> Vec<SourceFile> {
-    let root = workspace_root();
-    let mut paths = Vec::new();
-    for dir in dirs {
-        walk_rs(&root.join(dir), &mut paths);
+/// Prints each finding (`file:line:col: [rule] message`) with its source
+/// line, after a separating blank line; nothing when there are none.
+pub(crate) fn print_findings(findings: &[Finding]) {
+    if findings.is_empty() {
+        return;
     }
-    paths.sort();
-    paths
-        .iter()
-        .filter_map(|p| SourceFile::load(&root, p))
-        .collect()
-}
-
-/// Loads the certified perimeter
-/// ([`crate::entrypoints::CERT_DIRS`]) from disk. Shared by `cargo xtask
-/// panics`, `allocs`, and `determinism`, which certify the same five
-/// hot-path crates.
-pub(crate) fn load_perimeter() -> Vec<SourceFile> {
-    load_files(&crate::entrypoints::CERT_DIRS)
-}
-
-/// One classified site inside an item body, independent of which
-/// certifier found it.
-#[derive(Debug)]
-pub struct Site {
-    /// 1-based line.
-    pub line: usize,
-    /// 1-based byte column.
-    pub col: usize,
-    /// Human description of the site's class.
-    pub what: String,
-}
-
-/// Span-collector signature for [`Hooks::dedup`]: the `(line, col)` spans
-/// a token-level rule already polices in a file.
-pub type DedupFn = fn(&SourceFile) -> Vec<(usize, usize)>;
-
-/// The tool-specific parts of a certifier, all plain function pointers so
-/// a [`Certifier`] description block stays a `const`-friendly value.
-#[derive(Clone, Copy)]
-pub struct Hooks {
-    /// Classifies the rule's sites in the certified body of `items[idx]`.
-    pub classify: fn(&SourceFile, &CallGraph, usize) -> Vec<Site>,
-    /// Whether an inline marker comment justifies a site on this line.
-    pub justified: fn(&SourceFile, usize) -> bool,
-    /// Spans a token-level rule already polices in this file —
-    /// deduplicated out of the report instead of double-counted.
-    pub dedup: Option<DedupFn>,
-}
-
-/// Everything that distinguishes one call-graph certifier from the next,
-/// beyond its classifier.
-pub struct Certifier {
-    /// JSON tool id, e.g. `cargo-xtask-panics`.
-    pub tool: &'static str,
-    /// CLI task name, e.g. `panics` (used in the human report header).
-    pub name: &'static str,
-    /// CLI usage text.
-    pub usage: &'static str,
-    /// The baseline rule this certifier owns.
-    pub rule: Rule,
-    /// Default entry-point specs when no `--entry` is given.
-    pub default_entries: &'static [&'static str],
-    /// Warm-up boundary specs the sweep never crosses; empty = sweep the
-    /// whole graph from the entries.
-    pub warm_up: &'static [&'static str],
-    /// Inline justification marker, e.g. `PANIC-OK`.
-    pub marker: &'static str,
-    /// Adjective for the reachable-fn count line, e.g. `steady-reachable`.
-    pub reach_adjective: &'static str,
-    /// Noun phrase for the failure tally, e.g. `panic-reachable`.
-    pub noun: &'static str,
-    /// The classifier and its helpers.
-    pub hooks: Hooks,
-}
-
-/// The full analysis result of one certifier run, kept for reporting and
-/// the self-tests.
-pub struct Certificate {
-    pub graph: CallGraph,
-    pub reach: Reach,
-    /// Resolved entry items per spec.
-    pub entries: Vec<(String, Vec<usize>)>,
-    /// Resolved warm-up boundary items per spec.
-    pub warm_up: Vec<(String, Vec<usize>)>,
-    /// Unjustified findings under the certifier's rule.
-    pub summary: Summary,
-    /// Sites dropped because a token-level rule already reports the same
-    /// `(file, line, col)`.
-    pub deduplicated: usize,
-}
-
-/// Runs a certifier's analysis over `files` from the given steady-state
-/// entry specs, never crossing the warm-up boundary specs. Both spec
-/// lists must resolve in full: a renamed entry silently narrows the
-/// certificate, a renamed warm-up fence silently *widens* it — each is a
-/// hard error.
-pub fn certify(
-    files: Vec<SourceFile>,
-    entry_specs: &[String],
-    warm_up_specs: &[String],
-    rule: Rule,
-    hooks: &Hooks,
-) -> Result<Certificate, String> {
-    let graph = CallGraph::build(&files);
-    let resolve_all = |specs: &[String], kind: &str| -> Result<Vec<(String, Vec<usize>)>, String> {
-        let mut resolved = Vec::new();
-        let mut missing = Vec::new();
-        for spec in specs {
-            let items = graph.resolve_entry(spec);
-            if items.is_empty() {
-                missing.push(spec.clone());
-            }
-            resolved.push((spec.clone(), items));
-        }
-        if missing.is_empty() {
-            Ok(resolved)
-        } else {
-            Err(format!(
-                "{kind} spec(s) resolved to no certified fn — renamed or removed? {}",
-                missing.join(", ")
-            ))
-        }
-    };
-    let entries = resolve_all(entry_specs, "entry point")?;
-    let warm_up = resolve_all(warm_up_specs, "warm-up boundary")?;
-    let roots: Vec<usize> = entries
-        .iter()
-        .flat_map(|(_, v)| v.iter().copied())
-        .collect();
-    let avoid: Vec<usize> = warm_up
-        .iter()
-        .flat_map(|(_, v)| v.iter().copied())
-        .collect();
-    let reach = if avoid.is_empty() {
-        graph.reach(&roots)
-    } else {
-        graph.reach_avoiding(&roots, &avoid)
-    };
-
-    let mut summary = Summary {
-        files_scanned: files.len(),
-        ..Summary::default()
-    };
-    let mut deduplicated = 0usize;
-    for idx in 0..graph.items.len() {
-        if !graph.items[idx].certified() || !reach.reached(idx) {
-            continue;
-        }
-        let file = &files[graph.items[idx].file_idx];
-        let policed: Vec<(usize, usize)> = hooks.dedup.map(|d| d(file)).unwrap_or_default();
-        for site in (hooks.classify)(file, &graph, idx) {
-            if policed.contains(&(site.line, site.col)) {
-                deduplicated += 1;
-                continue;
-            }
-            if (hooks.justified)(file, site.line) {
-                *summary.justified.entry(rule.key()).or_insert(0) += 1;
-                continue;
-            }
-            let chain: Vec<String> = reach
-                .chain(idx)
-                .into_iter()
-                .map(|i| graph.items[i].qualified())
-                .collect();
-            summary.findings.push(Finding {
-                rule,
-                file: file.rel.clone(),
-                line: site.line,
-                col: site.col,
-                message: format!("{}; via {}", site.what, chain.join(" → ")),
-                snippet: file.snippet(site.line).to_string(),
-            });
+    println!();
+    for f in findings {
+        println!("{f}");
+        if !f.snippet.is_empty() {
+            println!("    {}", f.snippet);
         }
     }
-    summary.findings.sort_by(|a, b| {
-        (&a.file, a.line, a.col)
-            .cmp(&(&b.file, b.line, b.col))
-            .then_with(|| a.message.cmp(&b.message))
-    });
-    Ok(Certificate {
-        graph,
-        reach,
-        entries,
-        warm_up,
-        summary,
-        deduplicated,
-    })
-}
-
-#[derive(Debug)]
-struct CertifierOptions {
-    format: Format,
-    entries: Vec<String>,
-    list_entries: bool,
-    update_baseline: bool,
-    deny_stale: bool,
-    help: bool,
-}
-
-/// Parses the CLI surface shared by every certifier:
-/// `--format/--entry/--list-entries/--update-baseline/--deny-stale`.
-fn parse_certifier_args(
-    args: &[String],
-    default_entries: &[&str],
-) -> Result<CertifierOptions, String> {
-    let mut opts = CertifierOptions {
-        format: Format::Human,
-        entries: Vec::new(),
-        list_entries: false,
-        update_baseline: false,
-        deny_stale: false,
-        help: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => {
-                let value = it.next().ok_or("--format needs a value: human or json")?;
-                opts.format = parse_format(value)?;
-            }
-            "--entry" => {
-                let value = it.next().ok_or("--entry needs a Type::method value")?;
-                opts.entries.push(value.clone());
-            }
-            "--list-entries" => opts.list_entries = true,
-            "--update-baseline" => opts.update_baseline = true,
-            "--deny-stale" => opts.deny_stale = true,
-            "-h" | "--help" => opts.help = true,
-            other => {
-                if let Some(value) = other.strip_prefix("--format=") {
-                    opts.format = parse_format(value)?;
-                } else if let Some(value) = other.strip_prefix("--entry=") {
-                    opts.entries.push(value.to_string());
-                } else {
-                    return Err(format!("unknown argument `{other}`"));
-                }
-            }
-        }
-    }
-    if opts.entries.is_empty() {
-        opts.entries
-            .extend(default_entries.iter().map(|s| s.to_string()));
-    }
-    Ok(opts)
-}
-
-/// The shared CLI entry of every call-graph certifier: parse, resolve,
-/// sweep, classify, ratchet, report. The per-tool modules are
-/// classifier-only.
-pub fn run_certifier(spec: &Certifier, args: &[String]) -> ExitCode {
-    let opts = match parse_certifier_args(args, spec.default_entries) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{}", spec.usage);
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.help {
-        println!("{}", spec.usage);
-        return ExitCode::SUCCESS;
-    }
-    if opts.list_entries {
-        for e in spec.default_entries {
-            println!("{e}");
-        }
-        for w in spec.warm_up {
-            println!("warm-up {w}");
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let warm: Vec<String> = spec.warm_up.iter().map(|s| s.to_string()).collect();
-    let cert = match certify(
-        load_perimeter(),
-        &opts.entries,
-        &warm,
-        spec.rule,
-        &spec.hooks,
-    ) {
-        Ok(cert) => cert,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut extras = Vec::new();
-    if spec.hooks.dedup.is_some() {
-        extras.push((
-            "deduplicated_with_h1".to_string(),
-            Json::Num(to_f64(cert.deduplicated)),
-        ));
-    }
-    finish(
-        spec.tool,
-        &[spec.rule.key()],
-        &cert.summary,
-        opts.update_baseline,
-        opts.deny_stale,
-        opts.format,
-        extras,
-        |ratchet| print_certificate(spec, &cert, ratchet),
-    )
-}
-
-/// The human report shared by the certifiers: perimeter and reachability
-/// sizes, resolved entries, the warm-up fence, and the ratchet verdict.
-fn print_certificate(spec: &Certifier, cert: &Certificate, ratchet: &Ratchet) {
-    let certified = cert.graph.items.iter().filter(|i| i.certified()).count();
-    let reachable = (0..cert.graph.items.len())
-        .filter(|&i| cert.graph.items[i].certified() && cert.reach.reached(i))
-        .count();
-    println!(
-        "cargo xtask {} — {} files, {} certified fns, {} {} from {} entry points",
-        spec.name,
-        cert.summary.files_scanned,
-        certified,
-        reachable,
-        spec.reach_adjective,
-        cert.entries.len()
-    );
-    for (entry_spec, resolved) in &cert.entries {
-        let defs: Vec<String> = resolved
-            .iter()
-            .map(|&i| {
-                let item = &cert.graph.items[i];
-                format!("{}:{}", item.file, item.line)
-            })
-            .collect();
-        println!("  entry {:<36} → {}", entry_spec, defs.join(", "));
-    }
-    if !cert.warm_up.is_empty() {
-        let fenced: usize = cert.warm_up.iter().map(|(_, v)| v.len()).sum();
-        println!(
-            "  warm-up boundary: {} spec(s) fencing {} fn(s) — excluded from the steady sweep",
-            cert.warm_up.len(),
-            fenced
-        );
-    }
-    let justified = cert
-        .summary
-        .justified
-        .get(spec.rule.key())
-        .copied()
-        .unwrap_or(0);
-    let dedup_note = if spec.hooks.dedup.is_some() {
-        format!(", {} deduplicated with H1", cert.deduplicated)
-    } else {
-        String::new()
-    };
-    println!(
-        "  {} new finding(s), {} baselined, {} justified via {}{}",
-        ratchet.new.len(),
-        ratchet.baselined.len(),
-        justified,
-        spec.marker,
-        dedup_note
-    );
-    if !ratchet.new.is_empty() {
-        println!();
-        for f in &ratchet.new {
-            println!("{f}");
-            if !f.snippet.is_empty() {
-                println!("    {}", f.snippet);
-            }
-        }
-        println!("\n{} unjustified {} site(s)", ratchet.new.len(), spec.noun);
-    }
-    print_stale(ratchet);
 }

@@ -120,7 +120,7 @@ mod tests {
 ";
         let s = run_rule("crates/core/src/snapshot.rs", src, Rule::NoAsCastInDecode);
         assert_eq!(s.findings.len(), 0, "{:?}", s.findings);
-        assert_eq!(s.justified_count(Rule::NoAsCastInDecode), 1);
+        assert_eq!(s.justified_count(Rule::NoAsCastInDecode.key()), 1);
         let other = run_rule(
             "crates/core/src/query/bknn.rs",
             "fn f(x: u64) { x as usize; }",

@@ -14,7 +14,6 @@ use crate::scope::{SourceFile, TokenScope};
 pub mod a1_weight_arith;
 pub mod c1_no_as_cast;
 pub mod e1_swallowed_result;
-pub mod h1_no_alloc;
 pub mod l1_no_unwrap;
 pub mod l2_total_order;
 pub mod l3_concurrency;
@@ -31,69 +30,37 @@ pub enum Rule {
     SanctionedConcurrency,
     /// L4: query-processor `pub fn`s cite their paper section.
     PaperDocs,
-    /// H1: no allocation inside hot-path loop bodies.
-    NoAllocInHotLoop,
     /// A1: weight arithmetic goes through the checked helpers.
     CheckedWeightArithmetic,
     /// E1: no silently discarded `Result`s.
     NoSwallowedResult,
     /// C1: no bare `as` numeric casts in decode-classified files.
     NoAsCastInDecode,
-    /// P1: no unjustified panic source reachable from a serving entry
-    /// point. Not a token-local pass — produced by `cargo xtask panics`
-    /// (see `crate::panics`), listed here so its findings share the
-    /// baseline ratchet and report plumbing.
-    PanicReachability,
-    /// H2: no unjustified allocation source reachable from a steady-state
-    /// serving entry point after warm-up. Not a token-local pass —
-    /// produced by `cargo xtask allocs` (see `crate::allocs`), listed
-    /// here so its findings share the baseline ratchet and report
-    /// plumbing.
-    AllocReachability,
-    /// D1: no unjustified nondeterminism source (hash-order iteration,
-    /// RandomState container construction, time/rng reads, order-varying
-    /// float reduction, worker-count branches) reachable from a
-    /// steady-state serving entry point. Not a token-local pass —
-    /// produced by `cargo xtask determinism` (see `crate::determinism`),
-    /// listed here so its findings share the baseline ratchet and report
-    /// plumbing.
-    Determinism,
-    /// T1: no untrusted source→sink flow without a sanitizer on every
-    /// chain. Not a token-local pass — produced by `cargo xtask taint`
-    /// (see `crate::taint`), listed here so its findings share the
-    /// baseline ratchet and report plumbing.
-    Taint,
 }
 
 impl Rule {
     /// All rules, in report order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 7] = [
         Rule::NoUnwrap,
         Rule::TotalOrderWeights,
         Rule::SanctionedConcurrency,
         Rule::PaperDocs,
-        Rule::NoAllocInHotLoop,
         Rule::CheckedWeightArithmetic,
         Rule::NoSwallowedResult,
         Rule::NoAsCastInDecode,
     ];
 
     /// The name used inside `lint:allow(..)` comments, CLI filters, and
-    /// baseline entries.
+    /// reports.
     pub fn key(self) -> &'static str {
         match self {
             Rule::NoUnwrap => "no-unwrap",
             Rule::TotalOrderWeights => "total-order-weights",
             Rule::SanctionedConcurrency => "sanctioned-concurrency",
             Rule::PaperDocs => "paper-docs",
-            Rule::NoAllocInHotLoop => "no-alloc-in-hot-loop",
             Rule::CheckedWeightArithmetic => "checked-weight-arithmetic",
             Rule::NoSwallowedResult => "no-swallowed-result",
             Rule::NoAsCastInDecode => "no-as-cast-in-decode",
-            Rule::PanicReachability => "panic-reachability",
-            Rule::AllocReachability => "alloc-reachability",
-            Rule::Determinism => "determinism",
-            Rule::Taint => "taint-flow",
         }
     }
 
@@ -104,14 +71,9 @@ impl Rule {
             Rule::TotalOrderWeights => "L2 total-order-weights",
             Rule::SanctionedConcurrency => "L3 sanctioned-concurrency",
             Rule::PaperDocs => "L4 paper-docs",
-            Rule::NoAllocInHotLoop => "H1 no-alloc-in-hot-loop",
             Rule::CheckedWeightArithmetic => "A1 checked-weight-arithmetic",
             Rule::NoSwallowedResult => "E1 no-swallowed-result",
             Rule::NoAsCastInDecode => "C1 no-as-cast-in-decode",
-            Rule::PanicReachability => "P1 panic-reachability",
-            Rule::AllocReachability => "H2 alloc-reachability",
-            Rule::Determinism => "D1 determinism",
-            Rule::Taint => "T1 taint-flow",
         }
     }
 
@@ -130,29 +92,14 @@ impl Rule {
             Rule::PaperDocs => {
                 "every pub fn in crates/core/src/query/ cites the paper section it implements"
             }
-            Rule::NoAllocInHotLoop => {
-                "no Vec::new/vec!/to_vec/clone/collect/format!/Box::new inside hot-path loop bodies"
-            }
             Rule::CheckedWeightArithmetic => {
                 "+/+= on weight-like operands in query code goes through weight_add/OrderedWeight"
             }
             Rule::NoSwallowedResult => {
                 "no `let _ =` or bare `.ok();` discarding a Result outside tests"
             }
-            Rule::PanicReachability => {
-                "no unjustified panic source reachable from a serving entry point (cargo xtask panics)"
-            }
-            Rule::AllocReachability => {
-                "no unjustified allocation reachable from a steady-state entry point (cargo xtask allocs)"
-            }
             Rule::NoAsCastInDecode => {
                 "no bare `as` numeric casts in decode-classified files (use try_from/From or justify)"
-            }
-            Rule::Determinism => {
-                "no unjustified nondeterminism source reachable from a steady-state entry point (cargo xtask determinism)"
-            }
-            Rule::Taint => {
-                "no untrusted source→sink flow without a sanitizer on every chain (cargo xtask taint)"
             }
         }
     }
@@ -163,10 +110,12 @@ impl Rule {
     }
 }
 
-/// One lint finding with a byte-accurate source position.
+/// One finding — of a lint rule or of a `cargo xtask certify` analysis —
+/// with a byte-accurate source position.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    pub rule: Rule,
+    /// The rule key ([`Rule::key`], or a certificate's rule key).
+    pub rule: &'static str,
     /// Workspace-relative path, forward slashes.
     pub file: String,
     /// 1-based line number.
@@ -183,20 +132,17 @@ impl fmt::Display for Finding {
         write!(
             f,
             "{}:{}:{}: [{}] {}",
-            self.file,
-            self.line,
-            self.col,
-            self.rule.key(),
-            self.message
+            self.file, self.line, self.col, self.rule, self.message
         )
     }
 }
 
-/// Aggregate result of a lint run.
+/// Aggregate result of a lint run or of one certificate analysis.
 #[derive(Debug, Default)]
 pub struct Summary {
     pub findings: Vec<Finding>,
-    /// Sites matched by a rule but exempted via `lint:allow`.
+    /// Sites matched by a rule but exempted by an inline justification,
+    /// per rule key.
     pub justified: BTreeMap<&'static str, usize>,
     pub files_scanned: usize,
 }
@@ -204,12 +150,15 @@ pub struct Summary {
 impl Summary {
     /// Findings of one rule.
     pub fn count(&self, rule: Rule) -> usize {
-        self.findings.iter().filter(|v| v.rule == rule).count()
+        self.findings
+            .iter()
+            .filter(|v| v.rule == rule.key())
+            .count()
     }
 
-    /// Justified (exempted) sites of one rule.
-    pub fn justified_count(&self, rule: Rule) -> usize {
-        self.justified.get(rule.key()).copied().unwrap_or(0)
+    /// Justified (exempted) sites under one rule key.
+    pub fn justified_count(&self, rule_key: &str) -> usize {
+        self.justified.get(rule_key).copied().unwrap_or(0)
     }
 }
 
@@ -221,16 +170,9 @@ pub fn scan_file(file: &SourceFile, rules: &[Rule], summary: &mut Summary) {
             Rule::TotalOrderWeights => l2_total_order::check(file, summary),
             Rule::SanctionedConcurrency => l3_concurrency::check(file, summary),
             Rule::PaperDocs => l4_paper_docs::check(file, summary),
-            Rule::NoAllocInHotLoop => h1_no_alloc::check(file, summary),
             Rule::CheckedWeightArithmetic => a1_weight_arith::check(file, summary),
             Rule::NoSwallowedResult => e1_swallowed_result::check(file, summary),
             Rule::NoAsCastInDecode => c1_no_as_cast::check(file, summary),
-            // Whole-workspace reachability, not a per-file pass: runs via
-            // `cargo xtask panics` / `cargo xtask allocs` /
-            // `cargo xtask determinism` / `cargo xtask taint`, never
-            // through `scan_file`.
-            Rule::PanicReachability | Rule::AllocReachability | Rule::Determinism | Rule::Taint => {
-            }
         }
     }
 }
@@ -249,7 +191,7 @@ pub(crate) fn record(
         *summary.justified.entry(rule.key()).or_insert(0) += 1;
     } else {
         summary.findings.push(Finding {
-            rule,
+            rule: rule.key(),
             file: file.rel.clone(),
             line,
             col,

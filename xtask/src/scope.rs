@@ -2,18 +2,13 @@
 //!
 //! For every token the analyzer knows:
 //!
-//! * the innermost enclosing named item (`fn`/`impl`/`mod`),
-//! * whether the token sits inside `#[cfg(test)]` / `#[test]` code,
-//! * the **loop nesting depth** — how many `for`/`while`/`loop` bodies
-//!   enclose it within the current function.
+//! * the innermost enclosing `fn`,
+//! * whether the token sits inside `#[cfg(test)]` / `#[test]` code.
 //!
-//! The model is deliberately approximate (no full parse): a `{` is
-//! classified by the head tokens seen since the last statement boundary,
-//! with precedence `fn > impl > mod > item > loop > block` so that
-//! `impl Trait for Type {` never counts as a loop and a `for<'a>` bound in
-//! a signature never counts either. Closures and plain blocks inherit the
-//! enclosing loop depth — an allocation inside a closure that is invoked
-//! per-iteration is still a per-iteration allocation.
+//! The model is deliberately approximate (no full parse): a `{` opens a
+//! function body when a `fn` head token was seen since the last statement
+//! boundary, and anything else — `impl`/`mod`/item bodies, loops, plain
+//! blocks, closures — otherwise, inheriting the enclosing function.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -21,49 +16,24 @@ use std::path::Path;
 
 use crate::lex::{lex, Token, TokenKind};
 
-/// How a brace scope was classified from its head tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScopeKind {
-    /// A function (or method, or closure with an explicit `fn`-headed item).
-    Fn,
-    /// An `impl` block.
-    Impl,
-    /// A `mod` block.
-    Mod,
-    /// `struct`/`enum`/`union`/`trait` bodies.
-    Item,
-    /// A `for`/`while`/`loop` body.
-    Loop,
-    /// Anything else: plain blocks, `if`/`match` bodies, closures,
-    /// struct literals.
-    Block,
-}
-
 /// Scope facts for one token.
 #[derive(Debug, Clone, Default)]
 pub struct TokenScope {
     /// Inside `#[cfg(test)]` or `#[test]` code.
     pub in_test: bool,
-    /// Number of enclosing loop bodies within the current function.
-    pub loop_depth: usize,
     /// Name of the innermost enclosing `fn`, if any.
     pub fn_name: Option<String>,
-    /// Name of the innermost enclosing named item (fn/mod/struct/…).
-    pub item_name: Option<String>,
 }
 
 #[derive(Debug, Clone)]
 struct Scope {
-    in_test: bool,
-    loop_depth: usize,
-    fn_name: Option<String>,
-    item_name: Option<String>,
+    facts: TokenScope,
     /// `(`/`[` nesting of the *enclosing* scope at push time, restored on
     /// pop so closure bodies inside call arguments track statements again.
     saved_group_depth: usize,
     /// For a brace opened mid-expression (inside `(`/`[`): the suspended
-    /// head state of the enclosing statement, restored on pop so a closure
-    /// in `for x in xs.map(|v| { … }) {` does not erase the `for` head.
+    /// head state of the enclosing statement, restored on pop so a const
+    /// block in `fn f(x: [u8; { N }]) {` does not erase the `fn` head.
     saved_head: Option<Head>,
 }
 
@@ -71,30 +41,16 @@ struct Scope {
 /// what the next `{` opens.
 #[derive(Debug, Default, Clone)]
 struct Head {
-    fn_name: Option<String>,
-    item_name: Option<String>,
     saw_fn: bool,
-    saw_impl: bool,
-    saw_mod: bool,
-    saw_item: bool,
-    saw_loop: bool,
+    fn_name: Option<String>,
     test_attr: bool,
-}
-
-impl Head {
-    fn clear(&mut self) {
-        *self = Head::default();
-    }
 }
 
 /// Computes per-token scope facts. `scopes[i]` describes `tokens[i]`.
 pub fn analyze(tokens: &[Token]) -> Vec<TokenScope> {
     let mut scopes: Vec<TokenScope> = Vec::with_capacity(tokens.len());
     let mut stack: Vec<Scope> = vec![Scope {
-        in_test: false,
-        loop_depth: 0,
-        fn_name: None,
-        item_name: None,
+        facts: TokenScope::default(),
         saved_group_depth: 0,
         saved_head: None,
     }];
@@ -124,23 +80,9 @@ pub fn analyze(tokens: &[Token]) -> Vec<TokenScope> {
         }
         match t.kind {
             TokenKind::Ident if group_depth == 0 => {
-                match t.text.as_str() {
-                    "fn" => {
-                        head.saw_fn = true;
-                        head.fn_name = next_ident(tokens, i);
-                        head.item_name.clone_from(&head.fn_name);
-                    }
-                    "impl" => head.saw_impl = true,
-                    "mod" => {
-                        head.saw_mod = true;
-                        head.item_name = next_ident(tokens, i);
-                    }
-                    "struct" | "enum" | "trait" | "union" => {
-                        head.saw_item = true;
-                        head.item_name = next_ident(tokens, i);
-                    }
-                    "for" | "while" | "loop" => head.saw_loop = true,
-                    _ => {}
+                if t.text == "fn" {
+                    head.saw_fn = true;
+                    head.fn_name = next_ident(tokens, i);
                 }
                 scopes.push(current(&stack));
             }
@@ -155,17 +97,25 @@ pub fn analyze(tokens: &[Token]) -> Vec<TokenScope> {
                 }
                 ";" if group_depth == 0 => {
                     scopes.push(current(&stack));
-                    head.clear();
+                    head = Head::default();
                 }
                 "{" => {
                     scopes.push(current(&stack));
-                    let mut scope = open_scope(&stack, &head, group_depth);
-                    if group_depth > 0 {
-                        scope.saved_head = Some(std::mem::take(&mut head));
-                    }
-                    stack.push(scope);
+                    let parent = current(&stack);
+                    stack.push(Scope {
+                        facts: TokenScope {
+                            in_test: parent.in_test || head.test_attr,
+                            fn_name: if head.saw_fn {
+                                head.fn_name.clone()
+                            } else {
+                                parent.fn_name
+                            },
+                        },
+                        saved_group_depth: group_depth,
+                        saved_head: (group_depth > 0).then(|| std::mem::take(&mut head)),
+                    });
                     group_depth = 0;
-                    head.clear();
+                    head = Head::default();
                 }
                 "}" => {
                     if stack.len() > 1 {
@@ -173,7 +123,7 @@ pub fn analyze(tokens: &[Token]) -> Vec<TokenScope> {
                         group_depth = closed.saved_group_depth;
                         head = closed.saved_head.unwrap_or_default();
                     } else {
-                        head.clear();
+                        head = Head::default();
                     }
                     scopes.push(current(&stack));
                 }
@@ -187,55 +137,15 @@ pub fn analyze(tokens: &[Token]) -> Vec<TokenScope> {
 }
 
 fn current(stack: &[Scope]) -> TokenScope {
-    let top = stack.last().expect("scope stack never empties");
-    TokenScope {
-        in_test: top.in_test,
-        loop_depth: top.loop_depth,
-        fn_name: top.fn_name.clone(),
-        item_name: top.item_name.clone(),
-    }
+    stack
+        .last()
+        .expect("scope stack never empties")
+        .facts
+        .clone()
 }
 
-/// Classifies the scope a `{` opens, by head precedence.
-fn open_scope(stack: &[Scope], head: &Head, group_depth: usize) -> Scope {
-    let parent = stack.last().expect("scope stack never empties");
-    let kind = if head.saw_fn {
-        ScopeKind::Fn
-    } else if head.saw_impl {
-        ScopeKind::Impl
-    } else if head.saw_mod {
-        ScopeKind::Mod
-    } else if head.saw_item {
-        ScopeKind::Item
-    } else if head.saw_loop && group_depth == 0 {
-        ScopeKind::Loop
-    } else {
-        ScopeKind::Block
-    };
-    Scope {
-        in_test: parent.in_test || head.test_attr,
-        loop_depth: match kind {
-            ScopeKind::Fn => 0,
-            ScopeKind::Loop => parent.loop_depth + 1,
-            _ => parent.loop_depth,
-        },
-        fn_name: if kind == ScopeKind::Fn {
-            head.fn_name.clone()
-        } else {
-            parent.fn_name.clone()
-        },
-        item_name: if head.item_name.is_some() {
-            head.item_name.clone()
-        } else {
-            parent.item_name.clone()
-        },
-        saved_group_depth: group_depth,
-        saved_head: None,
-    }
-}
-
-/// The first identifier after position `i`, skipping comments (the `fn` /
-/// `mod` / `struct` name).
+/// The first identifier after position `i`, skipping comments (the `fn`
+/// name).
 fn next_ident(tokens: &[Token], i: usize) -> Option<String> {
     tokens[i + 1..]
         .iter()
@@ -367,27 +277,14 @@ impl SourceFile {
         self.covered_by(line, &|c| allows(c, rule_key))
     }
 
-    /// Whether a `PANIC-OK: reason` justification covers 1-based `line`
-    /// (same placement grammar as `lint:allow`) — the panic-reachability
-    /// certifier's exemption marker.
-    pub fn panic_justified(&self, line: usize) -> bool {
-        self.covered_by(line, &panic_ok)
-    }
-
-    /// Whether an `ALLOC-OK: capacity invariant` justification covers
-    /// 1-based `line` (same placement grammar as `PANIC-OK`) — the
-    /// allocation-reachability certifier's exemption marker.
-    pub fn alloc_justified(&self, line: usize) -> bool {
-        self.covered_by(line, &alloc_ok)
-    }
-
-    /// Whether a `DETER-OK: ordering invariant` justification covers
-    /// 1-based `line` (same placement grammar as `PANIC-OK`) — the
-    /// determinism certifier's exemption marker for sites whose output
-    /// order provably does not depend on hash seed, time, rng, or
-    /// thread/chunk assignment.
-    pub fn deter_justified(&self, line: usize) -> bool {
-        self.covered_by(line, &deter_ok)
+    /// Whether a `<marker>: reason` justification covers 1-based `line`
+    /// (same placement grammar as `lint:allow`), for a reachability
+    /// certificate's exemption marker ([`crate::certify::Certifier::marker`]):
+    /// `PANIC-OK`, `ALLOC-OK` (a capacity invariant) or `DETER-OK` (an
+    /// ordering invariant). Markers are independent — one never excuses
+    /// another analysis' site.
+    pub fn marked(&self, line: usize, marker: &str) -> bool {
+        self.covered_by(line, &|c| marker_ok(c, marker))
     }
 
     /// Whether a `TAINT-OK(reason)` justification covers 1-based `line`
@@ -446,31 +343,15 @@ impl SourceFile {
     }
 }
 
-/// Parses one `PANIC-OK:` justification comment: the marker must be
-/// followed by a non-trivial reason (≥ 3 characters).
-pub fn panic_ok(comment: &str) -> bool {
-    comment
-        .find("PANIC-OK:")
-        .is_some_and(|p| comment[p + "PANIC-OK:".len()..].trim().len() >= 3)
-}
-
-/// Parses one `ALLOC-OK:` justification comment: the marker must be
-/// followed by a non-trivial capacity invariant (≥ 3 characters), e.g.
+/// Parses one colon-form justification comment (`PANIC-OK:`, `ALLOC-OK:`,
+/// `DETER-OK:`): the marker and its colon must be followed by a
+/// non-trivial reason (≥ 3 characters), e.g.
 /// `// ALLOC-OK: entries pre-sized to n at construction; len ≤ n`.
-pub fn alloc_ok(comment: &str) -> bool {
+pub fn marker_ok(comment: &str, marker: &str) -> bool {
     comment
-        .find("ALLOC-OK:")
-        .is_some_and(|p| comment[p + "ALLOC-OK:".len()..].trim().len() >= 3)
-}
-
-/// Parses one `DETER-OK:` justification comment: the marker must be
-/// followed by a non-trivial ordering invariant (≥ 3 characters), e.g.
-/// `// DETER-OK: feeds the worker count only; result slots are
-/// input-ordered`.
-pub fn deter_ok(comment: &str) -> bool {
-    comment
-        .find("DETER-OK:")
-        .is_some_and(|p| comment[p + "DETER-OK:".len()..].trim().len() >= 3)
+        .match_indices(marker)
+        .find_map(|(p, _)| comment[p + marker.len()..].strip_prefix(':'))
+        .is_some_and(|reason| reason.trim().len() >= 3)
 }
 
 /// Parses one `TAINT-OK(reason)` justification comment: unlike the
@@ -526,72 +407,33 @@ mod tests {
     }
 
     #[test]
-    fn loop_depth_nests_and_resets_per_fn() {
+    fn fn_name_tracks_the_enclosing_fn_through_blocks_and_closures() {
         let src = "\
 fn outer() {
     before();
-    for x in xs {
-        one();
-        while cond {
-            two();
-        }
-        back_to_one();
-    }
-    after();
-}
-fn next_fn() { zero(); }
-";
-        let f = SourceFile::from_source("x.rs", src);
-        assert_eq!(scope_of(&f, "before").loop_depth, 0);
-        assert_eq!(scope_of(&f, "one").loop_depth, 1);
-        assert_eq!(scope_of(&f, "two").loop_depth, 2);
-        assert_eq!(scope_of(&f, "back_to_one").loop_depth, 1);
-        assert_eq!(scope_of(&f, "after").loop_depth, 0);
-        assert_eq!(scope_of(&f, "zero").loop_depth, 0);
-        assert_eq!(scope_of(&f, "one").fn_name.as_deref(), Some("outer"));
-        assert_eq!(scope_of(&f, "zero").fn_name.as_deref(), Some("next_fn"));
-    }
-
-    #[test]
-    fn impl_for_is_not_a_loop() {
-        let src = "\
-impl<T> Iterator for Wrapper<T> {
-    fn next(&mut self) -> Option<T> { body() }
-}
-";
-        let f = SourceFile::from_source("x.rs", src);
-        assert_eq!(scope_of(&f, "body").loop_depth, 0);
-        assert_eq!(scope_of(&f, "body").fn_name.as_deref(), Some("next"));
-    }
-
-    #[test]
-    fn hrtb_for_in_signature_is_not_a_loop() {
-        let src = "fn apply<F>(f: F) where F: for<'a> Fn(&'a u8) { body() }\n";
-        let f = SourceFile::from_source("x.rs", src);
-        assert_eq!(scope_of(&f, "body").loop_depth, 0);
-    }
-
-    #[test]
-    fn closures_and_blocks_inherit_loop_depth() {
-        let src = "\
-fn f() {
     for x in xs {
         let c = values.iter().map(|v| { inside_closure(v) });
         if cond {
             inside_if();
         }
-        let s = Struct { field: literal_block() };
     }
+    after();
+}
+fn next_fn() { zero(); }
+impl<T> Iterator for Wrapper<T> {
+    fn next(&mut self) -> Option<T> { body() }
 }
 ";
         let f = SourceFile::from_source("x.rs", src);
-        assert_eq!(scope_of(&f, "inside_closure").loop_depth, 1);
-        assert_eq!(scope_of(&f, "inside_if").loop_depth, 1);
-        assert_eq!(scope_of(&f, "literal_block").loop_depth, 1);
+        for inside in ["before", "inside_closure", "inside_if", "after"] {
+            assert_eq!(scope_of(&f, inside).fn_name.as_deref(), Some("outer"));
+        }
+        assert_eq!(scope_of(&f, "zero").fn_name.as_deref(), Some("next_fn"));
+        assert_eq!(scope_of(&f, "body").fn_name.as_deref(), Some("next"));
     }
 
     #[test]
-    fn nested_fn_resets_loop_depth() {
+    fn nested_fn_has_its_own_name() {
         let src = "\
 fn f() {
     loop {
@@ -601,9 +443,15 @@ fn f() {
 }
 ";
         let f = SourceFile::from_source("x.rs", src);
-        assert_eq!(scope_of(&f, "in_helper").loop_depth, 0);
         assert_eq!(scope_of(&f, "in_helper").fn_name.as_deref(), Some("helper"));
-        assert_eq!(scope_of(&f, "in_loop").loop_depth, 1);
+        assert_eq!(scope_of(&f, "in_loop").fn_name.as_deref(), Some("f"));
+    }
+
+    #[test]
+    fn brace_inside_a_signature_does_not_erase_the_fn_head() {
+        let src = "fn f(x: [u8; { N }]) { body(x); }\n";
+        let f = SourceFile::from_source("x.rs", src);
+        assert_eq!(scope_of(&f, "body").fn_name.as_deref(), Some("f"));
     }
 
     #[test]
@@ -636,43 +484,6 @@ fn shipped() { e(); }
     }
 
     #[test]
-    fn closure_in_loop_header_does_not_erase_the_loop() {
-        let src = "\
-fn f() {
-    for x in xs.iter().map(|v| { in_header(v) }) {
-        in_body(x);
-    }
-}
-";
-        let f = SourceFile::from_source("x.rs", src);
-        assert_eq!(scope_of(&f, "in_body").loop_depth, 1);
-        assert_eq!(scope_of(&f, "in_header").loop_depth, 0);
-    }
-
-    #[test]
-    fn while_let_is_a_loop() {
-        let src = "fn f() { while let Some(x) = it.next() { body(x); } }\n";
-        let f = SourceFile::from_source("x.rs", src);
-        assert_eq!(scope_of(&f, "body").loop_depth, 1);
-    }
-
-    #[test]
-    fn match_and_if_let_are_not_loops() {
-        let src = "\
-fn f() {
-    match x {
-        Some(v) => { in_arm(v) }
-        None => {}
-    }
-    if let Some(v) = y { in_if_let(v); }
-}
-";
-        let f = SourceFile::from_source("x.rs", src);
-        assert_eq!(scope_of(&f, "in_arm").loop_depth, 0);
-        assert_eq!(scope_of(&f, "in_if_let").loop_depth, 0);
-    }
-
-    #[test]
     fn justification_walks_contiguous_comment_block() {
         let src = "\
 fn f() {
@@ -699,8 +510,8 @@ fn f() {
             "no-unwrap"
         ));
         assert!(allows(
-            "// lint:allow(a, no-alloc-in-hot-loop) — multi",
-            "no-alloc-in-hot-loop"
+            "// lint:allow(a, no-swallowed-result) — multi",
+            "no-swallowed-result"
         ));
         assert!(!allows("// lint:allow(no-unwrap)", "no-unwrap"));
         assert!(!allows("// lint:allow(no-unwrap) — ", "no-unwrap"));
@@ -713,10 +524,13 @@ fn f() {
 
     #[test]
     fn panic_ok_marker_needs_a_reason_and_follows_the_block_grammar() {
-        assert!(panic_ok("// PANIC-OK: index < n by construction"));
-        assert!(!panic_ok("// PANIC-OK:"));
-        assert!(!panic_ok("// PANIC-OK: x"));
-        assert!(!panic_ok("// panics here"));
+        assert!(marker_ok(
+            "// PANIC-OK: index < n by construction",
+            "PANIC-OK"
+        ));
+        assert!(!marker_ok("// PANIC-OK:", "PANIC-OK"));
+        assert!(!marker_ok("// PANIC-OK: x", "PANIC-OK"));
+        assert!(!marker_ok("// panics here", "PANIC-OK"));
         let src = "\
 fn f() {
     // PANIC-OK: slot always in bounds (validated on push)
@@ -725,16 +539,19 @@ fn f() {
 }
 ";
         let f = SourceFile::from_source("x.rs", src);
-        assert!(f.panic_justified(3));
-        assert!(!f.panic_justified(4), "code line breaks the block");
+        assert!(f.marked(3, "PANIC-OK"));
+        assert!(!f.marked(4, "PANIC-OK"), "code line breaks the block");
     }
 
     #[test]
     fn alloc_ok_marker_needs_an_invariant_and_follows_the_block_grammar() {
-        assert!(alloc_ok("// ALLOC-OK: pre-sized to n at construction"));
-        assert!(!alloc_ok("// ALLOC-OK:"));
-        assert!(!alloc_ok("// ALLOC-OK: x"));
-        assert!(!alloc_ok("// allocates here"));
+        assert!(marker_ok(
+            "// ALLOC-OK: pre-sized to n at construction",
+            "ALLOC-OK"
+        ));
+        assert!(!marker_ok("// ALLOC-OK:", "ALLOC-OK"));
+        assert!(!marker_ok("// ALLOC-OK: x", "ALLOC-OK"));
+        assert!(!marker_ok("// allocates here", "ALLOC-OK"));
         let src = "\
 fn f() {
     // ALLOC-OK: scratch grows to an engine-lifetime high-water mark
@@ -743,21 +560,22 @@ fn f() {
 }
 ";
         let f = SourceFile::from_source("x.rs", src);
-        assert!(f.alloc_justified(3));
-        assert!(!f.alloc_justified(4), "code line breaks the block");
+        assert!(f.marked(3, "ALLOC-OK"));
+        assert!(!f.marked(4, "ALLOC-OK"), "code line breaks the block");
         // The two markers are independent: ALLOC-OK never excuses a panic
         // site and vice versa.
-        assert!(!f.panic_justified(3));
+        assert!(!f.marked(3, "PANIC-OK"));
     }
 
     #[test]
     fn deter_ok_marker_needs_an_invariant_and_follows_the_block_grammar() {
-        assert!(deter_ok(
-            "// DETER-OK: victim scan over a BTreeMap — key order"
+        assert!(marker_ok(
+            "// DETER-OK: victim scan over a BTreeMap — key order",
+            "DETER-OK"
         ));
-        assert!(!deter_ok("// DETER-OK:"));
-        assert!(!deter_ok("// DETER-OK: x"));
-        assert!(!deter_ok("// deterministic here"));
+        assert!(!marker_ok("// DETER-OK:", "DETER-OK"));
+        assert!(!marker_ok("// DETER-OK: x", "DETER-OK"));
+        assert!(!marker_ok("// deterministic here", "DETER-OK"));
         let src = "\
 fn f() {
     // DETER-OK: feeds the worker count only; slots are input-ordered
@@ -766,11 +584,11 @@ fn f() {
 }
 ";
         let f = SourceFile::from_source("x.rs", src);
-        assert!(f.deter_justified(3));
-        assert!(!f.deter_justified(4), "code line breaks the block");
+        assert!(f.marked(3, "DETER-OK"));
+        assert!(!f.marked(4, "DETER-OK"), "code line breaks the block");
         // The three markers are independent.
-        assert!(!f.panic_justified(3));
-        assert!(!f.alloc_justified(3));
+        assert!(!f.marked(3, "PANIC-OK"));
+        assert!(!f.marked(3, "ALLOC-OK"));
     }
 
     #[test]
@@ -796,9 +614,9 @@ fn f() {
         assert!(f.taint_justified(3));
         assert!(!f.taint_justified(4), "code line breaks the block");
         // The four markers are independent.
-        assert!(!f.panic_justified(3));
-        assert!(!f.alloc_justified(3));
-        assert!(!f.deter_justified(3));
+        assert!(!f.marked(3, "PANIC-OK"));
+        assert!(!f.marked(3, "ALLOC-OK"));
+        assert!(!f.marked(3, "DETER-OK"));
     }
 
     #[test]

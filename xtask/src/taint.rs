@@ -1,6 +1,6 @@
-//! `cargo xtask taint` — the untrusted-input flow certifier.
+//! The untrusted-input flow analysis of `cargo xtask certify`.
 //!
-//! The three reachability certifiers (`panics`, `allocs`, `determinism`)
+//! The three reachability analyses (`panics`, `allocs`, `determinism`)
 //! answer "what can this entry point *do*?". This one answers the dual
 //! question for the snapshot/serving boundary: "where can untrusted
 //! *bytes* go?" — and proves every source→sink flow crosses a sanitizer
@@ -11,10 +11,7 @@
 //! * **Sources** ([`SOURCE_CLASSES`]): where attacker-controlled values
 //!   enter. `snapshot-bytes` is every typed section accessor of
 //!   [`SnapshotFile`] plus raw `from_le_bytes` decoding; `cli-path` is
-//!   file reads named on the command line (`fs::read`); `network` is
-//!   registered but intentionally empty — the reserved class the
-//!   kspin-server front-end (ROADMAP item 1) must populate before its
-//!   frame parser ships.
+//!   file reads named on the command line (`fs::read`).
 //! * **Sanitizers** ([`SANITIZERS`]): the hand-audited validation
 //!   boundary. `SnapshotFile::validate` (structural: checksums, offsets,
 //!   lengths), the `Pool`/`decoded_usize`/`len_field` checked-extraction
@@ -38,36 +35,25 @@
 //! tainted body directly, sanitizer bodies are hand-audited, and the
 //! conservative edge set still backs the panic/alloc certificates.
 //!
-//! Like its three siblings, the tool burns findings to zero: fix the
+//! Like its three siblings, the analysis burns findings to zero: fix the
 //! flow (checked conversion, destructuring `let`, capacity clamp) or
 //! justify the site with `TAINT-OK(reason)` on the line or the comment
-//! block above it. Findings ride the shared `lint-baseline.json` ratchet
-//! under rule `taint-flow`; `--deny-stale` arms the shrink direction.
+//! block above it. Everything else is a finding under rule key
+//! `taint-flow`.
 
-use std::process::ExitCode;
-
-use crate::baseline::Ratchet;
 use crate::callgraph::{body_tokens, CallGraph};
+use crate::certify::Site;
 use crate::json::Json;
 use crate::lex::TokenKind;
-use crate::report::{self, print_stale, to_f64, Format, Site};
-use crate::rules::{statement_around, tok, Finding, Rule, Summary};
+use crate::report::{print_findings, summary_json};
+use crate::rules::{statement_around, tok, Finding, Summary};
 use crate::scope::SourceFile;
 
-const USAGE: &str = "\
-usage: cargo xtask taint [options]
+/// Analysis name: the report section and JSON key.
+pub(crate) const NAME: &str = "taint";
 
-Certifies that no untrusted input (snapshot bytes, CLI file paths)
-reaches a dangerous sink (indexing, capacity, unchecked arithmetic,
-id constructors) without crossing a sanitizer, over the typed call
-graph of the snapshot + serving perimeter.
-
-options:
-  --format <human|json>   report format (default human)
-  --list-sources          print the source classes and sanitizer registry
-  --update-baseline       rewrite lint-baseline.json from current findings
-  --deny-stale            fail when baselined findings no longer fire
-  -h, --help              this help";
+/// Rule key carried by the findings.
+const RULE: &str = "taint-flow";
 
 /// One class of untrusted-input entry points: named fns (resolved like
 /// entry specs, hard error on rot) plus `::`-path token patterns matched
@@ -79,13 +65,10 @@ pub struct SourceClass {
     /// Call-path patterns (`fs::read`, `from_le_bytes`) seeding the
     /// containing fn.
     pub patterns: &'static [&'static str],
-    /// Whether the class may match nothing — only for classes reserved
-    /// for code that does not exist yet (the network front-end).
-    pub allow_empty: bool,
 }
 
 /// The registered source classes. Order is report order.
-pub const SOURCE_CLASSES: [SourceClass; 3] = [
+pub const SOURCE_CLASSES: [SourceClass; 2] = [
     SourceClass {
         name: "snapshot-bytes",
         specs: &[
@@ -99,22 +82,11 @@ pub const SOURCE_CLASSES: [SourceClass; 3] = [
             "SnapshotFile::sections",
         ],
         patterns: &["from_le_bytes"],
-        allow_empty: false,
     },
     SourceClass {
         name: "cli-path",
         specs: &[],
         patterns: &["fs::read", "fs::read_to_string"],
-        allow_empty: false,
-    },
-    SourceClass {
-        name: "network",
-        specs: &[],
-        patterns: &[],
-        // Reserved: the kspin-server frame parser registers its specs
-        // here before ROADMAP item 1 ships; until then the class is
-        // intentionally empty.
-        allow_empty: true,
     },
 ];
 
@@ -185,7 +157,7 @@ pub struct TaintAnalysis {
     pub seeds_per_class: Vec<usize>,
     /// Resolved sanitizer fn count.
     pub sanitizer_fns: usize,
-    /// Unjustified findings under [`Rule::Taint`].
+    /// Unjustified findings under the `taint-flow` rule.
     pub summary: Summary,
 }
 
@@ -368,17 +340,17 @@ fn is_float_literal(text: &str) -> bool {
 /// classes and sanitizers. Spec rot (a source or sanitizer that resolves
 /// to nothing) is a hard error in both directions: a lost source narrows
 /// the certificate, a lost sanitizer widens the tainted set.
-pub fn certify(files: Vec<SourceFile>) -> Result<TaintAnalysis, String> {
+pub fn certify(files: &[SourceFile]) -> Result<TaintAnalysis, String> {
     certify_with(files, &SOURCE_CLASSES, &SANITIZERS)
 }
 
 /// [`certify`] with explicit registries, for fixture self-tests.
 pub fn certify_with(
-    files: Vec<SourceFile>,
+    files: &[SourceFile],
     classes: &[SourceClass],
     sanitizers: &[&str],
 ) -> Result<TaintAnalysis, String> {
-    let graph = CallGraph::build(&files);
+    let graph = CallGraph::build(files);
     let n = graph.items.len();
 
     // Sanitizer barrier set: every spec must resolve.
@@ -464,7 +436,7 @@ pub fn certify_with(
                 seed(i, c, i, &mut tainted, &mut parent, &mut queue);
             }
         }
-        if !class_hit && !class.allow_empty {
+        if !class_hit {
             return Err(format!(
                 "source class `{}` matched nothing — sources moved or renamed?",
                 class.name
@@ -507,11 +479,7 @@ pub fn certify_with(
         let file = &files[analysis.graph.items[i].file_idx];
         for site in taint_sinks(file, &analysis.graph, i) {
             if file.taint_justified(site.line) {
-                *analysis
-                    .summary
-                    .justified
-                    .entry(Rule::Taint.key())
-                    .or_insert(0) += 1;
+                *analysis.summary.justified.entry(RULE).or_insert(0) += 1;
                 continue;
             }
             let chain: Vec<String> = analysis
@@ -520,7 +488,7 @@ pub fn certify_with(
                 .map(|j| analysis.graph.items[j].qualified())
                 .collect();
             findings.push(Finding {
-                rule: Rule::Taint,
+                rule: RULE,
                 file: file.rel.clone(),
                 line: site.line,
                 col: site.col,
@@ -543,181 +511,85 @@ pub fn certify_with(
     Ok(analysis)
 }
 
-struct Options {
-    format: Format,
-    list_sources: bool,
-    update_baseline: bool,
-    deny_stale: bool,
-    help: bool,
+/// `--list`: the source classes and the sanitizer registry.
+pub(crate) fn print_registry() {
+    for class in &SOURCE_CLASSES {
+        for spec in class.specs {
+            println!("{NAME:<16} source {} {spec}", class.name);
+        }
+        for pattern in class.patterns {
+            println!("{NAME:<16} source {} pattern {pattern}(", class.name);
+        }
+    }
+    for s in SANITIZERS {
+        println!("{NAME:<16} sanitizer {s}");
+    }
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        format: Format::Human,
-        list_sources: false,
-        update_baseline: false,
-        deny_stale: false,
-        help: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => {
-                let value = it.next().ok_or("--format needs a value: human or json")?;
-                opts.format = report::parse_format(value)?;
-            }
-            "--list-sources" => opts.list_sources = true,
-            "--update-baseline" => opts.update_baseline = true,
-            "--deny-stale" => opts.deny_stale = true,
-            "-h" | "--help" => opts.help = true,
-            other => {
-                if let Some(value) = other.strip_prefix("--format=") {
-                    opts.format = report::parse_format(value)?;
-                } else {
-                    return Err(format!("unknown argument `{other}`"));
-                }
-            }
-        }
-    }
-    Ok(opts)
-}
-
-/// CLI entry: `cargo xtask taint [options]`.
-pub fn run(args: &[String]) -> ExitCode {
-    let opts = match parse_args(args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.help {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    if opts.list_sources {
-        for class in &SOURCE_CLASSES {
-            for spec in class.specs {
-                println!("{:<16} {spec}", class.name);
-            }
-            for pattern in class.patterns {
-                println!("{:<16} pattern {pattern}(", class.name);
-            }
-            if class.specs.is_empty() && class.patterns.is_empty() {
-                println!("{:<16} (reserved — registers nothing yet)", class.name);
-            }
-        }
-        for s in SANITIZERS {
-            println!("sanitizer        {s}");
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let files = report::load_files(&crate::entrypoints::TAINT_DIRS);
-    let analysis = match certify(files) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let classes = analysis
+/// The JSON report sub-object: the shared summary fields, then the flood
+/// sizes.
+pub(crate) fn json_fields(a: &TaintAnalysis) -> Vec<(String, Json)> {
+    let classes = a
         .class_names
         .iter()
-        .zip(&analysis.seeds_per_class)
-        .map(|(name, &n)| (name.clone(), Json::Num(to_f64(n))))
+        .zip(&a.seeds_per_class)
+        .map(|(name, &n)| (name.clone(), Json::Num(n)))
         .collect();
-    let extras = vec![
+    let mut fields = summary_json(&a.summary);
+    fields.extend([
         (
             "tainted_fns".to_string(),
-            Json::Num(to_f64(analysis.tainted.iter().flatten().count())),
+            Json::Num(a.tainted.iter().flatten().count()),
         ),
-        (
-            "sanitizer_fns".to_string(),
-            Json::Num(to_f64(analysis.sanitizer_fns)),
-        ),
+        ("sanitizer_fns".to_string(), Json::Num(a.sanitizer_fns)),
         ("source_classes".to_string(), Json::Obj(classes)),
-    ];
-    report::finish(
-        "cargo-xtask-taint",
-        &[Rule::Taint.key()],
-        &analysis.summary,
-        opts.update_baseline,
-        opts.deny_stale,
-        opts.format,
-        extras,
-        |ratchet| print_report(&analysis, ratchet),
-    )
+    ]);
+    fields
 }
 
-fn print_report(a: &TaintAnalysis, ratchet: &Ratchet) {
+/// The human report section.
+pub(crate) fn print_report(a: &TaintAnalysis) {
     let certified = a.graph.items.iter().filter(|i| i.certified()).count();
-    let tainted = a.tainted.iter().flatten().count();
     println!(
-        "cargo xtask taint — {} files, {} certified fns, {} tainted via {} source class(es), {} sanitizer barrier fn(s)",
+        "{NAME} — {} files, {} certified fns, {} tainted via {} source class(es), {} sanitizer barrier fn(s)",
         a.summary.files_scanned,
         certified,
-        tainted,
+        a.tainted.iter().flatten().count(),
         a.class_names.len(),
         a.sanitizer_fns
     );
     for (name, &seeds) in a.class_names.iter().zip(&a.seeds_per_class) {
-        if seeds == 0 {
-            println!("  source class {name:<16} → no sources (reserved)");
-        } else {
-            println!("  source class {name:<16} → {seeds} seeded fn(s)");
-        }
+        println!("  source class {name:<16} → {seeds} seeded fn(s)");
     }
-    let justified = a
-        .summary
-        .justified
-        .get(Rule::Taint.key())
-        .copied()
-        .unwrap_or(0);
     println!(
-        "  {} new finding(s), {} baselined, {} justified via TAINT-OK",
-        ratchet.new.len(),
-        ratchet.baselined.len(),
-        justified
+        "  {} unjustified source→sink flow(s), {} justified via TAINT-OK",
+        a.summary.findings.len(),
+        a.summary.justified_count(RULE)
     );
-    if !ratchet.new.is_empty() {
-        println!();
-        for f in &ratchet.new {
-            println!("{f}");
-            if !f.snippet.is_empty() {
-                println!("    {}", f.snippet);
-            }
-        }
-        println!("\n{} unjustified source→sink flow(s)", ratchet.new.len());
-    }
-    print_stale(ratchet);
+    print_findings(&a.summary.findings);
 }
 
 // ---------------------------------------------------------------------------
 // Self-tests: planted source→sink chains, sanitizer barriers, the
 // justification grammar end-to-end, registry-rot errors, and the live
-// workspace certificate (including agreement with the snapshot fuzz
-// suite's corruption coverage).
+// workspace's agreement with the snapshot fuzz suite's corruption
+// coverage. (Zero live findings: `crate::certify`'s tests.)
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{Baseline, BaselineEntry};
-    use crate::lint::workspace_root;
-    use crate::report::BASELINE_FILE;
+    use crate::certify::load_perimeters;
 
     const BYTES_ONLY: [SourceClass; 1] = [SourceClass {
         name: "snapshot-bytes",
         specs: &["SnapshotFile::u32s"],
         patterns: &[],
-        allow_empty: false,
     }];
 
     fn analyze(src: &str, classes: &[SourceClass], sanitizers: &[&str]) -> TaintAnalysis {
         certify_with(
-            vec![SourceFile::from_source("fixture.rs", src)],
+            &[SourceFile::from_source("fixture.rs", src)],
             classes,
             sanitizers,
         )
@@ -806,7 +678,7 @@ fn decode(f: &SnapshotFile) -> u32 {
 }
 ";
         let a = analyze(src, &BYTES_ONLY, &[]);
-        assert_eq!(a.summary.justified.get(Rule::Taint.key()), Some(&1));
+        assert_eq!(a.summary.justified.get(RULE), Some(&1));
         // v[1] (reason-less marker) and the `+` both remain findings.
         assert_eq!(a.summary.findings.len(), 2, "{:?}", a.summary.findings);
         assert!(a.summary.findings[0].message.contains("slice index"));
@@ -821,7 +693,6 @@ fn decode(f: &SnapshotFile) -> u32 {
             name: "cli-path",
             specs: &[],
             patterns: &["fs::read"],
-            allow_empty: false,
         }];
         let src = "\
 fn cmd_load(path: &str) -> u8 {
@@ -904,108 +775,30 @@ fn decode(f: &SnapshotFile) -> u32 {
     }
 
     #[test]
-    fn registry_rot_is_a_hard_error_and_reserved_classes_may_be_empty() {
-        let src = "fn f() {}";
-        let files = || vec![SourceFile::from_source("fixture.rs", src)];
+    fn registry_rot_is_a_hard_error() {
+        let files = [SourceFile::from_source("fixture.rs", "fn f() {}")];
         let gone: [SourceClass; 1] = [SourceClass {
             name: "snapshot-bytes",
             specs: &["SnapshotFile::gone"],
             patterns: &[],
-            allow_empty: false,
         }];
-        let err = certify_with(files(), &gone, &[]).unwrap_err();
+        let err = certify_with(&files, &gone, &[]).unwrap_err();
         assert!(err.contains("source spec"), "{err}");
         let silent: [SourceClass; 1] = [SourceClass {
             name: "cli-path",
             specs: &[],
             patterns: &["fs::read"],
-            allow_empty: false,
         }];
-        let err = certify_with(files(), &silent, &[]).unwrap_err();
+        let err = certify_with(&files, &silent, &[]).unwrap_err();
         assert!(err.contains("matched nothing"), "{err}");
-        let reserved: [SourceClass; 1] = [SourceClass {
-            name: "network",
-            specs: &[],
-            patterns: &[],
-            allow_empty: true,
-        }];
-        assert!(certify_with(files(), &reserved, &[]).is_ok());
-        let err = certify_with(files(), &reserved, &["Gone::sanitize"]).unwrap_err();
+        let err = certify_with(&files, &silent, &["Gone::sanitize"]).unwrap_err();
         assert!(err.contains("sanitizer spec"), "{err}");
-    }
-
-    #[test]
-    fn removed_taint_ok_sites_surface_as_stale_baseline_entries() {
-        let src = "\
-impl SnapshotFile {
-    fn u32s(&self) -> Vec<u32> { Vec::new() }
-}
-fn decode(f: &SnapshotFile) -> u32 {
-    let v = f.u32s();
-    v[0]
-}
-";
-        let a = analyze(src, &BYTES_ONLY, &[]);
-        assert_eq!(a.summary.findings.len(), 1);
-        let entry = |file: &str, line: usize| BaselineEntry {
-            rule: Rule::Taint.key().to_string(),
-            file: file.to_string(),
-            line,
-            reason: "reviewed".to_string(),
-        };
-        let baseline = Baseline {
-            note: String::new(),
-            entries: vec![
-                entry("fixture.rs", a.summary.findings[0].line),
-                entry("fixture.rs", 999), // the flow this entry grandfathered was fixed
-            ],
-        };
-        let ratchet = baseline.apply(&a.summary.findings);
-        assert!(ratchet.new.is_empty());
-        assert_eq!(ratchet.baselined.len(), 1);
-        assert_eq!(
-            ratchet.stale.len(),
-            1,
-            "a justification whose flow no longer fires must be reported stale"
-        );
     }
 
     // -- live workspace ----------------------------------------------------
 
     fn live() -> TaintAnalysis {
-        certify(report::load_files(&crate::entrypoints::TAINT_DIRS))
-            .expect("live source/sanitizer registries resolve")
-    }
-
-    #[test]
-    fn live_workspace_flows_are_sanitized_or_justified() {
-        let a = live();
-        let baseline = Baseline::load(&workspace_root().join(BASELINE_FILE)).expect("baseline");
-        let taint_entries: Vec<_> = baseline
-            .entries
-            .into_iter()
-            .filter(|e| e.rule == Rule::Taint.key())
-            .collect();
-        let ratchet = Baseline {
-            note: String::new(),
-            entries: taint_entries,
-        }
-        .apply(&a.summary.findings);
-        assert!(
-            ratchet.new.is_empty(),
-            "unjustified source→sink flows:\n{}",
-            ratchet
-                .new
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-        assert!(
-            ratchet.stale.is_empty(),
-            "stale taint baseline entries: {:?}",
-            ratchet.stale
-        );
+        certify(&load_perimeters().0).expect("live source/sanitizer registries resolve")
     }
 
     /// Fuzz-agreement regression (the static certificate must cover what
