@@ -7,8 +7,9 @@
 //! populated *lazily*:
 //!
 //! * **Initialization** — Observation 2b / Theorem 1: seed with the ρ
-//!   quadtree candidates (one of which is the 1NN of `q`) plus any lazily
-//!   attached objects; Zipf-tail keywords seed with their whole (≤ ρ) list.
+//!   quadtree candidates (one of which is the 1NN of `q`) plus their
+//!   lazily inserted neighbours; Zipf-tail keywords seed with their whole
+//!   (≤ ρ) list.
 //! * **`LazyReheap`** (Algorithm 4) — after each extraction, insert the
 //!   extracted object's NVD-adjacent objects that were never inserted.
 //!
@@ -114,8 +115,9 @@ impl<'a> InvertedHeap<'a> {
             }
             KeywordIndex::Nvd(n) => {
                 // Theorem 1: seeding with the quadtree leaf's candidates
-                // (which contain the 1NN of q) plus attached lazy inserts
-                // satisfies Property 1.
+                // (which contain the 1NN of q) plus the lazy inserts
+                // adjacent to them satisfies Property 1. An insert linked
+                // to two of them arrives twice, hence `was_inserted`.
                 let mut heap = DaryHeap::new(n.apx.num_total());
                 for local in n.apx.init_candidates(ctx.graph.coord(ctx.q)) {
                     if !heap.was_inserted(local) {

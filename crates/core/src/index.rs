@@ -116,7 +116,8 @@ pub struct BuildStats {
     pub nvd_terms: usize,
     /// Keywords indexed with a plain list (Observation 1 beneficiaries).
     pub small_terms: usize,
-    /// Wall-clock build time in seconds.
+    /// Wall-clock build time in seconds; `0.0` on an index loaded from a
+    /// snapshot (a clock reading is not content, so it is not stored).
     pub build_seconds: f64,
 }
 
@@ -582,16 +583,5 @@ impl KspinIndex {
                 .filter(|&l| !n.apx.is_deleted(l))
                 .count(),
         }
-    }
-}
-
-/// Fraction of indexed keywords that avoided NVD construction — the
-/// Observation-1 payoff, reported by the Fig. 14 bench.
-pub fn small_fraction(stats: &BuildStats) -> f64 {
-    let total = stats.nvd_terms + stats.small_terms;
-    if total == 0 {
-        0.0
-    } else {
-        stats.small_terms as f64 / total as f64
     }
 }

@@ -134,13 +134,11 @@ pub struct BatchExecutor<'a> {
 
 impl<'a> BatchExecutor<'a> {
     /// Assembles an executor over the shared framework modules with
-    /// `num_threads` workers, clamped to `[1, available_parallelism()]`.
-    /// Oversubscribing a host buys nothing here — workers are pure CPU
-    /// with no blocking I/O, so extra threads only add scheduler churn
-    /// (BENCH_serving.json measured 0.77× QPS at 8 workers on a
-    /// 1-hardware-thread host). Configurations that really want an exact
-    /// count (benches sweeping the thread axis) override with
-    /// [`BatchExecutor::with_exact_threads`].
+    /// exactly `num_threads` workers (at least 1). The count is the
+    /// caller's to choose: workers are pure CPU with no blocking I/O, so
+    /// more of them than `available_parallelism()` only adds scheduler
+    /// churn (BENCH_serving.json measured 0.77× QPS at 8 workers on a
+    /// 1-hardware-thread host).
     pub fn new(
         graph: &'a Graph,
         corpus: &'a Corpus,
@@ -148,22 +146,13 @@ impl<'a> BatchExecutor<'a> {
         lower_bound: &'a (dyn LowerBound + Sync),
         num_threads: usize,
     ) -> Self {
-        let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
         BatchExecutor {
             graph,
             corpus,
             index,
             lower_bound,
-            num_threads: num_threads.clamp(1, hw),
+            num_threads: num_threads.max(1),
         }
-    }
-
-    /// Overrides the worker count exactly, bypassing the hardware clamp of
-    /// [`BatchExecutor::new`] (still at least 1). For benches and tests
-    /// that sweep the thread axis past the host's parallelism on purpose.
-    pub fn with_exact_threads(mut self, num_threads: usize) -> Self {
-        self.num_threads = num_threads.max(1);
-        self
     }
 
     /// The worker count this executor fans out to (fewer for a batch of
@@ -345,29 +334,17 @@ mod tests {
             QueryEngine::new(&graph, &corpus, &index, &alt, DijkstraDistance::new(&graph));
         let sequential: Vec<ServingResult> = queries.iter().map(|q| q.run(&mut engine)).collect();
         for threads in [1, 2, 8] {
-            let exec =
-                BatchExecutor::new(&graph, &corpus, &index, &alt, 1).with_exact_threads(threads);
+            let exec = BatchExecutor::new(&graph, &corpus, &index, &alt, threads);
             let out = exec.execute(&queries, || DijkstraDistance::new(&graph));
             assert_eq!(out.results, sequential, "{threads} threads diverged");
         }
     }
 
     #[test]
-    fn worker_count_is_clamped_to_hardware_but_overridable() {
+    fn zero_workers_means_one() {
         let (graph, corpus, alt, index) = fixture();
-        let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let exec = BatchExecutor::new(&graph, &corpus, &index, &alt, 64);
-        assert!(
-            exec.num_threads() <= hw,
-            "{} workers on {hw} threads",
-            exec.num_threads()
-        );
-        assert_eq!(
-            BatchExecutor::new(&graph, &corpus, &index, &alt, 0).num_threads(),
-            1
-        );
-        let exact = BatchExecutor::new(&graph, &corpus, &index, &alt, 1).with_exact_threads(64);
-        assert_eq!(exact.num_threads(), 64);
+        let exec = BatchExecutor::new(&graph, &corpus, &index, &alt, 0);
+        assert_eq!(exec.num_threads(), 1);
     }
 
     #[test]
@@ -405,7 +382,7 @@ mod tests {
     fn one_oracle_per_worker_with_a_chunk_to_claim() {
         let (graph, corpus, alt, index) = fixture();
         let queries = workload(&corpus, graph.num_vertices());
-        let exec = BatchExecutor::new(&graph, &corpus, &index, &alt, 1).with_exact_threads(4);
+        let exec = BatchExecutor::new(&graph, &corpus, &index, &alt, 4);
         for (n, oracles) in [(0, 0), (5, 1), (4 * CHUNK, 4)] {
             let batch = &queries[..n];
             let mut engine =

@@ -188,12 +188,23 @@ pub fn encode_corpus(w: &mut SnapshotWriter, c: &Corpus) {
 
 /// Reassembles the corpus through [`Corpus::from_parts`], copying stored
 /// impact bits verbatim so a reloaded corpus scores bit-identically.
+/// `num_vertices` comes from the decoded graph: every object must sit on
+/// one of its vertices.
 ///
 /// # Errors
-/// Missing/mistyped sections, mismatched posting columns, or any
-/// violated corpus invariant.
-pub fn decode_corpus(f: &SnapshotFile<'_>) -> Result<Corpus, SnapshotError> {
+/// Missing/mistyped sections, mismatched posting columns, an object off
+/// the graph, or any violated corpus invariant.
+pub fn decode_corpus(f: &SnapshotFile<'_>, num_vertices: usize) -> Result<Corpus, SnapshotError> {
     let vertex_of = f.u32s(section::CORPUS_VERTEX_OF)?;
+    if let Some(&v) = vertex_of
+        .iter()
+        .find(|&&v| usize::try_from(v).map_or(true, |v| v >= num_vertices))
+    {
+        return Err(SnapshotError::decode(
+            section::CORPUS_VERTEX_OF,
+            format!("object placed on vertex {v} of a {num_vertices}-vertex graph"),
+        ));
+    }
     let doc_offsets = f.u32s(section::CORPUS_DOC_OFFSETS)?;
     let terms = f.u32s(section::CORPUS_DOC_TERMS)?;
     let freqs = f.u32s(section::CORPUS_DOC_FREQS)?;
@@ -219,7 +230,7 @@ pub fn decode_corpus(f: &SnapshotFile<'_>) -> Result<Corpus, SnapshotError> {
 
 /// Appends the Keyword Separated Index: scalar metadata, the per-slot
 /// kind table, and the pooled small-list and NVD arrays in term-slot
-/// order. All twenty sections are written even when their pools are
+/// order. All eighteen sections are written even when their pools are
 /// empty, so logical content maps one-to-one onto sections (canonical).
 pub fn encode_index(w: &mut SnapshotWriter, index: &KspinIndex) {
     let entries = index.snapshot_entries();
@@ -240,8 +251,6 @@ pub fn encode_index(w: &mut SnapshotWriter, index: &KspinIndex) {
     let mut nvd_adj_offsets: Vec<u32> = Vec::new();
     let mut nvd_adj_data: Vec<u32> = Vec::new();
     let mut nvd_deleted: Vec<u8> = Vec::new();
-    let mut nvd_att_offsets: Vec<u32> = Vec::new();
-    let mut nvd_att_data: Vec<u32> = Vec::new();
     let mut nvd_inserted: Vec<u32> = Vec::new();
     let mut nvd_corpus_ids: Vec<u32> = Vec::new();
 
@@ -260,15 +269,12 @@ pub fn encode_index(w: &mut SnapshotWriter, index: &KspinIndex) {
                 let p = nvd.apx.snapshot_parts();
                 let (min, scale_x, scale_y) = p.space.to_parts();
                 nvd_scalars.extend_from_slice(&[
-                    p.rho as u64,
-                    p.pending_updates as u64,
                     u64::from(min.x as u32),
                     u64::from(min.y as u32),
                     scale_x.to_bits(),
                     scale_y.to_bits(),
                 ]);
                 let (adj_offsets, adj_data) = p.adjacency.flat_parts();
-                let att_total: usize = p.attached.iter().map(Vec::len).sum();
                 nvd_lens.extend_from_slice(&[
                     p.starts.len() as u32,
                     p.cand_offsets.len() as u32,
@@ -276,7 +282,6 @@ pub fn encode_index(w: &mut SnapshotWriter, index: &KspinIndex) {
                     p.objects.len() as u32,
                     (adj_offsets.len() - 1) as u32,
                     adj_data.len() as u32,
-                    att_total as u32,
                     p.inserted_vertices.len() as u32,
                 ]);
                 nvd_starts.extend_from_slice(p.starts);
@@ -287,13 +292,6 @@ pub fn encode_index(w: &mut SnapshotWriter, index: &KspinIndex) {
                 nvd_adj_offsets.extend_from_slice(&adj_offsets);
                 nvd_adj_data.extend_from_slice(&adj_data);
                 nvd_deleted.extend(p.deleted.iter().map(|&d| u8::from(d)));
-                let mut att_cursor = 0u32;
-                nvd_att_offsets.push(0);
-                for a in p.attached {
-                    att_cursor += a.len() as u32;
-                    nvd_att_offsets.push(att_cursor);
-                    nvd_att_data.extend_from_slice(a);
-                }
                 nvd_inserted.extend_from_slice(p.inserted_vertices);
                 nvd_corpus_ids.extend_from_slice(&nvd.corpus_ids);
             }
@@ -307,7 +305,6 @@ pub fn encode_index(w: &mut SnapshotWriter, index: &KspinIndex) {
             entries.len() as u64,
             stats.nvd_terms as u64,
             stats.small_terms as u64,
-            stats.build_seconds.to_bits(),
         ],
     );
     w.put_bytes(section::INDEX_TERM_KINDS, &kinds);
@@ -325,8 +322,6 @@ pub fn encode_index(w: &mut SnapshotWriter, index: &KspinIndex) {
     w.put_u32s(section::NVD_ADJ_OFFSETS, &nvd_adj_offsets);
     w.put_u32s(section::NVD_ADJ_DATA, &nvd_adj_data);
     w.put_bytes(section::NVD_DELETED, &nvd_deleted);
-    w.put_u32s(section::NVD_ATT_OFFSETS, &nvd_att_offsets);
-    w.put_u32s(section::NVD_ATT_DATA, &nvd_att_data);
     w.put_u32s(section::NVD_INSERTED, &nvd_inserted);
     w.put_u32s(section::NVD_CORPUS_IDS, &nvd_corpus_ids);
 }
@@ -342,8 +337,6 @@ struct NvdPools<'a> {
     adj_offsets: Pool<'a, u32>,
     adj_data: Pool<'a, u32>,
     deleted: Pool<'a, u8>,
-    att_offsets: Pool<'a, u32>,
-    att_data: Pool<'a, u32>,
     inserted: Pool<'a, u32>,
     corpus_ids: Pool<'a, u32>,
 }
@@ -352,31 +345,44 @@ fn len_field(id: u32, what: &str, v: u32) -> Result<usize, SnapshotError> {
     decoded_usize(id, what, u64::from(v))
 }
 
-fn decode_one_nvd(rho: usize, p: &mut NvdPools<'_>) -> Result<NvdIndex, SnapshotError> {
+/// Proves that `corpus` holds every `(object, vertex)` pair of section
+/// `id`: the object exists and sits on that vertex. A built index
+/// guarantees that of every id it stores and the query loops rely on it
+/// (`SeenSet` is sized to the corpus), so a decoded index must prove it.
+fn check_placed(
+    id: u32,
+    corpus: &Corpus,
+    mut pairs: impl Iterator<Item = (u32, u32)>,
+) -> Result<(), SnapshotError> {
+    let (vertex_of, _, _) = corpus.flat_parts();
+    let misplaced =
+        pairs.find(|&(o, v)| usize::try_from(o).ok().and_then(|o| vertex_of.get(o)) != Some(&v));
+    match misplaced {
+        None => Ok(()),
+        Some((o, v)) => Err(SnapshotError::decode(
+            id,
+            format!("object {o} at vertex {v} is not in the corpus at that vertex"),
+        )),
+    }
+}
+
+fn decode_one_nvd(p: &mut NvdPools<'_>, corpus: &Corpus) -> Result<NvdIndex, SnapshotError> {
     use section::*;
-    let &[s_rho, s_pending, s_min_x, s_min_y, s_scale_x, s_scale_y] = p.scalars.take(6)? else {
+    let &[s_min_x, s_min_y, s_scale_x, s_scale_y] = p.scalars.take(4)? else {
         return Err(SnapshotError::decode(
             NVD_SCALARS,
-            "scalar pool slice is not 6 wide",
+            "scalar pool slice is not 4 wide",
         ));
     };
-    let &[l_starts, l_cand_offsets, l_cands, l_gens, l_adj_nodes, l_adj_edges, l_att_total, l_inserted] =
-        p.lens.take(8)?
+    let &[l_starts, l_cand_offsets, l_cands, l_gens, l_adj_nodes, l_adj_edges, l_inserted] =
+        p.lens.take(7)?
     else {
         return Err(SnapshotError::decode(
             NVD_LENS,
-            "length pool slice is not 8 wide",
+            "length pool slice is not 7 wide",
         ));
     };
 
-    let term_rho = decoded_usize(NVD_SCALARS, "rho", s_rho)?;
-    if term_rho != rho {
-        return Err(SnapshotError::decode(
-            NVD_SCALARS,
-            format!("NVD rho {term_rho} disagrees with index rho {rho}"),
-        ));
-    }
-    let pending_updates = decoded_usize(NVD_SCALARS, "pending_updates", s_pending)?;
     let min_x = u32::try_from(s_min_x)
         .map_err(|_| SnapshotError::decode(NVD_SCALARS, "min_x exceeds 32 bits"))?;
     let min_y = u32::try_from(s_min_y)
@@ -394,7 +400,6 @@ fn decode_one_nvd(rho: usize, p: &mut NvdPools<'_>) -> Result<NvdIndex, Snapshot
     let gens = len_field(NVD_LENS, "generator count", l_gens)?;
     let adj_nodes = len_field(NVD_LENS, "adjacency node count", l_adj_nodes)?;
     let adj_edges = len_field(NVD_LENS, "adjacency edge count", l_adj_edges)?;
-    let att_total = len_field(NVD_LENS, "attached total", l_att_total)?;
     let inserted_len = len_field(NVD_LENS, "inserted count", l_inserted)?;
 
     let leaf_fences = starts_len
@@ -429,37 +434,14 @@ fn decode_one_nvd(rho: usize, p: &mut NvdPools<'_>) -> Result<NvdIndex, Snapshot
     let adjacency = AdjacencyGraph::from_flat(adj_offsets, adj_data)
         .map_err(|e| SnapshotError::decode(NVD_ADJ_OFFSETS, e))?;
     let deleted = decoded_bools(NVD_DELETED, p.deleted.take(overlay)?)?;
-    let att_fences = gens
-        .checked_add(1)
-        .ok_or_else(|| SnapshotError::decode(NVD_LENS, "generator count overflows"))?;
-    let att_offsets = p.att_offsets.take(att_fences)?;
-    let att_data = p.att_data.take(att_total)?;
-    if att_offsets.first() != Some(&0) || att_offsets.last() != Some(&l_att_total) {
-        return Err(SnapshotError::decode(
-            NVD_ATT_OFFSETS,
-            "attached offsets must start at 0 and end at the attached total",
-        ));
-    }
-    let attached: Vec<Vec<u32>> = att_offsets
-        .windows(2)
-        .map(|win| {
-            // TAINT-OK(windows(2) yields exactly two elements per window)
-            let (lo, hi) = (win[0], win[1]);
-            let range = len_field(NVD_ATT_OFFSETS, "attached offset", lo)?
-                ..len_field(NVD_ATT_OFFSETS, "attached offset", hi)?;
-            att_data.get(range).map(<[u32]>::to_vec).ok_or_else(|| {
-                SnapshotError::decode(
-                    NVD_ATT_OFFSETS,
-                    format!("attached offsets {lo}..{hi} out of order or range"),
-                )
-            })
-        })
-        .collect::<Result<_, _>>()?;
     let inserted_vertices = p.inserted.take(inserted_len)?.to_vec();
     let corpus_ids = p.corpus_ids.take(overlay)?.to_vec();
+    // Local ids run over the generators, then the inserted objects.
+    let vertices = objects.iter().chain(&inserted_vertices).copied();
+    let placements = corpus_ids.iter().copied().zip(vertices);
+    check_placed(NVD_CORPUS_IDS, corpus, placements)?;
 
     let apx = ApproxNvd::from_snapshot_parts(
-        term_rho,
         space,
         starts,
         cand_offsets,
@@ -468,9 +450,7 @@ fn decode_one_nvd(rho: usize, p: &mut NvdPools<'_>) -> Result<NvdIndex, Snapshot
         max_radius,
         adjacency,
         deleted,
-        attached,
         inserted_vertices,
-        pending_updates,
     )
     .map_err(|e| SnapshotError::decode(NVD_SCALARS, e))?;
 
@@ -488,18 +468,20 @@ fn decode_one_nvd(rho: usize, p: &mut NvdPools<'_>) -> Result<NvdIndex, Snapshot
 /// consumed exactly (term-slot order, [`Pool::finish`] proves no
 /// trailing elements), per-NVD structure goes through
 /// [`ApproxNvd::from_snapshot_parts`]'s full structural audit, and the
-/// stored term counts are checked against a recount.
+/// stored term counts are checked against a recount. Every indexed
+/// object id is checked against `corpus` (the decoded one): it must exist
+/// there, on the vertex the index stores for it.
 ///
 /// # Errors
 /// Missing/mistyped sections or any violated index invariant; on error
 /// no partially-initialized index escapes.
-pub fn decode_index(f: &SnapshotFile<'_>) -> Result<KspinIndex, SnapshotError> {
+pub fn decode_index(f: &SnapshotFile<'_>, corpus: &Corpus) -> Result<KspinIndex, SnapshotError> {
     use section::*;
     let meta = f.u64s(INDEX_META)?;
-    let &[m_rho, m_slots, m_nvd_terms, m_small_terms, m_build_seconds] = meta.as_slice() else {
+    let &[m_rho, m_slots, m_nvd_terms, m_small_terms] = meta.as_slice() else {
         return Err(SnapshotError::decode(
             INDEX_META,
-            format!("index meta holds {} scalars, expected 5", meta.len()),
+            format!("index meta holds {} scalars, expected 4", meta.len()),
         ));
     };
     let rho = decoded_usize(INDEX_META, "rho", m_rho)?;
@@ -529,8 +511,6 @@ pub fn decode_index(f: &SnapshotFile<'_>) -> Result<KspinIndex, SnapshotError> {
     let nvd_adj_offsets = f.u32s(NVD_ADJ_OFFSETS)?;
     let nvd_adj_data = f.u32s(NVD_ADJ_DATA)?;
     let nvd_deleted = f.bytes(NVD_DELETED)?;
-    let nvd_att_offsets = f.u32s(NVD_ATT_OFFSETS)?;
-    let nvd_att_data = f.u32s(NVD_ATT_DATA)?;
     let nvd_inserted = f.u32s(NVD_INSERTED)?;
     let nvd_corpus_ids = f.u32s(NVD_CORPUS_IDS)?;
 
@@ -549,8 +529,6 @@ pub fn decode_index(f: &SnapshotFile<'_>) -> Result<KspinIndex, SnapshotError> {
         adj_offsets: Pool::new(NVD_ADJ_OFFSETS, &nvd_adj_offsets),
         adj_data: Pool::new(NVD_ADJ_DATA, &nvd_adj_data),
         deleted: Pool::new(NVD_DELETED, nvd_deleted),
-        att_offsets: Pool::new(NVD_ATT_OFFSETS, &nvd_att_offsets),
-        att_data: Pool::new(NVD_ATT_DATA, &nvd_att_data),
         inserted: Pool::new(NVD_INSERTED, &nvd_inserted),
         corpus_ids: Pool::new(NVD_CORPUS_IDS, &nvd_corpus_ids),
     };
@@ -569,6 +547,8 @@ pub fn decode_index(f: &SnapshotFile<'_>) -> Result<KspinIndex, SnapshotError> {
                 let objects = objects_pool.take(len)?.to_vec();
                 let vertices = vertices_pool.take(len)?.to_vec();
                 let alive = decoded_bools(SMALL_ALIVE, alive_pool.take(len)?)?;
+                let placements = objects.iter().copied().zip(vertices.iter().copied());
+                check_placed(SMALL_OBJECTS, corpus, placements)?;
                 entries.push(Some(KeywordIndex::Small(SmallIndex {
                     objects,
                     vertices,
@@ -578,7 +558,7 @@ pub fn decode_index(f: &SnapshotFile<'_>) -> Result<KspinIndex, SnapshotError> {
             2 => {
                 // TAINT-OK(slot counter bounded by the kinds section length)
                 nvd_count += 1;
-                let idx = decode_one_nvd(rho, &mut nvd)?;
+                let idx = decode_one_nvd(&mut nvd, corpus)?;
                 entries.push(Some(KeywordIndex::Nvd(Box::new(idx))));
             }
             other => {
@@ -604,8 +584,6 @@ pub fn decode_index(f: &SnapshotFile<'_>) -> Result<KspinIndex, SnapshotError> {
     nvd.adj_offsets.finish()?;
     nvd.adj_data.finish()?;
     nvd.deleted.finish()?;
-    nvd.att_offsets.finish()?;
-    nvd.att_data.finish()?;
     nvd.inserted.finish()?;
     nvd.corpus_ids.finish()?;
 
@@ -623,7 +601,7 @@ pub fn decode_index(f: &SnapshotFile<'_>) -> Result<KspinIndex, SnapshotError> {
     let stats = BuildStats {
         nvd_terms: nvd_count,
         small_terms: small_count,
-        build_seconds: f64::from_bits(m_build_seconds),
+        build_seconds: 0.0,
     };
     Ok(KspinIndex::from_snapshot_parts(rho, entries, stats))
 }
@@ -779,12 +757,12 @@ mod tests {
         cb.build()
     }
 
-    fn roundtrip_index(index: &KspinIndex) -> KspinIndex {
+    fn roundtrip_index(index: &KspinIndex, corpus: &Corpus) -> KspinIndex {
         let mut w = SnapshotWriter::new();
         encode_index(&mut w, index);
         let bytes = w.finish();
         let f = SnapshotFile::validate(&bytes).expect("canonical bytes validate");
-        decode_index(&f).expect("decode")
+        decode_index(&f, corpus).expect("decode")
     }
 
     #[test]
@@ -806,7 +784,7 @@ mod tests {
         encode_corpus(&mut w, &c);
         let bytes = w.finish();
         let f = SnapshotFile::validate(&bytes).unwrap();
-        let c2 = decode_corpus(&f).unwrap();
+        let c2 = decode_corpus(&f, g.num_vertices()).unwrap();
         let (v1, o1, d1) = c.flat_parts();
         let (v2, o2, d2) = c2.flat_parts();
         assert_eq!(v1, v2);
@@ -828,7 +806,7 @@ mod tests {
             ..KspinConfig::default()
         };
         let index = KspinIndex::build(&g, &c, &cfg);
-        let index2 = roundtrip_index(&index);
+        let index2 = roundtrip_index(&index, &c);
         index2.validate(&c).expect("reloaded index validates");
         assert_eq!(index.rho(), index2.rho());
         assert_eq!(index.stats().nvd_terms, index2.stats().nvd_terms);
@@ -915,12 +893,7 @@ mod tests {
                 w2.put_u32s(id, &f.u32s(id).unwrap());
             }
             w2.put_bytes(section::NVD_DELETED, f.bytes(section::NVD_DELETED).unwrap());
-            for id in [
-                section::NVD_ATT_OFFSETS,
-                section::NVD_ATT_DATA,
-                section::NVD_INSERTED,
-                section::NVD_CORPUS_IDS,
-            ] {
+            for id in [section::NVD_INSERTED, section::NVD_CORPUS_IDS] {
                 w2.put_u32s(id, &f.u32s(id).unwrap());
             }
             w2.finish()
@@ -929,20 +902,53 @@ mod tests {
         let kinds = f.bytes(section::INDEX_TERM_KINDS).unwrap();
 
         // A lying meta (term count inflated, one more NVD claimed than the
-        // pools hold), and a meta that is not exactly 5 words wide (the
-        // retired v1 layout had 8) — decode_index must reject both.
+        // pools hold), a meta that is not exactly 4 words wide (the
+        // retired v3 layout had 5), and a self-consistent NVD term of zero
+        // leaves over zero generators, whose first point location would
+        // index past its one candidate fence — decode_index must reject
+        // all three.
         let mut lying_meta = meta.clone();
         lying_meta[1] += 1;
         let mut lying_kinds = kinds.to_vec();
         lying_kinds.push(2);
-        let mut v1_meta = meta.clone();
-        v1_meta.extend([0, 0, 0]);
+        let mut v3_meta = meta.clone();
+        v3_meta.push(0);
+        let mut leafless = SnapshotWriter::new();
+        leafless.put_u64s(section::INDEX_META, &[3, 1, 1, 0]);
+        leafless.put_bytes(section::INDEX_TERM_KINDS, &[2]);
+        for id in [
+            section::SMALL_LENS,
+            section::SMALL_OBJECTS,
+            section::SMALL_VERTICES,
+        ] {
+            leafless.put_u32s(id, &[]);
+        }
+        leafless.put_bytes(section::SMALL_ALIVE, &[]);
+        let one = 1f64.to_bits();
+        leafless.put_u64s(section::NVD_SCALARS, &[0, 0, one, one]);
+        for (id, words) in [
+            (section::NVD_LENS, &[0, 1, 0, 0, 0, 0, 0][..]),
+            (section::NVD_STARTS, &[]),
+            (section::NVD_CAND_OFFSETS, &[0]),
+            (section::NVD_CANDS, &[]),
+            (section::NVD_OBJECTS, &[]),
+            (section::NVD_MAX_RADIUS, &[]),
+            (section::NVD_ADJ_OFFSETS, &[0]),
+            (section::NVD_ADJ_DATA, &[]),
+        ] {
+            leafless.put_u32s(id, words);
+        }
+        leafless.put_bytes(section::NVD_DELETED, &[]);
+        for id in [section::NVD_INSERTED, section::NVD_CORPUS_IDS] {
+            leafless.put_u32s(id, &[]);
+        }
         for bad in [
             reassemble(&lying_meta, &lying_kinds),
-            reassemble(&v1_meta, kinds),
+            reassemble(&v3_meta, kinds),
+            leafless.finish(),
         ] {
             let f2 = SnapshotFile::validate(&bad).expect("checksums are fresh");
-            let err = decode_index(&f2).expect_err("corrupt meta accepted");
+            let err = decode_index(&f2, &c).expect_err("corrupt index accepted");
             assert!(matches!(err, SnapshotError::Decode { .. }), "{err}");
         }
     }

@@ -262,7 +262,7 @@ fn out_of_range_query_vertex_returns_empty() {
     };
     let mut batch: Vec<ServingQuery> = (0..20).map(|i| valid(i * 7)).collect();
     batch.insert(11, valid(w.graph.num_vertices() as VertexId));
-    let exec = BatchExecutor::new(&w.graph, &w.corpus, &w.index, &w.alt, 2).with_exact_threads(2);
+    let exec = BatchExecutor::new(&w.graph, &w.corpus, &w.index, &w.alt, 2);
     let out = exec.execute(&batch, || DijkstraDistance::new(&w.graph));
     for (i, (query, got)) in batch.iter().zip(&out.results).enumerate() {
         assert_eq!(got, &query.run(&mut e), "batch slot {i}");

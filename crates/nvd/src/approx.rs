@@ -21,7 +21,6 @@ use crate::exact::ExactNvd;
 /// that are lazily inserted objects (see [`crate::update`]).
 #[derive(Debug, Clone)]
 pub struct ApproxNvd {
-    rho: usize,
     space: MortonSpace,
     /// Leaf start codes, ascending. Leaf `i` covers `[starts[i], starts[i+1])`.
     starts: Vec<u32>,
@@ -33,18 +32,13 @@ pub struct ApproxNvd {
     pub(crate) adjacency: AdjacencyGraph,
     // ---- §6.2 lazy-update overlay ----
     pub(crate) deleted: Vec<bool>,
-    /// Inserted objects attached to each *original* generator's node.
-    pub(crate) attached: Vec<Vec<u32>>,
     pub(crate) inserted_vertices: Vec<VertexId>,
-    pub(crate) pending_updates: usize,
 }
 
 /// Borrowed flat views of every array an [`ApproxNvd`] owns, as handed
 /// out by [`ApproxNvd::snapshot_parts`] for serialization.
 #[derive(Debug, Clone, Copy)]
 pub struct ApproxNvdParts<'a> {
-    /// The ρ the index was built with.
-    pub rho: usize,
     /// The Morton space normalizing coordinates onto the quadtree grid.
     pub space: MortonSpace,
     /// Leaf start codes, ascending.
@@ -61,12 +55,8 @@ pub struct ApproxNvdParts<'a> {
     pub adjacency: &'a AdjacencyGraph,
     /// §6.2 overlay: deletion flags, one per overlay generator.
     pub deleted: &'a [bool],
-    /// §6.2 overlay: inserted ids attached to each original generator.
-    pub attached: &'a [Vec<u32>],
     /// §6.2 overlay: vertices of lazily inserted objects.
     pub inserted_vertices: &'a [VertexId],
-    /// §6.2 overlay: pending lazy updates.
-    pub pending_updates: usize,
 }
 
 impl ApproxNvd {
@@ -101,7 +91,6 @@ impl ApproxNvd {
 
         let num_objects = objects.len();
         ApproxNvd {
-            rho,
             space,
             starts: builder.starts,
             cand_offsets: builder.cand_offsets,
@@ -110,15 +99,8 @@ impl ApproxNvd {
             max_radius,
             adjacency,
             deleted: vec![false; num_objects],
-            attached: vec![Vec::new(); num_objects],
             inserted_vertices: Vec::new(),
-            pending_updates: 0,
         }
-    }
-
-    /// The ρ the index was built with.
-    pub fn rho(&self) -> usize {
-        self.rho
     }
 
     /// Number of build-time generators.
@@ -184,8 +166,10 @@ impl ApproxNvd {
     pub fn leaf_candidates(&self, p: Point) -> &[u32] {
         let leaf = self.leaf_index(p);
         // PANIC-OK: leaf_index partition-points into starts (same length
-        // as the leaf count); cand_offsets has leaves + 1 slots and bounds
-        // cands by construction.
+        // as the leaf count, at least 1 — a build over ≥ 1 generator makes
+        // a leaf and `validate` refuses a decoded NVD without one);
+        // cand_offsets has leaves + 1 slots and bounds cands by
+        // construction.
         let lo = self.cand_offsets[leaf] as usize;
         let hi = self.cand_offsets[leaf + 1] as usize; // PANIC-OK: leaf + 1 <= leaves.
         &self.cands[lo..hi] // PANIC-OK: offsets bound cands by construction.
@@ -200,22 +184,27 @@ impl ApproxNvd {
     }
 
     /// Heap-initialization candidates at `p`: the leaf's original
-    /// generators plus any objects lazily attached to them (§6.2 — the heap
-    /// is initialized "with the 1NN of q and all the objects stored in the
-    /// node"), sorted ascending and duplicate-free. Deleted objects are
-    /// *included*: the Heap Generator must still expand their adjacency, it
-    /// just never reports them.
-    pub fn init_candidates(&self, p: Point) -> Vec<u32> {
-        let base = self.leaf_candidates(p);
-        let mut out: Vec<u32> = base.to_vec();
-        for &c in base {
-            // PANIC-OK: candidates are original generator ids; attached is
-            // sized objects.len().
-            out.extend_from_slice(&self.attached[c as usize]);
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// generators, then every lazily inserted object adjacent to one of
+    /// them (§6.2 — "the 1NN of q and all the objects stored in the node";
+    /// an insert is stored in a node as an adjacency edge to its
+    /// generator). An insert linked to two of the leaf's generators is
+    /// yielded twice: callers push under `was_inserted`. Deleted objects
+    /// are *included*: the Heap Generator must still expand their
+    /// adjacency, it just never reports them.
+    pub fn init_candidates(&self, p: Point) -> impl Iterator<Item = u32> + '_ {
+        let leaf = self.leaf_candidates(p);
+        let originals = self.num_original() as u32;
+        // Until the first insert no adjacency list holds an inserted id.
+        let hosts: &[u32] = if self.inserted_vertices.is_empty() {
+            &[]
+        } else {
+            leaf
+        };
+        let inserted = hosts
+            .iter()
+            .flat_map(move |&c| self.adjacent(c).iter().copied())
+            .filter(move |&a| a >= originals);
+        leaf.iter().copied().chain(inserted)
     }
 
     /// Number of quadtree leaves.
@@ -223,34 +212,18 @@ impl ApproxNvd {
         self.starts.len()
     }
 
-    /// Updates applied since the last (re)build.
-    pub fn pending_updates(&self) -> usize {
-        self.pending_updates
-    }
-
-    /// The vertices of all live (non-deleted) objects — the generator set a
-    /// rebuild would use.
-    pub fn live_vertices(&self) -> Vec<VertexId> {
-        (0..self.num_total() as u32)
-            .filter(|&id| !self.is_deleted(id))
-            .map(|id| self.object_vertex(id))
-            .collect()
-    }
-
     /// Invariant audit over the whole structure (the NVD half of the
     /// debug-mode invariant auditor; `KspinIndex::validate` calls this per
     /// NVD-indexed keyword). Checks:
     ///
-    /// * overlay tables (`deleted`, `attached`, adjacency) sized to the
-    ///   object set;
+    /// * overlay tables (`deleted`, adjacency) sized to the object set;
     /// * adjacency symmetry, range, and simplicity (Observation 2a — the
     ///   generator graph is undirected, so LazyReheap reaches every
     ///   neighbor from either side);
-    /// * every quadtree leaf holds at least one *original* generator
-    ///   candidate, sorted and duplicate-free (Definition 1: point location
-    ///   must always produce a non-empty candidate set containing the 1NN);
-    /// * attached (lazily inserted) ids are inserted-range ids hanging off
-    ///   original generators only.
+    /// * there is at least one quadtree leaf and every leaf holds at least
+    ///   one *original* generator candidate, sorted and duplicate-free
+    ///   (Definition 1: point location must always produce a non-empty
+    ///   candidate set containing the 1NN).
     ///
     /// Returns every violation found, as human-readable strings.
     pub fn validate(&self) -> Result<(), Vec<String>> {
@@ -269,14 +242,14 @@ impl ApproxNvd {
                 self.deleted.len()
             ));
         }
-        if self.attached.len() != originals {
-            errs.push(format!(
-                "attached table has {} slots, expected {originals} originals",
-                self.attached.len()
-            ));
-        }
         if let Err(adj_errs) = self.adjacency.validate_symmetric() {
             errs.extend(adj_errs);
+        }
+        if self.starts.is_empty() || originals == 0 {
+            errs.push(format!(
+                "{} quadtree leaves over {originals} generators: point location needs one of each",
+                self.starts.len()
+            ));
         }
         if self.cand_offsets.len() != self.starts.len() + 1 {
             errs.push(format!(
@@ -308,15 +281,6 @@ impl ApproxNvd {
                 }
             }
         }
-        for (p, ids) in self.attached.iter().enumerate() {
-            for &id in ids {
-                if (id as usize) < originals || id as usize >= total {
-                    errs.push(format!(
-                        "attached id {id} at generator {p} outside inserted range {originals}..{total}"
-                    ));
-                }
-            }
-        }
         if errs.is_empty() {
             Ok(())
         } else {
@@ -328,7 +292,6 @@ impl ApproxNvd {
     /// serialization boundary.
     pub fn snapshot_parts(&self) -> ApproxNvdParts<'_> {
         ApproxNvdParts {
-            rho: self.rho,
             space: self.space,
             starts: &self.starts,
             cand_offsets: &self.cand_offsets,
@@ -337,9 +300,7 @@ impl ApproxNvd {
             max_radius: &self.max_radius,
             adjacency: &self.adjacency,
             deleted: &self.deleted,
-            attached: &self.attached,
             inserted_vertices: &self.inserted_vertices,
-            pending_updates: self.pending_updates,
         }
     }
 
@@ -350,7 +311,6 @@ impl ApproxNvd {
     /// # Errors
     /// A description of every violated invariant, joined with `"; "`.
     pub fn from_snapshot_parts(
-        rho: usize,
         space: MortonSpace,
         starts: Vec<u32>,
         cand_offsets: Vec<u32>,
@@ -359,13 +319,8 @@ impl ApproxNvd {
         max_radius: Vec<Weight>,
         adjacency: AdjacencyGraph,
         deleted: Vec<bool>,
-        attached: Vec<Vec<u32>>,
         inserted_vertices: Vec<VertexId>,
-        pending_updates: usize,
     ) -> Result<Self, String> {
-        if rho == 0 {
-            return Err("rho must be at least 1".into());
-        }
         if max_radius.len() != objects.len() {
             return Err(format!(
                 "max_radius has {} entries for {} generators",
@@ -385,7 +340,6 @@ impl ApproxNvd {
             return Err("cand_offsets must be monotone non-decreasing".into());
         }
         let nvd = ApproxNvd {
-            rho,
             space,
             starts,
             cand_offsets,
@@ -394,9 +348,7 @@ impl ApproxNvd {
             max_radius,
             adjacency,
             deleted,
-            attached,
             inserted_vertices,
-            pending_updates,
         };
         nvd.validate().map_err(|v| v.join("; "))?;
         Ok(nvd)
@@ -411,7 +363,6 @@ impl ApproxNvd {
             + self.objects.len() * 8 // vertex + max_radius
             + self.adjacency.size_bytes()
             + self.inserted_vertices.len() * 4
-            + self.attached.iter().map(|a| a.len() * 4).sum::<usize>()
     }
 }
 
@@ -577,10 +528,8 @@ mod tests {
     fn init_candidates_match_leaf_before_updates() {
         let (g, _, apx) = setup(400, 10, 3, 4);
         for v in (0..g.num_vertices() as VertexId).step_by(17) {
-            let a = apx.init_candidates(g.coord(v));
-            let mut b = apx.leaf_candidates(g.coord(v)).to_vec();
-            b.sort_unstable();
-            assert_eq!(a, b);
+            let a: Vec<u32> = apx.init_candidates(g.coord(v)).collect();
+            assert_eq!(a, apx.leaf_candidates(g.coord(v)));
         }
     }
 }

@@ -4,15 +4,16 @@
 //!   still expands their adjacency.
 //! * **Insertion** — compute the *affected set* `A(o)` via a BFS over the
 //!   adjacency graph from the 1NN of the new object, pruned by Theorem 2
-//!   (`p ∉ A(o)` if `d(o,p) ≥ 2·MaxRadius(p)`), then attach the new object
-//!   to every affected node. The quadtree itself is untouched — that is the
-//!   "lazy" part; a rebuild folds everything back in.
+//!   (`p ∉ A(o)` if `d(o,p) ≥ 2·MaxRadius(p)`), then link the new object to
+//!   every affected generator in the adjacency graph. The quadtree itself
+//!   is untouched — that is the "lazy" part; a rebuild of the keyword
+//!   (`KspinIndex::rebuild_term`) folds everything back in.
 //!
 //! The paper notes that the earlier claim in [18] — that only the 1NN and
 //! its adjacent objects are affected — is *incorrect* (Fig. 7); the
 //! Theorem-2 BFS is the fix, and `affected_set` reproduces it.
 
-use kspin_graph::{Graph, Point, VertexId, Weight};
+use kspin_graph::{Point, VertexId, Weight};
 
 use crate::approx::ApproxNvd;
 
@@ -25,14 +26,12 @@ impl ApproxNvd {
         assert!((id as usize) < self.num_total(), "object id out of range");
         assert!(!self.deleted[id as usize], "object {id} already deleted");
         self.deleted[id as usize] = true;
-        self.pending_updates += 1;
     }
 
     /// Un-deletes an object (supports "add keyword back" flows cheaply).
     pub fn undelete_object(&mut self, id: u32) {
         assert!((id as usize) < self.num_total(), "object id out of range");
         self.deleted[id as usize] = false;
-        self.pending_updates += 1;
     }
 
     /// Computes the Theorem-2 affected set of a new object at `vertex`.
@@ -83,9 +82,11 @@ impl ApproxNvd {
 
     /// Lazily inserts a new object at `vertex`, returning its object id.
     ///
-    /// The object is attached to every node of its affected set (so heap
-    /// initialization finds it) and linked into the adjacency graph (so
-    /// LazyReheap finds it).
+    /// The object is linked, in the adjacency graph, to every generator of
+    /// its affected set: heap initialization reads the inserted neighbours
+    /// of the leaf's generators ([`ApproxNvd::init_candidates`]) and
+    /// LazyReheap the neighbours of each extraction, so that one edge
+    /// serves both.
     pub fn insert_object<F>(&mut self, vertex: VertexId, coord: Point, dist: &mut F) -> u32
     where
         F: FnMut(VertexId, VertexId) -> Weight,
@@ -97,27 +98,9 @@ impl ApproxNvd {
         let node = self.adjacency.push_node();
         debug_assert_eq!(node, new_id);
         for &a in &affected {
-            self.attached[a as usize].push(new_id);
             self.adjacency.add(new_id, a);
         }
-        self.pending_updates += 1;
         new_id
-    }
-
-    /// Rebuilds from the live object set, folding lazy updates into a fresh
-    /// quadtree/adjacency/MaxRadius — the amortized operation of Fig. 8(b).
-    ///
-    /// Returns the rebuilt index and the mapping `new_id → old_id`.
-    pub fn rebuild(&self, graph: &Graph) -> (ApproxNvd, Vec<u32>) {
-        let mut mapping = Vec::new();
-        let mut vertices = Vec::new();
-        for id in 0..self.num_total() as u32 {
-            if !self.is_deleted(id) {
-                mapping.push(id);
-                vertices.push(self.object_vertex(id));
-            }
-        }
-        (ApproxNvd::build(graph, &vertices, self.rho()), mapping)
     }
 }
 
@@ -202,10 +185,9 @@ mod tests {
         let exact = crate::exact::ExactNvd::build(&g, &gens);
         for v in 0..g.num_vertices() as VertexId {
             if space.distance(v).unwrap() < exact.dist_to_owner(v) {
-                let init = apx.init_candidates(g.coord(v));
                 assert!(
-                    init.contains(&new_id),
-                    "vertex {v}: new 1NN {new_id} missing from init candidates {init:?}"
+                    apx.init_candidates(g.coord(v)).any(|c| c == new_id),
+                    "vertex {v}: new 1NN {new_id} missing from init candidates"
                 );
             }
         }
@@ -223,7 +205,8 @@ mod tests {
             assert!(apx.adjacent(a).contains(&id));
         }
         assert_eq!(apx.object_vertex(id), v);
-        assert_eq!(apx.pending_updates(), 1);
+        assert_eq!(apx.num_total(), 11);
+        assert!(!apx.is_deleted(id));
     }
 
     #[test]
@@ -232,7 +215,7 @@ mod tests {
         apx.delete_object(3);
         assert!(apx.is_deleted(3));
         assert_eq!(apx.num_total(), 8);
-        assert_eq!(apx.live_vertices().len(), 7);
+        assert_eq!((0..8).filter(|&id| apx.is_deleted(id)).count(), 1);
         apx.undelete_object(3);
         assert!(!apx.is_deleted(3));
     }
@@ -245,20 +228,56 @@ mod tests {
         apx.delete_object(3);
     }
 
+    /// The adjacency graph is the only record of a lazy insert: after a
+    /// long mixed update stream the heap seeds are exactly the leaf's
+    /// generators plus their inserted neighbours, and every inserted
+    /// object that is now nearer to a vertex than all build-time
+    /// generators (its 1NN among them) is seeded there.
     #[test]
-    fn rebuild_folds_updates_in() {
-        let (g, _, mut apx) = setup(500, 12, 45);
+    fn seeds_are_the_leaf_generators_and_their_inserted_neighbours() {
+        use std::collections::BTreeSet;
+        let (g, gens, mut apx) = setup(700, 20, 46);
         let mut dij = Dijkstra::new(g.num_vertices());
         let mut dist = |a: VertexId, b: VertexId| dij.one_to_one(&g, a, b);
-        let v = 251u32.min(g.num_vertices() as u32 - 1);
-        apx.insert_object(v, g.coord(v), &mut dist);
-        apx.delete_object(0);
-        let (fresh, mapping) = apx.rebuild(&g);
-        assert_eq!(fresh.num_total(), 12); // 12 - 1 deleted + 1 inserted
-        assert_eq!(fresh.pending_updates(), 0);
-        assert_eq!(mapping.len(), 12);
-        assert!(!mapping.contains(&0));
-        // The inserted object is now a first-class generator.
-        assert!(fresh.live_vertices().contains(&v));
+        let mut ops = 0;
+        let fresh = (0..g.num_vertices() as VertexId).filter(|v| !gens.contains(v));
+        for (i, v) in fresh.step_by(9).enumerate() {
+            apx.insert_object(v, g.coord(v), &mut dist);
+            ops += 1;
+            let victim = (i / 3) as u32;
+            if i % 3 == 0 {
+                apx.delete_object(victim);
+                ops += 1;
+            }
+            if i % 6 == 3 {
+                // Deleted three inserts ago.
+                apx.undelete_object(victim - 1);
+                ops += 1;
+            }
+        }
+        assert!(ops >= 100, "only {ops} updates applied");
+        apx.validate().expect("updated NVD audits clean");
+
+        let originals = apx.num_original() as u32;
+        let mut sssp = Dijkstra::new(g.num_vertices());
+        for v in (0..g.num_vertices() as VertexId).step_by(7) {
+            let seeds: BTreeSet<u32> = apx.init_candidates(g.coord(v)).collect();
+            let leaf = apx.leaf_candidates(g.coord(v));
+            let mut want: BTreeSet<u32> = leaf.iter().copied().collect();
+            for &c in leaf {
+                want.extend(apx.adjacent(c).iter().filter(|&&a| a >= originals));
+            }
+            assert_eq!(seeds, want, "vertex {v}");
+
+            sssp.sssp(&g, v);
+            let d = |id: u32| sssp.space().distance(apx.object_vertex(id)).unwrap();
+            let nearest_original = (0..originals).map(d).min().unwrap();
+            for id in originals..apx.num_total() as u32 {
+                assert!(
+                    d(id) >= nearest_original || seeds.contains(&id),
+                    "vertex {v}: inserted {id} beats every generator but is not seeded"
+                );
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! | bytes          | field                                             |
 //! |----------------|---------------------------------------------------|
 //! | `0..8`         | magic `b"KSPINSNP"`                               |
-//! | `8..12`        | format version (`u32`, currently 3)               |
+//! | `8..12`        | format version (`u32`, currently 4)               |
 //! | `12..16`       | endianness tag (`u32`, `0x0A0B0C0D`)              |
 //! | `16..20`       | section count `k` (`u32`)                         |
 //! | `20..24`       | reserved, must be 0                               |
@@ -44,18 +44,28 @@
 //! inadmissible bounds, i.e. silently wrong answers — so version 2 files
 //! are rejected with `BadVersion` too: no v2 reader, no transpose on load.
 //!
+//! Version 4 stores a §6.2 insert once, as its edges in the adjacency
+//! sections: the per-generator "attached" lists (ids 46 and 47, retired
+//! and left as holes) are gone and [`section::NVD_LENS`] is 7 wide, not 8.
+//! [`section::NVD_SCALARS`] lost the per-term ρ and the pending-update
+//! counter (6 → 4) and [`section::INDEX_META`] lost `build_seconds`, a
+//! clock reading that made two builds of one input differ (5 → 4).
+//! Version 3 files are refused at the header with `BadVersion`; no v3
+//! reader is kept.
+//!
 //! # Canonical serialization
 //!
 //! A conforming writer emits sections in strictly ascending id order at
 //! the smallest conforming offsets with zero padding. Two snapshots of
-//! equal logical content are therefore byte-identical, and save → load →
-//! save is the identity on bytes (test-enforced).
+//! equal logical content are therefore byte-identical — two independent
+//! builds of one input included, no section holds a clock reading — and
+//! save → load → save is the identity on bytes (both test-enforced).
 
 /// File magic, bytes `0..8`.
 pub const MAGIC: [u8; 8] = *b"KSPINSNP";
 
 /// Current format version, bytes `8..12`.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Endianness tag, bytes `12..16`: read back as this value only when the
 /// file and host agree on little-endian layout of `u32`s.
@@ -122,8 +132,7 @@ pub mod section {
     /// Vocabulary: concatenated UTF-8 term bytes.
     pub const VOCAB_BYTES: u32 = 21;
 
-    /// Index scalars, `u64`: `[rho, term_slots, nvd_terms, small_terms,
-    /// build_seconds_bits]`.
+    /// Index scalars, `u64`: `[rho, term_slots, nvd_terms, small_terms]`.
     pub const INDEX_META: u32 = 30;
     /// Per-term-slot kind byte: 0 = absent, 1 = small list, 2 = NVD.
     pub const INDEX_TERM_KINDS: u32 = 31;
@@ -136,12 +145,12 @@ pub mod section {
     /// Small lists: pooled liveness flags, bytes 0/1.
     pub const SMALL_ALIVE: u32 = 35;
 
-    /// NVD scalars, `u64`, 6 per NVD term: `[rho, pending_updates,
-    /// min_x (i32 bits), min_y (i32 bits), scale_x_bits, scale_y_bits]`.
+    /// NVD scalars, `u64`, 4 per NVD term — its Morton space: `[min_x
+    /// (i32 bits), min_y (i32 bits), scale_x_bits, scale_y_bits]`.
     pub const NVD_SCALARS: u32 = 36;
-    /// NVD pooled-array lengths, `u32`, 8 per NVD term: `[starts,
+    /// NVD pooled-array lengths, `u32`, 7 per NVD term: `[starts,
     /// cand_offsets, cands, generators, adjacency_nodes, adjacency_edges,
-    /// attached_total, inserted]`.
+    /// inserted]`.
     pub const NVD_LENS: u32 = 37;
     /// NVD pooled Morton-list leaf starts, `u32`.
     pub const NVD_STARTS: u32 = 38;
@@ -159,10 +168,8 @@ pub mod section {
     pub const NVD_ADJ_DATA: u32 = 44;
     /// NVD pooled deletion flags, bytes 0/1, one per overlay generator.
     pub const NVD_DELETED: u32 = 45;
-    /// NVD pooled attached-overlay offsets (per term, rebased), `u32`.
-    pub const NVD_ATT_OFFSETS: u32 = 46;
-    /// NVD pooled attached-overlay generator indices, `u32`.
-    pub const NVD_ATT_DATA: u32 = 47;
+    // 46 and 47 held the attached-overlay lists up to version 3: retired,
+    // never reused.
     /// NVD pooled inserted-generator vertices, `u32`.
     pub const NVD_INSERTED: u32 = 48;
     /// NVD pooled per-generator corpus object ids, `u32`.
@@ -236,8 +243,6 @@ pub fn section_name(id: u32) -> &'static str {
         NVD_ADJ_OFFSETS => "nvd.adj_offsets",
         NVD_ADJ_DATA => "nvd.adj_data",
         NVD_DELETED => "nvd.deleted",
-        NVD_ATT_OFFSETS => "nvd.att_offsets",
-        NVD_ATT_DATA => "nvd.att_data",
         NVD_INSERTED => "nvd.inserted",
         NVD_CORPUS_IDS => "nvd.corpus_ids",
         ALT_LANDMARKS => "alt.landmarks",

@@ -186,9 +186,9 @@ impl KspinSystem {
     pub fn load_snapshot(bytes: &[u8]) -> Result<(KspinSystem, SnapshotExtras), SnapshotError> {
         let f = SnapshotFile::validate(bytes)?;
         let graph = decode_graph(&f)?;
-        let corpus = decode_corpus(&f)?;
+        let corpus = decode_corpus(&f, graph.num_vertices())?;
         let vocab = decode_vocab(&f)?;
-        let index = decode_index(&f)?;
+        let index = decode_index(&f, &corpus)?;
         let alt = decode_alt(&f, graph.num_vertices())?;
         let extras = SnapshotExtras {
             ch: decode_ch(&f)?,

@@ -110,7 +110,7 @@ fn steady_state_batches_allocate_a_pinned_reproducible_amount() {
 
     // One worker: thread-spawn and shard bookkeeping is identical across
     // batches and the cross-batch comparison is exact, not statistical.
-    let exec = BatchExecutor::new(&graph, &corpus, &index, &alt, 1).with_exact_threads(1);
+    let exec = BatchExecutor::new(&graph, &corpus, &index, &alt, 1);
 
     // Two oracles: Dijkstra, and the hub-label kernel behind KS-HL, whose
     // source-pinning table must be allocated when the oracle is made and

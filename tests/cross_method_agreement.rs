@@ -143,7 +143,7 @@ where
         }
     }
 
-    let exec = BatchExecutor::new(&s.graph, &s.corpus, &s.index, &s.alt, 1).with_exact_threads(2);
+    let exec = BatchExecutor::new(&s.graph, &s.corpus, &s.index, &s.alt, 2);
     let parallel = exec.execute(&queries, &make).results;
     let mut engine = s.engine(make());
     let name = engine.distance_name();

@@ -95,10 +95,9 @@ fn sequential(f: &Fixture) -> Vec<ServingResult> {
 
 fn assert_batches_match(f: &Fixture, reference: &[ServingResult]) {
     for threads in [1, 2, 8] {
-        // `with_exact_threads` bypasses the hardware clamp so the
-        // 8-worker leg really runs 8 workers even on a 1-core host.
-        let exec = BatchExecutor::new(&f.graph, &f.corpus, &f.index, &f.alt, 1)
-            .with_exact_threads(threads);
+        // The count is taken as given: the 8-worker leg really runs 8
+        // workers even on a 1-core host.
+        let exec = BatchExecutor::new(&f.graph, &f.corpus, &f.index, &f.alt, threads);
         let out = exec.execute(&f.queries, || DijkstraDistance::new(&f.graph));
         assert_eq!(
             out.results, reference,
@@ -202,8 +201,7 @@ fn hilbert_renumbering_is_invisible_to_serving() {
         .collect();
 
     for threads in [1, 4] {
-        let exec =
-            BatchExecutor::new(&pg, &f.corpus, &f.index, &palt, 1).with_exact_threads(threads);
+        let exec = BatchExecutor::new(&pg, &f.corpus, &f.index, &palt, threads);
         let dijkstra = exec.execute(&queries, || DijkstraDistance::new(&pg));
         assert_eq!(
             dijkstra.results, reference,
@@ -251,8 +249,7 @@ fn snapshot_reload_is_invisible_to_serving() {
     let pch = extras.ch.expect("ch rides along");
 
     for threads in [1, 4] {
-        let exec = BatchExecutor::new(&sys.graph, &sys.corpus, &sys.index, &sys.alt, 1)
-            .with_exact_threads(threads);
+        let exec = BatchExecutor::new(&sys.graph, &sys.corpus, &sys.index, &sys.alt, threads);
         let dijkstra = exec.execute(&f.queries, || DijkstraDistance::new(&sys.graph));
         assert_eq!(
             dijkstra.results, reference,
@@ -296,8 +293,7 @@ fn snapshot_reload_is_invisible_to_serving() {
     }
     let reference2 = sequential(&f2);
     for threads in [1, 4] {
-        let exec = BatchExecutor::new(&sys.graph, &sys.corpus, &sys.index, &sys.alt, 1)
-            .with_exact_threads(threads);
+        let exec = BatchExecutor::new(&sys.graph, &sys.corpus, &sys.index, &sys.alt, threads);
         let out = exec.execute(&f.queries, || DijkstraDistance::new(&sys.graph));
         assert_eq!(
             out.results, reference2,

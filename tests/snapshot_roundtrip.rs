@@ -1,6 +1,7 @@
 //! Snapshot round-trip guarantees, test-enforced at the system level:
 //!
-//! 1. **Canonical serialization** — save → load → save is byte-identical.
+//! 1. **Canonical serialization** — save → load → save is byte-identical,
+//!    and so are the snapshots of two independent builds of one input.
 //! 2. **Bit-identical serving** — a loaded system answers every query
 //!    with exactly the bytes the cold-built system produces, including
 //!    after §6.2 updates applied before the save.
@@ -77,6 +78,17 @@ fn save_load_save_is_byte_identical() {
     assert_eq!(bytes, bytes2, "save -> load -> save must be the identity");
 }
 
+/// No section holds a clock reading: building the same input twice gives
+/// the same file, not merely the same answers.
+#[test]
+fn independent_builds_save_to_identical_bytes() {
+    let extras = SnapshotExtras::default();
+    assert_eq!(
+        build_system(900, 11).save_snapshot(&extras),
+        build_system(900, 11).save_snapshot(&extras)
+    );
+}
+
 #[test]
 fn loaded_system_serves_bit_identically() {
     let system = build_system(900, 12);
@@ -133,27 +145,79 @@ fn small_snapshot() -> Vec<u8> {
     system.save_snapshot(&SnapshotExtras::default())
 }
 
-/// Format v2 held the ALT table landmark-major in the same `m · n` words:
-/// decoded as v3 it would pass every shape check and serve inadmissible
-/// bounds. The version byte alone refuses it, at the header, before any
-/// section is looked at.
+/// A retired format is refused by its version byte alone, at the header,
+/// before any section is looked at. Format v2 held the ALT table
+/// landmark-major in the same `m · n` words: decoded today it would pass
+/// every shape check and serve inadmissible bounds. Format v3, which the
+/// width checks of the index sections would catch anyway, is one more
+/// input.
 #[test]
 fn version_2_snapshot_is_refused_at_the_header() {
     use kspin::snapshot::{FormatError, SectionLabel};
-    let mut bytes = small_snapshot();
-    bytes[8] = 2;
-    let Err(e) = SnapshotFile::validate(&bytes) else {
-        panic!("version 2 header accepted");
-    };
-    assert_eq!(e.at(), SectionLabel::Header);
-    assert!(matches!(
-        e,
-        SnapshotError::Format {
-            kind: FormatError::BadVersion(2),
-            ..
+    for version in [2u8, 3] {
+        let mut bytes = small_snapshot();
+        bytes[8] = version;
+        let Err(e) = SnapshotFile::validate(&bytes) else {
+            panic!("version {version} header accepted");
+        };
+        assert_eq!(e.at(), SectionLabel::Header);
+        assert!(matches!(
+            e,
+            SnapshotError::Format {
+                kind: FormatError::BadVersion(v),
+                ..
+            } if v == u32::from(version)
+        ));
+        assert!(KspinSystem::load_snapshot(&bytes).is_err());
+    }
+}
+
+/// Corpus and index are decoded from different sections, so a file can be
+/// checksum-valid and each half well-formed while the index names objects
+/// the corpus does not hold (the query loops size their seen-set to the
+/// corpus and would index past it) or places them elsewhere. The loader
+/// must name the lying section.
+#[test]
+fn index_that_disagrees_with_its_corpus_is_refused() {
+    use kspin::snapshot::SectionLabel;
+    use kspin_core::snapshot::format::{self, section};
+    use kspin_core::snapshot::SnapshotWriter;
+    let good = small_snapshot();
+    let f = SnapshotFile::validate(&good).expect("fresh snapshot validates");
+    for (id, word) in [
+        (section::SMALL_OBJECTS, 1_000_000),
+        (section::NVD_CORPUS_IDS, 1_000_000),
+        (section::SMALL_VERTICES, u32::MAX),
+        (section::NVD_OBJECTS, u32::MAX),
+        (section::CORPUS_VERTEX_OF, u32::MAX),
+    ] {
+        // Same sections, first word of `id` replaced, fresh checksums.
+        let mut w = SnapshotWriter::new();
+        for s in f.sections() {
+            match s.kind {
+                format::KIND_U32 => {
+                    let mut words = f.u32s(s.id).unwrap();
+                    if s.id == id {
+                        words[0] = word;
+                    }
+                    w.put_u32s(s.id, &words);
+                }
+                format::KIND_U64 => w.put_u64s(s.id, &f.u64s(s.id).unwrap()),
+                format::KIND_F64 => w.put_f64s(s.id, &f.f64s(s.id).unwrap()),
+                _ => w.put_bytes(s.id, f.bytes(s.id).unwrap()),
+            }
         }
-    ));
-    assert!(KspinSystem::load_snapshot(&bytes).is_err());
+        let err = KspinSystem::load_snapshot(&w.finish())
+            .map(|_| ())
+            .expect_err("index/corpus disagreement accepted");
+        assert!(matches!(err, SnapshotError::Decode { .. }), "{err}");
+        let named = match id {
+            section::SMALL_VERTICES => section::SMALL_OBJECTS,
+            section::NVD_OBJECTS => section::NVD_CORPUS_IDS,
+            same => same,
+        };
+        assert_eq!(err.at(), SectionLabel::Section(named), "{err}");
+    }
 }
 
 proptest! {
