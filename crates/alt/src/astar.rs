@@ -8,16 +8,14 @@
 //! instead of a full Dijkstra ball.
 
 use kspin_graph::dheap::{DaryHeap, HeapCounters};
-use kspin_graph::{Graph, VertexId, Weight, INFINITY};
+use kspin_graph::{weight_add, Graph, Labels, VertexId, Weight, INFINITY};
 
 use crate::AltIndex;
 
 /// Reusable ALT-A* search state.
 pub struct AltAstar {
-    dist: Vec<Weight>,
-    epoch: Vec<u32>,
-    closed: Vec<u32>,
-    cur: u32,
+    /// The g values (distances from `s`); heap keys are f = g + π(v).
+    labels: Labels,
     heap: DaryHeap,
     /// Vertices settled by the last query (exploration-effort metric).
     settled: usize,
@@ -27,10 +25,7 @@ impl AltAstar {
     /// Creates state for graphs with `n` vertices.
     pub fn new(n: usize) -> Self {
         AltAstar {
-            dist: vec![INFINITY; n],
-            epoch: vec![0; n],
-            closed: vec![0; n],
-            cur: 0,
+            labels: Labels::new(n),
             heap: DaryHeap::new(n),
             settled: 0,
         }
@@ -41,34 +36,27 @@ impl AltAstar {
         if s == t {
             return 0;
         }
-        self.cur = self.cur.wrapping_add(1);
-        if self.cur == 0 {
-            self.epoch.iter_mut().for_each(|e| *e = u32::MAX);
-            self.closed.iter_mut().for_each(|e| *e = u32::MAX);
-            self.cur = 1;
-        }
+        self.labels.reset();
         self.heap.clear();
         self.settled = 0;
-        // Heap keys are f = g + π(v); g values live in `dist`.
-        self.set(s, 0);
+        self.labels.set(s, 0);
         self.heap.push(alt.lower_bound(s, t), s);
+        // The potential is consistent, so the first (and only) pop of a
+        // vertex carries its final g: improvements to an open vertex are
+        // decrease-keys, and the heap kernel's own debug check refuses one
+        // on a vertex already popped.
         while let Some((_, v)) = self.heap.pop() {
-            // The potential is consistent, so the first (and only) pop of
-            // a vertex carries its final g: improvements to an open vertex
-            // are decrease-keys, never duplicate (stale) entries.
-            debug_assert!(self.closed[v as usize] != self.cur);
-            // PANIC-OK: every heap item is a vertex id < n; arrays sized n at new().
-            self.closed[v as usize] = self.cur;
-            let g = self.get(v);
+            let g = self.labels.get(v);
             self.settled += 1;
             if v == t {
                 return g;
             }
             for (u, w) in graph.neighbors(v) {
-                let ng = g + w;
-                if ng < self.get(u) {
-                    self.set(u, ng);
-                    self.heap.insert_or_decrease(ng + alt.lower_bound(u, t), u);
+                let ng = weight_add(g, w);
+                if ng < self.labels.get(u) {
+                    self.labels.set(u, ng);
+                    self.heap
+                        .insert_or_decrease(weight_add(ng, alt.lower_bound(u, t)), u);
                 }
             }
         }
@@ -85,23 +73,6 @@ impl AltAstar {
     pub fn heap_counters(&self) -> HeapCounters {
         self.heap.counters()
     }
-
-    #[inline]
-    fn get(&self, v: VertexId) -> Weight {
-        // PANIC-OK: v is a vertex id < n from the CSR graph; arrays sized n.
-        if self.epoch[v as usize] == self.cur {
-            self.dist[v as usize] // PANIC-OK: same bound as the epoch read.
-        } else {
-            INFINITY
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, v: VertexId, d: Weight) {
-        // PANIC-OK: v is a vertex id < n from the CSR graph; arrays sized n.
-        self.epoch[v as usize] = self.cur;
-        self.dist[v as usize] = d; // PANIC-OK: same bound as above.
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +80,7 @@ mod tests {
     use super::*;
     use crate::LandmarkStrategy;
     use kspin_graph::generate::{road_network, RoadNetworkConfig};
-    use kspin_graph::Dijkstra;
+    use kspin_graph::{Dijkstra, GraphBuilder};
 
     #[test]
     fn exact_on_road_network() {
@@ -148,5 +119,36 @@ mod tests {
         let alt = AltIndex::build(&g, 4, LandmarkStrategy::Farthest, 1);
         let mut astar = AltAstar::new(g.num_vertices());
         assert_eq!(astar.distance(&g, &alt, 5, 5), 0);
+    }
+
+    #[test]
+    fn saturating_weights_match_dijkstra() {
+        // `add_edge` rejects only weight 0, so both graphs are legal input.
+        // In the first the heavy edge is a chord of the ring: its endpoints
+        // lie on shortest paths, so they are settled with g ≥ 10 however
+        // well the landmarks prune, and relaxing the chord with a raw
+        // `g + w` panics in debug builds and wraps to g − 2 in release
+        // builds, which then reads as the shortest way across.
+        let mut one_heavy = GraphBuilder::new(6);
+        let mut all_heavy = GraphBuilder::new(8);
+        for v in 0..6 {
+            one_heavy.add_edge(v, (v + 1) % 6, 10);
+        }
+        one_heavy.add_edge(0, 3, u32::MAX - 1);
+        for v in 0..8 {
+            all_heavy.add_edge(v, (v + 1) % 8, INFINITY / 2 + 1);
+        }
+        for g in [one_heavy.build(), all_heavy.build()] {
+            let n = g.num_vertices() as VertexId;
+            let alt = AltIndex::build(&g, 2, LandmarkStrategy::Farthest, 1);
+            let mut astar = AltAstar::new(g.num_vertices());
+            let mut dij = Dijkstra::new(g.num_vertices());
+            for s in 0..n {
+                for t in 0..n {
+                    let want = dij.one_to_one(&g, s, t).min(INFINITY);
+                    assert_eq!(astar.distance(&g, &alt, s, t), want, "({s},{t})");
+                }
+            }
+        }
     }
 }

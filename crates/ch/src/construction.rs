@@ -14,7 +14,8 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use kspin_graph::{weight_add, Graph, VertexId, Weight, INFINITY};
+use kspin_graph::csr::row_slice;
+use kspin_graph::{weight_add, Graph, Labels, VertexId, Weight, INFINITY};
 
 /// Above this live degree, contraction skips witness searches.
 const SKIP_WITNESS_DEGREE: usize = 24;
@@ -53,7 +54,7 @@ pub struct ContractionHierarchy {
 impl ContractionHierarchy {
     /// Contracts `graph` into a hierarchy.
     pub fn build(graph: &Graph, config: &ChConfig) -> Self {
-        Contractor::new(graph, config).run()
+        Contractor::new(graph, config).contract_all()
     }
 
     /// Number of vertices.
@@ -71,15 +72,9 @@ impl ContractionHierarchy {
     /// Upward edges of `v`: neighbors with strictly higher rank.
     #[inline]
     pub fn upward(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        // PANIC-OK: up_offsets has n+1 slots and is monotone, bounding
-        // up_targets/up_weights by CSR construction; v is a graph vertex.
-        let lo = self.up_offsets[v as usize] as usize;
-        let hi = self.up_offsets[v as usize + 1] as usize; // PANIC-OK: v + 1 <= n.
-        self.up_targets[lo..hi] // PANIC-OK: offsets bound targets by construction.
-            .iter()
-            .copied()
-            // PANIC-OK: up_weights is the same length as up_targets.
-            .zip(self.up_weights[lo..hi].iter().copied())
+        let targets = row_slice(&self.up_offsets, &self.up_targets, v as usize);
+        let weights = row_slice(&self.up_offsets, &self.up_weights, v as usize);
+        targets.iter().copied().zip(weights.iter().copied())
     }
 
     /// Shortcut edges added during contraction.
@@ -229,7 +224,9 @@ impl ContractionHierarchy {
     }
 }
 
-/// Working state for one contraction run.
+/// Working state for one contraction run. Every per-vertex array is sized
+/// `n`, and every vertex id that reaches an index — a queue entry, an
+/// adjacency key, an edge endpoint — comes from the input graph, so is `< n`.
 struct Contractor<'a> {
     config: &'a ChConfig,
     /// Dynamic adjacency of the not-yet-contracted "core" graph.
@@ -246,9 +243,7 @@ struct Contractor<'a> {
     edges: Vec<(VertexId, VertexId, Weight)>,
     num_shortcuts: usize,
     // Witness-search scratch.
-    wdist: Vec<Weight>,
-    wepoch: Vec<u32>,
-    wcur: u32,
+    witness: Labels,
     wheap: BinaryHeap<(Reverse<Weight>, u32, VertexId)>,
 }
 
@@ -256,10 +251,8 @@ impl<'a> Contractor<'a> {
     fn new(graph: &Graph, config: &'a ChConfig) -> Self {
         let n = graph.num_vertices();
         let mut adj: Vec<BTreeMap<VertexId, Weight>> = vec![BTreeMap::new(); n];
-        for v in 0..n as VertexId {
-            for (u, w) in graph.neighbors(v) {
-                adj[v as usize].insert(u, w); // PANIC-OK: adj is sized n; v < n.
-            }
+        for (v, row) in adj.iter_mut().enumerate() {
+            row.extend(graph.neighbors(v as VertexId));
         }
         Contractor {
             config,
@@ -269,18 +262,15 @@ impl<'a> Contractor<'a> {
             rank: vec![0; n],
             edges: Vec::new(),
             num_shortcuts: 0,
-            wdist: vec![INFINITY; n],
-            wepoch: vec![0; n],
-            wcur: 0,
+            witness: Labels::new(n),
             wheap: BinaryHeap::new(),
         }
     }
 
-    fn run(mut self) -> ContractionHierarchy {
+    fn contract_all(mut self) -> ContractionHierarchy {
         let n = self.adj.len();
         // Record original edges before contraction mutates adjacency.
         for u in 0..n {
-            // PANIC-OK: adj is sized n = self.adj.len(); u < n.
             for (&v, &w) in &self.adj[u] {
                 if (u as VertexId) < v {
                     self.edges.push((u as VertexId, v, w));
@@ -295,26 +285,20 @@ impl<'a> Contractor<'a> {
             .collect();
         let mut next_rank = 0u32;
         while let Some((Reverse(_), ver, v)) = queue.pop() {
-            // PANIC-OK: contracted/version/adj/rank are all sized n; queue
-            // entries and adjacency keys are vertices < n throughout.
             if self.contracted[v as usize] {
                 continue;
             }
-            // PANIC-OK: version sized n; v < n.
             if ver != version[v as usize] {
                 let fresh = self.priority(v);
-                // PANIC-OK: version is sized n; v < n as above.
                 queue.push((Reverse(fresh), version[v as usize], v));
                 continue;
             }
-            // PANIC-OK: adj is sized n; v < n as above.
             let neighbors: Vec<VertexId> = self.adj[v as usize].keys().copied().collect();
             for &u in &neighbors {
-                // PANIC-OK: version is sized n; adjacency keys are < n.
                 version[u as usize] = version[u as usize].wrapping_add(1);
             }
             self.contract(v);
-            self.rank[v as usize] = next_rank; // PANIC-OK: rank sized n; v < n.
+            self.rank[v as usize] = next_rank;
             next_rank += 1;
         }
 
@@ -323,7 +307,6 @@ impl<'a> Contractor<'a> {
         let mut deg = vec![0u32; n + 1];
         let mut directed: Vec<(VertexId, VertexId, Weight)> = Vec::with_capacity(self.edges.len());
         for &(u, v, w) in &self.edges {
-            // PANIC-OK: rank is sized n; edge endpoints are vertices < n.
             let (lo, hi) = if rank[u as usize] < rank[v as usize] {
                 (u, v)
             } else {
@@ -335,22 +318,19 @@ impl<'a> Contractor<'a> {
         directed.sort_unstable();
         directed.dedup_by(|next, prev| next.0 == prev.0 && next.1 == prev.1);
         for &(lo, _, _) in &directed {
-            deg[lo as usize + 1] += 1; // PANIC-OK: deg has n+1 slots; lo < n.
+            deg[lo as usize + 1] += 1;
         }
         for i in 0..n {
-            deg[i + 1] += deg[i]; // PANIC-OK: deg has n+1 slots; i < n.
+            deg[i + 1] += deg[i];
         }
         let up_offsets = deg;
         let mut up_targets = vec![0; directed.len()];
         let mut up_weights = vec![0; directed.len()];
         let mut cursor = up_offsets.clone();
         for (lo, hi, w) in directed {
-            // PANIC-OK: cursor is sized n+1 with lo < n; the counting-sort
-            // cursor stays below up_offsets[lo + 1] <= directed.len(), which
-            // sizes up_targets/up_weights.
             let c = &mut cursor[lo as usize];
-            up_targets[*c as usize] = hi; // PANIC-OK: cursor bound as above.
-            up_weights[*c as usize] = w; // PANIC-OK: cursor bound as above.
+            up_targets[*c as usize] = hi;
+            up_weights[*c as usize] = w;
             *c += 1;
         }
         ContractionHierarchy {
@@ -365,23 +345,21 @@ impl<'a> Contractor<'a> {
     /// Priority = edge difference + deleted neighbors (standard heuristic).
     fn priority(&mut self, v: VertexId) -> i64 {
         let (shortcuts, removed) = self.simulate(v);
-        // PANIC-OK: deleted_neighbors is sized n; v < n.
         shortcuts as i64 - removed as i64 + self.deleted_neighbors[v as usize] as i64
     }
 
     /// Counts the shortcuts contracting `v` would add, without mutating.
     fn simulate(&mut self, v: VertexId) -> (usize, usize) {
-        let deg = self.adj[v as usize].len(); // PANIC-OK: adj is sized n; v < n.
+        let deg = self.adj[v as usize].len();
         if deg > SKIP_WITNESS_DEGREE {
             // Endgame core: assume every pair needs a shortcut.
             return (deg * deg.saturating_sub(1) / 2, deg);
         }
         let neighbors: Vec<(VertexId, Weight)> =
-            self.adj[v as usize].iter().map(|(&u, &w)| (u, w)).collect(); // PANIC-OK: v < n.
+            self.adj[v as usize].iter().map(|(&u, &w)| (u, w)).collect();
         let mut shortcuts = 0;
         for i in 0..neighbors.len() {
-            let (u, wu) = neighbors[i]; // PANIC-OK: i < neighbors.len().
-                                        // PANIC-OK: i + 1 <= neighbors.len(), a valid (possibly empty) tail.
+            let (u, wu) = neighbors[i];
             for &(t, wt) in &neighbors[i + 1..] {
                 if !self.has_witness(u, t, weight_add(wu, wt), v) {
                     shortcuts += 1;
@@ -393,11 +371,10 @@ impl<'a> Contractor<'a> {
 
     fn contract(&mut self, v: VertexId) {
         let neighbors: Vec<(VertexId, Weight)> =
-            self.adj[v as usize].iter().map(|(&u, &w)| (u, w)).collect(); // PANIC-OK: v < n.
+            self.adj[v as usize].iter().map(|(&u, &w)| (u, w)).collect();
         let skip_witness = neighbors.len() > SKIP_WITNESS_DEGREE;
         for i in 0..neighbors.len() {
-            let (u, wu) = neighbors[i]; // PANIC-OK: i < neighbors.len().
-                                        // PANIC-OK: i + 1 <= neighbors.len(), a valid (possibly empty) tail.
+            let (u, wu) = neighbors[i];
             for &(t, wt) in &neighbors[i + 1..] {
                 let via = weight_add(wu, wt);
                 if skip_witness || !self.has_witness(u, t, via, v) {
@@ -405,15 +382,12 @@ impl<'a> Contractor<'a> {
                 }
             }
         }
-        // PANIC-OK: contracted/adj/deleted_neighbors are sized n; v and its
-        // adjacency keys are vertices < n.
         self.contracted[v as usize] = true;
         for &(u, _) in &neighbors {
-            self.adj[u as usize].remove(&v); // PANIC-OK: adj sized n; u < n.
-                                             // PANIC-OK: deleted_neighbors is sized n; u < n as above.
+            self.adj[u as usize].remove(&v);
             self.deleted_neighbors[u as usize] += 1;
         }
-        self.adj[v as usize] = BTreeMap::new(); // PANIC-OK: adj sized n; v < n.
+        self.adj[v as usize] = BTreeMap::new();
     }
 
     fn insert_shortcut(&mut self, u: VertexId, t: VertexId, w: Weight) {
@@ -422,11 +396,10 @@ impl<'a> Contractor<'a> {
             // a saturated sum must not leave a one-sided adjacency entry.
             return;
         }
-        // PANIC-OK: adj is sized n; u and t are adjacency keys < n.
         let e = self.adj[u as usize].entry(t).or_insert(Weight::MAX);
         if w < *e {
             *e = w;
-            self.adj[t as usize].insert(u, w); // PANIC-OK: t < n as above.
+            self.adj[t as usize].insert(u, w);
             self.edges.push((u, t, w));
             self.num_shortcuts += 1;
         }
@@ -436,24 +409,17 @@ impl<'a> Contractor<'a> {
     /// `excluded`; returns true if a path of length ≤ `limit` exists, in
     /// which case the shortcut u–v–t is unnecessary.
     fn has_witness(&mut self, u: VertexId, t: VertexId, limit: Weight, excluded: VertexId) -> bool {
-        self.wcur = self.wcur.wrapping_add(1);
-        if self.wcur == 0 {
-            self.wepoch.iter_mut().for_each(|e| *e = u32::MAX);
-            self.wcur = 1;
-        }
+        self.witness.reset();
         self.wheap.clear();
         self.wheap.push((Reverse(0), 0, u));
-        // PANIC-OK: wepoch/wdist are sized n; u is a graph vertex < n.
-        self.wepoch[u as usize] = self.wcur;
-        self.wdist[u as usize] = 0; // PANIC-OK: wdist is sized n; u < n.
+        self.witness.set(u, 0);
         let mut settled = 0;
         while let Some((Reverse(d), hops, x)) = self.wheap.pop() {
             if d > limit || settled >= self.config.witness_budget {
                 return false;
             }
-            // PANIC-OK: heap entries are vertices < n; wepoch/wdist sized n.
-            if self.wepoch[x as usize] == self.wcur && d > self.wdist[x as usize] {
-                continue;
+            if d > self.witness.get(x) {
+                continue; // a stale entry: x was improved after this push
             }
             if x == t {
                 return d <= limit;
@@ -462,19 +428,13 @@ impl<'a> Contractor<'a> {
             if hops as usize >= self.config.witness_hops {
                 continue;
             }
-            // PANIC-OK: adj is sized n and its keys are vertices < n, which
-            // also bounds the wepoch/wdist accesses below.
             for (&y, &w) in &self.adj[x as usize] {
                 if y == excluded {
                     continue;
                 }
                 let nd = weight_add(d, w);
-                if nd <= limit
-                    // PANIC-OK: wepoch/wdist are sized n; y is an adjacency key < n.
-                    && (self.wepoch[y as usize] != self.wcur || nd < self.wdist[y as usize])
-                {
-                    self.wepoch[y as usize] = self.wcur; // PANIC-OK: y < n as above.
-                    self.wdist[y as usize] = nd; // PANIC-OK: y < n as above.
+                if nd <= limit && nd < self.witness.get(y) {
+                    self.witness.set(y, nd);
                     self.wheap.push((Reverse(nd), hops + 1, y));
                 }
             }

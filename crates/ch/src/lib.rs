@@ -11,6 +11,11 @@
 //! * lazy-update priority queue over `edge difference + deleted neighbors`,
 //! * hop/space-bounded witness searches during contraction,
 //! * a CSR upward graph for cache-friendly queries.
+//!
+//! There is one label store: the witness search of the build and both
+//! upward searches of a query keep their tentative distances in
+//! [`kspin_graph::Labels`]; this crate adds only the CH-specific search
+//! that fills one (`labels::fill_upward`).
 
 mod construction;
 mod labels;

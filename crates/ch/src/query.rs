@@ -1,9 +1,9 @@
 //! Source-pinned point-to-point distances over a built hierarchy.
 
-use kspin_graph::{weight_add, DaryHeap, HeapCounters, VertexId, Weight, INFINITY};
+use kspin_graph::{weight_add, DaryHeap, HeapCounters, Labels, VertexId, Weight, INFINITY};
 
 use crate::construction::ContractionHierarchy;
-use crate::labels::Labels;
+use crate::labels::fill_upward;
 
 /// Reusable point-to-point query state.
 ///
@@ -55,7 +55,7 @@ impl<'a> ChQuery<'a> {
         }
         if self.pinned != Some(s) {
             // Unpruned: the targets this space will serve are not known yet.
-            self.fwd.fill_upward(self.ch, &mut self.heap, s);
+            fill_upward(&mut self.fwd, self.ch, &mut self.heap, s);
             self.pinned = Some(s);
         }
         self.bwd.reset();

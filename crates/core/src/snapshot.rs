@@ -24,8 +24,7 @@
 //! crate's `snapshot` module, which builds on these codecs.
 
 pub use kspin_snapshot::{
-    format, FormatError, IndexStore, SectionLabel, SectionView, SnapshotError, SnapshotFile,
-    SnapshotWriter,
+    format, FormatError, SectionLabel, SectionView, SnapshotError, SnapshotFile, SnapshotWriter,
 };
 
 use crate::index::{BuildStats, KeywordIndex, KspinIndex, NvdIndex, SmallIndex};
@@ -56,7 +55,7 @@ impl<'a, T> Pool<'a, T> {
 
     /// The next `len` elements, or a structured error naming the section
     /// when the pool runs dry (a length section lying about its pools).
-    fn take(&mut self, len: usize) -> Result<&'a [T], SnapshotError> {
+    fn take_n(&mut self, len: usize) -> Result<&'a [T], SnapshotError> {
         let end = self
             .cursor
             .checked_add(len)
@@ -94,7 +93,7 @@ impl<'a, T> Pool<'a, T> {
 impl<T: Copy> Pool<'_, T> {
     /// The next single element.
     fn take1(&mut self) -> Result<T, SnapshotError> {
-        let s = self.take(1)?;
+        let s = self.take_n(1)?;
         s.first().copied().ok_or_else(|| {
             SnapshotError::decode(self.id, "pool yielded an empty single-element slice")
         })
@@ -368,14 +367,14 @@ fn check_placed(
 
 fn decode_one_nvd(p: &mut NvdPools<'_>, corpus: &Corpus) -> Result<NvdIndex, SnapshotError> {
     use section::*;
-    let &[s_min_x, s_min_y, s_scale_x, s_scale_y] = p.scalars.take(4)? else {
+    let &[s_min_x, s_min_y, s_scale_x, s_scale_y] = p.scalars.take_n(4)? else {
         return Err(SnapshotError::decode(
             NVD_SCALARS,
             "scalar pool slice is not 4 wide",
         ));
     };
     let &[l_starts, l_cand_offsets, l_cands, l_gens, l_adj_nodes, l_adj_edges, l_inserted] =
-        p.lens.take(7)?
+        p.lens.take_n(7)?
     else {
         return Err(SnapshotError::decode(
             NVD_LENS,
@@ -421,21 +420,21 @@ fn decode_one_nvd(p: &mut NvdPools<'_>, corpus: &Corpus) -> Result<NvdIndex, Sna
         ));
     }
 
-    let starts = p.starts.take(starts_len)?.to_vec();
-    let cand_offsets = p.cand_offsets.take(cand_offsets_len)?.to_vec();
-    let cands = p.cands.take(cands_len)?.to_vec();
-    let objects = p.objects.take(gens)?.to_vec();
-    let max_radius = p.max_radius.take(gens)?.to_vec();
+    let starts = p.starts.take_n(starts_len)?.to_vec();
+    let cand_offsets = p.cand_offsets.take_n(cand_offsets_len)?.to_vec();
+    let cands = p.cands.take_n(cands_len)?.to_vec();
+    let objects = p.objects.take_n(gens)?.to_vec();
+    let max_radius = p.max_radius.take_n(gens)?.to_vec();
     let adj_fences = adj_nodes
         .checked_add(1)
         .ok_or_else(|| SnapshotError::decode(NVD_LENS, "adjacency node count overflows"))?;
-    let adj_offsets = p.adj_offsets.take(adj_fences)?;
-    let adj_data = p.adj_data.take(adj_edges)?;
+    let adj_offsets = p.adj_offsets.take_n(adj_fences)?;
+    let adj_data = p.adj_data.take_n(adj_edges)?;
     let adjacency = AdjacencyGraph::from_flat(adj_offsets, adj_data)
         .map_err(|e| SnapshotError::decode(NVD_ADJ_OFFSETS, e))?;
-    let deleted = decoded_bools(NVD_DELETED, p.deleted.take(overlay)?)?;
-    let inserted_vertices = p.inserted.take(inserted_len)?.to_vec();
-    let corpus_ids = p.corpus_ids.take(overlay)?.to_vec();
+    let deleted = decoded_bools(NVD_DELETED, p.deleted.take_n(overlay)?)?;
+    let inserted_vertices = p.inserted.take_n(inserted_len)?.to_vec();
+    let corpus_ids = p.corpus_ids.take_n(overlay)?.to_vec();
     // Local ids run over the generators, then the inserted objects.
     let vertices = objects.iter().chain(&inserted_vertices).copied();
     let placements = corpus_ids.iter().copied().zip(vertices);
@@ -544,9 +543,9 @@ pub fn decode_index(f: &SnapshotFile<'_>, corpus: &Corpus) -> Result<KspinIndex,
                 // TAINT-OK(slot counter bounded by the kinds section length)
                 small_count += 1;
                 let len = len_field(SMALL_LENS, "small list length", lens_pool.take1()?)?;
-                let objects = objects_pool.take(len)?.to_vec();
-                let vertices = vertices_pool.take(len)?.to_vec();
-                let alive = decoded_bools(SMALL_ALIVE, alive_pool.take(len)?)?;
+                let objects = objects_pool.take_n(len)?.to_vec();
+                let vertices = vertices_pool.take_n(len)?.to_vec();
+                let alive = decoded_bools(SMALL_ALIVE, alive_pool.take_n(len)?)?;
                 let placements = objects.iter().copied().zip(vertices.iter().copied());
                 check_placed(SMALL_OBJECTS, corpus, placements)?;
                 entries.push(Some(KeywordIndex::Small(SmallIndex {
@@ -866,8 +865,9 @@ mod tests {
         let f = SnapshotFile::validate(&good).unwrap();
 
         // Reassembles the index sections around a substituted meta/kinds
-        // pair: valid checksums, logically corrupt content.
-        let reassemble = |meta: &[u64], kinds: &[u8]| {
+        // pair and NVD adjacency pool: valid checksums, logically corrupt
+        // content.
+        let reassemble = |meta: &[u64], kinds: &[u8], adj_data: &[u32]| {
             let mut w2 = SnapshotWriter::new();
             w2.put_u64s(section::INDEX_META, meta);
             w2.put_bytes(section::INDEX_TERM_KINDS, kinds);
@@ -888,10 +888,10 @@ mod tests {
                 section::NVD_OBJECTS,
                 section::NVD_MAX_RADIUS,
                 section::NVD_ADJ_OFFSETS,
-                section::NVD_ADJ_DATA,
             ] {
                 w2.put_u32s(id, &f.u32s(id).unwrap());
             }
+            w2.put_u32s(section::NVD_ADJ_DATA, adj_data);
             w2.put_bytes(section::NVD_DELETED, f.bytes(section::NVD_DELETED).unwrap());
             for id in [section::NVD_INSERTED, section::NVD_CORPUS_IDS] {
                 w2.put_u32s(id, &f.u32s(id).unwrap());
@@ -900,6 +900,7 @@ mod tests {
         };
         let meta = f.u64s(section::INDEX_META).unwrap();
         let kinds = f.bytes(section::INDEX_TERM_KINDS).unwrap();
+        let adj_data = f.u32s(section::NVD_ADJ_DATA).unwrap();
 
         // A lying meta (term count inflated, one more NVD claimed than the
         // pools hold), a meta that is not exactly 4 words wide (the
@@ -943,13 +944,41 @@ mod tests {
             leafless.put_u32s(id, &[]);
         }
         for bad in [
-            reassemble(&lying_meta, &lying_kinds),
-            reassemble(&v3_meta, kinds),
+            reassemble(&lying_meta, &lying_kinds, &adj_data),
+            reassemble(&v3_meta, kinds, &adj_data),
             leafless.finish(),
         ] {
             let f2 = SnapshotFile::validate(&bad).expect("checksums are fresh");
             let err = decode_index(&f2, &c).expect_err("corrupt index accepted");
             assert!(matches!(err, SnapshotError::Decode { .. }), "{err}");
+        }
+
+        // A well-shaped adjacency pool whose first edge a→b of the first
+        // NVD is rewritten to an out-of-range neighbour, a self-loop, and
+        // an edge to a stranger that does not return it:
+        // `AdjacencyGraph::from_flat` checks the offsets only, so it is the
+        // audit of the assembled NVD that must refuse each, naming an NVD
+        // section.
+        let adj_offsets = f.u32s(section::NVD_ADJ_OFFSETS).unwrap();
+        let nodes = f.u32s(section::NVD_LENS).unwrap()[4];
+        let a = adj_offsets.windows(2).position(|w| w[1] > w[0]).unwrap();
+        let a_list = &adj_data[..adj_offsets[a + 1] as usize];
+        let stranger = (0..nodes)
+            .find(|&g| g != a as u32 && !a_list.contains(&g))
+            .expect("a generator that is not adjacent to a");
+        for first_edge in [u32::MAX, a as u32, stranger] {
+            let mut corrupt = adj_data.clone();
+            corrupt[0] = first_edge;
+            let bad = reassemble(&meta, kinds, &corrupt);
+            let f2 = SnapshotFile::validate(&bad).expect("checksums are fresh");
+            let err = decode_index(&f2, &c).expect_err("corrupt adjacency accepted");
+            assert!(
+                matches!(
+                    err.at(),
+                    SectionLabel::Section(section::NVD_SCALARS | section::NVD_ADJ_OFFSETS)
+                ),
+                "{err}"
+            );
         }
     }
 }

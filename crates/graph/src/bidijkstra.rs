@@ -8,26 +8,57 @@
 
 use crate::csr::Graph;
 use crate::dheap::{DaryHeap, HeapCounters};
+use crate::labels::Labels;
 use crate::types::{VertexId, Weight, INFINITY};
 use crate::weight::weight_add;
+
+/// One search direction: its tentative distances and its frontier.
+struct Side {
+    labels: Labels,
+    heap: DaryHeap,
+}
+
+impl Side {
+    fn new(n: usize) -> Self {
+        Side {
+            labels: Labels::new(n),
+            heap: DaryHeap::new(n),
+        }
+    }
+
+    /// Starts a fresh search from `source`.
+    fn restart(&mut self, source: VertexId) {
+        self.labels.reset();
+        self.heap.clear();
+        self.improve(source, 0);
+    }
+
+    /// Lowers the tentative distance of `v` to `d`.
+    #[inline]
+    fn improve(&mut self, v: VertexId, d: Weight) {
+        self.labels.set(v, d);
+        self.heap.insert_or_decrease(d, v);
+    }
+
+    /// The smallest tentative distance still open, [`INFINITY`] when none is.
+    fn frontier_key(&self) -> Weight {
+        self.heap.peek().map(|(d, _)| d).unwrap_or(INFINITY)
+    }
+}
 
 /// Reusable bidirectional search state (epoch-reset, no per-query
 /// allocation in the steady state).
 pub struct BiDijkstra {
-    dist: [Vec<Weight>; 2],
-    epoch: [Vec<u32>; 2],
-    cur: u32,
-    heaps: [DaryHeap; 2],
+    fwd: Side,
+    bwd: Side,
 }
 
 impl BiDijkstra {
     /// Creates state for graphs with `n` vertices.
     pub fn new(n: usize) -> Self {
         BiDijkstra {
-            dist: [vec![INFINITY; n], vec![INFINITY; n]],
-            epoch: [vec![0; n], vec![0; n]],
-            cur: 0,
-            heaps: [DaryHeap::new(n), DaryHeap::new(n)],
+            fwd: Side::new(n),
+            bwd: Side::new(n),
         }
     }
 
@@ -36,35 +67,26 @@ impl BiDijkstra {
         if s == t {
             return 0;
         }
-        self.cur = self.cur.wrapping_add(1);
-        if self.cur == 0 {
-            for side in &mut self.epoch {
-                side.iter_mut().for_each(|e| *e = u32::MAX);
-            }
-            self.cur = 1;
-        }
-        for h in &mut self.heaps {
-            h.clear();
-        }
-        self.relax(0, s, 0);
-        self.relax(1, t, 0);
+        self.fwd.restart(s);
+        self.bwd.restart(t);
         let mut best = INFINITY;
         loop {
             // Pick the side with the smaller frontier key; stop when the
             // frontier sum can no longer improve the best meeting.
-            let top = |h: &DaryHeap| h.peek().map(|(d, _)| d).unwrap_or(INFINITY);
-            // PANIC-OK: constant indexes into the [DaryHeap; 2] pair.
-            let (f, b) = (top(&self.heaps[0]), top(&self.heaps[1]));
+            let (f, b) = (self.fwd.frontier_key(), self.bwd.frontier_key());
             if f.saturating_add(b) >= best || (f == INFINITY && b == INFINITY) {
                 break;
             }
-            let side = if f <= b { 0 } else { 1 };
-            // PANIC-OK: side is 0 or 1 by the line above; heaps is [_; 2].
-            let Some((d, v)) = self.heaps[side].pop() else {
+            let (near, far) = if f <= b {
+                (&mut self.fwd, &self.bwd)
+            } else {
+                (&mut self.bwd, &self.fwd)
+            };
+            let Some((d, v)) = near.heap.pop() else {
                 break;
             };
-            debug_assert!(d == self.get(side, v), "indexed heap pops are never stale");
-            let other = self.get(1 - side, v);
+            debug_assert!(d == near.labels.get(v), "indexed heap pops are never stale");
+            let other = far.labels.get(v);
             if other < INFINITY {
                 let total = weight_add(d, other);
                 if total < best {
@@ -73,38 +95,18 @@ impl BiDijkstra {
             }
             for (u, w) in graph.neighbors(v) {
                 let nd = weight_add(d, w);
-                if nd < self.get(side, u) {
-                    self.relax(side, u, nd);
+                if nd < near.labels.get(u) {
+                    near.improve(u, nd);
                 }
             }
         }
         best
     }
 
-    #[inline]
-    fn get(&self, side: usize, v: VertexId) -> Weight {
-        // PANIC-OK: side is 0 or 1 (callers pass literals or 1 - side);
-        // v is a vertex id < n from the CSR graph, inner arrays sized n.
-        if self.epoch[side][v as usize] == self.cur {
-            self.dist[side][v as usize] // PANIC-OK: same bounds as the epoch read.
-        } else {
-            INFINITY
-        }
-    }
-
-    #[inline]
-    fn relax(&mut self, side: usize, v: VertexId, d: Weight) {
-        // PANIC-OK: side is 0 or 1; v < n from the CSR graph, arrays sized n.
-        self.epoch[side][v as usize] = self.cur;
-        self.dist[side][v as usize] = d; // PANIC-OK: same bounds as above.
-        self.heaps[side].insert_or_decrease(d, v); // PANIC-OK: side is 0 or 1.
-    }
-
     /// Cumulative heap-kernel counters summed over both search directions.
     pub fn heap_counters(&self) -> HeapCounters {
-        // PANIC-OK: constant indexes into the [DaryHeap; 2] pair.
-        let mut c = self.heaps[0].counters();
-        c += self.heaps[1].counters(); // PANIC-OK: constant index into [_; 2].
+        let mut c = self.fwd.heap.counters();
+        c += self.bwd.heap.counters();
         c
     }
 }

@@ -7,6 +7,23 @@
 
 use crate::types::{Edge, Point, VertexId, Weight};
 
+/// Row `row` of a CSR arena: `data[offsets[row]..offsets[row + 1]]`. The
+/// one place the workspace's flat adjacency, upward-edge, hub-label and
+/// leaf-candidate arenas are sliced.
+///
+/// # Panics
+/// If `offsets` is not the arena's fence array — `rows + 1` monotone
+/// entries, the last at most `data.len()` — or `row` is not below `rows`.
+/// Every caller's constructor or snapshot validator establishes the shape.
+#[inline]
+pub fn row_slice<'a, T>(offsets: &[u32], data: &'a [T], row: usize) -> &'a [T] {
+    // PANIC-OK: offsets has rows + 1 slots and row < rows for every id the
+    // owning structure hands out.
+    let lo = offsets[row] as usize;
+    let hi = offsets[row + 1] as usize; // PANIC-OK: row + 1 <= rows.
+    &data[lo..hi] // PANIC-OK: lo <= hi <= data.len() — monotone fences.
+}
+
 /// An immutable undirected road-network graph in CSR form.
 ///
 /// Construct via [`GraphBuilder`], [`crate::dimacs`] or [`crate::generate`].
@@ -41,20 +58,15 @@ impl Graph {
     /// Iterates `(neighbor, weight)` pairs of `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        // PANIC-OK: offsets has n + 1 slots and v < n for every vertex id the
-        // builder hands out; lo <= hi <= num_arcs by CSR construction.
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize; // PANIC-OK: v + 1 <= n.
-        self.targets[lo..hi] // PANIC-OK: CSR offsets bound the arc arrays.
-            .iter()
-            .copied()
-            .zip(self.weights[lo..hi].iter().copied()) // PANIC-OK: same range.
+        let targets = row_slice(&self.offsets, &self.targets, v as usize);
+        let weights = row_slice(&self.offsets, &self.weights, v as usize);
+        targets.iter().copied().zip(weights.iter().copied())
     }
 
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
+        row_slice(&self.offsets, &self.targets, v as usize).len()
     }
 
     /// Coordinate of `v`.
@@ -117,8 +129,8 @@ impl Graph {
     }
 
     /// Reassembles a graph from raw CSR arrays without re-sorting or
-    /// copying, validating every invariant the `PANIC-OK` indexing in the
-    /// accessors relies on: `n + 1` monotone offsets bracketing the arc
+    /// copying, validating every invariant [`row_slice`] and the other
+    /// accessors rely on: `n + 1` monotone offsets bracketing the arc
     /// arrays, targets in range, and per-vertex adjacency strictly
     /// ascending (the builder's canonical order).
     ///
@@ -286,6 +298,15 @@ mod tests {
         b.add_edge(1, 2, 3);
         b.add_edge(2, 0, 10);
         b.build()
+    }
+
+    #[test]
+    fn row_slice_serves_first_last_and_empty_rows() {
+        let offsets = [0u32, 2, 2, 5];
+        let data = [10u32, 11, 12, 13, 14];
+        assert_eq!(row_slice(&offsets, &data, 0), &[10, 11]);
+        assert_eq!(row_slice(&offsets, &data, 1), &[] as &[u32]);
+        assert_eq!(row_slice(&offsets, &data, 2), &[12, 13, 14]);
     }
 
     #[test]

@@ -28,6 +28,11 @@ pub enum Control {
 ///
 /// All query methods leave the search space readable through
 /// [`Dijkstra::space`] until the next query starts.
+///
+/// The epoch-stamped arrays are this struct's own rather than a
+/// [`crate::Labels`]: one stamp here covers `dist`, `parent` *and*
+/// `settled` (a fresh stamp in `relax` also clears the settled bit), a
+/// different record from a bare distance label.
 pub struct Dijkstra {
     dist: Vec<Weight>,
     parent: Vec<VertexId>,
@@ -221,8 +226,9 @@ impl Dijkstra {
     fn begin(&mut self) {
         self.cur_epoch = self.cur_epoch.wrapping_add(1);
         if self.cur_epoch == 0 {
-            // Extremely rare wrap: force-refresh every slot.
-            self.epoch.iter_mut().for_each(|e| *e = u32::MAX);
+            // Extremely rare wrap: zero every stamp and restart at 1, the
+            // one stamp value no later epoch takes before the next wrap.
+            self.epoch.fill(0);
             self.cur_epoch = 1;
         }
         self.heap.clear();
@@ -423,5 +429,23 @@ mod tests {
             }
         });
         assert_eq!(dist2, Some(6));
+    }
+
+    #[test]
+    fn epoch_wrap_refreshes_stale_stamps() {
+        let g = line_graph();
+        let mut d = Dijkstra::new(g.num_vertices());
+        d.cur_epoch = u32::MAX - 1;
+        d.sssp(&g, 0); // stamps 0..=3 with u32::MAX
+        assert_eq!(d.space().distance(3), Some(3));
+        d.sssp(&g, 4); // wraps: every stamp refreshed, epoch restarts at 1
+        assert_eq!(d.cur_epoch, 1);
+        assert_eq!(d.space().distance(3), None);
+        // A stamp written by the refresh never equals a later epoch: replay
+        // the last epoch before the *next* wrap over vertices untouched since.
+        d.cur_epoch = u32::MAX - 1;
+        d.sssp(&g, 4);
+        assert_eq!(d.space().distance(3), None);
+        assert_eq!(d.space().distance(4), Some(0));
     }
 }

@@ -11,6 +11,9 @@
 //! * [`dheap`] — the indexed 4-ary decrease-key heap kernel under every
 //!   best-first search in the workspace (zero stale pops, O(1) reset,
 //!   structural instrumentation counters).
+//! * [`labels`] — the one epoch-stamped distance-label store ([`Labels`])
+//!   under every point-to-point kernel here, in `kspin-alt` and in
+//!   `kspin-ch`: O(1) reset, the bounds argument written once.
 //! * [`morton`] / [`relabel`] — space-filling-curve codes and the
 //!   cache-conscious vertex renumbering ([`Relabeling`]) built on them:
 //!   a Hilbert order that shrinks the id gap across edges so the
@@ -35,6 +38,7 @@ pub mod dheap;
 pub mod dijkstra;
 pub mod dimacs;
 pub mod generate;
+pub mod labels;
 pub mod morton;
 pub mod relabel;
 pub mod types;
@@ -44,6 +48,7 @@ pub use bidijkstra::BiDijkstra;
 pub use csr::{Graph, GraphBuilder};
 pub use dheap::{DaryHeap, HeapCounters};
 pub use dijkstra::{Dijkstra, SearchSpace};
+pub use labels::Labels;
 pub use relabel::Relabeling;
 pub use types::{Edge, Point, VertexId, Weight, INFINITY};
 pub use weight::{weight_add, OrderedWeight};

@@ -28,20 +28,15 @@ pub struct MortonSpace {
 impl MortonSpace {
     /// Creates a space covering `min..=max` (degenerate boxes allowed).
     pub fn new(min: Point, max: Point) -> Self {
-        let extent = |lo: i32, hi: i32| -> f64 {
-            let e = (hi as i64 - lo as i64) as f64;
-            if e <= 0.0 {
-                1.0
-            } else {
-                e
-            }
-        };
         let grid = ((1u64 << BITS) - 1) as f64;
+        let scale = |lo: i32, hi: i32| -> f64 {
+            let extent = (hi as i64 - lo as i64) as f64;
+            grid / if extent <= 0.0 { 1.0 } else { extent }
+        };
         MortonSpace {
             min,
-            // PANIC-OK: float division — grid and extent(..) are both f64.
-            scale_x: grid / extent(min.x, max.x),
-            scale_y: grid / extent(min.y, max.y), // PANIC-OK: float division.
+            scale_x: scale(min.x, max.x),
+            scale_y: scale(min.y, max.y),
         }
     }
 

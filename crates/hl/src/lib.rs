@@ -28,6 +28,7 @@
 #![deny(missing_docs)]
 
 use kspin_ch::ContractionHierarchy;
+use kspin_graph::csr::row_slice;
 use kspin_graph::{weight_add, VertexId, Weight, INFINITY};
 
 mod query;
@@ -62,7 +63,7 @@ impl HubLabels {
             // connecting edge weight.
             for (u, w) in ch.upward(v) {
                 for &(h, d) in &labels[u as usize] {
-                    merged.push((h, d + w));
+                    merged.push((h, weight_add(d, w)));
                 }
             }
             merged.sort_unstable_by_key(|&(h, d)| (h, d));
@@ -118,7 +119,7 @@ impl HubLabels {
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
                     if a[i].0 != exclude {
-                        let d = a[i].1 + b[j].1;
+                        let d = weight_add(a[i].1, b[j].1);
                         if d < best {
                             best = d;
                         }
@@ -139,11 +140,10 @@ impl HubLabels {
     /// The label of `v` as parallel `(hubs, dists)` slices, sorted by hub id.
     #[inline]
     pub fn label(&self, v: VertexId) -> (&[VertexId], &[Weight]) {
-        // PANIC-OK: offsets has n + 1 slots and is monotone, bounding the
-        // hubs/dists arena by construction; v is a labeled vertex < n.
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize; // PANIC-OK: v + 1 <= n.
-        (&self.hubs[lo..hi], &self.dists[lo..hi]) // PANIC-OK: arena bounds as above.
+        (
+            row_slice(&self.offsets, &self.hubs, v as usize),
+            row_slice(&self.offsets, &self.dists, v as usize),
+        )
     }
 
     /// Exact distance via sorted-label intersection; [`INFINITY`] when the
@@ -242,9 +242,10 @@ impl BackwardLabels {
     /// ascending distance.
     #[inline]
     pub fn of(&self, h: VertexId) -> (&[VertexId], &[Weight]) {
-        let lo = self.offsets[h as usize] as usize;
-        let hi = self.offsets[h as usize + 1] as usize;
-        (&self.vertices[lo..hi], &self.dists[lo..hi])
+        (
+            row_slice(&self.offsets, &self.vertices, h as usize),
+            row_slice(&self.offsets, &self.dists, h as usize),
+        )
     }
 
     /// Index size in bytes.

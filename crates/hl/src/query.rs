@@ -160,4 +160,16 @@ mod tests {
         }
         all_pairs_match_dijkstra(&path.build());
     }
+
+    #[test]
+    fn one_saturating_edge_does_not_wrap_the_label_merge() {
+        // The build's min-merge shifts a neighbour's whole label by the
+        // connecting edge: `u32::MAX - 1` plus any entry past 1 overflows.
+        let mut one_heavy = GraphBuilder::new(6);
+        for v in 0..6 {
+            one_heavy.add_edge(v, (v + 1) % 6, if v == 5 { u32::MAX - 1 } else { 10 });
+        }
+        all_pairs_match_dijkstra(&one_heavy.build());
+        all_pairs_match_dijkstra(&ring(8, INFINITY / 2 + 1));
+    }
 }

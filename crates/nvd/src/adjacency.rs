@@ -90,11 +90,14 @@ impl AdjacencyGraph {
     }
 
     /// Rebuilds the nested lists from flattened CSR form, preserving
-    /// neighbor order exactly, then audits ranges and symmetry.
+    /// neighbor order exactly. Only the offsets' shape is checked here:
+    /// ranges, simplicity and symmetry of the entries are
+    /// [`Self::validate_symmetric`]'s audit, which the one caller on the
+    /// load path runs once on the assembled NVD
+    /// ([`crate::ApproxNvd::from_snapshot_parts`]).
     ///
     /// # Errors
-    /// Malformed offsets, or any violation [`Self::validate_symmetric`]
-    /// reports.
+    /// Malformed offsets.
     pub fn from_flat(offsets: &[u32], data: &[u32]) -> Result<Self, String> {
         if offsets.is_empty() {
             return Err("adjacency offsets must hold m + 1 entries, got 0".into());
@@ -112,9 +115,7 @@ impl AdjacencyGraph {
             .windows(2)
             .map(|w| data[w[0] as usize..w[1] as usize].to_vec())
             .collect();
-        let g = AdjacencyGraph { lists };
-        g.validate_symmetric().map_err(|v| v.join("; "))?;
-        Ok(g)
+        Ok(AdjacencyGraph { lists })
     }
 
     /// Invariant audit: every list entry is in range, no self-loops, no

@@ -8,6 +8,7 @@
 //! The exact NVD (and its `O(|V|)` owner table) is then discarded; only the
 //! leaves, the adjacency graph and `MaxRadius` (for updates) are kept.
 
+use kspin_graph::csr::row_slice;
 use kspin_graph::morton::{MortonSpace, BITS};
 use kspin_graph::{Graph, Point, VertexId, Weight};
 
@@ -164,15 +165,10 @@ impl ApproxNvd {
     /// query at `p` (at most ρ, except where the tree bottomed out at max
     /// depth). The true 1NN of any indexed vertex at `p` is among them.
     pub fn leaf_candidates(&self, p: Point) -> &[u32] {
-        let leaf = self.leaf_index(p);
-        // PANIC-OK: leaf_index partition-points into starts (same length
-        // as the leaf count, at least 1 — a build over ≥ 1 generator makes
-        // a leaf and `validate` refuses a decoded NVD without one);
-        // cand_offsets has leaves + 1 slots and bounds cands by
-        // construction.
-        let lo = self.cand_offsets[leaf] as usize;
-        let hi = self.cand_offsets[leaf + 1] as usize; // PANIC-OK: leaf + 1 <= leaves.
-        &self.cands[lo..hi] // PANIC-OK: offsets bound cands by construction.
+        // leaf_index partition-points into starts: as long as the leaf
+        // count and at least 1 — a build over ≥ 1 generator makes a leaf
+        // and `validate` refuses a decoded NVD without one.
+        row_slice(&self.cand_offsets, &self.cands, self.leaf_index(p))
     }
 
     /// Index of the Morton-list leaf covering `p`.

@@ -11,7 +11,7 @@
 //!   Theorem-2 update rule (§6.2).
 
 use kspin_graph::dheap::{DaryHeap, HeapCounters};
-use kspin_graph::{Graph, VertexId, Weight, INFINITY};
+use kspin_graph::{weight_add, Graph, VertexId, Weight, INFINITY};
 
 use crate::adjacency::AdjacencyGraph;
 
@@ -62,7 +62,7 @@ impl ExactNvd {
                 max_radius[o as usize] = d;
             }
             for (u, w) in graph.neighbors(v) {
-                let nd = d + w;
+                let nd = weight_add(d, w);
                 if nd < dist[u as usize] {
                     dist[u as usize] = nd;
                     owner[u as usize] = o;

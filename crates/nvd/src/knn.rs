@@ -59,7 +59,7 @@ impl ApproxNvd {
 mod tests {
     use super::*;
     use kspin_graph::generate::{road_network, RoadNetworkConfig};
-    use kspin_graph::{Dijkstra, Graph};
+    use kspin_graph::{Dijkstra, Graph, GraphBuilder, INFINITY};
 
     fn setup(n: usize, gens: usize, seed: u64) -> (Graph, Vec<VertexId>, ApproxNvd) {
         let g = road_network(&RoadNetworkConfig::new(n, seed));
@@ -138,5 +138,49 @@ mod tests {
         assert!(apx
             .knn(g.coord(0), 0, |v| dd.one_to_one(&g, 0, v))
             .is_empty());
+    }
+
+    /// A ring whose vertices sit at distinct grid points, so ρ = 1 leaves
+    /// hold exactly the Voronoi owner of the vertices inside them.
+    fn ring(weights: &[Weight]) -> Graph {
+        let n = weights.len() as u32;
+        let mut b = GraphBuilder::new(n as usize);
+        for v in 0..n {
+            b.set_coord(v, Point::new(v as i32 * 1000, (v % 2) as i32 * 1000));
+            b.add_edge(v, (v + 1) % n, weights[v as usize]);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn saturating_weights_keep_voronoi_owners_exact() {
+        // `add_edge` rejects only weight 0, so both rings are legal input.
+        // In the first, the sweep pops 5 (10 from generator 4) before 0 (10
+        // from generator 1) and relaxes 0 across the heavy edge: a raw sum
+        // panics in debug builds and in release builds wraps to 8, which
+        // wins and hands vertex 0 to the wrong cell.
+        let one_heavy = ring(&[10, 10, 10, 10, 10, u32::MAX - 1]);
+        let all_heavy = ring(&[INFINITY / 2 + 1; 8]);
+        for (g, gens) in [(one_heavy, vec![1, 4]), (all_heavy, vec![0, 1, 4])] {
+            let apx = ApproxNvd::build(&g, &gens, 1);
+            let mut dij = Dijkstra::new(g.num_vertices());
+            for q in 0..g.num_vertices() as VertexId {
+                // An object at distance ≥ ∞ is unreachable, for the oracle
+                // and for the expansion alike.
+                let mut want = dij.one_to_many(&g, q, &gens);
+                want.retain(|&d| d < INFINITY);
+                want.sort_unstable();
+                for k in 1..=gens.len() {
+                    let mut dd = Dijkstra::new(g.num_vertices());
+                    let got: Vec<Weight> = apx
+                        .knn(g.coord(q), k, |v| dd.one_to_one(&g, q, v))
+                        .into_iter()
+                        .map(|(_, d)| d)
+                        .filter(|&d| d < INFINITY)
+                        .collect();
+                    assert_eq!(got, want[..k.min(want.len())], "q={q} k={k}");
+                }
+            }
+        }
     }
 }

@@ -6,9 +6,7 @@
 //! hierarchy and the active relabeling — as *sections* of flat
 //! little-endian `u32`/`u64`/`f64` arrays. Loading is validate-then-copy
 //! into pre-sized `Vec`s: no per-element parsing, no pointer fix-ups, no
-//! graph traversal. The layout is deliberately mmap-compatible (fixed
-//! header, 8-aligned sections, explicit offsets) so a later `Mapped`
-//! variant of [`IndexStore`] can serve straight from the page cache.
+//! graph traversal (fixed header, 8-aligned sections, explicit offsets).
 //!
 //! Three guarantees define the format:
 //!
@@ -38,6 +36,5 @@ pub mod reader;
 pub mod writer;
 
 pub use error::{FormatError, SectionLabel, SnapshotError};
-pub use owned::IndexStore;
 pub use reader::{SectionView, SnapshotFile};
 pub use writer::SnapshotWriter;

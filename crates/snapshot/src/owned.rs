@@ -1,11 +1,8 @@
-//! Typed copy-out and the owned index store.
+//! Typed copy-out.
 //!
 //! After [`SnapshotFile::validate`] succeeds, loading is a sequence of
 //! typed copies: each accessor checks the section's element kind and
-//! copies the payload into a pre-sized `Vec`. This is the `Owned` loading
-//! strategy; the section layout (fixed offsets, 8-alignment) is designed
-//! so a later `Mapped` variant of [`IndexStore`] can hand out `&[u8]`
-//! views of an mmap instead.
+//! copies the payload into a pre-sized `Vec`.
 //!
 //! These methods allocate (they produce owned `Vec`s), so they live
 //! outside the alloc-free validation path in `reader.rs`.
@@ -94,34 +91,6 @@ impl<'a> SnapshotFile<'a> {
     }
 }
 
-/// Where a loaded snapshot's backing bytes live.
-///
-/// Today the only variant owns the buffer in memory; the format is laid
-/// out so a `Mapped(Mmap)` variant can be added without changing a single
-/// section codec (sections are offset-addressed and 8-aligned).
-#[derive(Debug, Clone)]
-pub enum IndexStore {
-    /// The snapshot bytes, owned in memory.
-    Owned(Vec<u8>),
-}
-
-impl IndexStore {
-    /// The raw snapshot bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        match self {
-            IndexStore::Owned(b) => b,
-        }
-    }
-
-    /// Validates the stored bytes and returns the section view.
-    ///
-    /// # Errors
-    /// Whatever [`SnapshotFile::validate`] reports.
-    pub fn file(&self) -> Result<SnapshotFile<'_>, SnapshotError> {
-        SnapshotFile::validate(self.as_bytes())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,8 +104,8 @@ mod tests {
         w.put_f64s(section::CORPUS_DOC_IMPACTS, &[0.1, -0.0, f64::MAX]);
         w.put_u64s(section::INDEX_META, &[u64::MAX, 0]);
         w.put_bytes(section::INDEX_TERM_KINDS, &[2, 0, 1]);
-        let store = IndexStore::Owned(w.finish());
-        let f = store.file().unwrap();
+        let bytes = w.finish();
+        let f = SnapshotFile::validate(&bytes).unwrap();
         assert_eq!(
             f.u32s(section::GRAPH_OFFSETS).unwrap(),
             vec![0, 3, 2_000_000_000]

@@ -41,9 +41,9 @@ impl SnapshotWriter {
         SnapshotWriter::default()
     }
 
-    fn push(&mut self, id: u32, kind: u32, count: u64, payload: Vec<u8>) {
+    fn append_section(&mut self, id: u32, kind: u32, count: u64, payload: Vec<u8>) {
         if let Some(last) = self.sections.last() {
-            // PANIC-OK: write-time programmer-error guard; the writer is
+            // A write-time programmer-error guard: the writer is
             // build/persist code, never on the untrusted-input load path.
             assert!(
                 id > last.id,
@@ -65,7 +65,7 @@ impl SnapshotWriter {
         for v in values {
             payload.extend_from_slice(&v.to_le_bytes());
         }
-        self.push(id, KIND_U32, values.len() as u64, payload);
+        self.append_section(id, KIND_U32, values.len() as u64, payload);
     }
 
     /// Appends a `u64` array section.
@@ -74,7 +74,7 @@ impl SnapshotWriter {
         for v in values {
             payload.extend_from_slice(&v.to_le_bytes());
         }
-        self.push(id, KIND_U64, values.len() as u64, payload);
+        self.append_section(id, KIND_U64, values.len() as u64, payload);
     }
 
     /// Appends an `f64` array section (IEEE-754 bit patterns).
@@ -83,12 +83,12 @@ impl SnapshotWriter {
         for v in values {
             payload.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        self.push(id, KIND_F64, values.len() as u64, payload);
+        self.append_section(id, KIND_F64, values.len() as u64, payload);
     }
 
     /// Appends a raw byte section.
     pub fn put_bytes(&mut self, id: u32, values: &[u8]) {
-        self.push(id, KIND_BYTES, values.len() as u64, values.to_vec());
+        self.append_section(id, KIND_BYTES, values.len() as u64, values.to_vec());
     }
 
     /// Serializes all sections into the canonical snapshot byte layout.

@@ -28,7 +28,7 @@ use kspin_graph::Relabeling;
 use kspin_gtree::partition::Hierarchy;
 use kspin_text::Vocabulary;
 
-pub use kspin_core::snapshot::{FormatError, IndexStore, SectionLabel, SectionView};
+pub use kspin_core::snapshot::{FormatError, SectionLabel, SectionView};
 
 /// Optional acceleration structures that ride along in a snapshot.
 ///

@@ -98,7 +98,7 @@ pub const SANITIZERS: [&str; 15] = [
     // Structural validation: checksums, offsets, canonical layout.
     "SnapshotFile::validate",
     // Checked-extraction helpers of the core decode layer.
-    "Pool::take",
+    "Pool::take_n",
     "Pool::take1",
     "Pool::finish",
     "decoded_usize",
