@@ -9,10 +9,15 @@
 //!   are pointless (they nearly always fail inside the core) and all
 //!   pairwise shortcuts are added directly. Extra shortcuts never hurt
 //!   correctness — every shortcut weight is a real path length — they only
-//!   trade a little query time for a lot of build time.
+//!   trade a little query time for a lot of build time;
+//! * a priority costs one witness search per neighbor, toward all later
+//!   neighbors at once, not one per pair — the answers are exactly the
+//!   pairwise ones (see [`WitnessSearch::witnessed`]);
+//! * adjacency rows are key-sorted vectors: the same walk order as an
+//!   ordered map, scanned contiguously.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use kspin_graph::csr::row_slice;
 use kspin_graph::{weight_add, Graph, Labels, VertexId, Weight, INFINITY};
@@ -229,30 +234,38 @@ impl ContractionHierarchy {
 /// adjacency key, an edge endpoint — comes from the input graph, so is `< n`.
 struct Contractor<'a> {
     config: &'a ChConfig,
-    /// Dynamic adjacency of the not-yet-contracted "core" graph.
-    /// Contracted vertices are physically unlinked, so every entry is live.
-    /// Ordered maps: witness searches and shortcut insertion walk them, and
-    /// ties (equal distances at different hop counts, shortcuts inserted
-    /// earlier in the same contraction) make the outcome depend on the walk
-    /// order — in key order one input always builds one hierarchy.
-    adj: Vec<BTreeMap<VertexId, Weight>>,
+    /// Dynamic adjacency of the not-yet-contracted "core" graph: one
+    /// key-sorted `(neighbor, weight)` row per vertex. Contracted vertices
+    /// are physically unlinked, so every entry is live. Key order matters:
+    /// witness searches and shortcut insertion walk the rows, and ties
+    /// (equal distances at different hop counts, shortcuts inserted earlier
+    /// in the same contraction) make the outcome depend on the walk order —
+    /// in key order one input always builds one hierarchy.
+    adj: Vec<Vec<(VertexId, Weight)>>,
     contracted: Vec<bool>,
     deleted_neighbors: Vec<u32>,
     rank: Vec<u32>,
     /// All upward edges discovered so far as (from, to, weight).
     edges: Vec<(VertexId, VertexId, Weight)>,
     num_shortcuts: usize,
-    // Witness-search scratch.
-    witness: Labels,
-    wheap: BinaryHeap<(Reverse<Weight>, u32, VertexId)>,
+    witness: WitnessSearch,
 }
 
 impl<'a> Contractor<'a> {
     fn new(graph: &Graph, config: &'a ChConfig) -> Self {
         let n = graph.num_vertices();
-        let mut adj: Vec<BTreeMap<VertexId, Weight>> = vec![BTreeMap::new(); n];
+        let mut adj: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); n];
         for (v, row) in adj.iter_mut().enumerate() {
             row.extend(graph.neighbors(v as VertexId));
+            // A repeated key keeps its last weight, as extending a map did.
+            row.sort_by_key(|&(k, _)| k);
+            row.dedup_by(|next, kept| {
+                let repeated = next.0 == kept.0;
+                if repeated {
+                    kept.1 = next.1;
+                }
+                repeated
+            });
         }
         Contractor {
             config,
@@ -262,8 +275,11 @@ impl<'a> Contractor<'a> {
             rank: vec![0; n],
             edges: Vec::new(),
             num_shortcuts: 0,
-            witness: Labels::new(n),
-            wheap: BinaryHeap::new(),
+            witness: WitnessSearch {
+                labels: Labels::new(n),
+                heap: BinaryHeap::new(),
+                pending: Vec::new(),
+            },
         }
     }
 
@@ -271,7 +287,7 @@ impl<'a> Contractor<'a> {
         let n = self.adj.len();
         // Record original edges before contraction mutates adjacency.
         for u in 0..n {
-            for (&v, &w) in &self.adj[u] {
+            for &(v, w) in &self.adj[u] {
                 if (u as VertexId) < v {
                     self.edges.push((u as VertexId, v, w));
                 }
@@ -293,8 +309,7 @@ impl<'a> Contractor<'a> {
                 queue.push((Reverse(fresh), version[v as usize], v));
                 continue;
             }
-            let neighbors: Vec<VertexId> = self.adj[v as usize].keys().copied().collect();
-            for &u in &neighbors {
+            for &(u, _) in &self.adj[v as usize] {
                 version[u as usize] = version[u as usize].wrapping_add(1);
             }
             self.contract(v);
@@ -348,46 +363,55 @@ impl<'a> Contractor<'a> {
         shortcuts as i64 - removed as i64 + self.deleted_neighbors[v as usize] as i64
     }
 
-    /// Counts the shortcuts contracting `v` would add, without mutating.
+    /// Counts the shortcuts contracting `v` would add, without mutating:
+    /// one witness search per neighbor, toward all later neighbors at once.
     fn simulate(&mut self, v: VertexId) -> (usize, usize) {
-        let deg = self.adj[v as usize].len();
+        let row = &self.adj[v as usize];
+        let deg = row.len();
         if deg > SKIP_WITNESS_DEGREE {
             // Endgame core: assume every pair needs a shortcut.
             return (deg * deg.saturating_sub(1) / 2, deg);
         }
-        let neighbors: Vec<(VertexId, Weight)> =
-            self.adj[v as usize].iter().map(|(&u, &w)| (u, w)).collect();
         let mut shortcuts = 0;
-        for i in 0..neighbors.len() {
-            let (u, wu) = neighbors[i];
-            for &(t, wt) in &neighbors[i + 1..] {
-                if !self.has_witness(u, t, weight_add(wu, wt), v) {
-                    shortcuts += 1;
-                }
-            }
+        for (i, &(u, wu)) in row.iter().enumerate() {
+            let later = &row[i + 1..];
+            let targets = later.iter().map(|&(t, wt)| (t, weight_add(wu, wt)));
+            let witnessed = self
+                .witness
+                .witnessed(&self.adj, self.config, u, targets, v);
+            shortcuts += later.len() - witnessed;
         }
-        (shortcuts, neighbors.len())
+        (shortcuts, deg)
     }
 
     fn contract(&mut self, v: VertexId) {
-        let neighbors: Vec<(VertexId, Weight)> =
-            self.adj[v as usize].iter().map(|(&u, &w)| (u, w)).collect();
-        let skip_witness = neighbors.len() > SKIP_WITNESS_DEGREE;
-        for i in 0..neighbors.len() {
-            let (u, wu) = neighbors[i];
-            for &(t, wt) in &neighbors[i + 1..] {
+        // No search below reads v's row — v is every search's excluded
+        // vertex — so it is unlinked up front.
+        let row = std::mem::take(&mut self.adj[v as usize]);
+        let skip_witness = row.len() > SKIP_WITNESS_DEGREE;
+        for (i, &(u, wu)) in row.iter().enumerate() {
+            for &(t, wt) in &row[i + 1..] {
                 let via = weight_add(wu, wt);
-                if skip_witness || !self.has_witness(u, t, via, v) {
+                // One target per search here: the shortcuts inserted between
+                // pairs change the graph the next pair is searched in.
+                if skip_witness
+                    || self
+                        .witness
+                        .witnessed(&self.adj, self.config, u, [(t, via)], v)
+                        == 0
+                {
                     self.insert_shortcut(u, t, via);
                 }
             }
         }
         self.contracted[v as usize] = true;
-        for &(u, _) in &neighbors {
-            self.adj[u as usize].remove(&v);
+        for &(u, _) in &row {
+            let nbrs = &mut self.adj[u as usize];
+            if let Ok(i) = row_pos(nbrs, v) {
+                nbrs.remove(i);
+            }
             self.deleted_neighbors[u as usize] += 1;
         }
-        self.adj[v as usize] = BTreeMap::new();
     }
 
     fn insert_shortcut(&mut self, u: VertexId, t: VertexId, w: Weight) {
@@ -396,49 +420,220 @@ impl<'a> Contractor<'a> {
             // a saturated sum must not leave a one-sided adjacency entry.
             return;
         }
-        let e = self.adj[u as usize].entry(t).or_insert(Weight::MAX);
-        if w < *e {
-            *e = w;
-            self.adj[t as usize].insert(u, w);
-            self.edges.push((u, t, w));
-            self.num_shortcuts += 1;
+        let row = &mut self.adj[u as usize];
+        match row_pos(row, t) {
+            Ok(i) if w >= row[i].1 => return,
+            Ok(i) => row[i].1 = w,
+            Err(i) => row.insert(i, (t, w)),
         }
+        let back = &mut self.adj[t as usize];
+        match row_pos(back, u) {
+            Ok(i) => back[i].1 = w,
+            Err(i) => back.insert(i, (u, w)),
+        }
+        self.edges.push((u, t, w));
+        self.num_shortcuts += 1;
     }
+}
 
-    /// Bounded Dijkstra from `u` toward `t` in the core graph minus
-    /// `excluded`; returns true if a path of length ≤ `limit` exists, in
-    /// which case the shortcut u–v–t is unnecessary.
-    fn has_witness(&mut self, u: VertexId, t: VertexId, limit: Weight, excluded: VertexId) -> bool {
-        self.witness.reset();
-        self.wheap.clear();
-        self.wheap.push((Reverse(0), 0, u));
-        self.witness.set(u, 0);
+/// Where `key` sits in a key-sorted row, or where it would be inserted.
+fn row_pos(row: &[(VertexId, Weight)], key: VertexId) -> Result<usize, usize> {
+    row.binary_search_by_key(&key, |&(k, _)| k)
+}
+
+/// Scratch of the bounded witness Dijkstra.
+struct WitnessSearch {
+    labels: Labels,
+    heap: BinaryHeap<(Reverse<Weight>, u32, VertexId)>,
+    /// The targets not answered yet, key-sorted, with their limits.
+    pending: Vec<(VertexId, Weight)>,
+}
+
+impl WitnessSearch {
+    /// Bounded Dijkstra from `u` in the core graph minus `excluded`, asked
+    /// about every `(t, limit)` of `targets` (key-sorted) at once; returns
+    /// how many `t` it reaches by a path of length ≤ their `limit` — for
+    /// each, the shortcut u–`excluded`–t is unnecessary.
+    ///
+    /// Every target gets exactly the answer a search for it alone would
+    /// give. Pops come in key order, and a search whose push bound is
+    /// L′ ≥ L pops exactly the entries ≤ L of the L-bounded search, in the
+    /// same order, before any other: an extra entry is > L, so it neither
+    /// precedes one ≤ L nor decides a comparison with one. The
+    /// single-target search is therefore a prefix of this one, and its
+    /// settled count (hence the budget) and hop counts are read off that
+    /// prefix. The bound is the largest limit still pending, and a target
+    /// once answered is settled like any other vertex — to the other
+    /// targets' searches it is one.
+    fn witnessed(
+        &mut self,
+        adj: &[Vec<(VertexId, Weight)>],
+        config: &ChConfig,
+        u: VertexId,
+        targets: impl IntoIterator<Item = (VertexId, Weight)>,
+        excluded: VertexId,
+    ) -> usize {
+        self.pending.clear();
+        self.pending.extend(targets);
+        let Some(mut limit) = self.pending.iter().map(|&(_, l)| l).max() else {
+            return 0;
+        };
+        self.labels.reset();
+        self.heap.clear();
+        self.heap.push((Reverse(0), 0, u));
+        self.labels.set(u, 0);
         let mut settled = 0;
-        while let Some((Reverse(d), hops, x)) = self.wheap.pop() {
-            if d > limit || settled >= self.config.witness_budget {
-                return false;
+        let mut found = 0;
+        while let Some((Reverse(d), hops, x)) = self.heap.pop() {
+            if d > limit || settled >= config.witness_budget {
+                break; // every pending target: no witness
             }
-            if d > self.witness.get(x) {
+            if d > self.labels.get(x) {
                 continue; // a stale entry: x was improved after this push
             }
-            if x == t {
-                return d <= limit;
+            if let Ok(i) = row_pos(&self.pending, x) {
+                let (_, target_limit) = self.pending.remove(i);
+                found += usize::from(d <= target_limit);
+                match self.pending.iter().map(|&(_, l)| l).max() {
+                    Some(l) => limit = l,
+                    None => break,
+                }
             }
             settled += 1;
-            if hops as usize >= self.config.witness_hops {
+            if hops as usize >= config.witness_hops {
                 continue;
             }
-            for (&y, &w) in &self.adj[x as usize] {
+            for &(y, w) in &adj[x as usize] {
                 if y == excluded {
                     continue;
                 }
                 let nd = weight_add(d, w);
-                if nd <= limit && nd < self.witness.get(y) {
-                    self.witness.set(y, nd);
-                    self.wheap.push((Reverse(nd), hops + 1, y));
+                if nd <= limit && nd < self.labels.get(y) {
+                    self.labels.set(y, nd);
+                    self.heap.push((Reverse(nd), hops + 1, y));
                 }
             }
         }
-        false
+        found
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kspin_graph::GraphBuilder;
+
+    /// SplitMix64, so every case is a pure function of its index.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    fn witnessed(
+        c: &mut Contractor<'_>,
+        config: &ChConfig,
+        u: VertexId,
+        targets: &[(VertexId, Weight)],
+        excluded: VertexId,
+    ) -> usize {
+        c.witness
+            .witnessed(&c.adj, config, u, targets.iter().copied(), excluded)
+    }
+
+    #[test]
+    fn one_multi_target_search_answers_every_target_like_its_own_search() {
+        let unbounded = ChConfig {
+            witness_budget: usize::MAX,
+            witness_hops: usize::MAX,
+        };
+        // How often a single-target answer was decided by the budget, by
+        // the hop limit, and by a path of length exactly the limit.
+        let (mut by_budget, mut by_hops, mut at_limit) = (0, 0, 0);
+        for case in 0..300 {
+            let mut rng = Rng(case);
+            let n = 6 + rng.below(14);
+            let mut b = GraphBuilder::new(n as usize);
+            for _ in 0..n + rng.below(3 * n) {
+                // Weights 1–3: equal distances, hence heap ties, everywhere.
+                b.add_edge(
+                    rng.below(n) as VertexId,
+                    rng.below(n) as VertexId,
+                    1 + rng.below(3) as Weight,
+                );
+            }
+            let g = b.build();
+            let config = ChConfig {
+                witness_budget: rng.below(12) as usize,
+                witness_hops: rng.below(5) as usize,
+            };
+            let mut c = Contractor::new(&g, &config);
+            let excluded = rng.below(n) as VertexId;
+            for u in (0..n as VertexId).filter(|&u| u != excluded) {
+                let targets: Vec<(VertexId, Weight)> = (0..n as VertexId)
+                    .filter(|&t| t != u && t != excluded)
+                    .map(|t| (t, rng.below(9) as Weight))
+                    .collect();
+                let single: Vec<usize> = targets
+                    .iter()
+                    .map(|&target| witnessed(&mut c, &config, u, &[target], excluded))
+                    .collect();
+                // Every suffix (what `simulate` asks) and both interleaved
+                // halves: one search counts what the searches alone count.
+                for k in 0..targets.len() {
+                    assert_eq!(
+                        witnessed(&mut c, &config, u, &targets[k..], excluded),
+                        single[k..].iter().sum::<usize>(),
+                        "case {case}, source {u}, targets {:?}",
+                        &targets[k..]
+                    );
+                }
+                for parity in 0..2 {
+                    let (half, want): (Vec<(VertexId, Weight)>, Vec<usize>) = targets
+                        .iter()
+                        .zip(&single)
+                        .skip(parity)
+                        .step_by(2)
+                        .map(|(&target, &found)| (target, found))
+                        .unzip();
+                    assert_eq!(
+                        witnessed(&mut c, &config, u, &half, excluded),
+                        want.into_iter().sum::<usize>(),
+                        "case {case}, source {u}, targets {half:?}"
+                    );
+                }
+                for (&(t, limit), &found) in targets.iter().zip(&single) {
+                    let free = witnessed(&mut c, &unbounded, u, &[(t, limit)], excluded);
+                    if found == 0 && free == 1 {
+                        let any_budget = ChConfig {
+                            witness_budget: usize::MAX,
+                            ..config.clone()
+                        };
+                        if witnessed(&mut c, &any_budget, u, &[(t, limit)], excluded) == 1 {
+                            by_budget += 1;
+                        } else {
+                            by_hops += 1;
+                        }
+                    }
+                    if free == 1
+                        && limit > 0
+                        && witnessed(&mut c, &unbounded, u, &[(t, limit - 1)], excluded) == 0
+                    {
+                        at_limit += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            by_budget > 0 && by_hops > 0 && at_limit > 0,
+            "cases must exhaust budgets ({by_budget}) and hop limits ({by_hops}) \
+             and find witnesses of length exactly the limit ({at_limit})"
+        );
     }
 }

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use kspin_graph::{Graph, VertexId, Weight, INFINITY};
+use kspin_graph::{weight_add, Graph, VertexId, Weight, INFINITY};
 
 use crate::tree::GTree;
 
@@ -239,7 +239,7 @@ impl<'a> GtreeDistance<'a> {
                 if self.gt.hierarchy.leaf_of(u) != leaf {
                     continue;
                 }
-                let nd = d + w;
+                let nd = weight_add(d, w);
                 if nd < dist.get(&u).copied().unwrap_or(INFINITY) {
                     dist.insert(u, nd);
                     heap.push((Reverse(nd), u));
@@ -267,7 +267,7 @@ mod tests {
     use super::*;
     use crate::tree::GtreeConfig;
     use kspin_graph::generate::{road_network, RoadNetworkConfig};
-    use kspin_graph::Dijkstra;
+    use kspin_graph::{Dijkstra, GraphBuilder};
 
     fn build(n: usize, leaf: usize, seed: u64) -> (Graph, GTree) {
         let g = road_network(&RoadNetworkConfig::new(n, seed));
@@ -357,5 +357,46 @@ mod tests {
         gd.reset(100);
         assert_eq!(gd.distance(0), d1, "distance must be symmetric");
         assert_eq!(gd.distance(100), 0);
+    }
+
+    /// All pairs, one `GtreeDistance` pinned per source, against Dijkstra —
+    /// at leaf sizes from two vertices per leaf up to a single leaf.
+    fn all_pairs_match_dijkstra(g: &Graph) {
+        let n = g.num_vertices();
+        let mut dij = Dijkstra::new(n);
+        for leaf_size in [2, 3, n.max(2)] {
+            let gt = GTree::build(
+                g,
+                &GtreeConfig {
+                    partition: crate::partition::PartitionConfig { leaf_size },
+                    num_threads: 1,
+                },
+            );
+            for s in 0..n as VertexId {
+                let mut gd = GtreeDistance::new(&gt, g, s);
+                for t in 0..n as VertexId {
+                    let want = dij.one_to_one(g, s, t).min(INFINITY);
+                    assert_eq!(gd.distance(t), want, "leaf size {leaf_size}: ({s},{t})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn near_saturating_weights_do_not_wrap() {
+        // The same-leaf search adds an edge to a tentative distance: across
+        // a `u32::MAX - 1` edge a raw `+` panics in debug builds and in
+        // release builds wraps to a distance shorter than the true one.
+        let mut one_heavy = GraphBuilder::new(6);
+        for v in 0..6 {
+            one_heavy.add_edge(v, (v + 1) % 6, if v == 5 { u32::MAX - 1 } else { 10 });
+        }
+        all_pairs_match_dijkstra(&one_heavy.build());
+        // Two edges already sum past INFINITY: such pairs are unreachable.
+        let mut path = GraphBuilder::new(12);
+        for v in 0..11 {
+            path.add_edge(v, v + 1, INFINITY / 2 + 1);
+        }
+        all_pairs_match_dijkstra(&path.build());
     }
 }

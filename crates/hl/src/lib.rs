@@ -54,34 +54,63 @@ impl HubLabels {
 
         // Temporary per-vertex labels, sorted by hub id.
         let mut labels: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); n];
-        let mut merged: Vec<(VertexId, Weight)> = Vec::new();
+        // The min-merge of v's candidates, by hub: `merged[h]` is live iff
+        // `stamp[h]` is v's epoch. Membership is the stamp, not a sentinel
+        // distance — a saturated sum legally reaches INFINITY and beyond.
+        let mut merged = vec![0 as Weight; n];
+        let mut stamp = vec![0u32; n];
+        let mut cands: Vec<VertexId> = Vec::new();
+        // v's pruned-so-far label by hub, INFINITY elsewhere. Unambiguous:
+        // a kept entry is below INFINITY (see the prune).
+        let mut kept = vec![INFINITY; n];
 
-        for &v in &by_rank {
-            merged.clear();
-            merged.push((v, 0));
+        for (epoch, &v) in (1u32..).zip(&by_rank) {
             // Min-merge the labels of all upward neighbors, shifted by the
             // connecting edge weight.
+            stamp[v as usize] = epoch;
+            merged[v as usize] = 0;
+            cands.clear();
+            cands.push(v);
             for (u, w) in ch.upward(v) {
                 for &(h, d) in &labels[u as usize] {
-                    merged.push((h, weight_add(d, w)));
+                    let d = weight_add(d, w);
+                    let slot = h as usize;
+                    if stamp[slot] != epoch {
+                        stamp[slot] = epoch;
+                        merged[slot] = d;
+                        cands.push(h);
+                    } else if d < merged[slot] {
+                        merged[slot] = d;
+                    }
                 }
             }
-            merged.sort_unstable_by_key(|&(h, d)| (h, d));
-            merged.dedup_by(|next, prev| next.0 == prev.0); // keep min dist per hub
+            cands.sort_unstable();
 
-            // Prune entries already certified by higher hubs: drop (h, d) if
-            // some other common hub g of v and h yields dist ≤ d.
-            let mut pruned: Vec<(VertexId, Weight)> = Vec::with_capacity(merged.len());
-            for &(h, d) in merged.iter() {
-                if h == v {
-                    pruned.push((h, d));
+            // Prune, in hub order, entries already certified by a hub kept
+            // so far: drop (h, d) if the minimum of kept[g] + L(h)[g] over
+            // the hubs g common to both is ≤ d. One scan of L(h) against the
+            // table finds it — a hub not kept reads INFINITY, whose saturated
+            // sum never undercuts a d below INFINITY — and only its prefix
+            // below h can hit, since every hub kept so far is below h.
+            // A d ≥ INFINITY is dropped outright, as that minimum starts at
+            // INFINITY.
+            let mut pruned: Vec<(VertexId, Weight)> = Vec::with_capacity(cands.len());
+            for &h in &cands {
+                let d = merged[h as usize];
+                if h != v
+                    && (d >= INFINITY
+                        || labels[h as usize]
+                            .iter()
+                            .take_while(|&&(g, _)| g < h)
+                            .any(|&(g, dg)| weight_add(kept[g as usize], dg) <= d))
+                {
                     continue;
                 }
-                let via = Self::merge_min_excluding(&pruned, &labels[h as usize], h);
-                if via <= d {
-                    continue;
-                }
+                kept[h as usize] = d;
                 pruned.push((h, d));
+            }
+            for &(h, _) in &pruned {
+                kept[h as usize] = INFINITY;
             }
             labels[v as usize] = pruned;
         }
@@ -104,32 +133,6 @@ impl HubLabels {
             hubs,
             dists,
         }
-    }
-
-    fn merge_min_excluding(
-        a: &[(VertexId, Weight)],
-        b: &[(VertexId, Weight)],
-        exclude: VertexId,
-    ) -> Weight {
-        let mut best = INFINITY;
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    if a[i].0 != exclude {
-                        let d = weight_add(a[i].1, b[j].1);
-                        if d < best {
-                            best = d;
-                        }
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        best
     }
 
     /// Number of labeled vertices.
@@ -367,5 +370,108 @@ mod tests {
             let (_, ds) = bw.of(h);
             assert!(ds.windows(2).all(|w| w[0] <= w[1]));
         }
+    }
+
+    /// A cycle `0 – 1 – … – n-1 – 0` of equal weights.
+    pub(crate) fn ring(n: u32, w: Weight) -> kspin_graph::Graph {
+        let mut b = GraphBuilder::new(n as usize);
+        for v in 0..n {
+            b.add_edge(v, (v + 1) % n, w);
+        }
+        b.build()
+    }
+
+    /// The graphs of the build-exactness digests: seeded road networks and
+    /// the saturating rings and paths of this crate's query tests.
+    fn digest_inputs() -> Vec<(&'static str, kspin_graph::Graph)> {
+        let heavy_ring = {
+            let mut b = GraphBuilder::new(6);
+            for v in 0..6 {
+                b.add_edge(v, (v + 1) % 6, if v == 5 { u32::MAX - 1 } else { 10 });
+            }
+            b.build()
+        };
+        let path = {
+            let mut b = GraphBuilder::new(12);
+            for v in 0..11 {
+                b.add_edge(v, v + 1, INFINITY / 2 + 1);
+            }
+            b.build()
+        };
+        vec![
+            (
+                "road 800/23",
+                road_network(&RoadNetworkConfig::new(800, 23)),
+            ),
+            (
+                "road 2000/77",
+                road_network(&RoadNetworkConfig::new(2000, 77)),
+            ),
+            (
+                "road 3000/11",
+                road_network(&RoadNetworkConfig::new(3000, 11)),
+            ),
+            ("ring 8 of INF/3+1", ring(8, INFINITY / 3 + 1)),
+            ("ring 8 of INF/2+1", ring(8, INFINITY / 2 + 1)),
+            ("ring 300 of INF/2+1", ring(300, INFINITY / 2 + 1)),
+            ("path 12 of INF/2+1", path),
+            ("ring 6, one edge u32::MAX-1", heavy_ring),
+        ]
+    }
+
+    /// FNV-1a over the little-endian bytes of `words`, continuing from `h`.
+    fn fnv(h: u64, words: &[u32]) -> u64 {
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// Digests of `ContractionHierarchy::flat_parts` and of every label.
+    fn build_digests(g: &kspin_graph::Graph) -> (u64, u64) {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        let ch = ContractionHierarchy::build(g, &ChConfig::default());
+        let (rank, offsets, targets, weights, shortcuts) = ch.flat_parts();
+        let parts: [&[u32]; 5] = [rank, offsets, targets, weights, &[shortcuts as u32]];
+        let ch_digest = parts.iter().fold(FNV_OFFSET, |h, p| fnv(h, p));
+        let hl = HubLabels::build(&ch);
+        let labels_digest = (0..hl.num_vertices() as VertexId).fold(FNV_OFFSET, |h, v| {
+            let (hs, ds) = hl.label(v);
+            fnv(fnv(fnv(h, &[hs.len() as u32]), hs), ds)
+        });
+        (ch_digest, labels_digest)
+    }
+
+    #[test]
+    fn build_output_matches_the_reference_digests() {
+        // Captured at 520cd9b, before CH ordering searched once per source
+        // and the labels were merged and pruned through tables: the build
+        // is faster, its output is the same to the bit.
+        const EXPECTED: [(&str, u64, u64); 8] = [
+            ("road 800/23", 0x681831967ccb75cc, 0xd9d0e4bd445dcf67),
+            ("road 2000/77", 0xb3de54b95d4fcc0e, 0x637b82f5cf1883c7),
+            ("road 3000/11", 0xe471faa77aaeae90, 0x1a5d255b36d9ca55),
+            ("ring 8 of INF/3+1", 0xa25c843e5d5dddd9, 0x6c9d51c8a08afe55),
+            ("ring 8 of INF/2+1", 0xac9adf3b1c5abd4d, 0x3c0a9525f5a4bfd5),
+            (
+                "ring 300 of INF/2+1",
+                0xbfdb32478e5c6196,
+                0x6e3d9a156e576535,
+            ),
+            ("path 12 of INF/2+1", 0x12d1f451e69706fe, 0x1aaf97f3c384acd4),
+            (
+                "ring 6, one edge u32::MAX-1",
+                0x98fe0b86f5697b43,
+                0x467916d9ba2da1a0,
+            ),
+        ];
+        let got: Vec<(&str, u64, u64)> = digest_inputs()
+            .iter()
+            .map(|(name, g)| {
+                let (c, l) = build_digests(g);
+                (*name, c, l)
+            })
+            .collect();
+        assert_eq!(got, EXPECTED);
     }
 }

@@ -80,6 +80,7 @@ impl<'a> HlQuery<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::ring;
     use kspin_ch::{ChConfig, ContractionHierarchy};
     use kspin_graph::generate::{road_network, RoadNetworkConfig};
     use kspin_graph::{Dijkstra, Graph, GraphBuilder};
@@ -136,14 +137,6 @@ mod tests {
                 assert_eq!(got, hl.distance(s, t), "merge ({s},{t})");
             }
         }
-    }
-
-    fn ring(n: u32, w: Weight) -> Graph {
-        let mut b = GraphBuilder::new(n as usize);
-        for v in 0..n {
-            b.add_edge(v, (v + 1) % n, w);
-        }
-        b.build()
     }
 
     #[test]

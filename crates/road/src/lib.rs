@@ -16,7 +16,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-use kspin_graph::{Graph, OrderedWeight, VertexId, Weight, INFINITY};
+use kspin_graph::{weight_add, Graph, OrderedWeight, VertexId, Weight, INFINITY};
 use kspin_gtree::GTree;
 use kspin_text::{score, Corpus, ObjectId, QueryTerms, TermId};
 
@@ -148,7 +148,7 @@ impl<'a> RoadIndex<'a> {
                     if self.gt.in_subtree(net, self.gt.hierarchy.leaf_of(u)) {
                         continue;
                     }
-                    let nd = d + w;
+                    let nd = weight_add(d, w);
                     if nd < dist[u as usize] {
                         dist[u as usize] = nd;
                         heap.push((Reverse(nd), u));
@@ -156,7 +156,7 @@ impl<'a> RoadIndex<'a> {
                 }
             } else {
                 for (u, w) in self.graph.neighbors(v) {
-                    let nd = d + w;
+                    let nd = weight_add(d, w);
                     if nd < dist[u as usize] {
                         dist[u as usize] = nd;
                         heap.push((Reverse(nd), u));
@@ -255,8 +255,10 @@ pub struct ExpansionStats {
 mod tests {
     use super::*;
     use kspin_graph::generate::{road_network, RoadNetworkConfig};
+    use kspin_graph::{Dijkstra, GraphBuilder};
     use kspin_gtree::tree::GtreeConfig;
     use kspin_text::generate::{corpus as gen_corpus, CorpusConfig};
+    use kspin_text::CorpusBuilder;
 
     fn fixture(n: usize, seed: u64) -> (Graph, Corpus, GTree) {
         let g = road_network(&RoadNetworkConfig::new(n, seed));
@@ -353,5 +355,68 @@ mod tests {
             .unwrap();
         assert!(road.top_k(0, 5, &[unused]).is_empty());
         assert!(road.bknn(0, 5, &[unused], false).is_empty());
+    }
+
+    /// Every source's disjunctive BkNN over all objects against Dijkstra,
+    /// at leaf sizes from two vertices per leaf up to a single leaf. Every
+    /// vertex holds an object with term 1, every third one also term 0, so
+    /// a term-0 query meets Rnets it bypasses and a term-1 query none.
+    fn all_objects_match_dijkstra(g: &Graph) {
+        let n = g.num_vertices();
+        let mut cb = CorpusBuilder::new();
+        for v in 0..n as VertexId {
+            let doc: &[(TermId, u32)] = if v % 3 == 0 {
+                &[(0, 1), (1, 1)]
+            } else {
+                &[(1, 1)]
+            };
+            cb.add_object(v, doc);
+        }
+        let corpus = cb.build();
+        let mut dij = Dijkstra::new(n);
+        for leaf_size in [2, 3, n.max(2)] {
+            let gt = GTree::build(
+                g,
+                &GtreeConfig {
+                    partition: kspin_gtree::PartitionConfig { leaf_size },
+                    num_threads: 1,
+                },
+            );
+            let road = RoadIndex::build(&gt, g, &corpus);
+            for q in 0..n as VertexId {
+                for term in [0, 1] {
+                    let mut got: Vec<(VertexId, Weight)> = road
+                        .bknn(q, n, &[term], false)
+                        .into_iter()
+                        .map(|(o, d)| (corpus.vertex_of(o), d))
+                        .collect();
+                    got.sort_unstable();
+                    let want: Vec<(VertexId, Weight)> = (0..n as VertexId)
+                        .filter(|&v| term == 1 || v % 3 == 0)
+                        .map(|v| (v, dij.one_to_one(g, q, v)))
+                        .filter(|&(_, d)| d < INFINITY)
+                        .collect();
+                    assert_eq!(got, want, "leaf size {leaf_size}, q {q}, term {term}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn near_saturating_weights_do_not_wrap() {
+        // The expansion adds an edge to a settled distance, bypassing or
+        // not: across a `u32::MAX - 1` edge a raw `+` panics in debug builds
+        // and in release builds wraps to a distance shorter than the true one.
+        let mut one_heavy = GraphBuilder::new(6);
+        for v in 0..6 {
+            one_heavy.add_edge(v, (v + 1) % 6, if v == 5 { u32::MAX - 1 } else { 10 });
+        }
+        all_objects_match_dijkstra(&one_heavy.build());
+        // Two edges already sum past INFINITY: such objects are unreachable.
+        let mut path = GraphBuilder::new(12);
+        for v in 0..11 {
+            path.add_edge(v, v + 1, INFINITY / 2 + 1);
+        }
+        all_objects_match_dijkstra(&path.build());
     }
 }

@@ -165,7 +165,7 @@ mod tests {
             "Contractor::contract",
             "Contractor::simulate",
             "Contractor::priority",
-            "Contractor::has_witness",
+            "WitnessSearch::witnessed",
             "Contractor::insert_shortcut",
             "SnapshotWriter::append_section",
             "Pool::take_n",
