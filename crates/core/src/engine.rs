@@ -2,7 +2,6 @@
 //! pluggable distance/lower-bound modules together and hosts the query
 //! algorithms implemented in [`crate::query`].
 
-use std::fmt;
 use std::ops::AddAssign;
 
 use kspin_graph::{Graph, HeapCounters, Weight};
@@ -33,13 +32,11 @@ pub struct QueryStats {
     pub heap_pushes: usize,
     /// Heap-kernel entries popped.
     pub heap_pops: usize,
-    /// In-place decrease-keys — each one is a stale entry the old lazy
-    /// kernel would have duplicated, percolated, and re-popped.
-    pub heap_decrease_keys: usize,
     /// Heap-kernel pushes that forced the entry array to grow. Zero in the
     /// steady state (`DaryHeap::new` pre-sizes to the item count) — the
-    /// dynamic face of `cargo xtask certify`'s allocation certificate, surfaced
-    /// per query in the `table_serving` rows.
+    /// dynamic face of `cargo xtask certify`'s allocation certificate,
+    /// pinned by `tests/alloc_steady_state.rs` and
+    /// `tests/serving_determinism.rs`.
     pub heap_grows: usize,
 }
 
@@ -60,7 +57,6 @@ impl QueryStats {
     pub(crate) fn absorb_counters(&mut self, c: HeapCounters) {
         self.heap_pushes += c.pushes as usize;
         self.heap_pops += c.pops as usize;
-        self.heap_decrease_keys += c.decrease_keys as usize;
         self.heap_grows += c.grows as usize;
     }
 }
@@ -75,27 +71,7 @@ impl AddAssign for QueryStats {
         self.pruned_candidates += rhs.pruned_candidates;
         self.heap_pushes += rhs.heap_pushes;
         self.heap_pops += rhs.heap_pops;
-        self.heap_decrease_keys += rhs.heap_decrease_keys;
         self.heap_grows += rhs.heap_grows;
-    }
-}
-
-/// One-line rendering for the bench tables (`table_serving` rows).
-impl fmt::Display for QueryStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "dist={} extract={} lb={} pruned={} \
-             heap={}push/{}pop/{}dec alloc={}grow",
-            self.dist_computations,
-            self.heap_extractions,
-            self.lb_computations,
-            self.pruned_candidates,
-            self.heap_pushes,
-            self.heap_pops,
-            self.heap_decrease_keys,
-            self.heap_grows
-        )
     }
 }
 

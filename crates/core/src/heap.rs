@@ -439,7 +439,7 @@ mod tests {
             .map(|p| p.object)
             .min_by_key(|&o| dij.one_to_one(&f.graph, q, f.corpus.vertex_of(o)))
             .unwrap();
-        f.index.delete_from_term(nearest, t);
+        f.index.delete_object(&f.corpus, nearest);
 
         let ctx = HeapContext::new(&f.graph, &f.corpus, &f.alt, q);
         let mut heap = InvertedHeap::create(&f.index, t, &ctx).unwrap();
@@ -469,11 +469,10 @@ mod tests {
         );
         f.index = index;
         let mut dist = DijkstraDistance::new(&f.graph);
-        f.index.insert_into_term(
+        f.index.insert_object(
             &f.graph,
             &f.corpus,
             victim,
-            t,
             &mut dist as &mut dyn NetworkDistance,
         );
 

@@ -427,6 +427,11 @@ impl KspinIndex {
 
     /// Lazily inserts corpus object `o` into the index of every keyword in
     /// its document. The object must not already be present.
+    ///
+    /// # Panics
+    /// If `o` is already live in one of its keywords' indexes — inserting
+    /// a present object would double-count it in every query touching
+    /// that keyword.
     pub fn insert_object(
         &mut self,
         graph: &Graph,
@@ -434,102 +439,76 @@ impl KspinIndex {
         o: ObjectId,
         dist: &mut dyn NetworkDistance,
     ) {
-        let terms: Vec<TermId> = corpus.doc(o).iter().map(|p| p.term).collect();
-        for t in terms {
-            self.insert_into_term(graph, corpus, o, t, dist);
-        }
-    }
-
-    /// Marks corpus object `o` deleted in every keyword index of its
-    /// document.
-    ///
-    /// # Panics
-    /// If `o` is not currently live in one of its keywords' indexes (see
-    /// [`KspinIndex::delete_from_term`]).
-    pub fn delete_object(&mut self, corpus: &Corpus, o: ObjectId) {
-        let terms: Vec<TermId> = corpus.doc(o).iter().map(|p| p.term).collect();
-        for t in terms {
-            self.delete_from_term(o, t);
-        }
-    }
-
-    /// Adds object `o` to keyword `t`'s index ("adding a keyword to an
-    /// existing object" in §6.2).
-    ///
-    /// # Panics
-    /// If `o` is already live in keyword `t`'s index — inserting a present
-    /// object would double-count it in every query touching `t`.
-    pub fn insert_into_term(
-        &mut self,
-        graph: &Graph,
-        corpus: &Corpus,
-        o: ObjectId,
-        t: TermId,
-        dist: &mut dyn NetworkDistance,
-    ) {
         let vertex = corpus.vertex_of(o);
-        if (t as usize) >= self.entries.len() {
-            self.entries.resize_with(t as usize + 1, || None);
-        }
-        match &mut self.entries[t as usize] {
-            slot @ None => {
-                let mut s = SmallIndex::default();
-                s.push(o, vertex);
-                *slot = Some(KeywordIndex::Small(s));
-                self.stats.small_terms += 1;
+        for p in corpus.doc(o) {
+            let t = p.term;
+            if (t as usize) >= self.entries.len() {
+                self.entries.resize_with(t as usize + 1, || None);
             }
-            Some(KeywordIndex::Small(s)) => {
-                if let Some(i) = s.objects.iter().position(|&x| x == o) {
-                    assert!(!s.alive[i], "object {o} already in keyword {t} index");
-                    s.alive[i] = true;
-                } else {
+            match &mut self.entries[t as usize] {
+                slot @ None => {
+                    let mut s = SmallIndex::default();
                     s.push(o, vertex);
+                    *slot = Some(KeywordIndex::Small(s));
+                    self.stats.small_terms += 1;
                 }
-            }
-            Some(KeywordIndex::Nvd(n)) => {
-                if let Some(&local) = n.local_of.get(&o) {
-                    assert!(
-                        n.apx.is_deleted(local),
-                        "object {o} already in keyword {t} index"
-                    );
-                    n.apx.undelete_object(local);
-                } else {
-                    let mut d = |a: VertexId, b: VertexId| dist.distance(a, b);
-                    let local = n.apx.insert_object(vertex, graph.coord(vertex), &mut d);
-                    debug_assert_eq!(local as usize, n.corpus_ids.len());
-                    n.corpus_ids.push(o);
-                    n.local_of.insert(o, local);
+                Some(KeywordIndex::Small(s)) => {
+                    if let Some(i) = s.objects.iter().position(|&x| x == o) {
+                        assert!(!s.alive[i], "object {o} already in keyword {t} index");
+                        s.alive[i] = true;
+                    } else {
+                        s.push(o, vertex);
+                    }
+                }
+                Some(KeywordIndex::Nvd(n)) => {
+                    if let Some(&local) = n.local_of.get(&o) {
+                        assert!(
+                            n.apx.is_deleted(local),
+                            "object {o} already in keyword {t} index"
+                        );
+                        n.apx.undelete_object(local);
+                    } else {
+                        let mut d = |a: VertexId, b: VertexId| dist.distance(a, b);
+                        let local = n.apx.insert_object(vertex, graph.coord(vertex), &mut d);
+                        debug_assert_eq!(local as usize, n.corpus_ids.len());
+                        n.corpus_ids.push(o);
+                        n.local_of.insert(o, local);
+                    }
                 }
             }
         }
     }
 
-    /// Removes object `o` from keyword `t`'s index (mark-only).
+    /// Marks corpus object `o` deleted (mark-only) in every keyword index
+    /// of its document.
     ///
     /// # Panics
-    /// If `o` is not currently live in keyword `t`'s index. Deletion of an
-    /// absent object is a caller contract violation, not a recoverable
-    /// state: silently ignoring it would let the index drift from the
-    /// corpus and return stale objects from queries (§6.2 requires
-    /// delete-then-rebuild bookkeeping to stay exact).
-    pub fn delete_from_term(&mut self, o: ObjectId, t: TermId) {
-        match self.entries.get_mut(t as usize).and_then(Option::as_mut) {
-            None => panic!("keyword {t} has no index"),
-            Some(KeywordIndex::Small(s)) => {
-                let i = s
-                    .objects
-                    .iter()
-                    .position(|&x| x == o)
-                    .unwrap_or_else(|| panic!("object {o} not in keyword {t} index"));
-                assert!(s.alive[i], "object {o} already deleted from keyword {t}");
-                s.alive[i] = false;
-            }
-            Some(KeywordIndex::Nvd(n)) => {
-                let &local = n
-                    .local_of
-                    .get(&o)
-                    .unwrap_or_else(|| panic!("object {o} not in keyword {t} index"));
-                n.apx.delete_object(local);
+    /// If `o` is not currently live in one of its keywords' indexes.
+    /// Deletion of an absent object is a caller contract violation, not a
+    /// recoverable state: silently ignoring it would let the index drift
+    /// from the corpus and return stale objects from queries (§6.2
+    /// requires delete-then-rebuild bookkeeping to stay exact).
+    pub fn delete_object(&mut self, corpus: &Corpus, o: ObjectId) {
+        for p in corpus.doc(o) {
+            let t = p.term;
+            match self.entries.get_mut(t as usize).and_then(Option::as_mut) {
+                None => panic!("keyword {t} has no index"),
+                Some(KeywordIndex::Small(s)) => {
+                    let i = s
+                        .objects
+                        .iter()
+                        .position(|&x| x == o)
+                        .unwrap_or_else(|| panic!("object {o} not in keyword {t} index"));
+                    assert!(s.alive[i], "object {o} already deleted from keyword {t}");
+                    s.alive[i] = false;
+                }
+                Some(KeywordIndex::Nvd(n)) => {
+                    let &local = n
+                        .local_of
+                        .get(&o)
+                        .unwrap_or_else(|| panic!("object {o} not in keyword {t} index"));
+                    n.apx.delete_object(local);
+                }
             }
         }
     }

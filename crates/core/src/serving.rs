@@ -137,8 +137,8 @@ impl<'a> BatchExecutor<'a> {
     /// exactly `num_threads` workers (at least 1). The count is the
     /// caller's to choose: workers are pure CPU with no blocking I/O, so
     /// more of them than `available_parallelism()` only adds scheduler
-    /// churn (BENCH_serving.json measured 0.77× QPS at 8 workers on a
-    /// 1-hardware-thread host).
+    /// churn (EXPERIMENTS.md, "Serving sweep": 0.77× QPS at 8 workers on
+    /// a 1-hardware-thread host).
     pub fn new(
         graph: &'a Graph,
         corpus: &'a Corpus,

@@ -357,11 +357,14 @@ fn lb_computations_count_heaps_discarded_as_all_deleted() {
             .expect("corpus has no such keyword")
     };
     let (frequent, rare) = (by_len(9..=usize::MAX), by_len(2..=4));
-    for t in [frequent, rare] {
-        let objects: Vec<ObjectId> = w.corpus.inverted(t).iter().map(|p| p.object).collect();
-        for o in objects {
-            w.index.delete_from_term(o, t);
-        }
+    let mut objects: Vec<ObjectId> = [frequent, rare]
+        .iter()
+        .flat_map(|&t| w.corpus.inverted(t).iter().map(|p| p.object))
+        .collect();
+    objects.sort_unstable();
+    objects.dedup();
+    for o in objects {
+        w.index.delete_object(&w.corpus, o);
     }
     let live = by_len(5..=8);
     let bound = CountingBound {
@@ -396,7 +399,8 @@ fn lb_computations_count_heaps_discarded_as_all_deleted() {
     }
 }
 
-/// Generic brute-force oracle over any (text, score) model pair.
+/// Generic brute-force top-k over the `live` objects, under any (text,
+/// score) model pair.
 fn brute_topk_with(
     w: &World,
     q: u32,
@@ -404,12 +408,14 @@ fn brute_topk_with(
     terms: &[TermId],
     text: TextModel,
     score: ScoreModel,
+    live: impl Fn(ObjectId) -> bool,
 ) -> Vec<f64> {
     let query = kspin_text::QueryTerms::with_model(&w.corpus, terms, text);
     let mut dij = kspin_graph::Dijkstra::new(w.graph.num_vertices());
     dij.sssp(&w.graph, q);
     let space = dij.space();
     let mut scores: Vec<f64> = (0..w.corpus.num_objects() as ObjectId)
+        .filter(|&o| live(o))
         .filter_map(|o| {
             let tr = query.relevance(&w.corpus, o);
             if tr <= 0.0 {
@@ -444,6 +450,7 @@ fn topk_is_exact_under_bm25() {
                 &terms,
                 TextModel::BM25_DEFAULT,
                 ScoreModel::WeightedDistance,
+                |_| true,
             );
             assert_eq!(got.len(), want.len());
             for ((_, gs), ws) in got.iter().zip(&want) {
@@ -467,7 +474,7 @@ fn topk_is_exact_under_weighted_sum() {
         for q in [17u32, 640] {
             for text in [TextModel::Cosine, TextModel::BM25_DEFAULT] {
                 let got = e.top_k_with(q, 5, &terms, text, score);
-                let want = brute_topk_with(&w, q, 5, &terms, text, score);
+                let want = brute_topk_with(&w, q, 5, &terms, text, score, |_| true);
                 assert_eq!(got.len(), want.len());
                 for ((_, gs), ws) in got.iter().zip(&want) {
                     assert!((gs - ws).abs() < 1e-9, "{text:?} q={q}");
@@ -603,6 +610,23 @@ fn results_stay_exact_after_deletions() {
             let got = e.bknn(q, 5, &terms, Op::And);
             let want = brute_expr(&w, q, 5, &BoolExpr::all(&terms), |o| !is_deleted(o));
             assert_same_distances(&got, &want, "∧ after deletions");
+            let got = e.top_k(q, 5, &terms);
+            for &(o, _) in &got {
+                assert!(!is_deleted(o), "deleted object {o} ranked by top-k");
+            }
+            let want = brute_topk_with(
+                &w,
+                q,
+                5,
+                &terms,
+                TextModel::Cosine,
+                ScoreModel::WeightedDistance,
+                |o| !is_deleted(o),
+            );
+            assert_eq!(got.len(), want.len(), "top-k after deletions");
+            for ((_, gs), ws) in got.iter().zip(&want) {
+                assert!((gs - ws).abs() < 1e-9, "top-k after deletions q={q}");
+            }
         }
     }
     for ts in vectors(&w, 3).into_iter().take(3) {

@@ -21,8 +21,9 @@
 //! ```
 
 use std::collections::HashMap;
+use std::error::Error;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
 use kspin::prelude::*;
@@ -44,12 +45,24 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // A closed stdout (`kspin-cli … | head`) is the reader saying it
+        // has seen enough, not a failure.
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
 }
+
+/// A subcommand's outcome: a message, or the stdout write error that
+/// stopped it.
+type CliResult = Result<(), Box<dyn Error>>;
 
 /// Tiny flag parser: `--key value` pairs.
 fn flags(args: &[String]) -> Result<HashMap<String, String>, String> {
@@ -67,7 +80,7 @@ fn flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(out)
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), String> {
+fn cmd_generate(args: &[String]) -> CliResult {
     let f = flags(args)?;
     let vertices: usize = f
         .get("vertices")
@@ -115,7 +128,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_snapshot(args: &[String]) -> Result<(), String> {
+fn cmd_snapshot(args: &[String]) -> CliResult {
     let sub = args.first().map(String::as_str);
     let path = args
         .get(1)
@@ -128,7 +141,7 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_snapshot_save(path: &str, args: &[String]) -> Result<(), String> {
+fn cmd_snapshot_save(path: &str, args: &[String]) -> CliResult {
     let f = flags(args)?;
     let prefix = f.get("data").ok_or("--data <prefix> is required")?;
     let rho: usize = f
@@ -176,22 +189,25 @@ fn cmd_snapshot_save(path: &str, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_snapshot_load(path: &str) -> Result<(), String> {
+fn cmd_snapshot_load(path: &str) -> CliResult {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let f = kspin::prelude::SnapshotFile::validate(&bytes).map_err(|e| e.to_string())?;
-    println!(
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
         "{path}: {} bytes, format v{}, {} sections",
         f.len_bytes(),
         kspin_core::snapshot::format::FORMAT_VERSION,
         f.num_sections()
-    );
+    )?;
     for line in kspin::snapshot::describe_sections(&f) {
-        println!("{line}");
+        writeln!(out, "{line}")?;
     }
 
     let t0 = std::time::Instant::now();
     let (system, extras) = KspinSystem::load_snapshot(&bytes).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "loaded in {:.1} ms: |V|={} |E|={} |O|={} |W|={}, {} NVD keywords, {} list keywords{}{}{}",
         t0.elapsed().as_secs_f64() * 1e3,
         system.graph.num_vertices(),
@@ -211,11 +227,11 @@ fn cmd_snapshot_load(path: &str) -> Result<(), String> {
         } else {
             ""
         },
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_query(args: &[String]) -> Result<(), String> {
+fn cmd_query(args: &[String]) -> CliResult {
     let f = flags(args)?;
     let prefix = f.get("data").ok_or("--data <prefix> is required")?;
     let rho: usize = f
@@ -284,7 +300,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             hl = HubLabels::build(&ch);
             Dist::Hl(kspin::adapters::HlDistance::new(&hl))
         }
-        other => return Err(format!("unknown --dist {other:?}")),
+        other => return Err(format!("unknown --dist {other:?}").into()),
     };
 
     // One engine per command keeps borrows simple; index reuse dominates.
@@ -347,7 +363,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 
     eprintln!("ready — type `help` for commands");
     let stdin = std::io::stdin();
-    let mut out = std::io::stdout();
+    let mut out = io::stdout().lock();
     for line in stdin.lock().lines() {
         let line = line.map_err(|e| e.to_string())?;
         let tokens: Vec<&str> = line.split_ascii_whitespace().collect();
@@ -355,40 +371,42 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             [] => {}
             ["quit"] | ["exit"] => break,
             ["help"] => {
-                println!("  bknn <vertex> <k> and|or <kw> [kw…]");
-                println!("  topk <vertex> <k> <kw> [kw…]");
-                println!("  stats | quit");
+                writeln!(out, "  bknn <vertex> <k> and|or <kw> [kw…]")?;
+                writeln!(out, "  topk <vertex> <k> <kw> [kw…]")?;
+                writeln!(out, "  stats | quit")?;
             }
             ["stats"] => {
-                println!(
+                writeln!(
+                    out,
                     "  index {} KiB, ALT {} KiB",
                     system.index.size_bytes() / 1024,
                     system.alt.size_bytes() / 1024
-                );
+                )?;
             }
             ["bknn", vertex, k, op, kws @ ..] if !kws.is_empty() => {
                 let (Ok(v), Ok(k)) = (vertex.parse::<u32>(), k.parse::<usize>()) else {
-                    println!("  bad vertex/k");
+                    writeln!(out, "  bad vertex/k")?;
                     continue;
                 };
                 if v as usize >= system.graph.num_vertices() {
-                    println!("  vertex out of range");
+                    writeln!(out, "  vertex out of range")?;
                     continue;
                 }
                 let op = match *op {
                     "and" => Op::And,
                     "or" => Op::Or,
                     _ => {
-                        println!("  operator must be and|or");
+                        writeln!(out, "  operator must be and|or")?;
                         continue;
                     }
                 };
                 let terms = system.terms(kws);
                 if terms.len() < kws.len() {
-                    println!(
+                    writeln!(
+                        out,
                         "  note: {} unknown keyword(s) ignored",
                         kws.len() - terms.len()
-                    );
+                    )?;
                 }
                 let t0 = std::time::Instant::now();
                 let results: Vec<(ObjectId, Weight)> = with_engine!(|e| e.bknn(v, k, &terms, op));
@@ -400,21 +418,22 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
                         .iter()
                         .map(|p| system.vocab.term(p.term))
                         .collect();
-                    println!(
+                    writeln!(
+                        out,
                         "  object {o} @ vertex {} dist {d}  [{}]",
                         system.corpus.vertex_of(*o),
                         words.join(" ")
-                    );
+                    )?;
                 }
-                println!("  ({} results in {us:.0} µs)", results.len());
+                writeln!(out, "  ({} results in {us:.0} µs)", results.len())?;
             }
             ["topk", vertex, k, kws @ ..] if !kws.is_empty() => {
                 let (Ok(v), Ok(k)) = (vertex.parse::<u32>(), k.parse::<usize>()) else {
-                    println!("  bad vertex/k");
+                    writeln!(out, "  bad vertex/k")?;
                     continue;
                 };
                 if v as usize >= system.graph.num_vertices() {
-                    println!("  vertex out of range");
+                    writeln!(out, "  vertex out of range")?;
                     continue;
                 }
                 let terms = system.terms(kws);
@@ -422,16 +441,16 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
                 let results: Vec<(ObjectId, f64)> = with_engine!(|e| e.top_k(v, k, &terms));
                 let us = t0.elapsed().as_secs_f64() * 1e6;
                 for (o, s) in &results {
-                    println!(
+                    writeln!(
+                        out,
                         "  object {o} @ vertex {} score {s:.1}",
                         system.corpus.vertex_of(*o)
-                    );
+                    )?;
                 }
-                println!("  ({} results in {us:.0} µs)", results.len());
+                writeln!(out, "  ({} results in {us:.0} µs)", results.len())?;
             }
-            _ => println!("  unrecognized command (try `help`)"),
+            _ => writeln!(out, "  unrecognized command (try `help`)")?,
         }
-        out.flush().map_err(|e| format!("write stdout: {e}"))?;
     }
     Ok(())
 }

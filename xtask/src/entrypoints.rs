@@ -30,8 +30,8 @@
 /// outside this perimeter, so the kernels they wrap are registered by name
 /// in the entry tables below. `crates/ch` is in for `ChQuery`, the kernel
 /// behind KS-CH (e2e `query_ch`); `crates/hl` for `HlQuery`, the kernel
-/// behind KS-HL — the default serving variant (the CLI, `table_serving`,
-/// three of the four e2e workloads). G-tree, ROAD and FS-FBS remain
+/// behind KS-HL — the default serving variant (the CLI and three of the
+/// four e2e workloads). G-tree, ROAD and FS-FBS remain
 /// comparison crates no default serving path calls into.
 pub const CERT_DIRS: [&str; 7] = [
     "crates/graph/src",
