@@ -135,32 +135,6 @@ impl AltIndex {
         &self.landmarks
     }
 
-    /// Translates the index onto a renumbered graph: landmark ids map
-    /// through `r` and whole vertex rows are gathered into the new vertex
-    /// order (new row `r.to_local(v)` = old row `v`). Since distances are
-    /// label-independent, every lower bound — and therefore every query
-    /// that consumes them — is bitwise identical to the unpermuted index.
-    /// Build-time only.
-    ///
-    /// # Panics
-    /// If `r` does not cover exactly this index's vertices.
-    pub fn relabel(&self, r: &kspin_graph::Relabeling) -> AltIndex {
-        assert_eq!(
-            r.len(),
-            self.num_vertices,
-            "relabeling is over another graph"
-        );
-        let mut dist = Vec::with_capacity(self.dist.len());
-        for &ext in r.inverse() {
-            dist.extend_from_slice(self.row(ext).unwrap_or_default());
-        }
-        AltIndex {
-            landmarks: self.landmarks.iter().map(|&l| r.to_local(l)).collect(),
-            num_vertices: self.num_vertices,
-            dist,
-        }
-    }
-
     /// Vertex `v`'s `m` landmark distances; `None` when `v` is out of range.
     #[inline]
     fn row(&self, v: VertexId) -> Option<&[Weight]> {
@@ -414,26 +388,6 @@ mod tests {
         let g = small_network();
         let alt = AltIndex::build(&g, 4, LandmarkStrategy::Farthest, 1);
         assert!(alt.size_bytes() >= 4 * g.num_vertices() * 4);
-    }
-
-    #[test]
-    fn relabel_preserves_bounds_bitwise() {
-        let g = small_network();
-        let alt = AltIndex::build(&g, 6, LandmarkStrategy::Farthest, 3);
-        let r = kspin_graph::Relabeling::hilbert(&g);
-        let relabeled = alt.relabel(&r);
-        for u in (0..g.num_vertices() as VertexId).step_by(13) {
-            for v in (0..g.num_vertices() as VertexId).step_by(17) {
-                assert_eq!(
-                    alt.lower_bound(u, v),
-                    relabeled.lower_bound(r.to_local(u), r.to_local(v)),
-                    "bound changed under relabeling for ({u}, {v})"
-                );
-            }
-        }
-        for (&old, &new) in alt.landmarks().iter().zip(relabeled.landmarks()) {
-            assert_eq!(r.to_local(old), new);
-        }
     }
 
     #[test]

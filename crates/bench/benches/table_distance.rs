@@ -1,17 +1,7 @@
-//! Distance-kernel sweep over two axes: module × memory layout, on
-//! generated road networks at |V| ∈ {10k, 30k, 100k}.
-//!
-//! **Modules** — the four heap-driven searches: Dijkstra, BiDijkstra,
-//! ALT-A* and the exact-NVD construction sweep.
-//!
-//! **Layouts** — each network is renumbered with [`Relabeling`] before
-//! measuring: `original` (generator order) and `hilbert`
-//! (space-filling-curve locality). Queries are translated through the
-//! permutation, so every layout answers the *same* external queries and
-//! returns bit-identical distances (the relabel property tests prove it).
-//! Heap counters may drift by a hair across layouts — equal-key ties
-//! expand in vertex-id order, and ids are permuted — so counters are
-//! compared per layout, never across.
+//! Distance-kernel sweep: the four heap-driven searches — Dijkstra,
+//! BiDijkstra, ALT-A* and the exact-NVD construction sweep — on generated
+//! road networks at |V| ∈ {10k, 30k, 100k}, in the generator's vertex
+//! order (the only order the system serves in).
 //!
 //! Every leg runs the production code path on the shared indexed 4-ary
 //! decrease-key kernel (`kspin_graph::dheap`). The host's wall clock is
@@ -29,7 +19,7 @@ use std::time::Instant;
 use kspin_alt::{AltAstar, AltIndex, LandmarkStrategy};
 use kspin_bench::{header, row};
 use kspin_graph::generate::{road_network, RoadNetworkConfig};
-use kspin_graph::{BiDijkstra, Dijkstra, HeapCounters, Relabeling, VertexId};
+use kspin_graph::{BiDijkstra, Dijkstra, HeapCounters, VertexId};
 use kspin_nvd::ExactNvd;
 
 fn sizes() -> Vec<usize> {
@@ -82,118 +72,98 @@ fn measure<F: FnMut()>(work_items: usize, mut pass: F) -> f64 {
 fn main() {
     let sizes = sizes();
     header(
-        "Distance kernels: module × |V| × layout",
+        "Distance kernels: module × |V|",
         &["leg", "q/s", "pushes", "pops", "dec-keys"],
     );
     let mut json_rows = String::new();
     for &n in &sizes {
-        let g0 = road_network(&RoadNetworkConfig::new(n, 0x5eed ^ n as u64));
-        let pairs0 = query_pairs(g0.num_vertices());
-        let gens0 = generators(g0.num_vertices());
-        let nv = g0.num_vertices();
+        let g = road_network(&RoadNetworkConfig::new(n, 0x5eed ^ n as u64));
+        let pairs = query_pairs(g.num_vertices());
+        let gens = generators(g.num_vertices());
         let t0 = Instant::now();
-        let alt0 = AltIndex::build(&g0, 8, LandmarkStrategy::Farthest, 0);
+        let alt = AltIndex::build(&g, 8, LandmarkStrategy::Farthest, 0);
         eprintln!(
             "|V|={n}: ALT (8 landmarks) {:.1}s; {} query pairs, {} NVD generators",
             t0.elapsed().as_secs_f64(),
-            pairs0.len(),
-            gens0.len(),
+            pairs.len(),
+            gens.len(),
         );
 
-        // The layout axis: one permutation per memory layout, applied to
-        // the graph and every id-holding index; queries translate through
-        // the same permutation so all layouts answer identical workloads.
-        let layouts = [
-            ("original", Relabeling::identity(nv)),
-            ("hilbert", Relabeling::hilbert(&g0)),
-        ];
-        for (layout, r) in &layouts {
-            let g = r.apply(&g0);
-            let alt = alt0.relabel(r);
-            let pairs: Vec<(VertexId, VertexId)> = pairs0
-                .iter()
-                .map(|&(s, t)| (r.to_local(s), r.to_local(t)))
-                .collect();
-            let gens: Vec<VertexId> = gens0.iter().map(|&v| r.to_local(v)).collect();
+        let mut emit = |module: &str, qps: f64, c: HeapCounters| {
+            row(
+                format!("{module}/{n}"),
+                &[qps, c.pushes as f64, c.pops as f64, c.decrease_keys as f64],
+            );
+            let comma = if json_rows.is_empty() { "" } else { ",\n" };
+            write!(
+                json_rows,
+                "{comma}    {{\"module\": \"{module}\", \"vertices\": {n}, \
+                 \"qps\": {qps:.2}, \"pushes\": {}, \"pops\": {}, \"decrease_keys\": {}}}",
+                c.pushes, c.pops, c.decrease_keys,
+            )
+            .expect("write to String cannot fail");
+        };
 
-            let mut emit = |module: &str, qps: f64, c: HeapCounters| {
-                row(
-                    format!("{module}/{n}/{layout}"),
-                    &[qps, c.pushes as f64, c.pops as f64, c.decrease_keys as f64],
-                );
-                let comma = if json_rows.is_empty() { "" } else { ",\n" };
-                write!(
-                    json_rows,
-                    "{comma}    {{\"module\": \"{module}\", \"vertices\": {n}, \
-                     \"layout\": \"{layout}\", \"qps\": {qps:.2}, \
-                     \"pushes\": {}, \"pops\": {}, \"decrease_keys\": {}}}",
-                    c.pushes, c.pops, c.decrease_keys,
-                )
-                .expect("write to String cannot fail");
-            };
-
-            // Dijkstra
-            {
-                let mut d = Dijkstra::new(g.num_vertices());
-                let qps = measure(pairs.len(), || {
-                    for &(s, t) in &pairs {
-                        std::hint::black_box(d.one_to_one(&g, s, t));
-                    }
-                });
-                let base = d.heap_counters();
+        // Dijkstra
+        {
+            let mut d = Dijkstra::new(g.num_vertices());
+            let qps = measure(pairs.len(), || {
                 for &(s, t) in &pairs {
                     std::hint::black_box(d.one_to_one(&g, s, t));
                 }
-                emit("dijkstra", qps, d.heap_counters().since(base));
+            });
+            let base = d.heap_counters();
+            for &(s, t) in &pairs {
+                std::hint::black_box(d.one_to_one(&g, s, t));
             }
+            emit("dijkstra", qps, d.heap_counters().since(base));
+        }
 
-            // BiDijkstra
-            {
-                let mut d = BiDijkstra::new(g.num_vertices());
-                let qps = measure(pairs.len(), || {
-                    for &(s, t) in &pairs {
-                        std::hint::black_box(d.distance(&g, s, t));
-                    }
-                });
-                let base = d.heap_counters();
+        // BiDijkstra
+        {
+            let mut d = BiDijkstra::new(g.num_vertices());
+            let qps = measure(pairs.len(), || {
                 for &(s, t) in &pairs {
                     std::hint::black_box(d.distance(&g, s, t));
                 }
-                emit("bidijkstra", qps, d.heap_counters().since(base));
+            });
+            let base = d.heap_counters();
+            for &(s, t) in &pairs {
+                std::hint::black_box(d.distance(&g, s, t));
             }
+            emit("bidijkstra", qps, d.heap_counters().since(base));
+        }
 
-            // ALT-A*
-            {
-                let mut d = AltAstar::new(g.num_vertices());
-                let qps = measure(pairs.len(), || {
-                    for &(s, t) in &pairs {
-                        std::hint::black_box(d.distance(&g, &alt, s, t));
-                    }
-                });
-                let base = d.heap_counters();
+        // ALT-A*
+        {
+            let mut d = AltAstar::new(g.num_vertices());
+            let qps = measure(pairs.len(), || {
                 for &(s, t) in &pairs {
                     std::hint::black_box(d.distance(&g, &alt, s, t));
                 }
-                emit("alt_astar", qps, d.heap_counters().since(base));
+            });
+            let base = d.heap_counters();
+            for &(s, t) in &pairs {
+                std::hint::black_box(d.distance(&g, &alt, s, t));
             }
+            emit("alt_astar", qps, d.heap_counters().since(base));
+        }
 
-            // Exact-NVD construction (one build = one work item)
-            {
-                let qps = measure(1, || {
-                    std::hint::black_box(ExactNvd::build(&g, &gens));
-                });
-                emit(
-                    "nvd_build",
-                    qps,
-                    ExactNvd::build(&g, &gens).build_counters(),
-                );
-            }
+        // Exact-NVD construction (one build = one work item)
+        {
+            let qps = measure(1, || {
+                std::hint::black_box(ExactNvd::build(&g, &gens));
+            });
+            emit(
+                "nvd_build",
+                qps,
+                ExactNvd::build(&g, &gens).build_counters(),
+            );
         }
     }
 
     let json = format!(
         "{{\n  \"bench\": \"table_distance\",\n  \"sizes\": {sizes:?},\n  \
-         \"layouts\": [\"original\", \"hilbert\"],\n  \
          \"hardware_threads\": {},\n  \"rows\": [\n{json_rows}\n  ]\n}}\n",
         std::thread::available_parallelism().map_or(1, |p| p.get()),
     );

@@ -87,51 +87,6 @@ impl ContractionHierarchy {
         self.num_shortcuts
     }
 
-    /// Translates the hierarchy onto a renumbered graph: every stored
-    /// vertex id goes through `r` while each vertex keeps its contraction
-    /// rank, so node order and query results are bit-identical to the
-    /// unpermuted hierarchy. Build-time only.
-    pub fn relabel(&self, r: &kspin_graph::Relabeling) -> ContractionHierarchy {
-        let n = self.rank.len();
-        assert_eq!(n, r.len(), "relabeling size mismatch");
-        let mut rank = vec![0u32; n];
-        for v in 0..n as VertexId {
-            rank[r.to_local(v) as usize] = self.rank[v as usize];
-        }
-        let mut directed: Vec<(VertexId, VertexId, Weight)> =
-            Vec::with_capacity(self.up_targets.len());
-        for u in 0..n as VertexId {
-            for (t, w) in self.upward(u) {
-                directed.push((r.to_local(u), r.to_local(t), w));
-            }
-        }
-        directed.sort_unstable();
-        let mut deg = vec![0u32; n + 1];
-        for &(lo, _, _) in &directed {
-            deg[lo as usize + 1] += 1;
-        }
-        for i in 0..n {
-            deg[i + 1] += deg[i];
-        }
-        let up_offsets = deg;
-        let mut up_targets = vec![0; directed.len()];
-        let mut up_weights = vec![0; directed.len()];
-        let mut cursor = up_offsets.clone();
-        for (lo, hi, w) in directed {
-            let c = &mut cursor[lo as usize];
-            up_targets[*c as usize] = hi;
-            up_weights[*c as usize] = w;
-            *c += 1;
-        }
-        ContractionHierarchy {
-            rank,
-            up_offsets,
-            up_targets,
-            up_weights,
-            num_shortcuts: self.num_shortcuts,
-        }
-    }
-
     /// Total directed upward edges.
     pub fn num_upward_edges(&self) -> usize {
         self.up_targets.len()

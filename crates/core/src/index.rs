@@ -130,26 +130,6 @@ pub struct KspinIndex {
 }
 
 impl KspinIndex {
-    /// Translates every stored vertex id onto a renumbered graph: small
-    /// entries map their vertex lists through `r`, NVD entries relabel
-    /// their ρ-approximate diagrams. Everything else in the index —
-    /// object ids and Morton leaves — is vertex-free, so query results
-    /// (including boundary-distance tie-breaks, which depend on extraction
-    /// order, not ids) are bit-identical to the unpermuted index.
-    /// Build-time only.
-    pub fn relabel(&mut self, r: &kspin_graph::Relabeling) {
-        for entry in self.entries.iter_mut().flatten() {
-            match entry {
-                KeywordIndex::Small(s) => {
-                    for v in &mut s.vertices {
-                        *v = r.to_local(*v);
-                    }
-                }
-                KeywordIndex::Nvd(nvd) => nvd.apx.relabel(r),
-            }
-        }
-    }
-
     /// Builds the index over all corpus objects.
     pub fn build(graph: &Graph, corpus: &Corpus, config: &KspinConfig) -> Self {
         Self::build_filtered(graph, corpus, |_| true, config)

@@ -3,8 +3,8 @@
 //!
 //! This module knows how the engine's structures — CSR graph, corpus
 //! posting columns, the Keyword Separated Index with its per-term
-//! ρ-approximate NVDs, ALT landmark tables, the CH upward graph and the
-//! active relabeling — flatten into the section registry of
+//! ρ-approximate NVDs, ALT landmark tables and the CH upward graph —
+//! flatten into the section registry of
 //! [`kspin_snapshot::format::section`]. Each `encode_*` appends its
 //! sections to a [`SnapshotWriter`] in ascending id order; each
 //! `decode_*` copies the sections back out of a validated
@@ -29,7 +29,7 @@ pub use kspin_snapshot::{
 
 use crate::index::{BuildStats, KeywordIndex, KspinIndex, NvdIndex, SmallIndex};
 use kspin_graph::morton::MortonSpace;
-use kspin_graph::{Graph, Point, Relabeling};
+use kspin_graph::{Graph, Point};
 use kspin_nvd::{AdjacencyGraph, ApproxNvd};
 use kspin_snapshot::format::section;
 use kspin_text::Corpus;
@@ -682,30 +682,6 @@ pub fn decode_ch(
     .map_err(|e| SnapshotError::decode(CH_RANK, e))
 }
 
-// ---------------------------------------------------------------------
-// Relabeling (section 90, optional)
-// ---------------------------------------------------------------------
-
-/// Appends the active relabeling as its visit order
-/// (`order[local] = external`).
-pub fn encode_relabeling(w: &mut SnapshotWriter, r: &Relabeling) {
-    w.put_u32s(section::RELABEL_ORDER, r.inverse());
-}
-
-/// Reassembles the relabeling when present, `Ok(None)` when the
-/// snapshot was saved without one.
-///
-/// # Errors
-/// A mistyped section or an order that is not a permutation.
-pub fn decode_relabeling(f: &SnapshotFile<'_>) -> Result<Option<Relabeling>, SnapshotError> {
-    match f.u32s_opt(section::RELABEL_ORDER)? {
-        None => Ok(None),
-        Some(order) => Relabeling::try_from_order(order)
-            .map(Some)
-            .map_err(|e| SnapshotError::decode(section::RELABEL_ORDER, e)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,23 +796,19 @@ mod tests {
     }
 
     #[test]
-    fn alt_ch_relabeling_roundtrip() {
+    fn alt_ch_roundtrip() {
         let g = grid_graph(6);
         let alt = kspin_alt::AltIndex::build(&g, 4, kspin_alt::LandmarkStrategy::Farthest, 0);
         let ch = kspin_ch::ContractionHierarchy::build(&g, &kspin_ch::ChConfig::default());
-        let r = Relabeling::hilbert(&g);
         let mut w = SnapshotWriter::new();
         encode_alt(&mut w, &alt);
         encode_ch(&mut w, &ch);
-        encode_relabeling(&mut w, &r);
         let bytes = w.finish();
         let f = SnapshotFile::validate(&bytes).unwrap();
         let alt2 = decode_alt(&f, g.num_vertices()).unwrap();
         assert_eq!(alt.flat_parts(), alt2.flat_parts());
         let ch2 = decode_ch(&f).unwrap().expect("ch present");
         assert_eq!(ch.flat_parts(), ch2.flat_parts());
-        let r2 = decode_relabeling(&f).unwrap().expect("relabeling present");
-        assert_eq!(r.forward(), r2.forward());
     }
 
     #[test]
@@ -847,7 +819,6 @@ mod tests {
         let bytes = w.finish();
         let f = SnapshotFile::validate(&bytes).unwrap();
         assert!(decode_ch(&f).unwrap().is_none());
-        assert!(decode_relabeling(&f).unwrap().is_none());
     }
 
     #[test]

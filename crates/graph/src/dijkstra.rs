@@ -66,8 +66,8 @@ impl Dijkstra {
             tgt_epoch: vec![0; n],
             tgt_head: vec![NO_SLOT; n],
             // Pre-sized to n: one slot per requested target. Target sets
-            // are vertex subsets in every caller (candidate lists from the
-            // renumbered graph), so len ≤ n and the pushes in
+            // are vertex subsets in every caller (candidate lists of the
+            // graph's own vertices), so len ≤ n and the pushes in
             // `one_to_many` never reallocate once warmed.
             tgt_next: Vec::with_capacity(n),
             tgt_cur: 0,

@@ -14,10 +14,8 @@
 //! * [`labels`] — the one epoch-stamped distance-label store ([`Labels`])
 //!   under every point-to-point kernel here, in `kspin-alt` and in
 //!   `kspin-ch`: O(1) reset, the bounds argument written once.
-//! * [`morton`] / [`relabel`] — space-filling-curve codes and the
-//!   cache-conscious vertex renumbering ([`Relabeling`]) built on them:
-//!   a Hilbert order that shrinks the id gap across edges so the
-//!   memory-bound kernels touch contiguous cache lines.
+//! * [`morton`] — Morton (Z-order) codes, the key of the ρ-approximate
+//!   NVD's quadtree leaves.
 //! * [`connectivity`] — connected-component analysis and largest-component
 //!   extraction (road networks must be connected for Voronoi diagrams to
 //!   cover every vertex).
@@ -40,7 +38,6 @@ pub mod dimacs;
 pub mod generate;
 pub mod labels;
 pub mod morton;
-pub mod relabel;
 pub mod types;
 pub mod weight;
 
@@ -49,6 +46,5 @@ pub use csr::{Graph, GraphBuilder};
 pub use dheap::{DaryHeap, HeapCounters};
 pub use dijkstra::{Dijkstra, SearchSpace};
 pub use labels::Labels;
-pub use relabel::Relabeling;
 pub use types::{Edge, Point, VertexId, Weight, INFINITY};
 pub use weight::{weight_add, OrderedWeight};

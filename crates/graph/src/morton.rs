@@ -1,23 +1,16 @@
-//! Space-filling-curve codes over normalized coordinates.
+//! Morton (Z-order) codes over normalized coordinates.
 //!
-//! Two curves over a 65536 × 65536 grid normalized from a graph's bounding
-//! box:
-//!
-//! * **Morton (Z-order)** codes interleave 16 bits per axis. The
-//!   ρ-Approximate NVD stores its quadtree as a *Morton list* (§6.1, after
-//!   Samet [22]): leaves sorted by the Z-order code of their lower corner,
-//!   located by binary search.
-//! * **Hilbert** codes follow the Hilbert curve over the same grid. Unlike
-//!   Z-order the Hilbert curve has no long diagonal jumps, so sorting
-//!   vertices by Hilbert code gives the best spatial locality for the
-//!   cache-conscious renumbering in [`crate::relabel`].
+//! A code interleaves 16 bits per axis of a 65536 × 65536 grid normalized
+//! from a graph's bounding box. The ρ-Approximate NVD stores its quadtree
+//! as a *Morton list* (§6.1, after Samet [22]): leaves sorted by the
+//! Z-order code of their lower corner, located by binary search.
 
 use crate::types::Point;
 
 /// Bits per axis; quadtree depth is at most this.
 pub const BITS: u32 = 16;
 
-/// Maps points in a fixed bounding box onto space-filling-curve codes.
+/// Maps points in a fixed bounding box onto Morton codes.
 #[derive(Debug, Clone, Copy)]
 pub struct MortonSpace {
     min: Point,
@@ -67,7 +60,7 @@ impl MortonSpace {
     /// Grid cell of `p` on the normalized `2^BITS × 2^BITS` lattice. Points
     /// outside the box clamp to its border.
     #[inline]
-    pub fn grid(&self, p: Point) -> (u32, u32) {
+    fn grid(&self, p: Point) -> (u32, u32) {
         let gx = (((p.x as i64 - self.min.x as i64) as f64 * self.scale_x) as i64)
             .clamp(0, (1 << BITS) - 1) as u32;
         let gy = (((p.y as i64 - self.min.y as i64) as f64 * self.scale_y) as i64)
@@ -80,18 +73,11 @@ impl MortonSpace {
         let (gx, gy) = self.grid(p);
         interleave(gx) | (interleave(gy) << 1)
     }
-
-    /// The Hilbert-curve index of `p` on the normalized grid. Points outside
-    /// the box clamp to its border.
-    pub fn hilbert_code(&self, p: Point) -> u64 {
-        let (gx, gy) = self.grid(p);
-        hilbert_d(gx, gy)
-    }
 }
 
 /// Spreads the low 16 bits of `x` into the even bit positions.
 #[inline]
-pub fn interleave(x: u32) -> u32 {
+fn interleave(x: u32) -> u32 {
     let mut x = x & 0xFFFF;
     x = (x | (x << 8)) & 0x00FF_00FF;
     x = (x | (x << 4)) & 0x0F0F_0F0F;
@@ -100,54 +86,17 @@ pub fn interleave(x: u32) -> u32 {
     x
 }
 
-/// Inverse of [`interleave`].
-#[inline]
-pub fn deinterleave(x: u32) -> u32 {
-    let mut x = x & 0x5555_5555;
-    x = (x | (x >> 1)) & 0x3333_3333;
-    x = (x | (x >> 2)) & 0x0F0F_0F0F;
-    x = (x | (x >> 4)) & 0x00FF_00FF;
-    x = (x | (x >> 8)) & 0x0000_FFFF;
-    x
-}
-
-/// Distance along the Hilbert curve of the grid cell `(x, y)` on the
-/// `2^BITS × 2^BITS` lattice (coordinates above the lattice are masked).
-///
-/// The classic iterative quadrant-rotation formulation: at each scale `s`
-/// the quadrant containing the point contributes `s² · q` to the index and
-/// the frame is rotated/reflected so the sub-curve orientation matches.
-pub fn hilbert_d(x: u32, y: u32) -> u64 {
-    let n: u32 = 1 << BITS;
-    let (mut x, mut y) = (x & (n - 1), y & (n - 1));
-    let mut d: u64 = 0;
-    let mut s: u32 = n / 2;
-    while s > 0 {
-        let rx = u32::from((x & s) > 0);
-        let ry = u32::from((y & s) > 0);
-        d += (s as u64) * (s as u64) * ((3 * rx) ^ ry) as u64;
-        // Rotate the quadrant so the sub-curve enters the right corner.
-        if ry == 0 {
-            if rx == 1 {
-                x = (n - 1) - x;
-                y = (n - 1) - y;
-            }
-            std::mem::swap(&mut x, &mut y);
-        }
-        s /= 2;
-    }
-    d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn interleave_roundtrip() {
-        for x in [0u32, 1, 2, 0xFFFF, 0x1234, 0xABCD] {
-            assert_eq!(deinterleave(interleave(x)), x);
-        }
+    fn interleave_spreads_bits_to_even_positions() {
+        assert_eq!(interleave(0), 0);
+        assert_eq!(interleave(0b1011), 0b100_0101);
+        assert_eq!(interleave(0xFFFF), 0x5555_5555);
+        // Bits above the 16th are masked off.
+        assert_eq!(interleave(0x1_0001), 1);
     }
 
     #[test]
@@ -187,45 +136,5 @@ mod tests {
         let shared_ab = (a ^ b).leading_zeros();
         let shared_af = (a ^ far).leading_zeros();
         assert!(shared_ab > shared_af);
-    }
-
-    #[test]
-    fn hilbert_is_a_bijection_on_a_subgrid() {
-        // Exhaustively check the low 8×8 corner maps to 64 distinct indices
-        // and that horizontally/vertically adjacent low-corner cells of the
-        // full curve are adjacent in index (the defining Hilbert property
-        // checked on the first steps of the curve).
-        let mut seen = std::collections::BTreeSet::new();
-        for x in 0..8u32 {
-            for y in 0..8u32 {
-                seen.insert(hilbert_d(x, y));
-            }
-        }
-        assert_eq!(seen.len(), 64);
-        // The curve starts at the origin, and its first four steps stay
-        // inside the 2×2 block containing the start (the defining
-        // recursive-block property; the block's internal orientation
-        // depends on the curve depth).
-        assert_eq!(hilbert_d(0, 0), 0);
-        let block: std::collections::BTreeSet<u64> = [(0, 0), (0, 1), (1, 0), (1, 1)]
-            .iter()
-            .map(|&(x, y)| hilbert_d(x, y))
-            .collect();
-        assert_eq!(block, (0..4).collect());
-    }
-
-    #[test]
-    fn hilbert_neighbors_stay_close() {
-        // Hilbert's locality: grid neighbors differ far less in index than
-        // distant cells on average. Spot-check against a far pair.
-        let near = hilbert_d(1000, 1000).abs_diff(hilbert_d(1000, 1001));
-        let far = hilbert_d(0, 0).abs_diff(hilbert_d(65535, 0));
-        assert!(near < far);
-    }
-
-    #[test]
-    fn hilbert_space_matches_raw_grid() {
-        let s = MortonSpace::new(Point::new(0, 0), Point::new(65535, 65535));
-        assert_eq!(s.hilbert_code(Point::new(0, 1)), hilbert_d(0, 1));
     }
 }

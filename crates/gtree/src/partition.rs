@@ -110,23 +110,6 @@ impl Hierarchy {
         a
     }
 
-    /// Translates the hierarchy onto a renumbered graph: the pooled
-    /// vertex array maps through `r` (preserving list order, which
-    /// downstream matrix layouts key on) and the vertex-indexed `leaf_of`
-    /// table is permuted. Tree topology is untouched, so G-tree traversal
-    /// and distances are bit-identical. Build-time only.
-    pub fn relabel(&self, r: &kspin_graph::Relabeling) -> Hierarchy {
-        Hierarchy {
-            parent: self.parent.clone(),
-            depth: self.depth.clone(),
-            child_offsets: self.child_offsets.clone(),
-            child_data: self.child_data.clone(),
-            vert_offsets: self.vert_offsets.clone(),
-            vert_data: self.vert_data.iter().map(|&v| r.to_local(v)).collect(),
-            leaf_of: r.permute_table(&self.leaf_of),
-        }
-    }
-
     /// The child of ancestor `anc` on the path toward node `n` (which must
     /// be a strict descendant of `anc`).
     pub fn child_toward(&self, anc: u32, mut n: u32) -> u32 {
@@ -398,25 +381,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn relabel_keeps_leaf_assignment_consistent() {
-        let (g, h) = build(800, 64);
-        let r = kspin_graph::Relabeling::hilbert(&g);
-        let rh = h.relabel(&r);
-        assert_eq!(rh.num_nodes(), h.num_nodes());
-        for v in 0..g.num_vertices() as VertexId {
-            assert_eq!(rh.leaf_of(r.to_local(v)), h.leaf_of(v));
-        }
-        for n in 0..h.num_nodes() as u32 {
-            let mapped: Vec<VertexId> = h.leaf_vertices(n).iter().map(|&v| r.to_local(v)).collect();
-            assert_eq!(
-                rh.leaf_vertices(n),
-                mapped,
-                "leaf {n} lost its vertex order"
-            );
-        }
     }
 
     #[test]

@@ -114,22 +114,6 @@ impl ApproxNvd {
         self.objects.len() + self.inserted_vertices.len()
     }
 
-    /// Translates stored vertex ids onto a renumbered graph.
-    ///
-    /// A pure relabeling: the quadtree (Morton leaves), candidate sets and
-    /// generator adjacency are all keyed on coordinates or object-local
-    /// ids, both invariant under vertex renumbering — only the
-    /// object→vertex maps carry raw `VertexId`s. Query results are
-    /// bit-identical afterwards. Build-time only.
-    pub fn relabel(&mut self, r: &kspin_graph::Relabeling) {
-        for v in &mut self.objects {
-            *v = r.to_local(*v);
-        }
-        for v in &mut self.inserted_vertices {
-            *v = r.to_local(*v);
-        }
-    }
-
     /// The road-network vertex of object `id` (original or inserted).
     #[inline]
     pub fn object_vertex(&self, id: u32) -> VertexId {

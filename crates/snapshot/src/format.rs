@@ -29,7 +29,10 @@
 //! with an unknown version or endianness tag outright. New *section ids*
 //! may be added without a version bump — sections are self-describing and
 //! loaders ignore ids they do not request — which is how optional
-//! structures (CH, G-tree hierarchy, relabeling) already work.
+//! structures (CH, G-tree hierarchy) already work. Retiring an optional
+//! id needs no bump either: no loader requests id 90 (a vertex
+//! renumbering, retired), so a version 4 file that still carries it loads
+//! with the section ignored.
 //!
 //! Version 2 narrowed [`section::INDEX_META`] from 8 words to 5 when the
 //! heap-seed cache was removed from the engine (it measured slower than
@@ -205,10 +208,7 @@ pub mod section {
     pub const HIER_VERT_DATA: u32 = 85;
     /// G-tree hierarchy: leaf node of each vertex, `u32`.
     pub const HIER_LEAF_OF: u32 = 86;
-
-    /// Active relabeling as a visit order (`order[local] = external`),
-    /// `u32`, one per vertex.
-    pub const RELABEL_ORDER: u32 = 90;
+    // 90 held a vertex renumbering's visit order: retired, never reused.
 }
 
 /// Human-readable name of a section id (for error messages and the CLI
@@ -259,7 +259,6 @@ pub fn section_name(id: u32) -> &'static str {
         HIER_VERT_OFFSETS => "gtree.vert_offsets",
         HIER_VERT_DATA => "gtree.vert_data",
         HIER_LEAF_OF => "gtree.leaf_of",
-        RELABEL_ORDER => "relabel.order",
         _ => "unknown",
     }
 }

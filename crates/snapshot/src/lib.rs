@@ -2,8 +2,8 @@
 //!
 //! A snapshot is a single contiguous byte buffer holding every index
 //! structure of a deployment — CSR graph, corpus postings, per-keyword
-//! ρ-approximate NVDs, ALT landmark tables, CH upward graph, G-tree
-//! hierarchy and the active relabeling — as *sections* of flat
+//! ρ-approximate NVDs, ALT landmark tables, CH upward graph and G-tree
+//! hierarchy — as *sections* of flat
 //! little-endian `u32`/`u64`/`f64` arrays. Loading is validate-then-copy
 //! into pre-sized `Vec`s: no per-element parsing, no pointer fix-ups, no
 //! graph traversal (fixed header, 8-aligned sections, explicit offsets).

@@ -76,19 +76,6 @@ impl<'a> SnapshotFile<'a> {
     pub fn bytes(&self, id: u32) -> Result<&'a [u8], SnapshotError> {
         Ok(self.typed(id, KIND_BYTES)?.payload)
     }
-
-    /// Like [`SnapshotFile::u32s`] but `Ok(None)` when the section is
-    /// absent (for optional structures such as CH or the relabeling).
-    ///
-    /// # Errors
-    /// [`FormatError::WrongKind`] when present with another kind.
-    pub fn u32s_opt(&self, id: u32) -> Result<Option<Vec<u32>>, SnapshotError> {
-        if self.has(id) {
-            self.u32s(id).map(Some)
-        } else {
-            Ok(None)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +115,5 @@ mod tests {
         assert!(missing.to_string().contains("alt.dist"), "{missing}");
         let wrong = f.u64s(section::GRAPH_OFFSETS).unwrap_err();
         assert!(wrong.to_string().contains("wrong element kind"), "{wrong}");
-        assert_eq!(f.u32s_opt(section::ALT_DIST).unwrap(), None);
-        assert_eq!(f.u32s_opt(section::GRAPH_OFFSETS).unwrap(), Some(vec![0]));
     }
 }

@@ -83,22 +83,6 @@ impl Corpus {
         self.object_at.get(&v).copied()
     }
 
-    /// Translates object placements onto a renumbered graph: `vertex_of`
-    /// maps through `r` and the vertex→object map is rebuilt under the new
-    /// ids. Documents, inverted lists and impact scores are vertex-free, so
-    /// text scoring is untouched. Build-time only.
-    pub fn relabel(&mut self, r: &kspin_graph::Relabeling) {
-        for v in &mut self.vertex_of {
-            *v = r.to_local(*v);
-        }
-        self.object_at = self
-            .vertex_of
-            .iter()
-            .enumerate()
-            .map(|(o, &v)| (v, o as ObjectId))
-            .collect();
-    }
-
     /// Document of `o`, sorted by term id.
     #[inline]
     pub fn doc(&self, o: ObjectId) -> &[DocPosting] {

@@ -4,7 +4,7 @@
 //! [`KspinSystem::save_snapshot`] serializes the graph, corpus,
 //! vocabulary, Keyword Separated Index and ALT tables — plus any
 //! optional acceleration structures handed over in [`SnapshotExtras`]
-//! (CH upward graph, G-tree hierarchy, the active relabeling) — into
+//! (CH upward graph, G-tree hierarchy) — into
 //! the canonical section layout of [`kspin_core::snapshot`].
 //! [`KspinSystem::load_snapshot`] validates the bytes fail-closed
 //! (checksums first, then every structural invariant through the
@@ -20,11 +20,9 @@ use crate::KspinSystem;
 use kspin_ch::ContractionHierarchy;
 use kspin_core::snapshot::format::section;
 use kspin_core::snapshot::{
-    decode_alt, decode_ch, decode_corpus, decode_graph, decode_index, decode_relabeling,
-    encode_alt, encode_ch, encode_corpus, encode_graph, encode_index, encode_relabeling, format,
-    SnapshotError, SnapshotFile, SnapshotWriter,
+    decode_alt, decode_ch, decode_corpus, decode_graph, decode_index, encode_alt, encode_ch,
+    encode_corpus, encode_graph, encode_index, format, SnapshotError, SnapshotFile, SnapshotWriter,
 };
-use kspin_graph::Relabeling;
 use kspin_gtree::partition::Hierarchy;
 use kspin_text::Vocabulary;
 
@@ -42,8 +40,6 @@ pub struct SnapshotExtras {
     /// G-tree partition hierarchy (the tree shape; distance matrices are
     /// rebuilt, not snapshotted).
     pub hierarchy: Option<Hierarchy>,
-    /// The vertex renumbering the saved system was built under.
-    pub relabeling: Option<Relabeling>,
 }
 
 impl std::fmt::Debug for SnapshotExtras {
@@ -51,7 +47,6 @@ impl std::fmt::Debug for SnapshotExtras {
         f.debug_struct("SnapshotExtras")
             .field("ch", &self.ch.is_some())
             .field("hierarchy", &self.hierarchy.is_some())
-            .field("relabeling", &self.relabeling.is_some())
             .finish()
     }
 }
@@ -165,9 +160,6 @@ impl KspinSystem {
         if let Some(h) = &extras.hierarchy {
             encode_hierarchy(&mut w, h);
         }
-        if let Some(r) = &extras.relabeling {
-            encode_relabeling(&mut w, r);
-        }
         w.finish()
     }
 
@@ -193,7 +185,6 @@ impl KspinSystem {
         let extras = SnapshotExtras {
             ch: decode_ch(&f)?,
             hierarchy: decode_hierarchy(&f)?,
-            relabeling: decode_relabeling(&f)?,
         };
         Ok((
             KspinSystem {

@@ -1,17 +1,18 @@
-//! Property tests for cache-conscious vertex renumbering.
+//! Property tests for vertex-numbering invariance.
 //!
-//! A `Relabeling` must be invisible at the query level: every distance
-//! kernel run on the permuted graph (with permuted endpoints) answers
-//! bit-identically to the identity labeling, and the forward/inverse
-//! permutation vectors compose to the identity both ways. proptest
-//! drives the topology and the permutation; failures shrink to a
+//! A dataset's vertex ids are arbitrary: the same road network may ship
+//! under any numbering. Every distance module built on a renumbered copy
+//! of a graph must answer the renumbered queries bit-identically to the
+//! original — Dijkstra and BiDijkstra directly, ALT A*, CH and the
+//! ρ-approximate NVD each built from scratch on the renumbered graph.
+//! proptest drives the topology and the numbering; failures shrink to a
 //! minimal counterexample.
 
 use proptest::prelude::*;
 
 use kspin_alt::{AltAstar, AltIndex, LandmarkStrategy};
 use kspin_ch::{ChConfig, ChQuery, ContractionHierarchy};
-use kspin_graph::{BiDijkstra, Dijkstra, Graph, GraphBuilder, Relabeling, VertexId, Weight};
+use kspin_graph::{BiDijkstra, Dijkstra, Graph, GraphBuilder, VertexId, Weight};
 use kspin_nvd::ApproxNvd;
 
 /// A connected random graph: a spanning path plus random extra edges.
@@ -56,48 +57,36 @@ fn scrambled_order(n: usize, seed: u64) -> Vec<VertexId> {
     order
 }
 
-/// Every relabeling family under test, derived from one graph + seed.
-fn relabelings(g: &Graph, seed: u64) -> Vec<(&'static str, Relabeling)> {
-    vec![
-        ("identity", Relabeling::identity(g.num_vertices())),
-        ("hilbert", Relabeling::hilbert(g)),
-        (
-            "scrambled",
-            Relabeling::from_order(scrambled_order(g.num_vertices(), seed)),
-        ),
+/// `g` under the new numbering `id[old]`: same coordinates, same edges.
+fn renumber(g: &Graph, id: &[VertexId]) -> Graph {
+    let mut b = GraphBuilder::new(g.num_vertices());
+    for v in 0..g.num_vertices() as VertexId {
+        b.set_coord(id[v as usize], g.coord(v));
+    }
+    for e in g.edges() {
+        b.add_edge(id[e.u as usize], id[e.v as usize], e.weight);
+    }
+    b.build()
+}
+
+/// Every numbering under test (`id[old] = new`) with `g` renumbered by it.
+fn numberings(g: &Graph, seed: u64) -> Vec<(&'static str, Vec<VertexId>, Graph)> {
+    let n = g.num_vertices() as VertexId;
+    [
+        ("identity", (0..n).collect()),
+        ("reversed", (0..n).rev().collect()),
+        ("scrambled", scrambled_order(n as usize, seed)),
     ]
+    .into_iter()
+    .map(|(name, id): (&'static str, Vec<VertexId>)| {
+        let pg = renumber(g, &id);
+        (name, id, pg)
+    })
+    .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    #[test]
-    fn forward_and_inverse_compose_to_the_identity(g in arb_graph(), seed in 0u64..u64::MAX) {
-        for (name, r) in relabelings(&g, seed) {
-            prop_assert!(r.validate().is_ok(), "{name}: {:?}", r.validate().err());
-            prop_assert_eq!(r.len(), g.num_vertices(), "{}", name);
-            for v in 0..g.num_vertices() as VertexId {
-                prop_assert_eq!(r.to_local(r.to_external(v)), v, "{}", name);
-                prop_assert_eq!(r.to_external(r.to_local(v)), v, "{}", name);
-            }
-            // map_in_place agrees with to_local element-wise.
-            let mut ids: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
-            r.map_in_place(&mut ids);
-            for (v, &mapped) in ids.iter().enumerate() {
-                prop_assert_eq!(mapped, r.to_local(v as VertexId), "{}", name);
-            }
-        }
-    }
-
-    #[test]
-    fn non_permutation_orders_are_rejected(n in 2usize..20) {
-        // from_order panics on duplicates; validate() is the audit-mode
-        // complement used on deserialized permutations.
-        let mut dup: Vec<VertexId> = (0..n as VertexId).collect();
-        dup[0] = dup[1];
-        let caught = std::panic::catch_unwind(|| Relabeling::from_order(dup));
-        prop_assert!(caught.is_err(), "duplicate order must be rejected");
-    }
 
     #[test]
     fn relabeled_graphs_answer_dijkstra_bit_identically(
@@ -115,18 +104,14 @@ proptest! {
         prop_assert_eq!(want_one, want_bi);
         let targets: Vec<VertexId> = (0..n).step_by(3).collect();
         let want_many = dij.one_to_many(&g, s, &targets);
-        for (name, r) in relabelings(&g, seed) {
-            let pg = r.apply(&g);
+        for (name, id, pg) in numberings(&g, seed) {
+            let (ps, pt) = (id[s as usize], id[t as usize]);
             let mut pdij = Dijkstra::new(pg.num_vertices());
             let mut pbi = BiDijkstra::new(pg.num_vertices());
-            prop_assert_eq!(
-                pdij.one_to_one(&pg, r.to_local(s), r.to_local(t)),
-                want_one,
-                "{}", name
-            );
-            prop_assert_eq!(pbi.distance(&pg, r.to_local(s), r.to_local(t)), want_bi, "{}", name);
-            let ptargets: Vec<VertexId> = targets.iter().map(|&v| r.to_local(v)).collect();
-            let got_many = pdij.one_to_many(&pg, r.to_local(s), &ptargets);
+            prop_assert_eq!(pdij.one_to_one(&pg, ps, pt), want_one, "{}", name);
+            prop_assert_eq!(pbi.distance(&pg, ps, pt), want_bi, "{}", name);
+            let ptargets: Vec<VertexId> = targets.iter().map(|&v| id[v as usize]).collect();
+            let got_many = pdij.one_to_many(&pg, ps, &ptargets);
             prop_assert_eq!(&got_many, &want_many, "{}", name);
         }
     }
@@ -140,29 +125,18 @@ proptest! {
     ) {
         let n = g.num_vertices() as u32;
         let (s, t) = (s % n, t % n);
-        let alt = AltIndex::build(&g, 4, LandmarkStrategy::Farthest, 1);
-        let mut astar = AltAstar::new(g.num_vertices());
-        let want = astar.distance(&g, &alt, s, t);
-        for (name, r) in relabelings(&g, seed) {
-            let pg = r.apply(&g);
-            // The production path: translate the landmark tables in place
-            // rather than re-selecting landmarks on the permuted graph.
-            let palt = alt.relabel(&r);
+        let want = Dijkstra::new(g.num_vertices()).one_to_one(&g, s, t);
+        for (name, id, pg) in numberings(&g, seed) {
+            // Landmark selection follows the ids, so each numbering picks
+            // its own landmarks; the exact distance A* steers to must not
+            // move.
+            let palt = AltIndex::build(&pg, 4, LandmarkStrategy::Farthest, 1);
             let mut pastar = AltAstar::new(pg.num_vertices());
             prop_assert_eq!(
-                pastar.distance(&pg, &palt, r.to_local(s), r.to_local(t)),
+                pastar.distance(&pg, &palt, id[s as usize], id[t as usize]),
                 want,
                 "{}", name
             );
-            // Lower bounds themselves are bit-identical, not just the
-            // exact distances they steer.
-            for v in 0..n {
-                prop_assert_eq!(
-                    palt.lower_bound(r.to_local(s), r.to_local(v)),
-                    alt.lower_bound(s, v),
-                    "{}", name
-                );
-            }
         }
     }
 
@@ -174,21 +148,16 @@ proptest! {
     ) {
         let n = g.num_vertices() as u32;
         let s = s % n;
-        let ch = ContractionHierarchy::build(&g, &ChConfig::default());
         let mut dij = Dijkstra::new(g.num_vertices());
-        let mut q = ChQuery::new(&ch);
         let want: Vec<Weight> = (0..n).map(|t| dij.one_to_one(&g, s, t)).collect();
-        for t in 0..n {
-            prop_assert_eq!(q.distance(s, t), want[t as usize], "unpermuted ({}, {})", s, t);
-        }
-        for (name, r) in relabelings(&g, seed) {
-            // The production path: translate the built hierarchy's vertex
-            // ids, each vertex keeping its contraction rank.
-            let pch = ch.relabel(&r);
+        for (name, id, pg) in numberings(&g, seed) {
+            // Contraction order breaks ties by id, so each numbering builds
+            // its own hierarchy; every shortcut is still a real path.
+            let pch = ContractionHierarchy::build(&pg, &ChConfig::default());
             let mut pq = ChQuery::new(&pch);
             for t in 0..n {
                 prop_assert_eq!(
-                    pq.distance(r.to_local(s), r.to_local(t)),
+                    pq.distance(id[s as usize], id[t as usize]),
                     want[t as usize],
                     "{} ({}, {})", name, s, t
                 );
@@ -211,18 +180,25 @@ proptest! {
             .collect::<std::collections::BTreeSet<_>>().into_iter().collect();
         let apx = ApproxNvd::build(&g, &gens, rho);
         let mut dij = Dijkstra::new(g.num_vertices());
-        let want: Vec<(u32, Weight)> = apx.knn(g.coord(q), k, |v| dij.one_to_one(&g, q, v));
-        for (name, r) in relabelings(&g, seed) {
-            let pg = r.apply(&g);
-            // The production path: translate the built NVD's vertex ids
-            // instead of rebuilding on the permuted graph (a rebuild may
-            // break boundary ties differently; a relabel cannot).
-            let mut papx = apx.clone();
-            papx.relabel(&r);
-            let pq = r.to_local(q);
+        let want: Vec<Weight> = apx
+            .knn(g.coord(q), k, |v| dij.one_to_one(&g, q, v))
+            .into_iter()
+            .map(|(_, d)| d)
+            .collect();
+        for (name, id, pg) in numberings(&g, seed) {
+            // Generators keep their list order, hence their object-local
+            // ids. A Voronoi boundary tie may fall to another generator
+            // under another numbering, so equal-distance objects may swap
+            // places; the k distances may not.
+            let pgens: Vec<VertexId> = gens.iter().map(|&v| id[v as usize]).collect();
+            let papx = ApproxNvd::build(&pg, &pgens, rho);
+            let pq = id[q as usize];
             let mut pdij = Dijkstra::new(pg.num_vertices());
-            let got = papx.knn(pg.coord(pq), k, |v| pdij.one_to_one(&pg, pq, v));
-            // Object-local ids and distances both bit-identical.
+            let got: Vec<Weight> = papx
+                .knn(pg.coord(pq), k, |v| pdij.one_to_one(&pg, pq, v))
+                .into_iter()
+                .map(|(_, d)| d)
+                .collect();
             prop_assert_eq!(&got, &want, "{}", name);
         }
     }

@@ -163,58 +163,6 @@ fn batch_executor_stays_deterministic_across_live_update_stream() {
     }
 }
 
-/// Cache-conscious renumbering must be invisible at the serving boundary:
-/// relabel the whole deployment (graph, corpus, index, ALT tables, CH) with
-/// the Hilbert order, translate only the query vertices, and every batch —
-/// at any thread count, on graph searches and on the relabeled hierarchy's
-/// exact distances — answers bit-identically to the un-renumbered
-/// sequential reference.
-/// Results carry object ids, which are label-invariant, so equality is
-/// exact equality of `ServingResult`s.
-#[test]
-fn hilbert_renumbering_is_invisible_to_serving() {
-    let mut f = fixture();
-    let reference = sequential(&f);
-
-    let r = kspin::graph::Relabeling::hilbert(&f.graph);
-    r.validate().expect("hilbert order is a permutation");
-    let pg = r.apply(&f.graph);
-    // Relabel every structure holding raw vertex ids in place — the
-    // production flow; nothing is rebuilt, so tie-breaks cannot move.
-    f.corpus.relabel(&r);
-    f.index.relabel(&r);
-    let palt = f.alt.relabel(&r);
-    let pch = kspin::ch::ContractionHierarchy::build(&f.graph, &kspin::ch::ChConfig::default())
-        .relabel(&r);
-    let queries: Vec<ServingQuery> = f
-        .queries
-        .iter()
-        .cloned()
-        .map(|mut q| {
-            match &mut q {
-                ServingQuery::Bknn { vertex, .. }
-                | ServingQuery::TopK { vertex, .. }
-                | ServingQuery::Boolean { vertex, .. } => *vertex = r.to_local(*vertex),
-            }
-            q
-        })
-        .collect();
-
-    for threads in [1, 4] {
-        let exec = BatchExecutor::new(&pg, &f.corpus, &f.index, &palt, threads);
-        let dijkstra = exec.execute(&queries, || DijkstraDistance::new(&pg));
-        assert_eq!(
-            dijkstra.results, reference,
-            "renumbered {threads}-thread Dijkstra run diverged"
-        );
-        let ch = exec.execute(&queries, || kspin::adapters::ChDistance::new(&pch));
-        assert_eq!(
-            ch.results, reference,
-            "renumbered {threads}-thread CH run diverged"
-        );
-    }
-}
-
 /// Snapshot persistence must be invisible at the serving boundary: save
 /// the whole deployment, reload it from bytes, and every batch — at any
 /// thread count, on graph searches and on the exact distances of the

@@ -13,7 +13,6 @@
 use kspin::prelude::*;
 use kspin::snapshot::SnapshotExtras;
 use kspin_ch::{ChConfig, ContractionHierarchy};
-use kspin_graph::Relabeling;
 use kspin_gtree::partition::{partition, PartitionConfig};
 use kspin_text::generate::{corpus as gen_corpus, CorpusConfig};
 use kspin_text::workload::{query_vectors, WorkloadConfig};
@@ -37,7 +36,6 @@ fn full_extras(s: &KspinSystem) -> SnapshotExtras {
     SnapshotExtras {
         ch: Some(ContractionHierarchy::build(&s.graph, &ChConfig::default())),
         hierarchy: Some(partition(&s.graph, &PartitionConfig { leaf_size: 64 })),
-        relabeling: Some(Relabeling::hilbert(&s.graph)),
     }
 }
 
@@ -94,7 +92,7 @@ fn loaded_system_serves_bit_identically() {
     let system = build_system(900, 12);
     let bytes = system.save_snapshot(&SnapshotExtras::default());
     let (loaded, extras) = KspinSystem::load_snapshot(&bytes).expect("load");
-    assert!(extras.ch.is_none() && extras.hierarchy.is_none() && extras.relabeling.is_none());
+    assert!(extras.ch.is_none() && extras.hierarchy.is_none());
     assert_eq!(serve(&system, 40), serve(&loaded, 40));
     loaded
         .index
@@ -115,11 +113,6 @@ fn extras_round_trip_exactly() {
         e2.hierarchy.expect("hierarchy survives"),
     );
     assert_eq!(h.flat_parts(), h2.flat_parts());
-    let (r, r2) = (
-        extras.relabeling.unwrap(),
-        e2.relabeling.expect("relabeling survives"),
-    );
-    assert_eq!(r.forward(), r2.forward());
 }
 
 #[test]
@@ -218,6 +211,36 @@ fn index_that_disagrees_with_its_corpus_is_refused() {
         };
         assert_eq!(err.at(), SectionLabel::Section(named), "{err}");
     }
+}
+
+/// Section 90 held a vertex renumbering until renumbering was removed. A
+/// version 4 file that still carries it loads with the section ignored:
+/// it serves as the file without it does, and re-saves without it.
+#[test]
+fn retired_renumbering_section_is_ignored_on_load() {
+    use kspin_core::snapshot::format;
+    use kspin_core::snapshot::SnapshotWriter;
+    let system = build_system(300, 15);
+    let good = system.save_snapshot(&SnapshotExtras::default());
+    let f = SnapshotFile::validate(&good).expect("fresh snapshot validates");
+    let mut w = SnapshotWriter::new();
+    for s in f.sections() {
+        match s.kind {
+            format::KIND_U32 => w.put_u32s(s.id, &f.u32s(s.id).unwrap()),
+            format::KIND_U64 => w.put_u64s(s.id, &f.u64s(s.id).unwrap()),
+            format::KIND_F64 => w.put_f64s(s.id, &f.f64s(s.id).unwrap()),
+            _ => w.put_bytes(s.id, f.bytes(s.id).unwrap()),
+        }
+    }
+    let order: Vec<u32> = (0..system.graph.num_vertices() as u32).rev().collect();
+    w.put_u32s(90, &order);
+    let (loaded, extras) = KspinSystem::load_snapshot(&w.finish()).expect("v4 file with id 90");
+    assert!(extras.ch.is_none() && extras.hierarchy.is_none());
+    assert_eq!(serve(&system, 20), serve(&loaded, 20));
+    assert!(
+        loaded.save_snapshot(&extras) == good,
+        "the re-save differs from the file without section 90"
+    );
 }
 
 proptest! {

@@ -76,7 +76,6 @@ pub const SOURCE_CLASSES: [SourceClass; 2] = [
             "SnapshotFile::u64s",
             "SnapshotFile::f64s",
             "SnapshotFile::bytes",
-            "SnapshotFile::u32s_opt",
             "SnapshotFile::section",
             "SnapshotFile::section_at",
             "SnapshotFile::sections",
@@ -94,7 +93,7 @@ pub const SOURCE_CLASSES: [SourceClass; 2] = [
 /// body is part of the hand-audited validation boundary. Every spec must
 /// resolve — a renamed sanitizer silently *widens* the tainted set, the
 /// unsound direction, so rot is a hard error.
-pub const SANITIZERS: [&str; 15] = [
+pub const SANITIZERS: [&str; 14] = [
     // Structural validation: checksums, offsets, canonical layout.
     "SnapshotFile::validate",
     // Checked-extraction helpers of the core decode layer.
@@ -113,7 +112,6 @@ pub const SANITIZERS: [&str; 15] = [
     "KspinIndex::from_snapshot_parts",
     "AltIndex::from_flat_parts",
     "ContractionHierarchy::from_flat_parts",
-    "Relabeling::try_from_order",
 ];
 
 /// Capacity-shaped sink methods: a decoded length reaching one of these
@@ -817,7 +815,6 @@ fn decode(f: &SnapshotFile) -> u32 {
             "decode_index",
             "decode_alt",
             "decode_ch",
-            "decode_relabeling",
             "decode_hierarchy",
             "KspinSystem::load_snapshot",
             "describe_sections",
