@@ -121,6 +121,16 @@ pub struct BuildStats {
     pub build_seconds: f64,
 }
 
+impl BuildStats {
+    /// The counter of `entry`'s kind.
+    fn count_of(&mut self, entry: &KeywordIndex) -> &mut usize {
+        match entry {
+            KeywordIndex::Small(_) => &mut self.small_terms,
+            KeywordIndex::Nvd(_) => &mut self.nvd_terms,
+        }
+    }
+}
+
 /// The Keyword Separated Index over a whole corpus.
 #[derive(Debug)]
 pub struct KspinIndex {
@@ -197,10 +207,7 @@ impl KspinIndex {
         let mut stats = BuildStats::default();
         for shard in shards {
             for (t, entry) in shard {
-                match &entry {
-                    KeywordIndex::Small(_) => stats.small_terms += 1,
-                    KeywordIndex::Nvd(_) => stats.nvd_terms += 1,
-                }
+                *stats.count_of(&entry) += 1;
                 entries[t as usize] = Some(entry);
             }
         }
@@ -513,24 +520,28 @@ impl KspinIndex {
                 .map(|l| n.corpus_ids[l as usize])
                 .collect(),
         };
-        if live.is_empty() {
-            self.entries[t as usize] = None;
-            return;
-        }
+        // The kind may change, or the keyword empty: keep the per-kind
+        // counts, which a snapshot stores and its loader checks, in step.
+        *self.stats.count_of(entry) -= 1;
         let vertices: Vec<VertexId> = live.iter().map(|&o| corpus.vertex_of(o)).collect();
-        let fresh = if live.len() <= self.rho {
-            KeywordIndex::Small(SmallIndex {
+        let fresh = if live.is_empty() {
+            None
+        } else if live.len() <= self.rho {
+            Some(KeywordIndex::Small(SmallIndex {
                 alive: vec![true; live.len()],
                 objects: live,
                 vertices,
-            })
+            }))
         } else {
-            KeywordIndex::Nvd(Box::new(NvdIndex::new(
+            Some(KeywordIndex::Nvd(Box::new(NvdIndex::new(
                 ApproxNvd::build(graph, &vertices, self.rho),
                 live,
-            )))
+            ))))
         };
-        self.entries[t as usize] = Some(fresh);
+        if let Some(fresh) = &fresh {
+            *self.stats.count_of(fresh) += 1;
+        }
+        self.entries[t as usize] = fresh;
     }
 
     /// Live object count in `t`'s index (0 when the keyword is unused).

@@ -5,6 +5,9 @@
 //! traversal is memory-bound). Undirected edges are stored once per
 //! direction.
 
+use std::sync::OnceLock;
+
+use crate::morton::MortonSpace;
 use crate::types::{Edge, Point, VertexId, Weight};
 
 /// Row `row` of a CSR arena: `data[offsets[row]..offsets[row + 1]]`. The
@@ -34,6 +37,8 @@ pub struct Graph {
     targets: Vec<VertexId>,
     weights: Vec<Weight>,
     coords: Vec<Point>,
+    /// [`Graph::morton_order`], computed on first use.
+    morton: OnceLock<(MortonSpace, Vec<(u32, VertexId)>)>,
 }
 
 impl Graph {
@@ -106,7 +111,7 @@ impl Graph {
 
     /// Axis-aligned bounding box over all vertex coordinates as
     /// `(min, max)`. Returns a degenerate box for an empty graph.
-    pub fn bounding_box(&self) -> (Point, Point) {
+    fn bounding_box(&self) -> (Point, Point) {
         let mut min = Point::new(i32::MAX, i32::MAX);
         let mut max = Point::new(i32::MIN, i32::MIN);
         for p in &self.coords {
@@ -120,6 +125,30 @@ impl Graph {
         } else {
             (min, max)
         }
+    }
+
+    /// Every vertex as `(Morton code, vertex)`, ascending, with the
+    /// [`MortonSpace`] over the vertices' bounding box that the codes are
+    /// taken in.
+    ///
+    /// The ρ-approximate NVD build of every keyword reads its codes from
+    /// here, so a graph pays for one `n log n` sort, on the first build,
+    /// not one per keyword. Held in memory only (8 B per vertex), never
+    /// serialized: a decoded graph computes it again when first asked.
+    pub fn morton_order(&self) -> (MortonSpace, &[(u32, VertexId)]) {
+        let (space, order) = self.morton.get_or_init(|| {
+            let (min, max) = self.bounding_box();
+            let space = MortonSpace::new(min, max);
+            let mut order: Vec<(u32, VertexId)> = self
+                .coords
+                .iter()
+                .zip(0..)
+                .map(|(&p, v)| (space.code(p), v))
+                .collect();
+            order.sort_unstable();
+            (space, order)
+        });
+        (*space, order)
     }
 
     /// Borrowed views of the raw CSR arrays — `(offsets, targets, weights,
@@ -184,6 +213,7 @@ impl Graph {
             targets,
             weights,
             coords,
+            morton: OnceLock::new(),
         })
     }
 }
@@ -284,6 +314,7 @@ impl GraphBuilder {
             targets,
             weights,
             coords: self.coords,
+            morton: OnceLock::new(),
         }
     }
 }
@@ -377,6 +408,25 @@ mod tests {
         let (min, max) = g.bounding_box();
         assert_eq!(min, Point::new(-5, -1));
         assert_eq!(max, Point::new(9, 2));
+    }
+
+    #[test]
+    fn morton_order_lists_every_vertex_once_by_code_then_id() {
+        let mut b = GraphBuilder::new(4);
+        for (v, (x, y)) in [(9, 9), (0, 0), (9, 0), (0, 0)].into_iter().enumerate() {
+            b.set_coord(v as VertexId, Point::new(x, y));
+        }
+        b.add_edge(0, 1, 1);
+        let g = b.build();
+        let (space, order) = g.morton_order();
+        let code = |x, y| space.code(Point::new(x, y));
+        assert_eq!(
+            (code(0, 0), code(9, 0), code(9, 9)),
+            (0, 0x5555_5555, u32::MAX)
+        );
+        assert_eq!(order, [(0, 1), (0, 3), (0x5555_5555, 2), (u32::MAX, 0)]);
+        // Computed once: a second call hands out the same table.
+        assert!(std::ptr::eq(order, g.morton_order().1));
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! list*: leaves sorted by Z-order start code, located by binary search.
 //! The exact NVD (and its `O(|V|)` owner table) is then discarded; only the
 //! leaves, the adjacency graph and `MaxRadius` (for updates) are kept.
+//!
+//! The vertices' Morton codes, and their order, depend on the road network
+//! alone, so every keyword's build reads them from the graph
+//! ([`Graph::morton_order`], sorted once per graph) rather than computing
+//! and sorting its own.
 
 use kspin_graph::csr::row_slice;
 use kspin_graph::morton::{MortonSpace, BITS};
@@ -69,18 +74,23 @@ impl ApproxNvd {
 
     /// Compresses an already-built exact NVD. The exact owner table is
     /// consumed and dropped.
+    ///
+    /// The color table — `(Morton code, owner)` of every owned vertex, in
+    /// code order — is one walk over the graph's shared
+    /// [`Graph::morton_order`]: this build computes no code and sorts
+    /// nothing. Within one code the table follows vertex ids, not owners,
+    /// and no leaf can tell: the quadtree splits by code alone and sorts
+    /// each leaf's candidates.
     pub fn from_exact(graph: &Graph, exact: ExactNvd, rho: usize) -> Self {
         assert!(rho >= 1, "rho must be at least 1");
         let (objects, owner, max_radius, adjacency) = exact.into_parts();
-        let (min, max) = graph.bounding_box();
-        let space = MortonSpace::new(min, max);
+        let (space, order) = graph.morton_order();
 
-        // Color table: (morton code, owner) for every owned vertex.
-        let mut pairs: Vec<(u32, u32)> = (0..graph.num_vertices())
-            .filter(|&v| owner[v] != u32::MAX)
-            .map(|v| (space.code(graph.coord(v as VertexId)), owner[v]))
-            .collect();
-        pairs.sort_unstable();
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(order.len());
+        pairs.extend(order.iter().filter_map(|&(code, v)| {
+            let o = owner[v as usize];
+            (o != u32::MAX).then_some((code, o))
+        }));
 
         let mut builder = LeafBuilder {
             rho,
@@ -411,7 +421,7 @@ fn distinct_colors(pairs: &[(u32, u32)], limit: usize) -> Vec<u32> {
 mod tests {
     use super::*;
     use kspin_graph::generate::{road_network, RoadNetworkConfig};
-    use kspin_graph::Dijkstra;
+    use kspin_graph::{Dijkstra, GraphBuilder};
 
     fn setup(n: usize, gens: usize, rho: usize, seed: u64) -> (Graph, Vec<VertexId>, ApproxNvd) {
         let g = road_network(&RoadNetworkConfig::new(n, seed));
@@ -511,5 +521,149 @@ mod tests {
             let a: Vec<u32> = apx.init_candidates(g.coord(v)).collect();
             assert_eq!(a, apx.leaf_candidates(g.coord(v)));
         }
+    }
+
+    /// A `side × side` grid with varied weights, vertex ids from `first`,
+    /// placed by `place(x, y)`.
+    fn add_grid(b: &mut GraphBuilder, first: u32, side: u32, place: impl Fn(u32, u32) -> Point) {
+        for y in 0..side {
+            for x in 0..side {
+                let v = first + y * side + x;
+                b.set_coord(v, place(x, y));
+                if x + 1 < side {
+                    b.add_edge(v, v + 1, 3 + (x * 7 + y) % 5);
+                }
+                if y + 1 < side {
+                    b.add_edge(v, v + side, 2 + (x + y * 3) % 4);
+                }
+            }
+        }
+    }
+
+    /// The NVD-build digest inputs: `(name, graph, generators, ρ)`.
+    fn digest_inputs() -> Vec<(&'static str, Graph, Vec<VertexId>, usize)> {
+        let every = |g: &Graph, step: usize| -> Vec<VertexId> {
+            (0..g.num_vertices() as VertexId).step_by(step).collect()
+        };
+        // 2×2 blocks of a 12×12 grid share one point: equal Morton codes
+        // under different owners.
+        let blocks = {
+            let mut b = GraphBuilder::new(144);
+            add_grid(&mut b, 0, 12, |x, y| {
+                Point::new((x / 2) as i32 * 100, (y / 2) as i32 * 100)
+            });
+            b.build()
+        };
+        // Every vertex at one point: one code, a max-depth leaf.
+        let one_point = {
+            let mut b = GraphBuilder::new(30);
+            for v in 0..29 {
+                b.add_edge(v, v + 1, 1 + v % 3);
+            }
+            b.build()
+        };
+        // A second grid and an isolated vertex that no generator reaches.
+        let split = {
+            let mut b = GraphBuilder::new(2 * 100 + 1);
+            add_grid(&mut b, 0, 10, |x, y| {
+                Point::new(x as i32 * 50, y as i32 * 50)
+            });
+            add_grid(&mut b, 100, 10, |x, y| {
+                Point::new(700 + x as i32 * 50, 300 + y as i32 * 50)
+            });
+            b.set_coord(200, Point::new(260, 240));
+            b.build()
+        };
+        let split_gens: Vec<VertexId> = (0..100).step_by(9).collect();
+        let road = |n, seed| road_network(&RoadNetworkConfig::new(n, seed));
+        let (r1, r2, r3) = (road(900, 31), road(1500, 8), road(600, 5));
+        let (g1, g2, g3) = (every(&r1, 13), every(&r2, 21), vec![123]);
+        vec![
+            (
+                "co-located 2x2 blocks, rho 2",
+                blocks.clone(),
+                every(&blocks, 5),
+                2,
+            ),
+            (
+                "co-located 2x2 blocks, rho 1",
+                blocks.clone(),
+                every(&blocks, 3),
+                1,
+            ),
+            (
+                "one point, rho 2",
+                one_point.clone(),
+                every(&one_point, 4),
+                2,
+            ),
+            ("disconnected, rho 3", split, split_gens, 3),
+            ("single generator, rho 5", r3, g3, 5),
+            ("road 900/31, rho 1", r1.clone(), g1.clone(), 1),
+            ("road 900/31, rho 5", r1, g1, 5),
+            ("road 1500/8, rho 4", r2, g2, 4),
+        ]
+    }
+
+    /// FNV-1a over the little-endian bytes of `words`, continuing from `h`.
+    fn fnv(h: u64, words: &[u32]) -> u64 {
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// Digest of every [`ApproxNvd::snapshot_parts`] field.
+    fn parts_digest(apx: &ApproxNvd) -> u64 {
+        let p = apx.snapshot_parts();
+        let (min, scale_x, scale_y) = p.space.to_parts();
+        let bits = |f: f64| [f.to_bits() as u32, (f.to_bits() >> 32) as u32];
+        let (adj_offsets, adj_data) = p.adjacency.flat_parts();
+        let deleted: Vec<u32> = p.deleted.iter().map(|&d| u32::from(d)).collect();
+        let space = [min.x as u32, min.y as u32];
+        let fields: [&[u32]; 11] = [
+            &space,
+            &bits(scale_x),
+            &bits(scale_y),
+            p.starts,
+            p.cand_offsets,
+            p.cands,
+            p.objects,
+            p.max_radius,
+            &adj_offsets,
+            &adj_data,
+            &deleted,
+        ];
+        let h = fields.iter().fold(0xcbf2_9ce4_8422_2325, |h, f| {
+            fnv(fnv(h, &[f.len() as u32]), f)
+        });
+        fnv(h, p.inserted_vertices)
+    }
+
+    #[test]
+    fn build_output_matches_the_reference_digests() {
+        // Captured at 48ed84b, while every build still computed, sorted and
+        // partitioned its own Morton codes.
+        const EXPECTED: [(&str, u64); 8] = [
+            ("co-located 2x2 blocks, rho 2", 0xe9890e289240b67a),
+            ("co-located 2x2 blocks, rho 1", 0xfddc66bad7c500c2),
+            ("one point, rho 2", 0xa6bc4935ea928e3c),
+            ("disconnected, rho 3", 0x0f2bdd3758cb7eea),
+            ("single generator, rho 5", 0x1aeaaa034b082ad5),
+            ("road 900/31, rho 1", 0xe134a4782feea88a),
+            ("road 900/31, rho 5", 0x74de0604090f2729),
+            ("road 1500/8, rho 4", 0x3d57fe0eeee5a33b),
+        ];
+        let mut got = Vec::new();
+        for (name, g, gens, rho) in digest_inputs() {
+            let apx = ApproxNvd::build(&g, &gens, rho);
+            if name.starts_with("co-located") || name.starts_with("one point") {
+                // Owners that share a code: a max-depth leaf holds them all.
+                let widest = apx.cand_offsets.windows(2).map(|w| w[1] - w[0]).max();
+                assert!(widest > Some(rho as u32), "{name}: no co-located owners");
+            }
+            got.push((name, parts_digest(&apx)));
+        }
+        assert_eq!(got, EXPECTED);
     }
 }

@@ -5,10 +5,12 @@
 //!
 //! * `owner[v]` — the nearest generator of every vertex (the Voronoi
 //!   partition),
-//! * the generator [`AdjacencyGraph`] (from road edges crossing cell
-//!   boundaries),
 //! * `MaxRadius` per generator — free during construction, needed by the
 //!   Theorem-2 update rule (§6.2).
+//!
+//! A second pass, over the road edges once the owners are final, yields
+//! the generator [`AdjacencyGraph`]: every edge whose endpoints have
+//! different owners links their two cells.
 
 use kspin_graph::dheap::{DaryHeap, HeapCounters};
 use kspin_graph::{weight_add, Graph, VertexId, Weight, INFINITY};

@@ -1,9 +1,10 @@
 //! Network Voronoi Diagrams for the Keyword Separated Index (§5–§6).
 //!
 //! * [`exact`] — exact NVD construction by multi-source Dijkstra
-//!   (Erwig–Hagen [19]): per-vertex nearest generator, generator adjacency,
-//!   and `MaxRadius` per cell (needed by Theorem 2 updates) — all from one
-//!   `O(|V| log |V|)` sweep.
+//!   (Erwig–Hagen [19]): per-vertex nearest generator and `MaxRadius` per
+//!   cell (needed by Theorem 2 updates) from one `O(|V| log |V|)` sweep,
+//!   then the generator adjacency from a second, `O(|E|)` pass over the
+//!   road edges.
 //! * [`adjacency`] — the generator adjacency graph (Observation 2a: its
 //!   size is `O(|inv(t)|)`, independent of `|V|`).
 //! * [`approx`] — the ρ-Approximate NVD (§6.1): a Morton-list quadtree that

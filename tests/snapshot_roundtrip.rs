@@ -133,6 +133,132 @@ fn updates_applied_before_save_survive_the_round_trip() {
     assert_eq!(bytes, bytes2);
 }
 
+/// `rebuild_term` can turn an NVD keyword into a Small one, a Small one
+/// into an NVD one, or empty a keyword. After each, the index must save a
+/// snapshot its own loader takes (the meta section's per-kind counts agree
+/// with the kinds table) and that re-saves to the same bytes.
+#[test]
+fn rebuilt_keywords_round_trip_through_a_snapshot() {
+    use kspin_core::index::KeywordIndex;
+    let mut system = build_system(900, 11);
+    let rho = system.index.rho();
+    // A third of the objects held out, so that a Small keyword can grow
+    // past ρ by inserts.
+    let held = |o: ObjectId| o.is_multiple_of(3);
+    let config = KspinConfig {
+        rho,
+        ..KspinConfig::default()
+    };
+    system.index = KspinIndex::build_filtered(&system.graph, &system.corpus, |o| !held(o), &config);
+    let mut live: Vec<bool> = (0..system.corpus.num_objects() as ObjectId)
+        .map(|o| !held(o))
+        .collect();
+    let postings = |s: &KspinSystem, t: TermId| -> Vec<ObjectId> {
+        s.corpus.inverted(t).iter().map(|p| p.object).collect()
+    };
+    // `t`'s objects whose liveness is `want`.
+    let objects = |s: &KspinSystem, t: TermId, live: &[bool], want: bool| -> Vec<ObjectId> {
+        let mut os = postings(s, t);
+        os.retain(|&o| live[o as usize] == want);
+        os
+    };
+    let kind = |s: &KspinSystem, t: TermId| match s.index.entry(t) {
+        None => "empty",
+        Some(KeywordIndex::Small(_)) => "small",
+        Some(KeywordIndex::Nvd(_)) => "nvd",
+    };
+    let terms = 0..system.corpus.num_terms() as TermId;
+
+    // NVD → Small: delete all but two of an NVD keyword's objects.
+    let shrunk = terms
+        .clone()
+        .find(|&t| kind(&system, t) == "nvd")
+        .expect("an NVD keyword");
+    for o in objects(&system, shrunk, &live, true).into_iter().skip(2) {
+        system.index.delete_object(&system.corpus, o);
+        live[o as usize] = false;
+    }
+    system
+        .index
+        .rebuild_term(&system.graph, &system.corpus, shrunk);
+    assert_eq!(kind(&system, shrunk), "small");
+    let mut steps = vec![(
+        "nvd -> small",
+        system.save_snapshot(&SnapshotExtras::default()),
+    )];
+
+    // Small → NVD: insert a Small keyword's held-out objects.
+    let t = terms
+        .clone()
+        .find(|&t| t != shrunk && kind(&system, t) == "small" && postings(&system, t).len() > rho)
+        .expect("a Small keyword with held-out objects past ρ");
+    let mut dist = DijkstraDistance::new(&system.graph);
+    for o in objects(&system, t, &live, false) {
+        system
+            .index
+            .insert_object(&system.graph, &system.corpus, o, &mut dist);
+        live[o as usize] = true;
+    }
+    system.index.rebuild_term(&system.graph, &system.corpus, t);
+    assert_eq!(kind(&system, t), "nvd");
+    steps.push((
+        "small -> nvd",
+        system.save_snapshot(&SnapshotExtras::default()),
+    ));
+
+    // Keyword → empty: delete every live object of a keyword.
+    let t = terms
+        .clone()
+        .find(|&t| kind(&system, t) != "empty")
+        .expect("a keyword");
+    for o in objects(&system, t, &live, true) {
+        system.index.delete_object(&system.corpus, o);
+        live[o as usize] = false;
+    }
+    system.index.rebuild_term(&system.graph, &system.corpus, t);
+    assert_eq!(kind(&system, t), "empty");
+    steps.push((
+        "keyword -> empty",
+        system.save_snapshot(&SnapshotExtras::default()),
+    ));
+
+    for (step, bytes) in steps {
+        let (loaded, extras) =
+            KspinSystem::load_snapshot(&bytes).unwrap_or_else(|e| panic!("{step}: {e}"));
+        assert!(
+            loaded.save_snapshot(&extras) == bytes,
+            "{step}: save -> load -> save differs"
+        );
+    }
+}
+
+/// The graph's vertex order is computed by whichever NVD build asks for it
+/// first, and is not part of a snapshot. Neither who computes it nor when
+/// reaches the index: one worker, four racing workers and a graph decoded
+/// from a snapshot (order not yet computed) encode to the same bytes.
+#[test]
+fn lazily_computed_vertex_order_changes_no_index_byte() {
+    use kspin_core::snapshot::{encode_index, SnapshotWriter};
+    let system = build_system(900, 11);
+    let (loaded, _) = KspinSystem::load_snapshot(&system.save_snapshot(&SnapshotExtras::default()))
+        .expect("load");
+    let encode = |graph: &Graph, num_threads: usize| {
+        let config = KspinConfig {
+            rho: system.index.rho(),
+            num_threads,
+        };
+        let mut w = SnapshotWriter::new();
+        encode_index(&mut w, &KspinIndex::build(graph, &system.corpus, &config));
+        w.finish()
+    };
+    let fresh = || {
+        kspin_graph::generate::road_network(&kspin_graph::generate::RoadNetworkConfig::new(900, 11))
+    };
+    let one = encode(&fresh(), 1);
+    assert!(one == encode(&fresh(), 4), "four workers differ from one");
+    assert!(one == encode(&loaded.graph, 4), "a decoded graph differs");
+}
+
 fn small_snapshot() -> Vec<u8> {
     let system = build_system(300, 15);
     system.save_snapshot(&SnapshotExtras::default())
