@@ -1,7 +1,8 @@
-//! Distance-kernel sweep: the four heap-driven searches — Dijkstra,
-//! BiDijkstra, ALT-A* and the exact-NVD construction sweep — on generated
-//! road networks at |V| ∈ {10k, 30k, 100k}, in the generator's vertex
-//! order (the only order the system serves in).
+//! Distance-kernel sweep: the five heap-driven searches — Dijkstra,
+//! BiDijkstra, ALT-A*, the CH query (both upward searches, the source's
+//! re-pinned on every pair) and the exact-NVD construction sweep — on
+//! generated road networks at |V| ∈ {10k, 30k, 100k}, in the generator's
+//! vertex order (the only order the system serves in).
 //!
 //! Every leg runs the production code path on the shared indexed 4-ary
 //! decrease-key kernel (`kspin_graph::dheap`). The host's wall clock is
@@ -18,6 +19,7 @@ use std::time::Instant;
 
 use kspin_alt::{AltAstar, AltIndex, LandmarkStrategy};
 use kspin_bench::{header, row};
+use kspin_ch::{ChConfig, ChQuery, ContractionHierarchy};
 use kspin_graph::generate::{road_network, RoadNetworkConfig};
 use kspin_graph::{BiDijkstra, Dijkstra, HeapCounters, VertexId};
 use kspin_nvd::ExactNvd;
@@ -82,8 +84,11 @@ fn main() {
         let gens = generators(g.num_vertices());
         let t0 = Instant::now();
         let alt = AltIndex::build(&g, 8, LandmarkStrategy::Farthest, 0);
+        let alt_s = t0.elapsed().as_secs_f64();
+        let t0 = Instant::now();
+        let ch = ContractionHierarchy::build(&g, &ChConfig::default());
         eprintln!(
-            "|V|={n}: ALT (8 landmarks) {:.1}s; {} query pairs, {} NVD generators",
+            "|V|={n}: ALT (8 landmarks) {alt_s:.1}s, CH {:.1}s; {} query pairs, {} NVD generators",
             t0.elapsed().as_secs_f64(),
             pairs.len(),
             gens.len(),
@@ -147,6 +152,21 @@ fn main() {
                 std::hint::black_box(d.distance(&g, &alt, s, t));
             }
             emit("alt_astar", qps, d.heap_counters().since(base));
+        }
+
+        // CH: every pair has another source, so every call re-pins.
+        {
+            let mut d = ChQuery::new(&ch);
+            let qps = measure(pairs.len(), || {
+                for &(s, t) in &pairs {
+                    std::hint::black_box(d.distance(s, t));
+                }
+            });
+            let base = d.heap_counters();
+            for &(s, t) in &pairs {
+                std::hint::black_box(d.distance(s, t));
+            }
+            emit("ch", qps, d.heap_counters().since(base));
         }
 
         // Exact-NVD construction (one build = one work item)

@@ -444,13 +444,15 @@ mod tests {
 
     #[test]
     fn build_output_matches_the_reference_digests() {
-        // Captured at 520cd9b, before CH ordering searched once per source
-        // and the labels were merged and pruned through tables: the build
-        // is faster, its output is the same to the bit.
+        // Captured when the node order gained its level term, which
+        // contracts the road networks in another order (the rings and the
+        // path contract as before). The build may get faster only if these
+        // stay; a change of order re-pins them. Exactness is held by the
+        // all-pairs Dijkstra tests, not here.
         const EXPECTED: [(&str, u64, u64); 8] = [
-            ("road 800/23", 0x681831967ccb75cc, 0xd9d0e4bd445dcf67),
-            ("road 2000/77", 0xb3de54b95d4fcc0e, 0x637b82f5cf1883c7),
-            ("road 3000/11", 0xe471faa77aaeae90, 0x1a5d255b36d9ca55),
+            ("road 800/23", 0x782203b260cd0f22, 0xd9acf00ef61fc099),
+            ("road 2000/77", 0x5a3fd92a2cf04bc6, 0xd9b39877c9b1a5dd),
+            ("road 3000/11", 0x4d7b688e414a2494, 0x7a2d4c9d1f916dd2),
             ("ring 8 of INF/3+1", 0xa25c843e5d5dddd9, 0x6c9d51c8a08afe55),
             ("ring 8 of INF/2+1", 0xac9adf3b1c5abd4d, 0x3c0a9525f5a4bfd5),
             (
