@@ -4,7 +4,8 @@
 //! Table 1). Vertices are contracted in importance order; shortcuts preserve
 //! shortest-path distances among the remaining vertices; a point-to-point
 //! query meets two Dijkstras restricted to upward edges, the source's kept
-//! across calls ([`ChQuery`]).
+//! across calls, together with the distances already answered from it
+//! ([`ChQuery`]).
 //!
 //! The implementation follows the standard recipe:
 //!
@@ -198,5 +199,29 @@ mod tests {
         );
         assert_eq!(pinned.grows, 0);
         assert_eq!(replay(&calls), pinned, "counters must replay exactly");
+    }
+
+    #[test]
+    fn a_repeated_target_is_answered_without_a_search() {
+        let g = road_network(&RoadNetworkConfig::new(600, 41));
+        let ch = ContractionHierarchy::build(&g, &ChConfig::default());
+        let mut dij = Dijkstra::new(g.num_vertices());
+        let (a, b) = (211, 523);
+        let mut q = ChQuery::new(&ch);
+        let mut heap_work = Vec::new();
+        for (s, t) in [(3, a), (3, b), (3, a), (5, a), (3, a)] {
+            let before = q.heap_counters();
+            assert_eq!(q.distance(s, t), dij.one_to_one(&g, s, t), "({s}, {t})");
+            let d = q.heap_counters().since(before);
+            heap_work.push(d.pushes + d.pops);
+        }
+        assert!(
+            heap_work[1] > 0,
+            "(3, b) is a new target: a backward search"
+        );
+        assert_eq!(heap_work[2], 0, "(3, a) again: answered from memory");
+        // Re-pinning to 5 forgot every kept answer: back at 3, the
+        // forward space and the backward search both run again.
+        assert_eq!(heap_work[4], heap_work[0]);
     }
 }

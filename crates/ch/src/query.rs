@@ -15,19 +15,30 @@ use crate::labels::fill_upward;
 /// upward search from `t`, combining each settled vertex with the pinned
 /// forward distance. A call from another source re-pins.
 ///
+/// The query processors also ask for one target again from the same
+/// source (a stream runs its query types back to back at one query
+/// vertex), so every finite distance returned since the last re-pin is
+/// kept, and a repeated `(s, t)` is answered from it without a search.
+/// Re-pinning forgets them all. A disconnected pair is searched again:
+/// [`INFINITY`] is also what an unset slot reads.
+///
 /// Exactness is the usual CH argument: the top vertex of a shortest up–down
 /// path is settled with its true distance by both upward searches, so the
 /// minimum over vertices both searches reach is `d(s, t)`; the backward
 /// cut-off fires only once no unsettled vertex can improve on `best`. The
-/// result never depends on what was pinned before the call.
+/// result never depends on what was pinned or answered before the call:
+/// a kept answer is the value the same search returned.
 ///
 /// All arrays and the heap are sized to the vertex count at construction
 /// and epoch-stamped, so a `ChQuery` performs no allocation afterwards.
+/// The kept answers cost one more `n`-entry [`Labels`]: 8 B per vertex.
 pub struct ChQuery<'a> {
     ch: &'a ContractionHierarchy,
     /// Upward distances from `pinned` — the forward space.
     fwd: Labels,
     pinned: Option<VertexId>,
+    /// Distances already returned from `pinned`, by target.
+    answered: Labels,
     /// Tentative backward distances of the current call.
     bwd: Labels,
     /// Shared by the two searches: they never run interleaved.
@@ -42,6 +53,7 @@ impl<'a> ChQuery<'a> {
             ch,
             fwd: Labels::new(n),
             pinned: None,
+            answered: Labels::new(n),
             bwd: Labels::new(n),
             heap: DaryHeap::new(n),
         }
@@ -57,6 +69,11 @@ impl<'a> ChQuery<'a> {
             // Unpruned: the targets this space will serve are not known yet.
             fill_upward(&mut self.fwd, self.ch, &mut self.heap, s);
             self.pinned = Some(s);
+            self.answered.reset();
+        }
+        let known = self.answered.get(t);
+        if known < INFINITY {
+            return known;
         }
         self.bwd.reset();
         self.heap.clear();
@@ -79,6 +96,7 @@ impl<'a> ChQuery<'a> {
                 }
             }
         }
+        self.answered.set(t, best);
         best
     }
 

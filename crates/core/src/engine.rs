@@ -27,10 +27,14 @@ pub struct QueryStats {
     /// Candidates discarded without a distance computation (keyword filter,
     /// duplicate, or lower-bound-score prune).
     pub pruned_candidates: usize,
-    /// Heap-kernel entries pushed, across the inverted heaps and the
-    /// distance oracle's internal searches.
+    /// Heap-kernel entries pushed by the inverted heaps, plus those of the
+    /// distance oracle's internal searches where the oracle reports them
+    /// through [`NetworkDistance::heap_counters`]: the Dijkstra,
+    /// bidirectional Dijkstra and ALT-A* oracles do; the CH, HL and G-tree
+    /// adapters do not, so on KS-CH and KS-HL this counts the inverted
+    /// heaps only.
     pub heap_pushes: usize,
-    /// Heap-kernel entries popped.
+    /// Heap-kernel entries popped, counted as `heap_pushes` is.
     pub heap_pops: usize,
     /// Heap-kernel pushes that forced the entry array to grow. Zero in the
     /// steady state (`DaryHeap::new` pre-sizes to the item count) — the
@@ -226,11 +230,6 @@ impl<'a, D: NetworkDistance> QueryEngine<'a, D> {
     pub fn reset_stats(&mut self) {
         self.stats.clear();
         self.dist_base = self.dist.heap_counters();
-    }
-
-    /// The distance module's name (for bench labels).
-    pub fn distance_name(&self) -> &'static str {
-        self.dist.name()
     }
 
     /// Releases the engine, returning the distance oracle.

@@ -5,7 +5,8 @@
 //! index-based oracles into the trait, producing the paper's variants:
 //!
 //! * [`ChDistance`] → **KS-CH** (small index, moderate queries; the source's
-//!   upward search space stays pinned across calls),
+//!   upward search space stays pinned across calls, and so do the
+//!   distances it has already answered),
 //! * [`HlDistance`] → **KS-HL** (the KS-PHL stand-in: big index, fastest
 //!   queries; the source's label stays scattered in a table across calls),
 //! * [`GtreeNetworkDistance`] → **KS-GT** (the §7.4 apples-to-apples
@@ -15,7 +16,11 @@
 //! The query processors ask for all of a query's distances from one source
 //! (the query vertex) in a row. All three adapters exploit that behind the
 //! point-to-point signature: each keeps the source-side half of its
-//! computation until a call names another source.
+//! computation until a call names another source. A stream runs its query
+//! types back to back at one query vertex, so the same (source, target)
+//! pair also comes back; the CH adapter, whose calls are by far the
+//! dearest, answers it again from memory. The engine still makes and
+//! counts every call.
 
 use kspin_ch::{ChQuery, ContractionHierarchy};
 use kspin_core::NetworkDistance;
@@ -27,7 +32,8 @@ use kspin_hl::{HlQuery, HubLabels};
 ///
 /// [`ChQuery`] keeps the forward upward search of the last source, so a
 /// run of calls from one query vertex pays it once and each call costs one
-/// backward search. Answers do not depend on what is pinned: per-worker
+/// backward search, or none for a target already answered from that
+/// source. Answers do not depend on what is pinned or kept: per-worker
 /// instances in a `BatchExecutor` agree bit for bit with a sequential one.
 pub struct ChDistance<'a> {
     query: ChQuery<'a>,

@@ -146,7 +146,7 @@ where
     let exec = BatchExecutor::new(&s.graph, &s.corpus, &s.index, &s.alt, 2);
     let parallel = exec.execute(&queries, &make).results;
     let mut engine = s.engine(make());
-    let name = engine.distance_name();
+    let name = make().name();
     let sequential: Vec<ServingResult> = queries.iter().map(|q| q.run(&mut engine)).collect();
     assert_eq!(
         parallel, sequential,
