@@ -13,12 +13,15 @@
 //!
 //! * priorities use *dirty versioning* — a queue entry is re-evaluated only
 //!   if a neighbor was contracted since it was pushed;
+//! * a witness search settles at most [`WITNESS_BUDGET`] vertices over
+//!   paths of at most [`WITNESS_HOPS`] edges. A search that gives up adds
+//!   a shortcut a witness would have made unnecessary, and every needless
+//!   shortcut widens the upward closures that queries search;
 //! * the contraction endgame forms a near-clique of size ≈ treewidth; once
 //!   a vertex's live degree passes [`SKIP_WITNESS_DEGREE`] witness searches
-//!   are pointless (they nearly always fail inside the core) and all
-//!   pairwise shortcuts are added directly. Extra shortcuts never hurt
-//!   correctness — every shortcut weight is a real path length — they only
-//!   trade a little query time for a lot of build time;
+//!   are pointless (inside the core they fail) and all pairwise shortcuts
+//!   are added directly. Extra shortcuts never hurt correctness — every
+//!   shortcut weight is a real path length;
 //! * a priority costs one witness search per neighbor, toward all later
 //!   neighbors at once, not one per pair — the answers are exactly the
 //!   pairwise ones (see [`WitnessSearch::witnessed`]);
@@ -33,31 +36,28 @@ use kspin_graph::{weight_add, Graph, Labels, VertexId, Weight, INFINITY};
 
 /// Above this live degree, contraction skips witness searches.
 ///
-/// Under the current node order, generated road networks of 10k–40k
-/// vertices build the same hierarchy to the bit with this limit removed.
-/// At 100k it matters: removing it slowed the build from 3.2 to 4.3 s (and
-/// 3.2 to 3.6 s on a second 100k network) on a 2-vCPU guest, for 2–3 %
-/// fewer shortcuts.
+/// Under the current node order and witness limits, generated road
+/// networks of 10k–100k vertices build the same hierarchy to the bit with
+/// this limit removed: above it every pair needs its shortcut anyway. It
+/// only saves build time: at 100k, removing it slowed the build from 3.26
+/// to 3.45 s and from 3.34 to 3.59 s on two networks (2-vCPU guest).
 const SKIP_WITNESS_DEGREE: usize = 24;
 
-/// Tuning knobs for contraction.
-#[derive(Debug, Clone)]
-pub struct ChConfig {
-    /// Settled-vertex budget per witness search. Larger → fewer unnecessary
-    /// shortcuts, slower build.
-    pub witness_budget: usize,
-    /// Hop limit per witness search.
-    pub witness_hops: usize,
-}
+/// Settled-vertex budget of one witness search. With [`WITNESS_HOPS`] it
+/// is the knee of a sweep on generated road networks: on a 30k network
+/// 50 / 5 left the mean upward closure at 884.5 arcs and 200 / 8 at 395.3
+/// (100k: 4,919 → 887). Unbounded searches build 25–47 % slower and
+/// change a random-pair query's heap work by only +2 to −8 %.
+const WITNESS_BUDGET: usize = 200;
 
-impl Default for ChConfig {
-    fn default() -> Self {
-        ChConfig {
-            witness_budget: 50,
-            witness_hops: 5,
-        }
-    }
-}
+/// Hop limit of one witness search (see [`WITNESS_BUDGET`]).
+const WITNESS_HOPS: usize = 8;
+
+/// The contraction takes no settings; the type stays so that
+/// [`ContractionHierarchy::build`] keeps its signature. Braced, not a unit
+/// struct, so that callers' `ChConfig::default()` stays lint-clean.
+#[derive(Debug, Clone, Default)]
+pub struct ChConfig {}
 
 /// A built hierarchy: every vertex has a rank, and `upward` holds all edges
 /// (original + shortcuts) from lower- to higher-ranked endpoints. On an
@@ -73,8 +73,8 @@ pub struct ContractionHierarchy {
 
 impl ContractionHierarchy {
     /// Contracts `graph` into a hierarchy.
-    pub fn build(graph: &Graph, config: &ChConfig) -> Self {
-        Contractor::new(graph, config).contract_all()
+    pub fn build(graph: &Graph, _config: &ChConfig) -> Self {
+        Contractor::new(graph).contract_all()
     }
 
     /// Number of vertices.
@@ -95,11 +95,6 @@ impl ContractionHierarchy {
         let targets = row_slice(&self.up_offsets, &self.up_targets, v as usize);
         let weights = row_slice(&self.up_offsets, &self.up_weights, v as usize);
         targets.iter().copied().zip(weights.iter().copied())
-    }
-
-    /// Shortcut edges added during contraction.
-    pub fn num_shortcuts(&self) -> usize {
-        self.num_shortcuts
     }
 
     /// Approximate index size in bytes.
@@ -197,8 +192,7 @@ impl ContractionHierarchy {
 /// Working state for one contraction run. Every per-vertex array is sized
 /// `n`, and every vertex id that reaches an index — a queue entry, an
 /// adjacency key, an edge endpoint — comes from the input graph, so is `< n`.
-struct Contractor<'a> {
-    config: &'a ChConfig,
+struct Contractor {
     /// Dynamic adjacency of the not-yet-contracted "core" graph: one
     /// key-sorted `(neighbor, weight)` row per vertex. Contracted vertices
     /// are physically unlinked, so every entry is live. Key order matters:
@@ -219,8 +213,8 @@ struct Contractor<'a> {
     witness: WitnessSearch,
 }
 
-impl<'a> Contractor<'a> {
-    fn new(graph: &Graph, config: &'a ChConfig) -> Self {
+impl Contractor {
+    fn new(graph: &Graph) -> Self {
         let n = graph.num_vertices();
         let mut adj: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); n];
         for (v, row) in adj.iter_mut().enumerate() {
@@ -236,7 +230,6 @@ impl<'a> Contractor<'a> {
             });
         }
         Contractor {
-            config,
             adj,
             contracted: vec![false; n],
             deleted_neighbors: vec![0; n],
@@ -348,9 +341,9 @@ impl<'a> Contractor<'a> {
         for (i, &(u, wu)) in row.iter().enumerate() {
             let later = &row[i + 1..];
             let targets = later.iter().map(|&(t, wt)| (t, weight_add(wu, wt)));
-            let witnessed = self
-                .witness
-                .witnessed(&self.adj, self.config, u, targets, v);
+            let witnessed =
+                self.witness
+                    .witnessed(&self.adj, WITNESS_BUDGET, WITNESS_HOPS, u, targets, v);
             shortcuts += later.len() - witnessed;
         }
         (shortcuts, deg)
@@ -367,10 +360,14 @@ impl<'a> Contractor<'a> {
                 // One target per search here: the shortcuts inserted between
                 // pairs change the graph the next pair is searched in.
                 if skip_witness
-                    || self
-                        .witness
-                        .witnessed(&self.adj, self.config, u, [(t, via)], v)
-                        == 0
+                    || self.witness.witnessed(
+                        &self.adj,
+                        WITNESS_BUDGET,
+                        WITNESS_HOPS,
+                        u,
+                        [(t, via)],
+                        v,
+                    ) == 0
                 {
                     self.insert_shortcut(u, t, via);
                 }
@@ -425,7 +422,8 @@ struct WitnessSearch {
 }
 
 impl WitnessSearch {
-    /// Bounded Dijkstra from `u` in the core graph minus `excluded`, asked
+    /// Dijkstra from `u` in the core graph minus `excluded`, settling at
+    /// most `budget` vertices over paths of at most `max_hops` edges, asked
     /// about every `(t, limit)` of `targets` (key-sorted) at once; returns
     /// how many `t` it reaches by a path of length ≤ their `limit` — for
     /// each, the shortcut u–`excluded`–t is unnecessary.
@@ -443,7 +441,8 @@ impl WitnessSearch {
     fn witnessed(
         &mut self,
         adj: &[Vec<(VertexId, Weight)>],
-        config: &ChConfig,
+        budget: usize,
+        max_hops: usize,
         u: VertexId,
         targets: impl IntoIterator<Item = (VertexId, Weight)>,
         excluded: VertexId,
@@ -460,7 +459,7 @@ impl WitnessSearch {
         let mut settled = 0;
         let mut found = 0;
         while let Some((Reverse(d), hops, x)) = self.heap.pop() {
-            if d > limit || settled >= config.witness_budget {
+            if d > limit || settled >= budget {
                 break; // every pending target: no witness
             }
             if d > self.labels.get(x) {
@@ -475,7 +474,7 @@ impl WitnessSearch {
                 }
             }
             settled += 1;
-            if hops as usize >= config.witness_hops {
+            if hops as usize >= max_hops {
                 continue;
             }
             for &(y, w) in &adj[x as usize] {
@@ -511,23 +510,29 @@ mod tests {
         }
     }
 
+    /// A witness search's `(budget, hops)` limits.
+    type Limits = (usize, usize);
+
     fn witnessed(
-        c: &mut Contractor<'_>,
-        config: &ChConfig,
+        c: &mut Contractor,
+        (budget, max_hops): Limits,
         u: VertexId,
         targets: &[(VertexId, Weight)],
         excluded: VertexId,
     ) -> usize {
-        c.witness
-            .witnessed(&c.adj, config, u, targets.iter().copied(), excluded)
+        c.witness.witnessed(
+            &c.adj,
+            budget,
+            max_hops,
+            u,
+            targets.iter().copied(),
+            excluded,
+        )
     }
 
     #[test]
     fn one_multi_target_search_answers_every_target_like_its_own_search() {
-        let unbounded = ChConfig {
-            witness_budget: usize::MAX,
-            witness_hops: usize::MAX,
-        };
+        let unbounded: Limits = (usize::MAX, usize::MAX);
         // How often a single-target answer was decided by the budget, by
         // the hop limit, and by a path of length exactly the limit.
         let (mut by_budget, mut by_hops, mut at_limit) = (0, 0, 0);
@@ -544,11 +549,8 @@ mod tests {
                 );
             }
             let g = b.build();
-            let config = ChConfig {
-                witness_budget: rng.below(12) as usize,
-                witness_hops: rng.below(5) as usize,
-            };
-            let mut c = Contractor::new(&g, &config);
+            let limits: Limits = (rng.below(12) as usize, rng.below(5) as usize);
+            let mut c = Contractor::new(&g);
             let excluded = rng.below(n) as VertexId;
             for u in (0..n as VertexId).filter(|&u| u != excluded) {
                 let targets: Vec<(VertexId, Weight)> = (0..n as VertexId)
@@ -557,13 +559,13 @@ mod tests {
                     .collect();
                 let single: Vec<usize> = targets
                     .iter()
-                    .map(|&target| witnessed(&mut c, &config, u, &[target], excluded))
+                    .map(|&target| witnessed(&mut c, limits, u, &[target], excluded))
                     .collect();
                 // Every suffix (what `simulate` asks) and both interleaved
                 // halves: one search counts what the searches alone count.
                 for k in 0..targets.len() {
                     assert_eq!(
-                        witnessed(&mut c, &config, u, &targets[k..], excluded),
+                        witnessed(&mut c, limits, u, &targets[k..], excluded),
                         single[k..].iter().sum::<usize>(),
                         "case {case}, source {u}, targets {:?}",
                         &targets[k..]
@@ -578,19 +580,16 @@ mod tests {
                         .map(|(&target, &found)| (target, found))
                         .unzip();
                     assert_eq!(
-                        witnessed(&mut c, &config, u, &half, excluded),
+                        witnessed(&mut c, limits, u, &half, excluded),
                         want.into_iter().sum::<usize>(),
                         "case {case}, source {u}, targets {half:?}"
                     );
                 }
                 for (&(t, limit), &found) in targets.iter().zip(&single) {
-                    let free = witnessed(&mut c, &unbounded, u, &[(t, limit)], excluded);
+                    let free = witnessed(&mut c, unbounded, u, &[(t, limit)], excluded);
                     if found == 0 && free == 1 {
-                        let any_budget = ChConfig {
-                            witness_budget: usize::MAX,
-                            ..config.clone()
-                        };
-                        if witnessed(&mut c, &any_budget, u, &[(t, limit)], excluded) == 1 {
+                        let any_budget = (usize::MAX, limits.1);
+                        if witnessed(&mut c, any_budget, u, &[(t, limit)], excluded) == 1 {
                             by_budget += 1;
                         } else {
                             by_hops += 1;
@@ -598,7 +597,7 @@ mod tests {
                     }
                     if free == 1
                         && limit > 0
-                        && witnessed(&mut c, &unbounded, u, &[(t, limit - 1)], excluded) == 0
+                        && witnessed(&mut c, unbounded, u, &[(t, limit - 1)], excluded) == 0
                     {
                         at_limit += 1;
                     }

@@ -88,13 +88,14 @@ mod tests {
 
     #[test]
     fn node_order_keeps_the_hierarchy_shallow() {
-        // The level term of the node order: without it this network's
-        // upward closures average 280 arcs, with it 208.
+        // This network's mean closure is 150.5 arcs; it was 207.8 with
+        // witness searches of 50 settled vertices / 5 hops, and 280 without
+        // the level term of the node order. The bound fails both.
         let g = road_network(&RoadNetworkConfig::new(3000, 11));
         let ch = ContractionHierarchy::build(&g, &ChConfig::default());
         let (vertices, arcs) = mean_upward_closure(&ch);
         assert!(
-            arcs <= 240.0,
+            arcs <= 170.0,
             "mean upward closure {vertices:.1} vertices, {arcs:.1} arcs"
         );
     }
