@@ -17,8 +17,6 @@ pub struct AltAstar {
     /// The g values (distances from `s`); heap keys are f = g + π(v).
     labels: Labels,
     heap: DaryHeap,
-    /// Vertices settled by the last query (exploration-effort metric).
-    settled: usize,
 }
 
 impl AltAstar {
@@ -27,7 +25,6 @@ impl AltAstar {
         AltAstar {
             labels: Labels::new(n),
             heap: DaryHeap::new(n),
-            settled: 0,
         }
     }
 
@@ -38,7 +35,6 @@ impl AltAstar {
         }
         self.labels.reset();
         self.heap.clear();
-        self.settled = 0;
         self.labels.set(s, 0);
         self.heap.push(alt.lower_bound(s, t), s);
         // The potential is consistent, so the first (and only) pop of a
@@ -47,7 +43,6 @@ impl AltAstar {
         // on a vertex already popped.
         while let Some((_, v)) = self.heap.pop() {
             let g = self.labels.get(v);
-            self.settled += 1;
             if v == t {
                 return g;
             }
@@ -61,11 +56,6 @@ impl AltAstar {
             }
         }
         INFINITY
-    }
-
-    /// Vertices settled by the last query.
-    pub fn last_settled(&self) -> usize {
-        self.settled
     }
 
     /// Cumulative heap-kernel counters across every query this instance
@@ -105,10 +95,11 @@ mod tests {
         // A long query: A* should settle well under the full vertex count.
         let t = g.num_vertices() as VertexId - 1;
         let _ = astar.distance(&g, &alt, 0, t);
+        // Each vertex settles at its one and only pop.
+        let settled = astar.heap_counters().pops as usize;
         assert!(
-            astar.last_settled() * 2 < g.num_vertices(),
-            "A* settled {} of {} vertices",
-            astar.last_settled(),
+            settled * 2 < g.num_vertices(),
+            "A* settled {settled} of {} vertices",
             g.num_vertices()
         );
     }

@@ -35,6 +35,5 @@ pub use modules::{
     NetworkDistance,
 };
 pub use query::boolean::BoolExpr;
-pub use query::topk::ScoreModel;
 pub use query::Op;
 pub use serving::{BatchExecutor, BatchOutput, ServingQuery, ServingResult};

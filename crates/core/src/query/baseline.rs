@@ -63,7 +63,7 @@ pub fn ine_topk(
     if k == 0 || query.is_empty() {
         return Vec::new();
     }
-    let tr_max = query.max_relevance(corpus);
+    let tr_max = query.max_relevance();
     if tr_max <= 0.0 {
         return Vec::new();
     }

@@ -10,77 +10,21 @@
 //! exact.
 
 use kspin_graph::{OrderedWeight, VertexId, Weight};
-use kspin_text::{ObjectId, QueryTerms, TermId, TextModel};
+use kspin_text::{score, ObjectId, QueryTerms, TermId};
 
 use crate::engine::QueryEngine;
 use crate::heap::{HeapContext, InvertedHeap};
 use crate::modules::NetworkDistance;
 use crate::query::kbest::KBest;
 
-/// How network distance and textual relevance combine into the
-/// spatio-textual score (§2: the framework is "orthogonal to the scoring
-/// method").
-///
-/// Every variant must be monotone: non-decreasing in distance and
-/// non-increasing in relevance — that is all the pseudo-lower-bound
-/// correctness argument (Lemmas 1–2) needs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ScoreModel {
-    /// `ST = d / TR` (Eq. 1) — the paper's default.
-    WeightedDistance,
-    /// `ST = α·d/max_dist + (1−α)·(1−min(TR,1))` — the weighted-sum
-    /// alternative of [8]. `max_dist` normalizes distances into `[0, 1]`
-    /// (distances above it clamp).
-    WeightedSum {
-        /// Spatial/textual balance in `[0, 1]`; higher favors proximity.
-        alpha: f64,
-        /// Distance normalizer; distances above it clamp to 1.
-        max_dist: Weight,
-    },
-}
-
-impl ScoreModel {
-    /// Combines a distance and a relevance into a score, lower = better
-    /// (Eq. 1, or the weighted sum of [8]).
-    #[inline]
-    pub fn combine(&self, d: Weight, tr: f64) -> f64 {
-        match *self {
-            ScoreModel::WeightedDistance => {
-                if tr <= 0.0 {
-                    f64::INFINITY
-                } else {
-                    d as f64 / tr
-                }
-            }
-            ScoreModel::WeightedSum { alpha, max_dist } => {
-                let dn = (d as f64 / max_dist.max(1) as f64).min(1.0);
-                alpha * dn + (1.0 - alpha) * (1.0 - tr.min(1.0))
-            }
-        }
-    }
-}
-
 impl<D: NetworkDistance> QueryEngine<'_, D> {
-    /// Top-k spatial keyword query (§2): the `k` objects minimizing
-    /// `d(q,o) / TR(ψ,o)` under cosine relevance. Results sorted by
-    /// ascending score (ties by object id); exact.
+    /// Top-k spatial keyword query (§2, Algorithms 2–3, §4.2): the `k`
+    /// objects minimizing `d(q,o) / TR(ψ,o)` (Eq. 1) under cosine
+    /// relevance. As in the paper, candidates share at least one keyword
+    /// with the query. Results sorted by ascending score (ties by object
+    /// id); exact.
     pub fn top_k(&mut self, q: VertexId, k: usize, terms: &[TermId]) -> Vec<(ObjectId, f64)> {
-        self.top_k_with(q, k, terms, TextModel::Cosine, ScoreModel::WeightedDistance)
-    }
-
-    /// Top-k (Algorithms 2–3, §4.2) under any per-keyword-decomposable
-    /// text model and any monotone score model. As in the paper, candidates
-    /// must share at least one keyword with the query (under weighted sum,
-    /// keyword-free objects would otherwise all qualify with `TR = 0`).
-    pub fn top_k_with(
-        &mut self,
-        q: VertexId,
-        k: usize,
-        terms: &[TermId],
-        text: TextModel,
-        score_model: ScoreModel,
-    ) -> Vec<(ObjectId, f64)> {
-        let query = QueryTerms::with_model(self.corpus, terms, text);
+        let query = QueryTerms::new(self.corpus, terms);
         if k == 0 || query.is_empty() || q as usize >= self.graph.num_vertices() {
             // ALLOC-OK: an empty Vec::new never touches the allocator.
             return Vec::new();
@@ -96,8 +40,7 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             // ALLOC-OK: heap generation — one |ψ|-bounded Vec per query;
             // the extraction loop below never grows it.
             .collect();
-        // λ_{t_j,ψ} · λ_{t_j,max} per keyword — Algorithm 2's summands,
-        // generalized per text model by QueryTerms.
+        // λ_{t_j,ψ} · λ_{t_j,max} per keyword — Algorithm 2's summands.
         let max_contrib: Vec<f64> = (0..query.len())
             .map(|j| query.max_term_contribution(j))
             // ALLOC-OK: |ψ|-bounded per-query summand table, built once.
@@ -131,7 +74,7 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
                 if mk == Weight::MAX {
                     continue;
                 }
-                let plb = score_model.combine(mk, pseudo_relevance(i, &min_keys, &max_contrib));
+                let plb = score(mk, pseudo_relevance(i, &min_keys, &max_contrib));
                 if chosen.is_none_or(|(_, s)| plb < s) {
                     chosen = Some((i, plb));
                 }
@@ -161,14 +104,14 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             // textual relevance before paying for a network distance.
             let tr = query.relevance(self.corpus, c.object);
             debug_assert!(tr > 0.0, "heap candidates share a keyword with the query");
-            let lb_score = score_model.combine(c.lower_bound, tr);
+            let lb_score = score(c.lower_bound, tr);
             if lb_score > d_k {
                 self.stats.pruned_candidates += 1;
                 continue;
             }
             let d = self.dist.distance(q, self.corpus.vertex_of(c.object));
             self.stats.dist_computations += 1;
-            let st = score_model.combine(d, tr);
+            let st = score(d, tr);
             best.offer(OrderedWeight::new(st), c.object);
         }
         // `heap_extractions` lives in each heap (once per `extract`) and is
@@ -200,17 +143,15 @@ pub(crate) fn pseudo_relevance(i: usize, min_keys: &[Weight], max_contrib: &[f64
     tr_p
 }
 
-/// Algorithm 2: `ST_pLB(H_i) = MINKEY(H_i) / TR_p(ψ, H_i)` under weighted
-/// distance (exercised directly by the unit tests below; the query loop
-/// uses the `pseudo_relevance` + `combine` split so any score model fits).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn pseudo_lower_bound(i: usize, min_keys: &[Weight], max_contrib: &[f64]) -> f64 {
-    ScoreModel::WeightedDistance.combine(min_keys[i], pseudo_relevance(i, min_keys, max_contrib))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Algorithm 2: `ST_pLB(H_i) = MINKEY(H_i) / TR_p(ψ, H_i)` — the
+    /// query loop's `pseudo_relevance` + `score` pair.
+    fn pseudo_lower_bound(i: usize, min_keys: &[Weight], max_contrib: &[f64]) -> f64 {
+        score(min_keys[i], pseudo_relevance(i, min_keys, max_contrib))
+    }
 
     #[test]
     fn pseudo_bound_matches_paper_example2() {

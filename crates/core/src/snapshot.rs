@@ -19,7 +19,7 @@
 //! load → save is therefore byte-identical (test-enforced at the
 //! workspace level).
 //!
-//! The full-system composition (vocabulary, G-tree hierarchy, the
+//! The full-system composition (vocabulary, `SnapshotExtras`, the
 //! `KspinSystem` save/load entry points) lives in the root `kspin`
 //! crate's `snapshot` module, which builds on these codecs.
 

@@ -6,13 +6,12 @@ use kspin_alt::{AltIndex, LandmarkStrategy};
 use kspin_core::query::baseline::{brute_bknn, brute_topk};
 use kspin_core::{
     BatchExecutor, BoolExpr, DijkstraDistance, KspinConfig, KspinIndex, LowerBound, Op,
-    QueryEngine, ScoreModel, ServingQuery, ServingResult,
+    QueryEngine, ServingQuery, ServingResult,
 };
 use kspin_graph::generate::{road_network, RoadNetworkConfig};
 use kspin_graph::{Graph, VertexId, Weight};
 use kspin_text::generate::{corpus as gen_corpus, CorpusConfig};
 use kspin_text::workload::{query_vectors, WorkloadConfig};
-use kspin_text::TextModel;
 use kspin_text::{Corpus, ObjectId, TermId};
 
 struct World {
@@ -399,18 +398,16 @@ fn lb_computations_count_heaps_discarded_as_all_deleted() {
     }
 }
 
-/// Generic brute-force top-k over the `live` objects, under any (text,
-/// score) model pair.
+/// Brute-force top-k over the `live` objects: Eq. 1 under cosine
+/// relevance, from one full Dijkstra.
 fn brute_topk_with(
     w: &World,
     q: u32,
     k: usize,
     terms: &[TermId],
-    text: TextModel,
-    score: ScoreModel,
     live: impl Fn(ObjectId) -> bool,
 ) -> Vec<f64> {
-    let query = kspin_text::QueryTerms::with_model(&w.corpus, terms, text);
+    let query = kspin_text::QueryTerms::new(&w.corpus, terms);
     let mut dij = kspin_graph::Dijkstra::new(w.graph.num_vertices());
     dij.sssp(&w.graph, q);
     let space = dij.space();
@@ -422,101 +419,12 @@ fn brute_topk_with(
                 return None; // candidates must share a keyword (§2)
             }
             let d = space.distance(w.corpus.vertex_of(o))?;
-            Some(score.combine(d, tr))
+            Some(kspin_text::score(d, tr))
         })
         .collect();
     scores.sort_by(f64::total_cmp);
     scores.truncate(k);
     scores
-}
-
-#[test]
-fn topk_is_exact_under_bm25() {
-    let w = world(700, 61, 5);
-    let mut e = engine(&w);
-    for terms in vectors(&w, 2).into_iter().take(3) {
-        for q in [5u32, 432] {
-            let got = e.top_k_with(
-                q,
-                5,
-                &terms,
-                TextModel::BM25_DEFAULT,
-                ScoreModel::WeightedDistance,
-            );
-            let want = brute_topk_with(
-                &w,
-                q,
-                5,
-                &terms,
-                TextModel::BM25_DEFAULT,
-                ScoreModel::WeightedDistance,
-                |_| true,
-            );
-            assert_eq!(got.len(), want.len());
-            for ((_, gs), ws) in got.iter().zip(&want) {
-                assert!((gs - ws).abs() < 1e-9, "bm25 q={q} terms={terms:?}");
-            }
-        }
-    }
-}
-
-#[test]
-fn topk_is_exact_under_weighted_sum() {
-    let w = world(700, 67, 5);
-    let mut e = engine(&w);
-    // Normalize by the network diameter proxy: twice the max edge-weight
-    // sum isn't needed — any fixed max_dist keeps the model monotone.
-    let score = ScoreModel::WeightedSum {
-        alpha: 0.6,
-        max_dist: 2_000_000,
-    };
-    for terms in vectors(&w, 2).into_iter().take(3) {
-        for q in [17u32, 640] {
-            for text in [TextModel::Cosine, TextModel::BM25_DEFAULT] {
-                let got = e.top_k_with(q, 5, &terms, text, score);
-                let want = brute_topk_with(&w, q, 5, &terms, text, score, |_| true);
-                assert_eq!(got.len(), want.len());
-                for ((_, gs), ws) in got.iter().zip(&want) {
-                    assert!((gs - ws).abs() < 1e-9, "{text:?} q={q}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn score_models_rank_differently_but_both_exactly() {
-    // Sanity: the two score models are genuinely different rankings on at
-    // least some query (otherwise the weighted-sum path is untested).
-    let w = world(700, 71, 5);
-    let mut e = engine(&w);
-    let mut differ = false;
-    for terms in vectors(&w, 2) {
-        for q in [3u32, 99, 500] {
-            let a: Vec<ObjectId> = e.top_k(q, 5, &terms).iter().map(|&(o, _)| o).collect();
-            let b: Vec<ObjectId> = e
-                .top_k_with(
-                    q,
-                    5,
-                    &terms,
-                    TextModel::Cosine,
-                    ScoreModel::WeightedSum {
-                        alpha: 0.3,
-                        max_dist: 500_000,
-                    },
-                )
-                .iter()
-                .map(|&(o, _)| o)
-                .collect();
-            if a != b {
-                differ = true;
-            }
-        }
-    }
-    assert!(
-        differ,
-        "weighted-sum never changed any ranking — suspicious"
-    );
 }
 
 // ---- updates ----------------------------------------------------------
@@ -614,15 +522,7 @@ fn results_stay_exact_after_deletions() {
             for &(o, _) in &got {
                 assert!(!is_deleted(o), "deleted object {o} ranked by top-k");
             }
-            let want = brute_topk_with(
-                &w,
-                q,
-                5,
-                &terms,
-                TextModel::Cosine,
-                ScoreModel::WeightedDistance,
-                |o| !is_deleted(o),
-            );
+            let want = brute_topk_with(&w, q, 5, &terms, |o| !is_deleted(o));
             assert_eq!(got.len(), want.len(), "top-k after deletions");
             for ((_, gs), ws) in got.iter().zip(&want) {
                 assert!((gs - ws).abs() < 1e-9, "top-k after deletions q={q}");

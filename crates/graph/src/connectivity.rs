@@ -36,11 +36,6 @@ pub fn components(graph: &Graph) -> (Vec<u32>, Vec<usize>) {
     (label, sizes)
 }
 
-/// Whether the graph is connected (the empty graph counts as connected).
-pub fn is_connected(graph: &Graph) -> bool {
-    components(graph).1.len() <= 1
-}
-
 /// Extracts the largest connected component as a new graph with dense
 /// renumbered vertex ids, returning `(subgraph, old_id_of_new)` where
 /// `old_id_of_new[new] = old`.
@@ -109,12 +104,12 @@ mod tests {
     }
 
     #[test]
-    fn connectivity_predicate() {
-        assert!(!is_connected(&disconnected()));
+    fn connected_graphs_have_at_most_one_component() {
+        assert_eq!(components(&disconnected()).1.len(), 3);
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 1, 1);
-        assert!(is_connected(&b.build()));
-        assert!(is_connected(&GraphBuilder::new(0).build()));
+        assert_eq!(components(&b.build()).1.len(), 1);
+        assert!(components(&GraphBuilder::new(0).build()).1.is_empty());
     }
 
     #[test]
@@ -123,7 +118,7 @@ mod tests {
         let (sub, old_ids) = largest_component(&g);
         assert_eq!(sub.num_vertices(), 3);
         assert_eq!(sub.num_edges(), 2);
-        assert!(is_connected(&sub));
+        assert_eq!(components(&sub).1.len(), 1);
         assert_eq!(old_ids, vec![0, 1, 2]);
         // Coordinates follow the renumbering.
         assert_eq!(sub.coord(2), Point::new(2, 0));

@@ -68,12 +68,6 @@ impl Graph {
         targets.iter().copied().zip(weights.iter().copied())
     }
 
-    /// Degree of `v`.
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> usize {
-        row_slice(&self.offsets, &self.targets, v as usize).len()
-    }
-
     /// Coordinate of `v`.
     #[inline]
     pub fn coord(&self, v: VertexId) -> Point {
@@ -85,11 +79,6 @@ impl Graph {
     #[inline]
     pub fn coords(&self) -> &[Point] {
         &self.coords
-    }
-
-    /// Weight of edge `(u, v)` if present.
-    pub fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        self.neighbors(u).find(|&(t, _)| t == v).map(|(_, w)| w)
     }
 
     /// Iterates every undirected edge once (`u < v`).
@@ -323,6 +312,11 @@ impl GraphBuilder {
 mod tests {
     use super::*;
 
+    /// Weight of edge `(u, v)` if present.
+    fn edge_weight(g: &Graph, u: VertexId, v: VertexId) -> Option<Weight> {
+        g.neighbors(u).find(|&(t, _)| t == v).map(|(_, w)| w)
+    }
+
     fn triangle() -> Graph {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1, 2);
@@ -347,18 +341,18 @@ mod tests {
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.num_arcs(), 6);
         for v in 0..3 {
-            assert_eq!(g.degree(v), 2);
+            assert_eq!(g.neighbors(v).count(), 2);
         }
     }
 
     #[test]
     fn neighbors_are_symmetric() {
         let g = triangle();
-        assert_eq!(g.edge_weight(0, 1), Some(2));
-        assert_eq!(g.edge_weight(1, 0), Some(2));
-        assert_eq!(g.edge_weight(0, 2), Some(10));
-        assert_eq!(g.edge_weight(1, 2), Some(3));
-        assert_eq!(g.edge_weight(0, 0), None);
+        assert_eq!(edge_weight(&g, 0, 1), Some(2));
+        assert_eq!(edge_weight(&g, 1, 0), Some(2));
+        assert_eq!(edge_weight(&g, 0, 2), Some(10));
+        assert_eq!(edge_weight(&g, 1, 2), Some(3));
+        assert_eq!(edge_weight(&g, 0, 0), None);
     }
 
     #[test]
@@ -369,7 +363,7 @@ mod tests {
         b.add_edge(0, 1, 9);
         let g = b.build();
         assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.edge_weight(0, 1), Some(3));
+        assert_eq!(edge_weight(&g, 0, 1), Some(3));
     }
 
     #[test]
@@ -379,7 +373,7 @@ mod tests {
         b.add_edge(0, 1, 1);
         let g = b.build();
         assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.degree(0), 1);
+        assert_eq!(g.neighbors(0).count(), 1);
     }
 
     #[test]

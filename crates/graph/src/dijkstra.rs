@@ -30,17 +30,15 @@ pub enum Control {
 /// [`Dijkstra::space`] until the next query starts.
 ///
 /// The epoch-stamped arrays are this struct's own rather than a
-/// [`crate::Labels`]: one stamp here covers `dist`, `parent` *and*
-/// `settled` (a fresh stamp in `relax` also clears the settled bit), a
-/// different record from a bare distance label.
+/// [`crate::Labels`]: one stamp here covers `dist` *and* `settled` (a
+/// fresh stamp in `relax` also clears the settled bit), a different record
+/// from a bare distance label.
 pub struct Dijkstra {
     dist: Vec<Weight>,
-    parent: Vec<VertexId>,
     epoch: Vec<u32>,
     settled: Vec<bool>,
     cur_epoch: u32,
     heap: DaryHeap,
-    settled_order: Vec<VertexId>,
     /// One-to-many target bookkeeping ([`Dijkstra::one_to_many`]):
     /// per-vertex chain heads into `tgt_next`, epoch-stamped so repeated
     /// calls never clear or reallocate the per-vertex arrays.
@@ -55,14 +53,10 @@ impl Dijkstra {
     pub fn new(n: usize) -> Self {
         Dijkstra {
             dist: vec![INFINITY; n],
-            parent: vec![VertexId::MAX; n],
             epoch: vec![0; n],
             settled: vec![false; n],
             cur_epoch: 0,
             heap: DaryHeap::new(n),
-            // Pre-sized: each vertex settles at most once per search, so
-            // len ≤ n and the push below never reallocates.
-            settled_order: Vec::with_capacity(n),
             tgt_epoch: vec![0; n],
             tgt_head: vec![NO_SLOT; n],
             // Pre-sized to n: one slot per requested target. Target sets
@@ -83,7 +77,7 @@ impl Dijkstra {
         self.begin();
         for &(s, d0) in sources {
             if self.tentative(s) > d0 {
-                self.relax(s, d0, VertexId::MAX);
+                self.relax(s, d0);
             }
         }
         while let Some((d, v)) = self.heap.pop() {
@@ -92,15 +86,12 @@ impl Dijkstra {
             debug_assert!(!self.settled[v as usize] && d == self.dist[v as usize]);
             // PANIC-OK: every heap item is a vertex id < n; arrays sized n at new().
             self.settled[v as usize] = true;
-            // ALLOC-OK: new() pre-sizes settled_order to n; each vertex
-            // settles at most once per search, so len ≤ n — no realloc.
-            self.settled_order.push(v);
             match on_settle(v, d) {
                 Control::Continue => {
                     for (u, w) in graph.neighbors(v) {
                         let nd = weight_add(d, w);
                         if nd < self.tentative(u) {
-                            self.relax(u, nd, v);
+                            self.relax(u, nd);
                         }
                     }
                 }
@@ -183,35 +174,6 @@ impl Dijkstra {
         out
     }
 
-    /// Expands outward from `s` collecting up to `k` vertices for which
-    /// `is_object` holds, in distance order — the classic network-expansion
-    /// kNN (INE) used as the sanity baseline in §7.1.
-    pub fn k_nearest<F>(
-        &mut self,
-        graph: &Graph,
-        s: VertexId,
-        k: usize,
-        mut is_object: F,
-    ) -> Vec<(VertexId, Weight)>
-    where
-        F: FnMut(VertexId) -> bool,
-    {
-        let mut found = Vec::with_capacity(k);
-        if k == 0 {
-            return found;
-        }
-        self.run(graph, &[(s, 0)], |v, d| {
-            if is_object(v) {
-                found.push((v, d));
-                if found.len() == k {
-                    return Control::Stop;
-                }
-            }
-            Control::Continue
-        });
-        found
-    }
-
     /// Read-only view of the last search.
     pub fn space(&self) -> SearchSpace<'_> {
         SearchSpace { d: self }
@@ -232,7 +194,6 @@ impl Dijkstra {
             self.cur_epoch = 1;
         }
         self.heap.clear();
-        self.settled_order.clear();
     }
 
     #[inline]
@@ -246,7 +207,7 @@ impl Dijkstra {
     }
 
     #[inline]
-    fn relax(&mut self, v: VertexId, d: Weight, from: VertexId) {
+    fn relax(&mut self, v: VertexId, d: Weight) {
         let i = v as usize;
         // PANIC-OK: v is a vertex id < n from the CSR graph; arrays sized n.
         if self.epoch[i] != self.cur_epoch {
@@ -254,7 +215,6 @@ impl Dijkstra {
             self.settled[i] = false; // PANIC-OK: i < n as above.
         }
         self.dist[i] = d; // PANIC-OK: i < n as above.
-        self.parent[i] = from; // PANIC-OK: i < n as above.
         self.heap.insert_or_decrease(d, v);
     }
 }
@@ -274,24 +234,6 @@ impl SearchSpace<'_> {
         } else {
             None
         }
-    }
-
-    /// Vertices settled by the last search, in settle (distance) order.
-    pub fn settled(&self) -> &[VertexId] {
-        &self.d.settled_order
-    }
-
-    /// Shortest path from the source to `v` (inclusive), if `v` was settled.
-    pub fn path_to(&self, v: VertexId) -> Option<Vec<VertexId>> {
-        self.distance(v)?;
-        let mut path = vec![v];
-        let mut cur = v;
-        while self.d.parent[cur as usize] != VertexId::MAX {
-            cur = self.d.parent[cur as usize];
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
     }
 }
 
@@ -326,7 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn sssp_space_distances_and_paths() {
+    fn sssp_space_distances() {
         let g = line_graph();
         let mut d = Dijkstra::new(g.num_vertices());
         d.sssp(&g, 0);
@@ -335,8 +277,6 @@ mod tests {
         assert_eq!(s.distance(2), Some(2));
         assert_eq!(s.distance(3), Some(3));
         assert_eq!(s.distance(4), None);
-        assert_eq!(s.path_to(3), Some(vec![0, 1, 2, 3]));
-        assert_eq!(s.path_to(4), None);
     }
 
     #[test]
@@ -345,18 +285,6 @@ mod tests {
         let mut d = Dijkstra::new(g.num_vertices());
         let out = d.one_to_many(&g, 1, &[3, 3, 0, 4]);
         assert_eq!(out, vec![2, 2, 1, INFINITY]);
-    }
-
-    #[test]
-    fn k_nearest_returns_in_distance_order() {
-        let g = line_graph();
-        let mut d = Dijkstra::new(g.num_vertices());
-        let objs = [false, true, false, true, true];
-        let found = d.k_nearest(&g, 0, 2, |v| objs[v as usize]);
-        assert_eq!(found, vec![(1, 1), (3, 3)]);
-        // Asking for more than exist returns only the reachable ones.
-        let found = d.k_nearest(&g, 0, 10, |v| objs[v as usize]);
-        assert_eq!(found, vec![(1, 1), (3, 3)]);
     }
 
     #[test]

@@ -203,8 +203,8 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.edge_weight(0, 1), Some(10));
-        assert_eq!(g.edge_weight(1, 2), Some(5));
+        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), [(1, 10)]);
+        assert_eq!(g.neighbors(1).collect::<Vec<_>>(), [(0, 10), (2, 5)]);
     }
 
     #[test]
@@ -230,7 +230,7 @@ mod tests {
         let g2 = b2.build();
         assert_eq!(g2.num_vertices(), g.num_vertices());
         assert_eq!(g2.num_edges(), g.num_edges());
-        assert_eq!(g2.edge_weight(0, 1), g.edge_weight(0, 1));
+        assert!(g2.neighbors(0).eq(g.neighbors(0)));
         assert_eq!(g2.coord(1), g.coord(1));
     }
 

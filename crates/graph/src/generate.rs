@@ -151,13 +151,13 @@ pub fn road_network(config: &RoadNetworkConfig) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connectivity::is_connected;
+    use crate::connectivity::components;
     use crate::dijkstra::Dijkstra;
 
     #[test]
     fn generates_connected_network_near_target_size() {
         let g = road_network(&RoadNetworkConfig::new(2000, 42));
-        assert!(is_connected(&g));
+        assert_eq!(components(&g).1.len(), 1);
         let n = g.num_vertices();
         assert!(n > 1700 && n <= 2100, "unexpected size {n}");
     }

@@ -1,7 +1,7 @@
 //! Totally ordered floating-point weights for candidate heaps.
 //!
 //! Network distances in this workspace are integer [`Weight`](crate::Weight)s,
-//! but *scores* — weighted distance `d/TR` (Eq. 1), weighted sums, ROAD's
+//! but *scores* — weighted distance `d/TR` (Eq. 1), ROAD's
 //! spatio-textual ranks — are `f64`. Raw `f64` only implements `PartialOrd`,
 //! which forces heap code into `partial_cmp(..).unwrap()` patterns that
 //! panic (or, with `unwrap_or`, silently mis-order) the moment a NaN slips
@@ -150,7 +150,7 @@ mod tests {
     fn nan_cannot_poison_release_heaps() {
         // Release builds admit NaN but still order it consistently (above
         // +inf), so heap invariants hold and extraction terminates.
-        let mut v = vec![
+        let mut v = [
             OrderedWeight(f64::NAN),
             OrderedWeight(1.0),
             OrderedWeight(f64::INFINITY),

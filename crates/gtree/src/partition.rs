@@ -23,15 +23,12 @@ impl Default for PartitionConfig {
 
 /// The partition hierarchy: a binary tree over vertex sets.
 ///
-/// Storage is flat CSR — child lists and per-leaf vertex lists live in
-/// pooled `(offsets, data)` arrays — so the whole structure snapshots as
-/// six plain little-endian arrays and loads by validate-then-copy.
+/// Storage is flat CSR: child lists and per-leaf vertex lists live in
+/// pooled `(offsets, data)` arrays.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     /// Per node: parent id (`u32::MAX` for the root).
     parent: Vec<u32>,
-    /// Per node: depth (root = 0).
-    depth: Vec<u32>,
     /// CSR offsets into `child_data` (`num_nodes + 1` entries).
     child_offsets: Vec<u32>,
     /// Pooled child ids (empty range for leaves).
@@ -61,12 +58,6 @@ impl Hierarchy {
         self.parent[n as usize]
     }
 
-    /// Depth of `n` (root = 0).
-    #[inline]
-    pub fn depth(&self, n: u32) -> u32 {
-        self.depth[n as usize]
-    }
-
     /// Child ids of `n` (empty for leaves).
     #[inline]
     pub fn children(&self, n: u32) -> &[u32] {
@@ -94,173 +85,6 @@ impl Hierarchy {
     pub fn total_leaf_vertices(&self) -> usize {
         self.vert_data.len()
     }
-
-    /// Lowest common ancestor of two nodes.
-    pub fn lca(&self, mut a: u32, mut b: u32) -> u32 {
-        while self.depth[a as usize] > self.depth[b as usize] {
-            a = self.parent[a as usize];
-        }
-        while self.depth[b as usize] > self.depth[a as usize] {
-            b = self.parent[b as usize];
-        }
-        while a != b {
-            a = self.parent[a as usize];
-            b = self.parent[b as usize];
-        }
-        a
-    }
-
-    /// The child of ancestor `anc` on the path toward node `n` (which must
-    /// be a strict descendant of `anc`).
-    pub fn child_toward(&self, anc: u32, mut n: u32) -> u32 {
-        while self.parent[n as usize] != anc {
-            n = self.parent[n as usize];
-            debug_assert_ne!(n, u32::MAX, "n is not a descendant of anc");
-        }
-        n
-    }
-
-    /// Borrowed views of the raw arrays — `(parent, child_offsets,
-    /// child_data, depth, vert_offsets, vert_data, leaf_of)` — the
-    /// snapshot serialization boundary.
-    #[allow(clippy::type_complexity)]
-    pub fn flat_parts(&self) -> (&[u32], &[u32], &[u32], &[u32], &[u32], &[VertexId], &[u32]) {
-        (
-            &self.parent,
-            &self.child_offsets,
-            &self.child_data,
-            &self.depth,
-            &self.vert_offsets,
-            &self.vert_data,
-            &self.leaf_of,
-        )
-    }
-
-    /// Reassembles a hierarchy from its raw arrays, verbatim, validating
-    /// every structural invariant the traversal code indexes by: CSR
-    /// shapes, parents precede children (the bottom-up reverse-iteration
-    /// order), depth bookkeeping, parent/child symmetry, leaves-only
-    /// vertex ranges, and that the leaf vertex lists partition
-    /// `0..leaf_of.len()` consistently with `leaf_of`.
-    ///
-    /// # Errors
-    /// A description of the first violated invariant.
-    pub fn from_flat_parts(
-        parent: Vec<u32>,
-        child_offsets: Vec<u32>,
-        child_data: Vec<u32>,
-        depth: Vec<u32>,
-        vert_offsets: Vec<u32>,
-        vert_data: Vec<VertexId>,
-        leaf_of: Vec<u32>,
-    ) -> Result<Hierarchy, String> {
-        let n = parent.len();
-        if n == 0 {
-            return Err("hierarchy must hold at least the root node".into());
-        }
-        if depth.len() != n {
-            return Err(format!("depth holds {} entries for {n} nodes", depth.len()));
-        }
-        check_csr("child", &child_offsets, child_data.len(), n)?;
-        check_csr("vert", &vert_offsets, vert_data.len(), n)?;
-        if parent[0] != u32::MAX || depth[0] != 0 {
-            return Err("root must have parent = u32::MAX and depth 0".into());
-        }
-        for node in 1..n {
-            let p = parent[node] as usize;
-            if p >= node {
-                return Err(format!(
-                    "node {node} has parent {p}: parents must precede children"
-                ));
-            }
-            if depth[node] != depth[p] + 1 {
-                return Err(format!("node {node} depth is not parent depth + 1"));
-            }
-        }
-        // Every non-root node is listed by exactly its parent.
-        let mut listed = vec![false; n];
-        for node in 0..n {
-            let lo = child_offsets[node] as usize;
-            let hi = child_offsets[node + 1] as usize;
-            for &c in &child_data[lo..hi] {
-                let c = c as usize;
-                if c >= n || c == 0 {
-                    return Err(format!("node {node} lists invalid child {c}"));
-                }
-                if parent[c] as usize != node {
-                    return Err(format!("node {node} lists child {c} with another parent"));
-                }
-                if listed[c] {
-                    return Err(format!("node {c} listed as a child twice"));
-                }
-                listed[c] = true;
-            }
-        }
-        if let Some(orphan) = (1..n).find(|&c| !listed[c]) {
-            return Err(format!("node {orphan} is not listed by its parent"));
-        }
-        // Leaves own vertices; internal nodes own none; leaf lists
-        // partition the vertex set consistently with leaf_of.
-        let mut seen = vec![false; leaf_of.len()];
-        for node in 0..n {
-            let is_leaf = child_offsets[node] == child_offsets[node + 1];
-            let lo = vert_offsets[node] as usize;
-            let hi = vert_offsets[node + 1] as usize;
-            if !is_leaf && lo != hi {
-                return Err(format!("internal node {node} holds vertices"));
-            }
-            for &v in &vert_data[lo..hi] {
-                match seen.get_mut(v as usize) {
-                    Some(slot) if !*slot => *slot = true,
-                    _ => {
-                        return Err(format!(
-                            "vertex {v} out of range or in two leaves — not a partition"
-                        ))
-                    }
-                }
-                if leaf_of[v as usize] as usize != node {
-                    return Err(format!("leaf_of[{v}] disagrees with leaf {node}"));
-                }
-            }
-        }
-        if vert_data.len() != leaf_of.len() {
-            return Err(format!(
-                "{} pooled leaf vertices for {} graph vertices",
-                vert_data.len(),
-                leaf_of.len()
-            ));
-        }
-        Ok(Hierarchy {
-            parent,
-            depth,
-            child_offsets,
-            child_data,
-            vert_offsets,
-            vert_data,
-            leaf_of,
-        })
-    }
-}
-
-fn check_csr(what: &str, offsets: &[u32], data_len: usize, n: usize) -> Result<(), String> {
-    if offsets.len() != n + 1 {
-        return Err(format!(
-            "{what}_offsets holds {} entries for {n} nodes",
-            offsets.len()
-        ));
-    }
-    if u32::try_from(data_len).is_err() {
-        return Err(format!("{what}_data length {data_len} exceeds u32"));
-    }
-    if offsets.first() != Some(&0) || offsets.last() != Some(&(data_len as u32)) {
-        return Err(format!(
-            "{what}_offsets must start at 0 and end at the data length"
-        ));
-    }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(format!("{what}_offsets must be monotone non-decreasing"));
-    }
-    Ok(())
 }
 
 /// Nested-list scratch state for the recursive build; flattened into the
@@ -268,7 +92,6 @@ fn check_csr(what: &str, offsets: &[u32], data_len: usize, n: usize) -> Result<(
 struct Builder {
     parent: Vec<u32>,
     children: Vec<Vec<u32>>,
-    depth: Vec<u32>,
     vertices: Vec<Vec<VertexId>>,
     leaf_of: Vec<u32>,
 }
@@ -291,7 +114,6 @@ impl Builder {
         }
         Hierarchy {
             parent: self.parent,
-            depth: self.depth,
             child_offsets,
             child_data,
             vert_offsets,
@@ -308,7 +130,6 @@ pub fn partition(graph: &Graph, config: &PartitionConfig) -> Hierarchy {
     let mut b = Builder {
         parent: vec![u32::MAX],
         children: vec![Vec::new()],
-        depth: vec![0],
         vertices: vec![Vec::new()],
         leaf_of: vec![u32::MAX; n],
     };
@@ -349,7 +170,6 @@ fn split(
         let child = b.parent.len() as u32;
         b.parent.push(node);
         b.children.push(Vec::new());
-        b.depth.push(b.depth[node as usize] + 1);
         b.vertices.push(Vec::new());
         b.children[node as usize].push(child);
         split(graph, config, b, child, part, 1 - axis);
@@ -400,25 +220,10 @@ mod tests {
         for n in 1..h.num_nodes() as u32 {
             let p = h.parent(n);
             assert!(h.children(p).contains(&n));
-            assert_eq!(h.depth(n), h.depth(p) + 1);
+            // Parents precede children: the bottom-up build order.
+            assert!(p < n);
         }
         assert_eq!(h.parent(0), u32::MAX);
-    }
-
-    #[test]
-    fn lca_and_child_toward() {
-        let (g, h) = build(800, 32);
-        let la = h.leaf_of(0);
-        let lb = h.leaf_of(g.num_vertices() as VertexId - 1);
-        let l = h.lca(la, lb);
-        assert!(h.depth(l) <= h.depth(la));
-        assert_eq!(h.lca(la, la), la);
-        if la != lb {
-            let c = h.child_toward(l, la);
-            assert_eq!(h.parent(c), l);
-        }
-        // Root is an ancestor of everything.
-        assert_eq!(h.lca(la, 0), 0);
     }
 
     #[test]
@@ -427,74 +232,5 @@ mod tests {
         assert_eq!(h.num_nodes(), 1);
         assert!(h.is_leaf(0));
         assert_eq!(h.leaf_vertices(0).len(), g.num_vertices());
-    }
-
-    #[test]
-    fn flat_parts_round_trip_is_identity() {
-        let (_, h) = build(900, 32);
-        let (p, co, cd, d, vo, vd, lo) = h.flat_parts();
-        let h2 = Hierarchy::from_flat_parts(
-            p.to_vec(),
-            co.to_vec(),
-            cd.to_vec(),
-            d.to_vec(),
-            vo.to_vec(),
-            vd.to_vec(),
-            lo.to_vec(),
-        )
-        .expect("round trip");
-        for n in 0..h.num_nodes() as u32 {
-            assert_eq!(h2.parent(n), h.parent(n));
-            assert_eq!(h2.depth(n), h.depth(n));
-            assert_eq!(h2.children(n), h.children(n));
-            assert_eq!(h2.leaf_vertices(n), h.leaf_vertices(n));
-        }
-    }
-
-    #[test]
-    fn from_flat_parts_rejects_corruption() {
-        let (_, h) = build(400, 32);
-        let (p, co, cd, d, vo, vd, lo) = h.flat_parts();
-        // Swap a vertex into the wrong leaf.
-        let mut bad_lo = lo.to_vec();
-        bad_lo[0] = bad_lo[lo.len() - 1];
-        if bad_lo[0] != lo[0] {
-            assert!(Hierarchy::from_flat_parts(
-                p.to_vec(),
-                co.to_vec(),
-                cd.to_vec(),
-                d.to_vec(),
-                vo.to_vec(),
-                vd.to_vec(),
-                bad_lo,
-            )
-            .is_err());
-        }
-        // Break the depth bookkeeping.
-        let mut bad_d = d.to_vec();
-        if bad_d.len() > 1 {
-            bad_d[1] = 7;
-            assert!(Hierarchy::from_flat_parts(
-                p.to_vec(),
-                co.to_vec(),
-                cd.to_vec(),
-                bad_d,
-                vo.to_vec(),
-                vd.to_vec(),
-                lo.to_vec(),
-            )
-            .is_err());
-        }
-        // Truncate the child CSR.
-        assert!(Hierarchy::from_flat_parts(
-            p.to_vec(),
-            co[..co.len() - 1].to_vec(),
-            cd.to_vec(),
-            d.to_vec(),
-            vo.to_vec(),
-            vd.to_vec(),
-            lo.to_vec(),
-        )
-        .is_err());
     }
 }

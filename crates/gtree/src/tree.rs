@@ -254,15 +254,6 @@ impl GTree {
         let leaves: usize = self.hierarchy.total_leaf_vertices() * 12;
         mats + frames + bs + leaves
     }
-
-    /// Average border count over leaves (build-quality diagnostic).
-    pub fn avg_leaf_borders(&self) -> f64 {
-        let leaves: Vec<usize> = (0..self.hierarchy.num_nodes() as u32)
-            .filter(|&n| self.hierarchy.is_leaf(n))
-            .map(|n| self.borders[n as usize].len())
-            .collect();
-        leaves.iter().sum::<usize>() as f64 / leaves.len().max(1) as f64
-    }
 }
 
 fn dfs_intervals(

@@ -56,20 +56,6 @@ impl AdjacencyGraph {
         &self.lists[a as usize]
     }
 
-    /// Degree of `a`.
-    pub fn degree(&self, a: u32) -> usize {
-        self.lists[a as usize].len()
-    }
-
-    /// Average degree — the Δ constant of the §5.1 complexity analysis.
-    pub fn avg_degree(&self) -> f64 {
-        if self.lists.is_empty() {
-            0.0
-        } else {
-            self.lists.iter().map(Vec::len).sum::<usize>() as f64 / self.lists.len() as f64
-        }
-    }
-
     /// Size in bytes.
     pub fn size_bytes(&self) -> usize {
         self.lists.iter().map(|l| l.len() * 4 + 24).sum()
@@ -164,7 +150,7 @@ mod tests {
         assert_eq!(a.num_edges(), 1);
         assert_eq!(a.adjacent(0), &[1]);
         assert_eq!(a.adjacent(1), &[0]);
-        assert_eq!(a.degree(2), 0);
+        assert!(a.adjacent(2).is_empty());
     }
 
     #[test]
@@ -182,14 +168,5 @@ mod tests {
         a.add(0, n);
         assert_eq!(a.adjacent(n), &[0]);
         assert_eq!(a.num_nodes(), 2);
-    }
-
-    #[test]
-    fn average_degree() {
-        let mut a = AdjacencyGraph::new(4);
-        a.add(0, 1);
-        a.add(1, 2);
-        a.add(2, 3);
-        assert!((a.avg_degree() - 1.5).abs() < 1e-12);
     }
 }

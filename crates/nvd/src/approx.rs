@@ -197,11 +197,6 @@ impl ApproxNvd {
         leaf.iter().copied().chain(inserted)
     }
 
-    /// Number of quadtree leaves.
-    pub fn num_leaves(&self) -> usize {
-        self.starts.len()
-    }
-
     /// Invariant audit over the whole structure (the NVD half of the
     /// debug-mode invariant auditor; `KspinIndex::validate` calls this per
     /// NVD-indexed keyword). Checks:
@@ -483,7 +478,7 @@ mod tests {
             apx5.size_bytes(),
             apx1.size_bytes()
         );
-        assert!(apx5.num_leaves() < apx1.num_leaves());
+        assert!(apx5.starts.len() < apx1.starts.len());
         // Approximate index is far smaller than the exact NVD it came from.
         let exact = ExactNvd::build(&g5, &(0..80).map(|i| (i * 25) as u32).collect::<Vec<_>>());
         assert!(apx5.size_bytes() < exact.size_bytes());
@@ -502,7 +497,7 @@ mod tests {
     #[test]
     fn single_generator_single_leaf() {
         let (g, _, apx) = setup(300, 1, 5, 2);
-        assert_eq!(apx.num_leaves(), 1);
+        assert_eq!(apx.starts.len(), 1);
         assert_eq!(apx.leaf_candidates(g.coord(42)), &[0]);
     }
 
@@ -510,7 +505,7 @@ mod tests {
     fn leaf_index_is_consistent_with_point_location() {
         let (g, _, apx) = setup(400, 10, 3, 4);
         for v in (0..g.num_vertices() as VertexId).step_by(17) {
-            assert!(apx.leaf_index(g.coord(v)) < apx.num_leaves());
+            assert!(apx.leaf_index(g.coord(v)) < apx.starts.len());
         }
     }
 

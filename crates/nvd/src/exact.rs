@@ -117,21 +117,11 @@ impl ExactNvd {
         self.dist_to_owner[v as usize]
     }
 
-    /// The full owner table (u32::MAX for unreachable vertices).
-    pub fn owner_table(&self) -> &[u32] {
-        &self.owner
-    }
-
     /// `MaxRadius(p)` — the farthest distance from generator `p` to a vertex
     /// in its cell (Theorem 2).
     #[inline]
     pub fn max_radius(&self, p: u32) -> Weight {
         self.max_radius[p as usize]
-    }
-
-    /// All max radii.
-    pub fn max_radii(&self) -> &[Weight] {
-        &self.max_radius
     }
 
     /// The generator adjacency graph.
@@ -247,7 +237,11 @@ mod tests {
         let g = network(3000, 14);
         let gens = spread_generators(&g, 100);
         let nvd = ExactNvd::build(&g, &gens);
-        let avg = nvd.adjacency().avg_degree();
+        let adj = nvd.adjacency();
+        let avg = (0..adj.num_nodes() as u32)
+            .map(|a| adj.adjacent(a).len())
+            .sum::<usize>() as f64
+            / adj.num_nodes() as f64;
         assert!((2.0..10.0).contains(&avg), "avg adjacency degree {avg}");
     }
 
@@ -291,6 +285,50 @@ mod tests {
                 adj.contains(&second) || dists[order[1]] == dists[order[0]],
                 "vertex {v}: 2nd NN {second} not adjacent to 1NN {first}"
             );
+        }
+    }
+
+    /// A ring whose edge `v – v+1` weighs `weights[v]`.
+    fn ring(weights: &[Weight]) -> Graph {
+        let n = weights.len() as u32;
+        let mut b = GraphBuilder::new(n as usize);
+        for v in 0..n {
+            b.add_edge(v, (v + 1) % n, weights[v as usize]);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn saturating_weights_keep_voronoi_owners_exact() {
+        // `add_edge` rejects only weight 0, so both rings are legal input.
+        // In the first, the sweep pops 5 (10 from generator 4) before 0 (10
+        // from generator 1) and relaxes 0 across the heavy edge: a raw sum
+        // panics in debug builds and in release builds wraps to 8, which
+        // wins and hands vertex 0 to the wrong cell.
+        let one_heavy = ring(&[10, 10, 10, 10, 10, u32::MAX - 1]);
+        let all_heavy = ring(&[INFINITY / 2 + 1; 8]);
+        for (g, gens) in [(one_heavy, vec![1, 4]), (all_heavy, vec![0, 1, 4])] {
+            let nvd = ExactNvd::build(&g, &gens);
+            let mut dij = Dijkstra::new(g.num_vertices());
+            // Distance from every generator to every vertex, by the oracle.
+            let all: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+            let from: Vec<Vec<Weight>> =
+                gens.iter().map(|&s| dij.one_to_many(&g, s, &all)).collect();
+            for v in 0..g.num_vertices() as VertexId {
+                let best = from.iter().map(|d| d[v as usize]).min().unwrap();
+                if best >= INFINITY {
+                    // Unreachable from every generator: no owner.
+                    assert_eq!(nvd.owner(v), None, "v={v}");
+                    continue;
+                }
+                let owner = nvd.owner(v).expect("reachable vertex has an owner");
+                // Ties may resolve to another equally-near generator.
+                assert_eq!(
+                    from[owner as usize][v as usize], best,
+                    "v={v} owner={owner}"
+                );
+                assert_eq!(nvd.dist_to_owner(v), best, "v={v}");
+            }
         }
     }
 }

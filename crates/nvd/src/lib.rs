@@ -22,7 +22,6 @@
 pub mod adjacency;
 pub mod approx;
 pub mod exact;
-pub mod knn;
 pub mod update;
 
 pub use adjacency::AdjacencyGraph;

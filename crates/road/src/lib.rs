@@ -175,7 +175,7 @@ impl<'a> RoadIndex<'a> {
         if k == 0 || query.is_empty() {
             return Vec::new();
         }
-        let tr_max = query.max_relevance(self.corpus);
+        let tr_max = query.max_relevance();
         if tr_max <= 0.0 {
             return Vec::new();
         }

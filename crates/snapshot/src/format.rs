@@ -28,11 +28,11 @@
 //! shape or the meaning of an existing section id; readers reject files
 //! with an unknown version or endianness tag outright. New *section ids*
 //! may be added without a version bump — sections are self-describing and
-//! loaders ignore ids they do not request — which is how optional
-//! structures (CH, G-tree hierarchy) already work. Retiring an optional
-//! id needs no bump either: no loader requests id 90 (a vertex
-//! renumbering, retired), so a version 4 file that still carries it loads
-//! with the section ignored.
+//! loaders ignore ids they do not request — which is how the optional CH
+//! sections already work. Retiring an optional id needs no bump either:
+//! no loader requests ids 80–86 (a G-tree partition hierarchy, retired)
+//! or 90 (a vertex renumbering, retired), so a version 4 file that still
+//! carries them loads with those sections ignored.
 //!
 //! Version 2 narrowed [`section::INDEX_META`] from 8 words to 5 when the
 //! heap-seed cache was removed from the engine (it measured slower than
@@ -194,20 +194,9 @@ pub mod section {
     /// CH upward-graph edge weights, `u32`.
     pub const CH_UP_WEIGHTS: u32 = 74;
 
-    /// G-tree hierarchy: parent of each node, `u32`.
-    pub const HIER_PARENT: u32 = 80;
-    /// G-tree hierarchy: child-list offsets, `u32`, length nodes + 1.
-    pub const HIER_CHILD_OFFSETS: u32 = 81;
-    /// G-tree hierarchy: pooled child node ids, `u32`.
-    pub const HIER_CHILD_DATA: u32 = 82;
-    /// G-tree hierarchy: depth of each node, `u32`.
-    pub const HIER_DEPTH: u32 = 83;
-    /// G-tree hierarchy: leaf vertex-list offsets, `u32`, length nodes + 1.
-    pub const HIER_VERT_OFFSETS: u32 = 84;
-    /// G-tree hierarchy: pooled leaf vertex ids, `u32`.
-    pub const HIER_VERT_DATA: u32 = 85;
-    /// G-tree hierarchy: leaf node of each vertex, `u32`.
-    pub const HIER_LEAF_OF: u32 = 86;
+    // 80–86 held a G-tree partition hierarchy (parent, child offsets,
+    // child data, depth, leaf-vertex offsets, leaf-vertex data, leaf of
+    // each vertex): retired, never reused.
     // 90 held a vertex renumbering's visit order: retired, never reused.
 }
 
@@ -252,13 +241,6 @@ pub fn section_name(id: u32) -> &'static str {
         CH_UP_OFFSETS => "ch.up_offsets",
         CH_UP_TARGETS => "ch.up_targets",
         CH_UP_WEIGHTS => "ch.up_weights",
-        HIER_PARENT => "gtree.parent",
-        HIER_CHILD_OFFSETS => "gtree.child_offsets",
-        HIER_CHILD_DATA => "gtree.child_data",
-        HIER_DEPTH => "gtree.depth",
-        HIER_VERT_OFFSETS => "gtree.vert_offsets",
-        HIER_VERT_DATA => "gtree.vert_data",
-        HIER_LEAF_OF => "gtree.leaf_of",
         _ => "unknown",
     }
 }

@@ -20,11 +20,11 @@ pub struct DocPosting {
     pub impact: f64,
 }
 
-/// One `(object, frequency)` entry of a keyword's inverted list `inv(t)`.
+/// One entry of a keyword's inverted list `inv(t)`: an object and its
+/// impact `λ_{t,o}`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InvPosting {
     pub object: ObjectId,
-    pub freq: u32,
     pub impact: f64,
 }
 
@@ -50,7 +50,6 @@ pub struct Corpus {
     inv_offsets: Vec<u32>,
     inverted: Vec<InvPosting>,
     max_impact: Vec<f64>,
-    doc_len: Vec<u32>,
     total_occurrences: u64,
 }
 
@@ -118,22 +117,6 @@ impl Corpus {
         self.max_impact.get(t as usize).copied().unwrap_or(0.0)
     }
 
-    /// Document length of `o` (total keyword occurrences, `Σ_t f_{t,o}`) —
-    /// the `dl` of BM25-style length normalization.
-    #[inline]
-    pub fn doc_len(&self, o: ObjectId) -> u32 {
-        self.doc_len[o as usize]
-    }
-
-    /// Mean document length over all objects (BM25's `avgdl`).
-    pub fn avg_doc_len(&self) -> f64 {
-        if self.doc_len.is_empty() {
-            0.0
-        } else {
-            self.total_occurrences as f64 / self.doc_len.len() as f64
-        }
-    }
-
     /// Whether object `o`'s document contains `t`.
     pub fn contains(&self, o: ObjectId, t: TermId) -> bool {
         self.doc(o).binary_search_by_key(&t, |p| p.term).is_ok()
@@ -147,12 +130,6 @@ impl Corpus {
     /// Whether `o` contains *any* of `terms` (disjunctive criterion).
     pub fn contains_any(&self, o: ObjectId, terms: &[TermId]) -> bool {
         terms.iter().any(|&t| self.contains(o, t))
-    }
-
-    /// The term id of the least frequent (smallest `|inv(t)|`) of `terms` —
-    /// the heap the conjunctive BkNN processor drives from (§4.1.2).
-    pub fn least_frequent(&self, terms: &[TermId]) -> Option<TermId> {
-        terms.iter().copied().min_by_key(|&t| self.inv_len(t))
     }
 
     /// Approximate memory footprint in bytes (documents + inverted lists).
@@ -176,7 +153,7 @@ impl Corpus {
     /// Reassembles a corpus from its flat columns, copying stored impact
     /// bits verbatim (no recomputation, so a reloaded corpus scores
     /// bit-identically) and re-deriving the inverted lists, per-term
-    /// impact maxima, document lengths and the vertex→object map exactly
+    /// impact maxima and the vertex→object map exactly
     /// as [`CorpusBuilder::build`] does.
     ///
     /// # Errors
@@ -216,7 +193,6 @@ impl Corpus {
             return Err("doc_offsets must be monotone non-decreasing".into());
         }
         let mut docs = Vec::with_capacity(terms.len());
-        let mut doc_len = Vec::with_capacity(num_objects);
         let mut total_occurrences = 0u64;
         let mut num_terms = 0usize;
         for o in 0..num_objects {
@@ -225,7 +201,6 @@ impl Corpus {
             if lo == hi {
                 return Err(format!("object {o} has an empty document"));
             }
-            let mut len = 0u32;
             for i in lo..hi {
                 let (term, freq, impact) = (terms[i], freqs[i], impacts[i]);
                 if i > lo && terms[i - 1] >= term {
@@ -238,11 +213,9 @@ impl Corpus {
                     return Err(format!("object {o} carries a non-positive impact {impact}"));
                 }
                 num_terms = num_terms.max(term as usize + 1);
-                len += freq;
                 total_occurrences += u64::from(freq);
                 docs.push(DocPosting { term, freq, impact });
             }
-            doc_len.push(len);
         }
         let mut sorted_vertices = vertex_of.clone();
         sorted_vertices.sort_unstable();
@@ -263,7 +236,6 @@ impl Corpus {
             inv_offsets,
             inverted,
             max_impact,
-            doc_len,
             total_occurrences,
         })
     }
@@ -287,7 +259,6 @@ fn invert(
     let mut inverted = vec![
         InvPosting {
             object: 0,
-            freq: 0,
             impact: 0.0
         };
         docs.len()
@@ -300,7 +271,6 @@ fn invert(
             let t = p.term as usize;
             inverted[next[t] as usize] = InvPosting {
                 object: o as ObjectId,
-                freq: p.freq,
                 impact: p.impact,
             };
             next[t] += 1;
@@ -366,7 +336,6 @@ impl CorpusBuilder {
         let mut doc_offsets = Vec::with_capacity(num_objects + 1);
         doc_offsets.push(0u32);
         let mut docs: Vec<DocPosting> = Vec::new();
-        let mut doc_len = Vec::with_capacity(num_objects);
         let mut total_occurrences = 0u64;
 
         for raw in self.raw_docs {
@@ -378,14 +347,11 @@ impl CorpusBuilder {
                 })
                 .sum::<f64>()
                 .sqrt();
-            let mut len = 0u32;
             for (term, freq) in raw {
                 total_occurrences += freq as u64;
-                len += freq;
                 let impact = (1.0 + (freq as f64).ln()) / norm;
                 docs.push(DocPosting { term, freq, impact });
             }
-            doc_len.push(len);
             doc_offsets.push(docs.len() as u32);
         }
         let (inv_offsets, inverted, max_impact) = invert(&docs, &doc_offsets, self.num_terms);
@@ -405,7 +371,6 @@ impl CorpusBuilder {
             inv_offsets,
             inverted,
             max_impact,
-            doc_len,
             total_occurrences,
         }
     }
@@ -444,7 +409,6 @@ mod tests {
         assert_eq!(objs, vec![0, 2]);
         assert_eq!(c.inv_len(1), 2);
         assert_eq!(c.inv_len(2), 1);
-        assert_eq!(c.least_frequent(&[0, 1, 2]), Some(2));
     }
 
     #[test]

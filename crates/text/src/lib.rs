@@ -22,5 +22,5 @@ pub mod vocab;
 pub mod workload;
 
 pub use corpus::{Corpus, CorpusBuilder, DocPosting, InvPosting, ObjectId, TermId};
-pub use relevance::{score, QueryTerms, TextModel};
+pub use relevance::{score, QueryTerms};
 pub use vocab::Vocabulary;

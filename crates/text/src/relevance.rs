@@ -1,33 +1,13 @@
 //! Textual relevance (Eqs. 2–3) and the weighted-distance spatio-textual
 //! score (Eq. 1).
 //!
-//! The paper's techniques only require the relevance to decompose per query
-//! keyword (`TR(ψ,o) = Σ_t query_weight(t) · object_weight(t,o)`, Eq. 3) —
-//! "pseudo lower-bounds can be applied to any textual model that computes
-//! similarity per query keyword … including language models, TF×IDF, and
-//! BM25" (§4.2). [`TextModel`] captures that family: cosine TF×IDF (the
-//! paper's default) and Okapi BM25.
+//! Relevance is cosine TF×IDF: `TR(ψ,o) = Σ_t λ_{t,ψ} · λ_{t,o}` (Eq. 3),
+//! one summand per query keyword — the decomposition Algorithm 2's pseudo
+//! lower bound needs.
 
 use kspin_graph::Weight;
 
 use crate::corpus::{Corpus, ObjectId, TermId};
-
-/// A per-keyword-decomposable textual relevance model.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum TextModel {
-    /// Cosine similarity over `1 + ln(tf)` impacts with IDF query weights
-    /// (Eq. 2/3) — the paper's default.
-    #[default]
-    Cosine,
-    /// Okapi BM25 with the usual `k1` saturation and `b` length
-    /// normalization.
-    Bm25 { k1: f64, b: f64 },
-}
-
-impl TextModel {
-    /// The standard BM25 parameterization (`k1 = 1.2`, `b = 0.75`).
-    pub const BM25_DEFAULT: TextModel = TextModel::Bm25 { k1: 1.2, b: 0.75 };
-}
 
 /// A query keyword set `ψ` with pre-computed per-term query weights and
 /// per-term maximum object contributions.
@@ -38,82 +18,48 @@ impl TextModel {
 pub struct QueryTerms {
     terms: Vec<TermId>,
     impacts: Vec<f64>,
-    /// `max_o [query_weight(t) · object_weight(t, o)]` per term — the
-    /// `λ_{t,ψ} · λ_{t,max}` summands of Algorithm 2, generalized per model.
+    /// `λ_{t,ψ} · λ_{t,max}` per term — the summands of Algorithm 2.
     max_contrib: Vec<f64>,
-    model: TextModel,
 }
 
 impl QueryTerms {
-    /// Cosine query (the paper's default model).
+    /// Builds the query weights `λ_{t,ψ}` (IDF, normalized to unit
+    /// length). Terms with empty inverted lists keep a well-defined weight
+    /// (they can never match, but norms must stay finite); duplicates are
+    /// collapsed.
     pub fn new(corpus: &Corpus, terms: &[TermId]) -> Self {
-        Self::with_model(corpus, terms, TextModel::Cosine)
-    }
-
-    /// Builds query weights under `model`. Terms with empty inverted lists
-    /// keep a well-defined weight (they can never match, but norms must
-    /// stay finite); duplicates are collapsed.
-    pub fn with_model(corpus: &Corpus, terms: &[TermId], model: TextModel) -> Self {
         let mut uniq = terms.to_vec();
         uniq.sort_unstable();
         uniq.dedup();
         let num_objects = corpus.num_objects() as f64;
-        let impacts: Vec<f64> = match model {
-            TextModel::Cosine => {
-                let weights: Vec<f64> = uniq
-                    .iter()
-                    .map(|&t| {
-                        let inv = corpus.inv_len(t) as f64;
-                        let ratio = if inv > 0.0 {
-                            num_objects / inv
-                        } else {
-                            num_objects
-                        };
-                        (1.0 + ratio).ln()
-                    })
-                    .collect();
-                let norm = weights.iter().map(|w| w * w).sum::<f64>().sqrt();
-                if norm > 0.0 {
-                    weights.iter().map(|w| w / norm).collect()
+        let weights: Vec<f64> = uniq
+            .iter()
+            .map(|&t| {
+                let inv = corpus.inv_len(t) as f64;
+                let ratio = if inv > 0.0 {
+                    num_objects / inv
                 } else {
-                    vec![0.0; weights.len()]
-                }
-            }
-            TextModel::Bm25 { .. } => uniq
-                .iter()
-                .map(|&t| {
-                    // Robertson–Sparck-Jones IDF, floored at 0.
-                    let n = corpus.inv_len(t) as f64;
-                    ((num_objects - n + 0.5) / (n + 0.5) + 1.0).ln().max(0.0)
-                })
-                .collect(),
+                    num_objects
+                };
+                (1.0 + ratio).ln()
+            })
+            .collect();
+        let norm = weights.iter().map(|w| w * w).sum::<f64>().sqrt();
+        let impacts: Vec<f64> = if norm > 0.0 {
+            weights.iter().map(|w| w / norm).collect()
+        } else {
+            vec![0.0; weights.len()]
         };
         let max_contrib: Vec<f64> = uniq
             .iter()
-            .enumerate()
-            .map(|(j, &t)| {
-                let max_obj = match model {
-                    TextModel::Cosine => corpus.max_impact(t),
-                    TextModel::Bm25 { .. } => corpus
-                        .inverted(t)
-                        .iter()
-                        .map(|p| object_weight(model, corpus, p.object, p.freq, p.impact))
-                        .fold(0.0f64, f64::max),
-                };
-                impacts[j] * max_obj
-            })
+            .zip(&impacts)
+            .map(|(&t, &impact)| impact * corpus.max_impact(t))
             .collect();
         QueryTerms {
             terms: uniq,
             impacts,
             max_contrib,
-            model,
         }
-    }
-
-    /// The model this query scores under.
-    pub fn model(&self) -> TextModel {
-        self.model
     }
 
     /// The (deduplicated, sorted) query term ids.
@@ -121,14 +67,13 @@ impl QueryTerms {
         &self.terms
     }
 
-    /// Query weight for the i-th term of [`QueryTerms::terms`]
-    /// (`λ_{t_i,ψ}` under cosine, IDF under BM25).
+    /// Query weight `λ_{t_i,ψ}` of the i-th term of [`QueryTerms::terms`].
     pub fn impact(&self, i: usize) -> f64 {
         self.impacts[i]
     }
 
     /// Maximum possible contribution of the i-th term to any object's
-    /// relevance — Algorithm 2's `λ_{t_j,ψ} · λ_{t_j,max}`, per model.
+    /// relevance — Algorithm 2's `λ_{t_j,ψ} · λ_{t_j,max}`.
     pub fn max_term_contribution(&self, i: usize) -> f64 {
         self.max_contrib[i]
     }
@@ -143,9 +88,8 @@ impl QueryTerms {
         self.terms.is_empty()
     }
 
-    /// Textual relevance `TR(ψ, o)` under the query's model (Eq. 3 or its
-    /// BM25 analogue). Zero when the object shares no keyword with the
-    /// query.
+    /// Textual relevance `TR(ψ, o)` (Eq. 3). Zero when the object shares
+    /// no keyword with the query.
     pub fn relevance(&self, corpus: &Corpus, o: ObjectId) -> f64 {
         let doc = corpus.doc(o);
         let mut tr = 0.0;
@@ -156,8 +100,7 @@ impl QueryTerms {
                 di += 1;
             }
             if di < doc.len() && doc[di].term == t {
-                let p = &doc[di];
-                tr += self.impacts[qi] * object_weight(self.model, corpus, o, p.freq, p.impact);
+                tr += self.impacts[qi] * doc[di].impact;
             }
         }
         tr
@@ -166,29 +109,8 @@ impl QueryTerms {
     /// Upper bound on `TR(ψ, o)` over all objects — the bound behind the
     /// *valid* lower-bound score `ST_all` that the pseudo lower-bound
     /// improves upon (§4.2).
-    pub fn max_relevance(&self, _corpus: &Corpus) -> f64 {
+    pub fn max_relevance(&self) -> f64 {
         self.max_contrib.iter().sum()
-    }
-}
-
-/// Object-side term weight under `model`: the stored cosine impact, or the
-/// BM25 saturation term computed from tf + document length.
-#[inline]
-fn object_weight(
-    model: TextModel,
-    corpus: &Corpus,
-    o: ObjectId,
-    freq: u32,
-    cosine_impact: f64,
-) -> f64 {
-    match model {
-        TextModel::Cosine => cosine_impact,
-        TextModel::Bm25 { k1, b } => {
-            let f = freq as f64;
-            let dl = corpus.doc_len(o) as f64;
-            let avgdl = corpus.avg_doc_len().max(1e-9);
-            f * (k1 + 1.0) / (f + k1 * (1.0 - b + b * dl / avgdl))
-        }
     }
 }
 
@@ -259,56 +181,29 @@ mod tests {
     #[test]
     fn max_relevance_dominates_each_object() {
         let c = sample();
-        for model in [TextModel::Cosine, TextModel::BM25_DEFAULT] {
-            let q = QueryTerms::with_model(&c, &[0, 1, 2], model);
-            let bound = q.max_relevance(&c);
-            for o in 0..c.num_objects() as ObjectId {
-                assert!(bound + 1e-12 >= q.relevance(&c, o), "{model:?}");
-            }
+        let q = QueryTerms::new(&c, &[0, 1, 2]);
+        let bound = q.max_relevance();
+        for o in 0..c.num_objects() as ObjectId {
+            assert!(bound + 1e-12 >= q.relevance(&c, o));
         }
     }
 
     #[test]
     fn per_term_contribution_bound_holds_per_object() {
         // The Algorithm-2 summand must dominate each single term's real
-        // contribution, under both models.
+        // contribution.
         let c = sample();
-        for model in [TextModel::Cosine, TextModel::BM25_DEFAULT] {
-            let q = QueryTerms::with_model(&c, &[0, 1, 2], model);
-            for (j, &t) in q.terms().iter().enumerate() {
-                for o in 0..c.num_objects() as ObjectId {
-                    let solo = QueryTerms::with_model(&c, &[t], model);
-                    // solo impact may be normalized differently under
-                    // cosine; compare using the shared query weights.
-                    let contribution = q
-                        .relevance(&c, o)
-                        .min(q.impact(j) * (solo.relevance(&c, o) / solo.impact(0).max(1e-12)));
-                    let _ = contribution;
-                    // Direct check: term contribution ≤ max contribution.
-                    if c.contains(o, t) {
-                        let doc = c.doc(o);
-                        let p = doc.iter().find(|p| p.term == t).unwrap();
-                        let w = super::object_weight(model, &c, o, p.freq, p.impact);
-                        assert!(
-                            q.impact(j) * w <= q.max_term_contribution(j) + 1e-12,
-                            "{model:?} term {t} object {o}"
-                        );
-                    }
+        let q = QueryTerms::new(&c, &[0, 1, 2]);
+        for (j, &t) in q.terms().iter().enumerate() {
+            for o in 0..c.num_objects() as ObjectId {
+                if let Some(p) = c.doc(o).iter().find(|p| p.term == t) {
+                    assert!(
+                        q.impact(j) * p.impact <= q.max_term_contribution(j) + 1e-12,
+                        "term {t} object {o}"
+                    );
                 }
             }
         }
-    }
-
-    #[test]
-    fn bm25_rewards_frequency_with_saturation() {
-        let c = sample();
-        let q = QueryTerms::with_model(&c, &[1], TextModel::BM25_DEFAULT);
-        // o1 has tf=2 for term 1, o0 has tf=1 — o1 scores higher, but less
-        // than 2×（saturation).
-        let r0 = q.relevance(&c, 0);
-        let r1 = q.relevance(&c, 1);
-        assert!(r1 > r0);
-        assert!(r1 < 2.0 * r0);
     }
 
     #[test]
@@ -316,17 +211,6 @@ mod tests {
         let c = sample();
         let q = QueryTerms::new(&c, &[0, 11]); // term 11 unused
         assert!(q.relevance(&c, 0) > 0.0);
-        let q = QueryTerms::with_model(&c, &[0, 11], TextModel::BM25_DEFAULT);
-        assert!(q.relevance(&c, 0) > 0.0);
-    }
-
-    #[test]
-    fn doc_len_statistics() {
-        let c = sample();
-        assert_eq!(c.doc_len(0), 2);
-        assert_eq!(c.doc_len(1), 2);
-        assert_eq!(c.doc_len(2), 4);
-        assert!((c.avg_doc_len() - 8.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

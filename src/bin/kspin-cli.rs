@@ -208,7 +208,7 @@ fn cmd_snapshot_load(path: &str) -> CliResult {
     let (system, extras) = KspinSystem::load_snapshot(&bytes).map_err(|e| e.to_string())?;
     writeln!(
         out,
-        "loaded in {:.1} ms: |V|={} |E|={} |O|={} |W|={}, {} NVD keywords, {} list keywords{}{}",
+        "loaded in {:.1} ms: |V|={} |E|={} |O|={} |W|={}, {} NVD keywords, {} list keywords{}",
         t0.elapsed().as_secs_f64() * 1e3,
         system.graph.num_vertices(),
         system.graph.num_edges(),
@@ -217,11 +217,6 @@ fn cmd_snapshot_load(path: &str) -> CliResult {
         system.index.stats().nvd_terms,
         system.index.stats().small_terms,
         if extras.ch.is_some() { ", +CH" } else { "" },
-        if extras.hierarchy.is_some() {
-            ", +G-tree"
-        } else {
-            ""
-        },
     )?;
     Ok(())
 }

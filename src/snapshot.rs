@@ -2,9 +2,8 @@
 //! deployment, loadable in milliseconds.
 //!
 //! [`KspinSystem::save_snapshot`] serializes the graph, corpus,
-//! vocabulary, Keyword Separated Index and ALT tables — plus any
-//! optional acceleration structures handed over in [`SnapshotExtras`]
-//! (CH upward graph, G-tree hierarchy) — into
+//! vocabulary, Keyword Separated Index and ALT tables — plus the
+//! optional CH upward graph handed over in [`SnapshotExtras`] — into
 //! the canonical section layout of [`kspin_core::snapshot`].
 //! [`KspinSystem::load_snapshot`] validates the bytes fail-closed
 //! (checksums first, then every structural invariant through the
@@ -23,7 +22,6 @@ use kspin_core::snapshot::{
     decode_alt, decode_ch, decode_corpus, decode_graph, decode_index, encode_alt, encode_ch,
     encode_corpus, encode_graph, encode_index, format, SnapshotError, SnapshotFile, SnapshotWriter,
 };
-use kspin_gtree::partition::Hierarchy;
 use kspin_text::Vocabulary;
 
 pub use kspin_core::snapshot::{FormatError, SectionLabel, SectionView};
@@ -31,22 +29,18 @@ pub use kspin_core::snapshot::{FormatError, SectionLabel, SectionView};
 /// Optional acceleration structures that ride along in a snapshot.
 ///
 /// The core system (graph, corpus, vocabulary, index, ALT) is always
-/// present; these are saved only when provided and decode to `None`
-/// when their sections are absent.
+/// present; the CH is saved only when provided and decodes to `None`
+/// when its sections are absent.
 #[derive(Default)]
 pub struct SnapshotExtras {
     /// Contraction hierarchy: node order + upward adjacency.
     pub ch: Option<ContractionHierarchy>,
-    /// G-tree partition hierarchy (the tree shape; distance matrices are
-    /// rebuilt, not snapshotted).
-    pub hierarchy: Option<Hierarchy>,
 }
 
 impl std::fmt::Debug for SnapshotExtras {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotExtras")
             .field("ch", &self.ch.is_some())
-            .field("hierarchy", &self.hierarchy.is_some())
             .finish()
     }
 }
@@ -106,42 +100,6 @@ pub fn decode_vocab(f: &SnapshotFile<'_>) -> Result<Vocabulary, SnapshotError> {
     Vocabulary::from_terms(terms).map_err(|e| SnapshotError::decode(section::VOCAB_OFFSETS, e))
 }
 
-/// Appends the G-tree partition hierarchy's flat arrays.
-pub fn encode_hierarchy(w: &mut SnapshotWriter, h: &Hierarchy) {
-    let (parent, child_offsets, child_data, depth, vert_offsets, vert_data, leaf_of) =
-        h.flat_parts();
-    w.put_u32s(section::HIER_PARENT, parent);
-    w.put_u32s(section::HIER_CHILD_OFFSETS, child_offsets);
-    w.put_u32s(section::HIER_CHILD_DATA, child_data);
-    w.put_u32s(section::HIER_DEPTH, depth);
-    w.put_u32s(section::HIER_VERT_OFFSETS, vert_offsets);
-    w.put_u32s(section::HIER_VERT_DATA, vert_data);
-    w.put_u32s(section::HIER_LEAF_OF, leaf_of);
-}
-
-/// Reassembles the hierarchy when present, `Ok(None)` when the snapshot
-/// was saved without one.
-///
-/// # Errors
-/// Mistyped/partial sections or any violated tree invariant.
-pub fn decode_hierarchy(f: &SnapshotFile<'_>) -> Result<Option<Hierarchy>, SnapshotError> {
-    use section::*;
-    if !f.has(HIER_PARENT) {
-        return Ok(None);
-    }
-    Hierarchy::from_flat_parts(
-        f.u32s(HIER_PARENT)?,
-        f.u32s(HIER_CHILD_OFFSETS)?,
-        f.u32s(HIER_CHILD_DATA)?,
-        f.u32s(HIER_DEPTH)?,
-        f.u32s(HIER_VERT_OFFSETS)?,
-        f.u32s(HIER_VERT_DATA)?,
-        f.u32s(HIER_LEAF_OF)?,
-    )
-    .map(Some)
-    .map_err(|e| SnapshotError::decode(HIER_PARENT, e))
-}
-
 impl KspinSystem {
     /// Serializes the whole deployment (plus `extras`) into the canonical
     /// snapshot byte layout. The result validates, round-trips through
@@ -156,9 +114,6 @@ impl KspinSystem {
         encode_alt(&mut w, &self.alt);
         if let Some(ch) = &extras.ch {
             encode_ch(&mut w, ch);
-        }
-        if let Some(h) = &extras.hierarchy {
-            encode_hierarchy(&mut w, h);
         }
         w.finish()
     }
@@ -182,10 +137,7 @@ impl KspinSystem {
         let vocab = decode_vocab(&f)?;
         let index = decode_index(&f, &corpus)?;
         let alt = decode_alt(&f, graph.num_vertices())?;
-        let extras = SnapshotExtras {
-            ch: decode_ch(&f)?,
-            hierarchy: decode_hierarchy(&f)?,
-        };
+        let extras = SnapshotExtras { ch: decode_ch(&f)? };
         Ok((
             KspinSystem {
                 graph,

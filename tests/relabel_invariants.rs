@@ -3,8 +3,9 @@
 //! A dataset's vertex ids are arbitrary: the same road network may ship
 //! under any numbering. Every distance module built on a renumbered copy
 //! of a graph must answer the renumbered queries bit-identically to the
-//! original — Dijkstra and BiDijkstra directly, ALT A*, CH and the
-//! ρ-approximate NVD each built from scratch on the renumbered graph.
+//! original — Dijkstra and BiDijkstra directly, ALT A*, CH and a
+//! ρ-approximate NVD keyword index each built from scratch on the
+//! renumbered graph.
 //! proptest drives the topology and the numbering; failures shrink to a
 //! minimal counterexample.
 
@@ -12,8 +13,9 @@ use proptest::prelude::*;
 
 use kspin_alt::{AltAstar, AltIndex, LandmarkStrategy};
 use kspin_ch::{ChConfig, ChQuery, ContractionHierarchy};
+use kspin_core::{DijkstraDistance, ExactLowerBound, KspinConfig, KspinIndex, Op, QueryEngine};
 use kspin_graph::{BiDijkstra, Dijkstra, Graph, GraphBuilder, VertexId, Weight};
-use kspin_nvd::ApproxNvd;
+use kspin_text::CorpusBuilder;
 
 /// A connected random graph: a spanning path plus random extra edges.
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -172,33 +174,42 @@ proptest! {
         gens_raw in proptest::collection::btree_set(0u32..40, 1..8),
         rho in 1usize..5,
         q in 0u32..40,
-        k in 1usize..6,
+        k in 0usize..6,
     ) {
         let n = g.num_vertices() as u32;
         let q = q % n;
         let gens: Vec<VertexId> = gens_raw.into_iter().map(|v| v % n)
             .collect::<std::collections::BTreeSet<_>>().into_iter().collect();
-        let apx = ApproxNvd::build(&g, &gens, rho);
-        let mut dij = Dijkstra::new(g.num_vertices());
-        let want: Vec<Weight> = apx
-            .knn(g.coord(q), k, |v| dij.one_to_one(&g, q, v))
-            .into_iter()
-            .map(|(_, d)| d)
-            .collect();
+        // More objects than ρ, so the keyword gets an NVD (Observation 1)
+        // whenever there are two generators or more.
+        let rho = rho.clamp(1, gens.len().max(2) - 1);
+        // BkNN over one keyword that every generator, and nothing else,
+        // carries: Algorithm 1 over that keyword's ρ-approximate NVD. k
+        // runs from 0 to past the generator count.
+        let knn = |g: &Graph, gens: &[VertexId], q: VertexId| -> Vec<Weight> {
+            let mut b = CorpusBuilder::new();
+            for &v in gens {
+                b.add_object(v, &[(0, 1)]);
+            }
+            let corpus = b.build();
+            let config = KspinConfig { rho, num_threads: 1 };
+            let index = KspinIndex::build(g, &corpus, &config);
+            let bound = ExactLowerBound::new(g);
+            let mut engine = QueryEngine::new(g, &corpus, &index, &bound, DijkstraDistance::new(g));
+            engine.bknn(q, k, &[0], Op::Or).into_iter().map(|(_, d)| d).collect()
+        };
+        let want = knn(&g, &gens, q);
+        let mut oracle = Dijkstra::new(g.num_vertices()).one_to_many(&g, q, &gens);
+        oracle.sort_unstable();
+        oracle.truncate(k);
+        prop_assert_eq!(&want, &oracle);
         for (name, id, pg) in numberings(&g, seed) {
-            // Generators keep their list order, hence their object-local
-            // ids. A Voronoi boundary tie may fall to another generator
-            // under another numbering, so equal-distance objects may swap
+            // Generators keep their list order, hence their object ids. A
+            // Voronoi boundary tie may fall to another generator under
+            // another numbering, so equal-distance objects may swap
             // places; the k distances may not.
             let pgens: Vec<VertexId> = gens.iter().map(|&v| id[v as usize]).collect();
-            let papx = ApproxNvd::build(&pg, &pgens, rho);
-            let pq = id[q as usize];
-            let mut pdij = Dijkstra::new(pg.num_vertices());
-            let got: Vec<Weight> = papx
-                .knn(pg.coord(pq), k, |v| pdij.one_to_one(&pg, pq, v))
-                .into_iter()
-                .map(|(_, d)| d)
-                .collect();
+            let got = knn(&pg, &pgens, id[q as usize]);
             prop_assert_eq!(&got, &want, "{}", name);
         }
     }

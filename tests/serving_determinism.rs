@@ -188,10 +188,7 @@ fn snapshot_reload_is_invisible_to_serving() {
         alt: f.alt,
         index: f.index,
     };
-    let bytes = system.save_snapshot(&kspin::snapshot::SnapshotExtras {
-        ch: Some(ch),
-        ..Default::default()
-    });
+    let bytes = system.save_snapshot(&kspin::snapshot::SnapshotExtras { ch: Some(ch) });
     drop(system); // only the bytes survive
     let (mut sys, extras) = KspinSystem::load_snapshot(&bytes).expect("snapshot loads");
     let pch = extras.ch.expect("ch rides along");

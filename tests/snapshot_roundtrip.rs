@@ -35,7 +35,6 @@ fn build_system(n: usize, seed: u64) -> KspinSystem {
 fn full_extras(s: &KspinSystem) -> SnapshotExtras {
     SnapshotExtras {
         ch: Some(ContractionHierarchy::build(&s.graph, &ChConfig::default())),
-        hierarchy: Some(partition(&s.graph, &PartitionConfig { leaf_size: 64 })),
     }
 }
 
@@ -92,7 +91,7 @@ fn loaded_system_serves_bit_identically() {
     let system = build_system(900, 12);
     let bytes = system.save_snapshot(&SnapshotExtras::default());
     let (loaded, extras) = KspinSystem::load_snapshot(&bytes).expect("load");
-    assert!(extras.ch.is_none() && extras.hierarchy.is_none());
+    assert!(extras.ch.is_none());
     assert_eq!(serve(&system, 40), serve(&loaded, 40));
     loaded
         .index
@@ -108,11 +107,6 @@ fn extras_round_trip_exactly() {
     let (_, e2) = KspinSystem::load_snapshot(&bytes).expect("load");
     let (ch, ch2) = (extras.ch.unwrap(), e2.ch.expect("ch survives"));
     assert_eq!(ch.flat_parts(), ch2.flat_parts());
-    let (h, h2) = (
-        extras.hierarchy.unwrap(),
-        e2.hierarchy.expect("hierarchy survives"),
-    );
-    assert_eq!(h.flat_parts(), h2.flat_parts());
 }
 
 #[test]
@@ -339,9 +333,10 @@ fn index_that_disagrees_with_its_corpus_is_refused() {
     }
 }
 
-/// Section 90 held a vertex renumbering until renumbering was removed. A
-/// version 4 file that still carries it loads with the section ignored:
-/// it serves as the file without it does, and re-saves without it.
+/// Retired section ids: 80–86 held a G-tree partition hierarchy and 90 a
+/// vertex renumbering, until both were removed. A version 4 file that
+/// still carries them loads with those sections ignored: it serves as the
+/// file without them does, and re-saves without them.
 #[test]
 fn retired_renumbering_section_is_ignored_on_load() {
     use kspin_core::snapshot::format;
@@ -349,24 +344,61 @@ fn retired_renumbering_section_is_ignored_on_load() {
     let system = build_system(300, 15);
     let good = system.save_snapshot(&SnapshotExtras::default());
     let f = SnapshotFile::validate(&good).expect("fresh snapshot validates");
-    let mut w = SnapshotWriter::new();
-    for s in f.sections() {
-        match s.kind {
-            format::KIND_U32 => w.put_u32s(s.id, &f.u32s(s.id).unwrap()),
-            format::KIND_U64 => w.put_u64s(s.id, &f.u64s(s.id).unwrap()),
-            format::KIND_F64 => w.put_f64s(s.id, &f.f64s(s.id).unwrap()),
-            _ => w.put_bytes(s.id, f.bytes(s.id).unwrap()),
-        }
+    let n = system.graph.num_vertices() as u32;
+
+    // Section 90: the visit order of a renumbering.
+    let renumbering: Vec<(u32, Vec<u32>)> = vec![(90, (0..n).rev().collect())];
+    // Sections 80–86: a real hierarchy's CSR arrays, in the order and
+    // layout the G-tree encoder wrote them.
+    let h = partition(&system.graph, &PartitionConfig { leaf_size: 64 });
+    let (mut parent, mut depth) = (Vec::new(), Vec::new());
+    let (mut child_offsets, mut child_data) = (vec![0u32], Vec::new());
+    let (mut vert_offsets, mut vert_data) = (vec![0u32], Vec::new());
+    for node in 0..h.num_nodes() as u32 {
+        parent.push(h.parent(node));
+        // Parents precede children, so the parent's depth is known.
+        depth.push(match h.parent(node) {
+            u32::MAX => 0,
+            p => depth[p as usize] + 1,
+        });
+        child_data.extend_from_slice(h.children(node));
+        child_offsets.push(child_data.len() as u32);
+        vert_data.extend_from_slice(h.leaf_vertices(node));
+        vert_offsets.push(vert_data.len() as u32);
     }
-    let order: Vec<u32> = (0..system.graph.num_vertices() as u32).rev().collect();
-    w.put_u32s(90, &order);
-    let (loaded, extras) = KspinSystem::load_snapshot(&w.finish()).expect("v4 file with id 90");
-    assert!(extras.ch.is_none() && extras.hierarchy.is_none());
-    assert_eq!(serve(&system, 20), serve(&loaded, 20));
-    assert!(
-        loaded.save_snapshot(&extras) == good,
-        "the re-save differs from the file without section 90"
-    );
+    let hierarchy: Vec<(u32, Vec<u32>)> = vec![
+        (80, parent),
+        (81, child_offsets),
+        (82, child_data),
+        (83, depth),
+        (84, vert_offsets),
+        (85, vert_data),
+        (86, (0..n).map(|v| h.leaf_of(v)).collect()),
+    ];
+
+    for retired in [renumbering, hierarchy] {
+        let ids: Vec<u32> = retired.iter().map(|(id, _)| *id).collect();
+        let mut w = SnapshotWriter::new();
+        for s in f.sections() {
+            match s.kind {
+                format::KIND_U32 => w.put_u32s(s.id, &f.u32s(s.id).unwrap()),
+                format::KIND_U64 => w.put_u64s(s.id, &f.u64s(s.id).unwrap()),
+                format::KIND_F64 => w.put_f64s(s.id, &f.f64s(s.id).unwrap()),
+                _ => w.put_bytes(s.id, f.bytes(s.id).unwrap()),
+            }
+        }
+        for (id, words) in &retired {
+            w.put_u32s(*id, words);
+        }
+        let (loaded, extras) =
+            KspinSystem::load_snapshot(&w.finish()).expect("v4 file with retired ids");
+        assert!(extras.ch.is_none(), "ids {ids:?}");
+        assert_eq!(serve(&system, 20), serve(&loaded, 20), "ids {ids:?}");
+        assert!(
+            loaded.save_snapshot(&extras) == good,
+            "the re-save differs from the file without sections {ids:?}"
+        );
+    }
 }
 
 proptest! {

@@ -56,10 +56,9 @@ pub const FACADE_DIRS: [&str; 1] = ["src"];
 /// executor, the d-ary heap kernel API, the Heap Generator constructor,
 /// and the CH and hub-label distance kernels KS-CH and KS-HL serve every
 /// exact distance through.
-pub const PANIC_ENTRIES: [&str; 12] = [
+pub const PANIC_ENTRIES: [&str; 11] = [
     "QueryEngine::bknn",
     "QueryEngine::top_k",
-    "QueryEngine::top_k_with",
     "QueryEngine::bknn_expr",
     "BatchExecutor::execute",
     "DaryHeap::push",
@@ -72,13 +71,12 @@ pub const PANIC_ENTRIES: [&str; 12] = [
 ];
 
 /// Steady-state serving entry points for the allocation certificate: the
-/// 4 query processors (§4.1/§4.2), the batch executor, the 4 d-ary heap
+/// 3 query processors (§4.1/§4.2), the batch executor, the 4 d-ary heap
 /// kernel ops, inverted-heap extraction (Algorithm 4), and the CH and
 /// hub-label distance kernels.
-pub const STEADY_ENTRIES: [&str; 13] = [
+pub const STEADY_ENTRIES: [&str; 12] = [
     "QueryEngine::bknn",
     "QueryEngine::top_k",
-    "QueryEngine::top_k_with",
     "QueryEngine::bknn_expr",
     "BatchExecutor::execute",
     "DaryHeap::push",

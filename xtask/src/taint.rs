@@ -815,7 +815,6 @@ fn decode(f: &SnapshotFile) -> u32 {
             "decode_index",
             "decode_alt",
             "decode_ch",
-            "decode_hierarchy",
             "KspinSystem::load_snapshot",
             "describe_sections",
         ] {
