@@ -9,6 +9,7 @@
 //! chosen by farthest selection as in [16].
 
 #![deny(missing_docs)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub mod astar;
 
@@ -91,7 +92,7 @@ impl AltIndex {
             }
             LandmarkStrategy::Random => {
                 let mut state = seed | 1;
-                let mut chosen = std::collections::HashSet::new();
+                let mut chosen = std::collections::BTreeSet::new();
                 while landmarks.len() < m {
                     // xorshift64* — avoids a rand dependency in the hot path.
                     state ^= state >> 12;

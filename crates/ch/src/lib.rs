@@ -19,6 +19,8 @@
 //! [`kspin_graph::Labels`]; this crate adds only the CH-specific search
 //! that fills one (`labels::fill_upward`).
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 mod construction;
 mod labels;
 mod query;

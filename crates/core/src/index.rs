@@ -37,9 +37,12 @@ impl Default for KspinConfig {
     fn default() -> Self {
         KspinConfig {
             rho: 5,
-            // DETER-OK: sizes the build/serving worker pool only; every
-            // parallel path writes into input-ordered result slots, so the
-            // worker count never reaches a returned value.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "sizes the build/serving worker pool only; every parallel path writes \
+                          into input-ordered result slots, so the worker count never reaches a \
+                          returned value"
+            )]
             num_threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
         }
     }
@@ -158,6 +161,11 @@ impl KspinIndex {
         F: Fn(ObjectId) -> bool + Sync,
     {
         assert!(config.rho >= 1, "rho must be at least 1");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times the build for `BuildStats::build_seconds` only; no index byte or \
+                      answer reads it"
+        )]
         let start = Instant::now();
         let num_terms = corpus.num_terms();
         let next = AtomicUsize::new(0);

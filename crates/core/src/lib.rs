@@ -19,6 +19,8 @@
 //! parallel over keywords (Observation 3), updatable in place (§6.2).
 
 #![deny(missing_docs)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod engine;
 pub mod heap;

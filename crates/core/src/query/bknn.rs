@@ -88,8 +88,8 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             // ALLOC-OK: heap generation — one |ψ|-bounded Vec per query;
             // the extraction loop below never grows it.
             .collect();
-        // Engine-lifetime epoch-stamped dedup set (alloc + determinism
-        // certificates): clear() is O(1); no hashing, no iteration order.
+        // Engine-lifetime epoch-stamped dedup set (alloc certificate):
+        // clear() is O(1); no hashing, no iteration order.
         let mut evaluated = std::mem::take(&mut self.scratch.evaluated);
         evaluated.clear();
         let mut best = KBest::bounded(k, self.corpus.num_objects());

@@ -46,9 +46,10 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             // ALLOC-OK: |ψ|-bounded per-query summand table, built once.
             .collect();
 
-        // Engine-lifetime scratch (alloc + determinism certificates): the
-        // epoch-stamped dedup set clears in O(1); the MINKEY snapshot reaches
-        // high-water capacity on the first query and never reallocates after.
+        // Engine-lifetime scratch (alloc certificate; no hashed set, which
+        // the crate's `disallowed_types` deny keeps out): the epoch-stamped
+        // dedup set clears in O(1); the MINKEY snapshot reaches high-water
+        // capacity on the first query and never reallocates after.
         let mut processed = std::mem::take(&mut self.scratch.evaluated);
         processed.clear();
         let mut min_keys = std::mem::take(&mut self.scratch.min_keys);

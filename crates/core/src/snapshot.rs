@@ -23,6 +23,8 @@
 //! `KspinSystem` save/load entry points) lives in the root `kspin`
 //! crate's `snapshot` module, which builds on these codecs.
 
+#![deny(clippy::as_conversions)]
+
 pub use kspin_snapshot::{
     format, FormatError, SectionLabel, SectionView, SnapshotError, SnapshotFile, SnapshotWriter,
 };
@@ -124,6 +126,10 @@ fn decoded_bools(id: u32, bytes: &[u8]) -> Result<Vec<bool>, SnapshotError> {
 // ---------------------------------------------------------------------
 
 /// Appends the road graph's CSR arrays and coordinates.
+#[allow(
+    clippy::as_conversions,
+    reason = "encode half: trusted in-memory values"
+)]
 pub fn encode_graph(w: &mut SnapshotWriter, g: &Graph) {
     let (offsets, targets, weights, coords) = g.csr_parts();
     w.put_u32s(section::GRAPH_OFFSETS, offsets);
@@ -231,6 +237,10 @@ pub fn decode_corpus(f: &SnapshotFile<'_>, num_vertices: usize) -> Result<Corpus
 /// kind table, and the pooled small-list and NVD arrays in term-slot
 /// order. All eighteen sections are written even when their pools are
 /// empty, so logical content maps one-to-one onto sections (canonical).
+#[allow(
+    clippy::as_conversions,
+    reason = "encode half: trusted in-memory values"
+)]
 pub fn encode_index(w: &mut SnapshotWriter, index: &KspinIndex) {
     let entries = index.snapshot_entries();
     let stats = index.stats();
@@ -586,8 +596,10 @@ pub fn decode_index(f: &SnapshotFile<'_>, corpus: &Corpus) -> Result<KspinIndex,
     nvd.inserted.finish()?;
     nvd.corpus_ids.finish()?;
 
-    // lint:allow(no-as-cast-in-decode) — usize → u64 widening of in-memory
-    // counters, lossless on every supported target
+    #[expect(
+        clippy::as_conversions,
+        reason = "usize → u64 widening of in-memory counters, lossless on every supported target"
+    )]
     if m_nvd_terms != nvd_count as u64 || m_small_terms != small_count as u64 {
         return Err(SnapshotError::decode(
             INDEX_META,
@@ -637,6 +649,10 @@ pub fn decode_alt(
 // ---------------------------------------------------------------------
 
 /// Appends the CH node order and upward adjacency.
+#[allow(
+    clippy::as_conversions,
+    reason = "encode half: trusted in-memory values"
+)]
 pub fn encode_ch(w: &mut SnapshotWriter, ch: &kspin_ch::ContractionHierarchy) {
     let (rank, up_offsets, up_targets, up_weights, num_shortcuts) = ch.flat_parts();
     w.put_u64s(section::CH_META, &[num_shortcuts as u64]);
@@ -683,6 +699,10 @@ pub fn decode_ch(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::as_conversions,
+    reason = "test fixtures: trusted in-memory values"
+)]
 mod tests {
     use super::*;
     use crate::index::KspinConfig;

@@ -28,6 +28,7 @@
 //! unreachable. All vertex identifiers are dense `u32` indices.
 
 #![deny(missing_docs)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub mod bidijkstra;
 pub mod connectivity;

@@ -172,10 +172,10 @@ impl GTree {
             }
         }
         let next = std::sync::atomic::AtomicUsize::new(0);
-        // lint:allow(sanctioned-concurrency) — per-job result slots for the
-        // one-off matrix build; each slot is locked exactly once by the one
-        // worker that claims the job, so there is no contention and no
-        // cross-job ordering to get wrong. The query path stays lock-free.
+        // A `Mutex` per job result slot for the one-off matrix build; each
+        // slot is locked exactly once by the one worker that claims the
+        // job, so there is no contention and no cross-job ordering to get
+        // wrong. The query path stays lock-free.
         type RowSlot = std::sync::Mutex<Vec<Weight>>;
         let slots: Vec<RowSlot> = jobs.iter().map(|_| RowSlot::new(Vec::new())).collect();
         crossbeam_scope(threads, || {

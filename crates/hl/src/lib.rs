@@ -26,6 +26,7 @@
 //! contains it.
 
 #![deny(missing_docs)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use kspin_ch::ContractionHierarchy;
 use kspin_graph::csr::row_slice;

@@ -18,6 +18,8 @@
 //! is where the order-of-magnitude space saving comes from.
 
 #![deny(missing_docs)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod adjacency;
 pub mod approx;

@@ -47,13 +47,16 @@ impl ApproxNvd {
         // candidates by Definition 1 (deleted originals keep their stale
         // cells until rebuild, so they stay eligible here).
         let cands = self.leaf_candidates(coord);
+        #[expect(
+            clippy::expect_used,
+            reason = "every quadtree leaf is seeded with at least one generator candidate at \
+                      build time (Definition 1), so `leaf_candidates` can never return an \
+                      empty set"
+        )]
         let p = cands
             .iter()
             .copied()
             .min_by_key(|&c| dist(vertex, self.object_vertex(c)))
-            // lint:allow(no-unwrap) — every quadtree leaf is seeded with at
-            // least one generator candidate at build time (Definition 1),
-            // so `leaf_candidates` can never return an empty set.
             .expect("leaf candidates are never empty");
 
         let originals = self.num_original() as u32;
@@ -124,12 +127,12 @@ mod tests {
         g: &Graph,
         gens: &[VertexId],
         new_vertex: VertexId,
-    ) -> std::collections::HashSet<u32> {
+    ) -> std::collections::BTreeSet<u32> {
         let mut dij = Dijkstra::new(g.num_vertices());
         let exact = crate::exact::ExactNvd::build(g, gens);
         dij.sssp(g, new_vertex);
         let space = dij.space();
-        let mut affected = std::collections::HashSet::new();
+        let mut affected = std::collections::BTreeSet::new();
         for v in 0..g.num_vertices() as VertexId {
             let dn = space.distance(v).unwrap();
             if dn < exact.dist_to_owner(v) {
@@ -149,7 +152,7 @@ mod tests {
                 continue;
             }
             let mut dist = |a: VertexId, b: VertexId| dij.one_to_one(&g, a, b);
-            let ours: std::collections::HashSet<u32> = apx
+            let ours: std::collections::BTreeSet<u32> = apx
                 .affected_set(new_vertex, g.coord(new_vertex), &mut dist)
                 .into_iter()
                 .collect();

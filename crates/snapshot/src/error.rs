@@ -11,6 +11,8 @@
 //!   out of range, a failed permutation check). Constructed outside the
 //!   certified hot path, so it may carry a detail string.
 
+#![deny(clippy::as_conversions)]
+
 use crate::format::section_name;
 use std::fmt;
 

@@ -64,6 +64,8 @@
 //! builds of one input included, no section holds a clock reading — and
 //! save → load → save is the identity on bytes (both test-enforced).
 
+#![deny(clippy::as_conversions)]
+
 /// File magic, bytes `0..8`.
 pub const MAGIC: [u8; 8] = *b"KSPINSNP";
 

@@ -7,6 +7,8 @@
 //! because it runs inside the panic-free, alloc-free
 //! [`crate::reader::SnapshotFile::validate`] perimeter.
 
+#![deny(clippy::as_conversions)]
+
 const PRIME_1: u64 = 0x9E37_79B1_85EB_CA87;
 const PRIME_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
 const PRIME_3: u64 = 0x1656_67B1_9E37_79F9;
@@ -40,7 +42,7 @@ fn merge_round(h: u64, acc: u64) -> u64 {
 /// Deterministic, endian-independent (inputs are read little-endian on
 /// every platform) and panic-free for every input length.
 pub fn xxh64(data: &[u8], seed: u64) -> u64 {
-    // lint:allow(no-as-cast-in-decode) — lossless usize → u64 widening
+    #[expect(clippy::as_conversions, reason = "lossless usize → u64 widening")]
     let len = data.len() as u64;
     let mut h: u64;
     let mut tail = data;
@@ -107,6 +109,10 @@ pub fn xxh64(data: &[u8], seed: u64) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::as_conversions,
+    reason = "test fixtures: trusted in-memory values"
+)]
 mod tests {
     use super::*;
 

@@ -28,6 +28,8 @@
 //! `kspin-core` (engine) and the root `kspin` crate (full system), which
 //! re-export this crate.
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub mod error;
 pub mod format;
 pub mod hash;

@@ -7,6 +7,8 @@
 //! These methods allocate (they produce owned `Vec`s), so they live
 //! outside the alloc-free validation path in `reader.rs`.
 
+#![deny(clippy::as_conversions)]
+
 use crate::error::{FormatError, SectionLabel, SnapshotError};
 use crate::format::{KIND_BYTES, KIND_F64, KIND_U32, KIND_U64};
 use crate::reader::{SectionView, SnapshotFile};

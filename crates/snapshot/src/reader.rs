@@ -9,6 +9,8 @@
 //! a corrupt or adversarial file must yield a structured
 //! [`SnapshotError`], never a panic, before any copying begins.
 
+#![deny(clippy::as_conversions)]
+
 use crate::error::{FormatError, SectionLabel, SnapshotError};
 use crate::format::{
     elem_size, ENDIAN_TAG, FORMAT_VERSION, HEADER_LEN, HEADER_SEED, MAGIC, TABLE_ENTRY_LEN,
@@ -50,7 +52,7 @@ struct RawEntry {
 }
 
 fn entry(data: &[u8], i: u32) -> Option<RawEntry> {
-    // lint:allow(no-as-cast-in-decode) — lossless u32 → usize widening
+    #[expect(clippy::as_conversions, reason = "lossless u32 → usize widening")]
     let base = HEADER_LEN.checked_add((i as usize).checked_mul(TABLE_ENTRY_LEN)?)?;
     Some(RawEntry {
         id: read_u32(data, base)?,
@@ -117,20 +119,24 @@ impl<'a> SnapshotFile<'a> {
             return Err(SnapshotError::format(HDR, FormatError::BadReserved));
         }
         let file_len = read_u64(data, 24).ok_or_else(truncated)?;
-        // lint:allow(no-as-cast-in-decode) — lossless usize → u64 widening
+        #[expect(clippy::as_conversions, reason = "lossless usize → u64 widening")]
         if file_len != data.len() as u64 {
             return Err(SnapshotError::format(HDR, FormatError::LengthMismatch));
         }
         let stored_sum = read_u64(data, 32).ok_or_else(truncated)?;
 
         let overflow = || SnapshotError::format(TBL, FormatError::CountOverflow);
+        #[expect(
+            clippy::as_conversions,
+            reason = "lossless widening of a small layout constant"
+        )]
         let table_len = u64::from(num_sections)
-            // lint:allow(no-as-cast-in-decode) — lossless widening of a
-            // small layout constant
             .checked_mul(TABLE_ENTRY_LEN as u64)
             .ok_or_else(overflow)?;
-        // lint:allow(no-as-cast-in-decode) — lossless widening of a small
-        // layout constant
+        #[expect(
+            clippy::as_conversions,
+            reason = "lossless widening of a small layout constant"
+        )]
         let table_end = (HEADER_LEN as u64)
             .checked_add(table_len)
             .ok_or_else(overflow)?;
@@ -138,9 +144,11 @@ impl<'a> SnapshotFile<'a> {
             return Err(SnapshotError::format(TBL, FormatError::Truncated));
         }
         let head = data.get(..32).ok_or_else(truncated)?;
+        #[expect(
+            clippy::as_conversions,
+            reason = "table_end ≤ file_len == data.len(), which fits usize by construction"
+        )]
         let table = data
-            // lint:allow(no-as-cast-in-decode) — table_end ≤ file_len ==
-            // data.len(), which fits usize by construction
             .get(HEADER_LEN..table_end as usize)
             .ok_or_else(|| SnapshotError::format(TBL, FormatError::Truncated))?;
         if xxh64(table, xxh64(head, HEADER_SEED)) != stored_sum {
@@ -174,14 +182,19 @@ impl<'a> SnapshotFile<'a> {
                 return Err(SnapshotError::format(at, FormatError::Truncated));
             }
             let sec_truncated = || SnapshotError::format(at, FormatError::Truncated);
+            #[expect(
+                clippy::as_conversions,
+                reason = "offset == cursor and end ≤ file_len == data.len() (checked above), \
+                          both fit usize"
+            )]
             let range = data
-                // lint:allow(no-as-cast-in-decode) — offset == cursor and
-                // end ≤ file_len == data.len() (checked above), both fit usize
                 .get(e.offset as usize..end as usize)
                 .ok_or_else(sec_truncated)?;
+            #[expect(
+                clippy::as_conversions,
+                reason = "payload_len ≤ padded == range length, which fits usize"
+            )]
             let pad = range
-                // lint:allow(no-as-cast-in-decode) — payload_len ≤ padded ==
-                // range length, which fits usize
                 .get(payload_len as usize..)
                 .ok_or_else(sec_truncated)?;
             if pad.iter().any(|&b| b != 0) {
@@ -215,6 +228,11 @@ impl<'a> SnapshotFile<'a> {
     }
 
     /// The section at table position `i`, if any.
+    #[expect(
+        clippy::as_conversions,
+        reason = "validation proved every section's offset..end ⊆ 0..data.len(), which fits \
+                  usize; an out-of-range cast would have failed validate()"
+    )]
     pub fn section_at(&self, i: u32) -> Option<SectionView<'a>> {
         if i >= self.num_sections {
             return None;
@@ -226,9 +244,6 @@ impl<'a> SnapshotFile<'a> {
             id: e.id,
             kind: e.kind,
             count: e.count,
-            // lint:allow(no-as-cast-in-decode) — validation proved every
-            // section's offset..end ⊆ 0..data.len(), which fits usize; an
-            // out-of-range cast would have failed validate()
             payload: self.data.get(e.offset as usize..end as usize)?,
         })
     }

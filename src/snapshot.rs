@@ -15,6 +15,8 @@
 //! and a logically equal system always produces the same bytes. Both
 //! properties are test-enforced (`tests/snapshot_roundtrip.rs`).
 
+#![deny(clippy::as_conversions)]
+
 use crate::KspinSystem;
 use kspin_ch::ContractionHierarchy;
 use kspin_core::snapshot::format::section;
@@ -46,6 +48,10 @@ impl std::fmt::Debug for SnapshotExtras {
 }
 
 /// Appends the vocabulary as an offset table over pooled UTF-8 bytes.
+#[allow(
+    clippy::as_conversions,
+    reason = "encode half: trusted in-memory values"
+)]
 pub fn encode_vocab(w: &mut SnapshotWriter, v: &Vocabulary) {
     let terms = v.terms();
     let mut offsets = Vec::with_capacity(terms.len() + 1);
@@ -73,7 +79,7 @@ pub fn decode_vocab(f: &SnapshotFile<'_>) -> Result<Vocabulary, SnapshotError> {
             "vocabulary offsets must start at 0",
         ));
     }
-    // lint:allow(no-as-cast-in-decode) — lossless u32 → usize widening
+    #[expect(clippy::as_conversions, reason = "lossless u32 → usize widening")]
     if offsets.last().map(|&e| e as usize) != Some(bytes.len()) {
         return Err(SnapshotError::decode(
             section::VOCAB_OFFSETS,
@@ -85,7 +91,7 @@ pub fn decode_vocab(f: &SnapshotFile<'_>) -> Result<Vocabulary, SnapshotError> {
         .map(|win| {
             // TAINT-OK(windows(2) yields exactly two elements per window)
             let (lo, hi) = (win[0], win[1]);
-            // lint:allow(no-as-cast-in-decode) — lossless u32 → usize widening
+            #[expect(clippy::as_conversions, reason = "lossless u32 → usize widening")]
             let slice = bytes.get(lo as usize..hi as usize).ok_or_else(|| {
                 SnapshotError::decode(
                     section::VOCAB_OFFSETS,

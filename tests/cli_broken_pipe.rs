@@ -30,8 +30,11 @@ fn closed_stdout_ends_the_repl_without_a_panic() {
         stdout.read_line(&mut first).expect("read first line");
         assert!(first.contains("bknn"), "unexpected first line {first:?}");
     }
-    // Every later write by the CLI now hits a closed pipe. Once the CLI
-    // has exited, these writes fail too, which is fine.
+    // Every later write by the CLI now hits a closed pipe.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "once the CLI has exited, this write fails too, which is fine"
+    )]
     let _ = writeln!(stdin, "help\nstats\nhelp");
     drop(stdin);
 

@@ -125,7 +125,9 @@ fn batch_executor_matches_sequential_cold_at_all_thread_counts() {
 /// Live §6.2 update stream: several epochs of interleaved deletes and
 /// re-inserts. After EVERY epoch, parallel serving must still be
 /// bit-identical to a sequential run over the post-update index — the
-/// dynamic face of `cargo xtask certify`'s determinism certificate.
+/// dynamic twin of the serving crates' crate-level
+/// `#![deny(clippy::disallowed_types, clippy::disallowed_methods)]`, which
+/// keeps hashed containers, clocks and host-shape reads out statically.
 #[test]
 fn batch_executor_stays_deterministic_across_live_update_stream() {
     let mut f = fixture();

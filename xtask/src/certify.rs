@@ -1,26 +1,29 @@
-//! `cargo xtask certify` — the four static certificates of the serving
+//! `cargo xtask certify` — the three static certificates of the serving
 //! path, one command.
 //!
-//! | analysis      | proves (conservatively)                                  | marker        |
-//! |---------------|----------------------------------------------------------|---------------|
-//! | `panics`      | no panic source reachable from a serving entry point     | `PANIC-OK:`   |
-//! | `allocs`      | no allocation in the serving steady state after warm-up  | `ALLOC-OK:`   |
-//! | `determinism` | no order-nondeterminism source in the steady state       | `DETER-OK:`   |
-//! | `taint`       | no untrusted byte reaches a sink without a sanitizer     | `TAINT-OK(…)` |
+//! | analysis | proves (conservatively)                                  | marker        |
+//! |----------|----------------------------------------------------------|---------------|
+//! | `panics` | no panic source reachable from a serving entry point     | `PANIC-OK:`   |
+//! | `allocs` | no allocation in the serving steady state after warm-up  | `ALLOC-OK:`   |
+//! | `taint`  | no untrusted byte reaches a sink without a sanitizer     | `TAINT-OK(…)` |
+//!
+//! Order-determinism needs no reach analysis: the serving crates deny
+//! clippy's `disallowed_types` / `disallowed_methods` (hashed containers,
+//! clocks, host shape; see the root `clippy.toml`) at their crate roots.
 //!
 //! One run lexes every file once, builds the call graph once per distinct
-//! perimeter ([`CERT_DIRS`] for the three reachability analyses, the same
-//! plus [`FACADE_DIRS`] for taint), runs all four analyses and prints one
+//! perimeter ([`CERT_DIRS`] for the two reachability analyses, the same
+//! plus [`FACADE_DIRS`] for taint), runs all three analyses and prints one
 //! report. An inline marker comment on the flagged line, or in the
 //! contiguous comment block directly above it, is the only way to exempt
 //! a site: everything else is a finding and fails the run.
 //!
-//! The three reachability analyses share their whole pipeline — spec
+//! The two reachability analyses share their whole pipeline — spec
 //! resolution with hard errors on rot, the warm-up-fenced sweep, per-site
 //! justification, finding assembly with shortest call chains — through
-//! [`Certifier`] and [`certify`]; [`crate::panics`], [`crate::allocs`] and
-//! [`crate::determinism`] supply a classifier and a description block
-//! each. [`crate::taint`] has its own propagation.
+//! [`Certifier`] and [`certify`]; [`crate::panics`] and [`crate::allocs`]
+//! supply a classifier and a description block each. [`crate::taint`]
+//! has its own propagation.
 
 use std::process::ExitCode;
 
@@ -32,17 +35,17 @@ use crate::report::{json_document, parse_format, print_findings, summary_json, F
 use crate::rules::{Finding, Summary};
 use crate::scope::SourceFile;
 use crate::taint::TaintAnalysis;
-use crate::{allocs, determinism, panics, taint};
+use crate::{allocs, panics, taint};
 
 /// CLI usage.
 const USAGE: &str = "\
 usage: cargo xtask certify [options]
 
-Certifies the serving path four ways — panic-free (PANIC-OK), steady
-state alloc-free after warm-up (ALLOC-OK), order-deterministic
-(DETER-OK), untrusted input sanitized before every sink (TAINT-OK) — and
-fails on any finding. A site is exempted only by its inline marker
-comment with a reason, e.g. `// PANIC-OK: i < n by construction`.
+Certifies the serving path three ways — panic-free (PANIC-OK), steady
+state alloc-free after warm-up (ALLOC-OK), untrusted input sanitized
+before every sink (TAINT-OK) — and fails on any finding. A site is
+exempted only by its inline marker comment with a reason, e.g.
+`// PANIC-OK: i < n by construction`.
 
 options:
   --format <human|json>   report format (json: one document, a sub-object
@@ -52,11 +55,7 @@ options:
   -h, --help              show this help";
 
 /// The reachability analyses, in report order.
-const CERTIFIERS: [&Certifier; 3] = [
-    &panics::CERTIFIER,
-    &allocs::CERTIFIER,
-    &determinism::CERTIFIER,
-];
+const CERTIFIERS: [&Certifier; 2] = [&panics::CERTIFIER, &allocs::CERTIFIER];
 
 /// One classified site inside an item body, independent of which
 /// analysis found it.
@@ -226,7 +225,7 @@ impl Report {
         all
     }
 
-    /// Findings over all four analyses; non-zero fails the run.
+    /// Findings over all three analyses; non-zero fails the run.
     fn unjustified(&self) -> usize {
         self.summaries().iter().map(|(_, s)| s.findings.len()).sum()
     }
@@ -241,7 +240,7 @@ pub(crate) fn load_perimeters() -> (Vec<SourceFile>, usize) {
     (files, certified)
 }
 
-/// Runs all four analyses over the workspace.
+/// Runs all three analyses over the workspace.
 fn analyze_workspace() -> Result<Report, String> {
     let (files, certified) = load_perimeters();
     let graph = CallGraph::build(&files[..certified]);
@@ -447,7 +446,7 @@ mod tests {
         }
     }
 
-    /// The live workspace, all four analyses: every entry, warm-up, source
+    /// The live workspace, all three analyses: every entry, warm-up, source
     /// and sanitizer spec resolves (rot is a hard error), the perimeter is
     /// not suspiciously small, and no site is unjustified.
     #[test]
@@ -459,7 +458,7 @@ mod tests {
             }
         }
         let summaries = report.summaries();
-        assert_eq!(summaries.len(), 4);
+        assert_eq!(summaries.len(), 3);
         for (name, summary) in summaries {
             assert!(
                 summary.files_scanned > 20,

@@ -18,7 +18,7 @@
 //!
 //! This module is also the single registration point for every
 //! analysis' *perimeter*: [`CERT_DIRS`] (the shared reachability
-//! perimeter of `panics`/`allocs`/`determinism`), [`PANIC_ENTRIES`] (the
+//! perimeter of `panics`/`allocs`), [`PANIC_ENTRIES`] (the
 //! panic certificate's serving surface), and [`FACADE_DIRS`] (what the
 //! taint analysis adds to `CERT_DIRS`: the facade + CLI, where untrusted
 //! files enter).
@@ -33,6 +33,10 @@
 /// behind KS-HL — the default serving variant (the CLI and three of the
 /// four e2e workloads). G-tree, ROAD and FS-FBS remain
 /// comparison crates no default serving path calls into.
+///
+/// The same seven crates deny clippy's `disallowed_types` /
+/// `disallowed_methods` at their crate roots (the lists are in the root
+/// `clippy.toml`): a crate added here gets that deny too.
 pub const CERT_DIRS: [&str; 7] = [
     "crates/graph/src",
     "crates/alt/src",

@@ -7,8 +7,6 @@
 //! unsigned integers. Nothing in the workspace reads JSON back; CI checks the
 //! reports' well-formedness with `python3 -m json.tool`.
 
-use std::fmt::Write as _;
-
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -31,9 +29,7 @@ impl Json {
 
     fn write(&self, out: &mut String, indent: usize) {
         match self {
-            Json::Num(n) => {
-                let _ = write!(out, "{n}");
-            }
+            Json::Num(n) => out.push_str(&n.to_string()),
             Json::Str(s) => escape_into(s, out),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -92,9 +88,7 @@ fn escape_into(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }

@@ -3,7 +3,6 @@
 mod allocs;
 mod callgraph;
 mod certify;
-mod determinism;
 mod entrypoints;
 mod items;
 mod json;
@@ -22,8 +21,8 @@ usage: cargo xtask <task> [options]
 
 tasks:
   lint      run the K-SPIN lint wall (see `cargo xtask lint --help`)
-  certify   certify the serving path panic-free, steady-state alloc-free,
-            order-deterministic and taint-clean (see `cargo xtask certify --help`)
+  certify   certify the serving path panic-free, steady-state alloc-free
+            and taint-clean (see `cargo xtask certify --help`)
 
 Run `cargo xtask lint --list-rules` for the rule catalog.";
 

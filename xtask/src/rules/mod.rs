@@ -12,94 +12,58 @@ use crate::lex::Token;
 use crate::scope::{SourceFile, TokenScope};
 
 pub mod a1_weight_arith;
-pub mod c1_no_as_cast;
-pub mod e1_swallowed_result;
-pub mod l1_no_unwrap;
 pub mod l2_total_order;
-pub mod l3_concurrency;
 pub mod l4_paper_docs;
 
 /// The lint rules, in report order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// L1: no unwrap/expect in hot-path crates.
-    NoUnwrap,
     /// L2: float ordering only through `OrderedWeight`.
     TotalOrderWeights,
-    /// L3: concurrency only in the sanctioned build scope.
-    SanctionedConcurrency,
     /// L4: query-processor `pub fn`s cite their paper section.
     PaperDocs,
     /// A1: weight arithmetic goes through the checked helpers.
     CheckedWeightArithmetic,
-    /// E1: no silently discarded `Result`s.
-    NoSwallowedResult,
-    /// C1: no bare `as` numeric casts in decode-classified files.
-    NoAsCastInDecode,
 }
 
 impl Rule {
     /// All rules, in report order.
-    pub const ALL: [Rule; 7] = [
-        Rule::NoUnwrap,
+    pub const ALL: [Rule; 3] = [
         Rule::TotalOrderWeights,
-        Rule::SanctionedConcurrency,
         Rule::PaperDocs,
         Rule::CheckedWeightArithmetic,
-        Rule::NoSwallowedResult,
-        Rule::NoAsCastInDecode,
     ];
 
     /// The name used inside `lint:allow(..)` comments, CLI filters, and
     /// reports.
     pub fn key(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => "no-unwrap",
             Rule::TotalOrderWeights => "total-order-weights",
-            Rule::SanctionedConcurrency => "sanctioned-concurrency",
             Rule::PaperDocs => "paper-docs",
             Rule::CheckedWeightArithmetic => "checked-weight-arithmetic",
-            Rule::NoSwallowedResult => "no-swallowed-result",
-            Rule::NoAsCastInDecode => "no-as-cast-in-decode",
         }
     }
 
     /// Display label with the rule number.
     pub fn label(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => "L1 no-unwrap",
             Rule::TotalOrderWeights => "L2 total-order-weights",
-            Rule::SanctionedConcurrency => "L3 sanctioned-concurrency",
             Rule::PaperDocs => "L4 paper-docs",
             Rule::CheckedWeightArithmetic => "A1 checked-weight-arithmetic",
-            Rule::NoSwallowedResult => "E1 no-swallowed-result",
-            Rule::NoAsCastInDecode => "C1 no-as-cast-in-decode",
         }
     }
 
     /// One-line documentation for `--list-rules`.
     pub fn doc(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => {
-                "no .unwrap()/.expect(..) in non-test code of crates/core and crates/nvd"
-            }
             Rule::TotalOrderWeights => {
                 "no partial_cmp or raw-f64 heaps outside crates/graph/src/weight.rs (OrderedWeight)"
-            }
-            Rule::SanctionedConcurrency => {
-                "no thread::spawn or bare Mutex outside the Observation-3 build scope (index.rs)"
             }
             Rule::PaperDocs => {
                 "every pub fn in crates/core/src/query/ cites the paper section it implements"
             }
             Rule::CheckedWeightArithmetic => {
                 "+/+= on weight-like operands in query code goes through weight_add/OrderedWeight"
-            }
-            Rule::NoSwallowedResult => {
-                "no `let _ =` or bare `.ok();` discarding a Result outside tests"
-            }
-            Rule::NoAsCastInDecode => {
-                "no bare `as` numeric casts in decode-classified files (use try_from/From or justify)"
             }
         }
     }
@@ -166,13 +130,9 @@ impl Summary {
 pub fn scan_file(file: &SourceFile, rules: &[Rule], summary: &mut Summary) {
     for &rule in rules {
         match rule {
-            Rule::NoUnwrap => l1_no_unwrap::check(file, summary),
             Rule::TotalOrderWeights => l2_total_order::check(file, summary),
-            Rule::SanctionedConcurrency => l3_concurrency::check(file, summary),
             Rule::PaperDocs => l4_paper_docs::check(file, summary),
             Rule::CheckedWeightArithmetic => a1_weight_arith::check(file, summary),
-            Rule::NoSwallowedResult => e1_swallowed_result::check(file, summary),
-            Rule::NoAsCastInDecode => c1_no_as_cast::check(file, summary),
         }
     }
 }

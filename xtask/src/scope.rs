@@ -1,14 +1,11 @@
 //! Brace-tracked scope analysis over the token stream of [`crate::lex`].
 //!
-//! For every token the analyzer knows:
-//!
-//! * the innermost enclosing `fn`,
-//! * whether the token sits inside `#[cfg(test)]` / `#[test]` code.
+//! For every token the analyzer knows whether it sits inside
+//! `#[cfg(test)]` / `#[test]` code.
 //!
 //! The model is deliberately approximate (no full parse): a `{` opens a
-//! function body when a `fn` head token was seen since the last statement
-//! boundary, and anything else — `impl`/`mod`/item bodies, loops, plain
-//! blocks, closures — otherwise, inheriting the enclosing function.
+//! test scope when a test attribute was seen since the last statement
+//! boundary, and otherwise inherits the enclosing scope's facts.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -21,8 +18,6 @@ use crate::lex::{lex, Token, TokenKind};
 pub struct TokenScope {
     /// Inside `#[cfg(test)]` or `#[test]` code.
     pub in_test: bool,
-    /// Name of the innermost enclosing `fn`, if any.
-    pub fn_name: Option<String>,
 }
 
 #[derive(Debug, Clone)]
@@ -33,7 +28,8 @@ struct Scope {
     saved_group_depth: usize,
     /// For a brace opened mid-expression (inside `(`/`[`): the suspended
     /// head state of the enclosing statement, restored on pop so a const
-    /// block in `fn f(x: [u8; { N }]) {` does not erase the `fn` head.
+    /// block in `#[test] fn f(x: [u8; { N }]) {` does not erase the test
+    /// attribute.
     saved_head: Option<Head>,
 }
 
@@ -41,8 +37,6 @@ struct Scope {
 /// what the next `{` opens.
 #[derive(Debug, Default, Clone)]
 struct Head {
-    saw_fn: bool,
-    fn_name: Option<String>,
     test_attr: bool,
 }
 
@@ -79,13 +73,6 @@ pub fn analyze(tokens: &[Token]) -> Vec<TokenScope> {
             }
         }
         match t.kind {
-            TokenKind::Ident if group_depth == 0 => {
-                if t.text == "fn" {
-                    head.saw_fn = true;
-                    head.fn_name = next_ident(tokens, i);
-                }
-                scopes.push(current(&stack));
-            }
             TokenKind::Punct => match t.text.as_str() {
                 "(" | "[" => {
                     scopes.push(current(&stack));
@@ -105,11 +92,6 @@ pub fn analyze(tokens: &[Token]) -> Vec<TokenScope> {
                     stack.push(Scope {
                         facts: TokenScope {
                             in_test: parent.in_test || head.test_attr,
-                            fn_name: if head.saw_fn {
-                                head.fn_name.clone()
-                            } else {
-                                parent.fn_name
-                            },
                         },
                         saved_group_depth: group_depth,
                         saved_head: (group_depth > 0).then(|| std::mem::take(&mut head)),
@@ -142,16 +124,6 @@ fn current(stack: &[Scope]) -> TokenScope {
         .expect("scope stack never empties")
         .facts
         .clone()
-}
-
-/// The first identifier after position `i`, skipping comments (the `fn`
-/// name).
-fn next_ident(tokens: &[Token], i: usize) -> Option<String> {
-    tokens[i + 1..]
-        .iter()
-        .find(|t| !t.is_comment())
-        .filter(|t| t.kind == TokenKind::Ident)
-        .map(|t| t.text.clone())
 }
 
 /// Scans an attribute starting at the `#` at `i`. Returns the index of the
@@ -280,9 +252,8 @@ impl SourceFile {
     /// Whether a `<marker>: reason` justification covers 1-based `line`
     /// (same placement grammar as `lint:allow`), for a reachability
     /// certificate's exemption marker ([`crate::certify::Certifier::marker`]):
-    /// `PANIC-OK`, `ALLOC-OK` (a capacity invariant) or `DETER-OK` (an
-    /// ordering invariant). Markers are independent — one never excuses
-    /// another analysis' site.
+    /// `PANIC-OK` or `ALLOC-OK` (a capacity invariant). Markers are
+    /// independent — one never excuses another analysis' site.
     pub fn marked(&self, line: usize, marker: &str) -> bool {
         self.covered_by(line, &|c| marker_ok(c, marker))
     }
@@ -343,8 +314,8 @@ impl SourceFile {
     }
 }
 
-/// Parses one colon-form justification comment (`PANIC-OK:`, `ALLOC-OK:`,
-/// `DETER-OK:`): the marker and its colon must be followed by a
+/// Parses one colon-form justification comment (`PANIC-OK:` or
+/// `ALLOC-OK:`): the marker and its colon must be followed by a
 /// non-trivial reason (≥ 3 characters), e.g.
 /// `// ALLOC-OK: entries pre-sized to n at construction; len ≤ n`.
 pub fn marker_ok(comment: &str, marker: &str) -> bool {
@@ -407,51 +378,11 @@ mod tests {
     }
 
     #[test]
-    fn fn_name_tracks_the_enclosing_fn_through_blocks_and_closures() {
-        let src = "\
-fn outer() {
-    before();
-    for x in xs {
-        let c = values.iter().map(|v| { inside_closure(v) });
-        if cond {
-            inside_if();
-        }
-    }
-    after();
-}
-fn next_fn() { zero(); }
-impl<T> Iterator for Wrapper<T> {
-    fn next(&mut self) -> Option<T> { body() }
-}
-";
+    fn brace_inside_a_signature_does_not_erase_the_test_attribute() {
+        let src = "#[test]\nfn f(x: [u8; { N }]) { body(x); }\nfn g() { live(); }\n";
         let f = SourceFile::from_source("x.rs", src);
-        for inside in ["before", "inside_closure", "inside_if", "after"] {
-            assert_eq!(scope_of(&f, inside).fn_name.as_deref(), Some("outer"));
-        }
-        assert_eq!(scope_of(&f, "zero").fn_name.as_deref(), Some("next_fn"));
-        assert_eq!(scope_of(&f, "body").fn_name.as_deref(), Some("next"));
-    }
-
-    #[test]
-    fn nested_fn_has_its_own_name() {
-        let src = "\
-fn f() {
-    loop {
-        fn helper() { in_helper() }
-        in_loop();
-    }
-}
-";
-        let f = SourceFile::from_source("x.rs", src);
-        assert_eq!(scope_of(&f, "in_helper").fn_name.as_deref(), Some("helper"));
-        assert_eq!(scope_of(&f, "in_loop").fn_name.as_deref(), Some("f"));
-    }
-
-    #[test]
-    fn brace_inside_a_signature_does_not_erase_the_fn_head() {
-        let src = "fn f(x: [u8; { N }]) { body(x); }\n";
-        let f = SourceFile::from_source("x.rs", src);
-        assert_eq!(scope_of(&f, "body").fn_name.as_deref(), Some("f"));
+        assert!(scope_of(&f, "body").in_test);
+        assert!(!scope_of(&f, "live").in_test);
     }
 
     #[test]
@@ -487,39 +418,45 @@ fn shipped() { e(); }
     fn justification_walks_contiguous_comment_block() {
         let src = "\
 fn f() {
-    // lint:allow(no-unwrap) — invariant: list non-empty
+    // lint:allow(total-order-weights) — invariant: both operands finite
     // (continued explanation)
-    x.unwrap();
-    y.unwrap();
+    a.partial_cmp(&b);
+    c.partial_cmp(&d);
 }
 ";
         let f = SourceFile::from_source("x.rs", src);
-        assert!(f.justified(4, "no-unwrap"));
-        assert!(!f.justified(5, "no-unwrap"), "code line breaks the block");
+        assert!(f.justified(4, "total-order-weights"));
+        assert!(
+            !f.justified(5, "total-order-weights"),
+            "code line breaks the block"
+        );
         assert!(!f.justified(4, "paper-docs"), "rule key must match");
     }
 
     #[test]
     fn justification_grammar() {
         assert!(allows(
-            "// lint:allow(no-unwrap) — proven by Theorem 1",
-            "no-unwrap"
+            "// lint:allow(total-order-weights) — proven by Theorem 1",
+            "total-order-weights"
         ));
         assert!(allows(
-            "// lint:allow(no-unwrap) - ascii dash reason",
-            "no-unwrap"
+            "// lint:allow(total-order-weights) - ascii dash reason",
+            "total-order-weights"
         ));
-        assert!(allows(
-            "// lint:allow(a, no-swallowed-result) — multi",
-            "no-swallowed-result"
+        assert!(allows("// lint:allow(a, paper-docs) — multi", "paper-docs"));
+        assert!(!allows(
+            "// lint:allow(total-order-weights)",
+            "total-order-weights"
         ));
-        assert!(!allows("// lint:allow(no-unwrap)", "no-unwrap"));
-        assert!(!allows("// lint:allow(no-unwrap) — ", "no-unwrap"));
+        assert!(!allows(
+            "// lint:allow(total-order-weights) — ",
+            "total-order-weights"
+        ));
         assert!(!allows(
             "// lint:allow(paper-docs) — wrong rule",
-            "no-unwrap"
+            "total-order-weights"
         ));
-        assert!(!allows("// nothing here", "no-unwrap"));
+        assert!(!allows("// nothing here", "total-order-weights"));
     }
 
     #[test]
@@ -568,30 +505,6 @@ fn f() {
     }
 
     #[test]
-    fn deter_ok_marker_needs_an_invariant_and_follows_the_block_grammar() {
-        assert!(marker_ok(
-            "// DETER-OK: victim scan over a BTreeMap — key order",
-            "DETER-OK"
-        ));
-        assert!(!marker_ok("// DETER-OK:", "DETER-OK"));
-        assert!(!marker_ok("// DETER-OK: x", "DETER-OK"));
-        assert!(!marker_ok("// deterministic here", "DETER-OK"));
-        let src = "\
-fn f() {
-    // DETER-OK: feeds the worker count only; slots are input-ordered
-    let w = available_parallelism();
-    let t = Instant::now();
-}
-";
-        let f = SourceFile::from_source("x.rs", src);
-        assert!(f.marked(3, "DETER-OK"));
-        assert!(!f.marked(4, "DETER-OK"), "code line breaks the block");
-        // The three markers are independent.
-        assert!(!f.marked(3, "PANIC-OK"));
-        assert!(!f.marked(3, "ALLOC-OK"));
-    }
-
-    #[test]
     fn taint_ok_marker_needs_a_parenthesized_reason_and_follows_the_block_grammar() {
         assert!(taint_ok(
             "// TAINT-OK(take(6) guarantees exactly 6 scalars)"
@@ -613,10 +526,9 @@ fn f() {
         let f = SourceFile::from_source("x.rs", src);
         assert!(f.taint_justified(3));
         assert!(!f.taint_justified(4), "code line breaks the block");
-        // The four markers are independent.
+        // The three markers are independent.
         assert!(!f.marked(3, "PANIC-OK"));
         assert!(!f.marked(3, "ALLOC-OK"));
-        assert!(!f.marked(3, "DETER-OK"));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The untrusted-input flow analysis of `cargo xtask certify`.
 //!
-//! The three reachability analyses (`panics`, `allocs`, `determinism`)
-//! answer "what can this entry point *do*?". This one answers the dual
-//! question for the snapshot/serving boundary: "where can untrusted
-//! *bytes* go?" — and proves every source→sink flow crosses a sanitizer
-//! or carries a reviewed `TAINT-OK(reason)` justification.
+//! The two reachability analyses (`panics`, `allocs`) answer "what can
+//! this entry point *do*?". This one answers the dual question for the
+//! snapshot/serving boundary: "where can untrusted *bytes* go?" — and
+//! proves every source→sink flow crosses a sanitizer or carries a
+//! reviewed `TAINT-OK(reason)` justification.
 //!
 //! The model has three vocabularies, registered in this module:
 //!
