@@ -102,33 +102,29 @@ impl<'a> InvertedHeap<'a> {
     ) -> Result<Self, usize> {
         let entry = index.entry(t).ok_or(0usize)?;
         let mut lb_computed = 0;
-        let heap = match entry {
-            KeywordIndex::Small(s) => {
-                // Observation 1: the whole inverted list fits; seeding it
-                // entirely trivially satisfies Property 1.
-                let mut heap = DaryHeap::new(s.objects.len());
-                for (i, &v) in s.vertices.iter().enumerate() {
-                    lb_computed += 1;
-                    heap.push(ctx.lower_bound.lower_bound(ctx.q, v), i as u32);
-                }
-                heap
-            }
-            KeywordIndex::Nvd(n) => {
-                // Theorem 1: seeding with the quadtree leaf's candidates
-                // (which contain the 1NN of q) plus the lazy inserts
-                // adjacent to them satisfies Property 1. An insert linked
-                // to two of them arrives twice, hence `was_inserted`.
-                let mut heap = DaryHeap::new(n.apx.num_total());
-                for local in n.apx.init_candidates(ctx.graph.coord(ctx.q)) {
-                    if !heap.was_inserted(local) {
-                        let v = n.apx.object_vertex(local);
-                        lb_computed += 1;
-                        heap.push(ctx.lower_bound.lower_bound(ctx.q, v), local);
-                    }
-                }
-                heap
+        let mut heap = DaryHeap::new(entry.objects.len());
+        // An insert linked to two seeding generators arrives twice, hence
+        // `was_inserted`.
+        let offer = |local: u32| {
+            if !heap.was_inserted(local) {
+                // PANIC-OK: seeds are local ids < the table's length.
+                let v = entry.vertices[local as usize];
+                lb_computed += 1;
+                heap.push(ctx.lower_bound.lower_bound(ctx.q, v), local);
             }
         };
+        match &entry.nvd {
+            // Observation 1: the whole inverted list fits; seeding it
+            // entirely trivially satisfies Property 1.
+            None => (0..entry.objects.len() as u32).for_each(offer),
+            // Theorem 1: seeding with the quadtree leaf's candidates (which
+            // contain the 1NN of q) plus the lazy inserts adjacent to them
+            // satisfies Property 1.
+            Some(n) => n
+                .apx
+                .init_candidates(ctx.graph.coord(ctx.q))
+                .for_each(offer),
+        }
         let mut h = InvertedHeap {
             entry,
             heap,
@@ -160,7 +156,8 @@ impl<'a> InvertedHeap<'a> {
         self.reheap(local, ctx);
         self.skip_deleted(ctx);
         Some(Candidate {
-            object: self.corpus_id(local),
+            // PANIC-OK: heap items are local ids < the table's length.
+            object: self.entry.objects[local as usize],
             lower_bound: lb,
         })
     }
@@ -189,15 +186,16 @@ impl<'a> InvertedHeap<'a> {
     }
 
     /// Algorithm 4: push never-inserted neighbors of `local` in the NVD
-    /// adjacency graph. Small keyword lists were fully seeded, so there is
-    /// nothing to do for them.
+    /// adjacency graph. Keywords without an NVD were fully seeded, so
+    /// there is nothing to do for them.
     fn reheap(&mut self, local: u32, ctx: &HeapContext<'_>) {
-        let KeywordIndex::Nvd(n) = self.entry else {
+        let Some(n) = &self.entry.nvd else {
             return;
         };
         for &a in n.apx.adjacent(local) {
             if !self.heap.was_inserted(a) {
-                let v = n.apx.object_vertex(a);
+                // PANIC-OK: adjacency ids are local ids < the table's length.
+                let v = self.entry.vertices[a as usize];
                 self.lb_computed += 1;
                 self.heap.push(ctx.lower_bound.lower_bound(ctx.q, v), a);
             }
@@ -217,21 +215,8 @@ impl<'a> InvertedHeap<'a> {
     }
 
     fn is_live(&self, local: u32) -> bool {
-        match self.entry {
-            // PANIC-OK: heap items are local object ids < the keyword's
-            // object count; the per-keyword arrays share that length.
-            KeywordIndex::Small(s) => s.alive[local as usize],
-            KeywordIndex::Nvd(n) => !n.apx.is_deleted(local),
-        }
-    }
-
-    fn corpus_id(&self, local: u32) -> ObjectId {
-        match self.entry {
-            // PANIC-OK: heap items are local object ids < the keyword's
-            // object count; the per-keyword arrays share that length.
-            KeywordIndex::Small(s) => s.objects[local as usize],
-            KeywordIndex::Nvd(n) => n.corpus_ids[local as usize], // PANIC-OK: same bound.
-        }
+        // PANIC-OK: heap items are local ids < the table's length.
+        !self.entry.deleted[local as usize]
     }
 
     /// Lower-bound computations this heap performed so far.
@@ -303,7 +288,7 @@ mod tests {
         }
     }
 
-    /// A frequent term (NVD-backed) and a rare term (Small) of the corpus.
+    /// A frequent term (NVD-backed) and a rare term (a list) of the corpus.
     fn pick_terms(f: &Fixture) -> (TermId, TermId) {
         let mut frequent = None;
         let mut rare = None;

@@ -48,68 +48,75 @@ impl Default for KspinConfig {
     }
 }
 
-/// Index for one Zipf-tail keyword: just its (mutable) object list.
+/// One keyword's index: the table of its objects, plus a ρ-approximate
+/// NVD over them when the keyword was built over more than ρ objects.
+///
+/// The table is the one record of which objects the keyword holds: local
+/// id `l` is corpus object `objects[l]` on vertex `vertices[l]`, §6.2
+/// mark-deleted iff `deleted[l]`. Local ids run in build order, then in
+/// §6.2 insert order, and are the NVD's generator and object ids too.
 #[derive(Debug, Clone, Default)]
-pub struct SmallIndex {
+pub(crate) struct KeywordIndex {
     pub(crate) objects: Vec<ObjectId>,
     pub(crate) vertices: Vec<VertexId>,
-    pub(crate) alive: Vec<bool>,
+    pub(crate) deleted: Vec<bool>,
+    /// `Some` exactly when the keyword was built over more than ρ objects
+    /// (Observation 1: a shorter list is the whole index). Boxed so the
+    /// Zipf-tail majority keeps the per-term entry small.
+    pub(crate) nvd: Option<Box<KeywordNvd>>,
 }
 
-impl SmallIndex {
-    fn push(&mut self, o: ObjectId, v: VertexId) {
-        // ALLOC-OK: index construction/update path, amortized over corpus
-        // size; only conservative name-match edges reach it from serving.
-        self.objects.push(o);
-        // ALLOC-OK: same update-path invariant as above.
-        self.vertices.push(v);
-        // ALLOC-OK: same update-path invariant as above.
-        self.alive.push(true);
-    }
-
-    /// Live object count.
-    pub fn live_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
-    }
-}
-
-/// Index for a frequent keyword: ρ-approximate NVD plus the mapping from
-/// NVD-local generator ids to corpus object ids.
+/// The NVD part of a frequent keyword: its ρ-approximate NVD (§6.1) and
+/// the corpus → local id map.
 #[derive(Debug, Clone)]
-pub struct NvdIndex {
+pub(crate) struct KeywordNvd {
     pub(crate) apx: ApproxNvd,
-    /// `corpus_ids[local] = corpus object id` (extended by lazy inserts).
-    pub(crate) corpus_ids: Vec<ObjectId>,
-    /// Reverse mapping, `object id → local id`. A `BTreeMap` rather than
-    /// a `HashMap`: lookups are the only hot operation, but the auditor
-    /// and §6.2 update paths iterate it, and a `RandomState`-ordered walk
-    /// on those paths is exactly what `cargo xtask certify` forbids.
+    /// A `BTreeMap` rather than a `HashMap`: lookups are the only hot
+    /// operation, but the auditor and §6.2 update paths iterate it, and a
+    /// `RandomState`-ordered walk on those paths is exactly what the
+    /// crate's `disallowed_types` lint forbids.
     pub(crate) local_of: BTreeMap<ObjectId, u32>,
 }
 
-impl NvdIndex {
-    pub(crate) fn new(apx: ApproxNvd, corpus_ids: Vec<ObjectId>) -> Self {
-        let local_of = corpus_ids
-            .iter()
-            .enumerate()
-            .map(|(l, &o)| (o, l as u32))
-            .collect();
-        NvdIndex {
-            apx,
-            corpus_ids,
-            local_of,
+impl KeywordIndex {
+    /// The index of a keyword over `objects` (non-empty) on `vertices`,
+    /// none deleted: an NVD exactly when there are more than ρ.
+    fn build(graph: &Graph, objects: Vec<ObjectId>, vertices: Vec<VertexId>, rho: usize) -> Self {
+        let nvd = (objects.len() > rho).then(|| {
+            Box::new(KeywordNvd {
+                apx: ApproxNvd::build(graph, &vertices, rho),
+                local_of: local_map(&objects),
+            })
+        });
+        KeywordIndex {
+            deleted: vec![false; objects.len()],
+            objects,
+            vertices,
+            nvd,
         }
+    }
+
+    /// The local id of corpus object `o`, if the keyword holds it.
+    pub(crate) fn local_id(&self, o: ObjectId) -> Option<usize> {
+        match &self.nvd {
+            Some(n) => n.local_of.get(&o).map(|&l| l as usize),
+            None => self.objects.iter().position(|&x| x == o),
+        }
+    }
+
+    /// Live (not deleted) object count.
+    fn live_count(&self) -> usize {
+        self.deleted.iter().filter(|&&d| !d).count()
     }
 }
 
-/// Per-keyword index: none (keyword unused), small list, or NVD.
-#[derive(Debug, Clone)]
-pub enum KeywordIndex {
-    /// `|inv(t)| ≤ ρ`: the object list is the whole index.
-    Small(SmallIndex),
-    /// Frequent keyword: ρ-approximate NVD. Boxed so the Zipf-tail `Small`
-    /// majority keeps the per-term array entry small.
-    Nvd(Box<NvdIndex>),
+/// `objects[l] → l`.
+pub(crate) fn local_map(objects: &[ObjectId]) -> BTreeMap<ObjectId, u32> {
+    objects
+        .iter()
+        .enumerate()
+        .map(|(l, &o)| (o, l as u32))
+        .collect()
 }
 
 /// Construction statistics reported by the index benches (Figs. 6, 14).
@@ -127,9 +134,10 @@ pub struct BuildStats {
 impl BuildStats {
     /// The counter of `entry`'s kind.
     fn count_of(&mut self, entry: &KeywordIndex) -> &mut usize {
-        match entry {
-            KeywordIndex::Small(_) => &mut self.small_terms,
-            KeywordIndex::Nvd(_) => &mut self.nvd_terms,
+        if entry.nvd.is_some() {
+            &mut self.nvd_terms
+        } else {
+            &mut self.small_terms
         }
     }
 }
@@ -246,19 +254,7 @@ impl KspinIndex {
                 vertices.push(corpus.vertex_of(p.object));
             }
         }
-        if objects.is_empty() {
-            return None;
-        }
-        if objects.len() <= rho {
-            let alive = vec![true; objects.len()];
-            return Some(KeywordIndex::Small(SmallIndex {
-                objects,
-                vertices,
-                alive,
-            }));
-        }
-        let apx = ApproxNvd::build(graph, &vertices, rho);
-        Some(KeywordIndex::Nvd(Box::new(NvdIndex::new(apx, objects))))
+        (!objects.is_empty()).then(|| KeywordIndex::build(graph, objects, vertices, rho))
     }
 
     /// The ρ the index was built with.
@@ -273,7 +269,7 @@ impl KspinIndex {
 
     /// The per-keyword index of `t`, if the keyword has any objects.
     #[inline]
-    pub fn entry(&self, t: TermId) -> Option<&KeywordIndex> {
+    pub(crate) fn entry(&self, t: TermId) -> Option<&KeywordIndex> {
         self.entries.get(t as usize).and_then(Option::as_ref)
     }
 
@@ -298,14 +294,17 @@ impl KspinIndex {
     }
 
     /// Approximate index size in bytes (Keyword Separated Index only — the
-    /// distance and lower-bound modules report their own sizes).
+    /// distance and lower-bound modules report their own sizes): per
+    /// keyword its table (object, vertex, flag) and its NVD part.
     pub fn size_bytes(&self) -> usize {
         self.entries
             .iter()
             .flatten()
-            .map(|e| match e {
-                KeywordIndex::Small(s) => s.objects.len() * 9 + 24,
-                KeywordIndex::Nvd(n) => n.apx.size_bytes() + n.corpus_ids.len() * 12,
+            .map(|e| {
+                let nvd = e.nvd.as_ref();
+                e.objects.len() * 9
+                    + 24
+                    + nvd.map_or(0, |n| n.apx.size_bytes() + n.local_of.len() * 8)
             })
             .sum()
     }
@@ -315,99 +314,77 @@ impl KspinIndex {
     ///
     /// Per keyword `t`, the audit asserts:
     ///
-    /// * **ρ-split (Observation 1)** — a [`SmallIndex`] holds at most ρ
-    ///   objects and an [`NvdIndex`] was built over more than ρ generators.
+    /// * **ρ-split (Observation 1)** — a keyword without an NVD holds at
+    ///   most ρ objects and an NVD was built over more than ρ generators.
     ///   Lazy §6.2 updates may legitimately drift a term past the
     ///   threshold, so fold pending updates with
     ///   [`KspinIndex::rebuild_term`] before validating an updated index.
-    /// * Table consistency — `SmallIndex` parallel arrays agree in length
-    ///   and hold no duplicate object; `NvdIndex`'s local↔corpus id
-    ///   mapping is a bijection sized to the NVD's object set.
-    /// * Vertex agreement — each indexed object sits on its corpus vertex.
+    /// * Table consistency — the table's columns agree in length and hold
+    ///   no object twice; each object is in the corpus, on the vertex the
+    ///   table gives it, and its document contains `t`. With an NVD, the
+    ///   corpus → local map inverts the table and the NVD covers exactly
+    ///   the table's objects.
     /// * The per-NVD structural audit [`ApproxNvd::validate`] (adjacency
     ///   symmetry — Observation 2a — plus quadtree candidate invariants),
     ///   with violations prefixed by the owning keyword.
     pub fn validate(&self, corpus: &Corpus) -> Result<(), Vec<String>> {
         let mut errs = Vec::new();
         for (ti, entry) in self.entries.iter().enumerate() {
+            let Some(e) = entry else { continue };
             let t = ti as TermId;
-            match entry {
-                None => {}
-                Some(KeywordIndex::Small(s)) => {
-                    if s.objects.len() != s.vertices.len() || s.objects.len() != s.alive.len() {
-                        errs.push(format!(
-                            "term {t}: Small parallel arrays disagree \
-                             ({} objects, {} vertices, {} alive flags)",
-                            s.objects.len(),
-                            s.vertices.len(),
-                            s.alive.len()
-                        ));
-                        continue;
-                    }
-                    if s.objects.len() > self.rho {
-                        errs.push(format!(
-                            "term {t}: ρ-split violated — Small index holds {} > ρ = {} objects",
-                            s.objects.len(),
-                            self.rho
-                        ));
-                    }
-                    for (i, &o) in s.objects.iter().enumerate() {
-                        if s.objects[..i].contains(&o) {
-                            errs.push(format!("term {t}: object {o} appears twice in Small index"));
-                        }
-                        if s.vertices[i] != corpus.vertex_of(o) {
-                            errs.push(format!(
-                                "term {t}: object {o} indexed at vertex {} but corpus places it at {}",
-                                s.vertices[i],
-                                corpus.vertex_of(o)
-                            ));
-                        }
-                    }
+            let n = e.objects.len();
+            if e.vertices.len() != n || e.deleted.len() != n {
+                errs.push(format!(
+                    "term {t}: table columns disagree ({n} objects, {} vertices, {} flags)",
+                    e.vertices.len(),
+                    e.deleted.len()
+                ));
+                continue;
+            }
+            match &e.nvd {
+                None if n > self.rho => errs.push(format!(
+                    "term {t}: ρ-split violated — list holds {n} > ρ = {} objects",
+                    self.rho
+                )),
+                Some(nvd) if nvd.apx.num_original() <= self.rho => errs.push(format!(
+                    "term {t}: ρ-split violated — NVD built over {} ≤ ρ = {} generators",
+                    nvd.apx.num_original(),
+                    self.rho
+                )),
+                _ => {}
+            }
+            let mut seen = std::collections::BTreeSet::new();
+            for (l, (&o, &v)) in e.objects.iter().zip(&e.vertices).enumerate() {
+                if o as usize >= corpus.num_objects() {
+                    errs.push(format!("term {t}: object {o} is not in the corpus"));
+                    continue;
                 }
-                Some(KeywordIndex::Nvd(n)) => {
-                    if n.apx.num_original() <= self.rho {
-                        errs.push(format!(
-                            "term {t}: ρ-split violated — NVD built over {} ≤ ρ = {} generators",
-                            n.apx.num_original(),
-                            self.rho
-                        ));
-                    }
-                    if n.corpus_ids.len() != n.apx.num_total() {
-                        errs.push(format!(
-                            "term {t}: {} corpus ids for {} NVD objects",
-                            n.corpus_ids.len(),
-                            n.apx.num_total()
-                        ));
-                    }
-                    if n.local_of.len() != n.corpus_ids.len() {
-                        errs.push(format!(
-                            "term {t}: local_of has {} entries for {} corpus ids \
-                             (duplicate or missing object?)",
-                            n.local_of.len(),
-                            n.corpus_ids.len()
-                        ));
-                    }
-                    for (l, &o) in n.corpus_ids.iter().enumerate() {
-                        let l = l as u32;
-                        if n.local_of.get(&o) != Some(&l) {
-                            errs.push(format!(
-                                "term {t}: corpus_ids[{l}] = {o} but local_of[{o}] = {:?}",
-                                n.local_of.get(&o)
-                            ));
-                        }
-                        if (l as usize) < n.apx.num_total()
-                            && n.apx.object_vertex(l) != corpus.vertex_of(o)
-                        {
-                            errs.push(format!(
-                                "term {t}: object {o} indexed at vertex {} but corpus places it at {}",
-                                n.apx.object_vertex(l),
-                                corpus.vertex_of(o)
-                            ));
-                        }
-                    }
-                    if let Err(sub) = n.apx.validate() {
-                        errs.extend(sub.into_iter().map(|e| format!("term {t}: {e}")));
-                    }
+                if !seen.insert(o) {
+                    errs.push(format!("term {t}: object {o} appears twice"));
+                }
+                if !corpus.contains(o, t) {
+                    errs.push(format!("term {t}: object {o}'s document lacks the keyword"));
+                }
+                if v != corpus.vertex_of(o) {
+                    errs.push(format!(
+                        "term {t}: object {o} indexed at vertex {v} but corpus places it at {}",
+                        corpus.vertex_of(o)
+                    ));
+                }
+                if e.nvd.is_some() && e.local_id(o) != Some(l) {
+                    errs.push(format!("term {t}: local_of[{o}] is not its local id {l}"));
+                }
+            }
+            if let Some(nvd) = &e.nvd {
+                if nvd.local_of.len() != n || nvd.apx.num_total() != n {
+                    errs.push(format!(
+                        "term {t}: {n} objects, but {} mapped and {} in the NVD",
+                        nvd.local_of.len(),
+                        nvd.apx.num_total()
+                    ));
+                }
+                if let Err(sub) = nvd.apx.validate() {
+                    errs.extend(sub.into_iter().map(|e| format!("term {t}: {e}")));
                 }
             }
         }
@@ -440,37 +417,25 @@ impl KspinIndex {
             if (t as usize) >= self.entries.len() {
                 self.entries.resize_with(t as usize + 1, || None);
             }
-            match &mut self.entries[t as usize] {
-                slot @ None => {
-                    let mut s = SmallIndex::default();
-                    s.push(o, vertex);
-                    *slot = Some(KeywordIndex::Small(s));
-                    self.stats.small_terms += 1;
-                }
-                Some(KeywordIndex::Small(s)) => {
-                    if let Some(i) = s.objects.iter().position(|&x| x == o) {
-                        assert!(!s.alive[i], "object {o} already in keyword {t} index");
-                        s.alive[i] = true;
-                    } else {
-                        s.push(o, vertex);
-                    }
-                }
-                Some(KeywordIndex::Nvd(n)) => {
-                    if let Some(&local) = n.local_of.get(&o) {
-                        assert!(
-                            n.apx.is_deleted(local),
-                            "object {o} already in keyword {t} index"
-                        );
-                        n.apx.undelete_object(local);
-                    } else {
-                        let mut d = |a: VertexId, b: VertexId| dist.distance(a, b);
-                        let local = n.apx.insert_object(vertex, graph.coord(vertex), &mut d);
-                        debug_assert_eq!(local as usize, n.corpus_ids.len());
-                        n.corpus_ids.push(o);
-                        n.local_of.insert(o, local);
-                    }
-                }
+            let e = self.entries[t as usize].get_or_insert_with(|| {
+                self.stats.small_terms += 1;
+                KeywordIndex::default()
+            });
+            if let Some(l) = e.local_id(o) {
+                assert!(e.deleted[l], "object {o} already in keyword {t} index");
+                e.deleted[l] = false;
+                continue;
             }
+            if let Some(n) = &mut e.nvd {
+                let vertices = &e.vertices;
+                let mut d = |c: u32| dist.distance(vertex, vertices[c as usize]);
+                let local = n.apx.insert_object(graph.coord(vertex), &mut d);
+                debug_assert_eq!(local as usize, e.objects.len());
+                n.local_of.insert(o, local);
+            }
+            e.objects.push(o);
+            e.vertices.push(vertex);
+            e.deleted.push(false);
         }
     }
 
@@ -486,66 +451,37 @@ impl KspinIndex {
     pub fn delete_object(&mut self, corpus: &Corpus, o: ObjectId) {
         for p in corpus.doc(o) {
             let t = p.term;
-            match self.entries.get_mut(t as usize).and_then(Option::as_mut) {
-                None => panic!("keyword {t} has no index"),
-                Some(KeywordIndex::Small(s)) => {
-                    let i = s
-                        .objects
-                        .iter()
-                        .position(|&x| x == o)
-                        .unwrap_or_else(|| panic!("object {o} not in keyword {t} index"));
-                    assert!(s.alive[i], "object {o} already deleted from keyword {t}");
-                    s.alive[i] = false;
-                }
-                Some(KeywordIndex::Nvd(n)) => {
-                    let &local = n
-                        .local_of
-                        .get(&o)
-                        .unwrap_or_else(|| panic!("object {o} not in keyword {t} index"));
-                    n.apx.delete_object(local);
-                }
-            }
+            let Some(e) = self.entries.get_mut(t as usize).and_then(Option::as_mut) else {
+                panic!("keyword {t} has no index");
+            };
+            let l = e
+                .local_id(o)
+                .unwrap_or_else(|| panic!("object {o} not in keyword {t} index"));
+            assert!(!e.deleted[l], "object {o} already deleted from keyword {t}");
+            e.deleted[l] = true;
         }
     }
 
     /// Rebuilds keyword `t`'s index from its live object set, folding lazy
-    /// updates in (the amortized cost of Fig. 8(b)). Converts between
-    /// Small and NVD representations as the live count crosses ρ.
+    /// updates in (the amortized cost of Fig. 8(b)). Builds an NVD or
+    /// drops it as the live count crosses ρ.
     pub fn rebuild_term(&mut self, graph: &Graph, corpus: &Corpus, t: TermId) {
         let Some(entry) = self.entries.get_mut(t as usize).and_then(Option::as_mut) else {
             return;
         };
-        let live: Vec<ObjectId> = match entry {
-            KeywordIndex::Small(s) => s
-                .objects
-                .iter()
-                .zip(&s.alive)
-                .filter(|&(_, &a)| a)
-                .map(|(&o, _)| o)
-                .collect(),
-            KeywordIndex::Nvd(n) => (0..n.apx.num_total() as u32)
-                .filter(|&l| !n.apx.is_deleted(l))
-                .map(|l| n.corpus_ids[l as usize])
-                .collect(),
-        };
+        let live: Vec<ObjectId> = entry
+            .objects
+            .iter()
+            .zip(&entry.deleted)
+            .filter(|&(_, &d)| !d)
+            .map(|(&o, _)| o)
+            .collect();
         // The kind may change, or the keyword empty: keep the per-kind
         // counts, which a snapshot stores and its loader checks, in step.
         *self.stats.count_of(entry) -= 1;
         let vertices: Vec<VertexId> = live.iter().map(|&o| corpus.vertex_of(o)).collect();
-        let fresh = if live.is_empty() {
-            None
-        } else if live.len() <= self.rho {
-            Some(KeywordIndex::Small(SmallIndex {
-                alive: vec![true; live.len()],
-                objects: live,
-                vertices,
-            }))
-        } else {
-            Some(KeywordIndex::Nvd(Box::new(NvdIndex::new(
-                ApproxNvd::build(graph, &vertices, self.rho),
-                live,
-            ))))
-        };
+        let fresh =
+            (!live.is_empty()).then(|| KeywordIndex::build(graph, live, vertices, self.rho));
         if let Some(fresh) = &fresh {
             *self.stats.count_of(fresh) += 1;
         }
@@ -554,12 +490,86 @@ impl KspinIndex {
 
     /// Live object count in `t`'s index (0 when the keyword is unused).
     pub fn live_count(&self, t: TermId) -> usize {
-        match self.entry(t) {
-            None => 0,
-            Some(KeywordIndex::Small(s)) => s.live_count(),
-            Some(KeywordIndex::Nvd(n)) => (0..n.apx.num_total() as u32)
-                .filter(|&l| !n.apx.is_deleted(l))
-                .count(),
-        }
+        self.entry(t).map_or(0, KeywordIndex::live_count)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::modules::DijkstraDistance;
+    use kspin_graph::generate::{road_network, RoadNetworkConfig};
+    use kspin_text::generate::{corpus as gen_corpus, CorpusConfig};
+
+    fn fixture() -> (Graph, Corpus, KspinIndex) {
+        let graph = road_network(&RoadNetworkConfig::new(600, 44));
+        let mut cc = CorpusConfig::new(graph.num_vertices(), 45);
+        cc.object_fraction = 0.08;
+        let (corpus, _) = gen_corpus(&cc);
+        let config = KspinConfig {
+            rho: 4,
+            num_threads: 1,
+        };
+        let index = KspinIndex::build(&graph, &corpus, &config);
+        (graph, corpus, index)
+    }
+
+    /// An NVD keyword and one of its objects.
+    fn nvd_object(corpus: &Corpus, index: &KspinIndex) -> (TermId, ObjectId) {
+        let t = (0..corpus.num_terms() as TermId)
+            .find(|&t| index.entry(t).is_some_and(|e| e.nvd.is_some()))
+            .expect("an NVD keyword");
+        (t, corpus.inverted(t)[3].object)
+    }
+
+    #[test]
+    fn delete_marks_without_removing() {
+        let (graph, corpus, mut index) = fixture();
+        let (t, o) = nvd_object(&corpus, &index);
+        let (len, live) = (index.entry(t).unwrap().objects.len(), index.live_count(t));
+        index.delete_object(&corpus, o);
+        let e = index.entry(t).unwrap();
+        assert_eq!(e.objects.len(), len);
+        assert!(e.deleted[e.local_id(o).unwrap()]);
+        assert_eq!(index.live_count(t), live - 1);
+        // Inserting it back clears the flag on the same row.
+        let mut dist = DijkstraDistance::new(&graph);
+        index.insert_object(&graph, &corpus, o, &mut dist);
+        let e = index.entry(t).unwrap();
+        assert_eq!((e.objects.len(), index.live_count(t)), (len, live));
+        assert!(!e.deleted[e.local_id(o).unwrap()]);
+        index.validate(&corpus).expect("index audits clean");
+    }
+
+    #[test]
+    #[should_panic(expected = "already deleted")]
+    fn double_delete_panics() {
+        let (_, corpus, mut index) = fixture();
+        let (_, o) = nvd_object(&corpus, &index);
+        index.delete_object(&corpus, o);
+        index.delete_object(&corpus, o);
+    }
+
+    /// A table row whose object, though on the right vertex, lacks the
+    /// keyword would be returned for it: the audit names it.
+    #[test]
+    fn validate_refuses_an_object_without_the_keyword() {
+        let (_, corpus, mut index) = fixture();
+        let t = (0..corpus.num_terms() as TermId)
+            .find(|&t| index.entry(t).is_some_and(|e| e.nvd.is_none()))
+            .expect("a list keyword");
+        let stranger = (0..corpus.num_objects() as ObjectId)
+            .find(|&o| !corpus.contains(o, t))
+            .expect("an object without the keyword");
+        let e = index.entries[t as usize].as_mut().unwrap();
+        e.objects[0] = stranger;
+        e.vertices[0] = corpus.vertex_of(stranger);
+        let errs = index
+            .validate(&corpus)
+            .expect_err("foreign object accepted");
+        assert!(
+            errs.iter().any(|e| e.contains("lacks the keyword")),
+            "{errs:?}"
+        );
     }
 }

@@ -19,7 +19,7 @@ use kspin_text::{Corpus, ObjectId, TermId};
 
 use crate::engine::QueryEngine;
 use crate::heap::{HeapContext, InvertedHeap};
-use crate::index::{KeywordIndex, KspinIndex};
+use crate::index::KspinIndex;
 use crate::modules::NetworkDistance;
 use crate::query::kbest::KBest;
 use crate::query::Op;
@@ -148,14 +148,8 @@ fn satisfies_conjunction(
 
 /// Whether object `o` is live in keyword `t`'s index.
 fn index_live(index: &KspinIndex, o: ObjectId, t: TermId) -> bool {
-    match index.entry(t) {
-        None => false,
-        Some(KeywordIndex::Small(s)) => s
-            .objects
-            .iter()
-            .position(|&x| x == o)
-            // PANIC-OK: i < objects.len() from position(); alive is parallel.
-            .is_some_and(|i| s.alive[i]),
-        Some(KeywordIndex::Nvd(n)) => n.local_of.get(&o).is_some_and(|&l| !n.apx.is_deleted(l)),
-    }
+    index.entry(t).is_some_and(|e| {
+        // PANIC-OK: a local id is < the table's length.
+        e.local_id(o).is_some_and(|l| !e.deleted[l])
+    })
 }

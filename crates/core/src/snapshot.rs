@@ -29,12 +29,12 @@ pub use kspin_snapshot::{
     format, FormatError, SectionLabel, SectionView, SnapshotError, SnapshotFile, SnapshotWriter,
 };
 
-use crate::index::{BuildStats, KeywordIndex, KspinIndex, NvdIndex, SmallIndex};
+use crate::index::{local_map, BuildStats, KeywordIndex, KeywordNvd, KspinIndex};
 use kspin_graph::morton::MortonSpace;
-use kspin_graph::{Graph, Point};
+use kspin_graph::{Graph, Point, VertexId};
 use kspin_nvd::{AdjacencyGraph, ApproxNvd};
 use kspin_snapshot::format::section;
-use kspin_text::Corpus;
+use kspin_text::{Corpus, TermId};
 
 /// A cursor over one pooled section's decoded elements. Per-term slices
 /// are taken off the front in term-slot order; [`Pool::finish`] then
@@ -230,13 +230,14 @@ pub fn decode_corpus(f: &SnapshotFile<'_>, num_vertices: usize) -> Result<Corpus
 }
 
 // ---------------------------------------------------------------------
-// Keyword Separated Index (sections 30-49)
+// Keyword Separated Index (sections 30-52)
 // ---------------------------------------------------------------------
 
 /// Appends the Keyword Separated Index: scalar metadata, the per-slot
-/// kind table, and the pooled small-list and NVD arrays in term-slot
-/// order. All eighteen sections are written even when their pools are
-/// empty, so logical content maps one-to-one onto sections (canonical).
+/// kind table, the pooled NVD arrays and the pooled object tables, in
+/// term-slot order. All thirteen sections are written even when their
+/// pools are empty, so logical content maps one-to-one onto sections
+/// (canonical). No section holds a vertex: the corpus places every object.
 #[allow(
     clippy::as_conversions,
     reason = "encode half: trusted in-memory values"
@@ -246,65 +247,53 @@ pub fn encode_index(w: &mut SnapshotWriter, index: &KspinIndex) {
     let stats = index.stats();
 
     let mut kinds = Vec::with_capacity(entries.len());
-    let mut small_lens: Vec<u32> = Vec::new();
-    let mut small_objects: Vec<u32> = Vec::new();
-    let mut small_vertices: Vec<u32> = Vec::new();
-    let mut small_alive: Vec<u8> = Vec::new();
+    let mut lens: Vec<u32> = Vec::new();
+    let mut objects: Vec<u32> = Vec::new();
+    let mut deleted: Vec<u8> = Vec::new();
     let mut nvd_scalars: Vec<u64> = Vec::new();
     let mut nvd_lens: Vec<u32> = Vec::new();
     let mut nvd_starts: Vec<u32> = Vec::new();
     let mut nvd_cand_offsets: Vec<u32> = Vec::new();
     let mut nvd_cands: Vec<u32> = Vec::new();
-    let mut nvd_objects: Vec<u32> = Vec::new();
     let mut nvd_max_radius: Vec<u32> = Vec::new();
     let mut nvd_adj_offsets: Vec<u32> = Vec::new();
     let mut nvd_adj_data: Vec<u32> = Vec::new();
-    let mut nvd_deleted: Vec<u8> = Vec::new();
-    let mut nvd_inserted: Vec<u32> = Vec::new();
-    let mut nvd_corpus_ids: Vec<u32> = Vec::new();
 
     for entry in entries {
-        match entry {
-            None => kinds.push(0u8),
-            Some(KeywordIndex::Small(s)) => {
-                kinds.push(1u8);
-                small_lens.push(s.objects.len() as u32);
-                small_objects.extend_from_slice(&s.objects);
-                small_vertices.extend_from_slice(&s.vertices);
-                small_alive.extend(s.alive.iter().map(|&a| u8::from(a)));
-            }
-            Some(KeywordIndex::Nvd(nvd)) => {
-                kinds.push(2u8);
-                let p = nvd.apx.snapshot_parts();
-                let (min, scale_x, scale_y) = p.space.to_parts();
-                nvd_scalars.extend_from_slice(&[
-                    u64::from(min.x as u32),
-                    u64::from(min.y as u32),
-                    scale_x.to_bits(),
-                    scale_y.to_bits(),
-                ]);
-                let (adj_offsets, adj_data) = p.adjacency.flat_parts();
-                nvd_lens.extend_from_slice(&[
-                    p.starts.len() as u32,
-                    p.cand_offsets.len() as u32,
-                    p.cands.len() as u32,
-                    p.objects.len() as u32,
-                    (adj_offsets.len() - 1) as u32,
-                    adj_data.len() as u32,
-                    p.inserted_vertices.len() as u32,
-                ]);
-                nvd_starts.extend_from_slice(p.starts);
-                nvd_cand_offsets.extend_from_slice(p.cand_offsets);
-                nvd_cands.extend_from_slice(p.cands);
-                nvd_objects.extend_from_slice(p.objects);
-                nvd_max_radius.extend_from_slice(p.max_radius);
-                nvd_adj_offsets.extend_from_slice(&adj_offsets);
-                nvd_adj_data.extend_from_slice(&adj_data);
-                nvd_deleted.extend(p.deleted.iter().map(|&d| u8::from(d)));
-                nvd_inserted.extend_from_slice(p.inserted_vertices);
-                nvd_corpus_ids.extend_from_slice(&nvd.corpus_ids);
-            }
-        }
+        let Some(e) = entry else {
+            kinds.push(0u8);
+            continue;
+        };
+        lens.push(e.objects.len() as u32);
+        objects.extend_from_slice(&e.objects);
+        deleted.extend(e.deleted.iter().map(|&d| u8::from(d)));
+        let Some(nvd) = &e.nvd else {
+            kinds.push(1u8);
+            continue;
+        };
+        kinds.push(2u8);
+        let p = nvd.apx.snapshot_parts();
+        let (min, scale_x, scale_y) = p.space.to_parts();
+        nvd_scalars.extend_from_slice(&[
+            u64::from(min.x as u32),
+            u64::from(min.y as u32),
+            scale_x.to_bits(),
+            scale_y.to_bits(),
+        ]);
+        let (adj_offsets, adj_data) = p.adjacency.flat_parts();
+        nvd_lens.extend_from_slice(&[
+            p.starts.len() as u32,
+            p.cand_offsets.len() as u32,
+            p.cands.len() as u32,
+            p.max_radius.len() as u32,
+            adj_data.len() as u32,
+        ]);
+        nvd_starts.extend_from_slice(p.starts);
+        nvd_cand_offsets.extend_from_slice(p.cand_offsets);
+        nvd_cands.extend_from_slice(p.cands);
+        nvd_max_radius.extend_from_slice(p.max_radius);
+        nvd_adj_offsets.extend_from_slice(&adj_offsets);
+        nvd_adj_data.extend_from_slice(&adj_data);
     }
 
     w.put_u64s(
@@ -317,22 +306,17 @@ pub fn encode_index(w: &mut SnapshotWriter, index: &KspinIndex) {
         ],
     );
     w.put_bytes(section::INDEX_TERM_KINDS, &kinds);
-    w.put_u32s(section::SMALL_LENS, &small_lens);
-    w.put_u32s(section::SMALL_OBJECTS, &small_objects);
-    w.put_u32s(section::SMALL_VERTICES, &small_vertices);
-    w.put_bytes(section::SMALL_ALIVE, &small_alive);
     w.put_u64s(section::NVD_SCALARS, &nvd_scalars);
     w.put_u32s(section::NVD_LENS, &nvd_lens);
     w.put_u32s(section::NVD_STARTS, &nvd_starts);
     w.put_u32s(section::NVD_CAND_OFFSETS, &nvd_cand_offsets);
     w.put_u32s(section::NVD_CANDS, &nvd_cands);
-    w.put_u32s(section::NVD_OBJECTS, &nvd_objects);
     w.put_u32s(section::NVD_MAX_RADIUS, &nvd_max_radius);
     w.put_u32s(section::NVD_ADJ_OFFSETS, &nvd_adj_offsets);
     w.put_u32s(section::NVD_ADJ_DATA, &nvd_adj_data);
-    w.put_bytes(section::NVD_DELETED, &nvd_deleted);
-    w.put_u32s(section::NVD_INSERTED, &nvd_inserted);
-    w.put_u32s(section::NVD_CORPUS_IDS, &nvd_corpus_ids);
+    w.put_u32s(section::KEYWORD_LENS, &lens);
+    w.put_u32s(section::KEYWORD_OBJECTS, &objects);
+    w.put_bytes(section::KEYWORD_DELETED, &deleted);
 }
 
 struct NvdPools<'a> {
@@ -341,41 +325,51 @@ struct NvdPools<'a> {
     starts: Pool<'a, u32>,
     cand_offsets: Pool<'a, u32>,
     cands: Pool<'a, u32>,
-    objects: Pool<'a, u32>,
     max_radius: Pool<'a, u32>,
     adj_offsets: Pool<'a, u32>,
     adj_data: Pool<'a, u32>,
-    deleted: Pool<'a, u8>,
-    inserted: Pool<'a, u32>,
-    corpus_ids: Pool<'a, u32>,
 }
 
 fn len_field(id: u32, what: &str, v: u32) -> Result<usize, SnapshotError> {
     decoded_usize(id, what, u64::from(v))
 }
 
-/// Proves that `corpus` holds every `(object, vertex)` pair of section
-/// `id`: the object exists and sits on that vertex. A built index
-/// guarantees that of every id it stores and the query loops rely on it
-/// (`SeenSet` is sized to the corpus), so a decoded index must prove it.
-fn check_placed(
-    id: u32,
+/// The vertex of each of keyword `t`'s `objects`, read from `corpus`. A
+/// built table holds every object once, each in the corpus with `t` in
+/// its document, and the query loops rely on that: `SeenSet` is sized to
+/// the corpus, and a repeated object would survive its own deletion. So
+/// a decoded table must prove it, for either keyword kind. `holder[o]` is
+/// the last keyword that listed `o`, so a repeat finds `t` there.
+fn placed(
     corpus: &Corpus,
-    mut pairs: impl Iterator<Item = (u32, u32)>,
-) -> Result<(), SnapshotError> {
-    let (vertex_of, _, _) = corpus.flat_parts();
-    let misplaced =
-        pairs.find(|&(o, v)| usize::try_from(o).ok().and_then(|o| vertex_of.get(o)) != Some(&v));
-    match misplaced {
-        None => Ok(()),
-        Some((o, v)) => Err(SnapshotError::decode(
-            id,
-            format!("object {o} at vertex {v} is not in the corpus at that vertex"),
-        )),
+    t: TermId,
+    objects: &[u32],
+    holder: &mut [TermId],
+) -> Result<Vec<VertexId>, SnapshotError> {
+    let refuse = |o: u32, what: &str| {
+        SnapshotError::decode(
+            section::KEYWORD_OBJECTS,
+            format!("keyword {t} holds object {o}, {what}"),
+        )
+    };
+    for &o in objects {
+        let last = usize::try_from(o)
+            .ok()
+            .and_then(|i| holder.get_mut(i))
+            .ok_or_else(|| refuse(o, "which is not in the corpus"))?;
+        if std::mem::replace(last, t) == t {
+            return Err(refuse(o, "twice"));
+        }
+        if !corpus.contains(o, t) {
+            return Err(refuse(o, "whose document lacks it"));
+        }
     }
+    Ok(objects.iter().map(|&o| corpus.vertex_of(o)).collect())
 }
 
-fn decode_one_nvd(p: &mut NvdPools<'_>, corpus: &Corpus) -> Result<NvdIndex, SnapshotError> {
+/// The next NVD of the pools, over a keyword of `objects` objects: the
+/// adjacency graph has one node per object.
+fn decode_one_nvd(p: &mut NvdPools<'_>, objects: usize) -> Result<ApproxNvd, SnapshotError> {
     use section::*;
     let &[s_min_x, s_min_y, s_scale_x, s_scale_y] = p.scalars.take_n(4)? else {
         return Err(SnapshotError::decode(
@@ -383,12 +377,10 @@ fn decode_one_nvd(p: &mut NvdPools<'_>, corpus: &Corpus) -> Result<NvdIndex, Sna
             "scalar pool slice is not 4 wide",
         ));
     };
-    let &[l_starts, l_cand_offsets, l_cands, l_gens, l_adj_nodes, l_adj_edges, l_inserted] =
-        p.lens.take_n(7)?
-    else {
+    let &[l_starts, l_cand_offsets, l_cands, l_gens, l_adj_edges] = p.lens.take_n(5)? else {
         return Err(SnapshotError::decode(
             NVD_LENS,
-            "length pool slice is not 7 wide",
+            "length pool slice is not 5 wide",
         ));
     };
 
@@ -407,9 +399,7 @@ fn decode_one_nvd(p: &mut NvdPools<'_>, corpus: &Corpus) -> Result<NvdIndex, Sna
     let cand_offsets_len = len_field(NVD_LENS, "cand_offsets length", l_cand_offsets)?;
     let cands_len = len_field(NVD_LENS, "cands length", l_cands)?;
     let gens = len_field(NVD_LENS, "generator count", l_gens)?;
-    let adj_nodes = len_field(NVD_LENS, "adjacency node count", l_adj_nodes)?;
     let adj_edges = len_field(NVD_LENS, "adjacency edge count", l_adj_edges)?;
-    let inserted_len = len_field(NVD_LENS, "inserted count", l_inserted)?;
 
     let leaf_fences = starts_len
         .checked_add(1)
@@ -420,66 +410,31 @@ fn decode_one_nvd(p: &mut NvdPools<'_>, corpus: &Corpus) -> Result<NvdIndex, Sna
             format!("{cand_offsets_len} cand offsets for {starts_len} leaves"),
         ));
     }
-    let overlay = gens
-        .checked_add(inserted_len)
-        .ok_or_else(|| SnapshotError::decode(NVD_LENS, "overlay generator count overflows"))?;
-    if adj_nodes != overlay {
-        return Err(SnapshotError::decode(
-            NVD_LENS,
-            format!("adjacency covers {adj_nodes} nodes for {overlay} overlay generators"),
-        ));
-    }
 
     let starts = p.starts.take_n(starts_len)?.to_vec();
     let cand_offsets = p.cand_offsets.take_n(cand_offsets_len)?.to_vec();
     let cands = p.cands.take_n(cands_len)?.to_vec();
-    let objects = p.objects.take_n(gens)?.to_vec();
     let max_radius = p.max_radius.take_n(gens)?.to_vec();
-    let adj_fences = adj_nodes
+    let adj_fences = objects
         .checked_add(1)
         .ok_or_else(|| SnapshotError::decode(NVD_LENS, "adjacency node count overflows"))?;
     let adj_offsets = p.adj_offsets.take_n(adj_fences)?;
     let adj_data = p.adj_data.take_n(adj_edges)?;
     let adjacency = AdjacencyGraph::from_flat(adj_offsets, adj_data)
         .map_err(|e| SnapshotError::decode(NVD_ADJ_OFFSETS, e))?;
-    let deleted = decoded_bools(NVD_DELETED, p.deleted.take_n(overlay)?)?;
-    let inserted_vertices = p.inserted.take_n(inserted_len)?.to_vec();
-    let corpus_ids = p.corpus_ids.take_n(overlay)?.to_vec();
-    // Local ids run over the generators, then the inserted objects.
-    let vertices = objects.iter().chain(&inserted_vertices).copied();
-    let placements = corpus_ids.iter().copied().zip(vertices);
-    check_placed(NVD_CORPUS_IDS, corpus, placements)?;
 
-    let apx = ApproxNvd::from_snapshot_parts(
-        space,
-        starts,
-        cand_offsets,
-        cands,
-        objects,
-        max_radius,
-        adjacency,
-        deleted,
-        inserted_vertices,
-    )
-    .map_err(|e| SnapshotError::decode(NVD_SCALARS, e))?;
-
-    let nvd = NvdIndex::new(apx, corpus_ids);
-    if nvd.local_of.len() != nvd.corpus_ids.len() {
-        return Err(SnapshotError::decode(
-            NVD_CORPUS_IDS,
-            "corpus object ids repeat within one keyword",
-        ));
-    }
-    Ok(nvd)
+    ApproxNvd::from_snapshot_parts(space, starts, cand_offsets, cands, max_radius, adjacency)
+        .map_err(|e| SnapshotError::decode(NVD_SCALARS, e))
 }
 
 /// Reassembles the Keyword Separated Index: every pooled section is
 /// consumed exactly (term-slot order, [`Pool::finish`] proves no
 /// trailing elements), per-NVD structure goes through
 /// [`ApproxNvd::from_snapshot_parts`]'s full structural audit, and the
-/// stored term counts are checked against a recount. Every indexed
-/// object id is checked against `corpus` (the decoded one): it must exist
-/// there, on the vertex the index stores for it.
+/// stored term counts are checked against a recount. Every keyword's
+/// objects are checked against `corpus` (the decoded one), which also
+/// places them: each must exist there, once per keyword, with the
+/// keyword in its document.
 ///
 /// # Errors
 /// Missing/mistyped sections or any violated index invariant; on error
@@ -506,95 +461,85 @@ pub fn decode_index(f: &SnapshotFile<'_>, corpus: &Corpus) -> Result<KspinIndex,
         ));
     }
 
-    let small_lens = f.u32s(SMALL_LENS)?;
-    let small_objects = f.u32s(SMALL_OBJECTS)?;
-    let small_vertices = f.u32s(SMALL_VERTICES)?;
-    let small_alive = f.bytes(SMALL_ALIVE)?;
     let nvd_scalars = f.u64s(NVD_SCALARS)?;
     let nvd_lens = f.u32s(NVD_LENS)?;
     let nvd_starts = f.u32s(NVD_STARTS)?;
     let nvd_cand_offsets = f.u32s(NVD_CAND_OFFSETS)?;
     let nvd_cands = f.u32s(NVD_CANDS)?;
-    let nvd_objects = f.u32s(NVD_OBJECTS)?;
     let nvd_max_radius = f.u32s(NVD_MAX_RADIUS)?;
     let nvd_adj_offsets = f.u32s(NVD_ADJ_OFFSETS)?;
     let nvd_adj_data = f.u32s(NVD_ADJ_DATA)?;
-    let nvd_deleted = f.bytes(NVD_DELETED)?;
-    let nvd_inserted = f.u32s(NVD_INSERTED)?;
-    let nvd_corpus_ids = f.u32s(NVD_CORPUS_IDS)?;
+    let keyword_lens = f.u32s(KEYWORD_LENS)?;
+    let keyword_objects = f.u32s(KEYWORD_OBJECTS)?;
+    let keyword_deleted = f.bytes(KEYWORD_DELETED)?;
 
-    let mut lens_pool = Pool::new(SMALL_LENS, &small_lens);
-    let mut objects_pool = Pool::new(SMALL_OBJECTS, &small_objects);
-    let mut vertices_pool = Pool::new(SMALL_VERTICES, &small_vertices);
-    let mut alive_pool = Pool::new(SMALL_ALIVE, small_alive);
     let mut nvd = NvdPools {
         scalars: Pool::new(NVD_SCALARS, &nvd_scalars),
         lens: Pool::new(NVD_LENS, &nvd_lens),
         starts: Pool::new(NVD_STARTS, &nvd_starts),
         cand_offsets: Pool::new(NVD_CAND_OFFSETS, &nvd_cand_offsets),
         cands: Pool::new(NVD_CANDS, &nvd_cands),
-        objects: Pool::new(NVD_OBJECTS, &nvd_objects),
         max_radius: Pool::new(NVD_MAX_RADIUS, &nvd_max_radius),
         adj_offsets: Pool::new(NVD_ADJ_OFFSETS, &nvd_adj_offsets),
         adj_data: Pool::new(NVD_ADJ_DATA, &nvd_adj_data),
-        deleted: Pool::new(NVD_DELETED, nvd_deleted),
-        inserted: Pool::new(NVD_INSERTED, &nvd_inserted),
-        corpus_ids: Pool::new(NVD_CORPUS_IDS, &nvd_corpus_ids),
     };
+    let mut lens_pool = Pool::new(KEYWORD_LENS, &keyword_lens);
+    let mut objects_pool = Pool::new(KEYWORD_OBJECTS, &keyword_objects);
+    let mut deleted_pool = Pool::new(KEYWORD_DELETED, keyword_deleted);
 
     // TAINT-OK(term_slots equals the validated INDEX_TERM_KINDS section length, so the capacity is bounded by the file size)
     let mut entries: Vec<Option<KeywordIndex>> = Vec::with_capacity(term_slots);
+    let mut holder = vec![TermId::MAX; corpus.num_objects()];
     let mut small_count = 0usize;
     let mut nvd_count = 0usize;
-    for &kind in kinds {
-        match kind {
-            0 => entries.push(None),
-            1 => {
-                // TAINT-OK(slot counter bounded by the kinds section length)
-                small_count += 1;
-                let len = len_field(SMALL_LENS, "small list length", lens_pool.take1()?)?;
-                let objects = objects_pool.take_n(len)?.to_vec();
-                let vertices = vertices_pool.take_n(len)?.to_vec();
-                let alive = decoded_bools(SMALL_ALIVE, alive_pool.take_n(len)?)?;
-                let placements = objects.iter().copied().zip(vertices.iter().copied());
-                check_placed(SMALL_OBJECTS, corpus, placements)?;
-                entries.push(Some(KeywordIndex::Small(SmallIndex {
-                    objects,
-                    vertices,
-                    alive,
-                })));
-            }
-            2 => {
-                // TAINT-OK(slot counter bounded by the kinds section length)
-                nvd_count += 1;
-                let idx = decode_one_nvd(&mut nvd, corpus)?;
-                entries.push(Some(KeywordIndex::Nvd(Box::new(idx))));
-            }
-            other => {
-                return Err(SnapshotError::decode(
-                    INDEX_TERM_KINDS,
-                    format!("unknown term kind byte {other}"),
-                ));
-            }
+    for (slot, &kind) in kinds.iter().enumerate() {
+        if kind == 0 {
+            entries.push(None);
+            continue;
         }
+        if kind > 2 {
+            return Err(SnapshotError::decode(
+                INDEX_TERM_KINDS,
+                format!("unknown term kind byte {kind}"),
+            ));
+        }
+        let t = TermId::try_from(slot)
+            .map_err(|_| SnapshotError::decode(INDEX_TERM_KINDS, "term slot exceeds u32"))?;
+        let len = len_field(KEYWORD_LENS, "keyword object count", lens_pool.take1()?)?;
+        let objects = objects_pool.take_n(len)?.to_vec();
+        let deleted = decoded_bools(KEYWORD_DELETED, deleted_pool.take_n(len)?)?;
+        let vertices = placed(corpus, t, &objects, &mut holder)?;
+        let nvd = if kind == 2 {
+            // TAINT-OK(slot counter bounded by the kinds section length)
+            nvd_count += 1;
+            Some(Box::new(KeywordNvd {
+                apx: decode_one_nvd(&mut nvd, len)?,
+                local_of: local_map(&objects),
+            }))
+        } else {
+            // TAINT-OK(slot counter bounded by the kinds section length)
+            small_count += 1;
+            None
+        };
+        entries.push(Some(KeywordIndex {
+            objects,
+            vertices,
+            deleted,
+            nvd,
+        }));
     }
 
-    lens_pool.finish()?;
-    objects_pool.finish()?;
-    vertices_pool.finish()?;
-    alive_pool.finish()?;
     nvd.scalars.finish()?;
     nvd.lens.finish()?;
     nvd.starts.finish()?;
     nvd.cand_offsets.finish()?;
     nvd.cands.finish()?;
-    nvd.objects.finish()?;
     nvd.max_radius.finish()?;
     nvd.adj_offsets.finish()?;
     nvd.adj_data.finish()?;
-    nvd.deleted.finish()?;
-    nvd.inserted.finish()?;
-    nvd.corpus_ids.finish()?;
+    lens_pool.finish()?;
+    objects_pool.finish()?;
+    deleted_pool.finish()?;
 
     #[expect(
         clippy::as_conversions,
@@ -860,32 +805,15 @@ mod tests {
         // content.
         let reassemble = |meta: &[u64], kinds: &[u8], adj_data: &[u32]| {
             let mut w2 = SnapshotWriter::new();
-            w2.put_u64s(section::INDEX_META, meta);
-            w2.put_bytes(section::INDEX_TERM_KINDS, kinds);
-            for id in [
-                section::SMALL_LENS,
-                section::SMALL_OBJECTS,
-                section::SMALL_VERTICES,
-            ] {
-                w2.put_u32s(id, &f.u32s(id).unwrap());
-            }
-            w2.put_bytes(section::SMALL_ALIVE, f.bytes(section::SMALL_ALIVE).unwrap());
-            w2.put_u64s(section::NVD_SCALARS, &f.u64s(section::NVD_SCALARS).unwrap());
-            for id in [
-                section::NVD_LENS,
-                section::NVD_STARTS,
-                section::NVD_CAND_OFFSETS,
-                section::NVD_CANDS,
-                section::NVD_OBJECTS,
-                section::NVD_MAX_RADIUS,
-                section::NVD_ADJ_OFFSETS,
-            ] {
-                w2.put_u32s(id, &f.u32s(id).unwrap());
-            }
-            w2.put_u32s(section::NVD_ADJ_DATA, adj_data);
-            w2.put_bytes(section::NVD_DELETED, f.bytes(section::NVD_DELETED).unwrap());
-            for id in [section::NVD_INSERTED, section::NVD_CORPUS_IDS] {
-                w2.put_u32s(id, &f.u32s(id).unwrap());
+            for s in f.sections() {
+                match s.id {
+                    section::INDEX_META => w2.put_u64s(s.id, meta),
+                    section::INDEX_TERM_KINDS => w2.put_bytes(s.id, kinds),
+                    section::NVD_ADJ_DATA => w2.put_u32s(s.id, adj_data),
+                    _ if s.kind == format::KIND_U32 => w2.put_u32s(s.id, &f.u32s(s.id).unwrap()),
+                    _ if s.kind == format::KIND_U64 => w2.put_u64s(s.id, &f.u64s(s.id).unwrap()),
+                    _ => w2.put_bytes(s.id, f.bytes(s.id).unwrap()),
+                }
             }
             w2.finish()
         };
@@ -908,32 +836,22 @@ mod tests {
         let mut leafless = SnapshotWriter::new();
         leafless.put_u64s(section::INDEX_META, &[3, 1, 1, 0]);
         leafless.put_bytes(section::INDEX_TERM_KINDS, &[2]);
-        for id in [
-            section::SMALL_LENS,
-            section::SMALL_OBJECTS,
-            section::SMALL_VERTICES,
-        ] {
-            leafless.put_u32s(id, &[]);
-        }
-        leafless.put_bytes(section::SMALL_ALIVE, &[]);
         let one = 1f64.to_bits();
         leafless.put_u64s(section::NVD_SCALARS, &[0, 0, one, one]);
         for (id, words) in [
-            (section::NVD_LENS, &[0, 1, 0, 0, 0, 0, 0][..]),
+            (section::NVD_LENS, &[0, 1, 0, 0, 0][..]),
             (section::NVD_STARTS, &[]),
             (section::NVD_CAND_OFFSETS, &[0]),
             (section::NVD_CANDS, &[]),
-            (section::NVD_OBJECTS, &[]),
             (section::NVD_MAX_RADIUS, &[]),
             (section::NVD_ADJ_OFFSETS, &[0]),
             (section::NVD_ADJ_DATA, &[]),
+            (section::KEYWORD_LENS, &[0]),
+            (section::KEYWORD_OBJECTS, &[]),
         ] {
             leafless.put_u32s(id, words);
         }
-        leafless.put_bytes(section::NVD_DELETED, &[]);
-        for id in [section::NVD_INSERTED, section::NVD_CORPUS_IDS] {
-            leafless.put_u32s(id, &[]);
-        }
+        leafless.put_bytes(section::KEYWORD_DELETED, &[]);
         for bad in [
             reassemble(&lying_meta, &lying_kinds, &adj_data),
             reassemble(&v3_meta, kinds, &adj_data),
@@ -951,7 +869,7 @@ mod tests {
         // audit of the assembled NVD that must refuse each, naming an NVD
         // section.
         let adj_offsets = f.u32s(section::NVD_ADJ_OFFSETS).unwrap();
-        let nodes = f.u32s(section::NVD_LENS).unwrap()[4];
+        let nodes = f.u32s(section::NVD_LENS).unwrap()[3];
         let a = adj_offsets.windows(2).position(|w| w[1] > w[0]).unwrap();
         let a_list = &adj_data[..adj_offsets[a + 1] as usize];
         let stranger = (0..nodes)

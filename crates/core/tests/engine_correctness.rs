@@ -344,7 +344,7 @@ impl LowerBound for CountingBound<'_> {
 
 #[test]
 fn lb_computations_count_heaps_discarded_as_all_deleted() {
-    // §6.2-delete every object of one NVD-backed and one Small keyword:
+    // §6.2-delete every object of one NVD-backed and one list keyword:
     // whatever cell the query falls in, the heap's seeds (and everything
     // LazyReheap expands from them) are deleted, so the Heap Generator
     // hands the query loop no heap — the lower bounds it spent finding

@@ -10,8 +10,8 @@
 //!
 //! * **Indexed** — a position map tracks where each item sits in the heap
 //!   array, so an improved key is sifted in place instead of duplicated.
-//!   A popped or never-inserted item is visible through the same map
-//!   ([`DaryHeap::in_heap`] / [`DaryHeap::was_inserted`]), which also
+//!   Whether an item was inserted this epoch (buffered or popped) is
+//!   visible through the same map ([`DaryHeap::was_inserted`]), which
 //!   replaces the per-search `inserted: Vec<bool>` side tables.
 //! * **4-ary, packed** — children of slot `i` are `4i+1 ..= 4i+4`; each
 //!   entry packs `(key, !item)` into one `u64` so heap order is plain
@@ -169,12 +169,6 @@ impl DaryHeap {
     #[inline]
     pub fn peek(&self) -> Option<(Weight, u32)> {
         self.entries.first().map(|&e| (key_of(e), item_of(e)))
-    }
-
-    /// Whether `item` currently sits in the heap.
-    #[inline]
-    pub fn in_heap(&self, item: u32) -> bool {
-        self.stamp[item as usize] == self.epoch && self.pos[item as usize] != POPPED
     }
 
     /// Whether `item` was inserted at any point this epoch (in the heap
@@ -420,10 +414,10 @@ mod tests {
     fn clear_is_an_epoch_bump() {
         let mut h = DaryHeap::new(4);
         h.push(7, 2);
-        assert!(h.in_heap(2) && h.was_inserted(2));
+        assert!(h.was_inserted(2));
         h.clear();
         assert!(h.is_empty());
-        assert!(!h.in_heap(2) && !h.was_inserted(2));
+        assert!(!h.was_inserted(2));
         // The item is insertable again in the fresh epoch.
         h.insert_or_decrease(3, 2);
         assert_eq!(h.peek(), Some((3, 2)));
@@ -435,7 +429,7 @@ mod tests {
         h.push(1, 3);
         assert_eq!(h.pop(), Some((1, 3)));
         assert!(h.was_inserted(3));
-        assert!(!h.in_heap(3));
+        assert!(h.is_empty());
     }
 
     #[test]

@@ -23,8 +23,11 @@ use crate::exact::ExactNvd;
 /// A built ρ-approximate NVD for one generator (object) set, with the §6.2
 /// lazy-update overlay.
 ///
-/// Object ids `0..num_original()` are the build-time generators; ids beyond
-/// that are lazily inserted objects (see [`crate::update`]).
+/// Object ids are the owning keyword's local ids: `0..num_original()` are
+/// the build-time generators, ids beyond that lazily inserted objects
+/// (see [`crate::update`]). Which object and vertex an id stands for, and
+/// whether it is deleted, is the keyword's record, not the NVD's: the
+/// overlay here is adjacency edges only.
 #[derive(Debug, Clone)]
 pub struct ApproxNvd {
     space: MortonSpace,
@@ -32,13 +35,9 @@ pub struct ApproxNvd {
     starts: Vec<u32>,
     cand_offsets: Vec<u32>,
     cands: Vec<u32>,
-    /// Build-time generator vertices.
-    objects: Vec<VertexId>,
+    /// Per-generator `MaxRadius`; its length is the generator count.
     max_radius: Vec<Weight>,
     pub(crate) adjacency: AdjacencyGraph,
-    // ---- §6.2 lazy-update overlay ----
-    pub(crate) deleted: Vec<bool>,
-    pub(crate) inserted_vertices: Vec<VertexId>,
 }
 
 /// Borrowed flat views of every array an [`ApproxNvd`] owns, as handed
@@ -53,16 +52,10 @@ pub struct ApproxNvdParts<'a> {
     pub cand_offsets: &'a [u32],
     /// Pooled leaf candidate generator indices.
     pub cands: &'a [u32],
-    /// Build-time generator vertices.
-    pub objects: &'a [VertexId],
     /// Per-generator `MaxRadius` values.
     pub max_radius: &'a [Weight],
     /// The generator adjacency graph (originals + inserted overlay).
     pub adjacency: &'a AdjacencyGraph,
-    /// §6.2 overlay: deletion flags, one per overlay generator.
-    pub deleted: &'a [bool],
-    /// §6.2 overlay: vertices of lazily inserted objects.
-    pub inserted_vertices: &'a [VertexId],
 }
 
 impl ApproxNvd {
@@ -83,7 +76,7 @@ impl ApproxNvd {
     /// each leaf's candidates.
     pub fn from_exact(graph: &Graph, exact: ExactNvd, rho: usize) -> Self {
         assert!(rho >= 1, "rho must be at least 1");
-        let (objects, owner, max_radius, adjacency) = exact.into_parts();
+        let (owner, max_radius, adjacency) = exact.into_parts();
         let (space, order) = graph.morton_order();
 
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(order.len());
@@ -100,47 +93,25 @@ impl ApproxNvd {
         };
         builder.subdivide(&pairs, 0, 0);
 
-        let num_objects = objects.len();
         ApproxNvd {
             space,
             starts: builder.starts,
             cand_offsets: builder.cand_offsets,
             cands: builder.cands,
-            objects,
             max_radius,
             adjacency,
-            deleted: vec![false; num_objects],
-            inserted_vertices: Vec::new(),
         }
     }
 
     /// Number of build-time generators.
     pub fn num_original(&self) -> usize {
-        self.objects.len()
+        self.max_radius.len()
     }
 
-    /// Total objects including lazily inserted ones.
+    /// Total objects including lazily inserted ones: the adjacency graph
+    /// holds one node per object.
     pub fn num_total(&self) -> usize {
-        self.objects.len() + self.inserted_vertices.len()
-    }
-
-    /// The road-network vertex of object `id` (original or inserted).
-    #[inline]
-    pub fn object_vertex(&self, id: u32) -> VertexId {
-        let i = id as usize;
-        if i < self.objects.len() {
-            self.objects[i] // PANIC-OK: bound checked on the line above.
-        } else {
-            // PANIC-OK: object ids are < num_total = objects + inserted.
-            self.inserted_vertices[i - self.objects.len()]
-        }
-    }
-
-    /// Whether object `id` is marked deleted.
-    #[inline]
-    pub fn is_deleted(&self, id: u32) -> bool {
-        // PANIC-OK: deleted is kept sized num_total by insert/delete.
-        self.deleted[id as usize]
+        self.adjacency.num_nodes()
     }
 
     /// Objects adjacent to `id` in the (update-extended) adjacency graph.
@@ -185,7 +156,7 @@ impl ApproxNvd {
         let leaf = self.leaf_candidates(p);
         let originals = self.num_original() as u32;
         // Until the first insert no adjacency list holds an inserted id.
-        let hosts: &[u32] = if self.inserted_vertices.is_empty() {
+        let hosts: &[u32] = if self.num_total() == self.num_original() {
             &[]
         } else {
             leaf
@@ -201,7 +172,7 @@ impl ApproxNvd {
     /// debug-mode invariant auditor; `KspinIndex::validate` calls this per
     /// NVD-indexed keyword). Checks:
     ///
-    /// * overlay tables (`deleted`, adjacency) sized to the object set;
+    /// * an adjacency node for every generator;
     /// * adjacency symmetry, range, and simplicity (Observation 2a — the
     ///   generator graph is undirected, so LazyReheap reaches every
     ///   neighbor from either side);
@@ -215,16 +186,9 @@ impl ApproxNvd {
         let mut errs = Vec::new();
         let originals = self.num_original();
         let total = self.num_total();
-        if self.adjacency.num_nodes() != total {
+        if total < originals {
             errs.push(format!(
-                "adjacency covers {} nodes, object set has {total}",
-                self.adjacency.num_nodes()
-            ));
-        }
-        if self.deleted.len() != total {
-            errs.push(format!(
-                "deleted table has {} slots, expected {total}",
-                self.deleted.len()
+                "adjacency covers {total} nodes for {originals} generators"
             ));
         }
         if let Err(adj_errs) = self.adjacency.validate_symmetric() {
@@ -281,11 +245,8 @@ impl ApproxNvd {
             starts: &self.starts,
             cand_offsets: &self.cand_offsets,
             cands: &self.cands,
-            objects: &self.objects,
             max_radius: &self.max_radius,
             adjacency: &self.adjacency,
-            deleted: &self.deleted,
-            inserted_vertices: &self.inserted_vertices,
         }
     }
 
@@ -300,19 +261,9 @@ impl ApproxNvd {
         starts: Vec<u32>,
         cand_offsets: Vec<u32>,
         cands: Vec<u32>,
-        objects: Vec<VertexId>,
         max_radius: Vec<Weight>,
         adjacency: AdjacencyGraph,
-        deleted: Vec<bool>,
-        inserted_vertices: Vec<VertexId>,
     ) -> Result<Self, String> {
-        if max_radius.len() != objects.len() {
-            return Err(format!(
-                "max_radius has {} entries for {} generators",
-                max_radius.len(),
-                objects.len()
-            ));
-        }
         // validate() slices cands through cand_offsets, so bound those
         // first — the audit must not be able to panic on decoded input.
         if u32::try_from(cands.len()).is_err() {
@@ -329,25 +280,18 @@ impl ApproxNvd {
             starts,
             cand_offsets,
             cands,
-            objects,
             max_radius,
             adjacency,
-            deleted,
-            inserted_vertices,
         };
         nvd.validate().map_err(|v| v.join("; "))?;
         Ok(nvd)
     }
 
     /// Index size in bytes: Morton list + candidate lists + adjacency +
-    /// MaxRadius + object table. Compare with [`ExactNvd::size_bytes`].
+    /// MaxRadius. Compare with [`ExactNvd::size_bytes`].
     pub fn size_bytes(&self) -> usize {
-        self.starts.len() * 4
-            + self.cand_offsets.len() * 4
-            + self.cands.len() * 4
-            + self.objects.len() * 8 // vertex + max_radius
+        (self.starts.len() + self.cand_offsets.len() + self.cands.len() + self.max_radius.len()) * 4
             + self.adjacency.size_bytes()
-            + self.inserted_vertices.len() * 4
     }
 }
 
@@ -608,13 +552,16 @@ mod tests {
             .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
     }
 
-    /// Digest of every [`ApproxNvd::snapshot_parts`] field.
-    fn parts_digest(apx: &ApproxNvd) -> u64 {
+    /// Digest of every [`ApproxNvd::snapshot_parts`] field. The digests
+    /// were captured while the NVD still held its generators' vertices and
+    /// a deletion flag each, in the field order below; a fresh build's are
+    /// `gens` and all clear, so they are folded in where they stood.
+    fn parts_digest(apx: &ApproxNvd, gens: &[VertexId]) -> u64 {
         let p = apx.snapshot_parts();
         let (min, scale_x, scale_y) = p.space.to_parts();
         let bits = |f: f64| [f.to_bits() as u32, (f.to_bits() >> 32) as u32];
         let (adj_offsets, adj_data) = p.adjacency.flat_parts();
-        let deleted: Vec<u32> = p.deleted.iter().map(|&d| u32::from(d)).collect();
+        let deleted = vec![0u32; gens.len()];
         let space = [min.x as u32, min.y as u32];
         let fields: [&[u32]; 11] = [
             &space,
@@ -623,16 +570,17 @@ mod tests {
             p.starts,
             p.cand_offsets,
             p.cands,
-            p.objects,
+            gens,
             p.max_radius,
             &adj_offsets,
             &adj_data,
             &deleted,
         ];
-        let h = fields.iter().fold(0xcbf2_9ce4_8422_2325, |h, f| {
+        // The inserted-vertex field that followed was unprefixed, and
+        // empty after a build: it folded in nothing.
+        fields.iter().fold(0xcbf2_9ce4_8422_2325, |h, f| {
             fnv(fnv(h, &[f.len() as u32]), f)
-        });
-        fnv(h, p.inserted_vertices)
+        })
     }
 
     #[test]
@@ -657,7 +605,7 @@ mod tests {
                 let widest = apx.cand_offsets.windows(2).map(|w| w[1] - w[0]).max();
                 assert!(widest > Some(rho as u32), "{name}: no co-located owners");
             }
-            got.push((name, parts_digest(&apx)));
+            got.push((name, parts_digest(&apx, &gens)));
         }
         assert_eq!(got, EXPECTED);
     }

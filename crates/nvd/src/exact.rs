@@ -20,7 +20,6 @@ use crate::adjacency::AdjacencyGraph;
 /// An exact Network Voronoi Diagram over a set of generator vertices.
 #[derive(Debug, Clone)]
 pub struct ExactNvd {
-    generators: Vec<VertexId>,
     owner: Vec<u32>,
     dist_to_owner: Vec<Weight>,
     max_radius: Vec<Weight>,
@@ -84,7 +83,6 @@ impl ExactNvd {
         }
 
         ExactNvd {
-            generators: generators.to_vec(),
             owner,
             dist_to_owner: dist,
             max_radius,
@@ -96,11 +94,6 @@ impl ExactNvd {
     /// Heap-kernel counters of the construction sweep.
     pub fn build_counters(&self) -> HeapCounters {
         self.build_counters
-    }
-
-    /// Generator vertices, indexed by generator id.
-    pub fn generators(&self) -> &[VertexId] {
-        &self.generators
     }
 
     /// The nearest generator (by id) of vertex `v`; `None` if `v` is
@@ -130,8 +123,8 @@ impl ExactNvd {
     }
 
     /// Consumes the NVD, yielding the parts the approximate index keeps.
-    pub fn into_parts(self) -> (Vec<VertexId>, Vec<u32>, Vec<Weight>, AdjacencyGraph) {
-        (self.generators, self.owner, self.max_radius, self.adjacency)
+    pub fn into_parts(self) -> (Vec<u32>, Vec<Weight>, AdjacencyGraph) {
+        (self.owner, self.max_radius, self.adjacency)
     }
 
     /// Size of the full exact NVD in bytes — `O(|V|)`, dominated by the

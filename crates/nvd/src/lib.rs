@@ -9,8 +9,9 @@
 //!   size is `O(|inv(t)|)`, independent of `|V|`).
 //! * [`approx`] — the ρ-Approximate NVD (§6.1): a Morton-list quadtree that
 //!   subdivides until each cell holds at most ρ distinct Voronoi colors.
-//! * [`update`] — §6.2 lazy updates: deletion marking, insertion with the
-//!   Theorem-2 affected set, and rebuild.
+//! * [`update`] — §6.2 lazy insertion with the Theorem-2 affected set
+//!   (deletion marks and rebuilds live in the keyword's object table, in
+//!   `kspin-core`).
 //!
 //! The per-keyword index the K-SPIN core actually stores is
 //! [`ApproxNvd`]: quadtree leaves + adjacency graph + `MaxRadius` — the

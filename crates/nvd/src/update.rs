@@ -1,7 +1,8 @@
 //! §6.2 lazy updates on a [`ApproxNvd`].
 //!
-//! * **Deletion** — mark-only; the Heap Generator skips deleted objects but
-//!   still expands their adjacency.
+//! * **Deletion** — mark-only, in the owning keyword's object table; the
+//!   NVD is untouched. The Heap Generator skips deleted objects but still
+//!   expands their adjacency.
 //! * **Insertion** — compute the *affected set* `A(o)` via a BFS over the
 //!   adjacency graph from the 1NN of the new object, pruned by Theorem 2
 //!   (`p ∉ A(o)` if `d(o,p) ≥ 2·MaxRadius(p)`), then link the new object to
@@ -13,35 +14,20 @@
 //! its adjacent objects are affected — is *incorrect* (Fig. 7); the
 //! Theorem-2 BFS is the fix, and `affected_set` reproduces it.
 
-use kspin_graph::{Point, VertexId, Weight};
+use kspin_graph::{Point, Weight};
 
 use crate::approx::ApproxNvd;
 
 impl ApproxNvd {
-    /// Marks object `id` deleted (original or inserted).
+    /// Computes the Theorem-2 affected set of a new object at `coord`.
     ///
-    /// # Panics
-    /// If `id` is out of range or already deleted.
-    pub fn delete_object(&mut self, id: u32) {
-        assert!((id as usize) < self.num_total(), "object id out of range");
-        assert!(!self.deleted[id as usize], "object {id} already deleted");
-        self.deleted[id as usize] = true;
-    }
-
-    /// Un-deletes an object (supports "add keyword back" flows cheaply).
-    pub fn undelete_object(&mut self, id: u32) {
-        assert!((id as usize) < self.num_total(), "object id out of range");
-        self.deleted[id as usize] = false;
-    }
-
-    /// Computes the Theorem-2 affected set of a new object at `vertex`.
-    ///
-    /// `dist` must return the exact network distance between two vertices
-    /// (the framework wires in its Network Distance Module here). `coord`
-    /// is the new object's coordinate, used for quadtree point location.
-    pub fn affected_set<F>(&self, vertex: VertexId, coord: Point, dist: &mut F) -> Vec<u32>
+    /// `dist(c)` must return the exact network distance from the new
+    /// object to generator `c` (the framework wires in its Network
+    /// Distance Module and the keyword's vertex of `c` here). `coord` is
+    /// the new object's coordinate, used for quadtree point location.
+    pub fn affected_set<F>(&self, coord: Point, dist: &mut F) -> Vec<u32>
     where
-        F: FnMut(VertexId, VertexId) -> Weight,
+        F: FnMut(u32) -> Weight,
     {
         // 1NN among the original generators: guaranteed to be among the leaf
         // candidates by Definition 1 (deleted originals keep their stale
@@ -56,7 +42,7 @@ impl ApproxNvd {
         let p = cands
             .iter()
             .copied()
-            .min_by_key(|&c| dist(vertex, self.object_vertex(c)))
+            .min_by_key(|&c| dist(c))
             .expect("leaf candidates are never empty");
 
         let originals = self.num_original() as u32;
@@ -70,7 +56,7 @@ impl ApproxNvd {
                     continue; // inserted objects have no cells to affect
                 }
                 visited[a as usize] = true;
-                let d = dist(vertex, self.object_vertex(a));
+                let d = dist(a);
                 // Theorem 2: beyond twice the cell radius the cell cannot
                 // gain the new object as 1NN; prune the BFS there.
                 if d >= 2 * self.max_radius(a).max(1) {
@@ -83,23 +69,20 @@ impl ApproxNvd {
         affected
     }
 
-    /// Lazily inserts a new object at `vertex`, returning its object id.
+    /// Lazily inserts a new object at `coord`, returning its object id,
+    /// the next after every id so far.
     ///
     /// The object is linked, in the adjacency graph, to every generator of
     /// its affected set: heap initialization reads the inserted neighbours
     /// of the leaf's generators ([`ApproxNvd::init_candidates`]) and
     /// LazyReheap the neighbours of each extraction, so that one edge
     /// serves both.
-    pub fn insert_object<F>(&mut self, vertex: VertexId, coord: Point, dist: &mut F) -> u32
+    pub fn insert_object<F>(&mut self, coord: Point, dist: &mut F) -> u32
     where
-        F: FnMut(VertexId, VertexId) -> Weight,
+        F: FnMut(u32) -> Weight,
     {
-        let affected = self.affected_set(vertex, coord, dist);
-        let new_id = self.num_total() as u32;
-        self.inserted_vertices.push(vertex);
-        self.deleted.push(false);
-        let node = self.adjacency.push_node();
-        debug_assert_eq!(node, new_id);
+        let affected = self.affected_set(coord, dist);
+        let new_id = self.adjacency.push_node();
         for &a in &affected {
             self.adjacency.add(new_id, a);
         }
@@ -111,7 +94,7 @@ impl ApproxNvd {
 mod tests {
     use super::*;
     use kspin_graph::generate::{road_network, RoadNetworkConfig};
-    use kspin_graph::{Dijkstra, Graph};
+    use kspin_graph::{Dijkstra, Graph, VertexId};
 
     fn setup(n: usize, gens: usize, seed: u64) -> (Graph, Vec<VertexId>, ApproxNvd) {
         let g = road_network(&RoadNetworkConfig::new(n, seed));
@@ -151,9 +134,9 @@ mod tests {
             if gens.contains(&new_vertex) {
                 continue;
             }
-            let mut dist = |a: VertexId, b: VertexId| dij.one_to_one(&g, a, b);
+            let mut dist = |c: u32| dij.one_to_one(&g, new_vertex, gens[c as usize]);
             let ours: std::collections::BTreeSet<u32> = apx
-                .affected_set(new_vertex, g.coord(new_vertex), &mut dist)
+                .affected_set(g.coord(new_vertex), &mut dist)
                 .into_iter()
                 .collect();
             let truth = brute_affected(&g, &gens, new_vertex);
@@ -172,8 +155,8 @@ mod tests {
         let mut dij = Dijkstra::new(g.num_vertices());
         let new_vertex = 123u32.min(g.num_vertices() as u32 - 1);
         assert!(!gens.contains(&new_vertex));
-        let mut dist = |a: VertexId, b: VertexId| dij.one_to_one(&g, a, b);
-        let new_id = apx.insert_object(new_vertex, g.coord(new_vertex), &mut dist);
+        let mut dist = |c: u32| dij.one_to_one(&g, new_vertex, gens[c as usize]);
+        let new_id = apx.insert_object(g.coord(new_vertex), &mut dist);
 
         // Every vertex whose new 1NN is the inserted object must see it in
         // its heap-initialization candidates.
@@ -198,67 +181,40 @@ mod tests {
 
     #[test]
     fn inserted_object_is_linked_into_adjacency() {
-        let (g, _, mut apx) = setup(400, 10, 43);
+        let (g, gens, mut apx) = setup(400, 10, 43);
         let mut dij = Dijkstra::new(g.num_vertices());
-        let mut dist = |a: VertexId, b: VertexId| dij.one_to_one(&g, a, b);
         let v = 200u32.min(g.num_vertices() as u32 - 1);
-        let id = apx.insert_object(v, g.coord(v), &mut dist);
+        let mut dist = |c: u32| dij.one_to_one(&g, v, gens[c as usize]);
+        let id = apx.insert_object(g.coord(v), &mut dist);
         assert!(!apx.adjacent(id).is_empty());
         for &a in apx.adjacent(id) {
             assert!(apx.adjacent(a).contains(&id));
         }
-        assert_eq!(apx.object_vertex(id), v);
+        assert_eq!(id, 10);
         assert_eq!(apx.num_total(), 11);
-        assert!(!apx.is_deleted(id));
-    }
-
-    #[test]
-    fn delete_marks_without_removing() {
-        let (_, _, mut apx) = setup(300, 8, 44);
-        apx.delete_object(3);
-        assert!(apx.is_deleted(3));
-        assert_eq!(apx.num_total(), 8);
-        assert_eq!((0..8).filter(|&id| apx.is_deleted(id)).count(), 1);
-        apx.undelete_object(3);
-        assert!(!apx.is_deleted(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "already deleted")]
-    fn double_delete_panics() {
-        let (_, _, mut apx) = setup(300, 8, 44);
-        apx.delete_object(3);
-        apx.delete_object(3);
     }
 
     /// The adjacency graph is the only record of a lazy insert: after a
-    /// long mixed update stream the heap seeds are exactly the leaf's
-    /// generators plus their inserted neighbours, and every inserted
-    /// object that is now nearer to a vertex than all build-time
-    /// generators (its 1NN among them) is seeded there.
+    /// long insert stream the heap seeds are exactly the leaf's generators
+    /// plus their inserted neighbours, and every inserted object that is
+    /// now nearer to a vertex than all build-time generators (its 1NN
+    /// among them) is seeded there.
     #[test]
     fn seeds_are_the_leaf_generators_and_their_inserted_neighbours() {
         use std::collections::BTreeSet;
         let (g, gens, mut apx) = setup(700, 20, 46);
         let mut dij = Dijkstra::new(g.num_vertices());
-        let mut dist = |a: VertexId, b: VertexId| dij.one_to_one(&g, a, b);
-        let mut ops = 0;
+        // Local id → vertex, generators first: the keyword's record.
+        let mut vertices = gens.clone();
         let fresh = (0..g.num_vertices() as VertexId).filter(|v| !gens.contains(v));
-        for (i, v) in fresh.step_by(9).enumerate() {
-            apx.insert_object(v, g.coord(v), &mut dist);
-            ops += 1;
-            let victim = (i / 3) as u32;
-            if i % 3 == 0 {
-                apx.delete_object(victim);
-                ops += 1;
-            }
-            if i % 6 == 3 {
-                // Deleted three inserts ago.
-                apx.undelete_object(victim - 1);
-                ops += 1;
-            }
+        for v in fresh.step_by(6) {
+            let mut dist = |c: u32| dij.one_to_one(&g, v, vertices[c as usize]);
+            let id = apx.insert_object(g.coord(v), &mut dist);
+            assert_eq!(id as usize, vertices.len());
+            vertices.push(v);
         }
-        assert!(ops >= 100, "only {ops} updates applied");
+        let inserted = vertices.len() - gens.len();
+        assert!(inserted >= 100, "only {inserted} inserts applied");
         apx.validate().expect("updated NVD audits clean");
 
         let originals = apx.num_original() as u32;
@@ -273,7 +229,7 @@ mod tests {
             assert_eq!(seeds, want, "vertex {v}");
 
             sssp.sssp(&g, v);
-            let d = |id: u32| sssp.space().distance(apx.object_vertex(id)).unwrap();
+            let d = |id: u32| sssp.space().distance(vertices[id as usize]).unwrap();
             let nearest_original = (0..originals).map(d).min().unwrap();
             for id in originals..apx.num_total() as u32 {
                 assert!(

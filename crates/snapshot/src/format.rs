@@ -5,7 +5,7 @@
 //! | bytes          | field                                             |
 //! |----------------|---------------------------------------------------|
 //! | `0..8`         | magic `b"KSPINSNP"`                               |
-//! | `8..12`        | format version (`u32`, currently 4)               |
+//! | `8..12`        | format version (`u32`, currently 5)               |
 //! | `12..16`       | endianness tag (`u32`, `0x0A0B0C0D`)              |
 //! | `16..20`       | section count `k` (`u32`)                         |
 //! | `20..24`       | reserved, must be 0                               |
@@ -31,8 +31,8 @@
 //! loaders ignore ids they do not request — which is how the optional CH
 //! sections already work. Retiring an optional id needs no bump either:
 //! no loader requests ids 80–86 (a G-tree partition hierarchy, retired)
-//! or 90 (a vertex renumbering, retired), so a version 4 file that still
-//! carries them loads with those sections ignored.
+//! or 90 (a vertex renumbering, retired), so a file that still carries
+//! them loads with those sections ignored.
 //!
 //! Version 2 narrowed [`section::INDEX_META`] from 8 words to 5 when the
 //! heap-seed cache was removed from the engine (it measured slower than
@@ -56,6 +56,17 @@
 //! Version 3 files are refused at the header with `BadVersion`; no v3
 //! reader is kept.
 //!
+//! Version 5 stores one object table per keyword, whatever its kind:
+//! [`section::KEYWORD_LENS`], [`section::KEYWORD_OBJECTS`] and
+//! [`section::KEYWORD_DELETED`] replace the list keywords' ids 32–35 and
+//! the NVD keywords' object, deletion, insert and corpus-id sections (41,
+//! 45, 48, 49), all retired and left as holes. No section stores a vertex
+//! any more: the loader reads each object's from
+//! [`section::CORPUS_VERTEX_OF`]. [`section::NVD_LENS`] is 5 wide, not 7,
+//! since an NVD's adjacency node count is its keyword's object count and
+//! its insert count follows. Version 4 files are refused at the header
+//! with `BadVersion`; no v4 reader is kept.
+//!
 //! # Canonical serialization
 //!
 //! A conforming writer emits sections in strictly ascending id order at
@@ -70,7 +81,7 @@
 pub const MAGIC: [u8; 8] = *b"KSPINSNP";
 
 /// Current format version, bytes `8..12`.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Endianness tag, bytes `12..16`: read back as this value only when the
 /// file and host agree on little-endian layout of `u32`s.
@@ -139,23 +150,17 @@ pub mod section {
 
     /// Index scalars, `u64`: `[rho, term_slots, nvd_terms, small_terms]`.
     pub const INDEX_META: u32 = 30;
-    /// Per-term-slot kind byte: 0 = absent, 1 = small list, 2 = NVD.
+    /// Per-term-slot kind byte: 0 = absent, 1 = object list only, 2 =
+    /// object list and NVD.
     pub const INDEX_TERM_KINDS: u32 = 31;
-    /// Small lists: per small term `[objects_len]`, `u32`.
-    pub const SMALL_LENS: u32 = 32;
-    /// Small lists: pooled object ids, `u32`.
-    pub const SMALL_OBJECTS: u32 = 33;
-    /// Small lists: pooled object vertices, `u32`.
-    pub const SMALL_VERTICES: u32 = 34;
-    /// Small lists: pooled liveness flags, bytes 0/1.
-    pub const SMALL_ALIVE: u32 = 35;
+    // 32–35 held the list keywords' lengths, objects, vertices and
+    // liveness flags up to version 4: retired, never reused.
 
     /// NVD scalars, `u64`, 4 per NVD term — its Morton space: `[min_x
     /// (i32 bits), min_y (i32 bits), scale_x_bits, scale_y_bits]`.
     pub const NVD_SCALARS: u32 = 36;
-    /// NVD pooled-array lengths, `u32`, 7 per NVD term: `[starts,
-    /// cand_offsets, cands, generators, adjacency_nodes, adjacency_edges,
-    /// inserted]`.
+    /// NVD pooled-array lengths, `u32`, 5 per NVD term: `[starts,
+    /// cand_offsets, cands, generators, adjacency_edges]`.
     pub const NVD_LENS: u32 = 37;
     /// NVD pooled Morton-list leaf starts, `u32`.
     pub const NVD_STARTS: u32 = 38;
@@ -163,22 +168,25 @@ pub mod section {
     pub const NVD_CAND_OFFSETS: u32 = 39;
     /// NVD pooled leaf candidate generator indices, `u32`.
     pub const NVD_CANDS: u32 = 40;
-    /// NVD pooled generator vertices, `u32`.
-    pub const NVD_OBJECTS: u32 = 41;
+    // 41 held the NVD generators' vertices up to version 4: retired,
+    // never reused.
     /// NVD pooled per-generator max cell radii, `u32`.
     pub const NVD_MAX_RADIUS: u32 = 42;
-    /// NVD pooled adjacency CSR offsets (per term, rebased to 0), `u32`.
+    /// NVD pooled adjacency CSR offsets (per term, rebased to 0, one node
+    /// per keyword object), `u32`.
     pub const NVD_ADJ_OFFSETS: u32 = 43;
     /// NVD pooled adjacency CSR neighbor lists, `u32`.
     pub const NVD_ADJ_DATA: u32 = 44;
-    /// NVD pooled deletion flags, bytes 0/1, one per overlay generator.
-    pub const NVD_DELETED: u32 = 45;
-    // 46 and 47 held the attached-overlay lists up to version 3: retired,
+    // 45 held the NVD deletion flags up to version 4, 46 and 47 the
+    // attached-overlay lists up to version 3, 48 the inserted objects'
+    // vertices and 49 the corpus object ids up to version 4: retired,
     // never reused.
-    /// NVD pooled inserted-generator vertices, `u32`.
-    pub const NVD_INSERTED: u32 = 48;
-    /// NVD pooled per-generator corpus object ids, `u32`.
-    pub const NVD_CORPUS_IDS: u32 = 49;
+    /// Per present keyword (kind 1 or 2) its object count, `u32`.
+    pub const KEYWORD_LENS: u32 = 50;
+    /// Pooled keyword object tables: corpus object ids by local id, `u32`.
+    pub const KEYWORD_OBJECTS: u32 = 51;
+    /// Pooled keyword deletion flags (§6.2), bytes 0/1, one per object.
+    pub const KEYWORD_DELETED: u32 = 52;
 
     /// ALT landmark vertex ids, `u32`.
     pub const ALT_LANDMARKS: u32 = 60;
@@ -220,22 +228,17 @@ pub fn section_name(id: u32) -> &'static str {
         VOCAB_BYTES => "vocab.bytes",
         INDEX_META => "index.meta",
         INDEX_TERM_KINDS => "index.term_kinds",
-        SMALL_LENS => "index.small_lens",
-        SMALL_OBJECTS => "index.small_objects",
-        SMALL_VERTICES => "index.small_vertices",
-        SMALL_ALIVE => "index.small_alive",
         NVD_SCALARS => "nvd.scalars",
         NVD_LENS => "nvd.lens",
         NVD_STARTS => "nvd.starts",
         NVD_CAND_OFFSETS => "nvd.cand_offsets",
         NVD_CANDS => "nvd.cands",
-        NVD_OBJECTS => "nvd.objects",
         NVD_MAX_RADIUS => "nvd.max_radius",
         NVD_ADJ_OFFSETS => "nvd.adj_offsets",
         NVD_ADJ_DATA => "nvd.adj_data",
-        NVD_DELETED => "nvd.deleted",
-        NVD_INSERTED => "nvd.inserted",
-        NVD_CORPUS_IDS => "nvd.corpus_ids",
+        KEYWORD_LENS => "keyword.lens",
+        KEYWORD_OBJECTS => "keyword.objects",
+        KEYWORD_DELETED => "keyword.deleted",
         ALT_LANDMARKS => "alt.landmarks",
         ALT_DIST => "alt.dist",
         CH_META => "ch.meta",

@@ -233,8 +233,8 @@ mod tests {
         let mut b = good.clone();
         b[0] = b'X';
         assert!(SnapshotFile::validate(&b).is_err());
-        // An unknown future version and the retired v1, v2 and v3.
-        for version in [99u8, 1, 2, 3] {
+        // An unknown future version and the retired v1 to v4.
+        for version in [99u8, 1, 2, 3, 4] {
             let mut b = good.clone();
             b[8] = version;
             assert!(matches!(

@@ -265,91 +265,33 @@ fn cmd_query(args: &[String]) -> CliResult {
     // Optional heavier distance modules are built on demand.
     let ch;
     let hl;
-    enum Dist<'a> {
-        Dij(kspin_core::DijkstraDistance<'a>),
-        Bi(kspin_core::BiDijkstraDistance<'a>),
-        Astar(kspin_core::AltAstarDistance<'a>),
-        Ch(kspin::adapters::ChDistance<'a>),
-        Hl(kspin::adapters::HlDistance<'a>),
-    }
-    let mut dist = match dist_kind {
-        "dijkstra" => Dist::Dij(kspin_core::DijkstraDistance::new(&system.graph)),
-        "bidijkstra" => Dist::Bi(kspin_core::BiDijkstraDistance::new(&system.graph)),
-        "astar" => Dist::Astar(kspin_core::AltAstarDistance::new(
+    let mut dist: Box<dyn NetworkDistance + '_> = match dist_kind {
+        "dijkstra" => Box::new(kspin_core::DijkstraDistance::new(&system.graph)),
+        "bidijkstra" => Box::new(kspin_core::BiDijkstraDistance::new(&system.graph)),
+        "astar" => Box::new(kspin_core::AltAstarDistance::new(
             &system.graph,
             &system.alt,
         )),
         "ch" => {
             eprintln!("building CH…");
             ch = ContractionHierarchy::build(&system.graph, &ChConfig::default());
-            Dist::Ch(kspin::adapters::ChDistance::new(&ch))
+            Box::new(kspin::adapters::ChDistance::new(&ch))
         }
         "hl" => {
             eprintln!("building CH + hub labels…");
             ch = ContractionHierarchy::build(&system.graph, &ChConfig::default());
             hl = HubLabels::build(&ch);
-            Dist::Hl(kspin::adapters::HlDistance::new(&hl))
+            Box::new(kspin::adapters::HlDistance::new(&hl))
         }
         other => return Err(format!("unknown --dist {other:?}").into()),
     };
-
-    // One engine per command keeps borrows simple; index reuse dominates.
-    macro_rules! with_engine {
-        (|$e:ident| $body:expr) => {
-            match &mut dist {
-                Dist::Dij(d) => {
-                    let mut $e = QueryEngine::new(
-                        &system.graph,
-                        &system.corpus,
-                        &system.index,
-                        &system.alt,
-                        d,
-                    );
-                    $body
-                }
-                Dist::Bi(d) => {
-                    let mut $e = QueryEngine::new(
-                        &system.graph,
-                        &system.corpus,
-                        &system.index,
-                        &system.alt,
-                        d,
-                    );
-                    $body
-                }
-                Dist::Astar(d) => {
-                    let mut $e = QueryEngine::new(
-                        &system.graph,
-                        &system.corpus,
-                        &system.index,
-                        &system.alt,
-                        d,
-                    );
-                    $body
-                }
-                Dist::Ch(d) => {
-                    let mut $e = QueryEngine::new(
-                        &system.graph,
-                        &system.corpus,
-                        &system.index,
-                        &system.alt,
-                        d,
-                    );
-                    $body
-                }
-                Dist::Hl(d) => {
-                    let mut $e = QueryEngine::new(
-                        &system.graph,
-                        &system.corpus,
-                        &system.index,
-                        &system.alt,
-                        d,
-                    );
-                    $body
-                }
-            }
-        };
-    }
+    let mut engine: QueryEngine<'_, &mut dyn NetworkDistance> = QueryEngine::new(
+        &system.graph,
+        &system.corpus,
+        &system.index,
+        &system.alt,
+        dist.as_mut(),
+    );
 
     eprintln!("ready — type `help` for commands");
     let stdin = std::io::stdin();
@@ -399,7 +341,7 @@ fn cmd_query(args: &[String]) -> CliResult {
                     )?;
                 }
                 let t0 = std::time::Instant::now();
-                let results: Vec<(ObjectId, Weight)> = with_engine!(|e| e.bknn(v, k, &terms, op));
+                let results: Vec<(ObjectId, Weight)> = engine.bknn(v, k, &terms, op);
                 let us = t0.elapsed().as_secs_f64() * 1e6;
                 for (o, d) in &results {
                     let words: Vec<&str> = system
@@ -428,7 +370,7 @@ fn cmd_query(args: &[String]) -> CliResult {
                 }
                 let terms = system.terms(kws);
                 let t0 = std::time::Instant::now();
-                let results: Vec<(ObjectId, f64)> = with_engine!(|e| e.top_k(v, k, &terms));
+                let results: Vec<(ObjectId, f64)> = engine.top_k(v, k, &terms);
                 let us = t0.elapsed().as_secs_f64() * 1e6;
                 for (o, s) in &results {
                     writeln!(

@@ -127,16 +127,15 @@ fn updates_applied_before_save_survive_the_round_trip() {
     assert_eq!(bytes, bytes2);
 }
 
-/// `rebuild_term` can turn an NVD keyword into a Small one, a Small one
+/// `rebuild_term` can turn an NVD keyword into a list, a list keyword
 /// into an NVD one, or empty a keyword. After each, the index must save a
 /// snapshot its own loader takes (the meta section's per-kind counts agree
 /// with the kinds table) and that re-saves to the same bytes.
 #[test]
 fn rebuilt_keywords_round_trip_through_a_snapshot() {
-    use kspin_core::index::KeywordIndex;
     let mut system = build_system(900, 11);
     let rho = system.index.rho();
-    // A third of the objects held out, so that a Small keyword can grow
+    // A third of the objects held out, so that a list keyword can grow
     // past ρ by inserts.
     let held = |o: ObjectId| o.is_multiple_of(3);
     let config = KspinConfig {
@@ -156,17 +155,14 @@ fn rebuilt_keywords_round_trip_through_a_snapshot() {
         os.retain(|&o| live[o as usize] == want);
         os
     };
-    let kind = |s: &KspinSystem, t: TermId| match s.index.entry(t) {
-        None => "empty",
-        Some(KeywordIndex::Small(_)) => "small",
-        Some(KeywordIndex::Nvd(_)) => "nvd",
-    };
+    let kinds = |s: &KspinSystem| term_kinds(&s.save_snapshot(&SnapshotExtras::default()));
     let terms = 0..system.corpus.num_terms() as TermId;
 
-    // NVD → Small: delete all but two of an NVD keyword's objects.
+    // NVD → list: delete all but two of an NVD keyword's objects.
+    let k = kinds(&system);
     let shrunk = terms
         .clone()
-        .find(|&t| kind(&system, t) == "nvd")
+        .find(|&t| k[t as usize] == "nvd")
         .expect("an NVD keyword");
     for o in objects(&system, shrunk, &live, true).into_iter().skip(2) {
         system.index.delete_object(&system.corpus, o);
@@ -175,17 +171,18 @@ fn rebuilt_keywords_round_trip_through_a_snapshot() {
     system
         .index
         .rebuild_term(&system.graph, &system.corpus, shrunk);
-    assert_eq!(kind(&system, shrunk), "small");
+    assert_eq!(kinds(&system)[shrunk as usize], "small");
     let mut steps = vec![(
         "nvd -> small",
         system.save_snapshot(&SnapshotExtras::default()),
     )];
 
-    // Small → NVD: insert a Small keyword's held-out objects.
+    // List → NVD: insert a list keyword's held-out objects.
+    let k = kinds(&system);
     let t = terms
         .clone()
-        .find(|&t| t != shrunk && kind(&system, t) == "small" && postings(&system, t).len() > rho)
-        .expect("a Small keyword with held-out objects past ρ");
+        .find(|&t| t != shrunk && k[t as usize] == "small" && postings(&system, t).len() > rho)
+        .expect("a list keyword with held-out objects past ρ");
     let mut dist = DijkstraDistance::new(&system.graph);
     for o in objects(&system, t, &live, false) {
         system
@@ -194,23 +191,24 @@ fn rebuilt_keywords_round_trip_through_a_snapshot() {
         live[o as usize] = true;
     }
     system.index.rebuild_term(&system.graph, &system.corpus, t);
-    assert_eq!(kind(&system, t), "nvd");
+    assert_eq!(kinds(&system)[t as usize], "nvd");
     steps.push((
         "small -> nvd",
         system.save_snapshot(&SnapshotExtras::default()),
     ));
 
     // Keyword → empty: delete every live object of a keyword.
+    let k = kinds(&system);
     let t = terms
         .clone()
-        .find(|&t| kind(&system, t) != "empty")
+        .find(|&t| k[t as usize] != "empty")
         .expect("a keyword");
     for o in objects(&system, t, &live, true) {
         system.index.delete_object(&system.corpus, o);
         live[o as usize] = false;
     }
     system.index.rebuild_term(&system.graph, &system.corpus, t);
-    assert_eq!(kind(&system, t), "empty");
+    assert_eq!(kinds(&system)[t as usize], "empty");
     steps.push((
         "keyword -> empty",
         system.save_snapshot(&SnapshotExtras::default()),
@@ -261,13 +259,13 @@ fn small_snapshot() -> Vec<u8> {
 /// A retired format is refused by its version byte alone, at the header,
 /// before any section is looked at. Format v2 held the ALT table
 /// landmark-major in the same `m · n` words: decoded today it would pass
-/// every shape check and serve inadmissible bounds. Format v3, which the
-/// width checks of the index sections would catch anyway, is one more
-/// input.
+/// every shape check and serve inadmissible bounds. Formats v3 and v4,
+/// which the missing or mis-sized index sections would catch anyway, are
+/// two more inputs.
 #[test]
 fn version_2_snapshot_is_refused_at_the_header() {
     use kspin::snapshot::{FormatError, SectionLabel};
-    for version in [2u8, 3] {
+    for version in [2u8, 3, 4] {
         let mut bytes = small_snapshot();
         bytes[8] = version;
         let Err(e) = SnapshotFile::validate(&bytes) else {
@@ -285,57 +283,137 @@ fn version_2_snapshot_is_refused_at_the_header() {
     }
 }
 
+/// `good` with every section copied and the `u32` words of section `id`
+/// passed through `edit`, under fresh checksums.
+fn rewritten(good: &[u8], id: u32, edit: impl Fn(&mut Vec<u32>)) -> Vec<u8> {
+    use kspin_core::snapshot::format;
+    use kspin_core::snapshot::SnapshotWriter;
+    let f = SnapshotFile::validate(good).expect("fresh snapshot validates");
+    let mut w = SnapshotWriter::new();
+    for s in f.sections() {
+        match s.kind {
+            format::KIND_U32 => {
+                let mut words = f.u32s(s.id).unwrap();
+                if s.id == id {
+                    edit(&mut words);
+                }
+                w.put_u32s(s.id, &words);
+            }
+            format::KIND_U64 => w.put_u64s(s.id, &f.u64s(s.id).unwrap()),
+            format::KIND_F64 => w.put_f64s(s.id, &f.f64s(s.id).unwrap()),
+            _ => w.put_bytes(s.id, f.bytes(s.id).unwrap()),
+        }
+    }
+    w.finish()
+}
+
+/// Where keyword `t`'s objects sit in the pooled object section of `good`.
+fn keyword_objects(good: &[u8], t: TermId) -> std::ops::Range<usize> {
+    use kspin_core::snapshot::format::section;
+    let f = SnapshotFile::validate(good).expect("fresh snapshot validates");
+    let kinds = f.bytes(section::INDEX_TERM_KINDS).unwrap();
+    let lens = f.u32s(section::KEYWORD_LENS).unwrap();
+    let before = kinds[..t as usize].iter().filter(|&&k| k != 0).count();
+    let start: usize = lens[..before].iter().map(|&l| l as usize).sum();
+    start..start + lens[before] as usize
+}
+
+/// Every term slot's kind in the snapshot `bytes`, as its kinds table
+/// records it.
+fn term_kinds(bytes: &[u8]) -> Vec<&'static str> {
+    use kspin_core::snapshot::format::section;
+    let f = SnapshotFile::validate(bytes).expect("fresh snapshot validates");
+    let kinds = f.bytes(section::INDEX_TERM_KINDS).unwrap();
+    kinds
+        .iter()
+        .map(|&k| ["empty", "small", "nvd"][k as usize])
+        .collect()
+}
+
+/// The first list keyword and the first NVD keyword of `s` with at least
+/// two objects each.
+fn one_keyword_of_each_kind(s: &KspinSystem) -> [TermId; 2] {
+    let kinds = term_kinds(&s.save_snapshot(&SnapshotExtras::default()));
+    let first = |kind: &str| {
+        (0..kinds.len() as TermId)
+            .find(|&t| kinds[t as usize] == kind && s.index.live_count(t) >= 2)
+            .expect("a keyword of each kind")
+    };
+    [first("small"), first("nvd")]
+}
+
+/// Loads `bytes`, which must be refused with a decode error naming `id`.
+fn assert_refused_at(bytes: &[u8], id: u32, what: &str) {
+    use kspin::snapshot::SectionLabel;
+    let err = KspinSystem::load_snapshot(bytes)
+        .err()
+        .unwrap_or_else(|| panic!("{what} accepted"));
+    assert!(matches!(err, SnapshotError::Decode { .. }), "{what}: {err}");
+    assert_eq!(err.at(), SectionLabel::Section(id), "{what}: {err}");
+}
+
 /// Corpus and index are decoded from different sections, so a file can be
 /// checksum-valid and each half well-formed while the index names objects
 /// the corpus does not hold (the query loops size their seen-set to the
-/// corpus and would index past it) or places them elsewhere. The loader
-/// must name the lying section.
+/// corpus and would index past it) or the corpus places its objects off
+/// the graph. The loader must name the lying section. No index section
+/// holds a vertex, so an index cannot place an object anywhere else.
 #[test]
 fn index_that_disagrees_with_its_corpus_is_refused() {
-    use kspin::snapshot::SectionLabel;
-    use kspin_core::snapshot::format::{self, section};
-    use kspin_core::snapshot::SnapshotWriter;
-    let good = small_snapshot();
-    let f = SnapshotFile::validate(&good).expect("fresh snapshot validates");
-    for (id, word) in [
-        (section::SMALL_OBJECTS, 1_000_000),
-        (section::NVD_CORPUS_IDS, 1_000_000),
-        (section::SMALL_VERTICES, u32::MAX),
-        (section::NVD_OBJECTS, u32::MAX),
-        (section::CORPUS_VERTEX_OF, u32::MAX),
-    ] {
-        // Same sections, first word of `id` replaced, fresh checksums.
-        let mut w = SnapshotWriter::new();
-        for s in f.sections() {
-            match s.kind {
-                format::KIND_U32 => {
-                    let mut words = f.u32s(s.id).unwrap();
-                    if s.id == id {
-                        words[0] = word;
-                    }
-                    w.put_u32s(s.id, &words);
-                }
-                format::KIND_U64 => w.put_u64s(s.id, &f.u64s(s.id).unwrap()),
-                format::KIND_F64 => w.put_f64s(s.id, &f.f64s(s.id).unwrap()),
-                _ => w.put_bytes(s.id, f.bytes(s.id).unwrap()),
-            }
-        }
-        let err = KspinSystem::load_snapshot(&w.finish())
-            .map(|_| ())
-            .expect_err("index/corpus disagreement accepted");
-        assert!(matches!(err, SnapshotError::Decode { .. }), "{err}");
-        let named = match id {
-            section::SMALL_VERTICES => section::SMALL_OBJECTS,
-            section::NVD_OBJECTS => section::NVD_CORPUS_IDS,
-            same => same,
-        };
-        assert_eq!(err.at(), SectionLabel::Section(named), "{err}");
+    use kspin_core::snapshot::format::section;
+    let system = build_system(300, 15);
+    let good = system.save_snapshot(&SnapshotExtras::default());
+    for t in one_keyword_of_each_kind(&system) {
+        let at = keyword_objects(&good, t).start;
+        let bad = rewritten(&good, section::KEYWORD_OBJECTS, |w| w[at] = 1_000_000);
+        assert_refused_at(&bad, section::KEYWORD_OBJECTS, "an object off the corpus");
+    }
+    let bad = rewritten(&good, section::CORPUS_VERTEX_OF, |w| w[0] = u32::MAX);
+    assert_refused_at(&bad, section::CORPUS_VERTEX_OF, "an object off the graph");
+}
+
+/// A keyword that holds one object twice would return it twice, or keep
+/// returning it after `delete_object` marked one of its rows. The loader
+/// refuses the repeat for either keyword kind.
+#[test]
+fn keyword_that_holds_an_object_twice_is_refused() {
+    use kspin_core::snapshot::format::section;
+    let system = build_system(900, 12);
+    let good = system.save_snapshot(&SnapshotExtras::default());
+    for t in one_keyword_of_each_kind(&system) {
+        let r = keyword_objects(&good, t);
+        let bad = rewritten(&good, section::KEYWORD_OBJECTS, |w| {
+            w[r.start + 1] = w[r.start];
+        });
+        assert_refused_at(&bad, section::KEYWORD_OBJECTS, "a repeated object");
+    }
+}
+
+/// A keyword whose table names an object without the keyword in its
+/// document would return that object for it. The loader refuses it for
+/// either keyword kind.
+#[test]
+fn keyword_that_holds_an_object_without_it_is_refused() {
+    use kspin_core::snapshot::format::section;
+    let system = build_system(900, 12);
+    let good = system.save_snapshot(&SnapshotExtras::default());
+    for t in one_keyword_of_each_kind(&system) {
+        let stranger = (0..system.corpus.num_objects() as ObjectId)
+            .find(|&o| !system.corpus.contains(o, t))
+            .expect("an object without the keyword");
+        let at = keyword_objects(&good, t).start;
+        let bad = rewritten(&good, section::KEYWORD_OBJECTS, |w| w[at] = stranger);
+        assert_refused_at(
+            &bad,
+            section::KEYWORD_OBJECTS,
+            "an object without the keyword",
+        );
     }
 }
 
 /// Retired section ids: 80–86 held a G-tree partition hierarchy and 90 a
-/// vertex renumbering, until both were removed. A version 4 file that
-/// still carries them loads with those sections ignored: it serves as the
+/// vertex renumbering, until both were removed. A file that still
+/// carries them loads with those sections ignored: it serves as the
 /// file without them does, and re-saves without them.
 #[test]
 fn retired_renumbering_section_is_ignored_on_load() {
@@ -391,7 +469,7 @@ fn retired_renumbering_section_is_ignored_on_load() {
             w.put_u32s(*id, words);
         }
         let (loaded, extras) =
-            KspinSystem::load_snapshot(&w.finish()).expect("v4 file with retired ids");
+            KspinSystem::load_snapshot(&w.finish()).expect("a file with retired ids");
         assert!(extras.ch.is_none(), "ids {ids:?}");
         assert_eq!(serve(&system, 20), serve(&loaded, 20), "ids {ids:?}");
         assert!(
