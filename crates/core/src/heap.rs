@@ -102,13 +102,13 @@ impl<'a> InvertedHeap<'a> {
     ) -> Result<Self, usize> {
         let entry = index.entry(t).ok_or(0usize)?;
         let mut lb_computed = 0;
-        let mut heap = DaryHeap::new(entry.objects.len());
+        let mut heap = DaryHeap::new(entry.rows.len());
         // An insert linked to two seeding generators arrives twice, hence
         // `was_inserted`.
         let offer = |local: u32| {
             if !heap.was_inserted(local) {
                 // PANIC-OK: seeds are local ids < the table's length.
-                let v = entry.vertices[local as usize];
+                let v = entry.rows[local as usize].vertex;
                 lb_computed += 1;
                 heap.push(ctx.lower_bound.lower_bound(ctx.q, v), local);
             }
@@ -116,7 +116,7 @@ impl<'a> InvertedHeap<'a> {
         match &entry.nvd {
             // Observation 1: the whole inverted list fits; seeding it
             // entirely trivially satisfies Property 1.
-            None => (0..entry.objects.len() as u32).for_each(offer),
+            None => (0..entry.rows.len() as u32).for_each(offer),
             // Theorem 1: seeding with the quadtree leaf's candidates (which
             // contain the 1NN of q) plus the lazy inserts adjacent to them
             // satisfies Property 1.
@@ -157,7 +157,7 @@ impl<'a> InvertedHeap<'a> {
         self.skip_deleted(ctx);
         Some(Candidate {
             // PANIC-OK: heap items are local ids < the table's length.
-            object: self.entry.objects[local as usize],
+            object: self.entry.rows[local as usize].object,
             lower_bound: lb,
         })
     }
@@ -195,7 +195,7 @@ impl<'a> InvertedHeap<'a> {
         for &a in n.apx.adjacent(local) {
             if !self.heap.was_inserted(a) {
                 // PANIC-OK: adjacency ids are local ids < the table's length.
-                let v = self.entry.vertices[a as usize];
+                let v = self.entry.rows[a as usize].vertex;
                 self.lb_computed += 1;
                 self.heap.push(ctx.lower_bound.lower_bound(ctx.q, v), a);
             }
@@ -216,7 +216,7 @@ impl<'a> InvertedHeap<'a> {
 
     fn is_live(&self, local: u32) -> bool {
         // PANIC-OK: heap items are local ids < the table's length.
-        !self.entry.deleted[local as usize]
+        !self.entry.rows[local as usize].deleted
     }
 
     /// Lower-bound computations this heap performed so far.

@@ -14,8 +14,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use std::collections::BTreeMap;
-
 use kspin_graph::{Graph, VertexId};
 use kspin_nvd::ApproxNvd;
 use kspin_text::{Corpus, ObjectId, TermId};
@@ -51,19 +49,26 @@ impl Default for KspinConfig {
 /// One keyword's index: the table of its objects, plus a ρ-approximate
 /// NVD over them when the keyword was built over more than ρ objects.
 ///
-/// The table is the one record of which objects the keyword holds: local
-/// id `l` is corpus object `objects[l]` on vertex `vertices[l]`, §6.2
-/// mark-deleted iff `deleted[l]`. Local ids run in build order, then in
-/// §6.2 insert order, and are the NVD's generator and object ids too.
+/// The table is the one record of which objects the keyword holds: row
+/// `l` (local id `l`) is a corpus object, its vertex and its §6.2 deletion
+/// mark. Local ids run in build order, then in §6.2 insert order, and are
+/// the NVD's generator and object ids too.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KeywordIndex {
-    pub(crate) objects: Vec<ObjectId>,
-    pub(crate) vertices: Vec<VertexId>,
-    pub(crate) deleted: Vec<bool>,
+    pub(crate) rows: Vec<Row>,
     /// `Some` exactly when the keyword was built over more than ρ objects
     /// (Observation 1: a shorter list is the whole index). Boxed so the
     /// Zipf-tail majority keeps the per-term entry small.
     pub(crate) nvd: Option<Box<KeywordNvd>>,
+}
+
+/// One row of a keyword's object table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row {
+    pub(crate) object: ObjectId,
+    pub(crate) vertex: VertexId,
+    /// §6.2 mark-deleted.
+    pub(crate) deleted: bool,
 }
 
 /// The NVD part of a frequent keyword: its ρ-approximate NVD (§6.1) and
@@ -71,52 +76,51 @@ pub(crate) struct KeywordIndex {
 #[derive(Debug, Clone)]
 pub(crate) struct KeywordNvd {
     pub(crate) apx: ApproxNvd,
-    /// A `BTreeMap` rather than a `HashMap`: lookups are the only hot
-    /// operation, but the auditor and §6.2 update paths iterate it, and a
-    /// `RandomState`-ordered walk on those paths is exactly what the
-    /// crate's `disallowed_types` lint forbids.
-    pub(crate) local_of: BTreeMap<ObjectId, u32>,
+    /// `(object, local id)` for every row of the table, sorted by object:
+    /// one array, binary-searched (§6.2 inserts shift it by one slot).
+    pub(crate) local_of: Vec<(ObjectId, u32)>,
 }
 
 impl KeywordIndex {
-    /// The index of a keyword over `objects` (non-empty) on `vertices`,
-    /// none deleted: an NVD exactly when there are more than ρ.
-    fn build(graph: &Graph, objects: Vec<ObjectId>, vertices: Vec<VertexId>, rho: usize) -> Self {
-        let nvd = (objects.len() > rho).then(|| {
+    /// The index of a keyword over `rows` (non-empty, none deleted): an
+    /// NVD exactly when there are more than ρ.
+    fn build(graph: &Graph, rows: Vec<Row>, rho: usize) -> Self {
+        let nvd = (rows.len() > rho).then(|| {
+            let generators: Vec<VertexId> = rows.iter().map(|r| r.vertex).collect();
             Box::new(KeywordNvd {
-                apx: ApproxNvd::build(graph, &vertices, rho),
-                local_of: local_map(&objects),
+                apx: ApproxNvd::build(graph, &generators, rho),
+                local_of: local_map(&rows),
             })
         });
-        KeywordIndex {
-            deleted: vec![false; objects.len()],
-            objects,
-            vertices,
-            nvd,
-        }
+        KeywordIndex { rows, nvd }
     }
 
     /// The local id of corpus object `o`, if the keyword holds it.
     pub(crate) fn local_id(&self, o: ObjectId) -> Option<usize> {
         match &self.nvd {
-            Some(n) => n.local_of.get(&o).map(|&l| l as usize),
-            None => self.objects.iter().position(|&x| x == o),
+            Some(n) => n
+                .local_of
+                .binary_search_by_key(&o, |&(x, _)| x)
+                .ok()
+                .and_then(|i| n.local_of.get(i))
+                .map(|&(_, l)| l as usize),
+            None => self.rows.iter().position(|r| r.object == o),
         }
     }
 
     /// Live (not deleted) object count.
     fn live_count(&self) -> usize {
-        self.deleted.iter().filter(|&&d| !d).count()
+        self.rows.iter().filter(|r| !r.deleted).count()
     }
 }
 
-/// `objects[l] → l`.
-pub(crate) fn local_map(objects: &[ObjectId]) -> BTreeMap<ObjectId, u32> {
-    objects
-        .iter()
-        .enumerate()
-        .map(|(l, &o)| (o, l as u32))
-        .collect()
+/// `(rows[l].object, l)` for every `l`, sorted by object. A build lists
+/// the objects ascending and §6.2 appends inserts ascending, so the stable
+/// sort, which merges runs, is linear here.
+pub(crate) fn local_map(rows: &[Row]) -> Vec<(ObjectId, u32)> {
+    let mut map: Vec<(ObjectId, u32)> = rows.iter().map(|r| r.object).zip(0..).collect();
+    map.sort();
+    map
 }
 
 /// Construction statistics reported by the index benches (Figs. 6, 14).
@@ -245,16 +249,17 @@ impl KspinIndex {
     where
         F: Fn(ObjectId) -> bool,
     {
-        let postings = corpus.inverted(t);
-        let mut objects = Vec::new();
-        let mut vertices = Vec::new();
-        for p in postings {
-            if include(p.object) {
-                objects.push(p.object);
-                vertices.push(corpus.vertex_of(p.object));
-            }
-        }
-        (!objects.is_empty()).then(|| KeywordIndex::build(graph, objects, vertices, rho))
+        let rows: Vec<Row> = corpus
+            .inverted(t)
+            .iter()
+            .filter(|p| include(p.object))
+            .map(|p| Row {
+                object: p.object,
+                vertex: corpus.vertex_of(p.object),
+                deleted: false,
+            })
+            .collect();
+        (!rows.is_empty()).then(|| KeywordIndex::build(graph, rows, rho))
     }
 
     /// The ρ the index was built with.
@@ -302,9 +307,7 @@ impl KspinIndex {
             .flatten()
             .map(|e| {
                 let nvd = e.nvd.as_ref();
-                e.objects.len() * 9
-                    + 24
-                    + nvd.map_or(0, |n| n.apx.size_bytes() + n.local_of.len() * 8)
+                e.rows.len() * 9 + 24 + nvd.map_or(0, |n| n.apx.size_bytes() + n.local_of.len() * 8)
             })
             .sum()
     }
@@ -319,11 +322,10 @@ impl KspinIndex {
     ///   Lazy §6.2 updates may legitimately drift a term past the
     ///   threshold, so fold pending updates with
     ///   [`KspinIndex::rebuild_term`] before validating an updated index.
-    /// * Table consistency — the table's columns agree in length and hold
-    ///   no object twice; each object is in the corpus, on the vertex the
-    ///   table gives it, and its document contains `t`. With an NVD, the
-    ///   corpus → local map inverts the table and the NVD covers exactly
-    ///   the table's objects.
+    /// * Table consistency — the table holds no object twice; each object
+    ///   is in the corpus, on the vertex the table gives it, and its
+    ///   document contains `t`. With an NVD, the corpus → local map
+    ///   inverts the table and the NVD covers exactly the table's objects.
     /// * The per-NVD structural audit [`ApproxNvd::validate`] (adjacency
     ///   symmetry — Observation 2a — plus quadtree candidate invariants),
     ///   with violations prefixed by the owning keyword.
@@ -332,15 +334,7 @@ impl KspinIndex {
         for (ti, entry) in self.entries.iter().enumerate() {
             let Some(e) = entry else { continue };
             let t = ti as TermId;
-            let n = e.objects.len();
-            if e.vertices.len() != n || e.deleted.len() != n {
-                errs.push(format!(
-                    "term {t}: table columns disagree ({n} objects, {} vertices, {} flags)",
-                    e.vertices.len(),
-                    e.deleted.len()
-                ));
-                continue;
-            }
+            let n = e.rows.len();
             match &e.nvd {
                 None if n > self.rho => errs.push(format!(
                     "term {t}: ρ-split violated — list holds {n} > ρ = {} objects",
@@ -354,7 +348,8 @@ impl KspinIndex {
                 _ => {}
             }
             let mut seen = std::collections::BTreeSet::new();
-            for (l, (&o, &v)) in e.objects.iter().zip(&e.vertices).enumerate() {
+            for (l, r) in e.rows.iter().enumerate() {
+                let (o, v) = (r.object, r.vertex);
                 if o as usize >= corpus.num_objects() {
                     errs.push(format!("term {t}: object {o} is not in the corpus"));
                     continue;
@@ -422,20 +417,23 @@ impl KspinIndex {
                 KeywordIndex::default()
             });
             if let Some(l) = e.local_id(o) {
-                assert!(e.deleted[l], "object {o} already in keyword {t} index");
-                e.deleted[l] = false;
+                assert!(e.rows[l].deleted, "object {o} already in keyword {t} index");
+                e.rows[l].deleted = false;
                 continue;
             }
             if let Some(n) = &mut e.nvd {
-                let vertices = &e.vertices;
-                let mut d = |c: u32| dist.distance(vertex, vertices[c as usize]);
+                let rows = &e.rows;
+                let mut d = |c: u32| dist.distance(vertex, rows[c as usize].vertex);
                 let local = n.apx.insert_object(graph.coord(vertex), &mut d);
-                debug_assert_eq!(local as usize, e.objects.len());
-                n.local_of.insert(o, local);
+                debug_assert_eq!(local as usize, e.rows.len());
+                let at = n.local_of.partition_point(|&(x, _)| x < o);
+                n.local_of.insert(at, (o, local));
             }
-            e.objects.push(o);
-            e.vertices.push(vertex);
-            e.deleted.push(false);
+            e.rows.push(Row {
+                object: o,
+                vertex,
+                deleted: false,
+            });
         }
     }
 
@@ -457,8 +455,11 @@ impl KspinIndex {
             let l = e
                 .local_id(o)
                 .unwrap_or_else(|| panic!("object {o} not in keyword {t} index"));
-            assert!(!e.deleted[l], "object {o} already deleted from keyword {t}");
-            e.deleted[l] = true;
+            assert!(
+                !e.rows[l].deleted,
+                "object {o} already deleted from keyword {t}"
+            );
+            e.rows[l].deleted = true;
         }
     }
 
@@ -469,19 +470,19 @@ impl KspinIndex {
         let Some(entry) = self.entries.get_mut(t as usize).and_then(Option::as_mut) else {
             return;
         };
-        let live: Vec<ObjectId> = entry
-            .objects
+        let live: Vec<Row> = entry
+            .rows
             .iter()
-            .zip(&entry.deleted)
-            .filter(|&(_, &d)| !d)
-            .map(|(&o, _)| o)
+            .filter(|r| !r.deleted)
+            .map(|r| Row {
+                vertex: corpus.vertex_of(r.object),
+                ..*r
+            })
             .collect();
         // The kind may change, or the keyword empty: keep the per-kind
         // counts, which a snapshot stores and its loader checks, in step.
         *self.stats.count_of(entry) -= 1;
-        let vertices: Vec<VertexId> = live.iter().map(|&o| corpus.vertex_of(o)).collect();
-        let fresh =
-            (!live.is_empty()).then(|| KeywordIndex::build(graph, live, vertices, self.rho));
+        let fresh = (!live.is_empty()).then(|| KeywordIndex::build(graph, live, self.rho));
         if let Some(fresh) = &fresh {
             *self.stats.count_of(fresh) += 1;
         }
@@ -526,18 +527,18 @@ mod tests {
     fn delete_marks_without_removing() {
         let (graph, corpus, mut index) = fixture();
         let (t, o) = nvd_object(&corpus, &index);
-        let (len, live) = (index.entry(t).unwrap().objects.len(), index.live_count(t));
+        let (len, live) = (index.entry(t).unwrap().rows.len(), index.live_count(t));
         index.delete_object(&corpus, o);
         let e = index.entry(t).unwrap();
-        assert_eq!(e.objects.len(), len);
-        assert!(e.deleted[e.local_id(o).unwrap()]);
+        assert_eq!(e.rows.len(), len);
+        assert!(e.rows[e.local_id(o).unwrap()].deleted);
         assert_eq!(index.live_count(t), live - 1);
         // Inserting it back clears the flag on the same row.
         let mut dist = DijkstraDistance::new(&graph);
         index.insert_object(&graph, &corpus, o, &mut dist);
         let e = index.entry(t).unwrap();
-        assert_eq!((e.objects.len(), index.live_count(t)), (len, live));
-        assert!(!e.deleted[e.local_id(o).unwrap()]);
+        assert_eq!((e.rows.len(), index.live_count(t)), (len, live));
+        assert!(!e.rows[e.local_id(o).unwrap()].deleted);
         index.validate(&corpus).expect("index audits clean");
     }
 
@@ -562,8 +563,8 @@ mod tests {
             .find(|&o| !corpus.contains(o, t))
             .expect("an object without the keyword");
         let e = index.entries[t as usize].as_mut().unwrap();
-        e.objects[0] = stranger;
-        e.vertices[0] = corpus.vertex_of(stranger);
+        e.rows[0].object = stranger;
+        e.rows[0].vertex = corpus.vertex_of(stranger);
         let errs = index
             .validate(&corpus)
             .expect_err("foreign object accepted");

@@ -150,6 +150,6 @@ fn satisfies_conjunction(
 fn index_live(index: &KspinIndex, o: ObjectId, t: TermId) -> bool {
     index.entry(t).is_some_and(|e| {
         // PANIC-OK: a local id is < the table's length.
-        e.local_id(o).is_some_and(|l| !e.deleted[l])
+        e.local_id(o).is_some_and(|l| !e.rows[l].deleted)
     })
 }

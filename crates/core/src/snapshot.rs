@@ -29,10 +29,10 @@ pub use kspin_snapshot::{
     format, FormatError, SectionLabel, SectionView, SnapshotError, SnapshotFile, SnapshotWriter,
 };
 
-use crate::index::{local_map, BuildStats, KeywordIndex, KeywordNvd, KspinIndex};
+use crate::index::{local_map, BuildStats, KeywordIndex, KeywordNvd, KspinIndex, Row};
 use kspin_graph::morton::MortonSpace;
-use kspin_graph::{Graph, Point, VertexId};
-use kspin_nvd::{AdjacencyGraph, ApproxNvd};
+use kspin_graph::{Graph, Point};
+use kspin_nvd::{AdjacencyGraph, ApproxNvd, SymmetryAudit};
 use kspin_snapshot::format::section;
 use kspin_text::{Corpus, TermId};
 
@@ -105,20 +105,6 @@ impl<T: Copy> Pool<'_, T> {
 fn decoded_usize(id: u32, what: &str, v: u64) -> Result<usize, SnapshotError> {
     usize::try_from(v)
         .map_err(|_| SnapshotError::decode(id, format!("{what} {v} does not fit in usize")))
-}
-
-fn decoded_bools(id: u32, bytes: &[u8]) -> Result<Vec<bool>, SnapshotError> {
-    bytes
-        .iter()
-        .map(|&b| match b {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::decode(
-                id,
-                format!("flag byte {b} is neither 0 nor 1"),
-            )),
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -264,9 +250,9 @@ pub fn encode_index(w: &mut SnapshotWriter, index: &KspinIndex) {
             kinds.push(0u8);
             continue;
         };
-        lens.push(e.objects.len() as u32);
-        objects.extend_from_slice(&e.objects);
-        deleted.extend(e.deleted.iter().map(|&d| u8::from(d)));
+        lens.push(e.rows.len() as u32);
+        objects.extend(e.rows.iter().map(|r| r.object));
+        deleted.extend(e.rows.iter().map(|r| u8::from(r.deleted)));
         let Some(nvd) = &e.nvd else {
             kinds.push(1u8);
             continue;
@@ -334,18 +320,26 @@ fn len_field(id: u32, what: &str, v: u32) -> Result<usize, SnapshotError> {
     decoded_usize(id, what, u64::from(v))
 }
 
-/// The vertex of each of keyword `t`'s `objects`, read from `corpus`. A
-/// built table holds every object once, each in the corpus with `t` in
-/// its document, and the query loops rely on that: `SeenSet` is sized to
-/// the corpus, and a repeated object would survive its own deletion. So
-/// a decoded table must prove it, for either keyword kind. `holder[o]` is
+/// Keyword `t`'s table: its `objects`, each placed on its vertex in
+/// `corpus`, with their deletion `flags` (a byte each, 0 or 1). A built
+/// table holds every object once, each in the corpus with `t` in its
+/// document, and the query loops rely on that: `SeenSet` is sized to the
+/// corpus, and a repeated object would survive its own deletion. So a
+/// decoded table must prove it, for either keyword kind. `holder[o]` is
 /// the last keyword that listed `o`, so a repeat finds `t` there.
-fn placed(
+fn table(
     corpus: &Corpus,
     t: TermId,
     objects: &[u32],
+    flags: &[u8],
     holder: &mut [TermId],
-) -> Result<Vec<VertexId>, SnapshotError> {
+) -> Result<Vec<Row>, SnapshotError> {
+    if let Some(&b) = flags.iter().find(|&&b| b > 1) {
+        return Err(SnapshotError::decode(
+            section::KEYWORD_DELETED,
+            format!("flag byte {b} is neither 0 nor 1"),
+        ));
+    }
     let refuse = |o: u32, what: &str| {
         SnapshotError::decode(
             section::KEYWORD_OBJECTS,
@@ -364,12 +358,25 @@ fn placed(
             return Err(refuse(o, "whose document lacks it"));
         }
     }
-    Ok(objects.iter().map(|&o| corpus.vertex_of(o)).collect())
+    Ok(objects
+        .iter()
+        .zip(flags)
+        .map(|(&object, &flag)| Row {
+            object,
+            vertex: corpus.vertex_of(object),
+            deleted: flag == 1,
+        })
+        .collect())
 }
 
 /// The next NVD of the pools, over a keyword of `objects` objects: the
-/// adjacency graph has one node per object.
-fn decode_one_nvd(p: &mut NvdPools<'_>, objects: usize) -> Result<ApproxNvd, SnapshotError> {
+/// adjacency graph has one node per object. `audit` is the adjacency
+/// audit's scratch, shared by every NVD of the file.
+fn decode_one_nvd(
+    p: &mut NvdPools<'_>,
+    objects: usize,
+    audit: &mut SymmetryAudit,
+) -> Result<ApproxNvd, SnapshotError> {
     use section::*;
     let &[s_min_x, s_min_y, s_scale_x, s_scale_y] = p.scalars.take_n(4)? else {
         return Err(SnapshotError::decode(
@@ -423,8 +430,16 @@ fn decode_one_nvd(p: &mut NvdPools<'_>, objects: usize) -> Result<ApproxNvd, Sna
     let adjacency = AdjacencyGraph::from_flat(adj_offsets, adj_data)
         .map_err(|e| SnapshotError::decode(NVD_ADJ_OFFSETS, e))?;
 
-    ApproxNvd::from_snapshot_parts(space, starts, cand_offsets, cands, max_radius, adjacency)
-        .map_err(|e| SnapshotError::decode(NVD_SCALARS, e))
+    ApproxNvd::from_snapshot_parts(
+        space,
+        starts,
+        cand_offsets,
+        cands,
+        max_radius,
+        adjacency,
+        audit,
+    )
+    .map_err(|e| SnapshotError::decode(NVD_SCALARS, e))
 }
 
 /// Reassembles the Keyword Separated Index: every pooled section is
@@ -490,6 +505,7 @@ pub fn decode_index(f: &SnapshotFile<'_>, corpus: &Corpus) -> Result<KspinIndex,
     // TAINT-OK(term_slots equals the validated INDEX_TERM_KINDS section length, so the capacity is bounded by the file size)
     let mut entries: Vec<Option<KeywordIndex>> = Vec::with_capacity(term_slots);
     let mut holder = vec![TermId::MAX; corpus.num_objects()];
+    let mut audit = SymmetryAudit::default();
     let mut small_count = 0usize;
     let mut nvd_count = 0usize;
     for (slot, &kind) in kinds.iter().enumerate() {
@@ -506,27 +522,22 @@ pub fn decode_index(f: &SnapshotFile<'_>, corpus: &Corpus) -> Result<KspinIndex,
         let t = TermId::try_from(slot)
             .map_err(|_| SnapshotError::decode(INDEX_TERM_KINDS, "term slot exceeds u32"))?;
         let len = len_field(KEYWORD_LENS, "keyword object count", lens_pool.take1()?)?;
-        let objects = objects_pool.take_n(len)?.to_vec();
-        let deleted = decoded_bools(KEYWORD_DELETED, deleted_pool.take_n(len)?)?;
-        let vertices = placed(corpus, t, &objects, &mut holder)?;
+        let objects = objects_pool.take_n(len)?;
+        let flags = deleted_pool.take_n(len)?;
+        let rows = table(corpus, t, objects, flags, &mut holder)?;
         let nvd = if kind == 2 {
             // TAINT-OK(slot counter bounded by the kinds section length)
             nvd_count += 1;
             Some(Box::new(KeywordNvd {
-                apx: decode_one_nvd(&mut nvd, len)?,
-                local_of: local_map(&objects),
+                apx: decode_one_nvd(&mut nvd, len, &mut audit)?,
+                local_of: local_map(&rows),
             }))
         } else {
             // TAINT-OK(slot counter bounded by the kinds section length)
             small_count += 1;
             None
         };
-        entries.push(Some(KeywordIndex {
-            objects,
-            vertices,
-            deleted,
-            nvd,
-        }));
+        entries.push(Some(KeywordIndex { rows, nvd }));
     }
 
     nvd.scalars.finish()?;

@@ -186,15 +186,44 @@ impl Graph {
         if offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err("offsets must be monotone non-decreasing".into());
         }
-        for v in 0..n {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            let adj = &targets[lo..hi];
-            if adj.iter().any(|&t| t as usize >= n) {
-                return Err(format!("vertex {v} has a target out of range {n}"));
-            }
-            if adj.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("vertex {v} adjacency is not strictly ascending"));
+        // Whole-array passes, free of branches on a valid graph; a failed
+        // pass then locates its first violation for the message. The
+        // vertex whose row holds arc `i` is the last one whose row starts
+        // at or before `i` (empty rows included).
+        let row_of = |i: usize| offsets.partition_point(|&o| o as usize <= i) - 1;
+        let max_target = targets.iter().fold(0, |m, &t| m.max(t));
+        if !targets.is_empty() && max_target as usize >= n {
+            let i = targets.iter().position(|&t| t as usize >= n).unwrap_or(0);
+            return Err(format!(
+                "vertex {} has a target out of range {n}",
+                row_of(i)
+            ));
+        }
+        // Every row ascends strictly iff each descent of the arc array
+        // falls where a row starts: count both.
+        let next = targets.get(1..).unwrap_or_default();
+        let descents = targets.iter().zip(next).filter(|(a, b)| a >= b).count();
+        let at_row_starts = offsets
+            .windows(2)
+            .filter(|w| 0 < w[0] && w[0] < w[1])
+            .filter(|w| {
+                let start = w[0] as usize;
+                matches!(targets.get(start - 1..=start), Some(&[a, b]) if a >= b)
+            })
+            .count();
+        if descents != at_row_starts {
+            let mut fences = offsets.iter().map(|&o| o as usize).peekable();
+            for (i, w) in targets.windows(2).enumerate() {
+                if w[0] >= w[1] {
+                    let start = i + 1;
+                    while fences.next_if(|&f| f < start).is_some() {}
+                    if fences.peek() != Some(&start) {
+                        return Err(format!(
+                            "vertex {} adjacency is not strictly ascending",
+                            row_of(start)
+                        ));
+                    }
+                }
             }
         }
         Ok(Graph {
@@ -332,6 +361,34 @@ mod tests {
         assert_eq!(row_slice(&offsets, &data, 0), &[10, 11]);
         assert_eq!(row_slice(&offsets, &data, 1), &[] as &[u32]);
         assert_eq!(row_slice(&offsets, &data, 2), &[12, 13, 14]);
+    }
+
+    /// Rows 0, 2, 3 and 5 are empty; rows 1 and 4 hold the arcs, so the
+    /// arc array descends at the start of row 4.
+    #[test]
+    fn from_csr_parts_names_the_row_around_empty_rows() {
+        let offsets = vec![0u32, 0, 2, 2, 2, 4, 4];
+        let parts = |targets: [u32; 4]| {
+            Graph::from_csr_parts(
+                offsets.clone(),
+                targets.to_vec(),
+                vec![1; 4],
+                vec![Point::default(); 6],
+            )
+        };
+        let g = parts([2, 5, 1, 3]).expect("ascending rows");
+        assert_eq!(g.neighbors(4).map(|(t, _)| t).collect::<Vec<_>>(), [1, 3]);
+        assert!(g.neighbors(5).next().is_none());
+        for (targets, want) in [
+            ([2, 6, 1, 3], "vertex 1 has a target out of range"),
+            ([2, 5, 1, 6], "vertex 4 has a target out of range"),
+            ([5, 2, 1, 3], "vertex 1 adjacency is not strictly ascending"),
+            ([2, 5, 3, 3], "vertex 4 adjacency is not strictly ascending"),
+            ([2, 5, 3, 1], "vertex 4 adjacency is not strictly ascending"),
+        ] {
+            let err = parts(targets).expect_err("a broken row");
+            assert!(err.starts_with(want), "{targets:?}: {err}");
+        }
     }
 
     #[test]

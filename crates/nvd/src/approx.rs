@@ -17,7 +17,7 @@ use kspin_graph::csr::row_slice;
 use kspin_graph::morton::{MortonSpace, BITS};
 use kspin_graph::{Graph, Point, VertexId, Weight};
 
-use crate::adjacency::AdjacencyGraph;
+use crate::adjacency::{AdjacencyGraph, SymmetryAudit};
 use crate::exact::ExactNvd;
 
 /// A built ρ-approximate NVD for one generator (object) set, with the §6.2
@@ -183,6 +183,11 @@ impl ApproxNvd {
     ///
     /// Returns every violation found, as human-readable strings.
     pub fn validate(&self) -> Result<(), Vec<String>> {
+        self.validate_with(&mut SymmetryAudit::default())
+    }
+
+    /// [`Self::validate`], auditing the adjacency with `audit`'s scratch.
+    fn validate_with(&self, audit: &mut SymmetryAudit) -> Result<(), Vec<String>> {
         let mut errs = Vec::new();
         let originals = self.num_original();
         let total = self.num_total();
@@ -191,7 +196,7 @@ impl ApproxNvd {
                 "adjacency covers {total} nodes for {originals} generators"
             ));
         }
-        if let Err(adj_errs) = self.adjacency.validate_symmetric() {
+        if let Err(adj_errs) = self.adjacency.validate_symmetric(audit) {
             errs.extend(adj_errs);
         }
         if self.starts.is_empty() || originals == 0 {
@@ -253,6 +258,7 @@ impl ApproxNvd {
     /// Reassembles an index from decoded snapshot arrays, verbatim (no
     /// rebuild, so serving is bit-identical), then runs the full
     /// structural audit of [`ApproxNvd::validate`] before returning it.
+    /// `audit` is the adjacency audit's scratch, shared by a loader's NVDs.
     ///
     /// # Errors
     /// A description of every violated invariant, joined with `"; "`.
@@ -263,6 +269,7 @@ impl ApproxNvd {
         cands: Vec<u32>,
         max_radius: Vec<Weight>,
         adjacency: AdjacencyGraph,
+        audit: &mut SymmetryAudit,
     ) -> Result<Self, String> {
         // validate() slices cands through cand_offsets, so bound those
         // first — the audit must not be able to panic on decoded input.
@@ -283,7 +290,7 @@ impl ApproxNvd {
             max_radius,
             adjacency,
         };
-        nvd.validate().map_err(|v| v.join("; "))?;
+        nvd.validate_with(audit).map_err(|v| v.join("; "))?;
         Ok(nvd)
     }
 

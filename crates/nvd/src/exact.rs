@@ -74,13 +74,12 @@ impl ExactNvd {
 
         // Cell adjacency: a road edge whose endpoints have different owners
         // connects the two cells.
-        let mut adjacency = AdjacencyGraph::new(m);
-        for e in graph.edges() {
-            let (ou, ov) = (owner[e.u as usize], owner[e.v as usize]);
-            if ou != ov && ou != u32::MAX && ov != u32::MAX {
-                adjacency.add(ou, ov);
-            }
-        }
+        let boundary: Vec<(u32, u32)> = graph
+            .edges()
+            .map(|e| (owner[e.u as usize], owner[e.v as usize]))
+            .filter(|&(ou, ov)| ou != ov && ou != u32::MAX && ov != u32::MAX)
+            .collect();
+        let adjacency = AdjacencyGraph::from_edges(m, &boundary);
 
         ExactNvd {
             owner,
@@ -220,7 +219,7 @@ mod tests {
         for v in 0..g.num_vertices() as VertexId {
             assert_eq!(nvd.owner(v), Some(0));
         }
-        assert_eq!(nvd.adjacency().num_edges(), 0);
+        assert!(nvd.adjacency().adjacent(0).is_empty());
     }
 
     #[test]

@@ -27,6 +27,6 @@ pub mod approx;
 pub mod exact;
 pub mod update;
 
-pub use adjacency::AdjacencyGraph;
+pub use adjacency::{AdjacencyGraph, SymmetryAudit};
 pub use approx::{ApproxNvd, ApproxNvdParts};
 pub use exact::ExactNvd;

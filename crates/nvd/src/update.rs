@@ -82,11 +82,7 @@ impl ApproxNvd {
         F: FnMut(u32) -> Weight,
     {
         let affected = self.affected_set(coord, dist);
-        let new_id = self.adjacency.push_node();
-        for &a in &affected {
-            self.adjacency.add(new_id, a);
-        }
-        new_id
+        self.adjacency.push_node(&affected)
     }
 }
 

@@ -1,7 +1,5 @@
 //! Objects, documents and inverted lists with pre-computed impacts.
 
-use std::collections::HashMap;
-
 use kspin_graph::VertexId;
 
 /// Dense object (POI) identifier within a [`Corpus`].
@@ -42,7 +40,8 @@ pub struct InvPosting {
 #[derive(Debug, Clone)]
 pub struct Corpus {
     vertex_of: Vec<VertexId>,
-    object_at: HashMap<VertexId, ObjectId>,
+    /// `(vertex, object)` for every object, sorted by vertex.
+    object_at: Vec<(VertexId, ObjectId)>,
     /// `doc_offsets[o]..doc_offsets[o + 1]` slices `docs` for object `o`.
     doc_offsets: Vec<u32>,
     docs: Vec<DocPosting>,
@@ -79,7 +78,8 @@ impl Corpus {
     /// The object on vertex `v`, if any.
     #[inline]
     pub fn object_at(&self, v: VertexId) -> Option<ObjectId> {
-        self.object_at.get(&v).copied()
+        let i = self.object_at.binary_search_by_key(&v, |&(x, _)| x).ok()?;
+        Some(self.object_at[i].1)
     }
 
     /// Document of `o`, sorted by term id.
@@ -217,17 +217,11 @@ impl Corpus {
                 docs.push(DocPosting { term, freq, impact });
             }
         }
-        let mut sorted_vertices = vertex_of.clone();
-        sorted_vertices.sort_unstable();
-        if sorted_vertices.windows(2).any(|w| w[0] == w[1]) {
+        let object_at = objects_by_vertex(&vertex_of);
+        if object_at.windows(2).any(|w| w[0].0 == w[1].0) {
             return Err("a vertex hosts more than one object".into());
         }
         let (inv_offsets, inverted, max_impact) = invert(&docs, &doc_offsets, num_terms);
-        let object_at = vertex_of
-            .iter()
-            .enumerate()
-            .map(|(o, &v)| (v, o as ObjectId))
-            .collect();
         Ok(Corpus {
             vertex_of,
             object_at,
@@ -239,6 +233,13 @@ impl Corpus {
             total_occurrences,
         })
     }
+}
+
+/// `(vertex_of[o], o)` for every object `o`, sorted by vertex.
+fn objects_by_vertex(vertex_of: &[VertexId]) -> Vec<(VertexId, ObjectId)> {
+    let mut column: Vec<(VertexId, ObjectId)> = vertex_of.iter().copied().zip(0..).collect();
+    column.sort_unstable();
+    column
 }
 
 /// Derives the flat inverted lists (counting sort by term, objects kept in
@@ -356,16 +357,9 @@ impl CorpusBuilder {
         }
         let (inv_offsets, inverted, max_impact) = invert(&docs, &doc_offsets, self.num_terms);
 
-        let object_at = self
-            .vertex_of
-            .iter()
-            .enumerate()
-            .map(|(o, &v)| (v, o as ObjectId))
-            .collect();
-
         Corpus {
+            object_at: objects_by_vertex(&self.vertex_of),
             vertex_of: self.vertex_of,
-            object_at,
             doc_offsets,
             docs,
             inv_offsets,

@@ -14,6 +14,8 @@
 //! * [`workload`] — the correlated query-keyword-vector construction of
 //!   §7.1.
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub mod corpus;
 pub mod generate;
 pub mod io;
@@ -23,4 +25,4 @@ pub mod workload;
 
 pub use corpus::{Corpus, CorpusBuilder, DocPosting, InvPosting, ObjectId, TermId};
 pub use relevance::{score, QueryTerms};
-pub use vocab::Vocabulary;
+pub use vocab::{VocabError, Vocabulary};

@@ -296,7 +296,7 @@ mod tests {
         let qs = zipf_queries(&c, &cfg, 10_000);
         // Obs. 1 shape: the single most-drawn keyword should account for a
         // clearly super-uniform share of the queries.
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for q in &qs {
             *counts.entry(q.terms[0]).or_insert(0usize) += 1;
         }

@@ -24,7 +24,7 @@ use kspin_core::snapshot::{
     decode_alt, decode_ch, decode_corpus, decode_graph, decode_index, encode_alt, encode_ch,
     encode_corpus, encode_graph, encode_index, format, SnapshotError, SnapshotFile, SnapshotWriter,
 };
-use kspin_text::Vocabulary;
+use kspin_text::{VocabError, Vocabulary};
 
 pub use kspin_core::snapshot::{FormatError, SectionLabel, SectionView};
 
@@ -47,25 +47,14 @@ impl std::fmt::Debug for SnapshotExtras {
     }
 }
 
-/// Appends the vocabulary as an offset table over pooled UTF-8 bytes.
-#[allow(
-    clippy::as_conversions,
-    reason = "encode half: trusted in-memory values"
-)]
+/// Appends the vocabulary: its offset table and its pooled UTF-8 bytes.
 pub fn encode_vocab(w: &mut SnapshotWriter, v: &Vocabulary) {
-    let terms = v.terms();
-    let mut offsets = Vec::with_capacity(terms.len() + 1);
-    let mut bytes = Vec::new();
-    offsets.push(0u32);
-    for t in terms {
-        bytes.extend_from_slice(t.as_bytes());
-        offsets.push(bytes.len() as u32);
-    }
-    w.put_u32s(section::VOCAB_OFFSETS, &offsets);
-    w.put_bytes(section::VOCAB_BYTES, &bytes);
+    let (offsets, text) = v.flat_parts();
+    w.put_u32s(section::VOCAB_OFFSETS, offsets);
+    w.put_bytes(section::VOCAB_BYTES, text.as_bytes());
 }
 
-/// Reassembles the vocabulary through [`Vocabulary::from_terms`].
+/// Reassembles the vocabulary through [`Vocabulary::from_parts`].
 ///
 /// # Errors
 /// Missing/mistyped sections, malformed offsets, non-UTF-8 term bytes,
@@ -73,37 +62,10 @@ pub fn encode_vocab(w: &mut SnapshotWriter, v: &Vocabulary) {
 pub fn decode_vocab(f: &SnapshotFile<'_>) -> Result<Vocabulary, SnapshotError> {
     let offsets = f.u32s(section::VOCAB_OFFSETS)?;
     let bytes = f.bytes(section::VOCAB_BYTES)?;
-    if offsets.first() != Some(&0) {
-        return Err(SnapshotError::decode(
-            section::VOCAB_OFFSETS,
-            "vocabulary offsets must start at 0",
-        ));
-    }
-    #[expect(clippy::as_conversions, reason = "lossless u32 → usize widening")]
-    if offsets.last().map(|&e| e as usize) != Some(bytes.len()) {
-        return Err(SnapshotError::decode(
-            section::VOCAB_OFFSETS,
-            "vocabulary offsets must end at the pooled byte count",
-        ));
-    }
-    let terms: Vec<String> = offsets
-        .windows(2)
-        .map(|win| {
-            // TAINT-OK(windows(2) yields exactly two elements per window)
-            let (lo, hi) = (win[0], win[1]);
-            #[expect(clippy::as_conversions, reason = "lossless u32 → usize widening")]
-            let slice = bytes.get(lo as usize..hi as usize).ok_or_else(|| {
-                SnapshotError::decode(
-                    section::VOCAB_OFFSETS,
-                    format!("term offsets {lo}..{hi} out of order or range"),
-                )
-            })?;
-            String::from_utf8(slice.to_vec()).map_err(|e| {
-                SnapshotError::decode(section::VOCAB_BYTES, format!("term is not UTF-8: {e}"))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    Vocabulary::from_terms(terms).map_err(|e| SnapshotError::decode(section::VOCAB_OFFSETS, e))
+    Vocabulary::from_parts(offsets, bytes).map_err(|e| match e {
+        VocabError::Offsets(e) => SnapshotError::decode(section::VOCAB_OFFSETS, e),
+        VocabError::Text(e) => SnapshotError::decode(section::VOCAB_BYTES, e),
+    })
 }
 
 impl KspinSystem {

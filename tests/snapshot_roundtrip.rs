@@ -537,3 +537,248 @@ fn exhaustive_corruption_sweep_on_tiny_snapshot() {
         );
     }
 }
+
+/// A world that went through §6.2: built without every tenth object,
+/// which are then inserted lazily, and with two objects in forty
+/// mark-deleted (one build-time, one inserted), as the `lifecycle`
+/// benchmark world is made. Its NVD adjacency rows end in inserted
+/// neighbours and its inserted objects have rows of their own.
+fn lazily_updated_system(n: usize, seed: u64) -> KspinSystem {
+    let mut system = build_system(n, seed);
+    let config = KspinConfig {
+        rho: system.index.rho(),
+        ..KspinConfig::default()
+    };
+    let held = |o: ObjectId| o.is_multiple_of(10);
+    system.index = KspinIndex::build_filtered(&system.graph, &system.corpus, |o| !held(o), &config);
+    let mut dist = DijkstraDistance::new(&system.graph);
+    for o in (0..system.corpus.num_objects() as ObjectId).filter(|&o| held(o)) {
+        system
+            .index
+            .insert_object(&system.graph, &system.corpus, o, &mut dist);
+    }
+    for o in (0..system.corpus.num_objects() as ObjectId).filter(|o| o % 20 == 5 || o % 20 == 10) {
+        system.index.delete_object(&system.corpus, o);
+    }
+    system
+}
+
+/// FNV-1a over `bytes`.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The bytes of a lazily updated world's snapshot, pinned. How the index
+/// holds its adjacency in memory (and where a §6.2 insert's edges go) is
+/// not part of the format: every layout must write these bytes.
+#[test]
+fn lazily_updated_world_saves_the_pinned_bytes() {
+    // Captured at cb7e3f3, while every adjacency row was its own `Vec`.
+    const EXPECTED: (usize, u64) = (193_288, 0x27c2_d671_3eac_cdc7);
+    let system = lazily_updated_system(1500, 21);
+    let bytes = system.save_snapshot(&SnapshotExtras::default());
+    assert_eq!(
+        (bytes.len(), fnv64(&bytes)),
+        EXPECTED,
+        "{:#018x}",
+        fnv64(&bytes)
+    );
+    let (loaded, extras) = KspinSystem::load_snapshot(&bytes).expect("load");
+    assert!(
+        loaded.save_snapshot(&extras) == bytes,
+        "save -> load -> save differs"
+    );
+}
+
+/// A road graph with isolated vertices: an empty first row, three empty
+/// rows in a row and an empty last row, with objects on some of them.
+fn graph_with_isolated_vertices() -> Graph {
+    use kspin_graph::{GraphBuilder, Point};
+    // Isolated: 0, 17, 18, 19 and 43. Two 4 × 4 grids on 1..=16 and
+    // 20..=35, and a path on 36..=42.
+    let mut b = GraphBuilder::new(44);
+    for v in 0..44u32 {
+        b.set_coord(v, Point::new((v % 7) as i32 * 90, (v / 7) as i32 * 80));
+    }
+    for first in [1u32, 20] {
+        for y in 0..4 {
+            for x in 0..4 {
+                let v = first + y * 4 + x;
+                if x + 1 < 4 {
+                    b.add_edge(v, v + 1, 3 + (v % 5));
+                }
+                if y + 1 < 4 {
+                    b.add_edge(v, v + 4, 2 + (v % 3));
+                }
+            }
+        }
+    }
+    for v in 36..42 {
+        b.add_edge(v, v + 1, 4);
+    }
+    b.build()
+}
+
+#[test]
+fn graph_with_isolated_vertices_round_trips() {
+    use kspin_text::CorpusBuilder;
+    let graph = graph_with_isolated_vertices();
+    let (offsets, ..) = graph.csr_parts();
+    assert_eq!(offsets[..2], [0, 0], "the first row is empty");
+    assert_eq!(offsets[17..21], [offsets[17]; 4], "rows 17..=19 are empty");
+    assert_eq!(offsets[43], offsets[44], "the last row is empty");
+    let mut vocab = Vocabulary::new();
+    let (even, third) = (vocab.intern("even"), vocab.intern("third"));
+    let mut cb = CorpusBuilder::new();
+    for v in (0..44u32).filter(|v| v % 2 == 0 || v % 3 == 0 || *v == 43) {
+        let mut doc = vec![(if v % 2 == 0 { even } else { third }, 1)];
+        if v % 6 == 0 {
+            doc.push((third, 2));
+        }
+        cb.add_object(v, &doc);
+    }
+    let config = KspinConfig {
+        rho: 3,
+        ..KspinConfig::default()
+    };
+    let system = KspinSystem::build(graph, cb.build(), vocab, &config);
+    let bytes = system.save_snapshot(&SnapshotExtras::default());
+    let (loaded, extras) = KspinSystem::load_snapshot(&bytes).expect("load");
+    assert_eq!(loaded.graph.csr_parts(), system.graph.csr_parts());
+    assert!(
+        loaded.save_snapshot(&extras) == bytes,
+        "save -> load -> save differs"
+    );
+    loaded
+        .index
+        .validate(&loaded.corpus)
+        .expect("loaded index audits clean");
+    assert_eq!(loaded.vocab.get("third"), Some(third));
+}
+
+/// A checksum-valid snapshot whose road graph breaks a CSR rule — a
+/// target off the graph, a target repeated in one row, a row out of
+/// ascending order — is refused, naming the graph's offsets.
+#[test]
+fn graph_that_breaks_a_csr_rule_is_refused() {
+    use kspin_core::snapshot::format::section;
+    let system = build_system(300, 15);
+    let good = system.save_snapshot(&SnapshotExtras::default());
+    let (offsets, ..) = system.graph.csr_parts();
+    let n = system.graph.num_vertices() as u32;
+    // The last row of two or more targets: a violation there is not
+    // caught by an earlier row's check.
+    let v = (0..n as usize)
+        .rev()
+        .find(|&v| offsets[v + 1] - offsets[v] >= 2)
+        .expect("a vertex of degree two");
+    let lo = offsets[v] as usize;
+    for what in [
+        "a target off the graph",
+        "a repeated target",
+        "a descending row",
+    ] {
+        let bad = rewritten(&good, section::GRAPH_TARGETS, |w| match what {
+            "a target off the graph" => w[lo + 1] = n,
+            "a repeated target" => w[lo + 1] = w[lo],
+            _ => w.swap(lo, lo + 1),
+        });
+        assert_refused_at(&bad, section::GRAPH_OFFSETS, what);
+    }
+}
+
+/// Where one NVD keyword's adjacency sits in a snapshot's pooled sections.
+struct PooledAdjacency {
+    /// The keyword's object count: its adjacency node count.
+    nodes: u32,
+    /// Its build-time generator count.
+    originals: u32,
+    /// Its `nodes + 1` offsets, relative to `data_at`.
+    offsets: Vec<u32>,
+    /// Where its rows start in the pooled `nvd.adj_data`.
+    data_at: usize,
+}
+
+/// The first NVD keyword of `good` that holds a lazily inserted object.
+fn inserted_nvd_adjacency(good: &[u8]) -> PooledAdjacency {
+    use kspin_core::snapshot::format::section;
+    let f = SnapshotFile::validate(good).expect("fresh snapshot validates");
+    let kinds = f.bytes(section::INDEX_TERM_KINDS).unwrap();
+    let lens = f.u32s(section::KEYWORD_LENS).unwrap();
+    let nvd_lens = f.u32s(section::NVD_LENS).unwrap();
+    let adj_offsets = f.u32s(section::NVD_ADJ_OFFSETS).unwrap();
+    let nvd_objects = kinds
+        .iter()
+        .filter(|&&k| k != 0)
+        .zip(&lens)
+        .filter(|&(&k, _)| k == 2)
+        .map(|(_, &l)| l);
+    let (mut offsets_at, mut data_at) = (0usize, 0usize);
+    for (j, nodes) in nvd_objects.enumerate() {
+        let fields = &nvd_lens[5 * j..5 * j + 5];
+        let (originals, edges) = (fields[3], fields[4]);
+        if nodes > originals {
+            return PooledAdjacency {
+                nodes,
+                originals,
+                offsets: adj_offsets[offsets_at..=offsets_at + nodes as usize].to_vec(),
+                data_at,
+            };
+        }
+        offsets_at += nodes as usize + 1;
+        data_at += edges as usize;
+    }
+    panic!("no NVD keyword holds an inserted object");
+}
+
+/// Every adjacency violation the loader's audit names — an out-of-range
+/// neighbour, a self-loop, a repeat and an edge without its reverse — is
+/// refused wherever it sits: in a build-time row, in the inserted tail of
+/// a build-time row, and in an inserted object's own row.
+#[test]
+fn adjacency_violation_is_refused_in_a_built_and_an_inserted_row() {
+    use kspin_core::snapshot::format::section;
+    let good = lazily_updated_system(900, 12).save_snapshot(&SnapshotExtras::default());
+    let adj = inserted_nvd_adjacency(&good);
+    let row = |a: u32| adj.offsets[a as usize] as usize..adj.offsets[a as usize + 1] as usize;
+    let f = SnapshotFile::validate(&good).unwrap();
+    let data = f.u32s(section::NVD_ADJ_DATA).unwrap();
+    let entries = |a: u32| &data[adj.data_at..][row(a)];
+    // (what, node, position in its row): each row holds two entries or more.
+    let built = (0..adj.originals)
+        .find(|&a| entries(a).len() >= 2 && entries(a).iter().all(|&b| b < adj.originals))
+        .expect("a build-time row without inserts");
+    let (host, tail_at) = (0..adj.originals)
+        .find_map(|a| {
+            let r = entries(a);
+            let i = r.iter().position(|&b| b >= adj.originals)?;
+            (i >= 1).then_some((a, i))
+        })
+        .expect("a build-time row with an inserted tail");
+    let inserted = (adj.originals..adj.nodes)
+        .find(|&a| entries(a).len() >= 2)
+        .expect("an inserted row of two entries");
+    let places = [
+        ("a build-time row", built, 1),
+        ("the inserted tail of a build-time row", host, tail_at),
+        ("an inserted object's row", inserted, 1),
+    ];
+    for (place, a, i) in places {
+        let r = entries(a);
+        let stranger = (0..adj.nodes)
+            .find(|&b| b != a && !r.contains(&b))
+            .expect("a node that is not adjacent to a");
+        let at = adj.data_at + row(a).start + i;
+        for (what, value) in [
+            ("an out-of-range neighbour", adj.nodes),
+            ("a self-loop", a),
+            ("a repeat", r[i - 1]),
+            ("an edge without its reverse", stranger),
+        ] {
+            let bad = rewritten(&good, section::NVD_ADJ_DATA, |w| w[at] = value);
+            assert_refused_at(&bad, section::NVD_SCALARS, &format!("{what} in {place}"));
+        }
+    }
+}

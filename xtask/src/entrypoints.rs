@@ -34,9 +34,10 @@
 /// four e2e workloads). G-tree, ROAD and FS-FBS remain
 /// comparison crates no default serving path calls into.
 ///
-/// The same seven crates deny clippy's `disallowed_types` /
-/// `disallowed_methods` at their crate roots (the lists are in the root
-/// `clippy.toml`): a crate added here gets that deny too.
+/// The same seven crates, and `crates/text` (scoring, which every top-k
+/// query runs), deny clippy's `disallowed_types` / `disallowed_methods`
+/// at their crate roots (the lists are in the root `clippy.toml`): a
+/// crate added here gets that deny too.
 pub const CERT_DIRS: [&str; 7] = [
     "crates/graph/src",
     "crates/alt/src",

@@ -93,7 +93,7 @@ pub const SOURCE_CLASSES: [SourceClass; 2] = [
 /// body is part of the hand-audited validation boundary. Every spec must
 /// resolve — a renamed sanitizer silently *widens* the tainted set, the
 /// unsound direction, so rot is a hard error.
-pub const SANITIZERS: [&str; 14] = [
+pub const SANITIZERS: [&str; 13] = [
     // Structural validation: checksums, offsets, canonical layout.
     "SnapshotFile::validate",
     // Checked-extraction helpers of the core decode layer.
@@ -101,7 +101,6 @@ pub const SANITIZERS: [&str; 14] = [
     "Pool::take1",
     "Pool::finish",
     "decoded_usize",
-    "decoded_bools",
     "len_field",
     // Re-validating constructors: decoded parts in, structured
     // SnapshotError/String out.
