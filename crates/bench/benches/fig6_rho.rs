@@ -20,7 +20,7 @@ use kspin_bench::{
 };
 use kspin_ch::{ChConfig, ContractionHierarchy};
 use kspin_core::{KspinConfig, KspinIndex, Op, QueryEngine};
-use kspin_nvd::{ApproxNvd, ExactNvd};
+use kspin_nvd::{ApproxNvd, ExactNvd, SweepScratch};
 use kspin_text::TermId;
 
 /// Bytes of an STR-bulk-loaded R-tree (fan-out 16) holding one MBR per
@@ -111,6 +111,7 @@ fn main() {
         let rho = 5;
         let mut quad = 0usize;
         let mut rtree = 0usize;
+        let mut scratch = SweepScratch::default();
         for t in 0..sds.corpus.num_terms() as TermId {
             let postings = sds.corpus.inverted(t);
             if postings.len() <= rho {
@@ -122,7 +123,7 @@ fn main() {
                 .iter()
                 .map(|p| sds.corpus.vertex_of(p.object))
                 .collect();
-            let exact = ExactNvd::build(&sds.graph, &gens);
+            let exact = ExactNvd::build(&sds.graph, &gens, &mut scratch);
             rtree += str_rtree_bytes(gens.len());
             quad += ApproxNvd::from_exact(&sds.graph, exact, rho).size_bytes();
         }

@@ -1,11 +1,13 @@
-//! Distance-kernel sweep: the five heap-driven searches — Dijkstra,
+//! Distance-kernel sweep: the five queue-driven searches — Dijkstra,
 //! BiDijkstra, ALT-A*, the CH query (both upward searches, the source's
 //! re-pinned on every pair) and the exact-NVD construction sweep — on
 //! generated road networks at |V| ∈ {10k, 30k, 100k}, in the generator's
 //! vertex order (the only order the system serves in).
 //!
-//! Every leg runs the production code path on the shared indexed 4-ary
-//! decrease-key kernel (`kspin_graph::dheap`). The host's wall clock is
+//! Every leg runs the production code path: the four searches on the
+//! shared indexed 4-ary decrease-key kernel (`kspin_graph::dheap`), the
+//! NVD sweep on its bucket queue, whose counters take the same shape
+//! (entries queued, entries taken out, in-queue improvements). The host's wall clock is
 //! noisy, so the heap counters are the primary signal (the EXPERIMENTS.md
 //! convention): they are exact and reproducible. QPS rides along as
 //! best-of-5. Results go to `BENCH_distance.json` at the workspace root
@@ -22,7 +24,7 @@ use kspin_bench::{header, row};
 use kspin_ch::{ChConfig, ChQuery, ContractionHierarchy};
 use kspin_graph::generate::{road_network, RoadNetworkConfig};
 use kspin_graph::{BiDijkstra, Dijkstra, HeapCounters, VertexId};
-use kspin_nvd::ExactNvd;
+use kspin_nvd::{ExactNvd, SweepScratch};
 
 fn sizes() -> Vec<usize> {
     if std::env::var("KSPIN_BENCH_SCALE").as_deref() == Ok("small") {
@@ -169,15 +171,17 @@ fn main() {
             emit("ch", qps, d.heap_counters().since(base));
         }
 
-        // Exact-NVD construction (one build = one work item)
+        // Exact-NVD construction (one build = one work item), reusing one
+        // bucket queue the way an index-build worker does.
         {
+            let mut scratch = SweepScratch::default();
             let qps = measure(1, || {
-                std::hint::black_box(ExactNvd::build(&g, &gens));
+                std::hint::black_box(ExactNvd::build(&g, &gens, &mut scratch));
             });
             emit(
                 "nvd_build",
                 qps,
-                ExactNvd::build(&g, &gens).build_counters(),
+                ExactNvd::build(&g, &gens, &mut scratch).build_counters(),
             );
         }
     }

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use kspin_graph::{Graph, VertexId};
-use kspin_nvd::ApproxNvd;
+use kspin_nvd::{ApproxNvd, SweepScratch};
 use kspin_text::{Corpus, ObjectId, TermId};
 
 use crate::modules::NetworkDistance;
@@ -83,12 +83,12 @@ pub(crate) struct KeywordNvd {
 
 impl KeywordIndex {
     /// The index of a keyword over `rows` (non-empty, none deleted): an
-    /// NVD exactly when there are more than ρ.
-    fn build(graph: &Graph, rows: Vec<Row>, rho: usize) -> Self {
+    /// NVD exactly when there are more than ρ, swept on `scratch`.
+    fn build(graph: &Graph, rows: Vec<Row>, rho: usize, scratch: &mut SweepScratch) -> Self {
         let nvd = (rows.len() > rho).then(|| {
             let generators: Vec<VertexId> = rows.iter().map(|r| r.vertex).collect();
             Box::new(KeywordNvd {
-                apx: ApproxNvd::build(graph, &generators, rho),
+                apx: ApproxNvd::build(graph, &generators, rho, scratch),
                 local_of: local_map(&rows),
             })
         });
@@ -152,6 +152,9 @@ pub struct KspinIndex {
     rho: usize,
     entries: Vec<Option<KeywordIndex>>,
     stats: BuildStats,
+    /// The NVD sweep's bucket queue, kept for [`KspinIndex::rebuild_term`].
+    /// Not content: empty until the first rebuild, never saved.
+    scratch: SweepScratch,
 }
 
 impl KspinIndex {
@@ -191,14 +194,16 @@ impl KspinIndex {
                 let include = &include;
                 handles.push(scope.spawn(move |_| {
                     let mut out = Vec::new();
+                    let mut scratch = SweepScratch::default();
                     loop {
                         let t = next.fetch_add(1, Ordering::Relaxed);
                         if t >= num_terms {
                             break;
                         }
                         let t = t as TermId;
-                        if let Some(entry) = Self::build_term(graph, corpus, t, include, config.rho)
-                        {
+                        let entry =
+                            Self::build_term(graph, corpus, t, include, config.rho, &mut scratch);
+                        if let Some(entry) = entry {
                             out.push((t, entry));
                         }
                     }
@@ -236,6 +241,7 @@ impl KspinIndex {
             rho: config.rho,
             entries,
             stats,
+            scratch: SweepScratch::default(),
         }
     }
 
@@ -245,6 +251,7 @@ impl KspinIndex {
         t: TermId,
         include: &F,
         rho: usize,
+        scratch: &mut SweepScratch,
     ) -> Option<KeywordIndex>
     where
         F: Fn(ObjectId) -> bool,
@@ -259,7 +266,7 @@ impl KspinIndex {
                 deleted: false,
             })
             .collect();
-        (!rows.is_empty()).then(|| KeywordIndex::build(graph, rows, rho))
+        (!rows.is_empty()).then(|| KeywordIndex::build(graph, rows, rho, scratch))
     }
 
     /// The ρ the index was built with.
@@ -295,6 +302,7 @@ impl KspinIndex {
             rho,
             entries,
             stats,
+            scratch: SweepScratch::default(),
         }
     }
 
@@ -482,7 +490,8 @@ impl KspinIndex {
         // The kind may change, or the keyword empty: keep the per-kind
         // counts, which a snapshot stores and its loader checks, in step.
         *self.stats.count_of(entry) -= 1;
-        let fresh = (!live.is_empty()).then(|| KeywordIndex::build(graph, live, self.rho));
+        let fresh = (!live.is_empty())
+            .then(|| KeywordIndex::build(graph, live, self.rho, &mut self.scratch));
         if let Some(fresh) = &fresh {
             *self.stats.count_of(fresh) += 1;
         }

@@ -1,10 +1,15 @@
 //! Network Voronoi Diagrams for the Keyword Separated Index (§5–§6).
 //!
-//! * [`exact`] — exact NVD construction by multi-source Dijkstra
-//!   (Erwig–Hagen [19]): per-vertex nearest generator and `MaxRadius` per
-//!   cell (needed by Theorem 2 updates) from one `O(|V| log |V|)` sweep,
-//!   then the generator adjacency from a second, `O(|E|)` pass over the
-//!   road edges.
+//! * [`exact`] — exact NVD construction by one multi-source sweep
+//!   (Erwig–Hagen [19]) on a bucket queue (Dial): per-vertex nearest
+//!   generator, the smallest id among equidistant ones, then `MaxRadius`
+//!   per cell (needed by Theorem 2 updates) from one pass over the labels
+//!   and the generator adjacency from one `O(|E|)` pass over the road
+//!   edges. The labels are the unique least `(distance, generator id)`
+//!   fixpoint, so the diagram depends on the graph and the generators
+//!   alone, not on the queue: the heap Dijkstra the tests keep as an
+//!   oracle writes the same bytes. One [`SweepScratch`] per build thread
+//!   keeps the queue's memory from one keyword to the next.
 //! * [`adjacency`] — the generator adjacency graph (Observation 2a: its
 //!   size is `O(|inv(t)|)`, independent of `|V|`).
 //! * [`approx`] — the ρ-Approximate NVD (§6.1): a Morton-list quadtree that
@@ -29,4 +34,4 @@ pub mod update;
 
 pub use adjacency::{AdjacencyGraph, SymmetryAudit};
 pub use approx::{ApproxNvd, ApproxNvdParts};
-pub use exact::ExactNvd;
+pub use exact::{ExactNvd, SweepScratch};

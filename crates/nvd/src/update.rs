@@ -89,6 +89,7 @@ impl ApproxNvd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::{ExactNvd, SweepScratch};
     use kspin_graph::generate::{road_network, RoadNetworkConfig};
     use kspin_graph::{Dijkstra, Graph, VertexId};
 
@@ -96,7 +97,7 @@ mod tests {
         let g = road_network(&RoadNetworkConfig::new(n, seed));
         let step = (g.num_vertices() / gens).max(1);
         let generators: Vec<VertexId> = (0..gens).map(|i| (i * step) as VertexId).collect();
-        let apx = ApproxNvd::build(&g, &generators, 4);
+        let apx = ApproxNvd::build(&g, &generators, 4, &mut SweepScratch::default());
         (g, generators, apx)
     }
 
@@ -108,7 +109,7 @@ mod tests {
         new_vertex: VertexId,
     ) -> std::collections::BTreeSet<u32> {
         let mut dij = Dijkstra::new(g.num_vertices());
-        let exact = crate::exact::ExactNvd::build(g, gens);
+        let exact = ExactNvd::build(g, gens, &mut SweepScratch::default());
         dij.sssp(g, new_vertex);
         let space = dij.space();
         let mut affected = std::collections::BTreeSet::new();
@@ -164,7 +165,7 @@ mod tests {
         let mut dij2 = Dijkstra::new(g.num_vertices());
         dij2.sssp(&g, new_vertex);
         let space = dij2.space();
-        let exact = crate::exact::ExactNvd::build(&g, &gens);
+        let exact = ExactNvd::build(&g, &gens, &mut SweepScratch::default());
         for v in 0..g.num_vertices() as VertexId {
             if space.distance(v).unwrap() < exact.dist_to_owner(v) {
                 assert!(

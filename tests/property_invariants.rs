@@ -12,9 +12,9 @@ use kspin_ch::{ChConfig, ContractionHierarchy};
 use kspin_core::heap::{HeapContext, InvertedHeap};
 use kspin_core::query::baseline::brute_bknn;
 use kspin_core::{ExactLowerBound, LowerBound};
-use kspin_graph::{Dijkstra, GraphBuilder};
+use kspin_graph::{Dijkstra, GraphBuilder, INFINITY};
 use kspin_hl::HubLabels;
-use kspin_nvd::ApproxNvd;
+use kspin_nvd::{ApproxNvd, ExactNvd, SweepScratch};
 use kspin_text::CorpusBuilder;
 
 /// A spanning path over `0..n` plus the extra edges. With `cut = Some(c)`
@@ -134,7 +134,7 @@ proptest! {
         let q = q % n;
         let gens: Vec<VertexId> = gens_raw.into_iter().map(|v| v % n)
             .collect::<std::collections::BTreeSet<_>>().into_iter().collect();
-        let apx = ApproxNvd::build(&g, &gens, rho);
+        let apx = ApproxNvd::build(&g, &gens, rho, &mut SweepScratch::default());
         let mut dij = Dijkstra::new(g.num_vertices());
         let dists = dij.one_to_many(&g, q, &gens);
         let best = *dists.iter().min().unwrap();
@@ -143,6 +143,57 @@ proptest! {
             cands.iter().any(|&c| dists[c as usize] == best),
             "1NN missing: dists {:?}, candidates {:?}", dists, cands
         );
+    }
+
+    #[test]
+    fn exact_nvd_labels_every_vertex_with_the_least_distance_and_id(
+        n in 5usize..40,
+        extras in proptest::collection::vec((0u32..40, 0u32..40, 0u8..3, 0u32..(1 << 20)), 0..60),
+        cut in 0u32..80,
+        gens_raw in proptest::collection::btree_set(0u32..40, 1..8),
+    ) {
+        // Short path arcs next to arcs wide enough to widen the buckets, some
+        // of them too heavy to relax at all, and half the graphs split.
+        let extras = extras.into_iter().map(|(u, v, kind, raw)| {
+            let w = match kind {
+                0 => 1 + raw % 7,
+                1 => (1 << 20) + raw,
+                _ => INFINITY / 2 + raw * 2048,
+            };
+            (u, v, w)
+        });
+        let g = path_graph(n, extras.collect(), (cut < 40).then_some(cut % (n as u32 - 1)));
+        let gens: Vec<VertexId> = gens_raw.into_iter().map(|v| v % n as u32)
+            .collect::<std::collections::BTreeSet<_>>().into_iter().collect();
+        let nvd = ExactNvd::build(&g, &gens, &mut SweepScratch::default());
+        let mut dij = Dijkstra::new(n);
+        let mut best = vec![(INFINITY, u32::MAX); n];
+        for (i, &s) in gens.iter().enumerate() {
+            dij.sssp(&g, s);
+            for (v, slot) in best.iter_mut().enumerate() {
+                if let Some(d) = dij.space().distance(v as VertexId) {
+                    *slot = (*slot).min((d, i as u32));
+                }
+            }
+        }
+        let mut radius = vec![0; gens.len()];
+        for (v, &(d, o)) in best.iter().enumerate() {
+            let v = v as VertexId;
+            prop_assert_eq!(nvd.owner(v), (o != u32::MAX).then_some(o), "owner of {}", v);
+            prop_assert_eq!(nvd.dist_to_owner(v), d, "distance of {}", v);
+            if o != u32::MAX {
+                radius[o as usize] = d.max(radius[o as usize]);
+            }
+        }
+        for (p, &r) in radius.iter().enumerate() {
+            prop_assert_eq!(nvd.max_radius(p as u32), r, "MaxRadius({})", p);
+        }
+        for e in g.edges() {
+            let (a, b) = (best[e.u as usize].1, best[e.v as usize].1);
+            if a != b && a != u32::MAX && b != u32::MAX {
+                prop_assert!(nvd.adjacency().adjacent(a).contains(&b), "cells {} and {}", a, b);
+            }
+        }
     }
 
     #[test]
