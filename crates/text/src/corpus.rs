@@ -218,7 +218,7 @@ impl Corpus {
             }
         }
         let object_at = objects_by_vertex(&vertex_of);
-        if object_at.windows(2).any(|w| w[0].0 == w[1].0) {
+        if first_repeat(&object_at).is_some() {
             return Err("a vertex hosts more than one object".into());
         }
         let (inv_offsets, inverted, max_impact) = invert(&docs, &doc_offsets, num_terms);
@@ -240,6 +240,16 @@ fn objects_by_vertex(vertex_of: &[VertexId]) -> Vec<(VertexId, ObjectId)> {
     let mut column: Vec<(VertexId, ObjectId)> = vertex_of.iter().copied().zip(0..).collect();
     column.sort_unstable();
     column
+}
+
+/// The first object, by id, placed at a vertex an earlier object holds, as
+/// `(vertex, object)`, in an [`objects_by_vertex`] column.
+fn first_repeat(object_at: &[(VertexId, ObjectId)]) -> Option<(VertexId, ObjectId)> {
+    object_at
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .map(|w| w[1])
+        .min_by_key(|&(_, o)| o)
 }
 
 /// Derives the flat inverted lists (counting sort by term, objects kept in
@@ -303,14 +313,10 @@ impl CorpusBuilder {
     /// object's id.
     ///
     /// # Panics
-    /// If another object already occupies `vertex` (the paper places at most
-    /// one object per vertex, `O ⊆ V`), or the document is empty.
+    /// If the document is empty or a frequency is zero. A second object at
+    /// one vertex is refused by [`CorpusBuilder::build`].
     pub fn add_object(&mut self, vertex: VertexId, terms: &[(TermId, u32)]) -> ObjectId {
         assert!(!terms.is_empty(), "object documents must be non-empty");
-        assert!(
-            !self.vertex_of.contains(&vertex),
-            "vertex {vertex} already hosts an object"
-        );
         let mut doc: Vec<(TermId, u32)> = Vec::with_capacity(terms.len());
         let mut sorted = terms.to_vec();
         sorted.sort_unstable_by_key(|&(t, _)| t);
@@ -332,7 +338,25 @@ impl CorpusBuilder {
     /// with `w_{t,o} = 1 + ln f_{t,o}` per Eq. (2)/(3). Storage is flat:
     /// documents pool into one posting array behind per-object offsets and
     /// the inverted lists are derived by a counting sort over it.
+    ///
+    /// # Panics
+    /// If two objects share a vertex (the paper places at most one object
+    /// per vertex, `O ⊆ V`).
     pub fn build(self) -> Corpus {
+        match self.try_build() {
+            Ok(corpus) => corpus,
+            Err((vertex, _)) => panic!("vertex {vertex} already hosts an object"),
+        }
+    }
+
+    /// [`CorpusBuilder::build`], or the vertex and id of the first object
+    /// (by id) added at a vertex an earlier object holds. The check reads
+    /// the `(vertex, object)` column the corpus sorts anyway.
+    pub(crate) fn try_build(self) -> Result<Corpus, (VertexId, ObjectId)> {
+        let object_at = objects_by_vertex(&self.vertex_of);
+        if let Some(repeat) = first_repeat(&object_at) {
+            return Err(repeat);
+        }
         let num_objects = self.vertex_of.len();
         let mut doc_offsets = Vec::with_capacity(num_objects + 1);
         doc_offsets.push(0u32);
@@ -357,8 +381,8 @@ impl CorpusBuilder {
         }
         let (inv_offsets, inverted, max_impact) = invert(&docs, &doc_offsets, self.num_terms);
 
-        Corpus {
-            object_at: objects_by_vertex(&self.vertex_of),
+        Ok(Corpus {
+            object_at,
             vertex_of: self.vertex_of,
             doc_offsets,
             docs,
@@ -366,7 +390,7 @@ impl CorpusBuilder {
             inverted,
             max_impact,
             total_occurrences,
-        }
+        })
     }
 }
 
@@ -461,11 +485,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already hosts")]
+    #[should_panic(expected = "vertex 1 already hosts")]
     fn duplicate_vertex_rejected() {
         let mut b = CorpusBuilder::new();
         b.add_object(1, &[(0, 1)]);
         b.add_object(1, &[(1, 1)]);
+        b.build();
+    }
+
+    #[test]
+    fn the_first_repeat_by_id_is_named() {
+        let mut b = CorpusBuilder::new();
+        for v in [9, 4, 7, 4, 9, 7] {
+            b.add_object(v, &[(0, 1)]);
+        }
+        // Objects 3, 4 and 5 repeat a vertex; 3 comes first.
+        assert_eq!(b.try_build().err(), Some((4, 3)));
     }
 
     #[test]
