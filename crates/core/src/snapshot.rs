@@ -23,7 +23,11 @@
 //! `KspinSystem` save/load entry points) lives in the root `kspin`
 //! crate's `snapshot` module, which builds on these codecs.
 
-#![deny(clippy::as_conversions)]
+#![deny(
+    clippy::as_conversions,
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing
+)]
 
 pub use kspin_snapshot::{
     format, FormatError, SectionLabel, SectionView, SnapshotError, SnapshotFile, SnapshotWriter,
@@ -83,8 +87,8 @@ impl<'a, T> Pool<'a, T> {
             Err(SnapshotError::decode(
                 self.id,
                 format!(
-                    "pool holds {} trailing elements past {}",
-                    self.data.len() - self.cursor,
+                    "pool of {} elements consumed only up to {}",
+                    self.data.len(),
                     self.cursor
                 ),
             ))
@@ -112,20 +116,15 @@ fn decoded_usize(id: u32, what: &str, v: u64) -> Result<usize, SnapshotError> {
 // ---------------------------------------------------------------------
 
 /// Appends the road graph's CSR arrays and coordinates.
-#[allow(
-    clippy::as_conversions,
-    reason = "encode half: trusted in-memory values"
-)]
 pub fn encode_graph(w: &mut SnapshotWriter, g: &Graph) {
     let (offsets, targets, weights, coords) = g.csr_parts();
     w.put_u32s(section::GRAPH_OFFSETS, offsets);
     w.put_u32s(section::GRAPH_TARGETS, targets);
     w.put_u32s(section::GRAPH_WEIGHTS, weights);
-    let mut interleaved = Vec::with_capacity(coords.len() * 2);
-    for p in coords {
-        interleaved.push(p.x as u32);
-        interleaved.push(p.y as u32);
-    }
+    let interleaved: Vec<u32> = coords
+        .iter()
+        .flat_map(|p| [p.x.cast_unsigned(), p.y.cast_unsigned()])
+        .collect();
     w.put_u32s(section::GRAPH_COORDS, &interleaved);
 }
 
@@ -139,21 +138,18 @@ pub fn decode_graph(f: &SnapshotFile<'_>) -> Result<Graph, SnapshotError> {
     let targets = f.u32s(section::GRAPH_TARGETS)?;
     let weights = f.u32s(section::GRAPH_WEIGHTS)?;
     let interleaved = f.u32s(section::GRAPH_COORDS)?;
-    if interleaved.len() % 2 != 0 {
+    let (pairs, odd) = interleaved.as_chunks::<2>();
+    if !odd.is_empty() {
         return Err(SnapshotError::decode(
             section::GRAPH_COORDS,
             format!("interleaved coordinate count {} is odd", interleaved.len()),
         ));
     }
-    let coords: Vec<Point> = interleaved
-        .chunks_exact(2)
-        .map(|c| {
-            // TAINT-OK(chunks_exact(2) yields exactly two elements per chunk)
-            let (x, y) = (c[0], c[1]);
-            Point {
-                x: x.cast_signed(),
-                y: y.cast_signed(),
-            }
+    let coords: Vec<Point> = pairs
+        .iter()
+        .map(|&[x, y]| Point {
+            x: x.cast_signed(),
+            y: y.cast_signed(),
         })
         .collect();
     Graph::from_csr_parts(offsets, targets, weights, coords)
@@ -502,12 +498,9 @@ pub fn decode_index(f: &SnapshotFile<'_>, corpus: &Corpus) -> Result<KspinIndex,
     let mut objects_pool = Pool::new(KEYWORD_OBJECTS, &keyword_objects);
     let mut deleted_pool = Pool::new(KEYWORD_DELETED, keyword_deleted);
 
-    // TAINT-OK(term_slots equals the validated INDEX_TERM_KINDS section length, so the capacity is bounded by the file size)
-    let mut entries: Vec<Option<KeywordIndex>> = Vec::with_capacity(term_slots);
+    let mut entries: Vec<Option<KeywordIndex>> = Vec::with_capacity(kinds.len());
     let mut holder = vec![TermId::MAX; corpus.num_objects()];
     let mut audit = SymmetryAudit::default();
-    let mut small_count = 0usize;
-    let mut nvd_count = 0usize;
     for (slot, &kind) in kinds.iter().enumerate() {
         if kind == 0 {
             entries.push(None);
@@ -526,15 +519,11 @@ pub fn decode_index(f: &SnapshotFile<'_>, corpus: &Corpus) -> Result<KspinIndex,
         let flags = deleted_pool.take_n(len)?;
         let rows = table(corpus, t, objects, flags, &mut holder)?;
         let nvd = if kind == 2 {
-            // TAINT-OK(slot counter bounded by the kinds section length)
-            nvd_count += 1;
             Some(Box::new(KeywordNvd {
                 apx: decode_one_nvd(&mut nvd, len, &mut audit)?,
                 local_of: local_map(&rows),
             }))
         } else {
-            // TAINT-OK(slot counter bounded by the kinds section length)
-            small_count += 1;
             None
         };
         entries.push(Some(KeywordIndex { rows, nvd }));
@@ -552,6 +541,8 @@ pub fn decode_index(f: &SnapshotFile<'_>, corpus: &Corpus) -> Result<KspinIndex,
     objects_pool.finish()?;
     deleted_pool.finish()?;
 
+    let nvd_count = kinds.iter().filter(|&&k| k == 2).count();
+    let small_count = kinds.iter().filter(|&&k| k == 1).count();
     #[expect(
         clippy::as_conversions,
         reason = "usize → u64 widening of in-memory counters, lossless on every supported target"
@@ -657,6 +648,8 @@ pub fn decode_ch(
 #[cfg(test)]
 #[allow(
     clippy::as_conversions,
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
     reason = "test fixtures: trusted in-memory values"
 )]
 mod tests {

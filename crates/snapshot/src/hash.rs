@@ -111,6 +111,7 @@ pub fn xxh64(data: &[u8], seed: u64) -> u64 {
 #[cfg(test)]
 #[allow(
     clippy::as_conversions,
+    clippy::indexing_slicing,
     reason = "test fixtures: trusted in-memory values"
 )]
 mod tests {

@@ -29,6 +29,9 @@
 //! re-export this crate.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+// Untrusted bytes reach no unchecked arithmetic or index: every module
+// decodes them but `writer`, which opts out.
+#![deny(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 
 pub mod error;
 pub mod format;

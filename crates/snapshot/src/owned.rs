@@ -81,6 +81,7 @@ impl<'a> SnapshotFile<'a> {
 }
 
 #[cfg(test)]
+#[allow(clippy::indexing_slicing, reason = "test fixtures")]
 mod tests {
     use super::*;
     use crate::format::section;

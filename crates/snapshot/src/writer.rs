@@ -10,6 +10,12 @@
 //! The writer is build/persist-time code, not a serving path: misuse
 //! (non-ascending ids) is a programmer error and panics.
 
+#![expect(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    reason = "encode half: offsets and lengths of trusted in-memory sections"
+)]
+
 use crate::format::{
     ENDIAN_TAG, FORMAT_VERSION, HEADER_LEN, HEADER_SEED, KIND_BYTES, KIND_F64, KIND_U32, KIND_U64,
     MAGIC, TABLE_ENTRY_LEN,

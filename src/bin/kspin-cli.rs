@@ -128,6 +128,25 @@ fn cmd_generate(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// Reads the DIMACS dataset `{prefix}.gr` / `.co` / `.kw`; a refusal
+/// names the file.
+fn read_dataset(prefix: &str) -> Result<(Graph, Corpus, Vocabulary), String> {
+    eprintln!("loading {prefix}.gr / .co / .kw…");
+    let open = |ext: &str| -> Result<BufReader<File>, String> {
+        File::open(format!("{prefix}.{ext}"))
+            .map(BufReader::new)
+            .map_err(|e| format!("{prefix}.{ext}: {e}"))
+    };
+    let mut builder =
+        kspin::graph::dimacs::read_gr(open("gr")?).map_err(|e| format!("{prefix}.gr: {e}"))?;
+    kspin::graph::dimacs::read_co(open("co")?, &mut builder)
+        .map_err(|e| format!("{prefix}.co: {e}"))?;
+    let graph = builder.build();
+    let (corpus, vocab) = kspin::text::io::read_kw(open("kw")?, graph.num_vertices())
+        .map_err(|e| format!("{prefix}.kw: {e}"))?;
+    Ok((graph, corpus, vocab))
+}
+
 fn cmd_snapshot(args: &[String]) -> CliResult {
     let sub = args.first().map(String::as_str);
     let path = args
@@ -151,16 +170,7 @@ fn cmd_snapshot_save(path: &str, args: &[String]) -> CliResult {
         .unwrap_or(5);
     let with_ch = f.get("ch").map(String::as_str) == Some("true");
 
-    eprintln!("loading {prefix}.gr / .co / .kw…");
-    let open = |ext: &str| -> Result<BufReader<File>, String> {
-        File::open(format!("{prefix}.{ext}"))
-            .map(BufReader::new)
-            .map_err(|e| format!("{prefix}.{ext}: {e}"))
-    };
-    let mut builder = kspin::graph::dimacs::read_gr(open("gr")?).map_err(|e| e.to_string())?;
-    kspin::graph::dimacs::read_co(open("co")?, &mut builder).map_err(|e| e.to_string())?;
-    let graph = builder.build();
-    let (corpus, vocab) = kspin::text::io::read_kw(open("kw")?).map_err(|e| e.to_string())?;
+    let (graph, corpus, vocab) = read_dataset(prefix)?;
 
     eprintln!("building K-SPIN (rho = {rho})…");
     let config = KspinConfig {
@@ -231,16 +241,7 @@ fn cmd_query(args: &[String]) -> CliResult {
         .unwrap_or(5);
     let dist_kind = f.get("dist").map(String::as_str).unwrap_or("bidijkstra");
 
-    eprintln!("loading {prefix}.gr / .co / .kw…");
-    let open = |ext: &str| -> Result<BufReader<File>, String> {
-        File::open(format!("{prefix}.{ext}"))
-            .map(BufReader::new)
-            .map_err(|e| format!("{prefix}.{ext}: {e}"))
-    };
-    let mut builder = kspin::graph::dimacs::read_gr(open("gr")?).map_err(|e| e.to_string())?;
-    kspin::graph::dimacs::read_co(open("co")?, &mut builder).map_err(|e| e.to_string())?;
-    let graph = builder.build();
-    let (corpus, vocab) = kspin::text::io::read_kw(open("kw")?).map_err(|e| e.to_string())?;
+    let (graph, corpus, vocab) = read_dataset(prefix)?;
     eprintln!(
         "  |V|={} |E|={} |O|={} |W|={}",
         graph.num_vertices(),

@@ -15,7 +15,11 @@
 //! and a logically equal system always produces the same bytes. Both
 //! properties are test-enforced (`tests/snapshot_roundtrip.rs`).
 
-#![deny(clippy::as_conversions)]
+#![deny(
+    clippy::as_conversions,
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing
+)]
 
 use crate::KspinSystem;
 use kspin_ch::ContractionHierarchy;

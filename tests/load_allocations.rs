@@ -1,10 +1,12 @@
 //! `KspinSystem::load_snapshot` allocates per section, per keyword and
-//! per NVD — never per generator or per vocabulary term. A counting
-//! global allocator counts one load of a lazily updated world and holds
-//! the count to a bound linear in the keyword and NVD counts alone.
+//! per NVD — never per generator or per vocabulary term — and requests at
+//! most a fixed multiple of the file's length in bytes, whatever counts
+//! the file claims. A counting global allocator measures one load of a
+//! lazily updated world, and loads of checksum-valid files whose first
+//! count of a section is `u32::MAX`.
 //!
-//! One test per binary: the allocation counter is process-global, so a
-//! concurrently running sibling test would pollute the measurement.
+//! The counters are per thread, so the tests of this binary may run side
+//! by side: a load starts no thread of its own.
 
 // The workspace denies `unsafe_code`; a `#[global_allocator]` impl is the
 // one place this test binary genuinely needs it (GlobalAlloc is an unsafe
@@ -12,20 +14,40 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use kspin::prelude::*;
-use kspin_core::snapshot::format::section;
+use kspin_core::snapshot::format::{self, section};
+use kspin_core::snapshot::SnapshotWriter;
 
-/// Counts every heap acquisition (`alloc` and `realloc`) and delegates to
-/// the system allocator.
+/// Counts every heap acquisition (`alloc` and `realloc`) and the bytes it
+/// hands out (a `realloc` counts its whole new block), then delegates to
+/// the system allocator. A request above [`REFUSED_ABOVE`] is refused, so
+/// a capacity taken from a crafted count aborts the binary with "memory
+/// allocation of … failed" instead of reserving gigabytes.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Far above any load these tests make (the largest requests ~0.6 MB).
+const REFUSED_ABOVE: usize = 1 << 30;
+
+thread_local! {
+    /// This thread's `(allocations, bytes requested)`.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn count(bytes: usize) {
+    COUNTS.with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
+        if layout.size() > REFUSED_ABOVE {
+            return std::ptr::null_mut();
+        }
         unsafe { System.alloc(layout) }
     }
 
@@ -34,7 +56,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
+        if new_size > REFUSED_ABOVE {
+            return std::ptr::null_mut();
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,8 +67,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+/// Runs `f` and returns its result with the allocations and bytes it
+/// requested on this thread.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (n0, b0) = COUNTS.with(Cell::get);
+    let out = f();
+    let (n1, b1) = COUNTS.with(Cell::get);
+    (out, n1 - n0, b1 - b0)
 }
 
 /// Per section: the copy out of the file and the structure built from it.
@@ -53,13 +83,14 @@ const PER_KEYWORD: u64 = 1;
 /// Per NVD: its box, four quadtree arrays, two adjacency arrays and the
 /// object → local id column.
 const PER_NVD: u64 = 8;
+/// Bytes one load may request per byte of the file.
+const BYTES_PER_FILE_BYTE: u64 = 2;
 
-#[test]
-fn snapshot_load_allocates_per_keyword_and_nvd_not_per_generator_or_term() {
-    // The `lifecycle` shape: built without every tenth object, which are
-    // inserted lazily, then a twentieth mark-deleted.
+/// The `lifecycle` shape: `n` vertices, built without every tenth object,
+/// which are inserted lazily, then a twentieth mark-deleted.
+fn lazily_updated_system(n: usize) -> KspinSystem {
     let graph = kspin::graph::generate::road_network(
-        &kspin::graph::generate::RoadNetworkConfig::new(3000, 40),
+        &kspin::graph::generate::RoadNetworkConfig::new(n, 40),
     );
     let mut cc = kspin::text::generate::CorpusConfig::new(graph.num_vertices(), 41);
     cc.object_fraction = 0.1;
@@ -81,6 +112,17 @@ fn snapshot_load_allocates_per_keyword_and_nvd_not_per_generator_or_term() {
     for o in (0..objects).filter(|o| o % 20 == 7) {
         system.index.delete_object(&system.corpus, o);
     }
+    system
+}
+
+/// The byte bound of one load of `bytes`.
+fn byte_bound(bytes: &[u8]) -> u64 {
+    BYTES_PER_FILE_BYTE * bytes.len() as u64
+}
+
+#[test]
+fn snapshot_load_allocates_per_keyword_and_nvd_not_per_generator_or_term() {
+    let system = lazily_updated_system(3000);
     let bytes = system.save_snapshot(&SnapshotExtras::default());
 
     let f = SnapshotFile::validate(&bytes).expect("a fresh snapshot validates");
@@ -103,9 +145,7 @@ fn snapshot_load_allocates_per_keyword_and_nvd_not_per_generator_or_term() {
         "{generators} generators, {terms} terms"
     );
 
-    let before = allocations();
-    let loaded = KspinSystem::load_snapshot(&bytes).expect("load");
-    let used = allocations() - before;
+    let (loaded, used, requested) = measured(|| KspinSystem::load_snapshot(&bytes).expect("load"));
     drop(loaded);
 
     assert!(
@@ -113,4 +153,90 @@ fn snapshot_load_allocates_per_keyword_and_nvd_not_per_generator_or_term() {
         "load made {used} allocations; the bound for {sections} sections, {keywords} \
          keywords and {nvds} NVDs is {bound} ({generators} generators, {terms} terms)"
     );
+    assert!(
+        requested <= byte_bound(&bytes),
+        "load requested {requested} B for a {} B file (bound {} B)",
+        bytes.len(),
+        byte_bound(&bytes)
+    );
+}
+
+/// Every section that holds a count or an offset table, with the index of
+/// its first count: a length section's first word, an offset table's
+/// first row end, the index meta's term slot count. (`CH_META`'s shortcut
+/// count is a statistic no decoder sizes or indexes anything by.)
+const COUNTS_AT: [(u32, usize); 13] = [
+    (section::GRAPH_OFFSETS, 1),
+    (section::CORPUS_DOC_OFFSETS, 1),
+    (section::VOCAB_OFFSETS, 1),
+    (section::INDEX_META, 1),
+    (section::NVD_LENS, 0),
+    (section::NVD_LENS, 1),
+    (section::NVD_LENS, 2),
+    (section::NVD_LENS, 3),
+    (section::NVD_LENS, 4),
+    (section::NVD_CAND_OFFSETS, 1),
+    (section::NVD_ADJ_OFFSETS, 1),
+    (section::KEYWORD_LENS, 0),
+    (section::CH_UP_OFFSETS, 1),
+];
+
+/// `good` with every section copied and word `at` of section `id` (a
+/// `u32` or `u64` section) set to `u32::MAX`, under fresh checksums.
+fn with_max_count(good: &[u8], id: u32, at: usize) -> Vec<u8> {
+    let f = SnapshotFile::validate(good).expect("fresh snapshot validates");
+    let mut w = SnapshotWriter::new();
+    for s in f.sections() {
+        match s.kind {
+            format::KIND_U32 => {
+                let mut words = f.u32s(s.id).unwrap();
+                if s.id == id {
+                    words[at] = u32::MAX;
+                }
+                w.put_u32s(s.id, &words);
+            }
+            format::KIND_U64 => {
+                let mut words = f.u64s(s.id).unwrap();
+                if s.id == id {
+                    words[at] = u64::from(u32::MAX);
+                }
+                w.put_u64s(s.id, &words);
+            }
+            format::KIND_F64 => w.put_f64s(s.id, &f.f64s(s.id).unwrap()),
+            _ => w.put_bytes(s.id, f.bytes(s.id).unwrap()),
+        }
+    }
+    w.finish()
+}
+
+#[test]
+fn a_count_of_u32_max_is_refused_within_the_byte_bound() {
+    let system = lazily_updated_system(600);
+    let ch = kspin::ch::ContractionHierarchy::build(&system.graph, &kspin::ch::ChConfig::default());
+    let good = system.save_snapshot(&SnapshotExtras { ch: Some(ch) });
+    let f = SnapshotFile::validate(&good).expect("a fresh snapshot validates");
+    for (id, at) in COUNTS_AT {
+        let s = f
+            .section(id)
+            .expect("the world saves every counted section");
+        assert!(
+            s.count > at as u64,
+            "section {id} holds {} words, none at {at}",
+            s.count
+        );
+        let bad = with_max_count(&good, id, at);
+        let (outcome, _, requested) = measured(|| KspinSystem::load_snapshot(&bad).map(drop));
+        let err = outcome.expect_err("a count of u32::MAX was accepted");
+        assert!(
+            matches!(err, SnapshotError::Decode { .. }),
+            "section {id} word {at}: {err}"
+        );
+        assert!(
+            requested <= byte_bound(&bad),
+            "section {id} word {at}: the refused load requested {requested} B for a {} B \
+             file (bound {} B)",
+            bad.len(),
+            byte_bound(&bad)
+        );
+    }
 }

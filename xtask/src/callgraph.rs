@@ -16,11 +16,6 @@
 //!   edges into every `distance` implementation.
 //! * Bare `helper(…)` calls resolve to free functions of that name.
 //!
-//! A second, *stricter* edge set ([`CallGraph::typed_edges`]) resolves
-//! the same call sites with receiver typing and no name fan-out — the
-//! taint certifier's propagation substrate, where an extra edge (not a
-//! missing one) is the unsound direction.
-//!
 //! Items marked test-only or debug-only by the parser are dropped from
 //! resolution entirely: the certificate is about the release serving
 //! binary, where `#[cfg(debug_assertions)]`/`#[cfg(test)]`/`feature =
@@ -42,16 +37,6 @@ pub struct CallGraph {
     /// `edges[i]` = indices of items `items[i]` may call (deduplicated,
     /// ascending). Empty for non-certified items.
     pub edges: Vec<Vec<usize>>,
-    /// `typed_edges[i]` ⊆ `edges[i]`: the same call sites resolved with
-    /// *receiver typing* instead of name fan-out — a `.method(…)` call
-    /// only edges into `Type::method` when the receiver's type is known
-    /// (self, a declared field, or an inferrable local), and
-    /// `Qual::method(…)` never falls back to the every-same-name set.
-    /// The taint certifier floods over these: fan-out edges are sound
-    /// for panic reachability (a missed edge is a missed panic) but
-    /// catastrophic for taint (a `.push(…)` on a decode-local `Vec`
-    /// must not taint the serving heap kernel's `push`).
-    pub typed_edges: Vec<Vec<usize>>,
     /// `(struct, field)` → type head, from every named-struct
     /// declaration; types `self.field.method(…)` receivers.
     pub field_types: BTreeMap<(String, String), String>,
@@ -114,21 +99,10 @@ impl CallGraph {
                 }
             }
         }
-        // Both edge sets are resolved in one sweep. The struct is built
-        // first (with empty edge lists) because the typed pass needs
-        // `local_types`/`receiver_type`, which read `items`/`field_types`
-        // through `&self`.
-        let mut graph = CallGraph {
-            items,
-            edges: Vec::new(),
-            typed_edges: Vec::new(),
-            field_types,
-            certified_methods,
-        };
         let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut free_by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut methods_of: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
-        for (i, item) in graph.items.iter().enumerate() {
+        for (i, item) in items.iter().enumerate() {
             if !item.certified() {
                 continue;
             }
@@ -141,50 +115,34 @@ impl CallGraph {
                 None => free_by_name.entry(&item.name).or_default().push(i),
             }
         }
-        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); graph.items.len()];
-        let mut typed: Vec<Vec<usize>> = vec![Vec::new(); graph.items.len()];
-        for i in 0..graph.items.len() {
-            let item = &graph.items[i];
+        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); items.len()];
+        for (i, item) in items.iter().enumerate() {
             if !item.certified() {
                 continue;
             }
             let file = &files[item.file_idx];
-            let locals = graph.local_types(file, i);
             let mut targets = BTreeSet::new();
-            let mut typed_targets = BTreeSet::new();
-            for k in body_tokens(file, &graph.items, i) {
-                let Some(site) = call_at(file, &graph.items, i, k) else {
-                    continue;
-                };
-                resolve(
-                    &site,
-                    item,
-                    &by_name,
-                    &free_by_name,
-                    &methods_of,
-                    &mut targets,
-                );
-                let receiver = match site {
-                    CallSite::Method(_) => graph.receiver_type(file, i, k, &locals),
-                    _ => None,
-                };
-                resolve_typed(
-                    &site,
-                    item,
-                    receiver.as_deref(),
-                    &free_by_name,
-                    &methods_of,
-                    &mut typed_targets,
-                );
+            for k in body_tokens(file, &items, i) {
+                if let Some(site) = call_at(file, &items, i, k) {
+                    resolve(
+                        &site,
+                        item,
+                        &by_name,
+                        &free_by_name,
+                        &methods_of,
+                        &mut targets,
+                    );
+                }
             }
             targets.remove(&i); // direct recursion adds nothing to reachability
-            typed_targets.remove(&i);
             edges[i] = targets.into_iter().collect();
-            typed[i] = typed_targets.into_iter().collect();
         }
-        graph.edges = edges;
-        graph.typed_edges = typed;
-        graph
+        CallGraph {
+            items,
+            edges,
+            field_types,
+            certified_methods,
+        }
     }
 
     /// Resolves an entry-point spec (`Type::method` or a bare free-fn
@@ -648,53 +606,6 @@ fn resolve(
     }
 }
 
-/// The typed-edge resolution rules (see [`CallGraph::typed_edges`]):
-/// like [`resolve`] but a `.method(…)` call requires a known receiver
-/// type and `Qual::method(…)` never falls back to name fan-out. The
-/// result under-approximates dynamic dispatch, which is the correct
-/// direction for taint *propagation* (the flood must not jump between
-/// unrelated types through a shared method name); the taint certifier's
-/// sink classifier still inspects every tainted body directly.
-fn resolve_typed(
-    site: &CallSite,
-    caller: &Item,
-    receiver: Option<&str>,
-    free_by_name: &BTreeMap<&str, Vec<usize>>,
-    methods_of: &BTreeMap<(&str, &str), Vec<usize>>,
-    targets: &mut BTreeSet<usize>,
-) {
-    let extend = |targets: &mut BTreeSet<usize>, v: Option<&Vec<usize>>| {
-        if let Some(v) = v {
-            targets.extend(v.iter().copied());
-        }
-    };
-    match site {
-        CallSite::SelfMethod(name) => {
-            if let Some(ty) = &caller.self_type {
-                extend(targets, methods_of.get(&(ty.as_str(), name.as_str())));
-            }
-        }
-        CallSite::Method(name) => {
-            if let Some(ty) = receiver {
-                extend(targets, methods_of.get(&(ty, name.as_str())));
-            }
-        }
-        CallSite::Qualified(qual, name) => {
-            let ty = if qual == "Self" {
-                caller.self_type.clone().unwrap_or_else(|| qual.clone())
-            } else {
-                qual.clone()
-            };
-            if let Some(v) = methods_of.get(&(ty.as_str(), name.as_str())) {
-                targets.extend(v.iter().copied());
-            } else {
-                extend(targets, free_by_name.get(name.as_str()));
-            }
-        }
-        CallSite::Bare(name) => extend(targets, free_by_name.get(name.as_str())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -920,72 +831,6 @@ impl Heap {
                 .map(String::as_str),
             Some("Vec")
         );
-    }
-
-    fn typed_calls(g: &CallGraph, from: &str, to: &str) -> bool {
-        g.typed_edges[idx(g, from)].contains(&idx(g, to))
-    }
-
-    #[test]
-    fn typed_edges_require_a_known_receiver_and_never_fan_out() {
-        let src = "\
-struct Decoder { pool: Pool }
-impl Pool {
-    fn take(&mut self) -> u32 { 0 }
-}
-impl DaryHeap {
-    fn push(&mut self, x: u32) { grow() }
-}
-impl Decoder {
-    fn decode(&mut self, entries: &mut Vec<u32>) {
-        self.pool.take();
-        entries.push(1);
-        self.helper();
-    }
-    fn helper(&mut self) {}
-}
-fn query(d: &mut dyn Distance) { d.distance(); }
-impl Distance for Exact { fn distance(&mut self) -> u32 { 0 } }
-fn grow() {}
-";
-        let g = graph(src);
-        // Field-typed receiver resolves precisely.
-        assert!(typed_calls(&g, "Decoder::decode", "Pool::take"));
-        // `entries.push(…)` is a Vec push: the conservative set fans out
-        // into every `push`, the typed set must not.
-        assert!(calls(&g, "Decoder::decode", "DaryHeap::push"));
-        assert!(!typed_calls(&g, "Decoder::decode", "DaryHeap::push"));
-        // self-calls stay precise in both sets.
-        assert!(typed_calls(&g, "Decoder::decode", "Decoder::helper"));
-        // Unknown (trait-object) receivers: conservative fans out, typed
-        // drops the edge — the under-approximation the taint classifier
-        // compensates for by scanning every tainted body.
-        assert!(calls(&g, "query", "Exact::distance"));
-        assert!(!typed_calls(&g, "query", "Exact::distance"));
-        // Typed edges are a subset of the conservative edges, always.
-        for i in 0..g.items.len() {
-            for t in &g.typed_edges[i] {
-                assert!(g.edges[i].contains(t), "typed edge outside edges");
-            }
-        }
-    }
-
-    #[test]
-    fn typed_qualified_calls_do_not_fall_back_to_fan_out() {
-        let src = "\
-impl Graph {
-    fn from_csr_parts() -> Self { Graph }
-}
-fn decode() { Graph::from_csr_parts(); Missing::from_csr_parts(); helper(); }
-fn helper() {}
-";
-        let g = graph(src);
-        assert!(typed_calls(&g, "decode", "Graph::from_csr_parts"));
-        assert!(typed_calls(&g, "decode", "helper"));
-        // `Missing::…` has no certified method table entry and no free fn
-        // of that name: the conservative set fans out to Graph's method,
-        // the typed set resolves it to nothing new.
-        assert_eq!(g.typed_edges[idx(&g, "decode")].len(), 2);
     }
 
     #[test]

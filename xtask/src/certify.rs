@@ -1,60 +1,61 @@
-//! `cargo xtask certify` — the three static certificates of the serving
+//! `cargo xtask certify` — the two static certificates of the serving
 //! path, one command.
 //!
-//! | analysis | proves (conservatively)                                  | marker        |
-//! |----------|----------------------------------------------------------|---------------|
-//! | `panics` | no panic source reachable from a serving entry point     | `PANIC-OK:`   |
-//! | `allocs` | no allocation in the serving steady state after warm-up  | `ALLOC-OK:`   |
-//! | `taint`  | no untrusted byte reaches a sink without a sanitizer     | `TAINT-OK(…)` |
+//! | analysis | proves (conservatively)                                  | marker      |
+//! |----------|----------------------------------------------------------|-------------|
+//! | `panics` | no panic source reachable from a serving entry point     | `PANIC-OK:` |
+//! | `allocs` | no allocation in the serving steady state after warm-up  | `ALLOC-OK:` |
 //!
-//! Order-determinism needs no reach analysis: the serving crates deny
-//! clippy's `disallowed_types` / `disallowed_methods` (hashed containers,
-//! clocks, host shape; see the root `clippy.toml`) at their crate roots.
+//! Two properties need no reach analysis and are lint configuration
+//! instead. Order-determinism: the serving crates deny clippy's
+//! `disallowed_types` / `disallowed_methods` (hashed containers, clocks,
+//! host shape; see the root `clippy.toml`) at their crate roots.
+//! Untrusted snapshot input: the decode modules (`kspin-snapshot` but its
+//! writer, and both `snapshot.rs` codecs) deny
+//! `clippy::arithmetic_side_effects` and `clippy::indexing_slicing`, and
+//! `tests/load_allocations.rs` bounds the bytes one load may request by a
+//! multiple of the file length.
 //!
-//! One run lexes every file once, builds the call graph once per distinct
-//! perimeter ([`CERT_DIRS`] for the two reachability analyses, the same
-//! plus [`FACADE_DIRS`] for taint), runs all three analyses and prints one
-//! report. An inline marker comment on the flagged line, or in the
-//! contiguous comment block directly above it, is the only way to exempt
-//! a site: everything else is a finding and fails the run.
+//! One run lexes every file of [`CERT_DIRS`] once, builds one call graph,
+//! runs both analyses and prints one report. An inline marker comment on
+//! the flagged line, or in the contiguous comment block directly above
+//! it, is the only way to exempt a site: everything else is a finding and
+//! fails the run.
 //!
-//! The two reachability analyses share their whole pipeline — spec
-//! resolution with hard errors on rot, the warm-up-fenced sweep, per-site
-//! justification, finding assembly with shortest call chains — through
-//! [`Certifier`] and [`certify`]; [`crate::panics`] and [`crate::allocs`]
-//! supply a classifier and a description block each. [`crate::taint`]
-//! has its own propagation.
+//! The two analyses share their whole pipeline — spec resolution with
+//! hard errors on rot, the warm-up-fenced sweep, per-site justification,
+//! finding assembly with shortest call chains — through [`Certifier`] and
+//! [`certify`]; [`crate::panics`] and [`crate::allocs`] supply a
+//! classifier and a description block each.
 
 use std::process::ExitCode;
 
 use crate::callgraph::{CallGraph, Reach};
-use crate::entrypoints::{CERT_DIRS, FACADE_DIRS};
+use crate::entrypoints::CERT_DIRS;
 use crate::json::Json;
 use crate::lint::{walk_rs, workspace_root};
 use crate::report::{json_document, parse_format, print_findings, summary_json, Format};
 use crate::rules::{Finding, Summary};
 use crate::scope::SourceFile;
-use crate::taint::TaintAnalysis;
-use crate::{allocs, panics, taint};
+use crate::{allocs, panics};
 
 /// CLI usage.
 const USAGE: &str = "\
 usage: cargo xtask certify [options]
 
-Certifies the serving path three ways — panic-free (PANIC-OK), steady
-state alloc-free after warm-up (ALLOC-OK), untrusted input sanitized
-before every sink (TAINT-OK) — and fails on any finding. A site is
-exempted only by its inline marker comment with a reason, e.g.
+Certifies the serving path two ways — panic-free (PANIC-OK) and steady
+state alloc-free after warm-up (ALLOC-OK) — and fails on any finding. A
+site is exempted only by its inline marker comment with a reason, e.g.
 `// PANIC-OK: i < n by construction`.
 
 options:
   --format <human|json>   report format (json: one document, a sub-object
                           per analysis; default human)
-  --list                  print every entry point, warm-up fence, taint
-                          source and sanitizer the certificates rest on
+  --list                  print every entry point and warm-up fence the
+                          certificates rest on
   -h, --help              show this help";
 
-/// The reachability analyses, in report order.
+/// The analyses, in report order.
 const CERTIFIERS: [&Certifier; 2] = [&panics::CERTIFIER, &allocs::CERTIFIER];
 
 /// One classified site inside an item body, independent of which
@@ -207,52 +208,35 @@ pub(crate) fn load_files(dirs: &[&str]) -> Vec<SourceFile> {
 
 /// Everything one run computes over the live workspace.
 struct Report {
+    /// Files of the certified perimeter.
+    files_scanned: usize,
     /// Call graph of the certified perimeter, shared by [`CERTIFIERS`].
     graph: CallGraph,
     certificates: Vec<(&'static Certifier, Certificate)>,
-    taint: TaintAnalysis,
 }
 
 impl Report {
-    /// `(analysis name, its findings and justified counts)`, report order.
-    fn summaries(&self) -> Vec<(&'static str, &Summary)> {
-        let mut all: Vec<_> = self
-            .certificates
-            .iter()
-            .map(|(spec, cert)| (spec.name, &cert.summary))
-            .collect();
-        all.push((taint::NAME, &self.taint.summary));
-        all
-    }
-
-    /// Findings over all three analyses; non-zero fails the run.
+    /// Findings over both analyses; non-zero fails the run.
     fn unjustified(&self) -> usize {
-        self.summaries().iter().map(|(_, s)| s.findings.len()).sum()
+        self.certificates
+            .iter()
+            .map(|(_, cert)| cert.summary.findings.len())
+            .sum()
     }
 }
 
-/// Loads the taint perimeter — the certified perimeter followed by the
-/// facade, each file lexed once — and the length of its certified prefix.
-pub(crate) fn load_perimeters() -> (Vec<SourceFile>, usize) {
-    let mut files = load_files(&CERT_DIRS);
-    let certified = files.len();
-    files.extend(load_files(&FACADE_DIRS));
-    (files, certified)
-}
-
-/// Runs all three analyses over the workspace.
+/// Runs both analyses over the workspace.
 fn analyze_workspace() -> Result<Report, String> {
-    let (files, certified) = load_perimeters();
-    let graph = CallGraph::build(&files[..certified]);
+    let files = load_files(&CERT_DIRS);
+    let graph = CallGraph::build(&files);
     let certificates = CERTIFIERS
         .iter()
-        .map(|&spec| Ok((spec, certify(&files[..certified], &graph, spec)?)))
+        .map(|&spec| Ok((spec, certify(&files, &graph, spec)?)))
         .collect::<Result<_, String>>()?;
-    let taint = taint::certify(&files)?;
     Ok(Report {
+        files_scanned: files.len(),
         graph,
         certificates,
-        taint,
     })
 }
 
@@ -298,7 +282,6 @@ pub fn run(args: &[String]) -> ExitCode {
                 println!("{:<16} warm-up {w}", spec.name);
             }
         }
-        taint::print_registry();
         return ExitCode::SUCCESS;
     }
 
@@ -321,10 +304,9 @@ pub fn run(args: &[String]) -> ExitCode {
 }
 
 /// One document: a sub-object per analysis in the shape of the lint
-/// report (`files_scanned` / `new_count` / `findings` / `justified`), the
-/// taint one extended with its flood sizes.
+/// report (`files_scanned` / `new_count` / `findings` / `justified`).
 fn render_json(report: &Report) -> Json {
-    let mut analyses: Vec<(String, Json)> = report
+    let analyses: Vec<(String, Json)> = report
         .certificates
         .iter()
         .map(|(spec, cert)| {
@@ -332,21 +314,18 @@ fn render_json(report: &Report) -> Json {
             (spec.name.to_string(), Json::Obj(fields))
         })
         .collect();
-    let taint = taint::json_fields(&report.taint);
-    analyses.push((taint::NAME.to_string(), Json::Obj(taint)));
     json_document("cargo-xtask-certify", analyses)
 }
 
 fn print_human(report: &Report) {
     println!(
         "cargo xtask certify — {} files, {} analyses",
-        report.taint.summary.files_scanned,
-        report.summaries().len()
+        report.files_scanned,
+        report.certificates.len()
     );
     for (spec, cert) in &report.certificates {
         print_certificate(spec, cert, &report.graph);
     }
-    taint::print_report(&report.taint);
     let total = report.unjustified();
     if total > 0 {
         println!("\n{total} unjustified site(s) — fix each, or justify it with its marker comment");
@@ -446,9 +425,9 @@ mod tests {
         }
     }
 
-    /// The live workspace, all three analyses: every entry, warm-up, source
-    /// and sanitizer spec resolves (rot is a hard error), the perimeter is
-    /// not suspiciously small, and no site is unjustified.
+    /// The live workspace, both analyses: every entry and warm-up spec
+    /// resolves (rot is a hard error), the perimeter is not suspiciously
+    /// small, and no site is unjustified.
     #[test]
     fn live_workspace_certificates_hold() {
         let report = analyze_workspace().expect("every registered spec resolves");
@@ -457,9 +436,9 @@ mod tests {
                 assert!(!resolved.is_empty(), "{spec} resolved to nothing");
             }
         }
-        let summaries = report.summaries();
-        assert_eq!(summaries.len(), 3);
-        for (name, summary) in summaries {
+        assert_eq!(report.certificates.len(), 2);
+        for (spec, cert) in &report.certificates {
+            let (name, summary) = (spec.name, &cert.summary);
             assert!(
                 summary.files_scanned > 20,
                 "{name}: suspiciously small perimeter"

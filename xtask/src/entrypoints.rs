@@ -16,12 +16,10 @@
 //!   `tests/alloc_steady_state.rs` twin pins what the warm-up carve-out
 //!   actually costs per query, so nothing hides there.)
 //!
-//! This module is also the single registration point for every
-//! analysis' *perimeter*: [`CERT_DIRS`] (the shared reachability
-//! perimeter of `panics`/`allocs`), [`PANIC_ENTRIES`] (the
-//! panic certificate's serving surface), and [`FACADE_DIRS`] (what the
-//! taint analysis adds to `CERT_DIRS`: the facade + CLI, where untrusted
-//! files enter).
+//! This module is also the single registration point for both analyses'
+//! *perimeter*: [`CERT_DIRS`] (the shared reachability perimeter of
+//! `panics`/`allocs`) and [`PANIC_ENTRIES`] (the panic certificate's
+//! serving surface).
 
 /// The certified perimeter, relative to the workspace root: the crates a
 /// serving path executes. `kspin-core::modules` dispatches through the
@@ -47,14 +45,6 @@ pub const CERT_DIRS: [&str; 7] = [
     "crates/hl/src",
     "crates/snapshot/src",
 ];
-
-/// What the untrusted-input analysis sweeps on top of [`CERT_DIRS`]: the
-/// facade and CLI sources under `src/`, because that is where snapshot
-/// bytes enter from disk (`kspin-cli snapshot load` →
-/// `KspinSystem::load_snapshot`). Its perimeter is `CERT_DIRS` followed by
-/// these, so the taint flood sees every function the reachability
-/// certificates see.
-pub const FACADE_DIRS: [&str; 1] = ["src"];
 
 /// The serving entry points the panic certificate quantifies over: every
 /// query processor the engine exposes (§4 of the paper), the batch

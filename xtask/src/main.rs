@@ -12,7 +12,6 @@ mod panics;
 mod report;
 mod rules;
 mod scope;
-mod taint;
 
 use std::process::ExitCode;
 
@@ -21,8 +20,8 @@ usage: cargo xtask <task> [options]
 
 tasks:
   lint      run the K-SPIN lint wall (see `cargo xtask lint --help`)
-  certify   certify the serving path panic-free, steady-state alloc-free
-            and taint-clean (see `cargo xtask certify --help`)
+  certify   certify the serving path panic-free and steady-state
+            alloc-free (see `cargo xtask certify --help`)
 
 Run `cargo xtask lint --list-rules` for the rule catalog.";
 

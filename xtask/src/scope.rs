@@ -258,14 +258,6 @@ impl SourceFile {
         self.covered_by(line, &|c| marker_ok(c, marker))
     }
 
-    /// Whether a `TAINT-OK(reason)` justification covers 1-based `line`
-    /// (same placement grammar as `PANIC-OK`) — the untrusted-input flow
-    /// certifier's exemption marker for sinks whose tainted operand is
-    /// provably bounded by an earlier structural check.
-    pub fn taint_justified(&self, line: usize) -> bool {
-        self.covered_by(line, &taint_ok)
-    }
-
     /// The shared placement walk: a marker comment on the line itself or
     /// in the contiguous comment-only block directly above it.
     fn covered_by(&self, line: usize, pred: &dyn Fn(&str) -> bool) -> bool {
@@ -323,22 +315,6 @@ pub fn marker_ok(comment: &str, marker: &str) -> bool {
         .match_indices(marker)
         .find_map(|(p, _)| comment[p + marker.len()..].strip_prefix(':'))
         .is_some_and(|reason| reason.trim().len() >= 3)
-}
-
-/// Parses one `TAINT-OK(reason)` justification comment: unlike the
-/// colon-form markers the reason sits *inside* the parentheses — e.g.
-/// `// TAINT-OK(chunks_exact(2) yields exactly-2 slices)` — and must be
-/// non-trivial (≥ 3 characters). Nested parentheses in the reason are
-/// fine: everything after the opening paren up to the final `)` counts.
-pub fn taint_ok(comment: &str) -> bool {
-    let Some(pos) = comment.find("TAINT-OK(") else {
-        return false;
-    };
-    let rest = &comment[pos + "TAINT-OK(".len()..];
-    let Some(end) = rest.rfind(')') else {
-        return false;
-    };
-    rest[..end].trim().len() >= 3
 }
 
 /// Parses one `lint:allow(..)` comment: the rule list must contain
@@ -502,33 +478,6 @@ fn f() {
         // The two markers are independent: ALLOC-OK never excuses a panic
         // site and vice versa.
         assert!(!f.marked(3, "PANIC-OK"));
-    }
-
-    #[test]
-    fn taint_ok_marker_needs_a_parenthesized_reason_and_follows_the_block_grammar() {
-        assert!(taint_ok(
-            "// TAINT-OK(take(6) guarantees exactly 6 scalars)"
-        ));
-        assert!(taint_ok(
-            "// TAINT-OK(chunks_exact(2) yields exactly-2 slices)"
-        ));
-        assert!(!taint_ok("// TAINT-OK()"));
-        assert!(!taint_ok("// TAINT-OK(x)"));
-        assert!(!taint_ok("// TAINT-OK: colon form is the wrong grammar"));
-        assert!(!taint_ok("// sanitized upstream"));
-        let src = "\
-fn f() {
-    // TAINT-OK(offsets bounded by the validated section length)
-    let v = data[i];
-    let w = data[j];
-}
-";
-        let f = SourceFile::from_source("x.rs", src);
-        assert!(f.taint_justified(3));
-        assert!(!f.taint_justified(4), "code line breaks the block");
-        // The three markers are independent.
-        assert!(!f.marked(3, "PANIC-OK"));
-        assert!(!f.marked(3, "ALLOC-OK"));
     }
 
     #[test]
