@@ -74,7 +74,15 @@ pub struct ContractionHierarchy {
 impl ContractionHierarchy {
     /// Contracts `graph` into a hierarchy.
     pub fn build(graph: &Graph, _config: &ChConfig) -> Self {
-        Contractor::new(graph).contract_all()
+        let (rank, up_offsets, up_targets, up_weights) = Contractor::new(graph).contract_all();
+        let num_shortcuts = count_shortcuts(graph, &up_offsets, &up_targets);
+        ContractionHierarchy {
+            rank,
+            up_offsets,
+            up_targets,
+            up_weights,
+            num_shortcuts,
+        }
     }
 
     /// Number of vertices.
@@ -114,20 +122,28 @@ impl ContractionHierarchy {
         )
     }
 
-    /// Reassembles a hierarchy from its raw arrays, verbatim, validating
-    /// the CSR shape and that `rank` is a permutation of `0..n` (the
-    /// invariants the upward-search indexing relies on).
+    /// Reassembles the hierarchy of `graph` from its raw arrays, verbatim,
+    /// validating the CSR shape, that `rank` is a permutation of `0..n`
+    /// for the graph's `n` (the invariants the upward-search indexing
+    /// relies on). The shortcut count is not an input: it is counted from
+    /// the upward arcs, as [`Self::build`] counts it.
     ///
     /// # Errors
     /// A description of the first violated invariant.
     pub fn from_flat_parts(
+        graph: &Graph,
         rank: Vec<u32>,
         up_offsets: Vec<u32>,
         up_targets: Vec<VertexId>,
         up_weights: Vec<Weight>,
-        num_shortcuts: usize,
     ) -> Result<ContractionHierarchy, String> {
         let n = rank.len();
+        if n != graph.num_vertices() {
+            return Err(format!(
+                "rank holds {n} entries for a {}-vertex graph",
+                graph.num_vertices()
+            ));
+        }
         if up_offsets.len() != n + 1 {
             return Err(format!(
                 "up_offsets holds {} entries for {n} vertices",
@@ -179,6 +195,7 @@ impl ContractionHierarchy {
                 return Err(format!("vertex {v} has a non-upward edge"));
             }
         }
+        let num_shortcuts = count_shortcuts(graph, &up_offsets, &up_targets);
         Ok(ContractionHierarchy {
             rank,
             up_offsets,
@@ -187,6 +204,22 @@ impl ContractionHierarchy {
             num_shortcuts,
         })
     }
+}
+
+/// The hierarchy's shortcuts: its upward arcs whose endpoints no road
+/// edge joins. A shortcut between road neighbours, lighter than their
+/// edge, replaced that edge's arc and is not counted.
+fn count_shortcuts(graph: &Graph, up_offsets: &[u32], up_targets: &[VertexId]) -> usize {
+    let (offsets, targets, _, _) = graph.csr_parts();
+    (0..up_offsets.len().saturating_sub(1))
+        .map(|v| {
+            let road = row_slice(offsets, targets, v);
+            row_slice(up_offsets, up_targets, v)
+                .iter()
+                .filter(|t| road.binary_search(t).is_err())
+                .count()
+        })
+        .sum()
 }
 
 /// Working state for one contraction run. Every per-vertex array is sized
@@ -209,7 +242,6 @@ struct Contractor {
     rank: Vec<u32>,
     /// All upward edges discovered so far as (from, to, weight).
     edges: Vec<(VertexId, VertexId, Weight)>,
-    num_shortcuts: usize,
     witness: WitnessSearch,
 }
 
@@ -236,7 +268,6 @@ impl Contractor {
             level: vec![0; n],
             rank: vec![0; n],
             edges: Vec::new(),
-            num_shortcuts: 0,
             witness: WitnessSearch {
                 labels: Labels::new(n),
                 heap: BinaryHeap::new(),
@@ -245,7 +276,9 @@ impl Contractor {
         }
     }
 
-    fn contract_all(mut self) -> ContractionHierarchy {
+    /// Contracts every vertex; returns the hierarchy's `(rank, up_offsets,
+    /// up_targets, up_weights)`.
+    fn contract_all(mut self) -> (Vec<u32>, Vec<u32>, Vec<VertexId>, Vec<Weight>) {
         let n = self.adj.len();
         // Record original edges before contraction mutates adjacency.
         for u in 0..n {
@@ -310,13 +343,7 @@ impl Contractor {
             up_weights[*c as usize] = w;
             *c += 1;
         }
-        ContractionHierarchy {
-            rank,
-            up_offsets,
-            up_targets,
-            up_weights,
-            num_shortcuts: self.num_shortcuts,
-        }
+        (rank, up_offsets, up_targets, up_weights)
     }
 
     /// Priority = 2 · edge difference + deleted neighbours + level (module
@@ -404,7 +431,6 @@ impl Contractor {
             Err(i) => back.insert(i, (u, w)),
         }
         self.edges.push((u, t, w));
-        self.num_shortcuts += 1;
     }
 }
 

@@ -609,14 +609,16 @@ pub fn encode_ch(w: &mut SnapshotWriter, ch: &kspin_ch::ContractionHierarchy) {
     w.put_u32s(section::CH_UP_WEIGHTS, up_weights);
 }
 
-/// Reassembles the CH when present, `Ok(None)` when the snapshot was
-/// saved without one.
+/// Reassembles the CH of `graph` when present, `Ok(None)` when the
+/// snapshot was saved without one.
 ///
 /// # Errors
 /// Mistyped/partial CH sections or any violated CH invariant (rank not
-/// a permutation, non-upward edges).
+/// a permutation of the graph's vertices, non-upward edges, a shortcut
+/// count the upward arcs do not give).
 pub fn decode_ch(
     f: &SnapshotFile<'_>,
+    graph: &kspin_graph::Graph,
 ) -> Result<Option<kspin_ch::ContractionHierarchy>, SnapshotError> {
     use section::*;
     if !f.has(CH_META) {
@@ -634,15 +636,20 @@ pub fn decode_ch(
     let up_offsets = f.u32s(CH_UP_OFFSETS)?;
     let up_targets = f.u32s(CH_UP_TARGETS)?;
     let up_weights = f.u32s(CH_UP_WEIGHTS)?;
-    kspin_ch::ContractionHierarchy::from_flat_parts(
-        rank,
-        up_offsets,
-        up_targets,
-        up_weights,
-        num_shortcuts,
+    let ch = kspin_ch::ContractionHierarchy::from_flat_parts(
+        graph, rank, up_offsets, up_targets, up_weights,
     )
-    .map(Some)
-    .map_err(|e| SnapshotError::decode(CH_RANK, e))
+    .map_err(|e| SnapshotError::decode(CH_RANK, e))?;
+    let (.., counted) = ch.flat_parts();
+    if counted != num_shortcuts {
+        return Err(SnapshotError::decode(
+            CH_META,
+            format!(
+                "shortcut count {num_shortcuts}, but {counted} upward arcs join no road neighbours"
+            ),
+        ));
+    }
+    Ok(Some(ch))
 }
 
 #[cfg(test)]
@@ -776,7 +783,7 @@ mod tests {
         let f = SnapshotFile::validate(&bytes).unwrap();
         let alt2 = decode_alt(&f, g.num_vertices()).unwrap();
         assert_eq!(alt.flat_parts(), alt2.flat_parts());
-        let ch2 = decode_ch(&f).unwrap().expect("ch present");
+        let ch2 = decode_ch(&f, &g).unwrap().expect("ch present");
         assert_eq!(ch.flat_parts(), ch2.flat_parts());
     }
 
@@ -787,7 +794,7 @@ mod tests {
         encode_graph(&mut w, &g);
         let bytes = w.finish();
         let f = SnapshotFile::validate(&bytes).unwrap();
-        assert!(decode_ch(&f).unwrap().is_none());
+        assert!(decode_ch(&f, &g).unwrap().is_none());
     }
 
     #[test]

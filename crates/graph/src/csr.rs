@@ -8,7 +8,7 @@
 use std::sync::OnceLock;
 
 use crate::morton::MortonSpace;
-use crate::types::{Edge, Point, VertexId, Weight};
+use crate::types::{Edge, Point, VertexId, Weight, INFINITY};
 
 /// Row `row` of a CSR arena: `data[offsets[row]..offsets[row + 1]]`. The
 /// one place the workspace's flat adjacency, upward-edge, hub-label and
@@ -39,6 +39,8 @@ pub struct Graph {
     coords: Vec<Point>,
     /// [`Graph::morton_order`], computed on first use.
     morton: OnceLock<(MortonSpace, Vec<(u32, VertexId)>)>,
+    /// [`Graph::arc_extremes`], computed on first use.
+    extremes: OnceLock<(Weight, Weight)>,
 }
 
 impl Graph {
@@ -140,6 +142,20 @@ impl Graph {
         (*space, order)
     }
 
+    /// The lightest arc weight and the heaviest one below [`INFINITY`]:
+    /// `(Weight::MAX, 0)` where there is no such arc.
+    ///
+    /// Every keyword's NVD sweep sizes its buckets from these two, so,
+    /// like [`Self::morton_order`], they are found once per graph, on the
+    /// first build that asks, and never serialized.
+    pub fn arc_extremes(&self) -> (Weight, Weight) {
+        *self.extremes.get_or_init(|| {
+            self.weights.iter().fold((Weight::MAX, 0), |(lo, hi), &w| {
+                (lo.min(w), if w < INFINITY { hi.max(w) } else { hi })
+            })
+        })
+    }
+
     /// Borrowed views of the raw CSR arrays — `(offsets, targets, weights,
     /// coords)` — the flat-serialization boundary for snapshots.
     pub fn csr_parts(&self) -> (&[u32], &[VertexId], &[Weight], &[Point]) {
@@ -232,6 +248,7 @@ impl Graph {
             weights,
             coords,
             morton: OnceLock::new(),
+            extremes: OnceLock::new(),
         })
     }
 }
@@ -333,6 +350,7 @@ impl GraphBuilder {
             weights,
             coords: self.coords,
             morton: OnceLock::new(),
+            extremes: OnceLock::new(),
         }
     }
 }
@@ -478,6 +496,22 @@ mod tests {
         assert_eq!(order, [(0, 1), (0, 3), (0x5555_5555, 2), (u32::MAX, 0)]);
         // Computed once: a second call hands out the same table.
         assert!(std::ptr::eq(order, g.morton_order().1));
+    }
+
+    #[test]
+    fn arc_extremes_skip_unrelaxable_arcs() {
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(0, 1, 7);
+        b.add_edge(1, 2, 3);
+        b.add_edge(2, 3, INFINITY);
+        assert_eq!(b.build().arc_extremes(), (3, 7));
+        let mut b = GraphBuilder::new(2);
+        b.add_edge(0, 1, INFINITY + 1);
+        assert_eq!(b.build().arc_extremes(), (INFINITY + 1, 0));
+        assert_eq!(
+            GraphBuilder::new(3).build().arc_extremes(),
+            (Weight::MAX, 0)
+        );
     }
 
     #[test]

@@ -9,20 +9,28 @@
 //! * [`ExactNvd::dist_to_owner`] — its distance.
 //!
 //! `MaxRadius` per generator, needed by the Theorem-2 update rule (§6.2),
-//! is one pass over the final labels. A second pass, over the road edges
-//! in CSR row order, yields the generator [`AdjacencyGraph`]: every edge
-//! whose endpoints have different owners links their two cells.
+//! is one pass over the final labels. The generator [`AdjacencyGraph`]
+//! links two cells for every road edge whose endpoints have different
+//! owners. The sweep finds those edges on its way: it marks the smaller
+//! endpoint of each, and the boundary pass reads the marked vertices' rows
+//! only (about 2,500 of 30k on a generated network), not every arc.
 //!
 //! **The sweep is a bucket queue** (Dial's algorithm): a circular array of
 //! `BUCKETS` = 4096 vertex lists, bucket `i` holding the labels in
-//! `[i·2^s, (i+1)·2^s)`. The width `2^s` is the smallest for which the
-//! largest relaxable arc weight spans fewer than `BUCKETS − 1` buckets, so
-//! every queued label sits within one turn of the array. At width 1 —
-//! every generated road network, whose arcs weigh a few thousand at most —
-//! a bucket holds one distance and each vertex settles once, in `O(|V| +
-//! |E| + D)` for the largest label `D`. A wider bucket holds several
-//! distances and is drained label-correcting: a vertex whose label
-//! improves is queued again, also when it lands in the bucket being
+//! `[i·2^s, (i+1)·2^s)`. The width `2^s` is the largest power of two no
+//! heavier than the lightest arc, widened only while the largest relaxable
+//! arc weight would span `BUCKETS − 1` buckets or more, so every queued
+//! label sits within one turn of the array. Both weights are read from the
+//! graph ([`Graph::arc_extremes`], found once per graph). When every arc is
+//! at least one bucket wide — every generated road network, whose lightest
+//! arc weighs about a hundred, sweeps in 64-wide buckets — a relaxation
+//! always lands in a later bucket, so a vertex's label is final when its
+//! bucket is reached and each vertex settles once, in `O(|V| + |E| +
+//! D / 2^s)` for the largest label `D`. Buckets as wide as the lightest arc
+//! rather than 1 wide skip the empty ones: at width 1 nearly every bucket
+//! of a 30k network is empty. A graph whose weight span forces wider
+//! buckets drains them label-correcting, in the same loop: a vertex whose
+//! label improves is queued again, also when it lands in the bucket being
 //! drained. Either way the sweep stops at the least fixpoint of "no arc
 //! improves a label", which is unique, so any exact queue — this one, or
 //! the indexed heap the tests keep as an oracle — writes the same owners,
@@ -59,28 +67,58 @@ fn owner_of(label: u64) -> u32 {
     label as u32
 }
 
-/// The reusable memory of the construction sweep: the bucket queue's
-/// vertex lists.
+/// The sweep's bucket width `2^s`, as the shift `s`: the largest power of
+/// two no heavier than the lightest arc, widened while the heaviest arc
+/// below [`INFINITY`] would span `BUCKETS − 1` buckets or more, so that
+/// every queued label sits within one turn of the array.
 ///
-/// A scratch holds no state from one build to the next; it only keeps the
-/// lists' capacity, so a caller that builds many NVDs allocates the queue
-/// once (each index-build worker owns one, and the index keeps one for
-/// its rebuilds).
+/// At a width no heavier than every arc, a relaxation always lands in a
+/// later bucket than the one being drained, so a vertex's label is final
+/// when its bucket is reached and the sweep is label-setting. Only a graph
+/// whose weight span forces a wider bucket drains label-correcting.
+fn bucket_shift(graph: &Graph) -> u32 {
+    let (lightest, heaviest) = graph.arc_extremes();
+    let mut shift = lightest.max(1).ilog2();
+    while (heaviest >> shift) as usize > BUCKETS - 2 {
+        shift += 1;
+    }
+    shift
+}
+
+/// The reusable memory of the construction sweep: the bucket queue's
+/// vertex lists and the boundary marks.
+///
+/// A scratch holds no state from one build to the next but the marks of
+/// the last sweep, which that build reads; otherwise it only keeps the
+/// capacity, so a caller that builds many NVDs allocates the queue once
+/// (each index-build worker owns one, and the index keeps one for its
+/// rebuilds).
 #[derive(Debug, Default)]
 pub struct SweepScratch {
     buckets: Vec<Vec<VertexId>>,
+    /// One bit per vertex: set for the smaller endpoint of every arc the
+    /// sweep scanned without improving a label across two owners.
+    marks: Vec<u64>,
 }
 
 impl SweepScratch {
     /// Runs the sweep from `labels` seeded at the generators (distance 0,
     /// owner the generator id; every other vertex [`UNREACHED`]) to the
-    /// least fixpoint.
+    /// least fixpoint, in buckets of [`bucket_shift`]'s width.
     ///
     /// A vertex is queued in the bucket of each label it takes, unless its
     /// previous label already queued it in that bucket and the bucket is
     /// not the one being drained. An entry whose vertex has since moved to
-    /// an earlier bucket is stale and skipped. At width 1 a vertex's label
-    /// is final when its bucket is drained, so each vertex settles once.
+    /// an earlier bucket is stale and skipped. When the buckets are no
+    /// wider than the lightest arc, a vertex's label is final when its
+    /// bucket is drained, so each vertex settles once.
+    ///
+    /// An arc `v → u` that improves nothing while `u` belongs to another
+    /// owner marks `min(u, v)`. Every labelled vertex is scanned once more
+    /// after its label became final, and of an edge's two endpoints the
+    /// later to become final then scans the other's final label: so the
+    /// smaller endpoint of every edge between two cells is marked, in
+    /// either drain mode and across arcs of `INFINITY` weight too.
     ///
     /// Returns the queue's counters: `pushes` counts every list entry,
     /// `pops` every entry taken out (stale ones included), `decrease_keys`
@@ -91,16 +129,11 @@ impl SweepScratch {
         generators: &[VertexId],
         labels: &mut [u64],
     ) -> HeapCounters {
-        let (_, _, weights, _) = graph.csr_parts();
-        // An arc of weight ≥ INFINITY never relaxes: every label it could
-        // write is unreachable.
-        let max_weight = weights.iter().copied().filter(|&w| w < INFINITY).max();
-        let mut shift = 0;
-        while (max_weight.unwrap_or(0) >> shift) as usize > BUCKETS - 2 {
-            shift += 1;
-        }
+        let shift = bucket_shift(graph);
         self.buckets.resize_with(BUCKETS, Vec::new);
         self.buckets.iter_mut().for_each(Vec::clear);
+        self.marks.clear();
+        self.marks.resize(labels.len().div_ceil(64), 0);
 
         let mut counters = HeapCounters::default();
         self.buckets[0].extend_from_slice(generators);
@@ -123,6 +156,10 @@ impl SweepScratch {
                     let old = labels[u as usize];
                     let new = packed(nd, owner_of(own));
                     if nd >= INFINITY || new >= old {
+                        if owner_of(old) != owner_of(own) {
+                            let a = u.min(v) as usize;
+                            self.marks[a / 64] |= 1 << (a % 64);
+                        }
                         continue;
                     }
                     labels[u as usize] = new;
@@ -142,6 +179,34 @@ impl SweepScratch {
             bucket += 1;
         }
         counters
+    }
+
+    /// The edges between two cells, as `(owner of u, owner of v)` in
+    /// [`Graph::edges`] order (row `u` ascending, then its targets `v > u`
+    /// in row order): the rows of the vertices the last sweep marked, in
+    /// ascending order, and in each the targets above it with another
+    /// owner. An edge with an unowned endpoint joins no cell.
+    fn boundary(&self, graph: &Graph, labels: &[u64]) -> Vec<(u32, u32)> {
+        let (offsets, targets, _, _) = graph.csr_parts();
+        let mut boundary = Vec::new();
+        for (word, &bits) in self.marks.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let u = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let ou = owner_of(labels[u]);
+                if ou == u32::MAX {
+                    continue;
+                }
+                for &v in row_slice(offsets, targets, u) {
+                    let ov = owner_of(labels[v as usize]);
+                    if u < v as usize && ov != ou && ov != u32::MAX {
+                        boundary.push((ou, ov));
+                    }
+                }
+            }
+        }
+        boundary
     }
 }
 
@@ -185,23 +250,9 @@ impl ExactNvd {
         }
 
         // Cell adjacency: a road edge whose endpoints have different owners
-        // connects the two cells. Edges in `Graph::edges` order (row `u`
-        // ascending, then its targets `v > u` in row order), which fixes
-        // the order of every adjacency row.
-        let (offsets, targets, _, _) = graph.csr_parts();
-        let mut boundary: Vec<(u32, u32)> = Vec::new();
-        for (u, &lu) in labels.iter().enumerate() {
-            let ou = owner_of(lu);
-            if ou == u32::MAX {
-                continue;
-            }
-            for &v in row_slice(offsets, targets, u) {
-                let ov = owner_of(labels[v as usize]);
-                if u < v as usize && ov != ou && ov != u32::MAX {
-                    boundary.push((ou, ov));
-                }
-            }
-        }
+        // connects the two cells. The edges come in `Graph::edges` order,
+        // which fixes the order of every adjacency row.
+        let boundary = scratch.boundary(graph, &labels);
         let adjacency = AdjacencyGraph::from_edges(m, &boundary);
 
         ExactNvd {
@@ -403,19 +454,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wide_buckets_stay_exact() {
-        // Arcs of 2^20 and more next to arcs of 1..7: the buckets are 512
-        // wide, so a bucket holds many distances and drains
-        // label-correcting, re-queueing vertices it has already settled.
-        let heavy = |u: u32, v: u32| {
+    /// A 24 × 24 grid whose arcs weigh 2^20 and more next to arcs of 1..7.
+    fn heavy_grid() -> Graph {
+        grid(24, |u, v| {
             if (u ^ v).is_multiple_of(7) {
                 (1 << 20) + u % 5
             } else {
                 1 + (u * 31 + v) % 7
             }
-        };
-        let g = grid(24, heavy);
+        })
+    }
+
+    #[test]
+    fn buckets_are_as_wide_as_the_lightest_arc() {
+        let width = |g: &Graph| 1u32 << bucket_shift(g);
+        assert_eq!(width(&grid(10, |_, _| 1)), 1);
+        // Generated arcs weigh about a hundred at least: 64-wide buckets.
+        let road = network(3000, 14);
+        assert_eq!(
+            road.arc_extremes().0.ilog2(),
+            6,
+            "{:?}",
+            road.arc_extremes()
+        );
+        assert_eq!(width(&road), 64);
+        // A lightest arc of 1, but 2^20 + 4 must span fewer than 4095
+        // buckets: the heaviest arc sets the width.
+        assert_eq!(width(&heavy_grid()), 512);
+        // An arc too heavy to relax widens nothing: the lightest, 10, sets
+        // 8. Relaxable arcs of 2^30 make buckets of 2^30.
+        assert_eq!(width(&ring(&[10, 10, 10, 10, 10, u32::MAX - 1])), 8);
+        assert_eq!(width(&ring(&[INFINITY / 2 + 1; 8])), 1 << 30);
+    }
+
+    #[test]
+    fn wide_buckets_stay_exact() {
+        // The buckets are 512 wide while arcs weigh 1, so a bucket holds
+        // many distances and drains label-correcting, re-queueing vertices
+        // it has already settled.
+        let g = heavy_grid();
         let n = g.num_vertices() as u32;
         for gens in [vec![0], vec![575, 0, 300, 17], (0..n).step_by(37).collect()] {
             let nvd = build(&g, &gens);
@@ -587,8 +664,9 @@ mod tests {
         // 1 reaches vertex 0 at 10, and relaxes 0 across the heavy edge: a
         // raw sum panics in debug builds and in release builds wraps to 8,
         // which wins and hands vertex 0 to the wrong cell. The heavy edge
-        // is not relaxable, so the first ring sweeps with unit buckets; the
-        // second's edges are, and its buckets are 2^19 wide.
+        // is not relaxable, so the first ring sweeps in buckets as wide as
+        // its lightest arc allows (8); the second's edges are relaxable,
+        // and its buckets are 2^30 wide.
         let one_heavy = ring(&[10, 10, 10, 10, 10, u32::MAX - 1]);
         let all_heavy = ring(&[INFINITY / 2 + 1; 8]);
         for (g, gens) in [(one_heavy, vec![1, 4]), (all_heavy, vec![0, 1, 4])] {

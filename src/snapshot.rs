@@ -109,7 +109,9 @@ impl KspinSystem {
         let vocab = decode_vocab(&f)?;
         let index = decode_index(&f, &corpus)?;
         let alt = decode_alt(&f, graph.num_vertices())?;
-        let extras = SnapshotExtras { ch: decode_ch(&f)? };
+        let extras = SnapshotExtras {
+            ch: decode_ch(&f, &graph)?,
+        };
         Ok((
             KspinSystem {
                 graph,

@@ -163,9 +163,9 @@ fn snapshot_load_allocates_per_keyword_and_nvd_not_per_generator_or_term() {
 
 /// Every section that holds a count or an offset table, with the index of
 /// its first count: a length section's first word, an offset table's
-/// first row end, the index meta's term slot count. (`CH_META`'s shortcut
-/// count is a statistic no decoder sizes or indexes anything by.)
-const COUNTS_AT: [(u32, usize); 13] = [
+/// first row end, the index meta's term slot count, and `CH_META`'s
+/// shortcut count, which sizes nothing but must equal the upward arcs'.
+const COUNTS_AT: [(u32, usize); 14] = [
     (section::GRAPH_OFFSETS, 1),
     (section::CORPUS_DOC_OFFSETS, 1),
     (section::VOCAB_OFFSETS, 1),
@@ -179,6 +179,7 @@ const COUNTS_AT: [(u32, usize); 13] = [
     (section::NVD_ADJ_OFFSETS, 1),
     (section::KEYWORD_LENS, 0),
     (section::CH_UP_OFFSETS, 1),
+    (section::CH_META, 0),
 ];
 
 /// `good` with every section copied and word `at` of section `id` (a

@@ -21,6 +21,16 @@ use kspin_text::CorpusBuilder;
 /// the path misses the link `c – c+1` and no extra edge crosses it, leaving
 /// the components `0..=c` and `c+1..n`.
 fn path_graph(n: usize, extras: Vec<(u32, u32, u32)>, cut: Option<u32>) -> Graph {
+    path_graph_from(n, 1, extras, cut)
+}
+
+/// [`path_graph`] whose path arcs weigh `lightest + v % 7`.
+fn path_graph_from(
+    n: usize,
+    lightest: u32,
+    extras: Vec<(u32, u32, u32)>,
+    cut: Option<u32>,
+) -> Graph {
     let crosses = |u: u32, v: u32| cut.is_some_and(|c| u.min(v) <= c && c < u.max(v));
     let mut b = GraphBuilder::new(n);
     for v in 0..n as u32 {
@@ -31,7 +41,7 @@ fn path_graph(n: usize, extras: Vec<(u32, u32, u32)>, cut: Option<u32>) -> Graph
     }
     for v in 0..n as u32 - 1 {
         if !crosses(v, v + 1) {
-            b.add_edge(v, v + 1, 1 + (v % 7));
+            b.add_edge(v, v + 1, lightest + (v % 7));
         }
     }
     for (u, v, w) in extras {
@@ -193,6 +203,68 @@ proptest! {
             if a != b && a != u32::MAX && b != u32::MAX {
                 prop_assert!(nvd.adjacency().adjacent(a).contains(&b), "cells {} and {}", a, b);
             }
+        }
+    }
+
+    #[test]
+    fn exact_nvd_is_exact_in_buckets_as_wide_as_the_lightest_arc(
+        n in 5usize..40,
+        lightest in 2u32..5000,
+        extras in proptest::collection::vec((0u32..40, 0u32..40, 0u8..4, 0u32..20_000), 0..60),
+        unrelaxable in any::<bool>(),
+        cut in 0u32..80,
+        gens_raw in proptest::collection::btree_set(0u32..40, 1..8),
+    ) {
+        // No arc below `lightest`, so the buckets are wider than 1. A
+        // quarter of the extra arcs are heavy: either from INFINITY / 2 up,
+        // which widens the buckets past `lightest` and drains them
+        // label-correcting, or from INFINITY up, which never relaxes and
+        // leaves the sweep label-setting. Half the graphs split. Every
+        // adjacency row is held to the boundary edges in edge order, each
+        // neighbour at its first edge.
+        let heavy = if unrelaxable { INFINITY } else { INFINITY / 2 };
+        let extras = extras.into_iter().map(|(u, v, kind, raw)| {
+            let w = if kind == 0 { heavy + raw * 2048 } else { lightest + raw };
+            (u, v, w)
+        });
+        let cut = (cut < 40).then_some(cut % (n as u32 - 1));
+        let g = path_graph_from(n, lightest, extras.collect(), cut);
+        let gens: Vec<VertexId> = gens_raw.into_iter().map(|v| v % n as u32)
+            .collect::<std::collections::BTreeSet<_>>().into_iter().collect();
+        let nvd = ExactNvd::build(&g, &gens, &mut SweepScratch::default());
+        let mut dij = Dijkstra::new(n);
+        let mut best = vec![(INFINITY, u32::MAX); n];
+        for (i, &s) in gens.iter().enumerate() {
+            dij.sssp(&g, s);
+            for (v, slot) in best.iter_mut().enumerate() {
+                if let Some(d) = dij.space().distance(v as VertexId) {
+                    *slot = (*slot).min((d, i as u32));
+                }
+            }
+        }
+        let mut radius = vec![0; gens.len()];
+        for (v, &(d, o)) in best.iter().enumerate() {
+            let v = v as VertexId;
+            prop_assert_eq!(nvd.owner(v), (o != u32::MAX).then_some(o), "owner of {}", v);
+            prop_assert_eq!(nvd.dist_to_owner(v), d, "distance of {}", v);
+            if o != u32::MAX {
+                radius[o as usize] = d.max(radius[o as usize]);
+            }
+        }
+        let mut rows = vec![Vec::new(); gens.len()];
+        for e in g.edges() {
+            let (a, b) = (best[e.u as usize].1, best[e.v as usize].1);
+            if a != b && a != u32::MAX && b != u32::MAX {
+                for (x, y) in [(a, b), (b, a)] {
+                    if !rows[x as usize].contains(&y) {
+                        rows[x as usize].push(y);
+                    }
+                }
+            }
+        }
+        for (p, row) in rows.iter().enumerate() {
+            prop_assert_eq!(nvd.max_radius(p as u32), radius[p], "MaxRadius({})", p);
+            prop_assert_eq!(nvd.adjacency().adjacent(p as u32), row.as_slice(), "row {}", p);
         }
     }
 
