@@ -10,6 +10,19 @@
 
 #![deny(missing_docs)]
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+// Panic sources: a site that may panic is fixed or carries
+// `#[expect(<lint>, reason = "…")]`. Tests may index and panic (clippy.toml);
+// the division lint has no such switch, so it is denied outside tests only.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![cfg_attr(not(test), deny(clippy::integer_division_remainder_used))]
 
 pub mod astar;
 
@@ -52,6 +65,11 @@ impl AltIndex {
     ///
     /// # Panics
     /// If the graph is empty or `num_landmarks` is zero.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::integer_division_remainder_used,
+        reason = "build time: n > 0 is asserted above, and d and min_dist hold n entries"
+    )]
     pub fn build(
         graph: &Graph,
         num_landmarks: usize,
@@ -125,6 +143,10 @@ impl AltIndex {
 
     /// Writes landmark `l`'s distance vector `d` into column `l < m` of the
     /// vertex-major table.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build time: each row holds m > l entries"
+    )]
     fn fill_column(dist: &mut [Weight], m: usize, l: usize, d: &[Weight]) {
         for (row, &dv) in dist.chunks_exact_mut(m).zip(d) {
             row[l] = dv;

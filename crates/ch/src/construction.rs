@@ -92,8 +92,11 @@ impl ContractionHierarchy {
 
     /// Contraction rank of `v` (0 = contracted first / least important).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "rank is sized num_vertices at build; v is a graph vertex"
+    )]
     pub fn rank(&self, v: VertexId) -> u32 {
-        // PANIC-OK: rank is sized num_vertices at build; v is a graph vertex.
         self.rank[v as usize]
     }
 
@@ -166,6 +169,10 @@ impl ContractionHierarchy {
         if up_offsets.first() != Some(&0) || up_offsets.last() != Some(&(up_targets.len() as u32)) {
             return Err("up_offsets must start at 0 and end at the edge count".into());
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "windows(2) yields two-element slices"
+        )]
         if up_offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err("up_offsets must be monotone non-decreasing".into());
         }
@@ -185,6 +192,11 @@ impl ContractionHierarchy {
         }
         // Upward edges must point strictly up the hierarchy; both upward
         // searches of a query rely on it.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "checked above: up_offsets holds n + 1 monotone fences ending at the \
+                      target count, every target is < n, and rank holds n entries"
+        )]
         for v in 0..n {
             let lo = up_offsets[v] as usize;
             let hi = up_offsets[v + 1] as usize;
@@ -245,6 +257,11 @@ struct Contractor {
     witness: WitnessSearch,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::integer_division_remainder_used,
+    reason = "build time: see Contractor; the one division is by the constant 2"
+)]
 impl Contractor {
     fn new(graph: &Graph) -> Self {
         let n = graph.num_vertices();
@@ -503,6 +520,10 @@ impl WitnessSearch {
             if hops as usize >= max_hops {
                 continue;
             }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "adj holds a row per vertex of the graph x comes from"
+            )]
             for &(y, w) in &adj[x as usize] {
                 if y == excluded {
                     continue;

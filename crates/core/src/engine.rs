@@ -37,10 +37,9 @@ pub struct QueryStats {
     /// Heap-kernel entries popped, counted as `heap_pushes` is.
     pub heap_pops: usize,
     /// Heap-kernel pushes that forced the entry array to grow. Zero in the
-    /// steady state (`DaryHeap::new` pre-sizes to the item count) — the
-    /// dynamic face of `cargo xtask certify`'s allocation certificate,
-    /// pinned by `tests/alloc_steady_state.rs` and
-    /// `tests/serving_determinism.rs`.
+    /// steady state (`DaryHeap::new` pre-sizes to the item count), as
+    /// `tests/alloc_steady_state.rs` and `tests/serving_determinism.rs`
+    /// assert.
     pub heap_grows: usize,
 }
 
@@ -79,10 +78,9 @@ impl AddAssign for QueryStats {
     }
 }
 
-/// Reusable scratch buffers for the query hot loops (the allocation
-/// certificate, `cargo xtask certify`): allocated once per engine, cleared
-/// per query, and grown to high-water capacity — never reallocated per
-/// iteration of the Algorithm 1/3 candidate loops.
+/// Reusable scratch buffers for the query hot loops: allocated once per
+/// engine, cleared per query, and grown to high-water capacity — never
+/// reallocated per iteration of the Algorithm 1/3 candidate loops.
 ///
 /// Safe to move in and out with `std::mem::take` because the inverted
 /// heaps borrow the index through the engine's `'a` references, not
@@ -98,11 +96,11 @@ pub(crate) struct QueryScratch {
 /// Epoch-stamped membership set over `ObjectId`, replacing the former
 /// `HashSet<ObjectId>` dedup set: a `RandomState`-hashed set on the
 /// extraction loop was a latent nondeterminism source (and a rehash-growth
-/// alloc risk), flagged by `cargo xtask certify`. Same trick as the
-/// `one_to_many` target slots in `kspin-graph::dijkstra` — a slot is a
-/// member iff its stamp equals the current epoch, so [`SeenSet::clear`]
-/// is O(1) and [`SeenSet::insert`] is a branch-free array write with no
-/// hashing, no iteration order, and no steady-state allocation.
+/// alloc risk). Same trick as the `one_to_many` target slots in
+/// `kspin-graph::dijkstra` — a slot is a member iff its stamp equals the
+/// current epoch, so [`SeenSet::clear`] is O(1) and [`SeenSet::insert`] is
+/// a branch-free array write with no hashing, no iteration order, and no
+/// steady-state allocation.
 #[derive(Debug, Default)]
 pub(crate) struct SeenSet {
     /// `epoch_of[o]` = the epoch in which object `o` was last inserted.
@@ -136,8 +134,11 @@ impl SeenSet {
     /// Inserts `o`, returning whether it was newly inserted — the
     /// `HashSet::insert` contract the query loops rely on.
     pub(crate) fn insert(&mut self, o: ObjectId) -> bool {
-        // PANIC-OK: sized to corpus.num_objects() at engine construction,
-        // and every candidate ObjectId comes from that same corpus.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "sized to corpus.num_objects() at engine construction, and every \
+                      candidate ObjectId comes from that same corpus"
+        )]
         let slot = &mut self.epoch_of[o as usize];
         if *slot == self.epoch {
             false

@@ -107,7 +107,10 @@ impl<'a> InvertedHeap<'a> {
         // `was_inserted`.
         let offer = |local: u32| {
             if !heap.was_inserted(local) {
-                // PANIC-OK: seeds are local ids < the table's length.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "seeds are local ids < the table's length"
+                )]
                 let v = entry.rows[local as usize].vertex;
                 lb_computed += 1;
                 heap.push(ctx.lower_bound.lower_bound(ctx.q, v), local);
@@ -148,6 +151,10 @@ impl<'a> InvertedHeap<'a> {
 
     /// Extracts the top candidate and runs `LazyReheap` so Property 1 keeps
     /// holding for the remainder.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "heap items are local ids < the table's length"
+    )]
     pub fn extract(&mut self, ctx: &HeapContext<'_>) -> Option<Candidate> {
         let (lb, local) = self.heap.pop()?;
         self.extractions += 1;
@@ -156,7 +163,6 @@ impl<'a> InvertedHeap<'a> {
         self.reheap(local, ctx);
         self.skip_deleted(ctx);
         Some(Candidate {
-            // PANIC-OK: heap items are local ids < the table's length.
             object: self.entry.rows[local as usize].object,
             lower_bound: lb,
         })
@@ -194,7 +200,10 @@ impl<'a> InvertedHeap<'a> {
         };
         for &a in n.apx.adjacent(local) {
             if !self.heap.was_inserted(a) {
-                // PANIC-OK: adjacency ids are local ids < the table's length.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "adjacency ids are local ids < the table's length"
+                )]
                 let v = self.entry.rows[a as usize].vertex;
                 self.lb_computed += 1;
                 self.heap.push(ctx.lower_bound.lower_bound(ctx.q, v), a);
@@ -214,8 +223,11 @@ impl<'a> InvertedHeap<'a> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "heap items are local ids < the table's length"
+    )]
     fn is_live(&self, local: u32) -> bool {
-        // PANIC-OK: heap items are local ids < the table's length.
         !self.entry.rows[local as usize].deleted
     }
 

@@ -230,6 +230,10 @@ impl KspinIndex {
 
         let mut entries: Vec<Option<KeywordIndex>> = (0..num_terms).map(|_| None).collect();
         let mut stats = BuildStats::default();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "workers only build terms < num_terms, entries' length"
+        )]
         for shard in shards {
             for (t, entry) in shard {
                 *stats.count_of(&entry) += 1;
@@ -407,6 +411,11 @@ impl KspinIndex {
     /// If `o` is already live in one of its keywords' indexes — inserting
     /// a present object would double-count it in every query touching
     /// that keyword.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "update path: entries is resized past t above, a local id is < the \
+                  table's length, and an NVD generator is a row of its table"
+    )]
     pub fn insert_object(
         &mut self,
         graph: &Graph,
@@ -454,6 +463,11 @@ impl KspinIndex {
     /// recoverable state: silently ignoring it would let the index drift
     /// from the corpus and return stale objects from queries (§6.2
     /// requires delete-then-rebuild bookkeeping to stay exact).
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::panic,
+        reason = "update path: the documented panics; a local id is < the table's length"
+    )]
     pub fn delete_object(&mut self, corpus: &Corpus, o: ObjectId) {
         for p in corpus.doc(o) {
             let t = p.term;
@@ -474,6 +488,10 @@ impl KspinIndex {
     /// Rebuilds keyword `t`'s index from its live object set, folding lazy
     /// updates in (the amortized cost of Fig. 8(b)). Builds an NVD or
     /// drops it as the live count crosses ρ.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "t < entries.len(): its entry was found above"
+    )]
     pub fn rebuild_term(&mut self, graph: &Graph, corpus: &Corpus, t: TermId) {
         let Some(entry) = self.entries.get_mut(t as usize).and_then(Option::as_mut) else {
             return;

@@ -133,9 +133,9 @@ impl LowerBound for ExactLowerBound<'_> {
             search.sssp(self.graph, s);
             let space = search.space();
             dist.clear();
-            // ALLOC-OK: audit-oracle table refresh, once per distinct
-            // source — reaches |V| capacity on the first refresh and the
-            // clear-then-extend refill never exceeds it.
+            // Audit-oracle table refresh, once per distinct source: reaches
+            // |V| capacity on the first refresh and the clear-then-extend
+            // refill never exceeds it.
             dist.extend((0..self.graph.num_vertices()).map(|v| {
                 space
                     .distance(v as VertexId)

@@ -35,13 +35,12 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         terms: &[TermId],
         op: Op,
     ) -> Vec<(ObjectId, Weight)> {
-        // ALLOC-OK: one |ψ|-sized copy per query (|ψ| ≤ a handful of
-        // keywords) so sort/dedup never mutates the caller's slice.
+        // One |ψ|-sized copy per query, so sort/dedup never mutates the
+        // caller's slice.
         let mut uniq = terms.to_vec();
         uniq.sort_unstable();
         uniq.dedup();
         if k == 0 || uniq.is_empty() || q as usize >= self.graph.num_vertices() {
-            // ALLOC-OK: an empty Vec::new never touches the allocator.
             return Vec::new();
         }
         let ctx = HeapContext::new(self.graph, self.corpus, self.lower_bound, q);
@@ -85,11 +84,11 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         let mut heaps: Vec<InvertedHeap<'_>> = driving
             .iter()
             .filter_map(|&t| self.make_heap(t, ctx))
-            // ALLOC-OK: heap generation — one |ψ|-bounded Vec per query;
-            // the extraction loop below never grows it.
+            // One |ψ|-bounded Vec per query; the extraction loop below
+            // never grows it.
             .collect();
-        // Engine-lifetime epoch-stamped dedup set (alloc certificate):
-        // clear() is O(1); no hashing, no iteration order.
+        // Engine-lifetime epoch-stamped dedup set: clear() is O(1), an
+        // insert is an array write; no hashing, no iteration order.
         let mut evaluated = std::mem::take(&mut self.scratch.evaluated);
         evaluated.clear();
         let mut best = KBest::bounded(k, self.corpus.num_objects());
@@ -109,8 +108,6 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
                 break;
             };
             // Duplicates across heaps (line 10), then the keyword filter.
-            // ALLOC-OK: epoch-stamped SeenSet insert — a plain array
-            // write into storage sized once at engine construction.
             if !evaluated.insert(c.object) || !accept(c.object) {
                 self.stats.pruned_candidates += 1;
                 continue;
@@ -127,7 +124,6 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         }
         self.scratch.evaluated = evaluated;
         let sorted = best.into_sorted();
-        // ALLOC-OK: the ≤ k-element result Vec the API contract returns.
         sorted.into_iter().map(|(d, o)| (o, d)).collect()
     }
 }
@@ -147,9 +143,12 @@ fn satisfies_conjunction(
 }
 
 /// Whether object `o` is live in keyword `t`'s index.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a local id is < the table's length"
+)]
 fn index_live(index: &KspinIndex, o: ObjectId, t: TermId) -> bool {
-    index.entry(t).is_some_and(|e| {
-        // PANIC-OK: a local id is < the table's length.
-        e.local_id(o).is_some_and(|l| !e.rows[l].deleted)
-    })
+    index
+        .entry(t)
+        .is_some_and(|e| e.local_id(o).is_some_and(|l| !e.rows[l].deleted))
 }

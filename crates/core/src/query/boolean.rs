@@ -35,14 +35,12 @@ impl BoolExpr {
     /// Convenience: conjunction of plain keywords (§2's conjunctive BkNN
     /// criterion as an expression tree).
     pub fn all(terms: &[TermId]) -> Self {
-        // ALLOC-OK: |ψ|-bounded expression-tree construction, once per query.
         BoolExpr::And(terms.iter().map(|&t| BoolExpr::Term(t)).collect())
     }
 
     /// Convenience: disjunction of plain keywords (§2's disjunctive BkNN
     /// criterion as an expression tree).
     pub fn any(terms: &[TermId]) -> Self {
-        // ALLOC-OK: |ψ|-bounded expression-tree construction, once per query.
         BoolExpr::Or(terms.iter().map(|&t| BoolExpr::Term(t)).collect())
     }
 
@@ -61,8 +59,7 @@ impl BoolExpr {
     /// All keywords mentioned anywhere in the expression — the query's
     /// keyword set ψ in §2's notation.
     pub fn terms(&self) -> Vec<TermId> {
-        // ALLOC-OK: grows to the expression's keyword count |ψ|, once per
-        // query — expression trees are a handful of terms by construction.
+        // Grows to the expression's keyword count |ψ|, once per query.
         let mut out = Vec::new();
         self.collect_terms(&mut out);
         out.sort_unstable();
@@ -72,7 +69,6 @@ impl BoolExpr {
 
     fn collect_terms(&self, out: &mut Vec<TermId>) {
         match self {
-            // ALLOC-OK: appends into the |ψ|-bounded buffer `terms` owns.
             BoolExpr::Term(t) => out.push(*t),
             BoolExpr::And(children) | BoolExpr::Or(children) => {
                 for c in children {
@@ -90,13 +86,11 @@ impl BoolExpr {
     /// generalizing §4.1.2's least-frequent-keyword choice.
     pub fn driving_set(&self, corpus: &Corpus) -> Option<Vec<TermId>> {
         match self {
-            // ALLOC-OK: one-element driving set, once per query planning.
             BoolExpr::Term(t) => Some(vec![*t]),
             BoolExpr::Or(children) => {
-                // ALLOC-OK: |ψ|-bounded union built once per query planning.
+                // |ψ|-bounded, built once per query planning.
                 let mut union = Vec::new();
                 for c in children {
-                    // ALLOC-OK: still the |ψ|-bounded planning union above.
                     union.extend(c.driving_set(corpus)?);
                 }
                 union.sort_unstable();
@@ -124,7 +118,6 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
     pub fn bknn_expr(&mut self, q: VertexId, k: usize, expr: &BoolExpr) -> Vec<(ObjectId, Weight)> {
         let driving = match expr.driving_set(self.corpus) {
             Some(driving) if k > 0 && (q as usize) < self.graph.num_vertices() => driving,
-            // ALLOC-OK: an empty Vec::new never touches the allocator.
             _ => return Vec::new(),
         };
         let ctx = HeapContext::new(self.graph, self.corpus, self.lower_bound, q);

@@ -24,7 +24,7 @@ impl<S: Ord + Copy> KBest<S> {
     pub(crate) fn bounded(k: usize, num_objects: usize) -> Self {
         KBest {
             k,
-            // ALLOC-OK: the one per-query result buffer, ≤ min(k, |O|) slots.
+            // The one per-query result buffer: ≤ min(k, |O|) slots.
             heap: BinaryHeap::with_capacity(k.min(num_objects)),
         }
     }
@@ -42,8 +42,8 @@ impl<S: Ord + Copy> KBest<S> {
     /// equal score never displaces an object seen earlier.
     pub(crate) fn offer(&mut self, score: S, object: ObjectId) {
         if self.heap.len() < self.k {
-            // ALLOC-OK: within the capacity `bounded` reserved — len < k,
-            // and the query loops offer each object at most once.
+            // Within the capacity `bounded` reserved: len < k, and the
+            // query loops offer each object at most once.
             self.heap.push((score, object));
         } else if let Some(mut worst) = self.heap.peek_mut() {
             if score < worst.0 {

@@ -26,7 +26,6 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
     pub fn top_k(&mut self, q: VertexId, k: usize, terms: &[TermId]) -> Vec<(ObjectId, f64)> {
         let query = QueryTerms::new(self.corpus, terms);
         if k == 0 || query.is_empty() || q as usize >= self.graph.num_vertices() {
-            // ALLOC-OK: an empty Vec::new never touches the allocator.
             return Vec::new();
         }
         let ctx = HeapContext::new(self.graph, self.corpus, self.lower_bound, q);
@@ -37,17 +36,16 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             .terms()
             .iter()
             .map(|&t| self.make_heap(t, &ctx))
-            // ALLOC-OK: heap generation — one |ψ|-bounded Vec per query;
-            // the extraction loop below never grows it.
+            // One |ψ|-bounded Vec per query; the extraction loop below
+            // never grows it.
             .collect();
         // λ_{t_j,ψ} · λ_{t_j,max} per keyword — Algorithm 2's summands.
         let max_contrib: Vec<f64> = (0..query.len())
             .map(|j| query.max_term_contribution(j))
-            // ALLOC-OK: |ψ|-bounded per-query summand table, built once.
             .collect();
 
-        // Engine-lifetime scratch (alloc certificate; no hashed set, which
-        // the crate's `disallowed_types` deny keeps out): the epoch-stamped
+        // Engine-lifetime scratch (no hashed set, which the crate's
+        // `disallowed_types` deny keeps out): the epoch-stamped
         // dedup set clears in O(1); the MINKEY snapshot reaches high-water
         // capacity on the first query and never reallocates after.
         let mut processed = std::mem::take(&mut self.scratch.evaluated);
@@ -63,8 +61,8 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             // round (O(|ψ|²), |ψ| ≤ 6) keeps the bound tight even when other
             // heaps' MINKEYs move, and performs the identical selection.
             min_keys.clear();
-            // ALLOC-OK: engine-lifetime scratch refilled to |ψ| entries
-            // after the clear above — at high-water capacity, no realloc.
+            // Engine-lifetime scratch refilled to |ψ| entries after the
+            // clear above: at high-water capacity, no realloc.
             min_keys.extend(heaps.iter().map(|h| {
                 h.as_ref()
                     .and_then(InvertedHeap::min_key)
@@ -95,8 +93,6 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
                 debug_assert!(false, "chosen heap {i} must exist and be non-empty");
                 break;
             };
-            // ALLOC-OK: epoch-stamped SeenSet insert — a plain array
-            // write into storage sized once at engine construction.
             if !processed.insert(c.object) {
                 self.stats.pruned_candidates += 1;
                 continue;
@@ -123,7 +119,6 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         self.scratch.min_keys = min_keys;
         self.scratch.evaluated = processed;
         let sorted = best.into_sorted();
-        // ALLOC-OK: the ≤ k-element result Vec the API contract returns.
         sorted.into_iter().map(|(s, o)| (o, s.get())).collect()
     }
 }
@@ -132,13 +127,20 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
 /// `TR_p(ψ, H_i) = Σ_j [MINKEY(H_i) ≥ MINKEY(H_j)] · λ_{t_j,ψ} · λ_{t_j,max}`.
 /// Exhausted heaps carry `MINKEY = ∞` and therefore contribute to nobody.
 pub(crate) fn pseudo_relevance(i: usize, min_keys: &[Weight], max_contrib: &[f64]) -> f64 {
-    // PANIC-OK: callers pass a heap index i < min_keys.len(); max_contrib
-    // is built parallel to min_keys (one slot per query keyword).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass a heap index i < min_keys.len()"
+    )]
     let mk = min_keys[i];
     let mut tr_p = 0.0;
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "max_contrib is built parallel to min_keys (one slot per query keyword), \
+                  so j < len of both"
+    )]
     for (j, &other) in min_keys.iter().enumerate() {
         if mk >= other {
-            tr_p += max_contrib[j]; // PANIC-OK: j < len of the parallel arrays.
+            tr_p += max_contrib[j];
         }
     }
     tr_p

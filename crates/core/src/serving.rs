@@ -183,16 +183,14 @@ impl<'a> BatchExecutor<'a> {
         // would build its oracle (|V|-sized arrays) for nothing.
         let workers = self.num_threads.min(n.div_ceil(CHUNK));
         let next = AtomicUsize::new(0);
-        // ALLOC-OK: per-batch bookkeeping — O(num_threads) slots filled
-        // once per execute() call, amortized over the whole batch.
+        // Per-batch bookkeeping: O(num_threads) slots, filled once per
+        // execute() call and amortized over the whole batch.
         let mut shards: Vec<(Vec<(usize, ServingResult)>, QueryStats)> = Vec::new();
         let scope_result = crossbeam::thread::scope(|scope| {
-            // ALLOC-OK: per-batch handle list, ≤ num_threads entries.
             let mut handles = Vec::new();
             for _ in 0..workers {
                 let next = &next;
                 let make_dist = &make_dist;
-                // ALLOC-OK: ≤ num_threads pushes per batch (spawn loop).
                 handles.push(scope.spawn(move |_| {
                     let mut engine = QueryEngine::new(
                         self.graph,
@@ -201,10 +199,8 @@ impl<'a> BatchExecutor<'a> {
                         self.lower_bound,
                         make_dist(),
                     );
-                    // ALLOC-OK: per-worker result buffer created once per
-                    // batch (the enclosing loop is the spawn loop, not a
-                    // query loop); grows to this worker's share of the
-                    // batch, amortized over it.
+                    // Created once per batch; grows to this worker's share
+                    // of the batch, one slot per query.
                     let mut out = Vec::new();
                     loop {
                         let base = next.fetch_add(CHUNK, Ordering::Relaxed);
@@ -213,8 +209,6 @@ impl<'a> BatchExecutor<'a> {
                         }
                         let end = (base + CHUNK).min(n);
                         for (i, q) in queries.iter().enumerate().skip(base).take(end - base) {
-                            // ALLOC-OK: amortized — out grows to this
-                            // worker's batch share, one slot per query.
                             out.push((i, q.run(&mut engine)));
                         }
                     }
@@ -229,7 +223,6 @@ impl<'a> BatchExecutor<'a> {
                     // pattern as index construction).
                     Err(payload) => std::panic::resume_unwind(payload),
                 })
-                // ALLOC-OK: O(num_threads) shard list, once per batch.
                 .collect();
         });
         if let Err(payload) = scope_result {
@@ -238,17 +231,23 @@ impl<'a> BatchExecutor<'a> {
             std::panic::resume_unwind(payload);
         }
 
-        // ALLOC-OK: the batch's n result slots, allocated once per batch.
         let mut slots: Vec<Option<ServingResult>> = (0..n).map(|_| None).collect();
         let mut stats = QueryStats::default();
         for (shard, worker_stats) in shards {
             stats += worker_stats;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "workers only emit indexes of `queries`, and slots was built with \
+                          one slot per query"
+            )]
             for (i, r) in shard {
-                // PANIC-OK: workers only emit indexes of `queries`, and
-                // slots was built with one slot per query.
                 slots[i] = Some(r);
             }
         }
+        #[expect(
+            clippy::panic,
+            reason = "the chunk cursor covers 0..n exactly once (see above)"
+        )]
         let results = slots
             .into_iter()
             .enumerate()
@@ -258,10 +257,8 @@ impl<'a> BatchExecutor<'a> {
                 // worker and all workers were joined. Losing a result
                 // silently would corrupt the batch ↔ result pairing, so
                 // this stays a loud panic rather than a default answer.
-                // PANIC-OK: chunk cursor covers 0..n exactly once (see above).
                 None => panic!("query {i} was claimed by no worker"),
             })
-            // ALLOC-OK: the n-element output the batch API returns.
             .collect();
         BatchOutput { results, stats }
     }

@@ -9,6 +9,10 @@ use crate::types::VertexId;
 
 /// Labels each vertex with a component id in `0..k` and returns
 /// `(labels, component_sizes)`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "build time: label is sized n and indexed by vertex ids"
+)]
 pub fn components(graph: &Graph) -> (Vec<u32>, Vec<usize>) {
     let n = graph.num_vertices();
     let mut label = vec![u32::MAX; n];
@@ -39,12 +43,17 @@ pub fn components(graph: &Graph) -> (Vec<u32>, Vec<usize>) {
 /// Extracts the largest connected component as a new graph with dense
 /// renumbered vertex ids, returning `(subgraph, old_id_of_new)` where
 /// `old_id_of_new[new] = old`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "build time: labels and new_of_old are sized n and indexed by vertex ids"
+)]
 pub fn largest_component(graph: &Graph) -> (Graph, Vec<VertexId>) {
     let (labels, sizes) = components(graph);
     if sizes.len() <= 1 {
         let ids = (0..graph.num_vertices() as VertexId).collect();
         return (graph.clone(), ids);
     }
+    #[expect(clippy::expect_used, reason = "more than one component is listed")]
     let best = sizes
         .iter()
         .enumerate()

@@ -19,12 +19,15 @@ use crate::types::{Edge, Point, VertexId, Weight, INFINITY};
 /// entries, the last at most `data.len()` — or `row` is not below `rows`.
 /// Every caller's constructor or snapshot validator establishes the shape.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "offsets has rows + 1 monotone slots, the last at most data.len(), and \
+              row < rows for every id the owning structure hands out"
+)]
 pub fn row_slice<'a, T>(offsets: &[u32], data: &'a [T], row: usize) -> &'a [T] {
-    // PANIC-OK: offsets has rows + 1 slots and row < rows for every id the
-    // owning structure hands out.
     let lo = offsets[row] as usize;
-    let hi = offsets[row + 1] as usize; // PANIC-OK: row + 1 <= rows.
-    &data[lo..hi] // PANIC-OK: lo <= hi <= data.len() — monotone fences.
+    let hi = offsets[row + 1] as usize;
+    &data[lo..hi]
 }
 
 /// An immutable undirected road-network graph in CSR form.
@@ -52,6 +55,10 @@ impl Graph {
 
     /// Number of undirected edges (each stored twice internally).
     #[inline]
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "halves the arc count"
+    )]
     pub fn num_edges(&self) -> usize {
         self.targets.len() / 2
     }
@@ -72,8 +79,11 @@ impl Graph {
 
     /// Coordinate of `v`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "coords is sized n; v < n for every built vertex id"
+    )]
     pub fn coord(&self, v: VertexId) -> Point {
-        // PANIC-OK: coords is sized n; v < n for every built vertex id.
         self.coords[v as usize]
     }
 
@@ -199,6 +209,10 @@ impl Graph {
         if offsets.first() != Some(&0) || offsets.last() != Some(&(targets.len() as u32)) {
             return Err("offsets must start at 0 and end at the arc count".into());
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "windows(2) yields two-element slices"
+        )]
         if offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err("offsets must be monotone non-decreasing".into());
         }
@@ -219,6 +233,10 @@ impl Graph {
         // falls where a row starts: count both.
         let next = targets.get(1..).unwrap_or_default();
         let descents = targets.iter().zip(next).filter(|(a, b)| a >= b).count();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "windows(2) yields two-element slices"
+        )]
         let at_row_starts = offsets
             .windows(2)
             .filter(|w| 0 < w[0] && w[0] < w[1])
@@ -227,6 +245,10 @@ impl Graph {
                 matches!(targets.get(start - 1..=start), Some(&[a, b]) if a >= b)
             })
             .count();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "windows(2) yields two-element slices"
+        )]
         if descents != at_row_starts {
             let mut fences = offsets.iter().map(|&o| o as usize).peekable();
             for (i, w) in targets.windows(2).enumerate() {
@@ -283,6 +305,10 @@ impl GraphBuilder {
     ///
     /// # Panics
     /// If `v` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the documented panic on a bad vertex id"
+    )]
     pub fn set_coord(&mut self, v: VertexId, p: Point) {
         self.coords[v as usize] = p;
     }
@@ -307,6 +333,11 @@ impl GraphBuilder {
 
     /// Finalizes into a CSR [`Graph`], deduplicating parallel edges by
     /// minimum weight.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build time: add_edge checked every endpoint < n, deg and cursor hold n + 1 \
+                  fences and each edge fills two of the 2·|E| arc slots"
+    )]
     pub fn build(mut self) -> Graph {
         // Canonicalize so duplicates collapse regardless of insertion order.
         for e in &mut self.edges {

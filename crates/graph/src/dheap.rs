@@ -60,8 +60,7 @@ pub struct HeapCounters {
     /// i.e. pushes that made the allocator grow the heap. **Structurally
     /// zero** after [`DaryHeap::new`] pre-sizes `entries` to `n` (an item
     /// occupies at most one slot per epoch, so `len ≤ n` always); the
-    /// counter exists so the steady-state allocation certificate is
-    /// checkable dynamically per query, not just statically.
+    /// counter makes that claim checkable per query.
     pub grows: u64,
 }
 
@@ -175,8 +174,11 @@ impl DaryHeap {
     /// now, or already popped). Replaces the `inserted: Vec<bool>` side
     /// tables of the lazy kernels.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "stamp is sized n at new(); items are 0..n by the kernel contract"
+    )]
     pub fn was_inserted(&self, item: u32) -> bool {
-        // PANIC-OK: stamp is sized n at new(); items are 0..n by the kernel contract.
         self.stamp[item as usize] == self.epoch
     }
 
@@ -184,12 +186,15 @@ impl DaryHeap {
     /// epoch (checked in debug builds); relaxation loops that may revisit
     /// items use [`DaryHeap::insert_or_decrease`].
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "stamp is sized n at new(); items are 0..n by the kernel contract"
+    )]
     pub fn push(&mut self, key: Weight, item: u32) {
         debug_assert!(
             !self.was_inserted(item),
             "push of item {item} already inserted this epoch"
         );
-        // PANIC-OK: stamp is sized n at new(); items are 0..n by the kernel contract.
         self.stamp[item as usize] = self.epoch;
         let slot = self.entries.len();
         if slot == self.entries.capacity() {
@@ -197,9 +202,9 @@ impl DaryHeap {
             // violation the indexing above would have caught first).
             self.counters.grows += 1;
         }
-        // ALLOC-OK: new() pre-sizes entries to n and each item occupies at
-        // most one slot per epoch, so len ≤ n and this never reallocates;
-        // the grows counter above proves it dynamically per query.
+        // new() pre-sizes entries to n and each item occupies at most one
+        // slot per epoch, so len ≤ n and this never reallocates; the grows
+        // counter above proves it dynamically per query.
         self.entries.push(pack(key, item));
         self.counters.pushes += 1;
         self.sift_up(slot);
@@ -213,21 +218,28 @@ impl DaryHeap {
     #[inline]
     pub fn insert_or_decrease(&mut self, key: Weight, item: u32) {
         let i = item as usize;
-        // PANIC-OK: stamp/pos are sized n at new(); items are 0..n by the kernel contract.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "stamp is sized n at new(); items are 0..n by the kernel contract"
+        )]
         if self.stamp[i] != self.epoch {
             self.push(key, item);
             return;
         }
-        let p = self.pos[i]; // PANIC-OK: pos is sized n; i < n as above.
+        #[expect(clippy::indexing_slicing, reason = "pos is sized n; i < n as above")]
+        let p = self.pos[i];
         debug_assert!(
             p != POPPED,
             "decrease-key on item {item} already popped this epoch"
         );
         let p = p as usize;
-        // PANIC-OK: pos[i] is a live slot (< entries.len()) by the position-map
-        // invariant that `validate` audits after every op in the model tests.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "pos[i] is a live slot (< entries.len()) by the position-map invariant \
+                      that `validate` audits after every op in the model tests"
+        )]
         if key < key_of(self.entries[p]) {
-            self.entries[p] = pack(key, item); // PANIC-OK: same slot as the read above.
+            self.entries[p] = pack(key, item);
             self.counters.decrease_keys += 1;
             self.sift_up(p);
         }
@@ -239,13 +251,22 @@ impl DaryHeap {
     pub fn pop(&mut self) -> Option<(Weight, u32)> {
         let top = *self.entries.first()?;
         let item = item_of(top);
-        // PANIC-OK: every buffered item is < n (push stamped it), pos is sized n.
-        self.pos[item as usize] = POPPED;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "every buffered item is < n (push stamped it), pos is sized n"
+        )]
+        {
+            self.pos[item as usize] = POPPED;
+        }
         self.counters.pops += 1;
         let last = self.entries.pop().unwrap_or(top);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "slot 0 exists once the heap is checked non-empty; a buffered item is < n"
+        )]
         if !self.entries.is_empty() {
-            self.entries[0] = last; // PANIC-OK: non-empty checked on the line above.
-            self.pos[item_of(last) as usize] = 0; // PANIC-OK: buffered item < n.
+            self.entries[0] = last;
+            self.pos[item_of(last) as usize] = 0;
             self.sift_down(0);
         }
         Some((key_of(top), item))
@@ -258,28 +279,40 @@ impl DaryHeap {
 
     /// Hole-based sift-up: moves ancestors down until slot `i`'s entry is
     /// no longer before its parent. One packed compare per level.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass a live slot (push: just appended; decrease: pos[i]), every \
+                  parent of a live slot is live, and a buffered item is < n, the length of pos"
+    )]
     fn sift_up(&mut self, mut i: usize) {
-        // PANIC-OK: callers pass a live slot (push: just appended; decrease: pos[i]).
         let entry = self.entries[i];
         while i > 0 {
-            let parent = (i - 1) / ARITY; // PANIC-OK: ARITY is the const 4.
-            let pe = self.entries[parent]; // PANIC-OK: parent < i < len.
+            #[expect(
+                clippy::integer_division_remainder_used,
+                reason = "ARITY is the const 4"
+            )]
+            let parent = (i - 1) / ARITY;
+            let pe = self.entries[parent];
             if entry < pe {
-                self.entries[i] = pe; // PANIC-OK: i is a live slot throughout.
-                self.pos[item_of(pe) as usize] = i as u32; // PANIC-OK: buffered item < n.
+                self.entries[i] = pe;
+                self.pos[item_of(pe) as usize] = i as u32;
                 i = parent;
             } else {
                 break;
             }
         }
-        self.entries[i] = entry; // PANIC-OK: i is a live slot throughout.
-        self.pos[item_of(entry) as usize] = i as u32; // PANIC-OK: buffered item < n.
+        self.entries[i] = entry;
+        self.pos[item_of(entry) as usize] = i as u32;
     }
 
     /// Hole-based sift-down: moves the smallest child up until slot `i`'s
     /// entry is no larger than all of its (at most [`ARITY`]) children.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the only caller (pop) passes slot 0 of a non-empty heap, a child is read \
+                  only below len, and a buffered item is < n, the length of pos"
+    )]
     fn sift_down(&mut self, mut i: usize) {
-        // PANIC-OK: the only caller (pop) passes slot 0 of a non-empty heap.
         let entry = self.entries[i];
         let len = self.entries.len();
         loop {
@@ -289,29 +322,35 @@ impl DaryHeap {
             }
             let last = (first + ARITY).min(len);
             let mut best = first;
-            let mut be = self.entries[first]; // PANIC-OK: first < len checked above.
+            let mut be = self.entries[first];
             for c in first + 1..last {
-                let ce = self.entries[c]; // PANIC-OK: c < last <= len.
+                let ce = self.entries[c];
                 if ce < be {
                     best = c;
                     be = ce;
                 }
             }
             if be < entry {
-                self.entries[i] = be; // PANIC-OK: i is a live slot throughout.
-                self.pos[item_of(be) as usize] = i as u32; // PANIC-OK: buffered item < n.
+                self.entries[i] = be;
+                self.pos[item_of(be) as usize] = i as u32;
                 i = best;
             } else {
                 break;
             }
         }
-        self.entries[i] = entry; // PANIC-OK: i is a live slot throughout.
-        self.pos[item_of(entry) as usize] = i as u32; // PANIC-OK: buffered item < n.
+        self.entries[i] = entry;
+        self.pos[item_of(entry) as usize] = i as u32;
     }
 
     /// The structural auditor (exercised by the invariant test suite):
     /// checks the heap order against every parent/child pair and the
     /// position map against every slot.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::integer_division_remainder_used,
+        reason = "an auditor, never on a serving path: a slot index is below len, and an \
+                  item out of range fails as loudly as the violation it reports"
+    )]
     pub fn validate(&self) -> Result<(), String> {
         for i in 1..self.entries.len() {
             let parent = (i - 1) / ARITY;
@@ -361,9 +400,12 @@ impl DaryHeap {
 
     /// Audit hook: re-validates the full structure before the epoch bump
     /// discards it. Armed by the `audit` feature (and always in debug
-    /// builds); compiled out of release serving binaries, so the
-    /// panic-reachability certificate never sees it.
+    /// builds); compiled out of release serving binaries.
     #[cfg(any(debug_assertions, feature = "audit"))]
+    #[expect(
+        clippy::panic,
+        reason = "the armed auditor's failure report; compiled out of release serving builds"
+    )]
     fn audit_on_clear(&self) {
         if let Err(violation) = self.validate() {
             panic!("DaryHeap invariant violated at clear: {violation}");

@@ -80,11 +80,14 @@ impl Dijkstra {
                 self.relax(s, d0);
             }
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "every heap item is a vertex id < n; arrays sized n at new()"
+        )]
         while let Some((d, v)) = self.heap.pop() {
             // The indexed heap holds each vertex once, at its best key:
             // every pop settles (no stale entries to skip).
             debug_assert!(!self.settled[v as usize] && d == self.dist[v as usize]);
-            // PANIC-OK: every heap item is a vertex id < n; arrays sized n at new().
             self.settled[v as usize] = true;
             match on_settle(v, d) {
                 Control::Continue => {
@@ -122,6 +125,11 @@ impl Dijkstra {
 
     /// Distances from `s` to each of `targets`, stopping as soon as all are
     /// settled. Unreachable targets get [`INFINITY`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "targets are vertex ids < n and the chain arrays are sized n at new(); \
+                  a slot is an index of `targets`, and `out` has one entry per target"
+    )]
     pub fn one_to_many(&mut self, graph: &Graph, s: VertexId, targets: &[VertexId]) -> Vec<Weight> {
         let mut out = vec![INFINITY; targets.len()];
         if targets.is_empty() {
@@ -198,23 +206,29 @@ impl Dijkstra {
 
     #[inline]
     fn tentative(&self, v: VertexId) -> Weight {
-        // PANIC-OK: v is a vertex id < n from the CSR graph; arrays sized n.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "v is a vertex id < n from the CSR graph; arrays sized n"
+        )]
         if self.epoch[v as usize] == self.cur_epoch {
-            self.dist[v as usize] // PANIC-OK: same bound as the epoch read.
+            self.dist[v as usize]
         } else {
             INFINITY
         }
     }
 
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "v is a vertex id < n from the CSR graph; arrays sized n"
+    )]
     fn relax(&mut self, v: VertexId, d: Weight) {
         let i = v as usize;
-        // PANIC-OK: v is a vertex id < n from the CSR graph; arrays sized n.
         if self.epoch[i] != self.cur_epoch {
-            self.epoch[i] = self.cur_epoch; // PANIC-OK: i < n as above.
-            self.settled[i] = false; // PANIC-OK: i < n as above.
+            self.epoch[i] = self.cur_epoch;
+            self.settled[i] = false;
         }
-        self.dist[i] = d; // PANIC-OK: i < n as above.
+        self.dist[i] = d;
         self.heap.insert_or_decrease(d, v);
     }
 }
@@ -228,9 +242,12 @@ impl SearchSpace<'_> {
     /// Final distance of `v` if it was settled by the last search.
     pub fn distance(&self, v: VertexId) -> Option<Weight> {
         let i = v as usize;
-        // PANIC-OK: v is a vertex id < n from the CSR graph; arrays sized n.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "v is a vertex id < n from the CSR graph; arrays sized n"
+        )]
         if self.d.epoch[i] == self.d.cur_epoch && self.d.settled[i] {
-            Some(self.d.dist[i]) // PANIC-OK: same bound as the epoch read.
+            Some(self.d.dist[i])
         } else {
             None
         }

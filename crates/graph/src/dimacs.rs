@@ -6,7 +6,6 @@
 //! real datasets when they are available, and writes them so generated
 //! datasets can be persisted and inspected.
 
-use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
 use crate::csr::{Graph, GraphBuilder};
@@ -149,35 +148,31 @@ pub fn read_co<R: BufRead>(reader: R, builder: &mut GraphBuilder) -> Result<(), 
 
 /// Serializes `graph` as a `.gr` file (both arc directions, 1-based ids).
 pub fn write_gr<W: Write>(graph: &Graph, mut w: W) -> std::io::Result<()> {
-    let mut buf = String::new();
     writeln!(
-        buf,
+        w,
         "c generated by kspin-graph\np sp {} {}",
         graph.num_vertices(),
         graph.num_arcs()
-    )
-    .expect("infallible");
+    )?;
     for e in graph.edges() {
-        writeln!(buf, "a {} {} {}", e.u + 1, e.v + 1, e.weight).expect("infallible");
-        writeln!(buf, "a {} {} {}", e.v + 1, e.u + 1, e.weight).expect("infallible");
+        writeln!(w, "a {} {} {}", e.u + 1, e.v + 1, e.weight)?;
+        writeln!(w, "a {} {} {}", e.v + 1, e.u + 1, e.weight)?;
     }
-    w.write_all(buf.as_bytes())
+    Ok(())
 }
 
 /// Serializes coordinates as a `.co` file.
 pub fn write_co<W: Write>(graph: &Graph, mut w: W) -> std::io::Result<()> {
-    let mut buf = String::new();
     writeln!(
-        buf,
+        w,
         "c generated by kspin-graph\np aux sp co {}",
         graph.num_vertices()
-    )
-    .expect("infallible");
+    )?;
     for v in 0..graph.num_vertices() {
         let p = graph.coord(v as VertexId);
-        writeln!(buf, "v {} {} {}", v + 1, p.x, p.y).expect("infallible");
+        writeln!(w, "v {} {} {}", v + 1, p.x, p.y)?;
     }
-    w.write_all(buf.as_bytes())
+    Ok(())
 }
 
 #[cfg(test)]

@@ -66,6 +66,10 @@ impl RoadNetworkConfig {
 ///
 /// The returned graph is the largest connected component of the perturbed
 /// grid, with dense vertex ids and coordinates attached.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "build time: pts is sized w·h and indexed by grid cells"
+)]
 pub fn road_network(config: &RoadNetworkConfig) -> Graph {
     assert!(config.vertices >= 1, "need at least one vertex");
     assert!(

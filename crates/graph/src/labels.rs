@@ -47,10 +47,13 @@ impl Labels {
     /// The label of `v`, [`INFINITY`] if unset since the last reset.
     #[inline]
     pub fn get(&self, v: VertexId) -> Weight {
-        // PANIC-OK: dist/epoch are sized n at new(); v is a vertex id < n
-        // of the graph the store was sized for.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "dist/epoch are sized n at new(); v is a vertex id < n of the graph \
+                      the store was sized for"
+        )]
         if self.epoch[v as usize] == self.cur {
-            self.dist[v as usize] // PANIC-OK: bounds as above.
+            self.dist[v as usize]
         } else {
             INFINITY
         }
@@ -58,11 +61,14 @@ impl Labels {
 
     /// Labels `v` with `d`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dist/epoch are sized n at new(); v is a vertex id < n of the graph \
+                  the store was sized for"
+    )]
     pub fn set(&mut self, v: VertexId, d: Weight) {
-        // PANIC-OK: dist/epoch are sized n at new(); v is a vertex id < n
-        // of the graph the store was sized for.
         self.epoch[v as usize] = self.cur;
-        self.dist[v as usize] = d; // PANIC-OK: bounds as above.
+        self.dist[v as usize] = d;
     }
 }
 

@@ -15,6 +15,7 @@ pub type Weight = u32;
 ///
 /// Kept below `u32::MAX` so `INFINITY + small_weight` cannot wrap in the
 /// relaxation step even without a saturating add.
+#[expect(clippy::integer_division_remainder_used, reason = "a constant halving")]
 pub const INFINITY: Weight = u32::MAX / 2;
 
 /// Planar vertex coordinate.

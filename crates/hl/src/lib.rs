@@ -27,6 +27,19 @@
 
 #![deny(missing_docs)]
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+// Panic sources: a site that may panic is fixed or carries
+// `#[expect(<lint>, reason = "…")]`. Tests may index and panic (clippy.toml);
+// the division lint has no such switch, so it is denied outside tests only.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![cfg_attr(not(test), deny(clippy::integer_division_remainder_used))]
 
 use kspin_ch::ContractionHierarchy;
 use kspin_graph::csr::row_slice;
@@ -46,6 +59,11 @@ pub struct HubLabels {
 
 impl HubLabels {
     /// Extracts pruned labels from a built hierarchy.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build time: every per-vertex table is sized n and indexed by vertex or \
+                  hub ids of the hierarchy, which are < n"
+    )]
     pub fn build(ch: &ContractionHierarchy) -> Self {
         let n = ch.num_vertices();
         // Process vertices top-down (descending rank): when v is labeled,
@@ -188,6 +206,11 @@ impl HubLabels {
     }
 
     /// Builds the hub → vertices inverse used by FS-FBS backward search.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build time: deg and cursor hold n + 1 fences over hub ids < n, and each \
+                  label entry fills one of the hubs.len() arena slots"
+    )]
     pub fn invert(&self) -> BackwardLabels {
         let n = self.num_vertices();
         let mut deg = vec![0u32; n + 1];
@@ -261,6 +284,10 @@ impl BackwardLabels {
     /// parallel per-entry side tables (FS-FBS keeps keyword signatures
     /// aligned with backward entries this way).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "h is a hub id < n and offsets holds n + 1 fences"
+    )]
     pub fn entry_offset(&self, h: VertexId) -> usize {
         self.offsets[h as usize] as usize
     }

@@ -34,6 +34,11 @@ impl AdjacencyGraph {
     ///
     /// # Panics
     /// If an endpoint is not below `m`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build time: offsets holds m + 1 fences, next and the marks m slots, and \
+                  the documented panic covers an endpoint not below m"
+    )]
     pub fn from_edges(m: usize, edges: &[(u32, u32)]) -> Self {
         // Counting sort by endpoint, both directions, in stream order.
         let mut offsets = vec![0u32; m + 1];
@@ -88,6 +93,11 @@ impl AdjacencyGraph {
 
     /// Appends a node linked to each of `neighbours` (distinct existing
     /// nodes) — a lazily inserted object — and returns its index.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "update path: every neighbour is an existing node < id, and id's slot was \
+                  made by the resize above"
+    )]
     pub fn push_node(&mut self, neighbours: &[u32]) -> u32 {
         let id = self.num_nodes();
         self.tail.resize_with(id + 1, Vec::new);
@@ -165,6 +175,10 @@ impl AdjacencyGraph {
         if offsets.first() != Some(&0) || offsets.last() != Some(&(data.len() as u32)) {
             return Err("adjacency offsets must start at 0 and end at the edge count".into());
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "windows(2) yields two-element slices"
+        )]
         if offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err("adjacency offsets must be monotone non-decreasing".into());
         }
@@ -208,6 +222,12 @@ pub struct SymmetryAudit {
 impl SymmetryAudit {
     /// The audit of the flat rows `data[offsets[a]..offsets[a + 1]]`
     /// (monotone offsets, the last one `data.len()`).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "offsets are n + 1 monotone fences ending at data.len() (the build makes \
+                  them so and from_flat checks it); ends holds n + 1 entries and is indexed \
+                  by in-range nodes only, mark at least n"
+    )]
     fn rows(&mut self, offsets: &[u32], data: &[u32]) -> Result<(), Vec<String>> {
         let mut errs = Vec::new();
         let n = offsets.len() - 1;

@@ -142,6 +142,11 @@ impl ApproxNvd {
 
     /// `MaxRadius` of original generator `p`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "p is an original generator, and max_radius holds one entry per original \
+                  generator (num_original)"
+    )]
     pub fn max_radius(&self, p: u32) -> Weight {
         self.max_radius[p as usize]
     }
@@ -232,6 +237,12 @@ impl ApproxNvd {
                 self.cand_offsets.len()
             ));
         } else {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "leaf < starts.len(), cand_offsets holds starts.len() + 1 monotone \
+                          fences ending at cands.len() (checked before the audit runs), and \
+                          windows(2) yields two-element slices"
+            )]
             for leaf in 0..self.starts.len() {
                 if leaf > 0 && self.starts[leaf] <= self.starts[leaf - 1] {
                     errs.push(format!("leaf starts not strictly ascending at leaf {leaf}"));
@@ -299,6 +310,10 @@ impl ApproxNvd {
         if cand_offsets.first() != Some(&0) || cand_offsets.last() != Some(&(cands.len() as u32)) {
             return Err("cand_offsets must start at 0 and end at the candidate count".into());
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "windows(2) yields two-element slices"
+        )]
         if cand_offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err("cand_offsets must be monotone non-decreasing".into());
         }
@@ -343,6 +358,11 @@ impl LeafBuilder<'_> {
     /// Recursively subdivides the cell holding table entries `lo..hi` (all
     /// sharing the `2·depth`-bit prefix of `prefix_start`), whose owners
     /// are those of `runs`: the runs that overlap `lo..hi`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build time: lo..hi lies within codes, and first..last within runs \
+                  (both partition points of runs)"
+    )]
     fn subdivide(&mut self, runs: &[Run], lo: usize, hi: usize, depth: u32, prefix_start: u32) {
         if lo == hi {
             return;

@@ -123,6 +123,13 @@ impl SweepScratch {
     /// Returns the queue's counters: `pushes` counts every list entry,
     /// `pops` every entry taken out (stale ones included), `decrease_keys`
     /// every improvement of a label that was already finite.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::integer_division_remainder_used,
+        reason = "build time: labels holds a label per vertex and marks a bit per label, \
+                  vertex ids come from the graph, and a bucket index is masked below \
+                  BUCKETS; the divisions are by the constant 64"
+    )]
     fn sweep(
         &mut self,
         graph: &Graph,
@@ -186,6 +193,11 @@ impl SweepScratch {
     /// in row order): the rows of the vertices the last sweep marked, in
     /// ascending order, and in each the targets above it with another
     /// owner. An edge with an unowned endpoint joins no cell.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build time: a marked bit and a row target are vertex ids, and labels holds \
+                  a label per vertex"
+    )]
     fn boundary(&self, graph: &Graph, labels: &[u64]) -> Vec<(u32, u32)> {
         let (offsets, targets, _, _) = graph.csr_parts();
         let mut boundary = Vec::new();
@@ -226,6 +238,10 @@ impl ExactNvd {
     ///
     /// # Panics
     /// If `generators` is empty or contains duplicates.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build time: generators are vertex ids and labels holds a label per vertex"
+    )]
     pub fn build(graph: &Graph, generators: &[VertexId], scratch: &mut SweepScratch) -> Self {
         assert!(
             !generators.is_empty(),
@@ -274,6 +290,10 @@ impl ExactNvd {
     /// The nearest generator (by id) of vertex `v`, the smallest id among
     /// equidistant ones; `None` if `v` is disconnected from all generators.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "v is a vertex of the graph the NVD was built on, with a label each"
+    )]
     pub fn owner(&self, v: VertexId) -> Option<u32> {
         let o = owner_of(self.labels[v as usize]);
         (o != u32::MAX).then_some(o)
@@ -281,6 +301,10 @@ impl ExactNvd {
 
     /// Distance from `v` to its owning generator.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "v is a vertex of the graph the NVD was built on, with a label each"
+    )]
     pub fn dist_to_owner(&self, v: VertexId) -> Weight {
         dist_of(self.labels[v as usize])
     }
@@ -288,6 +312,10 @@ impl ExactNvd {
     /// `MaxRadius(p)` — the farthest distance from generator `p` to a vertex
     /// in its cell (Theorem 2).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "p is a generator id, and max_radius holds one entry per generator"
+    )]
     pub fn max_radius(&self, p: u32) -> Weight {
         self.max_radius[p as usize]
     }

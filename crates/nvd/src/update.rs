@@ -25,6 +25,11 @@ impl ApproxNvd {
     /// object to generator `c` (the framework wires in its Network
     /// Distance Module and the keyword's vertex of `c` here). `coord` is
     /// the new object's coordinate, used for quadtree point location.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "update path: leaf candidates are original generators, and a is read only \
+                  below originals, visited's length"
+    )]
     pub fn affected_set<F>(&self, coord: Point, dist: &mut F) -> Vec<u32>
     where
         F: FnMut(u32) -> Weight,

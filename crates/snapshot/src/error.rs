@@ -8,8 +8,9 @@
 //!   allocating.
 //! * [`SnapshotError::Decode`] — the bytes were well-formed but a decoded
 //!   structure violated a semantic invariant (non-monotone offsets, an id
-//!   out of range, a failed permutation check). Constructed outside the
-//!   certified hot path, so it may carry a detail string.
+//!   out of range, a failed permutation check). Constructed outside
+//!   `SnapshotFile::validate`, which allocates nothing, so it may carry a
+//!   detail string.
 
 #![deny(clippy::as_conversions)]
 

@@ -21,7 +21,8 @@
 //!   section.
 //! * **Panic-free loading** — validation and section access never index,
 //!   never divide, never assert: untrusted bytes cannot panic the loader.
-//!   `SnapshotFile::validate` is certified by `cargo xtask certify`.
+//!   The crate root denies clippy's indexing, arithmetic, unwrap and
+//!   panic lints, so a site that could panic fails the build.
 //!
 //! This crate is the format layer only: it knows bytes, sections and
 //! checksums. The codecs that map index structures onto sections live in
@@ -32,6 +33,18 @@
 // Untrusted bytes reach no unchecked arithmetic or index: every module
 // decodes them but `writer`, which opts out.
 #![deny(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+// Panic sources: a site that may panic is fixed or carries
+// `#[expect(<lint>, reason = "…")]`. Tests may index and panic (clippy.toml);
+// the division lint has no such switch, so it is denied outside tests only.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![cfg_attr(not(test), deny(clippy::integer_division_remainder_used))]
 
 pub mod error;
 pub mod format;

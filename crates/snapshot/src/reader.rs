@@ -4,10 +4,10 @@
 //! untrusted bytes become a readable snapshot. It is written to be
 //! **panic-free and allocation-free** — only `get`-based slicing, checked
 //! arithmetic and iterator folds; no indexing, no asserts, no unchecked
-//! division — because it is a panic-certified entry point of `cargo xtask
-//! certify` and sits in its allocation analysis' steady-state perimeter:
-//! a corrupt or adversarial file must yield a structured
-//! [`SnapshotError`], never a panic, before any copying begins.
+//! division (the crate root denies the lints for each) — because a corrupt
+//! or adversarial file must yield a structured [`SnapshotError`], never a
+//! panic, before any copying begins. `tests/load_allocations.rs` counts
+//! its allocations: none, on a fresh file and on a corrupt one.
 
 #![deny(clippy::as_conversions)]
 

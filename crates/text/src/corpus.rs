@@ -71,6 +71,10 @@ impl Corpus {
 
     /// The road-network vertex hosting object `o`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "o is an object id < num_objects, and vertex_of holds a vertex per object"
+    )]
     pub fn vertex_of(&self, o: ObjectId) -> VertexId {
         self.vertex_of[o as usize]
     }
@@ -79,11 +83,21 @@ impl Corpus {
     #[inline]
     pub fn object_at(&self, v: VertexId) -> Option<ObjectId> {
         let i = self.object_at.binary_search_by_key(&v, |&(x, _)| x).ok()?;
-        Some(self.object_at[i].1)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i is the index binary_search found"
+        )]
+        let (_, o) = self.object_at[i];
+        Some(o)
     }
 
     /// Document of `o`, sorted by term id.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "o is an object id < num_objects, and doc_offsets holds num_objects + 1 \
+                  monotone fences ending at docs.len() (from_parts checks a decoded corpus)"
+    )]
     pub fn doc(&self, o: ObjectId) -> &[DocPosting] {
         let lo = self.doc_offsets[o as usize] as usize;
         let hi = self.doc_offsets[o as usize + 1] as usize;
@@ -93,6 +107,10 @@ impl Corpus {
     /// Inverted list `inv(t)`, sorted by object id. Empty for term ids the
     /// corpus has never seen (queries may mention words no object carries).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "inv_offsets are monotone fences ending at inverted.len(), as invert makes them"
+    )]
     pub fn inverted(&self, t: TermId) -> &[InvPosting] {
         match (
             self.inv_offsets.get(t as usize),
@@ -189,12 +207,21 @@ impl Corpus {
         if u32::try_from(terms.len()).is_err() {
             return Err(format!("posting count {} exceeds u32 offsets", terms.len()));
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "windows(2) yields two-element slices"
+        )]
         if doc_offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err("doc_offsets must be monotone non-decreasing".into());
         }
         let mut docs = Vec::with_capacity(terms.len());
         let mut total_occurrences = 0u64;
         let mut num_terms = 0usize;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "checked above: doc_offsets holds num_objects + 1 monotone fences ending \
+                      at the posting count, the length of all three columns"
+        )]
         for o in 0..num_objects {
             let lo = doc_offsets[o] as usize;
             let hi = doc_offsets[o + 1] as usize;
@@ -244,6 +271,10 @@ fn objects_by_vertex(vertex_of: &[VertexId]) -> Vec<(VertexId, ObjectId)> {
 
 /// The first object, by id, placed at a vertex an earlier object holds, as
 /// `(vertex, object)`, in an [`objects_by_vertex`] column.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "windows(2) yields two-element slices"
+)]
 fn first_repeat(object_at: &[(VertexId, ObjectId)]) -> Option<(VertexId, ObjectId)> {
     object_at
         .windows(2)
@@ -254,6 +285,11 @@ fn first_repeat(object_at: &[(VertexId, ObjectId)]) -> Option<(VertexId, ObjectI
 
 /// Derives the flat inverted lists (counting sort by term, objects kept in
 /// ascending order) and per-term impact maxima from the flat documents.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "build time: every posting's term is < num_terms, the per-term tables hold \
+              num_terms (+ 1 fence) entries, and doc_offsets are the documents' fences"
+)]
 fn invert(
     docs: &[DocPosting],
     doc_offsets: &[u32],
@@ -342,6 +378,7 @@ impl CorpusBuilder {
     /// # Panics
     /// If two objects share a vertex (the paper places at most one object
     /// per vertex, `O ⊆ V`).
+    #[expect(clippy::panic, reason = "the documented panic")]
     pub fn build(self) -> Corpus {
         match self.try_build() {
             Ok(corpus) => corpus,

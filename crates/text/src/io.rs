@@ -11,7 +11,6 @@
 //! so generated datasets can be persisted, diffed and reloaded, and
 //! real-world POI extracts can be fed in without recompiling.
 
-use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
 use kspin_graph::VertexId;
@@ -127,25 +126,23 @@ pub fn read_kw<R: BufRead>(
 
 /// Serializes a corpus as a `.kw` file.
 pub fn write_kw<W: Write>(corpus: &Corpus, vocab: &Vocabulary, mut w: W) -> std::io::Result<()> {
-    let mut buf = String::new();
     writeln!(
-        buf,
+        w,
         "c generated by kspin-text ({} objects)",
         corpus.num_objects()
-    )
-    .expect("infallible");
+    )?;
     for o in 0..corpus.num_objects() as ObjectId {
-        write!(buf, "o {}", corpus.vertex_of(o) + 1).expect("infallible");
+        write!(w, "o {}", corpus.vertex_of(o) + 1)?;
         for p in corpus.doc(o) {
             if p.freq == 1 {
-                write!(buf, " {}", vocab.term(p.term)).expect("infallible");
+                write!(w, " {}", vocab.term(p.term))?;
             } else {
-                write!(buf, " {}:{}", vocab.term(p.term), p.freq).expect("infallible");
+                write!(w, " {}:{}", vocab.term(p.term), p.freq)?;
             }
         }
-        buf.push('\n');
+        writeln!(w)?;
     }
-    w.write_all(buf.as_bytes())
+    Ok(())
 }
 
 #[cfg(test)]

@@ -15,6 +15,19 @@
 //!   §7.1.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+// Panic sources: a site that may panic is fixed or carries
+// `#[expect(<lint>, reason = "…")]`. Tests may index and panic (clippy.toml);
+// the division lint has no such switch, so it is denied outside tests only.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![cfg_attr(not(test), deny(clippy::integer_division_remainder_used))]
 
 pub mod corpus;
 pub mod generate;

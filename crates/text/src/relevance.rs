@@ -68,12 +68,20 @@ impl QueryTerms {
     }
 
     /// Query weight `λ_{t_i,ψ}` of the i-th term of [`QueryTerms::terms`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass i < len(); impacts is parallel to terms"
+    )]
     pub fn impact(&self, i: usize) -> f64 {
         self.impacts[i]
     }
 
     /// Maximum possible contribution of the i-th term to any object's
     /// relevance — Algorithm 2's `λ_{t_j,ψ} · λ_{t_j,max}`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass i < len(); max_contrib is parallel to terms"
+    )]
     pub fn max_term_contribution(&self, i: usize) -> f64 {
         self.max_contrib[i]
     }
@@ -95,6 +103,10 @@ impl QueryTerms {
         let mut tr = 0.0;
         // Both sides are sorted by term id: merge.
         let mut di = 0;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "di is read only below doc.len(), and impacts is parallel to terms"
+        )]
         for (qi, &t) in self.terms.iter().enumerate() {
             while di < doc.len() && doc[di].term < t {
                 di += 1;

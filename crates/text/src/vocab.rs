@@ -52,6 +52,7 @@ impl Vocabulary {
     ///
     /// # Panics
     /// If the pooled terms would exceed `u32::MAX` bytes.
+    #[expect(clippy::expect_used, reason = "the documented panic")]
     pub fn intern(&mut self, term: &str) -> TermId {
         if let Some(id) = self.get(term) {
             return id;
@@ -69,6 +70,10 @@ impl Vocabulary {
     }
 
     /// Folds the recent run into the sorted one (both sorted by term).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the merge stops with i and j at most the runs' lengths"
+    )]
     fn merge_recent(&mut self) {
         let mut merged = Vec::with_capacity(self.sorted.len() + self.recent.len());
         let (mut i, mut j) = (0, 0);
@@ -88,6 +93,10 @@ impl Vocabulary {
     }
 
     /// Looks up an already-interned term.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i is the index binary_search found"
+    )]
     pub fn get(&self, term: &str) -> Option<TermId> {
         let find = |ids: &[TermId]| {
             ids.binary_search_by(|&id| self.term(id).cmp(term))
@@ -101,6 +110,11 @@ impl Vocabulary {
     ///
     /// # Panics
     /// If `id` was never interned.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the documented panic; offsets are monotone fences on char boundaries, \
+                  ending at text.len()"
+    )]
     pub fn term(&self, id: TermId) -> &str {
         let id = id as usize;
         &self.text[self.offsets[id] as usize..self.offsets[id + 1] as usize]
@@ -130,6 +144,11 @@ impl Vocabulary {
     /// Offsets that do not start at 0, end at the byte count and ascend;
     /// bytes that are not UTF-8 or a term boundary inside a character; a
     /// term that repeats — interning is a bijection.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "windows(2) yields two-element slices, and n is at most 8 and the term's \
+                  length"
+    )]
     pub fn from_parts(offsets: Vec<u32>, bytes: &[u8]) -> Result<Self, VocabError> {
         let bad_offsets = |what: String| Err(VocabError::Offsets(what));
         if offsets.first() != Some(&0) {

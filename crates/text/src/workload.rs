@@ -41,6 +41,10 @@ pub struct Query {
 /// Vectors shorter than `len` can occur only when an object's document has
 /// fewer than `len` distinct keywords; such objects are skipped, so every
 /// returned vector has exactly `len` distinct terms and the seed term first.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "workload generation: a sampled index is below the list it indexes"
+)]
 pub fn query_vectors(corpus: &Corpus, config: &WorkloadConfig, len: usize) -> Vec<Vec<TermId>> {
     assert!(len >= 1);
     let mut rng = StdRng::seed_from_u64(config.seed ^ (len as u64).wrapping_mul(0x9e37_79b9));
@@ -110,6 +114,10 @@ impl Default for ZipfWorkloadConfig {
 /// length, most frequent first) and whose vertices come from a small hot
 /// pool — the §6 Obs. 1 traffic shape: a few frequent keywords asked from
 /// a few places. Deterministic in `config.seed`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "workload generation: a sampled index is below the list it indexes"
+)]
 pub fn zipf_queries(
     corpus: &Corpus,
     config: &ZipfWorkloadConfig,

@@ -43,6 +43,20 @@
 //! | [`fsfbs`] | FS-FBS baseline |
 //! | [`adapters`] | [`NetworkDistance`] impls wiring CH/HL/G-tree into the framework |
 
+// Panic sources: a site that may panic is fixed or carries
+// `#[expect(<lint>, reason = "…")]`. Tests may index and panic (clippy.toml);
+// the division lint has no such switch, so it is denied outside tests only.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![cfg_attr(not(test), deny(clippy::integer_division_remainder_used))]
+
 pub use kspin_alt as alt;
 pub use kspin_ch as ch;
 pub use kspin_core as core;

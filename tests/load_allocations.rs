@@ -1,8 +1,10 @@
 //! `KspinSystem::load_snapshot` allocates per section, per keyword and
 //! per NVD — never per generator or per vocabulary term — and requests at
 //! most a fixed multiple of the file's length in bytes, whatever counts
-//! the file claims. A counting global allocator measures one load of a
-//! lazily updated world, and loads of checksum-valid files whose first
+//! the file claims; `SnapshotFile::validate`, which every load runs first
+//! on the untrusted bytes, allocates nothing. A counting global allocator
+//! measures one load of a lazily updated world, validation of that file
+//! and of a corrupted copy, and loads of checksum-valid files whose first
 //! count of a section is `u32::MAX`.
 //!
 //! The counters are per thread, so the tests of this binary may run side
@@ -158,6 +160,28 @@ fn snapshot_load_allocates_per_keyword_and_nvd_not_per_generator_or_term() {
         "load requested {requested} B for a {} B file (bound {} B)",
         bytes.len(),
         byte_bound(&bytes)
+    );
+}
+
+#[test]
+fn snapshot_validate_allocates_nothing_on_a_fresh_or_a_corrupt_file() {
+    let bytes = lazily_updated_system(600).save_snapshot(&SnapshotExtras::default());
+    let (fresh, used, requested) = measured(|| SnapshotFile::validate(&bytes).map(drop));
+    assert!(fresh.is_ok(), "a fresh snapshot validates");
+    assert_eq!(
+        (used, requested),
+        (0, 0),
+        "validating a fresh file allocated"
+    );
+
+    let mut corrupt = bytes.clone();
+    corrupt[200] ^= 0x40;
+    let (refused, used, requested) = measured(|| SnapshotFile::validate(&corrupt).map(drop));
+    assert!(refused.is_err(), "a flipped byte is refused");
+    assert_eq!(
+        (used, requested),
+        (0, 0),
+        "refusing a corrupt file allocated"
     );
 }
 

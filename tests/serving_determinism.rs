@@ -106,8 +106,7 @@ fn assert_batches_match(f: &Fixture, reference: &[ServingResult]) {
         // The d-ary kernel under every search: real heap traffic.
         assert!(out.stats.heap_pops > 0, "workload produced no heap traffic");
         assert!(out.stats.heap_pushes >= out.stats.heap_pops);
-        // Allocation-freedom certificate, dynamic face: pre-sized
-        // kernels never grow their entry arrays while serving.
+        // Pre-sized kernels never grow their entry arrays while serving.
         assert_eq!(
             out.stats.heap_grows, 0,
             "a heap kernel reallocated while serving"
@@ -158,8 +157,8 @@ fn batch_executor_stays_deterministic_across_live_update_stream() {
             f.index.insert_object(&f.graph, &f.corpus, o, &mut dist);
         }
 
-        // The certificate's claim, live: after every update epoch the
-        // parallel executor equals the sequential reference.
+        // After every update epoch the parallel executor equals the
+        // sequential reference.
         let reference = sequential(&f);
         assert_batches_match(&f, &reference);
     }

@@ -1,11 +1,11 @@
 //! A minimal JSON value type with a pretty-printer.
 //!
 //! The workspace vendors no serialization crates, so the `--format json`
-//! reports of `cargo xtask lint` and `cargo xtask certify` use this
-//! dependency-free writer. It supports exactly the JSON the tooling emits:
-//! objects (insertion-ordered), arrays, strings with standard escapes and
-//! unsigned integers. Nothing in the workspace reads JSON back; CI checks the
-//! reports' well-formedness with `python3 -m json.tool`.
+//! report of `cargo xtask lint` uses this dependency-free writer. It
+//! supports exactly the JSON the tooling emits: objects (insertion-ordered),
+//! arrays, strings with standard escapes and unsigned integers. Nothing in
+//! the workspace reads JSON back; CI checks the report's well-formedness
+//! with `python3 -m json.tool`.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -8,8 +8,9 @@
 //! for the catalog and docs/ALGORITHMS.md for the rationale of each rule.
 //!
 //! What clippy can express is clippy configuration, not a rule here: no
-//! `unwrap`/`expect` in `kspin-core` / `kspin-nvd` (`unwrap_used`,
-//! `expect_used`), no discarded `Result` (`let_underscore_must_use`,
+//! panic source in the serving crates (`indexing_slicing`, `unwrap_used`,
+//! `expect_used`, `panic`, `integer_division_remainder_used`, …), no
+//! discarded `Result` (`let_underscore_must_use`,
 //! `unused_result_ok`), no bare `as` in the snapshot decoders
 //! (`as_conversions`) and no hashed container, clock read, thread spawn
 //! or `Mutex` in the serving crates (`disallowed_types`,
@@ -69,7 +70,7 @@ fn collect_sources(root: &Path) -> Vec<PathBuf> {
     out
 }
 
-pub(crate) fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };

@@ -1,6 +1,5 @@
-//! Report emission shared by `cargo xtask lint` and `cargo xtask certify`:
-//! the `--format` flag, the SARIF-lite JSON shape of a [`Summary`], and
-//! the human finding listing.
+//! Report emission for `cargo xtask lint`: the `--format` flag, the
+//! SARIF-lite JSON shape of a [`Summary`], and the human finding listing.
 
 use crate::json::Json;
 use crate::rules::{Finding, Summary};
@@ -32,8 +31,7 @@ pub(crate) fn json_document(tool: &str, fields: Vec<(String, Json)>) -> Json {
 }
 
 /// SARIF-lite fields of one summary: rule id, message, file, line, col and
-/// snippet per finding, plus the justified-site counts per rule. The lint
-/// report carries them at top level, the certify report once per analysis.
+/// snippet per finding, plus the justified-site counts per rule.
 pub(crate) fn summary_json(summary: &Summary) -> Vec<(String, Json)> {
     let findings = summary
         .findings

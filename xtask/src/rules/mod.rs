@@ -74,11 +74,10 @@ impl Rule {
     }
 }
 
-/// One finding — of a lint rule or of a `cargo xtask certify` analysis —
-/// with a byte-accurate source position.
+/// One finding of a lint rule, with a byte-accurate source position.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// The rule key ([`Rule::key`], or a certificate's rule key).
+    /// The rule key ([`Rule::key`]).
     pub rule: &'static str,
     /// Workspace-relative path, forward slashes.
     pub file: String,
@@ -101,7 +100,7 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Aggregate result of a lint run or of one certificate analysis.
+/// Aggregate result of a lint run.
 #[derive(Debug, Default)]
 pub struct Summary {
     pub findings: Vec<Finding>,

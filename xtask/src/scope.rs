@@ -246,22 +246,8 @@ impl SourceFile {
     /// `lint:allow(rule) — reason` comment on the line itself or in the
     /// contiguous comment-only block directly above.
     pub fn justified(&self, line: usize, rule_key: &str) -> bool {
-        self.covered_by(line, &|c| allows(c, rule_key))
-    }
-
-    /// Whether a `<marker>: reason` justification covers 1-based `line`
-    /// (same placement grammar as `lint:allow`), for a reachability
-    /// certificate's exemption marker ([`crate::certify::Certifier::marker`]):
-    /// `PANIC-OK` or `ALLOC-OK` (a capacity invariant). Markers are
-    /// independent — one never excuses another analysis' site.
-    pub fn marked(&self, line: usize, marker: &str) -> bool {
-        self.covered_by(line, &|c| marker_ok(c, marker))
-    }
-
-    /// The shared placement walk: a marker comment on the line itself or
-    /// in the contiguous comment-only block directly above it.
-    fn covered_by(&self, line: usize, pred: &dyn Fn(&str) -> bool) -> bool {
-        if self.comment_on_line.get(&line).is_some_and(|c| pred(c)) {
+        let allowed = |c: &String| allows(c, rule_key);
+        if self.comment_on_line.get(&line).is_some_and(allowed) {
             return true;
         }
         let mut j = line;
@@ -273,7 +259,7 @@ impl SourceFile {
             if self.code_on_line.contains(&j) {
                 break;
             }
-            if pred(comment) {
+            if allowed(comment) {
                 return true;
             }
         }
@@ -304,17 +290,6 @@ impl SourceFile {
         }
         doc
     }
-}
-
-/// Parses one colon-form justification comment (`PANIC-OK:` or
-/// `ALLOC-OK:`): the marker and its colon must be followed by a
-/// non-trivial reason (≥ 3 characters), e.g.
-/// `// ALLOC-OK: entries pre-sized to n at construction; len ≤ n`.
-pub fn marker_ok(comment: &str, marker: &str) -> bool {
-    comment
-        .match_indices(marker)
-        .find_map(|(p, _)| comment[p + marker.len()..].strip_prefix(':'))
-        .is_some_and(|reason| reason.trim().len() >= 3)
 }
 
 /// Parses one `lint:allow(..)` comment: the rule list must contain
@@ -433,51 +408,6 @@ fn f() {
             "total-order-weights"
         ));
         assert!(!allows("// nothing here", "total-order-weights"));
-    }
-
-    #[test]
-    fn panic_ok_marker_needs_a_reason_and_follows_the_block_grammar() {
-        assert!(marker_ok(
-            "// PANIC-OK: index < n by construction",
-            "PANIC-OK"
-        ));
-        assert!(!marker_ok("// PANIC-OK:", "PANIC-OK"));
-        assert!(!marker_ok("// PANIC-OK: x", "PANIC-OK"));
-        assert!(!marker_ok("// panics here", "PANIC-OK"));
-        let src = "\
-fn f() {
-    // PANIC-OK: slot always in bounds (validated on push)
-    a[i] = 0;
-    b[j] = 0;
-}
-";
-        let f = SourceFile::from_source("x.rs", src);
-        assert!(f.marked(3, "PANIC-OK"));
-        assert!(!f.marked(4, "PANIC-OK"), "code line breaks the block");
-    }
-
-    #[test]
-    fn alloc_ok_marker_needs_an_invariant_and_follows_the_block_grammar() {
-        assert!(marker_ok(
-            "// ALLOC-OK: pre-sized to n at construction",
-            "ALLOC-OK"
-        ));
-        assert!(!marker_ok("// ALLOC-OK:", "ALLOC-OK"));
-        assert!(!marker_ok("// ALLOC-OK: x", "ALLOC-OK"));
-        assert!(!marker_ok("// allocates here", "ALLOC-OK"));
-        let src = "\
-fn f() {
-    // ALLOC-OK: scratch grows to an engine-lifetime high-water mark
-    v.push(0);
-    w.push(0);
-}
-";
-        let f = SourceFile::from_source("x.rs", src);
-        assert!(f.marked(3, "ALLOC-OK"));
-        assert!(!f.marked(4, "ALLOC-OK"), "code line breaks the block");
-        // The two markers are independent: ALLOC-OK never excuses a panic
-        // site and vice versa.
-        assert!(!f.marked(3, "PANIC-OK"));
     }
 
     #[test]
