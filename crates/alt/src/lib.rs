@@ -24,10 +24,6 @@
 )]
 #![cfg_attr(not(test), deny(clippy::integer_division_remainder_used))]
 
-pub mod astar;
-
-pub use astar::AltAstar;
-
 use kspin_graph::{Dijkstra, Graph, VertexId, Weight, INFINITY};
 
 /// Landmark selection strategy.

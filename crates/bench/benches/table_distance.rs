@@ -1,10 +1,10 @@
-//! Distance-kernel sweep: the five queue-driven searches — Dijkstra,
-//! BiDijkstra, ALT-A*, the CH query (both upward searches, the source's
-//! re-pinned on every pair) and the exact-NVD construction sweep — on
+//! Distance-kernel sweep: the three queue-driven searches — Dijkstra, the
+//! CH query (both upward searches, the source's re-pinned on every pair)
+//! and the exact-NVD construction sweep — on
 //! generated road networks at |V| ∈ {10k, 30k, 100k}, in the generator's
 //! vertex order (the only order the system serves in).
 //!
-//! Every leg runs the production code path: the four searches on the
+//! Every leg runs the production code path: the two searches on the
 //! shared indexed 4-ary decrease-key kernel (`kspin_graph::dheap`), the
 //! NVD sweep on its bucket queue, whose counters take the same shape
 //! (entries queued, entries taken out, in-queue improvements). The host's wall clock is
@@ -19,11 +19,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use kspin_alt::{AltAstar, AltIndex, LandmarkStrategy};
 use kspin_bench::{header, row};
 use kspin_ch::{ChConfig, ChQuery, ContractionHierarchy};
 use kspin_graph::generate::{road_network, RoadNetworkConfig};
-use kspin_graph::{BiDijkstra, Dijkstra, HeapCounters, VertexId};
+use kspin_graph::{Dijkstra, HeapCounters, VertexId};
 use kspin_nvd::{ExactNvd, SweepScratch};
 
 fn sizes() -> Vec<usize> {
@@ -85,12 +84,9 @@ fn main() {
         let pairs = query_pairs(g.num_vertices());
         let gens = generators(g.num_vertices());
         let t0 = Instant::now();
-        let alt = AltIndex::build(&g, 8, LandmarkStrategy::Farthest, 0);
-        let alt_s = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
         let ch = ContractionHierarchy::build(&g, &ChConfig::default());
         eprintln!(
-            "|V|={n}: ALT (8 landmarks) {alt_s:.1}s, CH {:.1}s; {} query pairs, {} NVD generators",
+            "|V|={n}: CH {:.1}s; {} query pairs, {} NVD generators",
             t0.elapsed().as_secs_f64(),
             pairs.len(),
             gens.len(),
@@ -124,36 +120,6 @@ fn main() {
                 std::hint::black_box(d.one_to_one(&g, s, t));
             }
             emit("dijkstra", qps, d.heap_counters().since(base));
-        }
-
-        // BiDijkstra
-        {
-            let mut d = BiDijkstra::new(g.num_vertices());
-            let qps = measure(pairs.len(), || {
-                for &(s, t) in &pairs {
-                    std::hint::black_box(d.distance(&g, s, t));
-                }
-            });
-            let base = d.heap_counters();
-            for &(s, t) in &pairs {
-                std::hint::black_box(d.distance(&g, s, t));
-            }
-            emit("bidijkstra", qps, d.heap_counters().since(base));
-        }
-
-        // ALT-A*
-        {
-            let mut d = AltAstar::new(g.num_vertices());
-            let qps = measure(pairs.len(), || {
-                for &(s, t) in &pairs {
-                    std::hint::black_box(d.distance(&g, &alt, s, t));
-                }
-            });
-            let base = d.heap_counters();
-            for &(s, t) in &pairs {
-                std::hint::black_box(d.distance(&g, &alt, s, t));
-            }
-            emit("alt_astar", qps, d.heap_counters().since(base));
         }
 
         // CH: every pair has another source, so every call re-pins.

@@ -43,10 +43,7 @@ pub mod snapshot;
 
 pub use engine::{QueryEngine, QueryStats};
 pub use index::{KspinConfig, KspinIndex};
-pub use modules::{
-    AltAstarDistance, BiDijkstraDistance, DijkstraDistance, ExactLowerBound, LowerBound,
-    NetworkDistance,
-};
+pub use modules::{DijkstraDistance, ExactLowerBound, LowerBound, NetworkDistance};
 pub use query::boolean::BoolExpr;
 pub use query::Op;
 pub use serving::{BatchExecutor, BatchOutput, ServingQuery, ServingResult};

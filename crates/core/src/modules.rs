@@ -189,71 +189,6 @@ impl NetworkDistance for DijkstraDistance<'_> {
     }
 }
 
-/// A [`NetworkDistance`] backed by bidirectional Dijkstra — still
-/// index-free, roughly half the search space of [`DijkstraDistance`].
-pub struct BiDijkstraDistance<'a> {
-    graph: &'a Graph,
-    search: kspin_graph::BiDijkstra,
-}
-
-impl<'a> BiDijkstraDistance<'a> {
-    /// Creates an oracle over `graph`.
-    pub fn new(graph: &'a Graph) -> Self {
-        BiDijkstraDistance {
-            graph,
-            search: kspin_graph::BiDijkstra::new(graph.num_vertices()),
-        }
-    }
-}
-
-impl NetworkDistance for BiDijkstraDistance<'_> {
-    fn distance(&mut self, s: VertexId, t: VertexId) -> Weight {
-        self.search.distance(self.graph, s, t)
-    }
-
-    fn name(&self) -> &'static str {
-        "BiDijkstra"
-    }
-
-    fn heap_counters(&self) -> HeapCounters {
-        self.search.heap_counters()
-    }
-}
-
-/// A [`NetworkDistance`] backed by ALT-guided A* — reuses the Lower
-/// Bounding Module's landmarks as goal-directed potentials, so the only
-/// extra index is the one K-SPIN already carries.
-pub struct AltAstarDistance<'a> {
-    graph: &'a Graph,
-    alt: &'a AltIndex,
-    search: kspin_alt::AltAstar,
-}
-
-impl<'a> AltAstarDistance<'a> {
-    /// Creates an oracle over `graph` guided by `alt`.
-    pub fn new(graph: &'a Graph, alt: &'a AltIndex) -> Self {
-        AltAstarDistance {
-            graph,
-            alt,
-            search: kspin_alt::AltAstar::new(graph.num_vertices()),
-        }
-    }
-}
-
-impl NetworkDistance for AltAstarDistance<'_> {
-    fn distance(&mut self, s: VertexId, t: VertexId) -> Weight {
-        self.search.distance(self.graph, self.alt, s, t)
-    }
-
-    fn name(&self) -> &'static str {
-        "ALT-A*"
-    }
-
-    fn heap_counters(&self) -> HeapCounters {
-        self.search.heap_counters()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,20 +218,5 @@ mod tests {
     #[test]
     fn zero_bound_is_trivially_admissible() {
         assert_eq!(ZeroLowerBound.lower_bound(1, 2), 0);
-    }
-
-    #[test]
-    fn all_index_free_oracles_agree() {
-        let g = road_network(&RoadNetworkConfig::new(400, 3));
-        let alt = AltIndex::build(&g, 8, LandmarkStrategy::Farthest, 0);
-        let mut dij = DijkstraDistance::new(&g);
-        let mut bi = BiDijkstraDistance::new(&g);
-        let mut astar = AltAstarDistance::new(&g, &alt);
-        for (s, t) in [(0u32, 399u32), (5, 200), (77, 78), (9, 9)] {
-            let t = t.min(g.num_vertices() as u32 - 1);
-            let want = dij.distance(s, t);
-            assert_eq!(bi.distance(s, t), want, "bidijkstra ({s},{t})");
-            assert_eq!(astar.distance(s, t), want, "astar ({s},{t})");
-        }
     }
 }

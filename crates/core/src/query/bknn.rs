@@ -109,11 +109,11 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             };
             // Duplicates across heaps (line 10), then the keyword filter.
             if !evaluated.insert(c.object) || !accept(c.object) {
-                self.stats.pruned_candidates += 1;
+                self.stats.pruned_candidates = self.stats.pruned_candidates.wrapping_add(1);
                 continue;
             }
             let d = self.dist.distance(ctx.q, self.corpus.vertex_of(c.object));
-            self.stats.dist_computations += 1;
+            self.stats.dist_computations = self.stats.dist_computations.wrapping_add(1);
             best.offer(d, c.object);
         }
         // `heap_extractions` is owned by [`InvertedHeap`] (incremented once

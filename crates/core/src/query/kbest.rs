@@ -11,7 +11,7 @@ use kspin_text::ObjectId;
 
 /// The `k` lowest-scored objects offered so far — network distances
 /// ([`kspin_graph::Weight`]) for BkNN, [`kspin_graph::OrderedWeight`]
-/// scores for top-k (the workspace's single float-ordering site, lint L2).
+/// scores for top-k (`f64::total_cmp`, the workspace's single float order).
 pub(crate) struct KBest<S: Ord + Copy> {
     k: usize,
     /// Max-heap on `(score, object)`; `len ≤ k` always.

@@ -94,7 +94,7 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
                 break;
             };
             if !processed.insert(c.object) {
-                self.stats.pruned_candidates += 1;
+                self.stats.pruned_candidates = self.stats.pruned_candidates.wrapping_add(1);
                 continue;
             }
             // Line 10: cheap lower-bound score from the object's *actual*
@@ -103,11 +103,11 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             debug_assert!(tr > 0.0, "heap candidates share a keyword with the query");
             let lb_score = score(c.lower_bound, tr);
             if lb_score > d_k {
-                self.stats.pruned_candidates += 1;
+                self.stats.pruned_candidates = self.stats.pruned_candidates.wrapping_add(1);
                 continue;
             }
             let d = self.dist.distance(q, self.corpus.vertex_of(c.object));
-            self.stats.dist_computations += 1;
+            self.stats.dist_computations = self.stats.dist_computations.wrapping_add(1);
             let st = score(d, tr);
             best.offer(OrderedWeight::new(st), c.object);
         }

@@ -19,6 +19,10 @@
 //! substitution); the crate adds the backward merge, signatures, and the
 //! frequent/infrequent split.
 
+// Float ordering goes through `OrderedWeight`: `partial_cmp` is on the
+// clippy.toml method list, with the clock and thread calls.
+#![deny(clippy::disallowed_methods)]
+
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 

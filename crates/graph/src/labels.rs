@@ -1,14 +1,12 @@
 //! The epoch-stamped label store of the point-to-point kernels.
 //!
 //! Every search that labels vertices with tentative distances and must
-//! forget them all before the next call — both sides of [`BiDijkstra`],
-//! ALT A*, both searches of a CH query, the CH witness search — keeps them
-//! here, so the bounds argument of the indexing (`v < n`, arrays sized
-//! `n`) and the `u32` epoch wrap are stated once. [`Dijkstra`] keeps its
-//! own arrays: its stamp also resets `settled` and `parent`, a different
-//! record.
+//! forget them all before the next call — both searches of a CH query and
+//! the CH witness search — keeps them here, so the bounds argument of the
+//! indexing (`v < n`, arrays sized `n`) and the `u32` epoch wrap are stated
+//! once. [`Dijkstra`] keeps its own arrays: its stamp also resets `settled`
+//! and `parent`, a different record.
 //!
-//! [`BiDijkstra`]: crate::BiDijkstra
 //! [`Dijkstra`]: crate::Dijkstra
 
 use crate::types::{VertexId, Weight, INFINITY};

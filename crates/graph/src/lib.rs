@@ -43,7 +43,6 @@
 )]
 #![cfg_attr(not(test), deny(clippy::integer_division_remainder_used))]
 
-pub mod bidijkstra;
 pub mod connectivity;
 pub mod csr;
 pub mod dheap;
@@ -55,7 +54,6 @@ pub mod morton;
 pub mod types;
 pub mod weight;
 
-pub use bidijkstra::BiDijkstra;
 pub use csr::{Graph, GraphBuilder};
 pub use dheap::{DaryHeap, HeapCounters};
 pub use dijkstra::{Dijkstra, SearchSpace};

@@ -11,16 +11,18 @@
 //! produced upstream — and debug builds additionally reject NaN at
 //! construction, pinpointing the producer instead of the consumer.
 //!
-//! The repo lint `L2/total-order-weights` (see `cargo xtask lint`) forbids
-//! `partial_cmp` on floats everywhere outside this module, making this the
-//! single sanctioned float-ordering site in the workspace.
+//! `partial_cmp` is on the `disallowed-methods` list of the root
+//! `clippy.toml`, which every crate but the vendored stubs denies. This
+//! module's `PartialOrd` impl defines it rather than calling it, which
+//! makes this the single sanctioned float-ordering site in the workspace.
 
 use std::cmp::Ordering;
 
 use crate::types::Weight;
 
 /// Sums two network weights without wrapping: the single sanctioned `+`
-/// for weight-typed values (lint `A1/checked-weight-arithmetic`).
+/// for weight-typed values (the query code denies
+/// `clippy::arithmetic_side_effects`).
 ///
 /// [`crate::INFINITY`] is `u32::MAX / 2`, so one relaxation past an
 /// unreachable tentative distance stays finite-representable — but a

@@ -20,6 +20,10 @@
 //!   variant **Gtree-Opt** (§7.4.1), and the materialized point-to-point
 //!   distance API that KS-GT plugs into K-SPIN.
 
+// Float ordering goes through `OrderedWeight`: `partial_cmp` is on the
+// clippy.toml method list, with the clock and thread calls.
+#![deny(clippy::disallowed_methods)]
+
 pub mod dist;
 pub mod partition;
 pub mod sk;

@@ -14,7 +14,7 @@
 //! shows, this trims pseudo-document lookups but *not* matrix operations —
 //! aggregation's information loss is structural.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
 
 use kspin_graph::{Graph, VertexId, Weight};
@@ -306,10 +306,34 @@ impl<'a> GtreeSpatialKeyword<'a> {
 /// Priority-queue entry: a tree node (keyed by lower bound) or a fully
 /// scored object. Object payloads carry their exact key so equal-priority
 /// ordering stays deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Entry {
     Object(ObjectId, u64),
     Node(u32),
+}
+
+impl Entry {
+    /// The order a derive would give: objects before nodes, then by fields.
+    fn rank(self) -> (u8, u32, u64) {
+        match self {
+            Entry::Object(o, key) => (0, o, key),
+            Entry::Node(n) => (1, n, 0),
+        }
+    }
+}
+
+// Written by hand: a derived `PartialOrd` calls `partial_cmp` on the
+// fields, which the clippy.toml method list refuses.
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.rank().cmp(&other.rank())
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 #[cfg(test)]

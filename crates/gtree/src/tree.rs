@@ -154,6 +154,10 @@ impl GTree {
         // --- matrices (parallel over matrix *rows*: the root node alone can
         // carry most of the work, so node-level parallelism would serialize
         // on it) -------------------------------------------------------------
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the worker count moves only build time: each row is one independent search"
+        )]
         let threads = if config.num_threads == 0 {
             std::thread::available_parallelism().map_or(4, |p| p.get())
         } else {

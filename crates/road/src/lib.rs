@@ -13,6 +13,10 @@
 //! [`kspin_gtree`] crate (the paper notes the two baselines differ mainly
 //! in how the same subgraph hierarchy is stored and searched).
 
+// Float ordering goes through `OrderedWeight`: `partial_cmp` is on the
+// clippy.toml method list, with the clock and thread calls.
+#![deny(clippy::disallowed_methods)]
+
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 

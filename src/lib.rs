@@ -56,6 +56,9 @@
     clippy::unimplemented
 )]
 #![cfg_attr(not(test), deny(clippy::integer_division_remainder_used))]
+// Float ordering goes through `OrderedWeight`: `partial_cmp` is on the
+// clippy.toml method list, with the clock and thread calls.
+#![deny(clippy::disallowed_methods)]
 
 pub use kspin_alt as alt;
 pub use kspin_ch as ch;

@@ -47,3 +47,27 @@ fn an_object_off_the_graph_is_refused_without_a_panic() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+/// A write error in the last buffered block of a generated file fails the
+/// command and names the file: `{prefix}.gr` is a link to `/dev/full`, and
+/// a 20-vertex `.gr` fits in one buffer, so the error surfaces only at the
+/// flush.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_write_of_a_generated_file_is_reported() {
+    let cli = env!("CARGO_BIN_EXE_kspin-cli");
+    let prefix = format!("{}/cli_dataset_full", env!("CARGO_TARGET_TMPDIR"));
+    let gr = format!("{prefix}.gr");
+    if let Err(e) = std::fs::remove_file(&gr) {
+        assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{gr}: {e}");
+    }
+    std::os::unix::fs::symlink("/dev/full", &gr).expect("link the .gr to /dev/full");
+    let out = Command::new(cli)
+        .args(["generate", "--vertices", "20", "--out", &prefix])
+        .output()
+        .expect("spawn kspin-cli generate");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains(&format!("{gr}: ")), "{stderr}");
+    assert!(!stderr.contains(&format!("wrote {gr}")), "{stderr}");
+}

@@ -5,9 +5,8 @@
 //! left behind on every key improvement and skipped at pop time). Over
 //! random `insert_or_decrease`/`pop`/`clear` sequences, the two must
 //! produce identical non-stale pop sequences — that equivalence is what
-//! guarantees every ported search (Dijkstra, BiDijkstra, A*, the NVD
-//! sweeps, the inverted heaps) settles vertices in exactly the order it
-//! did before the swap.
+//! guarantees every ported search (Dijkstra, the CH searches, the inverted
+//! heaps) settles vertices in exactly the order it did before the swap.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
