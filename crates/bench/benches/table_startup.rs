@@ -46,7 +46,7 @@ fn main() {
     );
     let mut json_rows = String::new();
     for &n in sizes() {
-        let ds = build_dataset("startup", n);
+        let ds = build_dataset(n);
         let vertices = ds.graph.num_vertices();
         let config = KspinConfig::default();
 

@@ -29,10 +29,9 @@ pub struct QueryStats {
     pub pruned_candidates: usize,
     /// Heap-kernel entries pushed by the inverted heaps, plus those of the
     /// distance oracle's internal searches where the oracle reports them
-    /// through [`NetworkDistance::heap_counters`]: the Dijkstra,
-    /// bidirectional Dijkstra and ALT-A* oracles do; the CH, HL and G-tree
-    /// adapters do not, so on KS-CH and KS-HL this counts the inverted
-    /// heaps only.
+    /// through [`NetworkDistance::heap_counters`]: the Dijkstra oracle
+    /// does; the CH, HL and G-tree adapters do not, so on KS-CH and KS-HL
+    /// this counts the inverted heaps only.
     pub heap_pushes: usize,
     /// Heap-kernel entries popped, counted as `heap_pushes` is.
     pub heap_pops: usize,

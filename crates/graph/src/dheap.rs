@@ -1,8 +1,8 @@
 //! The indexed d-ary heap kernel shared by every distance module.
 //!
-//! Every hot loop in this workspace — Dijkstra, bidirectional Dijkstra,
-//! ALT A*, the NVD construction sweep, and the Heap Generator's inverted
-//! heaps — is a monotone best-first search over a priority queue of
+//! Every heap-driven loop in this workspace — Dijkstra, the CH query's two
+//! upward searches, hub-label construction and the Heap Generator's
+//! inverted heaps — is a monotone best-first search over a priority queue of
 //! `(Weight, u32)` entries. The std `BinaryHeap` forces *lazy deletion*
 //! there: a vertex relaxed-then-improved leaves its stale entry behind to
 //! be percolated, popped, and discarded. [`DaryHeap`] replaces that with a

@@ -41,7 +41,10 @@ impl CorpusConfig {
         CorpusConfig {
             num_vertices,
             object_fraction: 0.045,
-            num_terms: ((num_vertices as f64).powf(0.62) * 4.0).ceil() as usize,
+            // The seed terms are always in the vocabulary; the formula
+            // already gives more from two vertices up.
+            num_terms: (((num_vertices as f64).powf(0.62) * 4.0).ceil() as usize)
+                .max(SEED_TERM_NAMES.len()),
             mean_doc_len: 4.5,
             zipf_exponent: 1.0,
             seed,

@@ -94,11 +94,19 @@ fn flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(out)
 }
 
+/// `--rho`, 5 by default. A ρ-approximate NVD's quadtree leaf keeps at
+/// most ρ candidates and at least one (§6.1), so ρ = 0 is refused.
+fn rho_flag(f: &HashMap<String, String>) -> Result<usize, &'static str> {
+    f.get("rho").map_or(Ok(5), |s| {
+        s.parse().ok().filter(|&r| r >= 1).ok_or("bad --rho")
+    })
+}
+
 fn cmd_generate(args: &[String]) -> CliResult {
     let f = flags(args)?;
     let vertices: usize = f
         .get("vertices")
-        .map(|s| s.parse().map_err(|_| "bad --vertices"))
+        .map(|s| s.parse().ok().filter(|&v| v >= 1).ok_or("bad --vertices"))
         .transpose()?
         .unwrap_or(20_000);
     let seed: u64 = f
@@ -181,11 +189,7 @@ fn cmd_snapshot(args: &[String]) -> CliResult {
 fn cmd_snapshot_save(path: &str, args: &[String]) -> CliResult {
     let f = flags(args)?;
     let prefix = f.get("data").ok_or("--data <prefix> is required")?;
-    let rho: usize = f
-        .get("rho")
-        .map(|s| s.parse().map_err(|_| "bad --rho"))
-        .transpose()?
-        .unwrap_or(5);
+    let rho = rho_flag(&f)?;
     let with_ch = f.get("ch").map(String::as_str) == Some("true");
 
     let (graph, corpus, vocab) = read_dataset(prefix)?;
@@ -252,11 +256,7 @@ fn cmd_snapshot_load(path: &str) -> CliResult {
 fn cmd_query(args: &[String]) -> CliResult {
     let f = flags(args)?;
     let prefix = f.get("data").ok_or("--data <prefix> is required")?;
-    let rho: usize = f
-        .get("rho")
-        .map(|s| s.parse().map_err(|_| "bad --rho"))
-        .transpose()?
-        .unwrap_or(5);
+    let rho = rho_flag(&f)?;
     let dist_kind = f.get("dist").map(String::as_str).unwrap_or("dijkstra");
 
     let (graph, corpus, vocab) = read_dataset(prefix)?;

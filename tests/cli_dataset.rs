@@ -1,8 +1,83 @@
 //! A `.kw` object placed off the graph is refused where the CLI reads
 //! the dataset, by every subcommand that reads one: exit 1 and the
-//! out-of-range line, never a panic in the index build.
+//! out-of-range line, never a panic in the index build. A degenerate flag
+//! is refused the same way, and the smallest network still round-trips.
 
-use std::process::{Command, Stdio};
+use std::process::{Command, Output, Stdio};
+
+/// Runs `kspin-cli` with `args`, `stdin` on its standard input.
+fn run(args: &[&str], stdin: &str) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_kspin-cli"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn kspin-cli");
+    let mut input = child.stdin.take().expect("piped stdin");
+    // A child that exits before reading, as on a refused flag, closes the pipe.
+    if let Err(e) = std::io::Write::write_all(&mut input, stdin.as_bytes()) {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write stdin: {e}");
+    }
+    drop(input);
+    child.wait_with_output().expect("wait for kspin-cli")
+}
+
+/// `--rho 0` (no NVD leaf could keep a candidate) and `--vertices 0` are
+/// refused as flags: exit 1 naming the flag, not a panic in the index build
+/// or the generator.
+#[test]
+fn a_degenerate_flag_is_refused_without_a_panic() {
+    let prefix = format!("{}/cli_dataset_flags", env!("CARGO_TARGET_TMPDIR"));
+    let generated = run(&["generate", "--vertices", "300", "--out", &prefix], "");
+    assert!(generated.status.success(), "{generated:?}");
+    let snapshot = format!("{prefix}.kspin");
+    for (args, flag) in [
+        (
+            vec![
+                "snapshot", "save", &snapshot, "--data", &prefix, "--rho", "0",
+            ],
+            "bad --rho",
+        ),
+        (vec!["query", "--data", &prefix, "--rho", "0"], "bad --rho"),
+        (
+            vec!["generate", "--vertices", "0", "--out", &prefix],
+            "bad --vertices",
+        ),
+    ] {
+        let out = run(&args, "");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// One vertex is fewer than the five seed terms the vocabulary holds; the
+/// network still generates, saves with its CH, loads, and answers over hub
+/// labels.
+#[test]
+fn a_one_vertex_network_round_trips() {
+    let prefix = format!("{}/cli_dataset_one", env!("CARGO_TARGET_TMPDIR"));
+    let snapshot = format!("{prefix}.kspin");
+    for args in [
+        vec!["generate", "--vertices", "1", "--out", &prefix],
+        vec![
+            "snapshot", "save", &snapshot, "--data", &prefix, "--ch", "true",
+        ],
+        vec!["snapshot", "load", &snapshot],
+    ] {
+        let out = run(&args, "");
+        assert!(out.status.success(), "{args:?}: {out:?}");
+    }
+    let out = run(
+        &["query", "--data", &prefix, "--dist", "hl"],
+        "bknn 0 3 or hotel bank\nquit\n",
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{out:?}");
+    assert!(stdout.contains("object 0 @ vertex 0 dist 0"), "{stdout}");
+}
 
 #[test]
 fn an_object_off_the_graph_is_refused_without_a_panic() {
