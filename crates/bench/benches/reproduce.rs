@@ -196,6 +196,32 @@ fn time_engine<D: NetworkDistance>(
     })
 }
 
+/// Timed passes per Fig. 8(a) cell, after one untimed warm-up pass.
+const FIG8_PASSES: usize = 7;
+
+/// The median and the interquartile distance of [`FIG8_PASSES`] passes of
+/// [`time_engine`], after one warm-up pass. One pass of a few hundred
+/// microsecond-scale queries is too short to tell Fig. 8(a)'s rows apart.
+fn median_and_iqr<D: NetworkDistance>(
+    e: &mut QueryEngine<'_, D>,
+    kind: Kind,
+    k: usize,
+    qs: &[Query],
+) -> (f64, f64) {
+    time_engine(e, kind, k, qs);
+    let mut passes: Vec<f64> = (0..FIG8_PASSES)
+        .map(|_| time_engine(e, kind, k, qs))
+        .collect();
+    passes.sort_unstable_by(f64::total_cmp);
+    // Linear interpolation between the two closest ranks.
+    let quantile = |q: f64| {
+        let at = q * (passes.len() - 1) as f64;
+        let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+        passes[lo] + (passes[hi] - passes[lo]) * (at - lo as f64)
+    };
+    (quantile(0.5), quantile(0.75) - quantile(0.25))
+}
+
 /// One dataset and every structure built over it.
 struct World<'a> {
     name: &'static str,
@@ -670,10 +696,15 @@ fn fig6c_row(w: &World) -> Row {
 /// * (b) the mean lazy insertion and the full rebuild are timed: lazy
 ///   insertion must be orders of magnitude cheaper.
 ///
-/// Small runs (ME scale, 2-vCPU host): the (a) rows differ by less than
-/// their run-to-run spread, so no rise shows; in (b) one insertion
-/// (0.06–0.23 ms) costs a tenth to a fiftieth of a keyword's rebuild
-/// (2–3.4 ms), one order of magnitude rather than several.
+/// Each (a) cell is the median of seven passes over 200 queries after a
+/// warm-up pass, printed with its interquartile distance (`iqr`): a rise
+/// with x counts only where medians differ by more than that distance.
+///
+/// Small runs (ME scale, 2-vCPU host): in (a), the 5 % row exceeds the
+/// 0 % row by more than both iqrs in 6 of 9 cells over three runs, and
+/// the 1–2 % rows mostly sit within it; in (b) one insertion (0.06–0.30
+/// ms) costs a tenth to a fiftieth of a keyword's rebuild (2–4.3 ms), one
+/// order of magnitude rather than several.
 ///
 /// Updates consult the framework's Network Distance Module (§6.2: d(o,p)
 /// "can be conveniently computed using the Network Distance Module
@@ -715,8 +746,8 @@ fn fig8(w: &World) {
     };
 
     header(
-        "Fig 8(a): single-keyword BkNN query time after x% lazy insertions (us)",
-        &["x%", "small", "medium", "large"],
+        "Fig 8(a): single-keyword BkNN query time after x% lazy insertions (us, median of 7 passes)",
+        &["x%", "small", "iqr", "medium", "iqr", "large", "iqr"],
     );
     let mut rows: Vec<(usize, Vec<f64>)> =
         [0usize, 1, 2, 5].iter().map(|&x| (x, Vec::new())).collect();
@@ -747,7 +778,8 @@ fn fig8(w: &World) {
                 index = lazily_updated(late).0;
             }
             let mut e = QueryEngine::new(g, c, &index, &w.sys.alt, HlDistance::new(w.hl));
-            series.push(time_engine(&mut e, Kind::Bknn(Op::Or), 10, &qs));
+            let (median, iqr) = median_and_iqr(&mut e, Kind::Bknn(Op::Or), 10, &qs);
+            series.extend([median, iqr]);
         }
     }
     for (x, series) in rows {

@@ -209,36 +209,6 @@ impl<'a> RoadIndex<'a> {
         out
     }
 
-    /// Boolean kNN by bypassed expansion (provided for completeness; the
-    /// paper's Table 1 marks ROAD as top-k-only and our benches follow it).
-    pub fn bknn(
-        &self,
-        q: VertexId,
-        k: usize,
-        terms: &[TermId],
-        conjunctive: bool,
-    ) -> Vec<(ObjectId, Weight)> {
-        let mut uniq = terms.to_vec();
-        uniq.sort_unstable();
-        uniq.dedup();
-        if k == 0 || uniq.is_empty() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        self.expand(q, &uniq, |o, d| {
-            let ok = if conjunctive {
-                self.corpus.contains_all(o, &uniq)
-            } else {
-                self.corpus.contains_any(o, &uniq)
-            };
-            if ok {
-                out.push((o, d));
-            }
-            out.len() < k
-        });
-        out
-    }
-
     /// Overlay size in bytes (border chains + Rnet keyword sets), excluding
     /// the shared hierarchy matrices.
     pub fn size_bytes(&self) -> usize {
@@ -307,32 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn bknn_matches_brute_force() {
-        let (g, c, gt) = fixture(700, 213);
-        let road = RoadIndex::build(&gt, &g, &c);
-        let mut dij = kspin_graph::Dijkstra::new(g.num_vertices());
-        for conj in [false, true] {
-            let got = road.bknn(5, 5, &[0, 1], conj);
-            dij.sssp(&g, 5);
-            let space = dij.space();
-            let mut want: Vec<Weight> = (0..c.num_objects() as ObjectId)
-                .filter(|&o| {
-                    if conj {
-                        c.contains_all(o, &[0, 1])
-                    } else {
-                        c.contains_any(o, &[0, 1])
-                    }
-                })
-                .map(|o| space.distance(c.vertex_of(o)).unwrap())
-                .collect();
-            want.sort_unstable();
-            want.truncate(5);
-            let gd: Vec<Weight> = got.iter().map(|&(_, d)| d).collect();
-            assert_eq!(gd, want, "conj={conj}");
-        }
-    }
-
-    #[test]
     fn bypass_actually_skips_interior_vertices() {
         let (g, c, gt) = fixture(1200, 215);
         let road = RoadIndex::build(&gt, &g, &c);
@@ -358,13 +302,13 @@ mod tests {
             .find(|&t| c.inv_len(t) == 0)
             .unwrap();
         assert!(road.top_k(0, 5, &[unused]).is_empty());
-        assert!(road.bknn(0, 5, &[unused], false).is_empty());
     }
 
-    /// Every source's disjunctive BkNN over all objects against Dijkstra,
-    /// at leaf sizes from two vertices per leaf up to a single leaf. Every
-    /// vertex holds an object with term 1, every third one also term 0, so
-    /// a term-0 query meets Rnets it bypasses and a term-1 query none.
+    /// Every source's expansion distance to each object with the query
+    /// term against Dijkstra, at leaf sizes from two vertices per leaf up to
+    /// a single leaf. Every vertex holds an object with term 1, every third
+    /// one also term 0, so a term-0 expansion meets Rnets it bypasses and a
+    /// term-1 expansion none.
     fn all_objects_match_dijkstra(g: &Graph) {
         let n = g.num_vertices();
         let mut cb = CorpusBuilder::new();
@@ -389,11 +333,13 @@ mod tests {
             let road = RoadIndex::build(&gt, g, &corpus);
             for q in 0..n as VertexId {
                 for term in [0, 1] {
-                    let mut got: Vec<(VertexId, Weight)> = road
-                        .bknn(q, n, &[term], false)
-                        .into_iter()
-                        .map(|(o, d)| (corpus.vertex_of(o), d))
-                        .collect();
+                    let mut got: Vec<(VertexId, Weight)> = Vec::new();
+                    road.expand(q, &[term], |o, d| {
+                        if corpus.contains_any(o, &[term]) {
+                            got.push((corpus.vertex_of(o), d));
+                        }
+                        true
+                    });
                     got.sort_unstable();
                     let want: Vec<(VertexId, Weight)> = (0..n as VertexId)
                         .filter(|&v| term == 1 || v % 3 == 0)

@@ -5,20 +5,23 @@
 //! kspin-cli generate --vertices 50000 --seed 7 --out data/city
 //!     writes data/city.gr, data/city.co, data/city.kw
 //!
-//! kspin-cli query --data data/city [--dist dijkstra|ch|hl] [--rho 5]
-//!     loads the dataset, builds K-SPIN, then reads commands from stdin:
-//!       bknn <vertex> <k> and|or <keyword> [keyword ...]
-//!       topk <vertex> <k> <keyword> [keyword ...]
-//!       expr <vertex> <k> <kw> and ( <kw> or <kw> )   (single-level mix)
-//!       stats | help | quit
-//!
-//! kspin-cli snapshot save data/city.snap --data data/city [--rho 5] [--ch true]
+//! kspin-cli snapshot save data/city.snap --data data/city [--rho 5] [--ch true|false]
 //!     builds the full system and persists it as one flat binary snapshot
 //!
 //! kspin-cli snapshot load data/city.snap
 //!     validates the snapshot, prints header + per-section metadata, and
 //!     reloads the system (millisecond warm start instead of a rebuild)
+//!
+//! kspin-cli query --snapshot data/city.snap [--dist dijkstra|ch|hl]
+//!     loads the snapshot, then reads commands from stdin:
+//!       bknn <vertex> <k> and|or <keyword> [keyword ...]
+//!       topk <vertex> <k> <keyword> [keyword ...]
+//!       stats | help | quit
+//!     `ch` serves the snapshot's contraction hierarchy and `hl` labels
+//!     hubs from it; both need a snapshot saved with `--ch true`.
 //! ```
+//!
+//! A subcommand refuses any flag it does not name.
 
 // Float ordering goes through `OrderedWeight`: `partial_cmp` is on the
 // clippy.toml method list, with the clock and thread calls.
@@ -78,14 +81,17 @@ fn main() -> ExitCode {
 /// stopped it.
 type CliResult = Result<(), Box<dyn Error>>;
 
-/// Tiny flag parser: `--key value` pairs.
-fn flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Tiny flag parser: `--key value` pairs, each key one of `known`.
+fn flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut it = args.iter();
     while let Some(k) = it.next() {
         let key = k
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got {k:?}"))?;
+        if !known.contains(&key) {
+            return Err(format!("unknown flag --{key}"));
+        }
         let v = it
             .next()
             .ok_or_else(|| format!("flag --{key} needs a value"))?;
@@ -94,16 +100,8 @@ fn flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(out)
 }
 
-/// `--rho`, 5 by default. A ρ-approximate NVD's quadtree leaf keeps at
-/// most ρ candidates and at least one (§6.1), so ρ = 0 is refused.
-fn rho_flag(f: &HashMap<String, String>) -> Result<usize, &'static str> {
-    f.get("rho").map_or(Ok(5), |s| {
-        s.parse().ok().filter(|&r| r >= 1).ok_or("bad --rho")
-    })
-}
-
 fn cmd_generate(args: &[String]) -> CliResult {
-    let f = flags(args)?;
+    let f = flags(args, &["vertices", "seed", "out"])?;
     let vertices: usize = f
         .get("vertices")
         .map(|s| s.parse().ok().filter(|&v| v >= 1).ok_or("bad --vertices"))
@@ -174,23 +172,30 @@ fn read_dataset(prefix: &str) -> Result<(Graph, Corpus, Vocabulary), String> {
 }
 
 fn cmd_snapshot(args: &[String]) -> CliResult {
-    let sub = args.first().map(String::as_str);
-    let path = args
-        .get(1)
-        .filter(|p| !p.starts_with("--"))
-        .ok_or("usage: kspin-cli snapshot <save|load> <path> [options]")?;
-    match sub {
+    let usage = "usage: kspin-cli snapshot <save|load> <path> [options]";
+    let path = args.get(1).filter(|p| !p.starts_with("--")).ok_or(usage)?;
+    match args.first().map(String::as_str) {
         Some("save") => cmd_snapshot_save(path, &args[2..]),
-        Some("load") => cmd_snapshot_load(path),
-        _ => Err("usage: kspin-cli snapshot <save|load> <path> [options]".into()),
+        Some("load") => cmd_snapshot_load(path, &args[2..]),
+        _ => Err(usage.into()),
     }
 }
 
 fn cmd_snapshot_save(path: &str, args: &[String]) -> CliResult {
-    let f = flags(args)?;
+    let f = flags(args, &["data", "rho", "ch"])?;
     let prefix = f.get("data").ok_or("--data <prefix> is required")?;
-    let rho = rho_flag(&f)?;
-    let with_ch = f.get("ch").map(String::as_str) == Some("true");
+    // A ρ-approximate NVD's quadtree leaf keeps at most ρ candidates and
+    // at least one (§6.1), so ρ = 0 is refused.
+    let rho: usize = f
+        .get("rho")
+        .map(|s| s.parse().ok().filter(|&r| r >= 1).ok_or("bad --rho"))
+        .transpose()?
+        .unwrap_or(5);
+    let with_ch = match f.get("ch").map(String::as_str) {
+        None | Some("false") => false,
+        Some("true") => true,
+        Some(_) => return Err("bad --ch (true|false)".into()),
+    };
 
     let (graph, corpus, vocab) = read_dataset(prefix)?;
 
@@ -221,7 +226,8 @@ fn cmd_snapshot_save(path: &str, args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_snapshot_load(path: &str) -> CliResult {
+fn cmd_snapshot_load(path: &str, args: &[String]) -> CliResult {
+    flags(args, &[])?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let f = kspin::prelude::SnapshotFile::validate(&bytes).map_err(|e| e.to_string())?;
     let mut out = io::stdout().lock();
@@ -254,58 +260,35 @@ fn cmd_snapshot_load(path: &str) -> CliResult {
 }
 
 fn cmd_query(args: &[String]) -> CliResult {
-    let f = flags(args)?;
-    let prefix = f.get("data").ok_or("--data <prefix> is required")?;
-    let rho = rho_flag(&f)?;
-    let dist_kind = f.get("dist").map(String::as_str).unwrap_or("dijkstra");
+    let f = flags(args, &["snapshot", "dist"])?;
+    let path = f.get("snapshot").ok_or("--snapshot <file> is required")?;
+    let dist_kind = f.get("dist").map_or("dijkstra", String::as_str);
 
-    let (graph, corpus, vocab) = read_dataset(prefix)?;
-    eprintln!(
-        "  |V|={} |E|={} |O|={} |W|={}",
-        graph.num_vertices(),
-        graph.num_edges(),
-        corpus.num_objects(),
-        corpus.num_terms()
-    );
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let t0 = now();
+    let (system, extras) =
+        KspinSystem::load_snapshot(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    eprintln!("loaded in {:.1} ms", t0.elapsed().as_secs_f64() * 1e3);
 
-    eprintln!("building K-SPIN (rho = {rho})…");
-    let config = KspinConfig {
-        rho,
-        ..KspinConfig::default()
+    // CH and HL serve the file's hierarchy; it is never rebuilt here.
+    let ch = || {
+        extras.ch.as_ref().ok_or_else(|| {
+            format!("{path} holds no CH: --dist {dist_kind} needs a snapshot saved with --ch true")
+        })
     };
-    let system = KspinSystem::build(graph, corpus, vocab, &config);
-    eprintln!(
-        "  {} NVD keywords, {} list keywords, {:.2}s",
-        system.index.stats().nvd_terms,
-        system.index.stats().small_terms,
-        system.index.stats().build_seconds
-    );
-
-    // Optional heavier distance modules are built on demand.
-    let ch;
     let hl;
     let mut dist: Box<dyn NetworkDistance + '_> = match dist_kind {
-        "dijkstra" => Box::new(kspin_core::DijkstraDistance::new(&system.graph)),
-        "ch" => {
-            eprintln!("building CH…");
-            ch = ContractionHierarchy::build(&system.graph, &ChConfig::default());
-            Box::new(kspin::adapters::ChDistance::new(&ch))
-        }
+        "dijkstra" => Box::new(DijkstraDistance::new(&system.graph)),
+        "ch" => Box::new(ChDistance::new(ch()?)),
         "hl" => {
-            eprintln!("building CH + hub labels…");
-            ch = ContractionHierarchy::build(&system.graph, &ChConfig::default());
-            hl = HubLabels::build(&ch);
-            Box::new(kspin::adapters::HlDistance::new(&hl))
+            let ch = ch()?;
+            eprintln!("labelling hubs from the snapshot's CH…");
+            hl = HubLabels::build(ch);
+            Box::new(HlDistance::new(&hl))
         }
         other => return Err(format!("unknown --dist {other:?}").into()),
     };
-    let mut engine: QueryEngine<'_, &mut dyn NetworkDistance> = QueryEngine::new(
-        &system.graph,
-        &system.corpus,
-        &system.index,
-        &system.alt,
-        dist.as_mut(),
-    );
+    let mut engine = system.engine(dist.as_mut());
 
     eprintln!("ready — type `help` for commands");
     let stdin = std::io::stdin();
@@ -313,13 +296,14 @@ fn cmd_query(args: &[String]) -> CliResult {
     for line in stdin.lock().lines() {
         let line = line.map_err(|e| e.to_string())?;
         let tokens: Vec<&str> = line.split_ascii_whitespace().collect();
-        match tokens.as_slice() {
-            [] => {}
+        let parsed = match tokens.as_slice() {
+            [] => continue,
             ["quit"] | ["exit"] => break,
             ["help"] => {
                 writeln!(out, "  bknn <vertex> <k> and|or <kw> [kw…]")?;
                 writeln!(out, "  topk <vertex> <k> <kw> [kw…]")?;
                 writeln!(out, "  stats | quit")?;
+                continue;
             }
             ["stats"] => {
                 writeln!(
@@ -328,36 +312,26 @@ fn cmd_query(args: &[String]) -> CliResult {
                     system.index.size_bytes() / 1024,
                     system.alt.size_bytes() / 1024
                 )?;
+                continue;
             }
-            ["bknn", vertex, k, op, kws @ ..] if !kws.is_empty() => {
-                let (Ok(v), Ok(k)) = (vertex.parse::<u32>(), k.parse::<usize>()) else {
-                    writeln!(out, "  bad vertex/k")?;
-                    continue;
-                };
-                if v as usize >= system.graph.num_vertices() {
-                    writeln!(out, "  vertex out of range")?;
-                    continue;
-                }
-                let op = match *op {
-                    "and" => Op::And,
-                    "or" => Op::Or,
-                    _ => {
-                        writeln!(out, "  operator must be and|or")?;
-                        continue;
-                    }
-                };
-                let terms = system.terms(kws);
-                if terms.len() < kws.len() {
-                    writeln!(
-                        out,
-                        "  note: {} unknown keyword(s) ignored",
-                        kws.len() - terms.len()
-                    )?;
-                }
-                let t0 = now();
-                let results: Vec<(ObjectId, Weight)> = engine.bknn(v, k, &terms, op);
-                let us = t0.elapsed().as_secs_f64() * 1e6;
-                for (o, d) in &results {
+            _ => parse_query(&system, &tokens),
+        };
+        let (query, unknown) = match parsed {
+            Ok(parsed) => parsed,
+            Err(msg) => {
+                writeln!(out, "  {msg}")?;
+                continue;
+            }
+        };
+        if unknown > 0 {
+            writeln!(out, "  note: {unknown} unknown keyword(s) ignored")?;
+        }
+        let t0 = now();
+        let result = query.run(&mut engine);
+        let us = t0.elapsed().as_secs_f64() * 1e6;
+        let n = match &result {
+            ServingResult::Distances(results) => {
+                for (o, d) in results {
                     let words: Vec<&str> = system
                         .corpus
                         .doc(*o)
@@ -371,32 +345,57 @@ fn cmd_query(args: &[String]) -> CliResult {
                         words.join(" ")
                     )?;
                 }
-                writeln!(out, "  ({} results in {us:.0} µs)", results.len())?;
+                results.len()
             }
-            ["topk", vertex, k, kws @ ..] if !kws.is_empty() => {
-                let (Ok(v), Ok(k)) = (vertex.parse::<u32>(), k.parse::<usize>()) else {
-                    writeln!(out, "  bad vertex/k")?;
-                    continue;
-                };
-                if v as usize >= system.graph.num_vertices() {
-                    writeln!(out, "  vertex out of range")?;
-                    continue;
-                }
-                let terms = system.terms(kws);
-                let t0 = now();
-                let results: Vec<(ObjectId, f64)> = engine.top_k(v, k, &terms);
-                let us = t0.elapsed().as_secs_f64() * 1e6;
-                for (o, s) in &results {
+            ServingResult::Scores(results) => {
+                for (o, s) in results {
                     writeln!(
                         out,
                         "  object {o} @ vertex {} score {s:.1}",
                         system.corpus.vertex_of(*o)
                     )?;
                 }
-                writeln!(out, "  ({} results in {us:.0} µs)", results.len())?;
+                results.len()
             }
-            _ => writeln!(out, "  unrecognized command (try `help`)")?,
-        }
+        };
+        writeln!(out, "  ({n} results in {us:.0} µs)")?;
     }
     Ok(())
+}
+
+/// Parses a `bknn` or `topk` line into the query the batch executor would
+/// run. Returns the query and the number of unknown keywords it skips, or
+/// the message to print instead of an answer.
+fn parse_query(
+    system: &KspinSystem,
+    tokens: &[&str],
+) -> Result<(ServingQuery, usize), &'static str> {
+    let (vertex, k, op, kws) = match tokens {
+        ["bknn", vertex, k, op, kws @ ..] if !kws.is_empty() => (vertex, k, Some(*op), kws),
+        ["topk", vertex, k, kws @ ..] if !kws.is_empty() => (vertex, k, None, kws),
+        _ => return Err("unrecognized command (try `help`)"),
+    };
+    let (Ok(vertex), Ok(k)) = (vertex.parse::<VertexId>(), k.parse::<usize>()) else {
+        return Err("bad vertex/k");
+    };
+    if vertex as usize >= system.graph.num_vertices() {
+        return Err("vertex out of range");
+    }
+    let terms = system.terms(kws);
+    let unknown = kws.len() - terms.len();
+    let op = match op {
+        None => return Ok((ServingQuery::TopK { vertex, k, terms }, unknown)),
+        Some("and") => Op::And,
+        Some("or") => Op::Or,
+        Some(_) => return Err("operator must be and|or"),
+    };
+    Ok((
+        ServingQuery::Bknn {
+            vertex,
+            k,
+            terms,
+            op,
+        },
+        unknown,
+    ))
 }

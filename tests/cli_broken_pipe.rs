@@ -13,9 +13,15 @@ fn closed_stdout_ends_the_repl_without_a_panic() {
         .output()
         .expect("spawn kspin-cli generate");
     assert!(generated.status.success(), "{generated:?}");
+    let snapshot = format!("{prefix}.kspin");
+    let saved = Command::new(cli)
+        .args(["snapshot", "save", &snapshot, "--data", &prefix])
+        .output()
+        .expect("spawn kspin-cli snapshot save");
+    assert!(saved.status.success(), "{saved:?}");
 
     let mut repl = Command::new(cli)
-        .args(["query", "--data", &prefix, "--dist", "dijkstra"])
+        .args(["query", "--snapshot", &snapshot, "--dist", "dijkstra"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())

@@ -1,7 +1,9 @@
 //! A `.kw` object placed off the graph is refused where the CLI reads
-//! the dataset, by every subcommand that reads one: exit 1 and the
-//! out-of-range line, never a panic in the index build. A degenerate flag
-//! is refused the same way, and the smallest network still round-trips.
+//! the dataset, `snapshot save`: exit 1 and the out-of-range line, never a
+//! panic in the index build. A degenerate or unknown flag is refused the
+//! same way, and the smallest network still round-trips. `query` serves a
+//! snapshot under each distance module with the same answers, and refuses
+//! CH or HL on a snapshot saved without a hierarchy.
 
 use std::process::{Command, Output, Stdio};
 
@@ -25,7 +27,9 @@ fn run(args: &[&str], stdin: &str) -> Output {
 
 /// `--rho 0` (no NVD leaf could keep a candidate) and `--vertices 0` are
 /// refused as flags: exit 1 naming the flag, not a panic in the index build
-/// or the generator.
+/// or the generator. Each subcommand names its flags, so a misspelt or
+/// foreign one is refused the same way instead of being ignored (`query`
+/// reads no dataset: its `--rho` is unknown), and `--ch` is `true|false`.
 #[test]
 fn a_degenerate_flag_is_refused_without_a_panic() {
     let prefix = format!("{}/cli_dataset_flags", env!("CARGO_TARGET_TMPDIR"));
@@ -39,11 +43,47 @@ fn a_degenerate_flag_is_refused_without_a_panic() {
             ],
             "bad --rho",
         ),
-        (vec!["query", "--data", &prefix, "--rho", "0"], "bad --rho"),
+        (
+            vec!["query", "--snapshot", &snapshot, "--rho", "0"],
+            "unknown flag --rho",
+        ),
         (
             vec!["generate", "--vertices", "0", "--out", &prefix],
             "bad --vertices",
         ),
+        (
+            vec![
+                "generate",
+                "--vertices",
+                "20",
+                "--out",
+                &prefix,
+                "--sead",
+                "7",
+            ],
+            "unknown flag --sead",
+        ),
+        (
+            vec![
+                "snapshot", "save", &snapshot, "--data", &prefix, "--ch", "yes",
+            ],
+            "bad --ch",
+        ),
+        (
+            vec![
+                "snapshot", "save", &snapshot, "--data", &prefix, "--dist", "ch",
+            ],
+            "unknown flag --dist",
+        ),
+        (
+            vec!["snapshot", "load", &snapshot, "--ch", "true"],
+            "unknown flag --ch",
+        ),
+        (
+            vec!["query", "--snapshot", &snapshot, "--dsit", "hl"],
+            "unknown flag --dsit",
+        ),
+        (vec!["query", "--data", &prefix], "unknown flag --data"),
     ] {
         let out = run(&args, "");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -55,7 +95,7 @@ fn a_degenerate_flag_is_refused_without_a_panic() {
 
 /// One vertex is fewer than the five seed terms the vocabulary holds; the
 /// network still generates, saves with its CH, loads, and answers over hub
-/// labels.
+/// labels from the snapshot.
 #[test]
 fn a_one_vertex_network_round_trips() {
     let prefix = format!("{}/cli_dataset_one", env!("CARGO_TARGET_TMPDIR"));
@@ -71,7 +111,7 @@ fn a_one_vertex_network_round_trips() {
         assert!(out.status.success(), "{args:?}: {out:?}");
     }
     let out = run(
-        &["query", "--data", &prefix, "--dist", "hl"],
+        &["query", "--snapshot", &snapshot, "--dist", "hl"],
         "bknn 0 3 or hotel bank\nquit\n",
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -102,24 +142,94 @@ fn an_object_off_the_graph_is_refused_without_a_panic() {
     std::fs::write(&kw, lines.join("\n") + "\n").expect("write the edited .kw");
 
     let snapshot = format!("{prefix}.kspin");
-    for args in [
-        vec![
+    let out = run(
+        &[
             "snapshot", "save", &snapshot, "--data", &prefix, "--rho", "1",
         ],
-        vec!["query", "--data", &prefix],
+        "",
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("vertex id 99999 is out of range"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// The numbers of every result line (`dist d` or `score s`) in REPL output.
+fn result_values(stdout: &str) -> Vec<String> {
+    stdout
+        .lines()
+        .filter(|l| l.trim_start().starts_with("object "))
+        .filter_map(|l| {
+            let (_, rest) = l.split_once(" dist ").or_else(|| l.split_once(" score "))?;
+            rest.split_whitespace().next().map(str::to_string)
+        })
+        .collect()
+}
+
+/// One script of BkNN and top-k queries answers with the same distances
+/// and scores under Dijkstra, the snapshot's CH and hub labels built from
+/// it. Values, not object ids, are compared: equidistant objects may come
+/// back in another order.
+#[test]
+fn every_distance_module_answers_a_snapshot_alike() {
+    let prefix = format!("{}/cli_dataset_modules", env!("CARGO_TARGET_TMPDIR"));
+    let snapshot = format!("{prefix}.kspin");
+    for args in [
+        vec!["generate", "--vertices", "600", "--out", &prefix],
+        vec![
+            "snapshot", "save", &snapshot, "--data", &prefix, "--rho", "2", "--ch", "true",
+        ],
     ] {
-        let out = Command::new(cli)
-            .args(&args)
-            .stdin(Stdio::null())
-            .output()
-            .expect("spawn kspin-cli");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(
-            stderr.contains("vertex id 99999 is out of range"),
-            "{args:?}: {stderr}"
+        let out = run(&args, "");
+        assert!(out.status.success(), "{args:?}: {out:?}");
+    }
+    let script = "bknn 0 5 or hotel restaurant\n\
+                  bknn 300 5 and hotel restaurant\n\
+                  bknn 17 8 or school bank supermarket\n\
+                  topk 0 5 hotel restaurant\n\
+                  topk 450 10 school bank\n\
+                  topk 17 5 supermarket\n";
+    let answers: Vec<Vec<String>> = ["dijkstra", "ch", "hl"]
+        .into_iter()
+        .map(|dist| {
+            let out = run(&["query", "--snapshot", &snapshot, "--dist", dist], script);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(out.status.success(), "--dist {dist}: {out:?}");
+            result_values(&stdout)
+        })
+        .collect();
+    assert!(answers[0].len() >= 20, "too few results: {:?}", answers[0]);
+    assert_eq!(answers[0], answers[1], "Dijkstra against CH");
+    assert_eq!(answers[0], answers[2], "Dijkstra against HL");
+}
+
+/// `--dist ch` and `--dist hl` serve the snapshot's hierarchy and never
+/// build one: on a file saved without `--ch true` they exit 1 naming that
+/// flag.
+#[test]
+fn a_snapshot_without_a_ch_refuses_ch_and_hl() {
+    let prefix = format!("{}/cli_dataset_no_ch", env!("CARGO_TARGET_TMPDIR"));
+    let snapshot = format!("{prefix}.kspin");
+    for args in [
+        vec!["generate", "--vertices", "200", "--out", &prefix],
+        vec!["snapshot", "save", &snapshot, "--data", &prefix],
+    ] {
+        let out = run(&args, "");
+        assert!(out.status.success(), "{args:?}: {out:?}");
+    }
+    for dist in ["ch", "hl"] {
+        let out = run(
+            &["query", "--snapshot", &snapshot, "--dist", dist],
+            "bknn 0 3 or hotel\nquit\n",
         );
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--dist {dist}: {stderr}");
+        assert!(stderr.contains("--ch true"), "--dist {dist}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--dist {dist}: {stderr}");
+        assert!(out.stdout.is_empty(), "--dist {dist} answered");
     }
 }
 
