@@ -33,7 +33,7 @@ use kspin_bench::{build_dataset, header, row};
 use kspin_ch::{ChConfig, ContractionHierarchy};
 use kspin_core::modules::ZeroLowerBound;
 use kspin_core::{KspinConfig, KspinIndex, LowerBound, NetworkDistance, Op, QueryEngine};
-use kspin_fsfbs::{FsFbs, FsFbsConfig};
+use kspin_fsfbs::FsFbs;
 use kspin_graph::Graph;
 use kspin_gtree::tree::GtreeConfig;
 use kspin_gtree::{GTree, GtreeSpatialKeyword, OccurrenceMode};
@@ -372,7 +372,7 @@ fn main() {
             GtreeSpatialKeyword::build(&gt, g, c)
         });
         let (road, t_road) = timed("ROAD", || RoadIndex::build(&gt, g, c));
-        let (fsfbs, t_fs) = timed("FS-FBS", || FsFbs::build(g, c, &hl, FsFbsConfig::default()));
+        let (fsfbs, t_fs) = timed("FS-FBS", || FsFbs::build(g, c, &hl));
         let w = World {
             name,
             sys: &sys,

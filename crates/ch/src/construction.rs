@@ -286,7 +286,7 @@ impl Contractor {
             rank: vec![0; n],
             edges: Vec::new(),
             witness: WitnessSearch {
-                labels: Labels::new(n),
+                labels: Labels::new(n, INFINITY),
                 heap: BinaryHeap::new(),
                 pending: Vec::new(),
             },

@@ -51,10 +51,10 @@ impl<'a> ChQuery<'a> {
         let n = ch.num_vertices();
         ChQuery {
             ch,
-            fwd: Labels::new(n),
+            fwd: Labels::new(n, INFINITY),
             pinned: None,
-            answered: Labels::new(n),
-            bwd: Labels::new(n),
+            answered: Labels::new(n, INFINITY),
+            bwd: Labels::new(n, INFINITY),
             heap: DaryHeap::new(n),
         }
     }

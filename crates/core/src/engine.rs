@@ -4,8 +4,8 @@
 
 use std::ops::AddAssign;
 
-use kspin_graph::{Graph, HeapCounters, Weight};
-use kspin_text::{Corpus, ObjectId, TermId};
+use kspin_graph::{Graph, HeapCounters, Labels, Weight};
+use kspin_text::{Corpus, TermId};
 
 use crate::heap::{HeapContext, InvertedHeap};
 use crate::index::KspinIndex;
@@ -81,71 +81,18 @@ impl AddAssign for QueryStats {
 /// engine, cleared per query, and grown to high-water capacity — never
 /// reallocated per iteration of the Algorithm 1/3 candidate loops.
 ///
-/// Safe to move in and out with `std::mem::take` because the inverted
-/// heaps borrow the index through the engine's `'a` references, not
-/// through the engine itself.
-#[derive(Debug, Default)]
+/// The inverted heaps borrow the index through the engine's `'a`
+/// references, not through the engine itself, so the loops use these
+/// fields beside their heaps.
+#[derive(Debug)]
 pub(crate) struct QueryScratch {
     /// Per-heap MINKEY snapshot for Algorithm 3's selection scan.
     pub(crate) min_keys: Vec<Weight>,
-    /// Candidate dedup set shared by the BkNN/top-k extraction loops.
-    pub(crate) evaluated: SeenSet,
-}
-
-/// Epoch-stamped membership set over `ObjectId`, replacing the former
-/// `HashSet<ObjectId>` dedup set: a `RandomState`-hashed set on the
-/// extraction loop was a latent nondeterminism source (and a rehash-growth
-/// alloc risk). Same trick as the `one_to_many` target slots in
-/// `kspin-graph::dijkstra` — a slot is a member iff its stamp equals the
-/// current epoch, so [`SeenSet::clear`] is O(1) and [`SeenSet::insert`] is
-/// a branch-free array write with no hashing, no iteration order, and no
-/// steady-state allocation.
-#[derive(Debug, Default)]
-pub(crate) struct SeenSet {
-    /// `epoch_of[o]` = the epoch in which object `o` was last inserted.
-    epoch_of: Vec<u32>,
-    /// Current membership epoch; 0 means "no epoch started".
-    epoch: u32,
-}
-
-impl SeenSet {
-    /// A set covering objects `0..n`, sized once at engine construction
-    /// (the warm-up phase — the query loops never resize it).
-    pub(crate) fn new(n: usize) -> SeenSet {
-        SeenSet {
-            epoch_of: vec![0; n],
-            epoch: 0,
-        }
-    }
-
-    /// Empties the set by advancing the epoch — O(1), no deallocation.
-    /// On the (practically unreachable) u32 wrap the stamps are rewritten
-    /// wholesale so stale epochs can never alias.
-    pub(crate) fn clear(&mut self) {
-        if self.epoch == u32::MAX {
-            self.epoch_of.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-        }
-    }
-
-    /// Inserts `o`, returning whether it was newly inserted — the
-    /// `HashSet::insert` contract the query loops rely on.
-    pub(crate) fn insert(&mut self, o: ObjectId) -> bool {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "sized to corpus.num_objects() at engine construction, and every \
-                      candidate ObjectId comes from that same corpus"
-        )]
-        let slot = &mut self.epoch_of[o as usize];
-        if *slot == self.epoch {
-            false
-        } else {
-            *slot = self.epoch;
-            true
-        }
-    }
+    /// Candidate dedup set over `ObjectId` shared by the BkNN/top-k
+    /// extraction loops (line 10 of Algorithms 1 and 3): `true` once the
+    /// object was evaluated this query. A [`Labels`] store, so it clears in
+    /// O(1), with no hashing and no iteration order.
+    pub(crate) evaluated: Labels<bool>,
 }
 
 /// A K-SPIN query engine: one borrowed index + corpus + lower-bound oracle,
@@ -195,7 +142,7 @@ impl<'a, D: NetworkDistance> QueryEngine<'a, D> {
             stats: QueryStats::default(),
             scratch: QueryScratch {
                 min_keys: Vec::new(),
-                evaluated: SeenSet::new(corpus.num_objects()),
+                evaluated: Labels::new(corpus.num_objects(), false),
             },
         }
     }

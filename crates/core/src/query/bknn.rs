@@ -87,10 +87,9 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             // One |ψ|-bounded Vec per query; the extraction loop below
             // never grows it.
             .collect();
-        // Engine-lifetime epoch-stamped dedup set: clear() is O(1), an
-        // insert is an array write; no hashing, no iteration order.
-        let mut evaluated = std::mem::take(&mut self.scratch.evaluated);
-        evaluated.clear();
+        // Engine-lifetime dedup set: the reset is O(1), an insert is an
+        // array write; no hashing, no iteration order.
+        self.scratch.evaluated.reset();
         let mut best = KBest::bounded(k, self.corpus.num_objects());
 
         // Heap with the globally smallest lower bound (line 6).
@@ -108,7 +107,9 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
                 break;
             };
             // Duplicates across heaps (line 10), then the keyword filter.
-            if !evaluated.insert(c.object) || !accept(c.object) {
+            let repeat = self.scratch.evaluated.get(c.object);
+            self.scratch.evaluated.set(c.object, true);
+            if repeat || !accept(c.object) {
                 self.stats.pruned_candidates = self.stats.pruned_candidates.wrapping_add(1);
                 continue;
             }
@@ -122,7 +123,6 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         for h in &heaps {
             self.stats.absorb_heap(h);
         }
-        self.scratch.evaluated = evaluated;
         let sorted = best.into_sorted();
         sorted.into_iter().map(|(d, o)| (o, d)).collect()
     }

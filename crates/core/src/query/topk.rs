@@ -48,8 +48,7 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         // `disallowed_types` deny keeps out): the epoch-stamped
         // dedup set clears in O(1); the MINKEY snapshot reaches high-water
         // capacity on the first query and never reallocates after.
-        let mut processed = std::mem::take(&mut self.scratch.evaluated);
-        processed.clear();
+        self.scratch.evaluated.reset();
         let mut min_keys = std::mem::take(&mut self.scratch.min_keys);
         let mut best = KBest::bounded(k, self.corpus.num_objects());
 
@@ -93,10 +92,11 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
                 debug_assert!(false, "chosen heap {i} must exist and be non-empty");
                 break;
             };
-            if !processed.insert(c.object) {
+            if self.scratch.evaluated.get(c.object) {
                 self.stats.pruned_candidates = self.stats.pruned_candidates.wrapping_add(1);
                 continue;
             }
+            self.scratch.evaluated.set(c.object, true);
             // Line 10: cheap lower-bound score from the object's *actual*
             // textual relevance before paying for a network distance.
             let tr = query.relevance(self.corpus, c.object);
@@ -117,7 +117,6 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             self.stats.absorb_heap(h);
         }
         self.scratch.min_keys = min_keys;
-        self.scratch.evaluated = processed;
         let sorted = best.into_sorted();
         sorted.into_iter().map(|(s, o)| (o, s.get())).collect()
     }

@@ -319,7 +319,7 @@ fn len_field(id: u32, what: &str, v: u32) -> Result<usize, SnapshotError> {
 /// Keyword `t`'s table: its `objects`, each placed on its vertex in
 /// `corpus`, with their deletion `flags` (a byte each, 0 or 1). A built
 /// table holds every object once, each in the corpus with `t` in its
-/// document, and the query loops rely on that: `SeenSet` is sized to the
+/// document, and the query loops rely on that: their dedup set is sized to the
 /// corpus, and a repeated object would survive its own deletion. So a
 /// decoded table must prove it, for either keyword kind. `holder[o]` is
 /// the last keyword that listed `o`, so a repeat finds `t` there.

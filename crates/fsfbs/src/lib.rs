@@ -30,23 +30,12 @@ use kspin_graph::{Graph, VertexId, Weight};
 use kspin_hl::{BackwardLabels, HubLabels};
 use kspin_text::{Corpus, ObjectId, TermId};
 
-/// Configuration for the frequent/infrequent split.
-#[derive(Debug, Clone)]
-pub struct FsFbsConfig {
-    /// Keywords with `|inv(t)|` above this are "frequent" and served by the
-    /// signature-filtered backward scan; the rest take the
-    /// scan-the-whole-inverted-list path. The paper notes this threshold
-    /// must be tuned experimentally — a weakness in itself.
-    pub frequency_threshold: usize,
-}
-
-impl Default for FsFbsConfig {
-    fn default() -> Self {
-        FsFbsConfig {
-            frequency_threshold: 16,
-        }
-    }
-}
+/// The frequent/infrequent split: keywords with `|inv(t)|` above this are
+/// "frequent" and served by the signature-filtered backward scan; the rest
+/// take the scan-the-whole-inverted-list path. The paper notes this
+/// threshold must be tuned experimentally — a weakness in itself; every
+/// comparison here runs at this one value.
+const FREQUENCY_THRESHOLD: usize = 16;
 
 /// Hashes a keyword into its signature bit.
 #[inline]
@@ -62,17 +51,11 @@ pub struct FsFbs<'a> {
     /// Per backward entry (arena-aligned with `backward`): the keyword
     /// signature of the object at that vertex (0 = no object).
     signatures: Vec<u64>,
-    config: FsFbsConfig,
 }
 
 impl<'a> FsFbs<'a> {
     /// Builds the backward labels and per-entry signatures.
-    pub fn build(
-        graph: &Graph,
-        corpus: &'a Corpus,
-        labels: &'a HubLabels,
-        config: FsFbsConfig,
-    ) -> Self {
+    pub fn build(graph: &Graph, corpus: &'a Corpus, labels: &'a HubLabels) -> Self {
         let backward = labels.invert();
         let mut signatures = vec![0u64; backward.num_entries()];
         for h in 0..graph.num_vertices() as VertexId {
@@ -93,7 +76,6 @@ impl<'a> FsFbs<'a> {
             labels,
             backward,
             signatures,
-            config,
         }
     }
 
@@ -113,7 +95,7 @@ impl<'a> FsFbs<'a> {
         }
         let all_infrequent = uniq
             .iter()
-            .all(|&t| self.corpus.inv_len(t) <= self.config.frequency_threshold);
+            .all(|&t| self.corpus.inv_len(t) <= FREQUENCY_THRESHOLD);
         if all_infrequent {
             self.bknn_infrequent(q, k, &uniq, conjunctive)
         } else {
@@ -291,7 +273,7 @@ mod tests {
     #[test]
     fn frequent_path_matches_oracle() {
         let f = fixture(700, 301);
-        let fs = FsFbs::build(&f.graph, &f.corpus, &f.labels, FsFbsConfig::default());
+        let fs = FsFbs::build(&f.graph, &f.corpus, &f.labels);
         // Terms 0 and 1 are the most frequent by construction.
         for q in [2u32, 345, 650] {
             for conj in [false, true] {
@@ -305,7 +287,7 @@ mod tests {
     #[test]
     fn infrequent_path_matches_oracle() {
         let f = fixture(700, 303);
-        let fs = FsFbs::build(&f.graph, &f.corpus, &f.labels, FsFbsConfig::default());
+        let fs = FsFbs::build(&f.graph, &f.corpus, &f.labels);
         let rare = (0..f.corpus.num_terms() as TermId)
             .find(|&t| (1..=3).contains(&f.corpus.inv_len(t)))
             .expect("no rare term");
@@ -319,7 +301,7 @@ mod tests {
     #[test]
     fn mixed_frequency_terms_use_backward_scan_correctly() {
         let f = fixture(700, 305);
-        let fs = FsFbs::build(&f.graph, &f.corpus, &f.labels, FsFbsConfig::default());
+        let fs = FsFbs::build(&f.graph, &f.corpus, &f.labels);
         let rare = (0..f.corpus.num_terms() as TermId)
             .find(|&t| (1..=3).contains(&f.corpus.inv_len(t)))
             .expect("no rare term");
@@ -333,7 +315,7 @@ mod tests {
     #[test]
     fn signatures_cover_object_keywords() {
         let f = fixture(400, 307);
-        let fs = FsFbs::build(&f.graph, &f.corpus, &f.labels, FsFbsConfig::default());
+        let fs = FsFbs::build(&f.graph, &f.corpus, &f.labels);
         // Every object's own keyword bits are set in every backward entry
         // pointing at its vertex — no false negatives.
         for o in (0..f.corpus.num_objects() as ObjectId).step_by(7) {
@@ -353,7 +335,7 @@ mod tests {
     #[test]
     fn zero_k_and_empty_terms() {
         let f = fixture(300, 309);
-        let fs = FsFbs::build(&f.graph, &f.corpus, &f.labels, FsFbsConfig::default());
+        let fs = FsFbs::build(&f.graph, &f.corpus, &f.labels);
         assert!(fs.bknn(0, 0, &[0], false).is_empty());
         assert!(fs.bknn(0, 5, &[], false).is_empty());
     }

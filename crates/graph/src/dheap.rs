@@ -21,10 +21,9 @@
 //!   `push`/`decrease` sift-up pays, at the price of at most four
 //!   comparisons per sift-down level — the classic trade measured on road
 //!   networks by Abeywickrama et al. (PAPERS.md).
-//! * **Epoch-reset** — the position map is stamped with an epoch counter,
-//!   so [`DaryHeap::clear`] is O(1) and a long-lived search struct never
-//!   allocates after its arrays reach high-water capacity (the same trick
-//!   the distance/parent arrays in [`crate::dijkstra`] already use).
+//! * **Epoch-reset** — the position map is a [`Labels`] store, so
+//!   [`DaryHeap::clear`] is O(1) and a long-lived search struct never
+//!   allocates after its arrays reach high-water capacity.
 //! * **Deterministic** — entries order by `(key asc, item desc)`, exactly
 //!   the pop order of the `BinaryHeap<(Reverse<Weight>, u32)>` max-heap it
 //!   replaces. Since each item appears at most once (at its best key), the
@@ -35,6 +34,7 @@
 //! `pops`, and `decrease_keys` at the only code paths that can perform
 //! them.
 
+use crate::labels::Labels;
 use crate::types::Weight;
 
 /// Branching factor of the heap: four children per node, one 32-byte group
@@ -44,6 +44,10 @@ pub const ARITY: usize = 4;
 /// Position-map sentinel: the item was inserted this epoch and has since
 /// been popped.
 const POPPED: u32 = u32::MAX;
+
+/// Position-map value of an item not inserted this epoch; no slot takes
+/// it, as a heap holds fewer than `u32::MAX - 1` items.
+const ABSENT: u32 = u32::MAX - 1;
 
 /// Structural instrumentation of one heap (cumulative over its lifetime;
 /// snapshot and subtract via [`HeapCounters::since`] for per-query deltas).
@@ -100,11 +104,9 @@ pub struct DaryHeap {
     /// integer compare and a sift-down level's four children span 32
     /// contiguous bytes.
     entries: Vec<u64>,
-    /// `pos[item]` = heap slot of `item`, or [`POPPED`]; only meaningful
-    /// when `stamp[item] == epoch`.
-    pos: Vec<u32>,
-    stamp: Vec<u32>,
-    epoch: u32,
+    /// `pos[item]` = heap slot of `item`, [`POPPED`], or [`ABSENT`] when
+    /// not inserted this epoch.
+    pos: Labels<u32>,
     counters: HeapCounters,
 }
 
@@ -133,9 +135,7 @@ impl DaryHeap {
             // item occupies at most one slot per epoch, so len ≤ n and
             // the entry array never reallocates after construction.
             entries: Vec::with_capacity(n),
-            pos: vec![0; n],
-            stamp: vec![0; n],
-            epoch: 1,
+            pos: Labels::new(n, ABSENT),
             counters: HeapCounters::default(),
         }
     }
@@ -146,12 +146,7 @@ impl DaryHeap {
         #[cfg(any(debug_assertions, feature = "audit"))]
         self.audit_on_clear();
         self.entries.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Extremely rare wrap: force-refresh every stamp.
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
+        self.pos.reset();
     }
 
     /// Number of buffered (not yet popped) entries.
@@ -174,32 +169,29 @@ impl DaryHeap {
     /// now, or already popped). Replaces the `inserted: Vec<bool>` side
     /// tables of the lazy kernels.
     #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "stamp is sized n at new(); items are 0..n by the kernel contract"
-    )]
     pub fn was_inserted(&self, item: u32) -> bool {
-        self.stamp[item as usize] == self.epoch
+        self.pos.get(item) != ABSENT
+    }
+
+    /// Whether `item` was popped this epoch: a search's settled set.
+    #[inline]
+    pub(crate) fn was_popped(&self, item: u32) -> bool {
+        self.pos.get(item) == POPPED
     }
 
     /// Inserts `item` with `key`. `item` must not have been inserted this
     /// epoch (checked in debug builds); relaxation loops that may revisit
     /// items use [`DaryHeap::insert_or_decrease`].
     #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "stamp is sized n at new(); items are 0..n by the kernel contract"
-    )]
     pub fn push(&mut self, key: Weight, item: u32) {
         debug_assert!(
             !self.was_inserted(item),
             "push of item {item} already inserted this epoch"
         );
-        self.stamp[item as usize] = self.epoch;
         let slot = self.entries.len();
         if slot == self.entries.capacity() {
-            // Only reachable by pushing an item ≥ n (a kernel-contract
-            // violation the indexing above would have caught first).
+            // Only reachable by pushing an item ≥ n, a kernel-contract
+            // violation on which sift_up's position-map write panics.
             self.counters.grows += 1;
         }
         // new() pre-sizes entries to n and each item occupies at most one
@@ -207,6 +199,7 @@ impl DaryHeap {
         // counter above proves it dynamically per query.
         self.entries.push(pack(key, item));
         self.counters.pushes += 1;
+        // Records the item's slot, which marks it inserted this epoch.
         self.sift_up(slot);
     }
 
@@ -217,17 +210,11 @@ impl DaryHeap {
     /// vertex; checked in debug builds).
     #[inline]
     pub fn insert_or_decrease(&mut self, key: Weight, item: u32) {
-        let i = item as usize;
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "stamp is sized n at new(); items are 0..n by the kernel contract"
-        )]
-        if self.stamp[i] != self.epoch {
+        let p = self.pos.get(item);
+        if p == ABSENT {
             self.push(key, item);
             return;
         }
-        #[expect(clippy::indexing_slicing, reason = "pos is sized n; i < n as above")]
-        let p = self.pos[i];
         debug_assert!(
             p != POPPED,
             "decrease-key on item {item} already popped this epoch"
@@ -235,7 +222,7 @@ impl DaryHeap {
         let p = p as usize;
         #[expect(
             clippy::indexing_slicing,
-            reason = "pos[i] is a live slot (< entries.len()) by the position-map invariant \
+            reason = "p is a live slot (< entries.len()) by the position-map invariant \
                       that `validate` audits after every op in the model tests"
         )]
         if key < key_of(self.entries[p]) {
@@ -251,22 +238,12 @@ impl DaryHeap {
     pub fn pop(&mut self) -> Option<(Weight, u32)> {
         let top = *self.entries.first()?;
         let item = item_of(top);
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "every buffered item is < n (push stamped it), pos is sized n"
-        )]
-        {
-            self.pos[item as usize] = POPPED;
-        }
+        self.pos.set(item, POPPED);
         self.counters.pops += 1;
         let last = self.entries.pop().unwrap_or(top);
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "slot 0 exists once the heap is checked non-empty; a buffered item is < n"
-        )]
-        if !self.entries.is_empty() {
-            self.entries[0] = last;
-            self.pos[item_of(last) as usize] = 0;
+        if let Some(first) = self.entries.first_mut() {
+            // sift_down records `last`'s final slot.
+            *first = last;
             self.sift_down(0);
         }
         Some((key_of(top), item))
@@ -281,8 +258,8 @@ impl DaryHeap {
     /// no longer before its parent. One packed compare per level.
     #[expect(
         clippy::indexing_slicing,
-        reason = "callers pass a live slot (push: just appended; decrease: pos[i]), every \
-                  parent of a live slot is live, and a buffered item is < n, the length of pos"
+        reason = "callers pass a live slot (push: just appended; decrease: pos[item]), and \
+                  every parent of a live slot is live"
     )]
     fn sift_up(&mut self, mut i: usize) {
         let entry = self.entries[i];
@@ -295,22 +272,22 @@ impl DaryHeap {
             let pe = self.entries[parent];
             if entry < pe {
                 self.entries[i] = pe;
-                self.pos[item_of(pe) as usize] = i as u32;
+                self.pos.set(item_of(pe), i as u32);
                 i = parent;
             } else {
                 break;
             }
         }
         self.entries[i] = entry;
-        self.pos[item_of(entry) as usize] = i as u32;
+        self.pos.set(item_of(entry), i as u32);
     }
 
     /// Hole-based sift-down: moves the smallest child up until slot `i`'s
     /// entry is no larger than all of its (at most [`ARITY`]) children.
     #[expect(
         clippy::indexing_slicing,
-        reason = "the only caller (pop) passes slot 0 of a non-empty heap, a child is read \
-                  only below len, and a buffered item is < n, the length of pos"
+        reason = "the only caller (pop) passes slot 0 of a non-empty heap, and a child is \
+                  read only below len"
     )]
     fn sift_down(&mut self, mut i: usize) {
         let entry = self.entries[i];
@@ -332,14 +309,14 @@ impl DaryHeap {
             }
             if be < entry {
                 self.entries[i] = be;
-                self.pos[item_of(be) as usize] = i as u32;
+                self.pos.set(item_of(be), i as u32);
                 i = best;
             } else {
                 break;
             }
         }
         self.entries[i] = entry;
-        self.pos[item_of(entry) as usize] = i as u32;
+        self.pos.set(item_of(entry), i as u32);
     }
 
     /// The structural auditor (exercised by the invariant test suite):
@@ -366,13 +343,13 @@ impl DaryHeap {
         }
         for (slot, &entry) in self.entries.iter().enumerate() {
             let item = item_of(entry);
-            if self.stamp[item as usize] != self.epoch {
+            let p = self.pos.get(item);
+            if p == ABSENT {
                 return Err(format!("slot {slot}: item {item} has a stale stamp"));
             }
-            if self.pos[item as usize] != slot as u32 {
+            if p != slot as u32 {
                 return Err(format!(
-                    "position map desynced: item {item} at slot {slot} but pos says {}",
-                    self.pos[item as usize]
+                    "position map desynced: item {item} at slot {slot} but pos says {p}"
                 ));
             }
         }
@@ -381,14 +358,15 @@ impl DaryHeap {
         // its evicted item being marked POPPED — invisible to the slot→pos
         // sweep above because the evicted item no longer appears in
         // `entries`.
-        for (item, (&p, &s)) in self.pos.iter().zip(&self.stamp).enumerate() {
-            if s != self.epoch || p == POPPED {
+        for item in 0..self.pos.num_ids() as u32 {
+            let p = self.pos.get(item);
+            if p == ABSENT || p == POPPED {
                 continue;
             }
             let holds = self
                 .entries
                 .get(p as usize)
-                .is_some_and(|&e| item_of(e) as usize == item);
+                .is_some_and(|&e| item_of(e) == item);
             if !holds {
                 return Err(format!(
                     "position map dangles: item {item} claims slot {p} but the slot holds another item"
@@ -490,20 +468,10 @@ mod tests {
         let mut h = DaryHeap::new(4);
         h.push(1, 0);
         h.push(2, 1);
-        h.pos.swap(0, 1);
+        let (p0, p1) = (h.pos.get(0), h.pos.get(1));
+        h.pos.set(0, p1);
+        h.pos.set(1, p0);
         assert!(h.validate().is_err(), "desynced map must fail the audit");
-    }
-
-    #[test]
-    fn epoch_wrap_refreshes_all_stamps() {
-        let mut h = DaryHeap::new(2);
-        h.epoch = u32::MAX;
-        h.push(1, 0);
-        h.clear(); // wraps to 0 → refreshed to 1
-        assert_eq!(h.epoch, 1);
-        assert!(!h.was_inserted(0));
-        h.push(2, 0);
-        assert_eq!(h.pop(), Some((2, 0)));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Dijkstra searches over [`Graph`].
 //!
 //! A single [`Dijkstra`] instance owns its working arrays and reuses them
-//! across searches via an epoch counter, so repeated queries (the dominant
-//! pattern in every index builder and in the network-expansion baseline)
-//! never pay an `O(|V|)` clear.
+//! across searches through [`Labels`] stores, so repeated queries (the
+//! dominant pattern in every index builder and in the network-expansion
+//! baseline) never pay an `O(|V|)` clear.
 
 use crate::csr::Graph;
 use crate::dheap::{DaryHeap, HeapCounters};
+use crate::labels::Labels;
 use crate::types::{VertexId, Weight, INFINITY};
 use crate::weight::weight_add;
 
@@ -29,42 +30,30 @@ pub enum Control {
 /// All query methods leave the search space readable through
 /// [`Dijkstra::space`] until the next query starts.
 ///
-/// The epoch-stamped arrays are this struct's own rather than a
-/// [`crate::Labels`]: one stamp here covers `dist` *and* `settled` (a
-/// fresh stamp in `relax` also clears the settled bit), a different record
-/// from a bare distance label.
+/// The tentative distances are a [`Labels`] store, and the settled set is
+/// the heap's own: a vertex is settled once it has been popped.
 pub struct Dijkstra {
-    dist: Vec<Weight>,
-    epoch: Vec<u32>,
-    settled: Vec<bool>,
-    cur_epoch: u32,
+    dist: Labels,
     heap: DaryHeap,
     /// One-to-many target bookkeeping ([`Dijkstra::one_to_many`]):
-    /// per-vertex chain heads into `tgt_next`, epoch-stamped so repeated
-    /// calls never clear or reallocate the per-vertex arrays.
-    tgt_epoch: Vec<u32>,
-    tgt_head: Vec<u32>,
+    /// per-vertex chain heads into `tgt_next`, so repeated calls never
+    /// clear or reallocate the per-vertex array.
+    tgt_head: Labels<u32>,
     tgt_next: Vec<u32>,
-    tgt_cur: u32,
 }
 
 impl Dijkstra {
     /// Creates search state for graphs with `n` vertices.
     pub fn new(n: usize) -> Self {
         Dijkstra {
-            dist: vec![INFINITY; n],
-            epoch: vec![0; n],
-            settled: vec![false; n],
-            cur_epoch: 0,
+            dist: Labels::new(n, INFINITY),
             heap: DaryHeap::new(n),
-            tgt_epoch: vec![0; n],
-            tgt_head: vec![NO_SLOT; n],
+            tgt_head: Labels::new(n, NO_SLOT),
             // Pre-sized to n: one slot per requested target. Target sets
             // are vertex subsets in every caller (candidate lists of the
             // graph's own vertices), so len ≤ n and the pushes in
             // `one_to_many` never reallocate once warmed.
             tgt_next: Vec::with_capacity(n),
-            tgt_cur: 0,
         }
     }
 
@@ -74,26 +63,22 @@ impl Dijkstra {
     where
         F: FnMut(VertexId, Weight) -> Control,
     {
-        self.begin();
+        self.dist.reset();
+        self.heap.clear();
         for &(s, d0) in sources {
-            if self.tentative(s) > d0 {
+            if self.dist.get(s) > d0 {
                 self.relax(s, d0);
             }
         }
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "every heap item is a vertex id < n; arrays sized n at new()"
-        )]
         while let Some((d, v)) = self.heap.pop() {
             // The indexed heap holds each vertex once, at its best key:
             // every pop settles (no stale entries to skip).
-            debug_assert!(!self.settled[v as usize] && d == self.dist[v as usize]);
-            self.settled[v as usize] = true;
+            debug_assert_eq!(d, self.dist.get(v));
             match on_settle(v, d) {
                 Control::Continue => {
                     for (u, w) in graph.neighbors(v) {
                         let nd = weight_add(d, w);
-                        if nd < self.tentative(u) {
+                        if nd < self.dist.get(u) {
                             self.relax(u, nd);
                         }
                     }
@@ -125,58 +110,45 @@ impl Dijkstra {
 
     /// Distances from `s` to each of `targets`, stopping as soon as all are
     /// settled. Unreachable targets get [`INFINITY`].
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "targets are vertex ids < n and the chain arrays are sized n at new(); \
-                  a slot is an index of `targets`, and `out` has one entry per target"
-    )]
     pub fn one_to_many(&mut self, graph: &Graph, s: VertexId, targets: &[VertexId]) -> Vec<Weight> {
         let mut out = vec![INFINITY; targets.len()];
         if targets.is_empty() {
             return out;
         }
-        // Epoch-stamped target chains instead of a per-call HashMap:
-        // `tgt_head[v]` points at the most recent slot asking for `v`, and
-        // `tgt_next` chains duplicates. Only slots touched this call are
-        // initialized, so the per-vertex arrays are never cleared.
-        self.tgt_cur = self.tgt_cur.wrapping_add(1);
-        if self.tgt_cur == 0 {
-            self.tgt_epoch.iter_mut().for_each(|e| *e = 0);
-            self.tgt_cur = 1;
-        }
+        // Target chains instead of a per-call HashMap: `tgt_head[v]` is the
+        // most recent slot asking for `v`, and `tgt_next` chains duplicates.
+        self.tgt_head.reset();
         self.tgt_next.clear();
         for (i, &t) in targets.iter().enumerate() {
-            let ti = t as usize;
-            if self.tgt_epoch[ti] != self.tgt_cur {
-                self.tgt_epoch[ti] = self.tgt_cur;
-                self.tgt_head[ti] = NO_SLOT;
-            }
-            self.tgt_next.push(self.tgt_head[ti]);
-            self.tgt_head[ti] = i as u32;
+            self.tgt_next.push(self.tgt_head.get(t));
+            self.tgt_head.set(t, i as u32);
         }
         // Move the chains out so the settle closure can read them while
-        // `run` holds `&mut self`; restored below.
-        let tgt_epoch = std::mem::take(&mut self.tgt_epoch);
-        let tgt_head = std::mem::take(&mut self.tgt_head);
+        // `run` holds `&mut self`; restored below. An empty store allocates
+        // nothing.
+        let tgt_head = std::mem::replace(&mut self.tgt_head, Labels::new(0, NO_SLOT));
         let tgt_next = std::mem::take(&mut self.tgt_next);
-        let cur = self.tgt_cur;
         let mut remaining = targets.len();
         self.run(graph, &[(s, 0)], |v, d| {
-            let vi = v as usize;
-            if tgt_epoch[vi] == cur {
-                let mut slot = tgt_head[vi];
-                while slot != NO_SLOT {
+            let mut slot = tgt_head.get(v);
+            while slot != NO_SLOT {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "a slot is an index of `targets`; `out` and `tgt_next` hold one \
+                              entry per target"
+                )]
+                {
                     out[slot as usize] = d;
-                    remaining -= 1;
                     slot = tgt_next[slot as usize];
                 }
-                if remaining == 0 {
-                    return Control::Stop;
-                }
+                remaining -= 1;
             }
-            Control::Continue
+            if remaining == 0 {
+                Control::Stop
+            } else {
+                Control::Continue
+            }
         });
-        self.tgt_epoch = tgt_epoch;
         self.tgt_head = tgt_head;
         self.tgt_next = tgt_next;
         out
@@ -193,42 +165,9 @@ impl Dijkstra {
         self.heap.counters()
     }
 
-    fn begin(&mut self) {
-        self.cur_epoch = self.cur_epoch.wrapping_add(1);
-        if self.cur_epoch == 0 {
-            // Extremely rare wrap: zero every stamp and restart at 1, the
-            // one stamp value no later epoch takes before the next wrap.
-            self.epoch.fill(0);
-            self.cur_epoch = 1;
-        }
-        self.heap.clear();
-    }
-
     #[inline]
-    fn tentative(&self, v: VertexId) -> Weight {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "v is a vertex id < n from the CSR graph; arrays sized n"
-        )]
-        if self.epoch[v as usize] == self.cur_epoch {
-            self.dist[v as usize]
-        } else {
-            INFINITY
-        }
-    }
-
-    #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "v is a vertex id < n from the CSR graph; arrays sized n"
-    )]
     fn relax(&mut self, v: VertexId, d: Weight) {
-        let i = v as usize;
-        if self.epoch[i] != self.cur_epoch {
-            self.epoch[i] = self.cur_epoch;
-            self.settled[i] = false;
-        }
-        self.dist[i] = d;
+        self.dist.set(v, d);
         self.heap.insert_or_decrease(d, v);
     }
 }
@@ -241,16 +180,7 @@ pub struct SearchSpace<'a> {
 impl SearchSpace<'_> {
     /// Final distance of `v` if it was settled by the last search.
     pub fn distance(&self, v: VertexId) -> Option<Weight> {
-        let i = v as usize;
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "v is a vertex id < n from the CSR graph; arrays sized n"
-        )]
-        if self.d.epoch[i] == self.d.cur_epoch && self.d.settled[i] {
-            Some(self.d.dist[i])
-        } else {
-            None
-        }
+        self.d.heap.was_popped(v).then(|| self.d.dist.get(v))
     }
 }
 
@@ -374,23 +304,5 @@ mod tests {
             }
         });
         assert_eq!(dist2, Some(6));
-    }
-
-    #[test]
-    fn epoch_wrap_refreshes_stale_stamps() {
-        let g = line_graph();
-        let mut d = Dijkstra::new(g.num_vertices());
-        d.cur_epoch = u32::MAX - 1;
-        d.sssp(&g, 0); // stamps 0..=3 with u32::MAX
-        assert_eq!(d.space().distance(3), Some(3));
-        d.sssp(&g, 4); // wraps: every stamp refreshed, epoch restarts at 1
-        assert_eq!(d.cur_epoch, 1);
-        assert_eq!(d.space().distance(3), None);
-        // A stamp written by the refresh never equals a later epoch: replay
-        // the last epoch before the *next* wrap over vertices untouched since.
-        d.cur_epoch = u32::MAX - 1;
-        d.sssp(&g, 4);
-        assert_eq!(d.space().distance(3), None);
-        assert_eq!(d.space().distance(4), Some(0));
     }
 }

@@ -11,9 +11,11 @@
 //! * [`dheap`] — the indexed 4-ary decrease-key heap kernel under every
 //!   best-first search in the workspace (zero stale pops, O(1) reset,
 //!   structural instrumentation counters).
-//! * [`labels`] — the one epoch-stamped distance-label store ([`Labels`])
-//!   under every point-to-point kernel here, in `kspin-alt` and in
-//!   `kspin-ch`: O(1) reset, the bounds argument written once.
+//! * [`labels`] — the one epoch-stamped per-id store ([`Labels`]) under
+//!   every search that forgets its state between calls: Dijkstra, the heap
+//!   kernel, the CH searches, the query dedup set, the NVD audit and the
+//!   hub-label merge. O(1) reset, the bounds argument and the epoch wrap
+//!   written once.
 //! * [`morton`] — Morton (Z-order) codes, the key of the ρ-approximate
 //!   NVD's quadtree leaves.
 //! * [`connectivity`] — connected-component analysis and largest-component

@@ -43,7 +43,7 @@
 
 use kspin_ch::ContractionHierarchy;
 use kspin_graph::csr::row_slice;
-use kspin_graph::{weight_add, VertexId, Weight, INFINITY};
+use kspin_graph::{weight_add, Labels, VertexId, Weight, INFINITY};
 
 mod query;
 
@@ -73,33 +73,32 @@ impl HubLabels {
 
         // Temporary per-vertex labels, sorted by hub id.
         let mut labels: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); n];
-        // The min-merge of v's candidates, by hub: `merged[h]` is live iff
-        // `stamp[h]` is v's epoch. Membership is the stamp, not a sentinel
-        // distance — a saturated sum legally reaches INFINITY and beyond.
-        let mut merged = vec![0 as Weight; n];
-        let mut stamp = vec![0u32; n];
+        // The min-merge of v's candidates, by hub, reset per vertex.
+        // Membership is `Some`, not a sentinel distance — a saturated sum
+        // legally reaches INFINITY and beyond.
+        let mut merged: Labels<Option<Weight>> = Labels::new(n, None);
         let mut cands: Vec<VertexId> = Vec::new();
         // v's pruned-so-far label by hub, INFINITY elsewhere. Unambiguous:
         // a kept entry is below INFINITY (see the prune).
         let mut kept = vec![INFINITY; n];
 
-        for (epoch, &v) in (1u32..).zip(&by_rank) {
+        for &v in &by_rank {
             // Min-merge the labels of all upward neighbors, shifted by the
             // connecting edge weight.
-            stamp[v as usize] = epoch;
-            merged[v as usize] = 0;
+            merged.reset();
+            merged.set(v, Some(0));
             cands.clear();
             cands.push(v);
             for (u, w) in ch.upward(v) {
                 for &(h, d) in &labels[u as usize] {
                     let d = weight_add(d, w);
-                    let slot = h as usize;
-                    if stamp[slot] != epoch {
-                        stamp[slot] = epoch;
-                        merged[slot] = d;
-                        cands.push(h);
-                    } else if d < merged[slot] {
-                        merged[slot] = d;
+                    match merged.get(h) {
+                        None => {
+                            merged.set(h, Some(d));
+                            cands.push(h);
+                        }
+                        Some(m) if d < m => merged.set(h, Some(d)),
+                        Some(_) => {}
                     }
                 }
             }
@@ -115,7 +114,9 @@ impl HubLabels {
             // INFINITY.
             let mut pruned: Vec<(VertexId, Weight)> = Vec::with_capacity(cands.len());
             for &h in &cands {
-                let d = merged[h as usize];
+                // Every candidate was merged for v: the INFINITY fallback is
+                // never read.
+                let d = merged.get(h).unwrap_or(INFINITY);
                 if h != v
                     && (d >= INFINITY
                         || labels[h as usize]

@@ -14,6 +14,7 @@
 //! that slice, so a reloaded graph holds the same rows with empty tails.
 
 use kspin_graph::csr::row_slice;
+use kspin_graph::Labels;
 
 /// Adjacency rows over generator indices `0..m`.
 #[derive(Debug, Clone)]
@@ -196,7 +197,7 @@ impl AdjacencyGraph {
     ///
     /// Linear in nodes + entries: the reverse edges come from a transpose
     /// built by counting sort, and each row is held against its transposed
-    /// row through one epoch-stamped mark array. `audit` holds the three
+    /// row through one mark store, reset per row. `audit` holds the three
     /// arrays, so a caller auditing many graphs allocates them once.
     pub fn validate_symmetric(&self, audit: &mut SymmetryAudit) -> Result<(), Vec<String>> {
         if self.tail.is_empty() {
@@ -209,14 +210,23 @@ impl AdjacencyGraph {
 }
 
 /// The scratch arrays of [`AdjacencyGraph::validate_symmetric`]: the
-/// transpose's offsets and sources, and the mark array with its epoch
-/// (the stamp of the last audited row).
-#[derive(Debug, Default)]
+/// transpose's offsets and sources, and the marks of the audited row's
+/// entries.
+#[derive(Debug)]
 pub struct SymmetryAudit {
     ends: Vec<u32>,
     sources: Vec<u32>,
-    mark: Vec<u32>,
-    epoch: u32,
+    mark: Labels<bool>,
+}
+
+impl Default for SymmetryAudit {
+    fn default() -> Self {
+        SymmetryAudit {
+            ends: Vec::new(),
+            sources: Vec::new(),
+            mark: Labels::new(0, false),
+        }
+    }
 }
 
 impl SymmetryAudit {
@@ -226,7 +236,7 @@ impl SymmetryAudit {
         clippy::indexing_slicing,
         reason = "offsets are n + 1 monotone fences ending at data.len() (the build makes \
                   them so and from_flat checks it); ends holds n + 1 entries and is indexed \
-                  by in-range nodes only, mark at least n"
+                  by in-range nodes only"
     )]
     fn rows(&mut self, offsets: &[u32], data: &[u32]) -> Result<(), Vec<String>> {
         let mut errs = Vec::new();
@@ -256,18 +266,12 @@ impl SymmetryAudit {
                 }
             }
         }
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
+        if self.mark.num_ids() < n {
+            self.mark = Labels::new(n, false);
         }
         let mut fence = 0;
         for a in 0..n {
-            // A stamp no mark holds yet; the marks clear when it would wrap.
-            if self.epoch == u32::MAX {
-                self.mark.fill(0);
-                self.epoch = 0;
-            }
-            self.epoch += 1;
-            let stamp = self.epoch;
+            self.mark.reset();
             for &b in row(a) {
                 if b as usize >= n {
                     errs.push(format!("adjacency {a}→{b}: node {b} out of range (n={n})"));
@@ -276,13 +280,14 @@ impl SymmetryAudit {
                 if b as usize == a {
                     errs.push(format!("adjacency self-loop at node {a}"));
                 }
-                if std::mem::replace(&mut self.mark[b as usize], stamp) == stamp {
+                if self.mark.get(b) {
                     errs.push(format!("duplicate adjacency {a}→{b}"));
                 }
+                self.mark.set(b, true);
             }
-            // Every x → a must be met by a → x, now stamped.
+            // Every x → a must be met by a → x, now marked.
             for &x in &self.sources[fence..ends[a] as usize] {
-                if self.mark[x as usize] != stamp {
+                if !self.mark.get(x) {
                     errs.push(format!("asymmetric adjacency: {x}→{a} has no reverse edge"));
                 }
             }

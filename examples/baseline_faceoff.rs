@@ -12,7 +12,7 @@ use kspin::adapters::HlDistance;
 use kspin::prelude::*;
 use kspin_ch::{ChConfig, ContractionHierarchy};
 use kspin_core::query::baseline::{ine_bknn, ine_topk};
-use kspin_fsfbs::{FsFbs, FsFbsConfig};
+use kspin_fsfbs::FsFbs;
 use kspin_graph::generate::{road_network, RoadNetworkConfig};
 use kspin_gtree::tree::GtreeConfig;
 use kspin_gtree::{GTree, GtreeSpatialKeyword, OccurrenceMode};
@@ -32,7 +32,7 @@ fn main() {
     let gt = GTree::build(&graph, &GtreeConfig::default());
     let sk = GtreeSpatialKeyword::build(&gt, &graph, &corp);
     let road = RoadIndex::build(&gt, &graph, &corp);
-    let fsfbs = FsFbs::build(&graph, &corp, &hl, FsFbsConfig::default());
+    let fsfbs = FsFbs::build(&graph, &corp, &hl);
     let alt = kspin_alt::AltIndex::build(&graph, 16, kspin_alt::LandmarkStrategy::Farthest, 0);
     let index = KspinIndex::build(&graph, &corp, &KspinConfig::default());
     let _ = vocab;

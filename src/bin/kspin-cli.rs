@@ -229,25 +229,25 @@ fn cmd_snapshot_save(path: &str, args: &[String]) -> CliResult {
 fn cmd_snapshot_load(path: &str, args: &[String]) -> CliResult {
     flags(args, &[])?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    // One checksum pass: the validated file is both listed and decoded.
+    let t0 = now();
     let f = kspin::prelude::SnapshotFile::validate(&bytes).map_err(|e| e.to_string())?;
+    let (system, extras) = KspinSystem::decode_snapshot(&f).map_err(|e| e.to_string())?;
+    let load_ms = t0.elapsed().as_secs_f64() * 1e3;
     let mut out = io::stdout().lock();
     writeln!(
         out,
         "{path}: {} bytes, format v{}, {} sections",
         f.len_bytes(),
-        kspin_core::snapshot::format::FORMAT_VERSION,
+        f.version(),
         f.num_sections()
     )?;
     for line in kspin::snapshot::describe_sections(&f) {
         writeln!(out, "{line}")?;
     }
-
-    let t0 = now();
-    let (system, extras) = KspinSystem::load_snapshot(&bytes).map_err(|e| e.to_string())?;
     writeln!(
         out,
-        "loaded in {:.1} ms: |V|={} |E|={} |O|={} |W|={}, {} NVD keywords, {} list keywords{}",
-        t0.elapsed().as_secs_f64() * 1e3,
+        "loaded in {load_ms:.1} ms: |V|={} |E|={} |O|={} |W|={}, {} NVD keywords, {} list keywords{}",
         system.graph.num_vertices(),
         system.graph.num_edges(),
         system.corpus.num_objects(),

@@ -103,14 +103,28 @@ impl KspinSystem {
     /// [`SnapshotError::Format`] for framing/checksum violations;
     /// [`SnapshotError::Decode`] for structural ones.
     pub fn load_snapshot(bytes: &[u8]) -> Result<(KspinSystem, SnapshotExtras), SnapshotError> {
-        let f = SnapshotFile::validate(bytes)?;
-        let graph = decode_graph(&f)?;
-        let corpus = decode_corpus(&f, graph.num_vertices())?;
-        let vocab = decode_vocab(&f)?;
-        let index = decode_index(&f, &corpus)?;
-        let alt = decode_alt(&f, graph.num_vertices())?;
+        Self::decode_snapshot(&SnapshotFile::validate(bytes)?)
+    }
+
+    /// Reassembles the deployment from a file whose checksums
+    /// [`SnapshotFile::validate`] has verified: the decoding half of
+    /// [`KspinSystem::load_snapshot`], for a caller that also reads the
+    /// file's header and section table.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Decode`] for structural violations, or a
+    /// [`SnapshotError::Format`] for a required section that is missing or
+    /// mistyped.
+    pub fn decode_snapshot(
+        f: &SnapshotFile<'_>,
+    ) -> Result<(KspinSystem, SnapshotExtras), SnapshotError> {
+        let graph = decode_graph(f)?;
+        let corpus = decode_corpus(f, graph.num_vertices())?;
+        let vocab = decode_vocab(f)?;
+        let index = decode_index(f, &corpus)?;
+        let alt = decode_alt(f, graph.num_vertices())?;
         let extras = SnapshotExtras {
-            ch: decode_ch(&f, &graph)?,
+            ch: decode_ch(f, &graph)?,
         };
         Ok((
             KspinSystem {

@@ -7,7 +7,7 @@ use kspin::adapters::{ChDistance, GtreeNetworkDistance, HlDistance};
 use kspin::prelude::*;
 use kspin_ch::{ChConfig, ContractionHierarchy};
 use kspin_core::query::baseline::{brute_bknn, brute_topk, ine_bknn, ine_topk};
-use kspin_fsfbs::{FsFbs, FsFbsConfig};
+use kspin_fsfbs::FsFbs;
 use kspin_gtree::tree::GtreeConfig;
 use kspin_gtree::{GTree, GtreeSpatialKeyword, OccurrenceMode};
 use kspin_hl::HubLabels;
@@ -199,7 +199,7 @@ fn baselines_agree_with_kspin() {
     let s = &w.system;
     let sk = GtreeSpatialKeyword::build(&w.gt, &s.graph, &s.corpus);
     let road = RoadIndex::build(&w.gt, &s.graph, &s.corpus);
-    let fsfbs = FsFbs::build(&s.graph, &s.corpus, &w.hl, FsFbsConfig::default());
+    let fsfbs = FsFbs::build(&s.graph, &s.corpus, &w.hl);
     let mut kspin = s.engine(HlDistance::new(&w.hl));
 
     for terms in workload(&w, 2).into_iter().take(3) {
