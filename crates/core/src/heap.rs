@@ -8,8 +8,9 @@
 //!
 //! * **Initialization** — Observation 2b / Theorem 1: seed with the ρ
 //!   quadtree candidates (one of which is the 1NN of `q`) plus their
-//!   lazily inserted neighbours; Zipf-tail keywords seed with their whole
-//!   (≤ ρ) list.
+//!   lazily inserted neighbours; list keywords (built over at most
+//!   `max(list_max, ρ)` objects, 20 by default, plus any §6.2 inserts
+//!   since) seed with their whole list.
 //! * **`LazyReheap`** (Algorithm 4) — after each extraction, insert the
 //!   extracted object's NVD-adjacent objects that were never inserted.
 //!
@@ -289,6 +290,7 @@ mod tests {
             &corpus,
             &KspinConfig {
                 rho: 4,
+                list_max: 4,
                 num_threads: 2,
             },
         );
@@ -461,6 +463,7 @@ mod tests {
             |o| o != victim,
             &KspinConfig {
                 rho: 4,
+                list_max: 4,
                 num_threads: 1,
             },
         );

@@ -284,6 +284,7 @@ mod tests {
             &corpus,
             &KspinConfig {
                 rho: 4,
+                list_max: 4,
                 num_threads: 2,
             },
         );

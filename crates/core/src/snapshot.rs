@@ -285,6 +285,7 @@ pub fn encode_index(w: &mut SnapshotWriter, index: &KspinIndex) {
             entries.len() as u64,
             stats.nvd_terms as u64,
             stats.small_terms as u64,
+            index.list_max() as u64,
         ],
     );
     w.put_bytes(section::INDEX_TERM_KINDS, &kinds);
@@ -453,15 +454,22 @@ fn decode_one_nvd(
 pub fn decode_index(f: &SnapshotFile<'_>, corpus: &Corpus) -> Result<KspinIndex, SnapshotError> {
     use section::*;
     let meta = f.u64s(INDEX_META)?;
-    let &[m_rho, m_slots, m_nvd_terms, m_small_terms] = meta.as_slice() else {
+    let &[m_rho, m_slots, m_nvd_terms, m_small_terms, m_list_max] = meta.as_slice() else {
         return Err(SnapshotError::decode(
             INDEX_META,
-            format!("index meta holds {} scalars, expected 4", meta.len()),
+            format!("index meta holds {} scalars, expected 5", meta.len()),
         ));
     };
     let rho = decoded_usize(INDEX_META, "rho", m_rho)?;
     if rho == 0 {
         return Err(SnapshotError::decode(INDEX_META, "rho must be at least 1"));
+    }
+    let list_max = decoded_usize(INDEX_META, "list threshold", m_list_max)?;
+    if list_max < rho {
+        return Err(SnapshotError::decode(
+            INDEX_META,
+            format!("list threshold {list_max} is below rho {rho}"),
+        ));
     }
     let term_slots = decoded_usize(INDEX_META, "term slot count", m_slots)?;
     let kinds = f.bytes(INDEX_TERM_KINDS)?;
@@ -519,8 +527,21 @@ pub fn decode_index(f: &SnapshotFile<'_>, corpus: &Corpus) -> Result<KspinIndex,
         let flags = deleted_pool.take_n(len)?;
         let rows = table(corpus, t, objects, flags, &mut holder)?;
         let nvd = if kind == 2 {
+            let apx = decode_one_nvd(&mut nvd, len, &mut audit)?;
+            // The split is by the build-time count, which inserts do not
+            // move: an NVD over that few generators was never built.
+            if apx.num_original() <= list_max {
+                return Err(SnapshotError::decode(
+                    INDEX_TERM_KINDS,
+                    format!(
+                        "keyword {t} has an NVD built over {} generators, at or under the \
+                         list threshold {list_max}",
+                        apx.num_original()
+                    ),
+                ));
+            }
             Some(Box::new(KeywordNvd {
-                apx: decode_one_nvd(&mut nvd, len, &mut audit)?,
+                apx,
                 local_of: local_map(&rows),
             }))
         } else {
@@ -561,7 +582,9 @@ pub fn decode_index(f: &SnapshotFile<'_>, corpus: &Corpus) -> Result<KspinIndex,
         small_terms: small_count,
         build_seconds: 0.0,
     };
-    Ok(KspinIndex::from_snapshot_parts(rho, entries, stats))
+    Ok(KspinIndex::from_snapshot_parts(
+        rho, list_max, entries, stats,
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -754,6 +777,7 @@ mod tests {
         let c = small_corpus(&g);
         let cfg = KspinConfig {
             rho: 3,
+            list_max: 3,
             ..KspinConfig::default()
         };
         let index = KspinIndex::build(&g, &c, &cfg);
@@ -803,6 +827,7 @@ mod tests {
         let c = small_corpus(&g);
         let cfg = KspinConfig {
             rho: 3,
+            list_max: 3,
             ..KspinConfig::default()
         };
         let index = KspinIndex::build(&g, &c, &cfg);
@@ -833,19 +858,18 @@ mod tests {
         let adj_data = f.u32s(section::NVD_ADJ_DATA).unwrap();
 
         // A lying meta (term count inflated, one more NVD claimed than the
-        // pools hold), a meta that is not exactly 4 words wide (the
-        // retired v3 layout had 5), and a self-consistent NVD term of zero
-        // leaves over zero generators, whose first point location would
-        // index past its one candidate fence — decode_index must reject
-        // all three.
+        // pools hold), a meta that is not exactly 5 words wide, and a
+        // self-consistent NVD term of zero leaves over zero generators,
+        // whose first point location would index past its one candidate
+        // fence — decode_index must reject all three.
         let mut lying_meta = meta.clone();
         lying_meta[1] += 1;
         let mut lying_kinds = kinds.to_vec();
         lying_kinds.push(2);
-        let mut v3_meta = meta.clone();
-        v3_meta.push(0);
+        let mut wide_meta = meta.clone();
+        wide_meta.push(0);
         let mut leafless = SnapshotWriter::new();
-        leafless.put_u64s(section::INDEX_META, &[3, 1, 1, 0]);
+        leafless.put_u64s(section::INDEX_META, &[3, 1, 1, 0, 3]);
         leafless.put_bytes(section::INDEX_TERM_KINDS, &[2]);
         let one = 1f64.to_bits();
         leafless.put_u64s(section::NVD_SCALARS, &[0, 0, one, one]);
@@ -865,7 +889,7 @@ mod tests {
         leafless.put_bytes(section::KEYWORD_DELETED, &[]);
         for bad in [
             reassemble(&lying_meta, &lying_kinds, &adj_data),
-            reassemble(&v3_meta, kinds, &adj_data),
+            reassemble(&wide_meta, kinds, &adj_data),
             leafless.finish(),
         ] {
             let f2 = SnapshotFile::validate(&bad).expect("checksums are fresh");

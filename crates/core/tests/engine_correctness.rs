@@ -32,6 +32,7 @@ fn world(n: usize, seed: u64, rho: usize) -> World {
         &corpus,
         &KspinConfig {
             rho,
+            list_max: rho,
             num_threads: 2,
         },
     );
@@ -441,6 +442,7 @@ fn results_stay_exact_after_lazy_insertions() {
         cut,
         &KspinConfig {
             rho: 5,
+            list_max: 5,
             num_threads: 2,
         },
     );
@@ -488,6 +490,7 @@ fn results_stay_exact_after_deletions() {
         &w.corpus,
         &KspinConfig {
             rho: 5,
+            list_max: 5,
             num_threads: 2,
         },
     );
@@ -548,6 +551,7 @@ fn rebuild_after_updates_preserves_results() {
         |o| o % 2 == 0,
         &KspinConfig {
             rho: 5,
+            list_max: 5,
             num_threads: 2,
         },
     );

@@ -134,13 +134,13 @@ impl AdjacencyGraph {
         }
     }
 
-    /// Size in bytes, charged as one 24-byte list header per node plus 4
-    /// bytes per entry — the accounting the index has always reported, so
-    /// `size_bytes` figures stay comparable across layouts.
+    /// Size in bytes of the layout: the CSR's 4-byte fences and entries,
+    /// plus, once a §6.2 insert has made it, the tail's list headers and
+    /// their entries.
     pub fn size_bytes(&self) -> usize {
-        let n = self.num_nodes();
-        let entries: usize = (0..n as u32).map(|a| self.adjacent(a).len()).sum();
-        entries * 4 + n * 24
+        let tail: usize = self.tail.iter().map(Vec::len).sum();
+        (self.offsets.len() + self.data.len() + tail) * size_of::<u32>()
+            + self.tail.len() * size_of::<Vec<u32>>()
     }
 
     /// Flattens the graph into `(offsets, data)` CSR form — the snapshot

@@ -67,6 +67,13 @@
 //! its insert count follows. Version 4 files are refused at the header
 //! with `BadVersion`; no v4 reader is kept.
 //!
+//! Version 6 splits the index's two thresholds: [`section::INDEX_META`]
+//! gains a fifth word, the list threshold `max(list_max, ρ)` up to which a
+//! keyword is a plain list (4 → 5), and the loader refuses an NVD keyword
+//! built over that many generators or fewer. A version 5 meta holds ρ
+//! alone, which was both thresholds; version 5 files are refused at the
+//! header with `BadVersion`, and no v5 reader is kept.
+//!
 //! # Canonical serialization
 //!
 //! A conforming writer emits sections in strictly ascending id order at
@@ -81,7 +88,7 @@
 pub const MAGIC: [u8; 8] = *b"KSPINSNP";
 
 /// Current format version, bytes `8..12`.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Endianness tag, bytes `12..16`: read back as this value only when the
 /// file and host agree on little-endian layout of `u32`s.
@@ -148,7 +155,8 @@ pub mod section {
     /// Vocabulary: concatenated UTF-8 term bytes.
     pub const VOCAB_BYTES: u32 = 21;
 
-    /// Index scalars, `u64`: `[rho, term_slots, nvd_terms, small_terms]`.
+    /// Index scalars, `u64`: `[rho, term_slots, nvd_terms, small_terms,
+    /// list_max]`, where `list_max` is the effective list threshold.
     pub const INDEX_META: u32 = 30;
     /// Per-term-slot kind byte: 0 = absent, 1 = object list only, 2 =
     /// object list and NVD.

@@ -178,7 +178,7 @@ fn every_distance_module_answers_a_snapshot_alike() {
     let prefix = format!("{}/cli_dataset_modules", env!("CARGO_TARGET_TMPDIR"));
     let snapshot = format!("{prefix}.kspin");
     for args in [
-        vec!["generate", "--vertices", "600", "--out", &prefix],
+        vec!["generate", "--vertices", "3000", "--out", &prefix],
         vec![
             "snapshot", "save", &snapshot, "--data", &prefix, "--rho", "2", "--ch", "true",
         ],

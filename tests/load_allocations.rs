@@ -99,6 +99,7 @@ fn lazily_updated_system(n: usize) -> KspinSystem {
     let (corpus, vocab) = kspin::text::generate::corpus(&cc);
     let config = KspinConfig {
         rho: 4,
+        list_max: 4,
         num_threads: 1,
     };
     let mut system = KspinSystem::build(graph, corpus, vocab, &config);

@@ -290,7 +290,7 @@ proptest! {
         }
         let corpus = cb.build();
         let alt = AltIndex::build(&g, 4, LandmarkStrategy::Farthest, 2);
-        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho: 2, num_threads: 1 });
+        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho: 2, list_max: 2, num_threads: 1 });
         let mut engine = QueryEngine::new(&g, &corpus, &index, &alt, DijkstraDistance::new(&g));
         let op = if conjunctive { Op::And } else { Op::Or };
         let got = engine.bknn(q, k, &[0, 1], op);
@@ -321,7 +321,7 @@ proptest! {
         }
         let corpus = cb.build();
         let alt = AltIndex::build(&g, 4, LandmarkStrategy::Farthest, 3);
-        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho: 2, num_threads: 1 });
+        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho: 2, list_max: 2, num_threads: 1 });
         let mut engine = QueryEngine::new(&g, &corpus, &index, &alt, DijkstraDistance::new(&g));
         let got = engine.top_k(q, k, &[0, 1]);
         let want = kspin_core::query::baseline::brute_topk(&g, &corpus, q, k, &[0, 1]);
@@ -349,7 +349,7 @@ proptest! {
             cb.add_object(v, &doc);
         }
         let corpus = cb.build();
-        let mut index = KspinIndex::build(&g, &corpus, &KspinConfig { rho, num_threads: 1 });
+        let mut index = KspinIndex::build(&g, &corpus, &KspinConfig { rho, list_max: rho, num_threads: 1 });
         prop_assert!(
             index.validate(&corpus).is_ok(),
             "fresh index failed audit: {:?}", index.validate(&corpus).err()
@@ -386,7 +386,7 @@ proptest! {
             cb.add_object(v, &doc);
         }
         let corpus = cb.build();
-        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho, num_threads: 1 });
+        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho, list_max: rho, num_threads: 1 });
         // An exact lower bound arms the heap's internal Property-1 audit;
         // the loop below re-checks the same monotonicity externally and
         // drains each heap to prove LazyReheap reaches every object.
@@ -437,7 +437,7 @@ proptest! {
             cb.add_object(v, &doc);
         }
         let corpus = cb.build();
-        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho: 2, num_threads: 1 });
+        let index = KspinIndex::build(&g, &corpus, &KspinConfig { rho: 2, list_max: 2, num_threads: 1 });
         // Exact bounds keep the Property-1 extraction-order audit armed
         // through the full BkNN and top-k paths.
         let exact = ExactLowerBound::new(&g);

@@ -161,7 +161,7 @@ proptest! {
                 b.add_object(v, &[(0, 1)]);
             }
             let corpus = b.build();
-            let config = KspinConfig { rho, num_threads: 1 };
+            let config = KspinConfig { rho, list_max: rho, num_threads: 1 };
             let index = KspinIndex::build(g, &corpus, &config);
             let bound = ExactLowerBound::new(g);
             let mut engine = QueryEngine::new(g, &corpus, &index, &bound, DijkstraDistance::new(g));

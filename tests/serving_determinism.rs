@@ -28,6 +28,7 @@ fn fixture() -> Fixture {
         &corpus,
         &KspinConfig {
             rho: 4,
+            list_max: 4,
             ..KspinConfig::default()
         },
     );

@@ -27,6 +27,7 @@ fn build_system(n: usize, seed: u64) -> KspinSystem {
     let (corpus, vocab) = gen_corpus(&cc);
     let config = KspinConfig {
         rho: 4,
+        list_max: 4,
         ..KspinConfig::default()
     };
     KspinSystem::build(graph, corpus, vocab, &config)
@@ -140,6 +141,7 @@ fn rebuilt_keywords_round_trip_through_a_snapshot() {
     let held = |o: ObjectId| o.is_multiple_of(3);
     let config = KspinConfig {
         rho,
+        list_max: rho,
         ..KspinConfig::default()
     };
     system.index = KspinIndex::build_filtered(&system.graph, &system.corpus, |o| !held(o), &config);
@@ -237,6 +239,7 @@ fn lazily_computed_vertex_order_changes_no_index_byte() {
     let encode = |graph: &Graph, num_threads: usize| {
         let config = KspinConfig {
             rho: system.index.rho(),
+            list_max: system.index.rho(),
             num_threads,
         };
         let mut w = SnapshotWriter::new();
@@ -261,11 +264,11 @@ fn small_snapshot() -> Vec<u8> {
 /// landmark-major in the same `m · n` words: decoded today it would pass
 /// every shape check and serve inadmissible bounds. Formats v3 and v4,
 /// which the missing or mis-sized index sections would catch anyway, are
-/// two more inputs.
+/// two more inputs, and so is v5, whose ρ was the list threshold too.
 #[test]
 fn version_2_snapshot_is_refused_at_the_header() {
     use kspin::snapshot::{FormatError, SectionLabel};
-    for version in [2u8, 3, 4] {
+    for version in [2u8, 3, 4, 5] {
         let mut bytes = small_snapshot();
         bytes[8] = version;
         let Err(e) = SnapshotFile::validate(&bytes) else {
@@ -547,6 +550,7 @@ fn lazily_updated_system(n: usize, seed: u64) -> KspinSystem {
     let mut system = build_system(n, seed);
     let config = KspinConfig {
         rho: system.index.rho(),
+        list_max: system.index.rho(),
         ..KspinConfig::default()
     };
     let held = |o: ObjectId| o.is_multiple_of(10);
@@ -575,10 +579,12 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// not part of the format: every layout must write these bytes.
 #[test]
 fn lazily_updated_world_saves_the_pinned_bytes() {
-    // Captured at cb7e3f3, while every adjacency row was its own `Vec`, and
+    // Captured at cb7e3f3, while every adjacency row was its own `Vec`,
     // re-captured when a Voronoi tie went to the smallest generator id (the
-    // length did not move).
-    const EXPECTED: (usize, u64) = (193_288, 0x16b0_0851_a35e_b90d);
+    // length did not move), and again for format v6, whose index meta
+    // holds the list threshold as a fifth word (8 bytes more; every other
+    // section's content is unchanged).
+    const EXPECTED: (usize, u64) = (193_296, 0x2bf1_c257_4460_c1d4);
     let system = lazily_updated_system(1500, 21);
     let bytes = system.save_snapshot(&SnapshotExtras::default());
     assert_eq!(
@@ -643,6 +649,7 @@ fn graph_with_isolated_vertices_round_trips() {
     }
     let config = KspinConfig {
         rho: 3,
+        list_max: 3,
         ..KspinConfig::default()
     };
     let system = KspinSystem::build(graph, cb.build(), vocab, &config);
