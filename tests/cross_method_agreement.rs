@@ -32,13 +32,30 @@ fn build_world(n: usize, seed: u64) -> World {
     let ch = ContractionHierarchy::build(&graph, &ChConfig::default());
     let hl = HubLabels::build(&ch);
     let gt = GTree::build(&graph, &GtreeConfig::default());
-    let system = KspinSystem::build(graph, corpus, vocab, &KspinConfig::default());
+    // The paper's index (`list_max = ρ`), so the queried keywords reach
+    // NVDs as well as plain lists.
+    let default = KspinConfig::default();
+    let config = KspinConfig {
+        list_max: default.rho,
+        ..default
+    };
+    let system = KspinSystem::build(graph, corpus, vocab, &config);
+    let list_max = system.index.list_max();
+    assert!(
+        SEED_TERMS
+            .iter()
+            .any(|&t| system.corpus.inverted(t).len() > list_max),
+        "no queried keyword has an NVD"
+    );
     World { system, ch, hl, gt }
 }
 
+/// The keywords every query vector is drawn from.
+const SEED_TERMS: [TermId; 5] = [0, 1, 2, 3, 4];
+
 fn workload(w: &World, len: usize) -> Vec<Vec<TermId>> {
     let cfg = WorkloadConfig {
-        seed_terms: vec![0, 1, 2, 3, 4],
+        seed_terms: SEED_TERMS.to_vec(),
         objects_per_term: 2,
         vertices_per_vector: 1,
         seed: 99,
