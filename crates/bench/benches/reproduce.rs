@@ -1,9 +1,11 @@
 //! Regenerates the paper's evaluation (§7): Tables 1–2, Figs. 6 and 8–16
-//! and the ablation, each printed with the paper's rows and series.
+//! and the ablation, each printed with the paper's rows and series, and
+//! the two committed tables `BENCH_distance.json` and `BENCH_startup.json`.
 //!
 //! ```text
 //! cargo bench -p kspin-bench --bench reproduce                 # every table and figure
 //! cargo bench -p kspin-bench --bench reproduce -- fig9 fig16   # the named ones
+//! cargo bench -p kspin-bench --bench reproduce -- distance startup
 //! ```
 //!
 //! A *world* is one synthetic dataset (a Table 2 stand-in, DESIGN.md §3)
@@ -14,7 +16,7 @@
 //! world. The ladder ends at DE, ME under `KSPIN_BENCH_SCALE=small`, at FL
 //! by default and at E under `KSPIN_BENCH_SCALE=full`. The figures over
 //! one dataset run on the top world; a run that selects only such figures
-//! builds no other.
+//! builds no other, and a run of `distance` or `startup` alone builds none.
 //!
 //! Absolute numbers differ from the paper's testbed. Each figure's doc
 //! states the shape the paper reports and, where a run here contradicts
@@ -23,7 +25,7 @@
 //! Every K-SPIN index here is the paper's: ρ is both the quadtree's colour
 //! limit and the list threshold (`list_max = ρ`, [`paper`]). The library's
 //! default list threshold (20) shows in one extension row per dataset of
-//! Fig. 14.
+//! Fig. 14, and `startup` builds at the default configuration.
 
 // Float ordering goes through `OrderedWeight`: `partial_cmp` is on the
 // clippy.toml method list, with the clock and thread calls.
@@ -32,21 +34,25 @@
 use std::time::Instant;
 
 use kspin::adapters::{ChDistance, GtreeNetworkDistance, HlDistance};
+use kspin::snapshot::SnapshotExtras;
 use kspin::KspinSystem;
 use kspin_alt::{AltIndex, LandmarkStrategy};
-use kspin_bench::{build_dataset, header, row};
-use kspin_ch::{ChConfig, ContractionHierarchy};
+use kspin_ch::{ChConfig, ChQuery, ContractionHierarchy};
 use kspin_core::modules::ZeroLowerBound;
+use kspin_core::snapshot::format::{section, section_name};
+use kspin_core::snapshot::SnapshotFile;
 use kspin_core::{KspinConfig, KspinIndex, LowerBound, NetworkDistance, Op, QueryEngine};
 use kspin_fsfbs::FsFbs;
-use kspin_graph::Graph;
+use kspin_graph::generate::{road_network, RoadNetworkConfig};
+use kspin_graph::{Dijkstra, Graph, HeapCounters, VertexId};
 use kspin_gtree::tree::GtreeConfig;
 use kspin_gtree::{GTree, GtreeSpatialKeyword, OccurrenceMode};
 use kspin_hl::HubLabels;
-use kspin_nvd::{ApproxNvd, ExactNvd, SweepScratch};
+use kspin_nvd::{ExactNvd, SweepScratch};
 use kspin_road::RoadIndex;
+use kspin_text::generate::{corpus, CorpusConfig};
 use kspin_text::workload::{queries, query_vertices, Query, WorkloadConfig};
-use kspin_text::{Corpus, ObjectId, TermId};
+use kspin_text::{Corpus, ObjectId, TermId, Vocabulary};
 
 /// The paper's index configuration at `rho`: a keyword with at most ρ
 /// objects is a plain list (Observation 1), and NVD leaves stop at ρ
@@ -63,13 +69,14 @@ fn paper(rho: usize) -> KspinConfig {
 const PAPER_RHO: usize = 5;
 
 /// Every name a run can select, in the order a full run prints them.
-const NAMES: [&str; 13] = [
+const NAMES: [&str; 15] = [
     "table1", "table2", "fig6", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-    "fig15", "fig16", "ablation",
+    "fig15", "fig16", "ablation", "distance", "startup",
 ];
 
-/// The names with one row per world of the ladder; the rest run on the
-/// top world only.
+/// The names with one row per world of the ladder; the figures of
+/// `TOP_WORLD_FIGURES` run on the top world only, and `distance` and
+/// `startup` build their own datasets.
 const LADDER_NAMES: [&str; 4] = ["table2", "fig6", "fig12", "fig14"];
 
 /// A table or figure over one world.
@@ -99,15 +106,46 @@ const SCALES: [(&str, usize); 4] = [
     ("E", 160_000),
 ];
 
-/// The scales a run builds worlds at: up to ME under
-/// `KSPIN_BENCH_SCALE=small` (smoke runs), FL by default ("the largest
-/// dataset" stand-in that keeps `cargo bench` under control), E under
-/// `KSPIN_BENCH_SCALE=full`.
-fn ladder() -> &'static [(&'static str, usize)] {
-    match std::env::var("KSPIN_BENCH_SCALE").as_deref() {
-        Ok("full") => &SCALES,
-        Ok("small") => &SCALES[..2],
-        _ => &SCALES[..3],
+/// The sizes of the `distance` and `startup` tables: those of their
+/// committed rows, so that a run's exact cells compare with them.
+const TABLE_SIZES: [usize; 3] = [10_000, 30_000, 100_000];
+
+/// How large a run is, from `KSPIN_BENCH_SCALE`: `small` (smoke runs),
+/// `full`, or the default when unset or anything else.
+#[derive(Clone, Copy)]
+enum Scale {
+    Small,
+    Default,
+    Full,
+}
+
+impl Scale {
+    /// The one reading of `KSPIN_BENCH_SCALE`.
+    fn from_env() -> Self {
+        match std::env::var("KSPIN_BENCH_SCALE").as_deref() {
+            Ok("small") => Scale::Small,
+            Ok("full") => Scale::Full,
+            _ => Scale::Default,
+        }
+    }
+
+    /// The scales a run builds worlds at: up to ME when small, FL by
+    /// default ("the largest dataset" stand-in that keeps `cargo bench`
+    /// under control), E when full.
+    fn ladder(self) -> &'static [(&'static str, usize)] {
+        match self {
+            Scale::Small => &SCALES[..2],
+            Scale::Default => &SCALES[..3],
+            Scale::Full => &SCALES,
+        }
+    }
+
+    /// The `distance` and `startup` sizes: all three, less 100k when small.
+    fn table_sizes(self) -> &'static [usize] {
+        match self {
+            Scale::Small => &TABLE_SIZES[..2],
+            Scale::Default | Scale::Full => &TABLE_SIZES,
+        }
     }
 }
 
@@ -129,6 +167,40 @@ fn selection() -> Vec<&'static str> {
             })
         })
         .collect()
+}
+
+/// A synthetic dataset standing in for a Table 2 road network at
+/// `vertices` scale, with Table 2-like keyword ratios.
+fn build_dataset(vertices: usize) -> (Graph, Corpus, Vocabulary) {
+    let graph = road_network(&RoadNetworkConfig::new(vertices, 0x5eed ^ vertices as u64));
+    let seed = 0xc0de ^ vertices as u64;
+    let (corpus, vocab) = corpus(&CorpusConfig::new(graph.num_vertices(), seed));
+    (graph, corpus, vocab)
+}
+
+/// Prints a figure/table header in a uniform style.
+fn header(title: &str, cols: &[&str]) {
+    println!("\n=== {title} ===");
+    print!("{:<14}", cols[0]);
+    for c in &cols[1..] {
+        print!(" {c:>14}");
+    }
+    println!();
+}
+
+/// Prints one row: a label and a series of values.
+fn row(label: impl std::fmt::Display, values: &[f64]) {
+    print!("{label:<14}");
+    for v in values {
+        if *v < 0.0 {
+            print!(" {:>14}", "x"); // "not supported / not built"
+        } else if *v >= 1000.0 {
+            print!(" {v:>14.0}");
+        } else {
+            print!(" {v:>14.2}");
+        }
+    }
+    println!();
 }
 
 /// The harness's one clock read: timing is what it reports, and the
@@ -154,6 +226,22 @@ fn time_per_query<F: FnMut(&Query)>(qs: &[Query], mut f: F) -> f64 {
         f(q);
     }
     t0.elapsed().as_secs_f64() / qs.len() as f64 * 1e6
+}
+
+/// The least of `runs` timed calls of `pass`, in seconds, after one
+/// untimed warm-up call, with the last call's output. The least, because
+/// the host is shared: any one call can eat a scheduler stall, and the
+/// minimum discards those.
+fn best_of<T>(runs: usize, mut pass: impl FnMut() -> T) -> (f64, T) {
+    let mut last = pass();
+    let mut best = f64::INFINITY;
+    for _ in 0..runs {
+        let t0 = now();
+        let out = std::hint::black_box(pass());
+        best = best.min(t0.elapsed().as_secs_f64());
+        last = out;
+    }
+    (best, last)
 }
 
 /// Formats bytes as MiB.
@@ -365,21 +453,23 @@ struct LadderRows {
 }
 
 fn main() {
+    let scale = Scale::from_env();
     let selected = selection();
     let on = |name: &str| selected.contains(&name);
-    let ladder = ladder();
+    let ladder = scale.ladder();
     let spans = LADDER_NAMES.into_iter().any(on);
+    let tops = TOP_WORLD_FIGURES.iter().any(|&(fig, _)| on(fig));
     let mut rows = LadderRows::default();
 
     for (i, &(name, vertices)) in ladder.iter().enumerate() {
         let top = i + 1 == ladder.len();
-        if !spans && !top {
+        if !(spans || top && tops) {
             continue;
         }
         eprintln!("building the {name} world ({vertices} vertices)…");
-        let ds = build_dataset(vertices);
+        let (graph, corpus, vocab) = build_dataset(vertices);
         let (sys, t_kspin) = timed("ALT-16 + K-SPIN index", || {
-            KspinSystem::build(ds.graph, ds.corpus, ds.vocab, &paper(PAPER_RHO))
+            KspinSystem::build(graph, corpus, vocab, &paper(PAPER_RHO))
         });
         let (g, c) = (&sys.graph, &sys.corpus);
         let (ch, t_ch) = timed("CH", || {
@@ -446,14 +536,14 @@ fn main() {
         // Table 2 lists every scale: those above the ladder build their
         // dataset alone.
         for &(name, vertices) in &SCALES[ladder.len()..] {
-            let ds = build_dataset(vertices);
-            rows.table2.push(table2_line(name, &ds.graph, &ds.corpus));
+            let (graph, corpus, _) = build_dataset(vertices);
+            rows.table2.push(table2_line(name, &graph, &corpus));
         }
         table2(&rows.table2);
     }
     if on("fig6") {
         print_rows(
-            "Fig 6(c): index size by storage, across datasets (MiB)",
+            "Fig 6(c): index size by storage, across datasets (KiB)",
             &["dataset", "occurrences", "quadtree", "R-tree"],
             &rows.fig6c,
         );
@@ -498,6 +588,12 @@ fn main() {
             ],
             &rows.fig14b,
         );
+    }
+    if on("distance") {
+        distance(scale);
+    }
+    if on("startup") {
+        startup(scale);
     }
 }
 
@@ -693,27 +789,43 @@ fn str_rtree_bytes(m: usize) -> usize {
 
 /// Fig. 6(c)'s row for one world: index size, quadtree vs R-tree storage
 /// (ρ = 5). Both grow about linearly in keyword occurrences.
+///
+/// The quadtree column is the world's own index, every keyword's table and
+/// every NVD whole. The R-tree column is the same index with each NVD's
+/// point location swapped: its quadtree arrays (`starts`, `cand_offsets`,
+/// `cands`, summed from the snapshot sections they are saved to) out, one
+/// STR R-tree over its `m` cells in. Both keep the adjacency graph and
+/// `MaxRadius`, which an R-tree NVD needs as much as a quadtree one.
 fn fig6c_row(w: &World) -> Row {
-    let (g, c) = (w.graph(), w.corpus());
-    let rho = 5;
-    let mut quad = 0usize;
-    let mut rtree = 0usize;
-    let mut scratch = SweepScratch::default();
-    for t in 0..c.num_terms() as TermId {
-        let postings = c.inverted(t);
-        if postings.len() <= rho {
-            quad += postings.len() * 9;
-            rtree += postings.len() * 9;
-            continue;
-        }
-        let gens: Vec<u32> = postings.iter().map(|p| c.vertex_of(p.object)).collect();
-        let exact = ExactNvd::build(g, &gens, &mut scratch);
-        rtree += str_rtree_bytes(gens.len());
-        quad += ApproxNvd::from_exact(g, exact, rho).size_bytes();
-    }
+    let (c, index) = (w.corpus(), &w.sys.index);
+    let bytes = w.sys.save_snapshot(&SnapshotExtras::default());
+    let file = SnapshotFile::validate(&bytes).expect("a fresh snapshot validates");
+    let quadtrees: usize = [
+        section::NVD_STARTS,
+        section::NVD_CAND_OFFSETS,
+        section::NVD_CANDS,
+    ]
+    .into_iter()
+    .map(|id| file.section(id).map_or(0, |s| s.payload.len()))
+    .sum();
+    let nvd_sizes: Vec<usize> = (0..c.num_terms() as TermId)
+        .map(|t| c.inv_len(t))
+        .filter(|&m| m > index.list_max())
+        .collect();
+    assert_eq!(
+        nvd_sizes.len(),
+        index.stats().nvd_terms,
+        "one R-tree per NVD"
+    );
+    let rtrees: usize = nvd_sizes.into_iter().map(str_rtree_bytes).sum();
+    let quad = index.size_bytes();
     (
         w.name,
-        vec![c.total_occurrences() as f64, mib(quad), mib(rtree)],
+        vec![
+            c.total_occurrences() as f64,
+            quad as f64 / 1024.0,
+            (quad - quadtrees + rtrees) as f64 / 1024.0,
+        ],
     )
 }
 
@@ -1109,4 +1221,206 @@ fn ablation(w: &World) {
         let ([t_topk, t_bknn], _, lbs) = measure(index, &w.sys.alt);
         row(label, &[t_topk, t_bknn, lbs]);
     }
+}
+
+/// Deterministic point-to-point query pairs, spread across the network.
+fn query_pairs(n: usize) -> Vec<(VertexId, VertexId)> {
+    let pairs = match n {
+        0..=15_000 => 48,
+        15_001..=50_000 => 24,
+        _ => 10,
+    };
+    (0..pairs)
+        .map(|i| {
+            (
+                ((i * 7919) % n) as VertexId,
+                ((i * 104_729 + n / 2) % n) as VertexId,
+            )
+        })
+        .collect()
+}
+
+/// Timed passes per `distance` cell, after one warm-up pass.
+const DISTANCE_PASSES: usize = 5;
+
+/// Writes `json` to the committed table `file` at the workspace root.
+fn write_table(file: &str, json: &str) {
+    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
+    println!("\nwrote {path}");
+}
+
+/// The `distance` table (`BENCH_distance.json`): the three queue-driven
+/// searches on generated road networks of 10k, 30k and 100k vertices.
+///
+/// * `dijkstra`: `Dijkstra::one_to_one` over the query pairs;
+/// * `ch`: the CH query over the same pairs, each of another source, so
+///   every call re-pins the forward search;
+/// * `nvd_build`: one exact-NVD sweep with every 64th vertex a generator
+///   (road-network POI density), reusing one bucket queue the way an
+///   index-build worker does; one build is one work item.
+///
+/// Every leg runs the production code path: the two searches on the
+/// shared indexed 4-ary decrease-key kernel (`kspin_graph::dheap`), the
+/// sweep on its bucket queue, whose counters take the same shape (entries
+/// queued, entries taken out, in-queue improvements). The counters
+/// (`pushes`, `pops`, `decrease_keys`) are exact: they compare across
+/// sessions and with the committed rows. `qps` is the best of five passes
+/// and compares only with a parent run from the same session.
+fn distance(scale: Scale) {
+    header(
+        "Distance kernels: module × |V|",
+        &["leg", "q/s", "pushes", "pops", "dec-keys"],
+    );
+    let sizes = scale.table_sizes();
+    let mut rows = Vec::new();
+    for &n in sizes {
+        let (g, _, _) = build_dataset(n);
+        let pairs = query_pairs(g.num_vertices());
+        let gens: Vec<VertexId> = (0..g.num_vertices() as VertexId).step_by(64).collect();
+        let (ch, _) = timed("CH", || {
+            ContractionHierarchy::build(&g, &ChConfig::default())
+        });
+        eprintln!(
+            "|V|={n}: {} query pairs, {} NVD generators",
+            pairs.len(),
+            gens.len()
+        );
+        let mut emit = |module: &str, qps: f64, c: HeapCounters| {
+            row(
+                format!("{module}/{n}"),
+                &[qps, c.pushes as f64, c.pops as f64, c.decrease_keys as f64],
+            );
+            rows.push(format!(
+                "    {{\"module\": \"{module}\", \"vertices\": {n}, \"qps\": {qps:.2}, \
+                 \"pushes\": {}, \"pops\": {}, \"decrease_keys\": {}}}",
+                c.pushes, c.pops, c.decrease_keys,
+            ));
+        };
+        let per_pair = pairs.len() as f64;
+        let mut d = Dijkstra::new(g.num_vertices());
+        let (secs, counters) = best_of(DISTANCE_PASSES, || {
+            let base = d.heap_counters();
+            for &(s, t) in &pairs {
+                std::hint::black_box(d.one_to_one(&g, s, t));
+            }
+            d.heap_counters().since(base)
+        });
+        emit("dijkstra", per_pair / secs, counters);
+        let mut q = ChQuery::new(&ch);
+        let (secs, counters) = best_of(DISTANCE_PASSES, || {
+            let base = q.heap_counters();
+            for &(s, t) in &pairs {
+                std::hint::black_box(q.distance(s, t));
+            }
+            q.heap_counters().since(base)
+        });
+        emit("ch", per_pair / secs, counters);
+        let mut scratch = SweepScratch::default();
+        let (secs, counters) = best_of(DISTANCE_PASSES, || {
+            ExactNvd::build(&g, &gens, &mut scratch).build_counters()
+        });
+        emit("nvd_build", 1.0 / secs, counters);
+    }
+    write_table(
+        "BENCH_distance.json",
+        &format!(
+            "{{\n  \"bench\": \"distance\",\n  \"sizes\": {sizes:?},\n  \
+             \"hardware_threads\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+            KspinConfig::default().num_threads,
+            rows.join(",\n"),
+        ),
+    );
+}
+
+/// Timed snapshot loads (and validations) per `startup` size.
+const LOADS: usize = 25;
+
+/// The `startup` table (`BENCH_startup.json`): a cold `KspinSystem::build`
+/// at `KspinConfig::default()` (ALT landmark sweeps plus the whole
+/// Keyword Separated Index) against a snapshot load, which validates
+/// checksums and copies flat arrays with no rebuild, at 10k, 30k and 100k
+/// vertices. It asserts save → load → save byte identity, a cheap proxy
+/// for the bit-identical serving `tests/snapshot_roundtrip.rs` enforces.
+///
+/// The exact cells compare across sessions and with the committed rows:
+/// `objects`, `snapshot_bytes`, `bytes_per_vertex` and every section's
+/// `elems` and `bytes`. The wall-clock cells (`build_s`, `save_s`,
+/// `validate_s`, `load_s`, `speedup`) compare only with a parent run
+/// from the same session; CI holds the committed rows to a load at least
+/// 20× faster than the cold build at every size.
+fn startup(scale: Scale) {
+    header(
+        "Startup: cold build vs snapshot load",
+        &[
+            "vertices", "build s", "load ms", "speedup", "MiB", "B/vertex",
+        ],
+    );
+    let mut rows = Vec::new();
+    for &n in scale.table_sizes() {
+        let (graph, corpus, vocab) = build_dataset(n);
+        let vertices = graph.num_vertices();
+        let (system, build_s) = timed("cold system", || {
+            KspinSystem::build(graph, corpus, vocab, &KspinConfig::default())
+        });
+        let (bytes, save_s) = timed("snapshot", || {
+            system.save_snapshot(&SnapshotExtras::default())
+        });
+        let (validate_s, file) = best_of(LOADS, || {
+            SnapshotFile::validate(&bytes).expect("a fresh snapshot validates")
+        });
+        let (load_s, (reloaded, extras)) = best_of(LOADS, || {
+            KspinSystem::load_snapshot(&bytes).expect("a fresh snapshot loads")
+        });
+        assert_eq!(
+            reloaded.save_snapshot(&extras),
+            bytes,
+            "save -> load -> save must be byte-identical"
+        );
+
+        let speedup = build_s / load_s;
+        let bytes_per_vertex = bytes.len() as f64 / vertices as f64;
+        row(
+            vertices,
+            &[
+                build_s,
+                load_s * 1e3,
+                speedup,
+                mib(bytes.len()),
+                bytes_per_vertex,
+            ],
+        );
+        let sections: Vec<String> = (0..file.num_sections())
+            .map(|i| {
+                let s = file.section_at(i).expect("table index in range");
+                format!(
+                    "{{\"id\": {}, \"name\": \"{}\", \"elems\": {}, \"bytes\": {}}}",
+                    s.id,
+                    section_name(s.id),
+                    s.count,
+                    s.payload.len()
+                )
+            })
+            .collect();
+        rows.push(format!(
+            "    {{\"vertices\": {vertices}, \"objects\": {}, \
+             \"build_s\": {build_s:.4}, \"save_s\": {save_s:.4}, \
+             \"validate_s\": {validate_s:.6}, \"load_s\": {load_s:.6}, \
+             \"speedup\": {speedup:.1}, \
+             \"snapshot_bytes\": {}, \"bytes_per_vertex\": {bytes_per_vertex:.1}, \
+             \"sections\": [{}]}}",
+            reloaded.corpus.num_objects(),
+            bytes.len(),
+            sections.join(", "),
+        ));
+    }
+    write_table(
+        "BENCH_startup.json",
+        &format!(
+            "{{\n  \"bench\": \"startup\",\n  \"ratchet_min_speedup\": 20.0,\n  \
+             \"hardware_threads\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+            KspinConfig::default().num_threads,
+            rows.join(",\n"),
+        ),
+    );
 }

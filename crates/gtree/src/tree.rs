@@ -176,14 +176,12 @@ impl GTree {
             }
         }
         let next = std::sync::atomic::AtomicUsize::new(0);
-        // A `Mutex` per job result slot for the one-off matrix build; each
-        // slot is locked exactly once by the one worker that claims the
-        // job, so there is no contention and no cross-job ordering to get
-        // wrong. The query path stays lock-free.
-        type RowSlot = std::sync::Mutex<Vec<Weight>>;
-        let slots: Vec<RowSlot> = jobs.iter().map(|_| RowSlot::new(Vec::new())).collect();
-        crossbeam_scope(threads, || {
+        // Each worker keeps the rows it computed with their job index; the
+        // rows are placed by that index afterwards, so the matrices do not
+        // depend on which worker claimed which job.
+        let shards = crossbeam_scope(threads, || {
             let mut dij = Dijkstra::new(graph.num_vertices());
+            let mut shard = Vec::new();
             loop {
                 let j = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if j >= jobs.len() {
@@ -195,14 +193,17 @@ impl GTree {
                 } else {
                     (cb[n as usize][r as usize], &cb[n as usize])
                 };
-                *slots[j].lock().expect("row slot poisoned") =
-                    dij.one_to_many(graph, source, targets);
+                shard.push((j, dij.one_to_many(graph, source, targets)));
             }
+            shard
         });
+        let mut rows: Vec<Vec<Weight>> = vec![Vec::new(); jobs.len()];
+        for (j, row) in shards.into_iter().flatten() {
+            rows[j] = row;
+        }
         let mut matrix: Vec<Vec<Weight>> = vec![Vec::new(); num_nodes];
-        for (j, slot) in slots.into_iter().enumerate() {
-            let (n, _) = jobs[j];
-            matrix[n as usize].extend(slot.into_inner().expect("row slot poisoned"));
+        for (&(n, _), row) in jobs.iter().zip(rows) {
+            matrix[n as usize].extend(row);
         }
 
         GTree {
@@ -279,15 +280,20 @@ fn dfs_intervals(
     range[n as usize] = (lo, *counter);
 }
 
-/// Runs `f` on `threads` scoped workers (each gets its own copy via the
-/// closure being `Fn`).
-fn crossbeam_scope<F: Fn() + Sync>(threads: usize, f: F) {
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads.max(1) {
-            s.spawn(|_| f());
-        }
-    })
-    .expect("gtree build pool failed");
+/// Runs `f` on `threads` scoped workers and returns each worker's result.
+/// A worker's panic reaches the caller with its own payload.
+fn crossbeam_scope<T: Send, F: Fn() -> T + Sync>(threads: usize, f: F) -> Vec<T> {
+    let joined = crossbeam::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads.max(1)).map(|_| s.spawn(|_| f())).collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    });
+    joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 #[cfg(test)]
